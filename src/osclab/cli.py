@@ -36,7 +36,7 @@ from . import poincare as poincare_mod
 from . import stability as stability_mod
 from .errors import ConfigError, OscLabError
 from .integrate import AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed, sample_strobe
-from .model import State, make_field, spec_from_json, trig_spec
+from .model import State, TrigFamily, make_field, spec_from_json, trig_spec
 from .output import decimate, svg_plot, write_csv, write_json
 
 PRESETS = {
@@ -94,6 +94,9 @@ def _resolve_oscillator(args):
     params = {}
     if args.preset:
         params = _preset(args.preset)
+        if "omega" not in params:
+            raise ConfigError(f"preset {args.preset!r} sets no single omega; "
+                              "it is a stability-scan preset")
         spec = trig_spec(params["A"], params["B"], params["C"],
                          params["omega"], params.get("m", 2))
     elif args.spec:
@@ -114,6 +117,13 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _finish(out: Path, summary: dict, report: str, status: str = None) -> int:
+    """Write summary.json, print the run's report; exit code 3 for a singular coefficient."""
+    write_json(out / "summary.json", summary)
+    print(report)
+    return 3 if status == "coefficient_singular" else 0
 
 
 def _stride_rows(ts, cols, cap=_CSV_ROW_CAP):
@@ -157,11 +167,8 @@ def cmd_simulate(args) -> int:
         "n_recorded": len(traj),
         "z0": y0[0], "p0": y0[1],
     }
-    write_json(out / "summary.json", summary)
-    print(f"simulate: status={traj.status} t_final={traj.ts[-1]:.6g} z_final={traj.z[-1]:.6g}")
-    if traj.status == "coefficient_singular":
-        return 3
-    return 0
+    return _finish(out, summary, f"simulate: status={traj.status} t_final={traj.ts[-1]:.6g} "
+                                 f"z_final={traj.z[-1]:.6g}", traj.status)
 
 
 def cmd_drift(args) -> int:
@@ -187,11 +194,8 @@ def cmd_drift(args) -> int:
         "i0": i0,
         "n_recorded": len(traj),
     }
-    write_json(out / "summary.json", summary)
-    print(f"drift: mode={report.mode} max={report.max_rel:.6e} status={traj.status}")
-    if traj.status == "coefficient_singular":
-        return 3
-    return 0
+    return _finish(out, summary, f"drift: mode={report.mode} max={report.max_rel:.6e} "
+                                 f"status={traj.status}", traj.status)
 
 
 def cmd_poincare(args) -> int:
@@ -239,12 +243,9 @@ def cmd_poincare(args) -> int:
             for lo, hi in curve.admissible
         ],
     }
-    write_json(out / "summary.json", summary)
-    print(f"poincare: points={len(strobe.states)} residual_max={residual:.6e} "
-          f"status={strobe.status}")
-    if strobe.status == "coefficient_singular":
-        return 3
-    return 0
+    return _finish(out, summary, f"poincare: points={len(strobe.states)} "
+                                 f"residual_max={residual:.6e} status={strobe.status}",
+                   strobe.status)
 
 
 def _parse_omegas(text: str):
@@ -262,20 +263,16 @@ def _parse_omegas(text: str):
 
 
 def cmd_scan(args) -> int:
-    if args.preset and args.spec:
-        raise ConfigError("give either --preset or --spec, not both")
-    params = {}
-    if args.preset:
+    if args.preset and not args.spec:
+        # a scan preset names the trig family; omega comes from its grid
         params = _preset(args.preset)
         A, B, C = params["A"], params["B"], params["C"]
-    elif args.spec:
-        obj = _read_json(args.spec)
-        g = obj.get("g", {})
-        if g.get("kind") != "trig":
-            raise ConfigError("stability-scan needs a trig-family spec")
-        A, B, C = float(g["A"]), float(g["B"]), float(g["C"])
     else:
-        raise ConfigError("a system is required: --preset fig3 or --spec <file.json>")
+        spec, params = _resolve_oscillator(args)
+        if not (isinstance(spec.g_source, TrigFamily) and spec.m == 2):
+            raise ConfigError("stability-scan needs an m=2 trig-family spec")
+        a = spec.g_source.alpha
+        A, B, C = a.A, a.B, a.C
     omegas = params.get("omegas", ())
     if args.omegas:
         omegas = _parse_omegas(args.omegas)
@@ -309,11 +306,9 @@ def cmd_scan(args) -> int:
         "all_agree": all(r.agrees for r in rows),
         "dz0": dz0,
     }
-    write_json(out / "summary.json", summary)
-    for r in rows:
-        print(f"omega={r.omega:<6g} z_last_bounded={r.z_last_bounded:<8g} "
-              f"z_crit={r.z_crit_analytic:.6f} agrees={r.agrees}")
-    return 0
+    return _finish(out, summary, "\n".join(
+        f"omega={r.omega:<6g} z_last_bounded={r.z_last_bounded:<8g} "
+        f"z_crit={r.z_crit_analytic:.6f} agrees={r.agrees}" for r in rows))
 
 
 def cmd_crit(args) -> int:
@@ -356,11 +351,8 @@ def cmd_family(args) -> int:
         "max_rel_drift": report.max_rel,
         "n_recorded": len(traj),
     }
-    write_json(out / "summary.json", summary)
-    print(f"family: status={traj.status} drift mode={report.mode} max={report.max_rel:.6e}")
-    if traj.status == "coefficient_singular":
-        return 3
-    return 0
+    return _finish(out, summary, f"family: status={traj.status} drift mode={report.mode} "
+                                 f"max={report.max_rel:.6e}", traj.status)
 
 
 def cmd_reduce(args) -> int:
@@ -393,10 +385,8 @@ def cmd_reduce(args) -> int:
         "m": res.m,
         "n_grid": args.n_grid,
     }
-    write_json(out / "summary.json", summary)
-    print(f"reduce: omega_nf={res.omega_nf:.12g} mu={res.mono.mu:.12g} "
-          f"beta0={res.mono.beta0:.12g}")
-    return 0
+    return _finish(out, summary, f"reduce: omega_nf={res.omega_nf:.12g} mu={res.mono.mu:.12g} "
+                                 f"beta0={res.mono.beta0:.12g}")
 
 
 def _read_csv_columns(path: str, names):
@@ -495,13 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability-scan", help="boundedness scan against z_crit")
     p.add_argument("--preset", help="named parameter set, e.g. fig3")
-    p.add_argument("--spec", help="oscillator spec JSON (trig family)")
+    p.add_argument("--spec", help="oscillator spec JSON (m=2 trig family)")
     p.add_argument("--omegas", help="grid a:b:step, e.g. 0.8:1.8:0.2")
     p.add_argument("--dz0", type=float, help="z0 grid step (default 0.02)")
     p.add_argument("--tmax", type=float, help="boundedness horizon (default 600)")
     p.add_argument("--escape", type=float, help="escape bound (default 50)")
-    p.add_argument("--workers", type=int, help="process pool size "
-                   "(default: OSC_LAB_THREADS or available parallelism)")
+    p.add_argument("--workers", type=int, help="process pool size, at least 1 and capped "
+                   "at the work available (default: OSC_LAB_THREADS or the CPUs this "
+                   "process may run on)")
     _add_common(p)
     p.set_defaults(handler=cmd_scan)
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CoefficientSingularError, ZeroReferenceError
 from .integrate import AdaptiveConfig, integrate_adaptive
 from .invariant import build_coeffs, drift, drift_absolute
@@ -83,36 +85,27 @@ def to_trig_alpha(fp: FiveParamSpec) -> TrigAlpha:
     return TrigAlpha(A=A, B=B, C=C, omega=fp.omega)
 
 
-def alpha1_eval(fp: FiveParamSpec, t: float):
-    """alpha1(t) and its derivative, both in closed form."""
-    c = math.cos(fp.omega * t)
-    s = math.sin(fp.omega * t)
+def alpha1_eval(fp: FiveParamSpec, t):
+    """alpha1(t) and its derivative, both in closed form; t a float or an array.
+
+    Every five-parameter field call runs this, so a float t stays on math.
+    """
+    wt = fp.omega * t
+    if isinstance(wt, float):
+        c, s = math.cos(wt), math.sin(wt)
+    else:
+        c, s = np.cos(wt), np.sin(wt)
     al1 = 0.5 * (fp.C1 * c + fp.C2 * s)
     al1p = 0.5 * fp.omega * (fp.C2 * c - fp.C1 * s)
     return (al1, al1p)
 
 
-def augmented_field(fp: FiveParamSpec, t: float, y):
-    """Joint derivatives of (z, p, alpha2, alpha2', alpha2'').
-
-    The bracket 2*alpha1(t) in the coefficient ODE always comes through
-    alpha1_eval, never from a re-derived expression.
-    """
-    z, p, a2, a2p, a2pp = y
-    if a2 <= EPS_POS:
-        raise CoefficientSingularError(f"alpha2(t={t}) = {a2} <= {EPS_POS}")
-    w2 = fp.omega * fp.omega
-    g = a2 ** -2.5
-    al1, _ = alpha1_eval(fp, t)
-    a2ppp = -(4.0 * w2) * a2p + 2.0 * al1 * g
-    return (p, -w2 * z - g * (z * z), a2p, a2pp, a2ppp)
-
-
 def make_augmented_field(fp: FiveParamSpec):
-    """Closure over the spec for the integrator hot loop.
+    """Joint derivatives of (z, p, alpha2, alpha2', alpha2'') as a closure.
 
-    The driving bracket is always 2*alpha1_eval(...), matching
-    augmented_field exactly (2 * (1/2 * x) is exact in binary floats).
+    This is the one definition of the coefficient ODE: the integrator
+    runs it, and osclab.invariant reads alpha2''' from it.  The driving
+    bracket 2*alpha1(t) always comes through alpha1_eval.
     """
     w2 = fp.omega * fp.omega
     four_w2 = 4.0 * w2

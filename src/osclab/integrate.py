@@ -220,7 +220,7 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig) -> Trajectory:
                     status = "escaped"
     except CoefficientSingularError:
         status = "coefficient_singular"
-    return rec.build(status, fixed_h=h, n_accepted=n_done)
+    return rec.build(status, n_accepted=n_done)
 
 
 def _dp_attempt(field, t, y, h, f1):

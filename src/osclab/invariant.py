@@ -68,93 +68,57 @@ def build_coeffs(spec: OscillatorSpec) -> InvariantCoeffs:
     raise UnsupportedSourceError(f"unknown g source {type(src).__name__}")
 
 
-def _parts(c: InvariantCoeffs, t: float):
-    """(a2, d1, d2, d3, al1, al1p, al1pp, g, gp) at time t.
+def _coeffs(c: InvariantCoeffs, t, ys=None):
+    """(a2, d1, d2, al1, al1p, g) at t, a float or an array of times.
 
-    d3 and the alpha1 values satisfy the coefficient relations of the
-    family in question, so the residuals below cancel identically.
+    The only source of the invariant's coefficients.  Trig sources use
+    the closed form.  A five-parameter source reads alpha2 and its two
+    derivatives from columns 2..4 of the states ys when they are given
+    (one row per time), and integrates them with alpha2_at otherwise.
     """
-    spec = c.spec
-    src = spec.g_source
-    w2 = spec.omega * spec.omega
-    ex = g_exponent(spec.m)
+    src = c.spec.g_source
     if isinstance(src, TrigFamily):
-        a2, d1, d2, d3 = trig_alpha2_eval(src.alpha, t)
-        g = a2 ** ex
-        gp = ex * a2 ** (ex - 1.0) * d1
-        return (a2, d1, d2, d3, 0.0, 0.0, 0.0, g, gp)
-    from .family import alpha1_eval, alpha2_at
+        a2, d1, d2, _ = trig_alpha2_eval(src.alpha, t)
+        al1 = al1p = 0.0
+    else:
+        from .family import alpha1_eval, alpha2_at
 
-    a2, d1, d2 = alpha2_at(src, t)
-    al1, al1p = alpha1_eval(src, t)
-    al1pp = -w2 * al1
-    g = a2 ** ex
-    gp = ex * a2 ** (ex - 1.0) * d1
-    d3 = -(4.0 * w2) * d1 + 2.0 * al1 * g
-    return (a2, d1, d2, d3, al1, al1p, al1pp, g, gp)
+        if ys is None:
+            a2, d1, d2 = alpha2_at(src, t)
+        elif ys.shape[1] < 5:
+            raise ValueError("five-parameter invariant needs the augmented (5-column) state")
+        else:
+            a2, d1, d2 = ys[:, 2], ys[:, 3], ys[:, 4]
+        al1, al1p = alpha1_eval(src, t)
+    return (a2, d1, d2, al1, al1p, a2 ** g_exponent(c.spec.m))
 
 
-def eval_invariant(c: InvariantCoeffs, s: State) -> float:
-    spec = c.spec
-    w2 = spec.omega * spec.omega
-    a2, d1, d2, _, al1, al1p, _, g, _ = _parts(c, s.t)
-    z, p = s.z, s.p
-    zm1 = int_pow(z, spec.m + 1)
+def _invariant(c: InvariantCoeffs, t, z, p, ys=None):
+    """I at (z, p, t), for floats or for arrays of equal length alike."""
+    m = c.spec.m
+    w2 = c.spec.omega * c.spec.omega
+    a2, d1, d2, al1, al1p, g = _coeffs(c, t, ys)
     return (
         a2 * p * p
         + (al1 - d1 * z) * p
         + (w2 * a2 + 0.5 * d2) * z * z
-        + (2.0 / (spec.m + 1)) * a2 * g * zm1
+        + (2.0 / (m + 1)) * a2 * g * z ** (m + 1)
         - al1p * z
         + c.alpha0
     )
+
+
+def eval_invariant(c: InvariantCoeffs, s: State) -> float:
+    return _invariant(c, s.t, s.z, s.p)
 
 
 def invariant_series(c: InvariantCoeffs, traj: Trajectory) -> np.ndarray:
     """I(t) along a whole trajectory, vectorized.
 
-    Trig sources use the closed-form coefficient; a five-parameter
-    source requires the augmented trajectory so that alpha2 and its two
-    derivatives are read from columns 2..4 of the state.
+    A five-parameter source requires the augmented trajectory, whose
+    columns 2..4 carry alpha2 and its two derivatives.
     """
-    spec = c.spec
-    src = spec.g_source
-    w2 = spec.omega * spec.omega
-    ex = g_exponent(spec.m)
-    ts = traj.ts
-    z = traj.ys[:, 0]
-    p = traj.ys[:, 1]
-    if isinstance(src, TrigFamily):
-        a = src.alpha
-        th = (2.0 * a.omega) * ts
-        cs = np.cos(th)
-        sn = np.sin(th)
-        osc = a.B * cs + a.C * sn
-        a2 = a.A + osc
-        d1 = (2.0 * a.omega) * (a.C * cs - a.B * sn)
-        d2 = -(4.0 * a.omega * a.omega) * osc
-        al1 = 0.0
-        al1p = 0.0
-    else:
-        if traj.ys.shape[1] < 5:
-            raise ValueError("five-parameter invariant needs the augmented (5-column) state")
-        a2 = traj.ys[:, 2]
-        d1 = traj.ys[:, 3]
-        d2 = traj.ys[:, 4]
-        half_w = 0.5 * spec.omega
-        cs = np.cos(spec.omega * ts)
-        sn = np.sin(spec.omega * ts)
-        al1 = 0.5 * (src.C1 * cs + src.C2 * sn)
-        al1p = half_w * (src.C2 * cs - src.C1 * sn)
-    g = a2 ** ex
-    return (
-        a2 * p * p
-        + (al1 - d1 * z) * p
-        + (w2 * a2 + 0.5 * d2) * z * z
-        + (2.0 / (spec.m + 1)) * a2 * g * z ** (spec.m + 1)
-        - al1p * z
-        + c.alpha0
-    )
+    return _invariant(c, traj.ts, traj.z, traj.p, traj.ys)
 
 
 @dataclass(frozen=True)
@@ -185,6 +149,27 @@ def drift_absolute(traj: Trajectory, c: InvariantCoeffs) -> DriftReport:
     series = invariant_series(c, traj)
     dev = series - float(series[0])
     return DriftReport(mode="absolute", max_rel=float(np.max(np.abs(dev))), ts=traj.ts, series=dev)
+
+
+def _parts(c: InvariantCoeffs, t: float):
+    """(a2, d1, d2, d3, al1, al1p, al1pp, g, gp) at one time t.
+
+    d3 comes from the definition of each family: the trig closed form,
+    or the five-parameter field the integrator runs.  So the residuals
+    cancel identically only if that definition is consistent.
+    """
+    spec = c.spec
+    src = spec.g_source
+    a2, d1, d2, al1, al1p, g = _coeffs(c, t)
+    if isinstance(src, TrigFamily):
+        d3 = trig_alpha2_eval(src.alpha, t)[3]
+    else:
+        from .family import make_augmented_field
+
+        d3 = make_augmented_field(src)(t, (0.0, 0.0, a2, d1, d2))[4]
+    ex = g_exponent(spec.m)
+    gp = ex * a2 ** (ex - 1.0) * d1
+    return (a2, d1, d2, d3, al1, al1p, -(spec.omega * spec.omega) * al1, g, gp)
 
 
 def _residuals(m, omega, z, a2, d1, d2, d3, al1, al1p, al1pp, g, gp):

@@ -143,15 +143,13 @@ class Trajectory:
 
     ``ys`` has one row per recorded time and one column per state
     component; columns 0 and 1 are always (z, p).  ``status`` is one of
-    "completed", "escaped", "coefficient_singular".  Exactly one of
-    ``fixed_h`` / the accepted+rejected counters is meaningful, depending
-    on which integrator produced the run.
+    "completed", "escaped", "coefficient_singular".  ``n_rejected`` stays
+    zero for fixed-step runs.
     """
 
     ts: np.ndarray
     ys: np.ndarray
     status: str
-    fixed_h: float = None
     n_accepted: int = 0
     n_rejected: int = 0
 
@@ -195,15 +193,18 @@ def int_pow(z: float, m: int) -> float:
     return out
 
 
-def trig_alpha2_eval(a: TrigAlpha, t: float):
+def trig_alpha2_eval(a: TrigAlpha, t):
     """alpha2(t) and its first three derivatives, all in closed form.
 
-    The third derivative is computed as -(4 omega^2) * d1 from the same
-    product, so d3 + 4 omega^2 d1 == 0 holds exactly in floating point.
+    t may be a float or an array.  The third derivative is computed as
+    -(4 omega^2) * d1 from the same product, so d3 + 4 omega^2 d1 == 0
+    holds exactly in floating point.
     """
     th = 2.0 * a.omega * t
-    c = math.cos(th)
-    s = math.sin(th)
+    if isinstance(th, float):
+        c, s = math.cos(th), math.sin(th)
+    else:
+        c, s = np.cos(th), np.sin(th)
     osc = a.B * c + a.C * s
     d1 = 2.0 * a.omega * (a.C * c - a.B * s)
     four_w2 = 4.0 * a.omega * a.omega
@@ -296,36 +297,29 @@ def spec_to_json(spec: OscillatorSpec) -> dict:
     elif isinstance(src, Sampled):
         g = {"kind": "sampled", "t": list(src.ts), "g": list(src.gs)}
     else:
-        from .family import FiveParamSpec
-
-        if not isinstance(src, FiveParamSpec):
-            raise TypeError(f"unknown g source {type(src).__name__}")
-        g = {
-            "kind": "five_param",
-            "C1": src.C1,
-            "C2": src.C2,
-            "alpha2": [src.alpha2_0, src.alpha2p_0, src.alpha2pp_0],
-        }
+        raise TypeError(f"no oscillator spec JSON for g source {type(src).__name__}")
     return {"omega": spec.omega, "m": spec.m, "g": g}
 
 
-def spec_from_json(obj: dict) -> OscillatorSpec:
+def spec_from_json(obj) -> OscillatorSpec:
+    """Inverse of spec_to_json; a missing or malformed field raises ValueError.
+
+    Five-parameter systems have their own flat format, read by
+    osclab.family.fiveparam_from_json.
+    """
     try:
         omega = float(obj["omega"])
         m = int(obj["m"])
         g = obj["g"]
         kind = g["kind"]
-    except (KeyError, TypeError) as exc:
+        if kind == "trig":
+            src = TrigFamily(TrigAlpha(float(g["A"]), float(g["B"]), float(g["C"]), omega))
+        elif kind == "sampled":
+            src = Sampled(tuple(float(v) for v in g["t"]), tuple(float(v) for v in g["g"]))
+        else:
+            raise ValueError(f"unknown g source kind {kind!r}")
+        return OscillatorSpec(omega=omega, m=m, g_source=src)
+    except KeyError as exc:
+        raise ValueError(f"malformed oscillator spec: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed oscillator spec: {exc}") from exc
-    if kind == "trig":
-        src = TrigFamily(TrigAlpha(float(g["A"]), float(g["B"]), float(g["C"]), omega))
-    elif kind == "sampled":
-        src = Sampled(tuple(float(v) for v in g["t"]), tuple(float(v) for v in g["g"]))
-    elif kind == "five_param":
-        from .family import FiveParamSpec
-
-        a20, a2p0, a2pp0 = (float(v) for v in g["alpha2"])
-        src = FiveParamSpec(omega, float(g["C1"]), float(g["C2"]), a20, a2p0, a2pp0)
-    else:
-        raise ValueError(f"unknown g source kind {kind!r}")
-    return OscillatorSpec(omega=omega, m=m, g_source=src)

@@ -108,8 +108,12 @@ def _cell(args) -> bool:
     return bounded(trig_spec(A, B, C, omega), z0, t_max=t_max, z_escape=z_escape, rtol=rtol)
 
 
+# scan cells handed to a pool worker per task
+_CHUNKSIZE = 8
+
+
 def default_workers() -> int:
-    """Worker count: OSC_LAB_THREADS if set, else available parallelism."""
+    """Worker count: OSC_LAB_THREADS if set, else the CPUs this process may run on."""
     env = os.environ.get("OSC_LAB_THREADS")
     if env:
         try:
@@ -119,7 +123,10 @@ def default_workers() -> int:
         if n < 1:
             raise ValueError(f"OSC_LAB_THREADS must be >= 1, got {n}")
         return n
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def scan(
@@ -140,13 +147,16 @@ def scan(
     already the first step escapes).  The grid is capped safely above
     the analytic boundary so the scan always terminates; every cell up
     to the cap is integrated, which keeps the work identical for any
-    worker count and the assembled rows deterministic.
+    worker count and the assembled rows deterministic.  The pool never
+    exceeds the number of chunks of _CHUNKSIZE cells.
     """
     if dz0 <= 0.0:
         raise ValueError(f"dz0 must be positive, got {dz0}")
     R = math.hypot(B, C)
     if workers is None:
         workers = default_workers()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     jobs = []
     meta = []
@@ -157,11 +167,13 @@ def scan(
             jobs.append((A, B, C, omega, k * dz0, t_max, z_escape, rtol))
         meta.append((omega, zc, n_cells))
 
-    if workers > 1 and len(jobs) > 1:
+    # a worker beyond the number of job chunks would start and sit idle
+    workers = min(workers, math.ceil(len(jobs) / _CHUNKSIZE))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(_cell, jobs, chunksize=8))
+            flags = list(pool.map(_cell, jobs, chunksize=_CHUNKSIZE))
     else:
         flags = [_cell(j) for j in jobs]
 

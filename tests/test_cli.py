@@ -138,6 +138,64 @@ def test_stability_scan_worker_count_invariance(tmp_path, monkeypatch):
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
+_TRIG = {"kind": "trig", "A": 1.3, "B": 0.9, "C": 0.0}
+
+# malformed for every command that reads an oscillator spec
+BAD_SPECS = {
+    "list": [1, 2],
+    "missing_B": {"omega": 1, "m": 2, "g": {"kind": "trig", "A": 1.3}},
+    "non_numeric_A": {"omega": 1, "m": 2, "g": {**_TRIG, "A": "big"}},
+    "g_not_object": {"omega": 1, "m": 2, "g": [1.3, 0.9, 0.0]},
+    "five_param_kind": {"omega": 1, "m": 2, "g": {"kind": "five_param", "C1": 0.0, "C2": 0.0,
+                                                  "alpha2": [2.2, 0.0, -3.6]}},
+}
+# well-formed, but not a system the boundary scan covers
+UNSCANNABLE_SPECS = {
+    "m5": {"omega": 1, "m": 5, "g": _TRIG},
+    "sampled": {"omega": 1, "m": 2, "g": {"kind": "sampled", "t": [0, 1, 2, 3],
+                                          "g": [1, 1, 1, 1]}},
+}
+
+
+@pytest.mark.parametrize("command,name", [
+    *((cmd, name) for cmd in ("simulate", "stability-scan") for name in BAD_SPECS),
+    *(("stability-scan", name) for name in UNSCANNABLE_SPECS),
+])
+def test_bad_spec_exits_2_with_one_line(tmp_path, capsys, command, name):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**BAD_SPECS, **UNSCANNABLE_SPECS}[name]))
+    argv = [command, "--spec", str(spec), "--out", str(tmp_path / "x")]
+    if command == "stability-scan":
+        argv += ["--omegas", "1.0:1.0:0.2"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1
+    assert captured.out.startswith("error: ")
+    assert captured.err == ""
+
+
+def test_stability_scan_spec_matches_preset(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"omega": 1.0, "m": 2, "g": _TRIG}))
+    args = ["--omegas", "1.0:1.0:0.2", "--dz0", "0.2", "--tmax", "5", "--workers", "1",
+            "--no-svg"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["stability-scan", "--preset", "fig3", "--out", str(a)] + args) == 0
+    assert run(["stability-scan", "--spec", str(spec), "--out", str(b)] + args) == 0
+    assert (a / "scan.csv").read_bytes() == (b / "scan.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_stability_scan_rejects_nonpositive_workers(tmp_path, capsys, workers):
+    assert run(["stability-scan", "--preset", "fig3", "--omegas", "1.0:1.0:0.2",
+                "--workers", workers, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().out.startswith("error: workers must be >= 1")
+
+
+def test_single_system_commands_reject_scan_preset(tmp_path):
+    assert run(["simulate", "--preset", "fig3", "--out", str(tmp_path / "x")]) == 2
+
+
 def test_parse_omegas():
     assert _parse_omegas("0.8:1.8:0.2") == pytest.approx(
         (0.8, 1.0, 1.2, 1.4, 1.6, 1.8))

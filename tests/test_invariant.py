@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from osclab.errors import UnsupportedSourceError, ZeroReferenceError
-from osclab.family import FiveParamSpec
+from osclab.family import FiveParamSpec, integrate_family
 from osclab.integrate import AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed
 from osclab.invariant import (
     InvariantCoeffs,
@@ -86,14 +86,28 @@ def test_unsupported_sources():
 
 def test_invariant_series_matches_pointwise():
     spec = trig_spec(1.3, 0.4, 0.7, 1.1, 3)
-    c = build_coeffs(spec)
-    traj = integrate_adaptive(make_field(spec), (0.2, 0.1),
-                              AdaptiveConfig(rtol=1e-10, t_end=15.0))
-    series = invariant_series(c, traj)
-    assert len(series) == len(traj)
-    for i in (0, len(traj) // 3, len(traj) - 1):
-        direct = eval_invariant(c, traj.state(i))
-        assert math.isclose(series[i], direct, rel_tol=1e-12, abs_tol=1e-15)
+    trig_traj = integrate_adaptive(make_field(spec), (0.2, 0.1),
+                                   AdaptiveConfig(rtol=1e-10, t_end=15.0))
+    # five-parameter: the series reads alpha2 from the state columns,
+    # eval_invariant integrates it afresh with alpha2_at, both at rtol 1e-12
+    fp = FiveParamSpec(1.1, 0.03, -0.07, 1.8, 0.4, -2.0)
+    fp_traj, _ = integrate_family(fp, 0.2, 0.1, 15.0, rtol=1e-12)
+    for c, traj, rel_tol in ((build_coeffs(spec), trig_traj, 1e-12),
+                             (build_coeffs(OscillatorSpec(1.1, 2, fp)), fp_traj, 1e-10)):
+        series = invariant_series(c, traj)
+        assert len(series) == len(traj)
+        for i in (0, len(traj) // 3, len(traj) - 1):
+            direct = eval_invariant(c, traj.state(i))
+            assert math.isclose(series[i], direct, rel_tol=rel_tol, abs_tol=1e-15)
+
+
+def test_invariant_series_needs_augmented_state():
+    fp = FiveParamSpec(1.0, 0.05, 0.0, 2.2, 0.0, -3.6)
+    c = build_coeffs(OscillatorSpec(1.0, 2, fp))
+    traj = integrate_fixed(lambda t, y: (y[1], -y[0]), (0.1, 0.0),
+                           FixedStepConfig(h=0.1, t_end=1.0))
+    with pytest.raises(ValueError):
+        invariant_series(c, traj)
 
 
 def test_drift_small_on_accurate_run():

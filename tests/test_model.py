@@ -141,6 +141,39 @@ def test_spec_json_round_trip():
 def test_spec_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         spec_from_json({"omega": 1.0, "m": 2, "g": {"kind": "mystery"}})
+    # five-parameter systems use the flat format of osclab.family only
+    with pytest.raises(ValueError):
+        spec_from_json({"omega": 1.0, "m": 2, "g": {"kind": "five_param", "C1": 0.0,
+                                                    "C2": 0.0, "alpha2": [2.2, 0.0, -3.6]}})
+    from osclab.family import FiveParamSpec
+
+    with pytest.raises(TypeError):
+        spec_to_json(OscillatorSpec(1.0, 2, FiveParamSpec(1.0, 0.0, 0.0, 2.2, 0.0, -3.6)))
+
+
+@pytest.mark.parametrize("obj", [
+    [1, 2],
+    "spec",
+    {"m": 2, "g": {"kind": "trig", "A": 1.3, "B": 0.9, "C": 0.0}},
+    {"omega": 1.0, "m": 2, "g": {"kind": "trig", "A": 1.3}},
+    {"omega": 1.0, "m": 2, "g": {"kind": "trig", "A": "x", "B": 0.9, "C": 0.0}},
+    {"omega": 1.0, "m": 2, "g": {"kind": "trig", "A": None, "B": 0.9, "C": 0.0}},
+    {"omega": 1.0, "m": 2, "g": [1.3, 0.9, 0.0]},
+    {"omega": 1.0, "m": 2, "g": {"kind": "sampled", "t": 3, "g": [1.0]}},
+    {"omega": 1.0, "m": float("inf"), "g": {"kind": "trig", "A": 1.3, "B": 0.9, "C": 0.0}},
+])
+def test_spec_json_rejects_malformed_fields(obj):
+    with pytest.raises(ValueError, match="malformed oscillator spec"):
+        spec_from_json(obj)
+
+
+def test_trig_alpha2_eval_on_arrays_matches_scalars():
+    a = TrigAlpha(1.2, 0.4, 0.5, 1.3)
+    ts = np.array([0.0, 0.7, 2.9, 11.3])
+    cols = trig_alpha2_eval(a, ts)
+    for k, t in enumerate(ts):
+        want = trig_alpha2_eval(a, float(t))
+        assert [c[k] for c in cols] == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 def test_trajectory_accessors():

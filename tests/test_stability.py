@@ -102,6 +102,40 @@ def test_default_workers_env_override(monkeypatch):
     assert default_workers() >= 1
 
 
+def test_default_workers_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("OSC_LAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert default_workers() == 3
+
+
+def test_scan_pool_capped_at_job_chunks(monkeypatch):
+    # record the pool size instead of starting processes
+    import concurrent.futures
+
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return [True for _ in jobs]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    # omega = 1 at dz0 = 0.05 gives 40 cells, five chunks of eight
+    rows = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.05, workers=1000)
+    assert seen == [5]
+    assert rows[0].z_last_bounded == pytest.approx(40 * 0.05)
+    scan(1.3, 0.9, 0.0, (1.0,), dz0=0.05, workers=3)
+    assert seen == [5, 3]
+
+
 def test_scan_small_grid():
     rows = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.05, t_max=150.0, workers=1)
     assert len(rows) == 1

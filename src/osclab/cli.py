@@ -256,6 +256,8 @@ def _parse_omegas(text: str):
         a, b, step = (float(v) for v in parts)
     except ValueError as exc:
         raise ConfigError(f"--omegas wants numbers a:b:step, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in (a, b, step)):
+        raise ConfigError(f"--omegas wants finite numbers, got {text!r}")
     if step <= 0.0 or b < a:
         raise ConfigError(f"--omegas wants a <= b and step > 0, got {text!r}")
     n = int(math.floor((b - a) / step + 1e-9)) + 1
@@ -281,10 +283,13 @@ def cmd_scan(args) -> int:
     dz0 = args.dz0 if args.dz0 is not None else params.get("dz0", 0.02)
     tmax = args.tmax if args.tmax is not None else params.get("tmax", 600.0)
     escape = args.escape if args.escape is not None else params.get("escape", 50.0)
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {args.workers}")
 
     out = _out_dir(args)
+    work = stability_mod.ScanWork()
     rows = stability_mod.scan(A, B, C, omegas, dz0=dz0, t_max=tmax,
-                              z_escape=escape, workers=args.workers)
+                              z_escape=escape, work=work)
     write_csv(out / "scan.csv", "omega,z_last_bounded,z_crit",
               [(r.omega, r.z_last_bounded, r.z_crit_analytic) for r in rows])
     if args.svg:
@@ -305,6 +310,8 @@ def cmd_scan(args) -> int:
         ],
         "all_agree": all(r.agrees for r in rows),
         "dz0": dz0,
+        "cells": work.rows,
+        "batches": work.batches,
     }
     return _finish(out, summary, "\n".join(
         f"omega={r.omega:<6g} z_last_bounded={r.z_last_bounded:<8g} "
@@ -490,9 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dz0", type=float, help="z0 grid step (default 0.02)")
     p.add_argument("--tmax", type=float, help="boundedness horizon (default 600)")
     p.add_argument("--escape", type=float, help="escape bound (default 50)")
-    p.add_argument("--workers", type=int, help="process pool size, at least 1 and capped "
-                   "at the work available (default: OSC_LAB_THREADS or the CPUs this "
-                   "process may run on)")
+    p.add_argument("--workers", type=int, help="accepted for compatibility and checked to "
+                   "be at least 1; it has no effect, the scan runs in one process")
     _add_common(p)
     p.set_defaults(handler=cmd_scan)
 

@@ -7,6 +7,10 @@ components 0 and 1 being z and p):
   step, final step shortened to land exactly on t_end.
 * ``integrate_adaptive`` -- the Dormand-Prince embedded 5(4) pair with
   standard error-per-step control.
+* ``integrate_lanes`` -- the same Dormand-Prince pair over many
+  independent problems at once, as numpy lanes that step in lock-step,
+  each with its own step control (Hairer, Norsett & Wanner, Solving ODEs
+  I, section II.4).
 
 Escape past a caller-supplied bound is an expected outcome in stability
 scans, so it is reported as a trajectory status, never as an exception.
@@ -70,6 +74,16 @@ _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 
 
+def _check_span(t_start: float, t_end: float, escape_bound: float):
+    """Shared config checks: a finite interval and a positive escape bound (inf: none)."""
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise ValueError(f"t_start and t_end must be finite, got [{t_start}, {t_end}]")
+    if not (t_end > t_start):
+        raise ValueError(f"need t_end > t_start, got [{t_start}, {t_end}]")
+    if not (escape_bound > 0.0):
+        raise ValueError(f"escape bound must be positive, got {escape_bound}")
+
+
 @dataclass(frozen=True)
 class FixedStepConfig:
     h: float
@@ -79,10 +93,9 @@ class FixedStepConfig:
     record: bool = True
 
     def __post_init__(self):
-        if not (self.h > 0.0):
-            raise ValueError(f"step size must be positive, got {self.h}")
-        if not (self.t_end > self.t_start):
-            raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
+        if not (0.0 < self.h < math.inf):
+            raise ValueError(f"step size must be positive and finite, got {self.h}")
+        _check_span(self.t_start, self.t_end, self.escape_bound)
 
 
 @dataclass(frozen=True)
@@ -97,14 +110,13 @@ class AdaptiveConfig:
     record: bool = True
 
     def __post_init__(self):
-        if not (self.rtol >= 1e-14):
-            raise ValueError(f"rtol must be >= 1e-14, got {self.rtol}")
-        if not (self.atol > 0.0):
-            raise ValueError(f"atol must be positive, got {self.atol}")
+        if not (1e-14 <= self.rtol < math.inf):
+            raise ValueError(f"rtol must be finite and >= 1e-14, got {self.rtol}")
+        if not (0.0 < self.atol < math.inf):
+            raise ValueError(f"atol must be positive and finite, got {self.atol}")
         if not (0.0 < self.h_min <= self.h_init):
             raise ValueError(f"need 0 < h_min <= h_init, got {self.h_min}, {self.h_init}")
-        if not (self.t_end > self.t_start):
-            raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
+        _check_span(self.t_start, self.t_end, self.escape_bound)
 
 
 class _Recorder:
@@ -329,6 +341,131 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig) -> Trajectory:
     except CoefficientSingularError:
         status = "coefficient_singular"
     return rec.build(status, n_accepted=n_acc, n_rejected=n_rej)
+
+
+# terminal statuses of a lane; code 0 marks a lane still running
+LANE_STATUSES = ("completed", "escaped", "coefficient_singular", "step_underflow")
+_COMPLETED, _ESCAPED, _SINGULAR, _UNDERFLOW = range(1, 5)
+
+
+@dataclass(frozen=True)
+class LaneRun:
+    """End of each lane of ``integrate_lanes``, in input lane order.
+
+    ``ts`` and ``ys`` (one column per lane) hold the last accepted state;
+    ``status`` names how each lane ended, one of LANE_STATUSES.
+    ``lock_steps`` counts the trial steps the lanes took together.
+    """
+
+    ts: np.ndarray
+    ys: np.ndarray
+    status: tuple
+    n_accepted: np.ndarray
+    n_rejected: np.ndarray
+    lock_steps: int
+
+
+def integrate_lanes(field, y0, params, cfg: AdaptiveConfig) -> LaneRun:
+    """Dormand-Prince 5(4) over independent lanes that step in lock-step.
+
+    Column j of y0 (shape (n, lanes), n >= 2) and of params (per-lane
+    constants, shape (k, lanes)) is one initial value problem.
+    ``field(t, y, params)`` evaluates all live lanes at their own times t
+    and returns the derivatives plus a boolean mask of lanes whose
+    coefficient is singular there (see ``model.make_lane_field``).
+
+    Each lane keeps its own t, h, FSAL stage and counters and is accepted
+    or rejected by the rules of ``integrate_adaptive``, in the same
+    floating-point operation order.  A lane ends as "completed" at t_end,
+    "escaped" on an accepted state past the bound, "coefficient_singular"
+    when a stage of its trial step is singular, or "step_underflow" where
+    ``integrate_adaptive`` raises StepUnderflowError.  Finished lanes are
+    compacted out of the arrays, together with their columns of params.
+    """
+    y = np.array(y0, dtype=float)
+    params = np.array(params, dtype=float)
+    if y.ndim != 2 or y.shape[0] < 2:
+        raise ValueError("lane states must have shape (n >= 2, lanes)")
+    if params.ndim != 2 or params.shape[1] != y.shape[1]:
+        raise ValueError("lane constants must have shape (k, lanes)")
+    n, lanes = y.shape
+    t_end, rtol, atol, h_min = cfg.t_end, cfg.rtol, cfg.atol, cfg.h_min
+    bound = cfg.escape_bound
+    check_escape = math.isfinite(bound)
+
+    t = np.full(lanes, cfg.t_start)
+    h = np.full(lanes, min(cfg.h_init, t_end - cfg.t_start))
+    n_acc = np.zeros(lanes, dtype=np.int64)
+    n_rej = np.zeros(lanes, dtype=np.int64)
+    live = np.arange(lanes)  # input index of each live lane
+    out_t, out_y = t.copy(), y.copy()
+    out_code = np.zeros(lanes, dtype=np.int8)
+    out_acc, out_rej = n_acc.copy(), n_rej.copy()
+    lock_steps = 0
+
+    with np.errstate(all="ignore"):  # singular and nonfinite lanes are handled below
+        f1, singular = field(t, y, params)
+        code = np.where(singular, _SINGULAR, 0)
+        while True:
+            done = code != 0
+            if done.any():
+                idx = live[done]
+                out_t[idx], out_y[:, idx], out_code[idx] = t[done], y[:, done], code[done]
+                out_acc[idx], out_rej[idx] = n_acc[done], n_rej[done]
+                keep = ~done
+                live, t, h, y, f1, params = (
+                    live[keep], t[keep], h[keep], y[:, keep], f1[:, keep], params[:, keep])
+                n_acc, n_rej = n_acc[keep], n_rej[keep]
+            if live.size == 0:
+                break
+            lock_steps += 1
+
+            t_next = t + h
+            last = t_next >= t_end
+            h_att = np.where(last, t_end - t, h)
+            t_next[last] = t_end
+            y_new, f7, errs, singular = _dp_lane_attempt(field, t, y, h_att, f1, params)
+
+            finite = np.isfinite(y_new).all(axis=0) & np.isfinite(errs).all(axis=0)
+            r = errs / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+            err = np.where(finite, np.sqrt((r * r).sum(axis=0) / n), np.inf)
+            ok = (err <= 1.0) & ~singular
+            rejected = ~ok & ~singular
+
+            # err = 0 gives the factor _FAC_MAX, err = inf gives _FAC_MIN
+            h_new = h_att * np.clip(_SAFETY * err ** -0.2, _FAC_MIN, _FAC_MAX)
+            h = np.where(ok, np.maximum(h_new, h_min), h_new)
+            t = np.where(ok, t_next, t)
+            y = np.where(ok, y_new, y)
+            f1 = np.where(ok, f7, f1)
+            n_acc += ok
+            n_rej += rejected
+
+            code = np.where(singular, _SINGULAR, 0)
+            code[ok & last] = _COMPLETED
+            if check_escape:
+                code[ok & (np.abs(y_new) > bound).any(axis=0)] = _ESCAPED
+            code[rejected & (h_new < h_min)] = _UNDERFLOW
+
+    return LaneRun(
+        ts=out_t, ys=out_y, status=tuple(LANE_STATUSES[c - 1] for c in out_code),
+        n_accepted=out_acc, n_rejected=out_rej, lock_steps=lock_steps,
+    )
+
+
+def _dp_lane_attempt(field, t, y, h, f1, params):
+    """``_dp_attempt`` on lane arrays; also returns the lanes singular at any stage."""
+    f2, s2 = field(t + _C2 * h, y + h * (_A21 * f1), params)
+    f3, s3 = field(t + _C3 * h, y + h * (_A31 * f1 + _A32 * f2), params)
+    f4, s4 = field(t + _C4 * h, y + h * (_A41 * f1 + _A42 * f2 + _A43 * f3), params)
+    f5, s5 = field(t + _C5 * h,
+                   y + h * (_A51 * f1 + _A52 * f2 + _A53 * f3 + _A54 * f4), params)
+    f6, s6 = field(t + h,
+                   y + h * (_A61 * f1 + _A62 * f2 + _A63 * f3 + _A64 * f4 + _A65 * f5), params)
+    y_new = y + h * (_B1 * f1 + _B3 * f3 + _B4 * f4 + _B5 * f5 + _B6 * f6)
+    f7, s7 = field(t + h, y_new, params)
+    errs = h * (_E1 * f1 + _E3 * f3 + _E4 * f4 + _E5 * f5 + _E6 * f6 + _E7 * f7)
+    return y_new, f7, errs, s2 | s3 | s4 | s5 | s6 | s7
 
 
 @dataclass(frozen=True)

@@ -289,6 +289,52 @@ def make_field(spec: OscillatorSpec) -> Callable:
     )
 
 
+def make_lane_field(specs):
+    """The trig field of ``make_field`` vectorised over lanes, one lane per spec.
+
+    Returns (field, params).  params holds the per-lane constants
+    (2 omega, omega^2) as a (2, lanes) array; ``field(t, y, params)`` takes
+    lane times t (lanes,) and states y (2, lanes) and returns the
+    derivatives (2, lanes) and a boolean mask of the lanes where
+    alpha2(t) <= EPS_POS, which ``make_field`` refuses with
+    CoefficientSingularError.  A caller that drops lanes drops the same
+    columns of params (see ``integrate.integrate_lanes``).
+
+    The specs must share A, B, C and m; only omega may vary.  Each lane
+    repeats the operations of ``make_field`` in the same order, but
+    numpy's cos, sin and power need not round like math.cos, math.sin
+    and float ``**``, so lanes may differ from the scalar field by a few
+    ulps.
+    """
+    specs = tuple(specs)
+    if not specs or not all(isinstance(s.g_source, TrigFamily) for s in specs):
+        raise ValueError("lane fields need at least one spec, all of the trig family")
+    a, m = specs[0].g_source.alpha, specs[0].m
+    A, B, C = a.A, a.B, a.C
+    if any((s.g_source.alpha.A, s.g_source.alpha.B, s.g_source.alpha.C, s.m) != (A, B, C, m)
+           for s in specs):
+        raise ValueError("lane specs must share A, B, C and m")
+    ex = g_exponent(m)
+    params = np.array([[2.0 * s.omega for s in specs], [s.omega * s.omega for s in specs]])
+
+    def field(t, y, params):
+        two_w, w2 = params
+        z = y[0]
+        th = two_w * t
+        a2 = A + B * np.cos(th)
+        if C:  # C * sin(th) is +-0 when C = 0, so skipping it changes no value
+            a2 = a2 + C * np.sin(th)
+        zm = z
+        for _ in range(m - 1):
+            zm = zm * z
+        dy = np.empty_like(y)
+        dy[0] = y[1]
+        dy[1] = -w2 * z - a2 ** ex * zm
+        return dy, a2 <= EPS_POS
+
+    return field, params
+
+
 def spec_to_json(spec: OscillatorSpec) -> dict:
     src = spec.g_source
     if isinstance(src, TrigFamily):

@@ -16,20 +16,24 @@ only sees the oscillation amplitude of the coefficient, not its phase.
 
 ``scan`` reproduces the numerical experiment: for each omega it raises
 z0 in steps of dz0 until an integration escapes, then compares the last
-bounded z0 against z_crit.  Scan cells are independent pure
-integrations, so they can be farmed out to a process pool; the result
-order is deterministic for any worker count.
+bounded z0 against z_crit.  Scan cells are independent integrations, so
+the scan runs them in one process as lanes of one lock-step
+Dormand-Prince run (``integrate.integrate_lanes``); ``bounded`` is the
+scalar reference for one cell.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import StepUnderflowError
-from .integrate import AdaptiveConfig, integrate_adaptive
-from .model import OscillatorSpec, TrigFamily, make_field, trig_spec
+from .integrate import AdaptiveConfig, integrate_adaptive, integrate_lanes
+from .model import OscillatorSpec, TrigFamily, make_field, make_lane_field, trig_spec
 
 
 def _check_amplitudes(A: float, R: float, omega: float):
@@ -102,31 +106,22 @@ class StabilityRow:
     agrees: bool
 
 
-def _cell(args) -> bool:
-    """Worker task: one (omega, z0) boundedness integration."""
-    A, B, C, omega, z0, t_max, z_escape, rtol = args
-    return bounded(trig_spec(A, B, C, omega), z0, t_max=t_max, z_escape=z_escape, rtol=rtol)
+@dataclass
+class ScanWork:
+    """What a scan integrated; ``scan`` fills in one the caller passes.
+
+    ``rows`` holds one dict per omega: the cells integrated, how many of
+    them escaped, underflowed or met a singular coefficient, and their
+    accepted and rejected steps.  ``batches`` holds one dict per lane
+    batch: its lanes and the trial steps they took together.
+    """
+
+    rows: list = field(default_factory=list)
+    batches: list = field(default_factory=list)
 
 
-# scan cells handed to a pool worker per task
-_CHUNKSIZE = 8
-
-
-def default_workers() -> int:
-    """Worker count: OSC_LAB_THREADS if set, else the CPUs this process may run on."""
-    env = os.environ.get("OSC_LAB_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"OSC_LAB_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ValueError(f"OSC_LAB_THREADS must be >= 1, got {n}")
-        return n
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity masks on this platform
-        return os.cpu_count() or 1
+# lanes integrated together; bounds the scan's memory for any grid
+_LANE_BATCH = 1024
 
 
 def scan(
@@ -138,7 +133,7 @@ def scan(
     t_max: float = 600.0,
     z_escape: float = 50.0,
     rtol: float = 1e-10,
-    workers: int = None,
+    work: ScanWork = None,
 ):
     """Numerical boundary scan over a list of omega values.
 
@@ -146,47 +141,48 @@ def scan(
     records the last bounded value before the first escape (0.0 when
     already the first step escapes).  The grid is capped safely above
     the analytic boundary so the scan always terminates; every cell up
-    to the cap is integrated, which keeps the work identical for any
-    worker count and the assembled rows deterministic.  The pool never
-    exceeds the number of chunks of _CHUNKSIZE cells.
+    to the cap is integrated, in batches of at most _LANE_BATCH lanes
+    made as they are needed, so memory does not grow with the grid.
+    A cell counts as bounded exactly when ``bounded`` would say so: only
+    a completed lane is bounded.  Rows depend neither on the batch size
+    nor on the order of the omegas.
     """
-    if dz0 <= 0.0:
-        raise ValueError(f"dz0 must be positive, got {dz0}")
+    if not (0.0 < dz0 < math.inf):
+        raise ValueError(f"dz0 must be positive and finite, got {dz0}")
+    cfg = AdaptiveConfig(rtol=rtol, t_end=t_max, escape_bound=z_escape, record=False)
     R = math.hypot(B, C)
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
-    jobs = []
-    meta = []
+    grid = []
     for omega in omegas:
         zc = z_crit(A, R, omega)
-        n_cells = int(math.ceil((1.5 * zc + 20.0 * dz0) / dz0))
-        for k in range(1, n_cells + 1):
-            jobs.append((A, B, C, omega, k * dz0, t_max, z_escape, rtol))
-        meta.append((omega, zc, n_cells))
+        grid.append((omega, zc, int(math.ceil((1.5 * zc + 20.0 * dz0) / dz0))))
 
-    # a worker beyond the number of job chunks would start and sit idle
-    workers = min(workers, math.ceil(len(jobs) / _CHUNKSIZE))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    def cells():  # (row, spec, k) for z0 = k dz0, made as the batches need them
+        for row, (omega, _, n_cells) in enumerate(grid):
+            spec = trig_spec(A, B, C, omega)
+            for k in range(1, n_cells + 1):
+                yield row, spec, k
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(_cell, jobs, chunksize=_CHUNKSIZE))
-    else:
-        flags = [_cell(j) for j in jobs]
+    # per row: the first cell that did not complete, and how its cells ended
+    first_open = [n_cells + 1 for _, _, n_cells in grid]
+    ended = [Counter() for _ in grid]
+    todo = cells()
+    while batch := list(itertools.islice(todo, _LANE_BATCH)):
+        row_of, specs, ks = zip(*batch)
+        lane_field, params = make_lane_field(specs)
+        z0 = np.array([k * dz0 for k in ks])
+        run = integrate_lanes(lane_field, np.stack([z0, np.zeros_like(z0)]), params, cfg)
+        for row, k, st, acc, rej in zip(row_of, ks, run.status, run.n_accepted.tolist(),
+                                        run.n_rejected.tolist()):
+            if st != "completed":
+                first_open[row] = min(first_open[row], k)
+            ended[row].update({st: 1, "accepted": acc, "rejected": rej})
+        if work is not None:
+            work.batches.append({"lanes": len(batch), "lock_steps": run.lock_steps})
 
     rows = []
-    pos = 0
-    for omega, zc, n_cells in meta:
-        cell_flags = flags[pos:pos + n_cells]
-        pos += n_cells
-        z_last = 0.0
-        for k, ok in enumerate(cell_flags, start=1):
-            if not ok:
-                break
-            z_last = k * dz0
+    for (omega, zc, n_cells), k_open, c in zip(grid, first_open, ended):
+        z_last = (k_open - 1) * dz0
         rows.append(
             StabilityRow(
                 omega=omega,
@@ -195,4 +191,11 @@ def scan(
                 agrees=abs(z_last - zc) <= 2.0 * dz0,
             )
         )
+        if work is not None:
+            work.rows.append({
+                "omega": omega, "cells": n_cells, "escaped": c["escaped"],
+                "step_underflow": c["step_underflow"],
+                "coefficient_singular": c["coefficient_singular"],
+                "accepted": c["accepted"], "rejected": c["rejected"],
+            })
     return rows

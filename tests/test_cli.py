@@ -125,17 +125,60 @@ def test_stability_scan_small(tmp_path):
     assert summary["all_agree"] is True
 
 
-def test_stability_scan_worker_count_invariance(tmp_path, monkeypatch):
+def test_stability_scan_worker_count_invariance(tmp_path):
+    # --workers is accepted and has no effect: the scan runs in one process
     args = ["stability-scan", "--preset", "fig3", "--omegas", "1.0:1.0:0.2",
             "--dz0", "0.05", "--tmax", "120", "--no-svg"]
     a = tmp_path / "a"
-    monkeypatch.setenv("OSC_LAB_THREADS", "1")
-    assert run(args + ["--out", str(a)]) == 0
+    assert run(args + ["--out", str(a), "--workers", "1"]) == 0
     b = tmp_path / "b"
-    monkeypatch.setenv("OSC_LAB_THREADS", "2")
-    assert run(args + ["--out", str(b)]) == 0
+    assert run(args + ["--out", str(b), "--workers", "2"]) == 0
     assert (a / "scan.csv").read_bytes() == (b / "scan.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+def test_stability_scan_summary_counts_cells(tmp_path):
+    out = tmp_path / "scan"
+    assert run(["stability-scan", "--preset", "fig3", "--omegas", "0.8:1.0:0.2",
+                "--dz0", "0.1", "--tmax", "30", "--no-svg", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [c["omega"] for c in summary["cells"]] == [r["omega"] for r in summary["rows"]]
+    (batch,) = summary["batches"]
+    assert batch["lanes"] == sum(c["cells"] for c in summary["cells"])
+    for c, r in zip(summary["cells"], summary["rows"]):
+        # the cells above the last bounded one include the first escape
+        assert 0 < c["escaped"] <= c["cells"] - round(r["z_last_bounded"] / 0.1)
+        # the batch steps as long as its longest lane
+        assert batch["lock_steps"] >= (c["accepted"] + c["rejected"]) / c["cells"]
+
+
+_SCAN = ["stability-scan", "--preset", "fig3", "--omegas", "1.0:1.0:0.2"]
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["simulate", "--preset", "fig1", "--tmax", "inf"], "t_end"),
+    (["drift", "--preset", "fig1", "--tmax", "inf"], "t_end"),
+    (["simulate", "--preset", "fig1", "--tmax", "1", "--h", "inf"], "step size"),
+    (["poincare", "--preset", "fig2", "--h", "inf"], "step size"),
+    (["simulate", "--preset", "fig1", "--tmax", "1", "--escape", "nan"], "escape"),
+    (["simulate", "--preset", "fig1", "--tmax", "1", "--escape", "0"], "escape"),
+    (["simulate", "--preset", "fig1", "--tmax", "1", "--rtol", "inf"], "rtol"),
+    (_SCAN + ["--dz0", "nan"], "dz0"),
+    (_SCAN + ["--dz0", "inf"], "dz0"),
+    (_SCAN + ["--tmax", "inf"], "t_end"),
+    (_SCAN + ["--escape", "-1"], "escape"),
+    (_SCAN + ["--escape", "0"], "escape"),
+    (_SCAN + ["--escape", "nan"], "escape"),
+    (["stability-scan", "--preset", "fig3", "--omegas", "0.8:inf:0.2"], "omegas"),
+    (["stability-scan", "--preset", "fig3", "--omegas", "nan:1.0:0.2"], "omegas"),
+])
+def test_nonfinite_run_parameters_exit_2_with_one_line(tmp_path, capsys, argv, needle):
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1
+    assert captured.out.startswith("error: ")
+    assert needle in captured.out
+    assert captured.err == ""
 
 
 _TRIG = {"kind": "trig", "A": 1.3, "B": 0.9, "C": 0.0}

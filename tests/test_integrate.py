@@ -9,9 +9,10 @@ from osclab.integrate import (
     FixedStepConfig,
     integrate_adaptive,
     integrate_fixed,
+    integrate_lanes,
     sample_strobe,
 )
-from osclab.model import make_field, trig_spec
+from osclab.model import make_field, make_lane_field, trig_spec
 
 
 def harmonic(t, y):
@@ -101,6 +102,30 @@ def test_adaptive_config_validation():
         AdaptiveConfig(rtol=1e-15, t_end=1.0)
     with pytest.raises(ValueError):
         AdaptiveConfig(rtol=1e-10, t_end=1.0, h_init=1e-14, h_min=1e-13)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: FixedStepConfig(h=v, t_end=1.0),
+    lambda v: FixedStepConfig(h=1e-3, t_end=v),
+    lambda v: FixedStepConfig(h=1e-3, t_start=v, t_end=1.0),
+    lambda v: AdaptiveConfig(rtol=1e-10, t_end=v),
+    lambda v: AdaptiveConfig(rtol=1e-10, t_start=v, t_end=1.0),
+    lambda v: AdaptiveConfig(rtol=v, t_end=1.0),
+    lambda v: AdaptiveConfig(rtol=1e-10, atol=v, t_end=1.0),
+])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_configs_reject_nonfinite_values(make, value):
+    with pytest.raises(ValueError):
+        make(value)
+
+
+@pytest.mark.parametrize("bound", [math.nan, 0.0, -1.0, -math.inf])
+def test_configs_reject_nonpositive_escape_bound(bound):
+    with pytest.raises(ValueError, match="escape bound"):
+        FixedStepConfig(h=1e-3, t_end=1.0, escape_bound=bound)
+    with pytest.raises(ValueError, match="escape bound"):
+        AdaptiveConfig(rtol=1e-10, t_end=1.0, escape_bound=bound)
+    assert AdaptiveConfig(rtol=1e-10, t_end=1.0).escape_bound == math.inf
 
 
 def test_adaptive_matches_tight_reference():
@@ -204,3 +229,86 @@ def test_strobe_stops_on_escape():
                         escape_bound=100.0, rtol=1e-10)
     assert res.status == "escaped"
     assert len(res.states) < 21
+
+
+# lane kinds for the status tests: each lane is one of these systems
+HARMONIC, GROWTH, SINGULAR_LATE, STIFF, SINGULAR_AT_START = range(5)
+
+
+def _scalar_field(kind):
+    def field(t, y):
+        z, p = y
+        if kind == SINGULAR_AT_START or (kind == SINGULAR_LATE and t > 0.5):
+            raise CoefficientSingularError("test singularity")
+        if kind == GROWTH:
+            return (p, z)
+        if kind == STIFF:
+            return (p, -z / (1.0 - t))
+        return (p, -z)
+
+    return field
+
+
+def _lane_field(t, y, params):
+    kind = params[0]
+    z, p = y
+    dp = np.select([kind == GROWTH, kind == STIFF], [z, -z / (1.0 - t)], -z)
+    singular = (kind == SINGULAR_AT_START) | ((kind == SINGULAR_LATE) & (t > 0.5))
+    return np.stack([p, dp]), singular
+
+
+def test_lanes_end_like_scalar_runs():
+    # harmonic lanes outlive neighbours that escape, turn singular or underflow
+    kinds = [HARMONIC, GROWTH, SINGULAR_LATE, HARMONIC, STIFF, SINGULAR_AT_START, HARMONIC]
+    y0 = [(1.0, 0.0), (5.0, 5.0), (0.5, 0.0), (0.2, -0.3), (1.0, 0.0), (1.0, 0.0), (-2.0, 1.0)]
+    cfg = AdaptiveConfig(rtol=1e-10, t_end=2.0, escape_bound=20.0, h_min=1e-10)
+    run = integrate_lanes(_lane_field, np.array(y0).T, [kinds], cfg)
+    assert run.status == ("completed", "escaped", "coefficient_singular", "completed",
+                          "step_underflow", "coefficient_singular", "completed")
+    assert run.lock_steps >= max(run.n_accepted + run.n_rejected)
+    for j, (kind, start) in enumerate(zip(kinds, y0)):
+        if kind == STIFF:
+            with pytest.raises(StepUnderflowError):
+                integrate_adaptive(_scalar_field(kind), start, cfg)
+            assert run.ts[j] < 1.0
+            continue
+        ref = integrate_adaptive(_scalar_field(kind), start, cfg)
+        assert run.status[j] == ref.status
+        # numpy's power rounds err ** -0.2 apart from math's, so the step
+        # sequences drift apart at the level of the error estimate
+        assert math.isclose(run.ts[j], ref.ts[-1], rel_tol=1e-8)
+        assert np.allclose(run.ys[:, j], ref.ys[-1], rtol=1e-8, atol=0.0)
+    assert (run.ts[5], run.n_accepted[5]) == (0.0, 0)
+
+
+@pytest.mark.parametrize("B,escape,want", [
+    # A - R = 1e-10 < EPS_POS: alpha2 dips to 1e-10 at t = pi/2 and g(t) blows up there
+    (1.0 - 1e-10, 50.0, ("completed", "escaped")),
+    (1.0 - 1e-10, 1e100, ("completed", "step_underflow")),
+    # the dip sits at t = 0, so the first field call is singular
+    (-(1.0 - 1e-10), 50.0, ("coefficient_singular", "coefficient_singular")),
+])
+def test_trig_lanes_end_like_scalar_runs(B, escape, want):
+    spec = trig_spec(1.0, B, 0.0, 1.0)
+    z0s = [1e-7, 1e-5]
+    cfg = AdaptiveConfig(rtol=1e-10, t_end=5.0, escape_bound=escape, record=False)
+    field, params = make_lane_field([spec] * len(z0s))
+    run = integrate_lanes(field, np.array([z0s, [0.0] * len(z0s)]), params, cfg)
+    assert run.status == want
+    for j, z0 in enumerate(z0s):
+        if want[j] == "step_underflow":
+            with pytest.raises(StepUnderflowError):
+                integrate_adaptive(make_field(spec), (z0, 0.0), cfg)
+            continue
+        ref = integrate_adaptive(make_field(spec), (z0, 0.0), cfg)
+        assert run.status[j] == ref.status
+        # near the dip g(t) amplifies the rounding of numpy's power
+        assert math.isclose(run.ts[j], ref.ts[-1], rel_tol=1e-8)
+
+
+def test_lanes_reject_misshapen_input():
+    cfg = AdaptiveConfig(rtol=1e-10, t_end=1.0)
+    with pytest.raises(ValueError):
+        integrate_lanes(_lane_field, np.zeros((1, 3)), np.zeros((1, 3)), cfg)
+    with pytest.raises(ValueError):
+        integrate_lanes(_lane_field, np.zeros((2, 3)), np.zeros((1, 2)), cfg)

@@ -15,6 +15,7 @@ from osclab.model import (
     g_exponent,
     int_pow,
     make_field,
+    make_lane_field,
     spec_from_json,
     spec_to_json,
     trig_alpha2_eval,
@@ -113,6 +114,41 @@ def test_make_field_matches_vector_field():
         want = vector_field(spec, State(t, z, p))
         assert got[0] == want[0]
         assert math.isclose(got[1], want[1], rel_tol=1e-14, abs_tol=1e-300)
+
+
+@pytest.mark.parametrize("A,B,C,m", [(1.3, 0.9, 0.0, 2), (1.2, 0.4, 0.5, 4),
+                                     (1.0, -(1.0 - 1e-10), 0.0, 2)])
+def test_lane_field_matches_make_field(A, B, C, m):
+    rng = np.random.default_rng(3)
+    omegas = rng.uniform(0.5, 2.0, 40)
+    specs = [trig_spec(A, B, C, w, m) for w in omegas]
+    t = np.concatenate([[0.0], rng.uniform(0.0, 100.0, 39)])
+    y = rng.uniform(-2.0, 2.0, (2, 40))
+    field, params = make_lane_field(specs)
+    with np.errstate(all="ignore"):
+        dy, singular = field(t, y, params)
+    for j, spec in enumerate(specs):
+        try:
+            want = make_field(spec)(float(t[j]), (float(y[0, j]), float(y[1, j])))
+        except CoefficientSingularError:
+            assert singular[j]
+            continue
+        assert not singular[j]
+        assert dy[0, j] == want[0]
+        # numpy's cos, sin and power may round apart from math's
+        assert math.isclose(dy[1, j], want[1], rel_tol=1e-13)
+    assert singular.any() == (A - math.hypot(B, C) < 1e-9)
+
+
+def test_lane_field_needs_one_trig_family():
+    with pytest.raises(ValueError):
+        make_lane_field([trig_spec(1.3, 0.9, 0.0, 1.0), trig_spec(1.3, 0.8, 0.0, 1.0)])
+    with pytest.raises(ValueError):
+        make_lane_field([trig_spec(1.3, 0.9, 0.0, 1.0, 2), trig_spec(1.3, 0.9, 0.0, 1.0, 3)])
+    with pytest.raises(ValueError):
+        make_lane_field([OscillatorSpec(1.0, 2, Sampled((0, 1, 2, 3), (1, 1, 1, 1)))])
+    with pytest.raises(ValueError):
+        make_lane_field([])
 
 
 def test_sampled_source_interpolates_and_refuses_extrapolation():

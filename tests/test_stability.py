@@ -1,15 +1,16 @@
 import math
-import os
 import random
 
+import numpy as np
 import pytest
 
-from osclab.model import trig_spec
+from osclab import stability
+from osclab.integrate import AdaptiveConfig, integrate_adaptive, integrate_lanes
+from osclab.model import make_field, make_lane_field, trig_spec
 from osclab.stability import (
+    ScanWork,
     StabilityRow,
-    _cell,
     bounded,
-    default_workers,
     i0_crit,
     i0_of_z0,
     scan,
@@ -81,63 +82,8 @@ def test_bounded_both_sides_of_threshold():
         bounded(spec, -0.5)
 
 
-def test_cell_worker_is_plain_function():
-    args = (1.3, 0.9, 0.0, 1.0, 0.3, 60.0, 50.0, 1e-10)
-    assert _cell(args) is True
-    import pickle
-
-    pickle.dumps(_cell)  # must survive process pool transport
-
-
-def test_default_workers_env_override(monkeypatch):
-    monkeypatch.setenv("OSC_LAB_THREADS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("OSC_LAB_THREADS", "zero")
-    with pytest.raises(ValueError):
-        default_workers()
-    monkeypatch.setenv("OSC_LAB_THREADS", "0")
-    with pytest.raises(ValueError):
-        default_workers()
-    monkeypatch.delenv("OSC_LAB_THREADS")
-    assert default_workers() >= 1
-
-
-def test_default_workers_follows_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("OSC_LAB_THREADS", raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    assert default_workers() == 3
-
-
-def test_scan_pool_capped_at_job_chunks(monkeypatch):
-    # record the pool size instead of starting processes
-    import concurrent.futures
-
-    seen = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize):
-            return [True for _ in jobs]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    # omega = 1 at dz0 = 0.05 gives 40 cells, five chunks of eight
-    rows = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.05, workers=1000)
-    assert seen == [5]
-    assert rows[0].z_last_bounded == pytest.approx(40 * 0.05)
-    scan(1.3, 0.9, 0.0, (1.0,), dz0=0.05, workers=3)
-    assert seen == [5, 3]
-
-
 def test_scan_small_grid():
-    rows = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.05, t_max=150.0, workers=1)
+    rows = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.05, t_max=150.0)
     assert len(rows) == 1
     row = rows[0]
     assert isinstance(row, StabilityRow)
@@ -146,8 +92,60 @@ def test_scan_small_grid():
     assert row.agrees
 
 
-def test_scan_worker_count_does_not_change_rows():
-    kw = dict(dz0=0.05, t_max=120.0, workers=None)
-    a = scan(1.3, 0.9, 0.0, (1.0,), **{**kw, "workers": 1})
-    b = scan(1.3, 0.9, 0.0, (1.0,), **{**kw, "workers": 2})
-    assert a == b
+def test_scan_lanes_match_bounded_cell_by_cell():
+    # the 40 cells of the omega = 1 row, each integrated alone by the
+    # scalar reference and all together as lanes
+    spec = trig_spec(1.3, 0.9, 0.0, 1.0)
+    z0s = [k * 0.05 for k in range(1, 41)]
+    cfg = AdaptiveConfig(rtol=1e-10, t_end=120.0, escape_bound=50.0, record=False)
+    field, params = make_lane_field([spec] * len(z0s))
+    run = integrate_lanes(field, np.array([z0s, [0.0] * len(z0s)]), params, cfg)
+    flags = [st == "completed" for st in run.status]
+    assert flags == [bounded(spec, z0, t_max=120.0) for z0 in z0s]
+    assert 0 < sum(flags) < len(flags)
+    for j in np.flatnonzero(flags):
+        ref = integrate_adaptive(make_field(spec), (z0s[j], 0.0), cfg)
+        assert run.ts[j] == ref.ts[-1] == 120.0
+        # numpy's cos, sin and power may round apart from math's (measured 6e-11)
+        assert np.abs(run.ys[:, j] - ref.ys[-1]).max() <= 1e-8 * np.abs(ref.ys[-1]).max()
+
+
+def test_scan_rows_ignore_lane_order_and_batch_size(monkeypatch):
+    omegas = (0.8, 1.2)
+    kw = dict(dz0=0.1, t_max=30.0)
+    work = ScanWork()
+    rows = scan(1.3, 0.9, 0.0, omegas, work=work, **kw)
+    assert work.batches == [{"lanes": sum(r["cells"] for r in work.rows),
+                             "lock_steps": work.batches[0]["lock_steps"]}]
+    monkeypatch.setattr(stability, "_LANE_BATCH", 7)
+    small = ScanWork()
+    reverse = scan(1.3, 0.9, 0.0, omegas[::-1], work=small, **kw)
+    assert reverse[::-1] == rows
+    assert small.rows[::-1] == work.rows
+    assert [b["lanes"] for b in small.batches][:-1] == [7] * (len(small.batches) - 1)
+    assert sum(b["lanes"] for b in small.batches) == work.batches[0]["lanes"]
+
+
+def test_scan_work_counts_every_cell():
+    work = ScanWork()
+    rows = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.1, t_max=60.0, work=work)
+    (counts,) = work.rows
+    assert counts["omega"] == rows[0].omega
+    # the first escape ends the bounded run of cells; every cell is integrated
+    assert counts["cells"] == math.ceil((1.5 * rows[0].z_crit_analytic + 2.0) / 0.1)
+    assert counts["escaped"] == counts["cells"] - round(rows[0].z_last_bounded / 0.1)
+    assert counts["step_underflow"] == counts["coefficient_singular"] == 0
+    assert counts["accepted"] > counts["rejected"] > 0
+
+
+@pytest.mark.parametrize("kw,match", [
+    ({"dz0": math.nan}, "dz0"),
+    ({"dz0": math.inf}, "dz0"),
+    ({"dz0": 0.0}, "dz0"),
+    ({"t_max": math.inf}, "t_end"),
+    ({"z_escape": 0.0}, "escape"),
+    ({"z_escape": math.nan}, "escape"),
+])
+def test_scan_rejects_bad_grid(kw, match):
+    with pytest.raises(ValueError, match=match):
+        scan(1.3, 0.9, 0.0, (1.0,), **kw)

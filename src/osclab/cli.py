@@ -110,6 +110,9 @@ def _resolve_oscillator(args):
         v = getattr(args, key, None)
         if v is not None:
             params[key] = v
+    for key in ("z0", "p0"):
+        if not math.isfinite(params.get(key, 0.0)):
+            raise ConfigError(f"{key} must be finite, got {params[key]}")
     return spec, params
 
 

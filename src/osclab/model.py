@@ -241,12 +241,29 @@ def vector_field(spec: OscillatorSpec, s: State):
     return (s.p, -(spec.omega * spec.omega) * s.z - g * int_pow(s.z, spec.m))
 
 
+@dataclass(frozen=True)
+class PowerForm:
+    """A field (p, -w2 z - g(t) z^m) whose coefficient g depends on t alone.
+
+    ``g_grid(ts)`` evaluates g at the times ts (a sequence of floats) by
+    the field's own expression and returns (gs, exc).  gs holds g at the
+    leading times up to the first one where the field raises, and exc is
+    the exception it raises there (None when every time evaluates).
+    """
+
+    w2: float
+    m: int
+    g_grid: Callable
+
+
 def make_field(spec: OscillatorSpec) -> Callable:
     """Tuple-in, tuple-out field closure for the integrator hot loop.
 
-    For trig sources all constants are hoisted out of the per-call path.
-    FiveParam sources are not supported here: their g(t) requires the
-    jointly integrated coefficient state (see osclab.family).
+    For trig sources all constants are hoisted out of the per-call path,
+    and the field carries a ``power_form`` (a PowerForm) that lets
+    ``integrate.integrate_fixed`` evaluate g on a whole step grid at
+    once.  FiveParam sources are not supported here: their g(t) requires
+    the jointly integrated coefficient state (see osclab.family).
     """
     m = spec.m
     w2 = spec.omega * spec.omega
@@ -269,6 +286,20 @@ def make_field(spec: OscillatorSpec) -> Callable:
                 zm *= z
             return (p, -w2 * z - a2 ** ex * zm)
 
+        def g_grid(ts):
+            gs = []
+            append = gs.append
+            try:
+                for t in ts:
+                    a2 = A + B * cos(two_w * t) + C * sin(two_w * t)
+                    if a2 <= EPS_POS:
+                        return gs, CoefficientSingularError(f"alpha2(t={t}) = {a2} <= {EPS_POS}")
+                    append(a2 ** ex)
+            except (ArithmeticError, ValueError) as exc:  # pow overflow, cos of an infinite angle
+                return gs, exc
+            return gs, None
+
+        field.power_form = PowerForm(w2, m, g_grid)
         return field
 
     if isinstance(src, Sampled):

@@ -37,6 +37,8 @@ from .model import OscillatorSpec, TrigFamily, make_field, make_lane_field, trig
 
 
 def _check_amplitudes(A: float, R: float, omega: float):
+    if not all(math.isfinite(v) for v in (A, R, omega)):
+        raise ValueError(f"need finite A, R and omega, got A={A}, R={R}, omega={omega}")
     if not (A > R >= 0.0):
         raise ValueError(f"need A > R >= 0, got A={A}, R={R}")
     if not omega > 0.0:
@@ -123,6 +125,10 @@ class ScanWork:
 # lanes integrated together; bounds the scan's memory for any grid
 _LANE_BATCH = 1024
 
+# cells of one omega row; a finer grid is refused before any integration,
+# since even at a few cells per millisecond it would not finish
+_MAX_ROW_CELLS = 10**6
+
 
 def scan(
     A: float,
@@ -145,7 +151,9 @@ def scan(
     made as they are needed, so memory does not grow with the grid.
     A cell counts as bounded exactly when ``bounded`` would say so: only
     a completed lane is bounded.  Rows depend neither on the batch size
-    nor on the order of the omegas.
+    nor on the order of the omegas.  A grid with more than
+    _MAX_ROW_CELLS cells in any row raises ValueError before any
+    integration.
     """
     if not (0.0 < dz0 < math.inf):
         raise ValueError(f"dz0 must be positive and finite, got {dz0}")
@@ -155,7 +163,11 @@ def scan(
     grid = []
     for omega in omegas:
         zc = z_crit(A, R, omega)
-        grid.append((omega, zc, int(math.ceil((1.5 * zc + 20.0 * dz0) / dz0))))
+        n_cells = (1.5 * zc + 20.0 * dz0) / dz0
+        if not n_cells <= _MAX_ROW_CELLS:
+            raise ValueError(f"dz0={dz0} gives {n_cells:.3g} cells at omega={omega}, "
+                             f"more than {_MAX_ROW_CELLS} in one row")
+        grid.append((omega, zc, int(math.ceil(n_cells))))
 
     def cells():  # (row, spec, k) for z0 = k dz0, made as the batches need them
         for row, (omega, _, n_cells) in enumerate(grid):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -27,6 +28,14 @@ def test_crit_summary(tmp_path):
 
 def test_crit_rejects_bad_amplitudes(capsys):
     assert run(["crit", "--A", "0.5", "--B", "0.9", "--omega", "1.0"]) == 2
+    for argv in (["--A", "1.3", "--B", "0.9", "--omega", "inf"],
+                 ["--A", "inf", "--B", "0.9", "--omega", "1.0"]):
+        capsys.readouterr()
+        assert run(["crit"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1
+        assert captured.out.startswith("error: ") and "finite" in captured.out
+        assert captured.err == ""
 
 
 def test_simulate_preset(tmp_path):
@@ -171,6 +180,10 @@ _SCAN = ["stability-scan", "--preset", "fig3", "--omegas", "1.0:1.0:0.2"]
     (_SCAN + ["--escape", "nan"], "escape"),
     (["stability-scan", "--preset", "fig3", "--omegas", "0.8:inf:0.2"], "omegas"),
     (["stability-scan", "--preset", "fig3", "--omegas", "nan:1.0:0.2"], "omegas"),
+    (["simulate", "--preset", "fig1", "--z0", "nan", "--tmax", "1"], "z0"),
+    (["simulate", "--preset", "fig1", "--z0", "inf", "--rtol", "1e-8", "--tmax", "1"], "z0"),
+    (["drift", "--preset", "fig1", "--p0=-inf", "--tmax", "1"], "p0"),
+    (["poincare", "--preset", "fig2", "--p0", "inf"], "p0"),
 ])
 def test_nonfinite_run_parameters_exit_2_with_one_line(tmp_path, capsys, argv, needle):
     assert run(argv + ["--out", str(tmp_path / "x")]) == 2
@@ -178,6 +191,17 @@ def test_nonfinite_run_parameters_exit_2_with_one_line(tmp_path, capsys, argv, n
     assert captured.out.count("\n") == 1
     assert captured.out.startswith("error: ")
     assert needle in captured.out
+    assert captured.err == ""
+
+
+def test_scan_refuses_row_it_cannot_finish(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run(["stability-scan", "--preset", "fig3", "--omegas", "1:1:1", "--tmax", "1",
+                "--dz0", "1e-300", "--out", str(tmp_path / "x")]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1
+    assert captured.out.startswith("error: ") and "dz0" in captured.out
     assert captured.err == ""
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osclab.errors import CoefficientSingularError, NonfiniteStateError, StepUnderflowError
 from osclab.integrate import (
@@ -12,7 +14,7 @@ from osclab.integrate import (
     integrate_lanes,
     sample_strobe,
 )
-from osclab.model import make_field, make_lane_field, trig_spec
+from osclab.model import OscillatorSpec, Sampled, make_field, make_lane_field, trig_spec
 
 
 def harmonic(t, y):
@@ -312,3 +314,114 @@ def test_lanes_reject_misshapen_input():
         integrate_lanes(_lane_field, np.zeros((1, 3)), np.zeros((1, 3)), cfg)
     with pytest.raises(ValueError):
         integrate_lanes(_lane_field, np.zeros((2, 3)), np.zeros((1, 2)), cfg)
+
+
+def _fused_matches_generic(field, y0, cfg):
+    """The fused path must match, bit for bit, the generic loop that a plain wrapper forces."""
+    assert field.power_form is not None
+    fused = integrate_fixed(field, y0, cfg)
+    ref = integrate_fixed(lambda t, y: field(t, y), y0, cfg)
+    assert np.array_equal(fused.ts, ref.ts)
+    assert np.array_equal(fused.ys, ref.ys)
+    assert (fused.status, fused.n_accepted) == (ref.status, ref.n_accepted)
+    return fused
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_fused_fixed_step_matches_generic_loop(m):
+    # C != 0, and 10k steps cross two chunk boundaries
+    traj = _fused_matches_generic(make_field(trig_spec(1.3, 0.9, 0.2, 1.0, m)), (0.3, 0.1),
+                                  FixedStepConfig(h=1e-3, t_end=10.0))
+    assert traj.status == "completed" and traj.n_accepted == 10000
+
+
+@pytest.mark.parametrize("cfg", [
+    FixedStepConfig(h=1e-3, t_start=-1.5, t_end=7.3),
+    # h does not divide the span: the last step is shortened onto t_end
+    FixedStepConfig(h=7e-4, t_start=0.25, t_end=5.0),
+    FixedStepConfig(h=7e-4, t_start=0.25, t_end=5.0, record=False),
+])
+def test_fused_fixed_step_matches_generic_loop_on_any_grid(cfg):
+    traj = _fused_matches_generic(make_field(trig_spec(1.3, 0.9, 0.0, 1.0)), (0.1, 0.0), cfg)
+    assert traj.status == "completed" and traj.ts[-1] == cfg.t_end
+    assert len(traj) == (2 if not cfg.record else traj.n_accepted + 1)
+
+
+def test_fused_fixed_step_escape_matches_generic_loop():
+    traj = _fused_matches_generic(make_field(trig_spec(1.3, 0.9, 0.0, 1.4)), (1.4, 0.0),
+                                  FixedStepConfig(h=1e-3, t_end=60.0, escape_bound=50.0))
+    assert traj.status == "escaped"
+    assert traj.n_accepted > 4096  # the escape falls in the second chunk
+
+
+@pytest.mark.parametrize("B,h,n_before", [
+    # A - R = 1e-10 < EPS_POS: alpha2 dips below the floor only within 2e-5 of
+    # t = pi/2, so the grid is placed to hit it at a step time (the k4 stage of
+    # step 999), at a midpoint (k2 of step 999), and at t = 0 (k1 of step 0)
+    (1.0 - 1e-10, (math.pi / 2) / 1000, 999),
+    (1.0 - 1e-10, (math.pi / 2) / 999.5, 999),
+    (-(1.0 - 1e-10), 1e-3, 0),
+])
+def test_fused_fixed_step_singular_matches_generic_loop(B, h, n_before):
+    field = make_field(trig_spec(1.0, B, 0.0, 1.0))
+    for record in (True, False):
+        traj = _fused_matches_generic(field, (1e-7, 0.0),
+                                      FixedStepConfig(h=h, t_end=5.0, record=record))
+        assert (traj.status, traj.n_accepted) == ("coefficient_singular", n_before)
+
+
+def test_fused_fixed_step_raises_what_the_field_raises():
+    # alpha2 bottoms out at 2e-9, above the floor, where alpha2 ** -36.5 overflows
+    field = make_field(trig_spec(1.0, 1.0 - 2e-9, 0.0, 1.0, 70))
+    cfg = FixedStepConfig(h=(math.pi / 2) / 1000, t_end=5.0)
+    for f in (field, lambda t, y: field(t, y)):
+        with pytest.raises(OverflowError):
+            integrate_fixed(f, (1e-7, 0.0), cfg)
+
+
+@pytest.mark.parametrize("y0", [(math.nan, 0.0), (1e60, 0.0)])
+def test_fused_fixed_step_nonfinite_state_raises(y0):
+    field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0))
+    cfg = FixedStepConfig(h=1e-3, t_end=10.0)
+    for f in (field, lambda t, y: field(t, y)):
+        with pytest.raises(NonfiniteStateError):
+            integrate_fixed(f, y0, cfg)
+
+
+@pytest.mark.parametrize("z0,want", [(0.1, "completed"), (1.4, "escaped")])
+def test_fused_strobe_matches_generic_loop(z0, want):
+    field = make_field(trig_spec(1.3, 0.9, 0.0, 1.4))
+    fused = sample_strobe(field, (z0, 0.0), math.pi / 1.4, 6, escape_bound=50.0, h=1e-3)
+    ref = sample_strobe(lambda t, y: field(t, y), (z0, 0.0), math.pi / 1.4, 6,
+                        escape_bound=50.0, h=1e-3)
+    assert fused == ref
+    assert fused.status == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    A=st.floats(0.5, 3.0),
+    rel_b=st.floats(-0.95, 0.95),
+    rel_c=st.floats(-0.95, 0.95),
+    omega=st.floats(0.3, 2.0),
+    m=st.integers(2, 6),
+    z0=st.floats(-0.5, 0.5),
+    p0=st.floats(-0.5, 0.5),
+    h=st.floats(1e-3, 5e-2),
+    t_start=st.floats(-5.0, 5.0),
+    span=st.floats(0.01, 20.0),
+    record=st.booleans(),
+)
+def test_fused_fixed_step_matches_generic_loop_on_random_systems(
+        A, rel_b, rel_c, omega, m, z0, p0, h, t_start, span, record):
+    # B and C scaled so that R = hypot(B, C) < 0.95 A: alpha2 stays positive
+    B, C = 0.67 * A * rel_b, 0.67 * A * rel_c
+    field = make_field(trig_spec(A, B, C, omega, m))
+    _fused_matches_generic(field, (z0, p0), FixedStepConfig(
+        h=h, t_start=t_start, t_end=t_start + span, escape_bound=1e3, record=record))
+
+
+def test_sampled_field_takes_the_generic_loop():
+    knots = tuple(0.1 * k for k in range(40))
+    field = make_field(OscillatorSpec(1.0, 2, Sampled(knots, tuple(1.0 for _ in knots))))
+    assert not hasattr(field, "power_form")

@@ -72,6 +72,9 @@ def test_amplitude_validation():
         i0_crit(1.0, -0.1, 1.0)
     with pytest.raises(ValueError):
         z_crit(1.3, 0.9, 0.0)
+    for A, R, omega in ((math.inf, 0.9, 1.0), (1.3, 0.9, math.inf), (1.3, 0.9, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            z_crit(A, R, omega)
 
 
 def test_bounded_both_sides_of_threshold():
@@ -145,6 +148,7 @@ def test_scan_work_counts_every_cell():
     ({"t_max": math.inf}, "t_end"),
     ({"z_escape": 0.0}, "escape"),
     ({"z_escape": math.nan}, "escape"),
+    ({"dz0": 1e-300}, "dz0"),  # about 1e300 cells in the row
 ])
 def test_scan_rejects_bad_grid(kw, match):
     with pytest.raises(ValueError, match=match):

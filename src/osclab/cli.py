@@ -110,10 +110,14 @@ def _resolve_oscillator(args):
         v = getattr(args, key, None)
         if v is not None:
             params[key] = v
-    for key in ("z0", "p0"):
-        if not math.isfinite(params.get(key, 0.0)):
-            raise ConfigError(f"{key} must be finite, got {params[key]}")
+    _require_finite(z0=params.get("z0", 0.0), p0=params.get("p0", 0.0))
     return spec, params
+
+
+def _require_finite(**values):
+    for key, v in values.items():
+        if not math.isfinite(v):
+            raise ConfigError(f"{key} must be finite, got {v}")
 
 
 def _out_dir(args) -> Path:
@@ -215,10 +219,11 @@ def cmd_poincare(args) -> int:
 
     field = make_field(spec)
     t_step = math.pi / spec.omega
+    h = params.get("h") if params.get("rtol") is None else None
     strobe = sample_strobe(
         field, (z0, p0), t_step, n_points - 1,
         escape_bound=params.get("escape", math.inf),
-        h=params.get("h") if params.get("rtol") is None else None,
+        h=h,
         rtol=params.get("rtol") or 1e-10,
         atol=params.get("atol") or 1e-12,
     )
@@ -245,6 +250,8 @@ def cmd_poincare(args) -> int:
             [None if math.isinf(lo) else lo, None if math.isinf(hi) else hi]
             for lo, hi in curve.admissible
         ],
+        "stats": {"integrator": "dormand_prince" if h is None else "rk4",
+                  "accepted": strobe.n_accepted, "rejected": strobe.n_rejected},
     }
     return _finish(out, summary, f"poincare: points={len(strobe.states)} "
                                  f"residual_max={residual:.6e} status={strobe.status}",
@@ -341,6 +348,7 @@ def cmd_crit(args) -> int:
 
 def cmd_family(args) -> int:
     fp = family_mod.fiveparam_from_json(_read_json(args.spec))
+    _require_finite(z0=args.z0, p0=args.p0)
     out = _out_dir(args)
     traj, report = family_mod.integrate_family(
         fp, args.z0, args.p0, args.tmax,
@@ -394,6 +402,10 @@ def cmd_reduce(args) -> int:
         "defect_wp": res.env.defect_wp,
         "m": res.m,
         "n_grid": args.n_grid,
+        "stats": {
+            "monodromy": {"accepted": res.mono.n_accepted, "rejected": res.mono.n_rejected},
+            "envelope": {"accepted": res.env.n_accepted, "rejected": res.env.n_rejected},
+        },
     }
     return _finish(out, summary, f"reduce: omega_nf={res.omega_nf:.12g} mu={res.mono.mu:.12g} "
                                  f"beta0={res.mono.beta0:.12g}")

@@ -1,12 +1,13 @@
 """Explicit Runge-Kutta integration over generic n-dimensional states.
 
-Two integrators share one state convention (tuples of floats, n >= 2,
+The integrators share one state convention (tuples of floats, n >= 2,
 components 0 and 1 being z and p):
 
 * ``integrate_fixed`` -- the classical 4th-order method with constant
   step, final step shortened to land exactly on t_end.
 * ``integrate_adaptive`` -- the Dormand-Prince embedded 5(4) pair with
-  standard error-per-step control.
+  standard error-per-step control, in one march that lands exactly on
+  any number of stop times.
 * ``integrate_lanes`` -- the same Dormand-Prince pair over many
   independent problems at once, as numpy lanes that step in lock-step,
   each with its own step control (Hairer, Norsett & Wanner, Solving ODEs
@@ -360,18 +361,32 @@ def _dp_attempt(field, t, y, h, f1):
     return y_new, f7, errs
 
 
-def integrate_adaptive(field, y0, cfg: AdaptiveConfig) -> Trajectory:
-    """Dormand-Prince 5(4) with error-per-step control.
+def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None) -> Trajectory:
+    """Dormand-Prince 5(4) with error-per-step control, marching through exact stops.
 
     The per-component scale is atol + rtol*max(|y|, |y_new|); a step is
     accepted when the RMS of error/scale is <= 1, and the step factor
     0.9*err^(-1/5) is clamped to [0.2, 5].  A trial step with nonfinite
     result is treated as rejected.  StepUnderflowError signals that the
     controller was forced below h_min on a rejection.
+
+    ``stops`` (default: t_end alone) are strictly ascending times in
+    (t_start, t_end], the last one t_end.  A step that would pass the
+    next stop is shortened to land on it exactly, and h, the FSAL stage
+    and the counters carry on across it: after an accepted shortened
+    step the next one starts from the larger of the new proposal and the
+    step proposed before shortening, so a stop does not make the
+    controller ramp up again.  ``at_stop(t, y)`` is called at each stop
+    reached without escaping; an exception it raises ends the run.
     """
     if len(y0) < 2:
         raise ValueError("state must have at least (z, p) components")
     t0, t_end = cfg.t_start, cfg.t_end
+    if stops is None:
+        stops = (t_end,)
+    elif not (len(stops) and stops[-1] == t_end
+              and all(a < b for a, b in zip([t0, *stops], stops))):
+        raise ValueError(f"stops must ascend strictly from t_start={t0} to t_end={t_end}")
     rtol, atol = cfg.rtol, cfg.atol
     y = tuple(float(v) for v in y0)
     rec = _Recorder(cfg.record, t0, y)
@@ -383,12 +398,15 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig) -> Trajectory:
     n_rej = 0
     t = t0
     h = min(cfg.h_init, t_end - t0)
+    n_hit = 0
+    stop = stops[0]
     try:
         f1 = field(t, y)
-        while t < t_end:
-            if t + h >= t_end:
-                h_att = t_end - t
-                t_next = t_end
+        while True:
+            clipped = t + h >= stop
+            if clipped:
+                h_att = stop - t
+                t_next = stop
             else:
                 h_att = h
                 t_next = t + h
@@ -421,7 +439,16 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig) -> Trajectory:
                     fac = _FAC_MAX
                 else:
                     fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2))
-                h = max(h_att * fac, cfg.h_min)
+                h_new = max(h_att * fac, cfg.h_min)
+                if clipped:
+                    if at_stop is not None:
+                        at_stop(t, y)
+                    n_hit += 1
+                    if n_hit == len(stops):
+                        break
+                    stop = stops[n_hit]
+                    h_new = max(h_new, h)  # h is still the step proposed before the clip
+                h = h_new
             else:
                 n_rej += 1
                 if math.isinf(err):
@@ -567,6 +594,8 @@ def _dp_lane_attempt(field, t, y, h, f1, params):
 class StrobeResult:
     states: tuple
     status: str
+    n_accepted: int = 0
+    n_rejected: int = 0
 
 
 def sample_strobe(
@@ -582,11 +611,13 @@ def sample_strobe(
 ) -> StrobeResult:
     """States at t_k = t0 + k*t_step for k = 0..k_max, each hit exactly.
 
-    Integration proceeds segment by segment so no substep ever straddles
-    a strobe time; strobe times come from multiplication, never from
-    repeated addition.  Pass h for fixed-step segments, otherwise the
-    adaptive integrator is used at (rtol, atol).  On escape the result
-    carries the points collected so far and status "escaped".
+    Strobe times come from multiplication, never from repeated addition.
+    Without h, one adaptive run at (rtol, atol) marches through every
+    t_k as a stop of ``integrate_adaptive``, keeping its step size and
+    FSAL stage from one strobe interval to the next.  With h, each
+    interval is a fixed-step segment, so no step straddles a strobe
+    time.  On escape the result carries the points collected so far and
+    status "escaped"; the counts are the accepted and rejected steps.
     """
     if t_step <= 0.0:
         raise ValueError(f"t_step must be positive, got {t_step}")
@@ -594,23 +625,29 @@ def sample_strobe(
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     y = tuple(float(v) for v in y0)
     states = [State(t0, y[0], y[1])]
+    if k_max == 0:
+        return StrobeResult(states=tuple(states), status="completed")
+    if h is None:
+        stops = [t0 + k * t_step for k in range(1, k_max + 1)]
+        run = integrate_adaptive(
+            field, y, AdaptiveConfig(rtol=rtol, atol=atol, t_start=t0, t_end=stops[-1],
+                                     escape_bound=escape_bound, record=False),
+            stops=stops, at_stop=lambda t, y: states.append(State(t, y[0], y[1])),
+        )
+        return StrobeResult(tuple(states), run.status, run.n_accepted, run.n_rejected)
     status = "completed"
+    n_acc = 0
     for k in range(1, k_max + 1):
         ta = t0 + (k - 1) * t_step
         tb = t0 + k * t_step
-        if h is not None:
-            seg = integrate_fixed(
-                field, y, FixedStepConfig(h=h, t_start=ta, t_end=tb,
-                                          escape_bound=escape_bound, record=False)
-            )
-        else:
-            seg = integrate_adaptive(
-                field, y, AdaptiveConfig(rtol=rtol, atol=atol, t_start=ta, t_end=tb,
-                                         escape_bound=escape_bound, record=False)
-            )
+        seg = integrate_fixed(
+            field, y, FixedStepConfig(h=h, t_start=ta, t_end=tb,
+                                      escape_bound=escape_bound, record=False)
+        )
+        n_acc += seg.n_accepted
         y = tuple(float(v) for v in seg.ys[-1])
         if seg.status != "completed":
             status = seg.status
             break
         states.append(State(tb, y[0], y[1]))
-    return StrobeResult(states=tuple(states), status=status)
+    return StrobeResult(tuple(states), status, n_acc)

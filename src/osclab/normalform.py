@@ -67,6 +67,8 @@ class MonodromyResult:
     beta0: float
     alphaT: float
     gamma0: float
+    n_accepted: int
+    n_rejected: int
 
 
 def _hill_field(h: HillSpec):
@@ -79,15 +81,16 @@ def _hill_field(h: HillSpec):
     return field
 
 
+def _fundamental_runs(h: HillSpec, rtol: float, atol: float):
+    """Runs from (1, 0) and (0, 1) over one period; their end states are the columns of M."""
+    field = _hill_field(h)
+    cfg = AdaptiveConfig(rtol=rtol, atol=atol, t_end=h.T, record=False)
+    return [integrate_adaptive(field, y0, cfg) for y0 in ((1.0, 0.0), (0.0, 1.0))]
+
+
 def transfer_matrix(h: HillSpec, rtol: float = 1e-13, atol: float = 1e-15) -> np.ndarray:
     """One-period transfer matrix of (z, z') from the two fundamental runs."""
-    field = _hill_field(h)
-    cols = []
-    for y0 in ((1.0, 0.0), (0.0, 1.0)):
-        cfg = AdaptiveConfig(rtol=rtol, atol=atol, t_end=h.T, record=False)
-        traj = integrate_adaptive(field, y0, cfg)
-        cols.append(traj.ys[-1])
-    return np.column_stack(cols)
+    return np.column_stack([run.ys[-1] for run in _fundamental_runs(h, rtol, atol)])
 
 
 def monodromy(h: HillSpec, rtol: float = 1e-13, atol: float = 1e-15) -> MonodromyResult:
@@ -98,9 +101,11 @@ def monodromy(h: HillSpec, rtol: float = 1e-13, atol: float = 1e-15) -> Monodrom
     below that margin, or an exactly-degenerate system slips through as
     spuriously stable.  In the stable case the phase advance mu is
     placed in (0, 2 pi) with sin(mu) matching the sign of M[0,1], which
-    makes beta0 = M[0,1]/sin(mu) positive.
+    makes beta0 = M[0,1]/sin(mu) positive.  The step counts sum both
+    fundamental runs.
     """
-    M = transfer_matrix(h, rtol=rtol, atol=atol)
+    runs = _fundamental_runs(h, rtol, atol)
+    M = np.column_stack([run.ys[-1] for run in runs])
     tr = float(M[0, 0] + M[1, 1])
     det = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
     if abs(tr) >= 2.0 - 1e-12:
@@ -113,7 +118,9 @@ def monodromy(h: HillSpec, rtol: float = 1e-13, atol: float = 1e-15) -> Monodrom
     alphaT = float(M[0, 0] - M[1, 1]) / (2.0 * sin_mu)
     gamma0 = (1.0 + alphaT * alphaT) / beta0
     return MonodromyResult(
-        M=M, trace=tr, det=det, stable=True, mu=mu, beta0=beta0, alphaT=alphaT, gamma0=gamma0
+        M=M, trace=tr, det=det, stable=True, mu=mu, beta0=beta0, alphaT=alphaT, gamma0=gamma0,
+        n_accepted=sum(run.n_accepted for run in runs),
+        n_rejected=sum(run.n_rejected for run in runs),
     )
 
 
@@ -127,6 +134,8 @@ class EnvelopeResult:
     phi: np.ndarray
     defect_w: float
     defect_wp: float
+    n_accepted: int
+    n_rejected: int
 
     @property
     def phi_T(self) -> float:
@@ -138,9 +147,13 @@ def cs_envelope(h: HillSpec, mono: MonodromyResult, n_grid: int = 2001,
     """Propagate the envelope ODE w'' + f w = 1/w^3 jointly with Phi' = 1/w^2.
 
     Initial values come from the monodromy Twiss parameters:
-    w(0) = sqrt(beta0), w'(0) = -alphaT/sqrt(beta0).  The grid times are
-    j*T/(n_grid-1) and each is hit exactly.  The one-period defects
-    |w(T)-w(0)|, |w'(T)-w'(0)| are returned for quality control.
+    w(0) = sqrt(beta0), w'(0) = -alphaT/sqrt(beta0).  One adaptive run
+    over [0, T] takes the grid times j*T/(n_grid-1) (the last exactly T)
+    as stops of ``integrate_adaptive``, so each is hit exactly while the
+    step size and FSAL stage carry on across them.  EnvelopeBlowupError
+    is raised at the first grid time where w has left
+    [_W_FLOOR, _W_CEIL].  The one-period defects |w(T)-w(0)|,
+    |w'(T)-w'(0)| are returned for quality control.
     """
     if n_grid < 2:
         raise ValueError(f"need n_grid >= 2, got {n_grid}")
@@ -154,29 +167,28 @@ def cs_envelope(h: HillSpec, mono: MonodromyResult, n_grid: int = 2001,
         return (wp, 1.0 / (w2 * w) - f(t) * w, 1.0 / w2)
 
     w0 = math.sqrt(mono.beta0)
-    y = (w0, -mono.alphaT / w0, 0.0)
-    step = h.T / (n_grid - 1)
-    ts = np.empty(n_grid)
-    ws = np.empty(n_grid)
-    wps = np.empty(n_grid)
-    phis = np.empty(n_grid)
-    ts[0], ws[0], wps[0], phis[0] = 0.0, y[0], y[1], y[2]
-    for j in range(1, n_grid):
-        ta = (j - 1) * step
-        tb = h.T if j == n_grid - 1 else j * step
-        cfg = AdaptiveConfig(rtol=rtol, atol=atol, t_start=ta, t_end=tb, record=False)
-        seg = integrate_adaptive(field, y, cfg)
-        y = tuple(float(v) for v in seg.ys[-1])
+    rows = [(w0, -mono.alphaT / w0, 0.0)]
+
+    def at_stop(t, y):
         if not (_W_FLOOR <= y[0] <= _W_CEIL):
-            raise EnvelopeBlowupError(f"envelope w = {y[0]} at t = {tb} left the admissible range")
-        ts[j], ws[j], wps[j], phis[j] = tb, y[0], y[1], y[2]
+            raise EnvelopeBlowupError(f"envelope w = {y[0]} at t = {t} left the admissible range")
+        rows.append(y)
+
+    step = h.T / (n_grid - 1)
+    stops = [j * step for j in range(1, n_grid - 1)] + [h.T]
+    run = integrate_adaptive(field, rows[0], AdaptiveConfig(rtol=rtol, atol=atol, t_end=h.T,
+                                                            record=False),
+                             stops=stops, at_stop=at_stop)
+    ws, wps, phis = np.array(rows).T.copy()
     return EnvelopeResult(
-        ts=ts,
+        ts=np.array([0.0] + stops),
         w=ws,
         wp=wps,
         phi=phis,
         defect_w=abs(float(ws[-1]) - float(ws[0])),
         defect_wp=abs(float(wps[-1]) - float(wps[0])),
+        n_accepted=run.n_accepted,
+        n_rejected=run.n_rejected,
     )
 
 

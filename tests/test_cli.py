@@ -120,7 +120,21 @@ def test_poincare_outputs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_points"] == 24
     assert summary["residual_max"] < 1e-6
+    # 23 strobe intervals of pi at the preset h = 1e-3, each with a shortened last step
+    assert summary["stats"] == {"integrator": "rk4", "accepted": 23 * 3142, "rejected": 0}
     assert (out / "section.svg").exists()
+
+
+def test_poincare_adaptive_summary_counts_steps(tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run(["poincare", "--preset", "fig2", "--points", "24", "--rtol", "1e-10",
+                    "--out", str(out)]) == 0
+    stats = json.loads((outs[0] / "summary.json").read_text())["stats"]
+    assert stats["integrator"] == "dormand_prince"
+    # one warm march: about 97 steps per strobe interval, not 100 as with cold restarts
+    assert 23 * 90 < stats["accepted"] < 23 * 99 and stats["rejected"] >= 0
+    assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
 
 
 def test_stability_scan_small(tmp_path):
@@ -162,6 +176,7 @@ def test_stability_scan_summary_counts_cells(tmp_path):
 
 
 _SCAN = ["stability-scan", "--preset", "fig3", "--omegas", "1.0:1.0:0.2"]
+_FP_SPEC = '{"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [2.2, 0.0, -3.6]}'
 
 
 @pytest.mark.parametrize("argv,needle", [
@@ -184,8 +199,14 @@ _SCAN = ["stability-scan", "--preset", "fig3", "--omegas", "1.0:1.0:0.2"]
     (["simulate", "--preset", "fig1", "--z0", "inf", "--rtol", "1e-8", "--tmax", "1"], "z0"),
     (["drift", "--preset", "fig1", "--p0=-inf", "--tmax", "1"], "p0"),
     (["poincare", "--preset", "fig2", "--p0", "inf"], "p0"),
+    (["family", "--spec", "fp.json", "--z0", "nan", "--tmax", "1"], "z0"),
+    (["family", "--spec", "fp.json", "--z0", "inf", "--tmax", "1"], "z0"),
+    (["family", "--spec", "fp.json", "--p0=-inf", "--tmax", "1"], "p0"),
 ])
-def test_nonfinite_run_parameters_exit_2_with_one_line(tmp_path, capsys, argv, needle):
+def test_nonfinite_run_parameters_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv,
+                                                       needle):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fp.json").write_text(_FP_SPEC)
     assert run(argv + ["--out", str(tmp_path / "x")]) == 2
     captured = capsys.readouterr()
     assert captured.out.count("\n") == 1
@@ -279,7 +300,7 @@ def test_parse_omegas_rejects_malformed():
 
 def test_family_run(tmp_path):
     spec = tmp_path / "fp.json"
-    spec.write_text('{"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [2.2, 0.0, -3.6]}')
+    spec.write_text(_FP_SPEC)
     out = tmp_path / "fam"
     assert run(["family", "--spec", str(spec), "--z0", "0.1", "--tmax", "20",
                 "--out", str(out)]) == 0
@@ -309,6 +330,11 @@ def test_reduce_run(tmp_path):
     assert abs(summary["det"] - 1.0) < 1e-9
     assert 0.0 < summary["mu"] < 2 * math.pi
     assert summary["defect_w"] < 1e-7
+    stats = summary["stats"]
+    assert set(stats) == {"monodromy", "envelope"}
+    assert stats["monodromy"]["accepted"] > 0
+    # the envelope marches through the 400 grid intervals without restarting
+    assert 400 <= stats["envelope"]["accepted"] < 1000
     rows = (out / "envelope.csv").read_text().splitlines()
     assert rows[0] == "t,phi,w,wp"
     assert (out / "gnf.csv").read_text().splitlines()[0] == "s,g_nf"

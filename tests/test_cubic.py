@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from osclab.cubic import real_roots
 
@@ -25,6 +27,32 @@ def test_random_cubics_match_numpy():
             c3 = math.copysign(1e-2, c3 or 1.0)
         coeffs = (c3, rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3))
         _check_against_numpy(*coeffs)
+
+
+# distance kept between distinct roots, and of a complex pair from the real
+# axis: far above the solver's degenerate band (relative discriminant 1e-12)
+_MARGIN = 0.05
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c3=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+    xs=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+    imag=st.none() | st.floats(_MARGIN, 3.0),
+)
+def test_real_roots_match_numpy_away_from_degeneracy(c3, xs, imag):
+    # three real roots xs, or xs[0] plus the complex pair xs[1] +- i*imag
+    r0, a, b = sorted(xs)
+    if imag is None:
+        assume(min(a - r0, b - a) >= _MARGIN)
+        s1, s2, s3 = r0 + a + b, r0 * a + r0 * b + a * b, r0 * a * b
+    else:
+        q = a * a + imag * imag
+        s1, s2, s3 = r0 + 2.0 * a, 2.0 * a * r0 + q, r0 * q
+    coeffs = (c3, -c3 * s1, c3 * s2, -c3 * s3)
+    got = real_roots(*coeffs)
+    assert [mult for _, mult in got] == [1] * (3 if imag is None else 1)
+    _check_against_numpy(*coeffs, tol=1e-9)
 
 
 def test_roots_sorted_ascending():

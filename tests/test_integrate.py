@@ -7,14 +7,20 @@ from hypothesis import strategies as st
 
 from osclab.errors import CoefficientSingularError, NonfiniteStateError, StepUnderflowError
 from osclab.integrate import (
+    _FAC_MAX,
+    _FAC_MIN,
+    _SAFETY,
     AdaptiveConfig,
     FixedStepConfig,
+    _dp_attempt,
+    _escaped,
+    _Recorder,
     integrate_adaptive,
     integrate_fixed,
     integrate_lanes,
     sample_strobe,
 )
-from osclab.model import OscillatorSpec, Sampled, make_field, make_lane_field, trig_spec
+from osclab.model import OscillatorSpec, Sampled, State, make_field, make_lane_field, trig_spec
 
 
 def harmonic(t, y):
@@ -201,8 +207,8 @@ def test_strobe_points_match_single_run():
     # strobe times are k*pi exactly
     for k, s in enumerate(res.states):
         assert s.t == k * math.pi
-    # the k-th point equals a direct adaptive run to the same time because
-    # strobing restarts from the previous strobe state with the same tolerances
+    # up to its first stop the strobe's march is a direct adaptive run to
+    # that time with the same tolerances, so the first point equals one
     direct = integrate_adaptive(field, (0.1, 0.0),
                                 AdaptiveConfig(rtol=1e-10, atol=1e-12,
                                                t_end=math.pi, record=False))
@@ -231,6 +237,190 @@ def test_strobe_stops_on_escape():
                         escape_bound=100.0, rtol=1e-10)
     assert res.status == "escaped"
     assert len(res.states) < 21
+
+
+def _adaptive_single_run(field, y0, cfg):
+    """Reference: the Dormand-Prince loop as it ran before stops, one run from t_start to t_end."""
+    t0, t_end = cfg.t_start, cfg.t_end
+    y = tuple(float(v) for v in y0)
+    rec = _Recorder(cfg.record, t0, y)
+    status, n_acc, n_rej, t = "completed", 0, 0, t0
+    h = min(cfg.h_init, t_end - t0)
+    try:
+        f1 = field(t, y)
+        while t < t_end:
+            if t + h >= t_end:
+                h_att, t_next = t_end - t, t_end
+            else:
+                h_att, t_next = h, t + h
+            y_new, f7, errs = _dp_attempt(field, t, y, h_att, f1)
+            err, finite = 0.0, True
+            for yi, yn, e in zip(y, y_new, errs):
+                if not (math.isfinite(yn) and math.isfinite(e)):
+                    finite = False
+                    break
+                r = e / (cfg.atol + cfg.rtol * max(abs(yi), abs(yn)))
+                err += r * r
+            err = math.sqrt(err / len(y)) if finite else math.inf
+            if err <= 1.0:
+                t, y, f1 = t_next, y_new, f7
+                n_acc += 1
+                rec.push(t, y)
+                if math.isfinite(cfg.escape_bound) and _escaped(y, cfg.escape_bound):
+                    status = "escaped"
+                    break
+                if err == 0.0:
+                    fac = _FAC_MAX
+                else:
+                    fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2))
+                h = max(h_att * fac, cfg.h_min)
+            else:
+                n_rej += 1
+                fac = _FAC_MIN if math.isinf(err) else max(_FAC_MIN, _SAFETY * err ** -0.2)
+                h = h_att * fac
+                if h < cfg.h_min:
+                    raise StepUnderflowError(f"required step {h:.3e} < h_min {cfg.h_min:.3e}")
+    except CoefficientSingularError:
+        status = "coefficient_singular"
+    return rec.build(status, n_accepted=n_acc, n_rejected=n_rej)
+
+
+def _late_singular(t, y):
+    if t > 2.5:
+        raise CoefficientSingularError("test singularity")
+    return (y[1], -y[0])
+
+
+@pytest.mark.parametrize("field,y0,cfg", [
+    (harmonic, (1.0, 0.0), AdaptiveConfig(rtol=1e-10, t_end=10.0)),
+    (make_field(trig_spec(1.3, 0.9, 0.2, 1.0, 3)), (0.3, 0.1),
+     AdaptiveConfig(rtol=1e-9, t_start=-1.5, t_end=7.3)),
+    (make_field(trig_spec(1.3, 0.9, 0.0, 1.0)), (0.1, 0.0),
+     AdaptiveConfig(rtol=1e-12, atol=1e-14, t_end=20.0, record=False)),
+    (lambda t, y: (y[1], y[0]), (1.0, 1.0),
+     AdaptiveConfig(rtol=1e-10, t_end=50.0, escape_bound=100.0)),
+    (_late_singular, (1.0, 0.0), AdaptiveConfig(rtol=1e-10, t_end=5.0)),
+    (lambda t, y: (y[1], math.inf if abs(y[0]) > 1e3 else y[0]), (1.0, 1.0),
+     AdaptiveConfig(rtol=1e-10, t_end=50.0, escape_bound=100.0, record=False)),
+])
+def test_single_stop_march_matches_single_run(field, y0, cfg):
+    ref = _adaptive_single_run(field, y0, cfg)
+    for got in (integrate_adaptive(field, y0, cfg),
+                integrate_adaptive(field, y0, cfg, stops=[cfg.t_end])):
+        assert np.array_equal(got.ts, ref.ts)
+        assert np.array_equal(got.ys, ref.ys)
+        assert (got.status, got.n_accepted, got.n_rejected) == (
+            ref.status, ref.n_accepted, ref.n_rejected)
+
+
+def test_single_stop_march_underflows_like_single_run():
+    cfg = AdaptiveConfig(rtol=1e-10, t_end=1.0, h_min=1e-10)
+    field = _scalar_field(STIFF)
+    for run in (_adaptive_single_run, integrate_adaptive):
+        with pytest.raises(StepUnderflowError):
+            run(field, (1.0, 0.0), cfg)
+
+
+@pytest.mark.parametrize("stops", [[], [0.5, 0.4, 1.0], [0.5, 0.5, 1.0], [0.0, 1.0], [0.5],
+                                   [0.5, 1.5]])
+def test_adaptive_rejects_bad_stops(stops):
+    with pytest.raises(ValueError, match="stops"):
+        integrate_adaptive(harmonic, (1.0, 0.0), AdaptiveConfig(rtol=1e-10, t_end=1.0),
+                           stops=stops)
+
+
+def test_march_lands_on_every_stop_and_keeps_its_step():
+    stops = [0.01 * k for k in range(1, 1001)]
+    seen = []
+    cfg = AdaptiveConfig(rtol=1e-10, t_end=stops[-1])
+    traj = integrate_adaptive(harmonic, (1.0, 0.0), cfg, stops=stops,
+                              at_stop=lambda t, y: seen.append((t, y)))
+    assert [t for t, _ in seen] == stops
+    assert set(stops) <= set(traj.ts.tolist())
+    assert seen[-1][1] == tuple(traj.ys[-1])
+    # one clipped step per stop once the controller has ramped up: a cold
+    # start at every stop would need about four
+    assert traj.n_accepted < len(stops) + 20
+    assert abs(seen[-1][1][0] - math.cos(10.0)) < 1e-8
+    # a stop a hair after another must not shrink the step after it to the hair's width
+    cfg = AdaptiveConfig(rtol=1e-10, t_end=10.0)
+    plain = integrate_adaptive(harmonic, (1.0, 0.0), cfg, stops=[5.0, 10.0])
+    hair = integrate_adaptive(harmonic, (1.0, 0.0), cfg, stops=[5.0, 5.0 + 1e-9, 10.0])
+    assert hair.n_accepted <= plain.n_accepted + 1
+
+
+def _cold_strobe(field, y0, t_step, k_max, **cfg):
+    """Reference: a strobe of separate cold adaptive runs, one per interval."""
+    y = tuple(y0)
+    states = [State(0.0, y[0], y[1])]
+    for k in range(1, k_max + 1):
+        seg = integrate_adaptive(field, y, AdaptiveConfig(
+            t_start=(k - 1) * t_step, t_end=k * t_step, record=False, **cfg))
+        y = tuple(float(v) for v in seg.ys[-1])
+        if seg.status != "completed":
+            return states, seg.status
+        states.append(State(k * t_step, y[0], y[1]))
+    return states, "completed"
+
+
+def test_warm_strobe_matches_cold_segments_on_fig2():
+    field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
+    res = sample_strobe(field, (0.1, 0.0), math.pi, 999, escape_bound=50.0, rtol=1e-10)
+    ref, status = _cold_strobe(field, (0.1, 0.0), math.pi, 999, rtol=1e-10, atol=1e-12,
+                               escape_bound=50.0)
+    assert res.status == status == "completed"
+    assert len(res.states) == len(ref) == 1000
+    assert all(s.t == k * math.pi for k, s in enumerate(res.states))
+    dev = max(max(abs(a.z - b.z), abs(a.p - b.p)) for a, b in zip(res.states, ref))
+    assert dev < 1e-8
+    # about 97 steps per strobe interval, 4 of which a cold start spends ramping up
+    assert 0 < res.n_accepted < 98 * 999
+
+
+@pytest.mark.parametrize("field,y0,t_step,escape,want", [
+    (make_field(trig_spec(1.3, 0.9, 0.0, 1.4)), (1.4, 0.0), math.pi / 1.4, 50.0, "escaped"),
+    (lambda t, y: (y[1], y[0]), (1.0, 1.0), 1.0, 100.0, "escaped"),
+    (_late_singular, (1.0, 0.0), 1.0, math.inf, "coefficient_singular"),
+])
+def test_warm_strobe_stops_where_cold_segments_stop(field, y0, t_step, escape, want):
+    res = sample_strobe(field, y0, t_step, 20, escape_bound=escape, rtol=1e-10)
+    ref, status = _cold_strobe(field, y0, t_step, 20, rtol=1e-10, atol=1e-12,
+                               escape_bound=escape)
+    assert res.status == status == want
+    assert len(res.states) == len(ref) < 21
+
+
+def test_warm_strobe_underflows_like_cold_segments():
+    field = _scalar_field(STIFF)
+    with pytest.raises(StepUnderflowError):
+        sample_strobe(field, (1.0, 0.0), 0.25, 8, rtol=1e-10)
+    with pytest.raises(StepUnderflowError):
+        _cold_strobe(field, (1.0, 0.0), 0.25, 8, rtol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    A=st.floats(1.0, 3.0),
+    rel_b=st.floats(-0.95, 0.95),
+    rel_c=st.floats(-0.95, 0.95),
+    omega=st.floats(0.8, 2.0),
+    m=st.integers(2, 4),
+    z0=st.floats(-0.05, 0.05),
+    p0=st.floats(-0.05, 0.05),
+    k_max=st.integers(1, 12),
+)
+def test_warm_strobe_matches_cold_segments_on_random_systems(A, rel_b, rel_c, omega, m, z0, p0,
+                                                             k_max):
+    # R = hypot(B, C) < 0.95 A keeps alpha2 positive; small amplitudes keep the motion bounded
+    field = make_field(trig_spec(A, 0.67 * A * rel_b, 0.67 * A * rel_c, omega, m))
+    t_step = math.pi / omega
+    res = sample_strobe(field, (z0, p0), t_step, k_max, escape_bound=1e3, rtol=1e-10)
+    ref, status = _cold_strobe(field, (z0, p0), t_step, k_max, rtol=1e-10, atol=1e-12,
+                               escape_bound=1e3)
+    assert res.status == status == "completed"
+    assert [s.t for s in res.states] == [s.t for s in ref]
+    for a, b in zip(res.states, ref):
+        assert abs(a.z - b.z) < 1e-8 and abs(a.p - b.p) < 1e-8
 
 
 # lane kinds for the status tests: each lane is one of these systems
@@ -314,6 +504,31 @@ def test_lanes_reject_misshapen_input():
         integrate_lanes(_lane_field, np.zeros((1, 3)), np.zeros((1, 3)), cfg)
     with pytest.raises(ValueError):
         integrate_lanes(_lane_field, np.zeros((2, 3)), np.zeros((1, 2)), cfg)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    A=st.floats(0.5, 3.0),
+    rel_b=st.floats(-0.95, 0.95),
+    rel_c=st.floats(-0.95, 0.95),
+    m=st.integers(2, 4),
+    cells=st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(-2.0, 2.0), st.floats(-0.5, 0.5)),
+                   min_size=1, max_size=6),
+)
+def test_lanes_match_scalar_runs_on_random_trig_cells(A, rel_b, rel_c, m, cells):
+    # cells (omega, z0, p0) of one trig family: small amplitudes stay bounded, large ones escape
+    specs = [trig_spec(A, 0.67 * A * rel_b, 0.67 * A * rel_c, omega, m) for omega, _, _ in cells]
+    cfg = AdaptiveConfig(rtol=1e-10, t_end=20.0, escape_bound=50.0, record=False)
+    field, params = make_lane_field(specs)
+    run = integrate_lanes(field, np.array([[z0 for _, z0, _ in cells], [p0 for _, _, p0 in cells]]),
+                          params, cfg)
+    for j, (spec, (_, z0, p0)) in enumerate(zip(specs, cells)):
+        ref = integrate_adaptive(make_field(spec), (z0, p0), cfg)
+        assert run.status[j] == ref.status
+        assert (run.n_accepted[j], run.n_rejected[j]) == (ref.n_accepted, ref.n_rejected)
+        if ref.status == "completed":
+            assert run.ts[j] == ref.ts[-1]
+            assert np.allclose(run.ys[:, j], ref.ys[-1], rtol=1e-8, atol=1e-8)
 
 
 def _fused_matches_generic(field, y0, cfg):

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from osclab.cli import _periodic_interpolants
 from osclab.errors import EnvelopeBlowupError, UnstableHillError
 from osclab.integrate import AdaptiveConfig, integrate_adaptive
 from osclab.normalform import (
@@ -101,6 +103,79 @@ def test_envelope_blowup_guard():
     bad = HillSpec(f=lambda t: -9.0, T=TWO_PI)
     with pytest.raises(EnvelopeBlowupError):
         cs_envelope(bad, mono, n_grid=51)
+
+
+def _cold_envelope(h, mono, n_grid, rtol=1e-12, atol=1e-14):
+    """Reference: the envelope as separate cold adaptive runs, one per grid interval."""
+    def field(t, y):
+        w, wp, _ = y
+        if w <= 1e-6:
+            raise EnvelopeBlowupError(f"envelope w = {w} at t = {t} below 1e-06")
+        return (wp, 1.0 / (w * w * w) - h.f(t) * w, 1.0 / (w * w))
+
+    w0 = math.sqrt(mono.beta0)
+    rows = [(0.0, w0, -mono.alphaT / w0, 0.0)]
+    step = h.T / (n_grid - 1)
+    for j in range(1, n_grid):
+        ta, tb = (j - 1) * step, (h.T if j == n_grid - 1 else j * step)
+        seg = integrate_adaptive(field, rows[-1][1:], AdaptiveConfig(
+            rtol=rtol, atol=atol, t_start=ta, t_end=tb, record=False))
+        y = tuple(float(v) for v in seg.ys[-1])
+        if not (1e-6 <= y[0] <= 1e6):
+            raise EnvelopeBlowupError(f"envelope w = {y[0]} at t = {tb} left the admissible range")
+        rows.append((tb,) + y)
+    return np.array(rows).T
+
+
+def _tabulated_hill(n_rows=257):
+    """f = 0.3 + 0.05 cos t, tabulated over one period and interpolated as ``reduce`` does."""
+    ts = [TWO_PI * j / (n_rows - 1) for j in range(n_rows)]
+    fs = [0.3 + 0.05 * math.cos(0.0 if j == n_rows - 1 else t) for j, t in enumerate(ts)]
+    f, _ = _periodic_interpolants({"t": ts, "f": fs, "g": fs}, TWO_PI)
+    return HillSpec(f=f, T=TWO_PI)
+
+
+# max_steps: a cold start per grid interval took four steps each (8000 on the
+# table); the march takes about one per interval, or the ~440 that one
+# period of the analytic f needs at rtol 1e-12 where the grid is coarser
+@pytest.mark.parametrize("make_hill,n_grid,max_steps", [
+    (_tabulated_hill, 2001, 2100),
+    (lambda: HillSpec(f=lambda t: 0.3 + 0.05 * math.cos(t), T=TWO_PI), 401, 600),
+    (lambda: HillSpec(f=lambda t: 0.3 + 0.05 * math.cos(t), T=TWO_PI), 2, 450),
+])
+def test_envelope_march_matches_cold_segments(make_hill, n_grid, max_steps):
+    h = make_hill()
+    mono = monodromy(h, rtol=1e-12, atol=1e-14)
+    env = cs_envelope(h, mono, n_grid=n_grid)
+    ts, w, wp, phi = _cold_envelope(h, mono, n_grid)
+    assert np.array_equal(env.ts, ts) and env.ts[-1] == h.T
+    for got, ref in ((env.w, w), (env.wp, wp), (env.phi, phi)):
+        assert np.max(np.abs(got - ref)) < 1e-10
+    assert env.defect_w <= 1e-9 and env.defect_wp <= 1e-9
+    assert 0 < env.n_accepted <= max_steps and env.n_rejected >= 0
+
+
+def test_envelope_blowup_raised_at_first_bad_grid_time():
+    h = _const_hill()
+    mono = monodromy(h)
+    bad = HillSpec(f=lambda t: -9.0, T=TWO_PI)
+    times = []
+    for run in (cs_envelope, _cold_envelope):
+        with pytest.raises(EnvelopeBlowupError) as info:
+            run(bad, mono, n_grid=51)
+        times.append(re.search(r"at t = (\S+) left", str(info.value)).group(1))
+    assert times[0] == times[1]
+
+
+def test_monodromy_counts_both_fundamental_runs():
+    h = HillSpec(f=lambda t: 0.3 + 0.05 * math.cos(t), T=TWO_PI)
+    cfg = AdaptiveConfig(rtol=1e-13, atol=1e-15, t_end=TWO_PI, record=False)
+    field = lambda t, y: (y[1], -h.f(t) * y[0])  # noqa: E731
+    runs = [integrate_adaptive(field, y0, cfg) for y0 in ((1.0, 0.0), (0.0, 1.0))]
+    mono = monodromy(h)
+    assert mono.n_accepted == sum(r.n_accepted for r in runs)
+    assert mono.n_rejected == sum(r.n_rejected for r in runs)
+    assert np.array_equal(mono.M, np.column_stack([r.ys[-1] for r in runs]))
 
 
 def test_reduce_constant_recovers_autonomous_form():

@@ -149,10 +149,10 @@ def _run_oscillator(spec, params):
     tmax = params.get("tmax", 600.0)
     escape = params.get("escape", math.inf)
     if params.get("rtol") is not None:
-        cfg = AdaptiveConfig(rtol=params["rtol"], atol=params.get("atol") or 1e-12,
+        cfg = AdaptiveConfig(rtol=params["rtol"], atol=params.get("atol", 1e-12),
                              t_end=tmax, escape_bound=escape)
         return integrate_adaptive(field, y0, cfg), y0
-    cfg = FixedStepConfig(h=params.get("h") or 1e-3, t_end=tmax, escape_bound=escape)
+    cfg = FixedStepConfig(h=params.get("h", 1e-3), t_end=tmax, escape_bound=escape)
     return integrate_fixed(field, y0, cfg), y0
 
 
@@ -224,8 +224,8 @@ def cmd_poincare(args) -> int:
         field, (z0, p0), t_step, n_points - 1,
         escape_bound=params.get("escape", math.inf),
         h=h,
-        rtol=params.get("rtol") or 1e-10,
-        atol=params.get("atol") or 1e-12,
+        rtol=params.get("rtol", 1e-10),
+        atol=params.get("atol", 1e-12),
     )
     residual = poincare_mod.section_residual(strobe.states, curve)
     write_csv(out / "strobe.csv", "z,p", [(s.z, s.p) for s in strobe.states])
@@ -352,7 +352,7 @@ def cmd_family(args) -> int:
     out = _out_dir(args)
     traj, report = family_mod.integrate_family(
         fp, args.z0, args.p0, args.tmax,
-        rtol=args.rtol or 1e-12, atol=args.atol or 1e-12,
+        rtol=args.rtol, atol=args.atol,
         escape_bound=args.escape if args.escape is not None else math.inf,
     )
     cols = [traj.ys[:, i] for i in range(5)]
@@ -379,7 +379,7 @@ def cmd_reduce(args) -> int:
     f_fun, g_fun = _periodic_interpolants(grid, T)
     out = _out_dir(args)
     res = nf_mod.reduce(nf_mod.HillSpec(f=f_fun, T=T), g_fun, args.m,
-                        n_grid=args.n_grid, rtol=args.rtol or 1e-12)
+                        n_grid=args.n_grid, rtol=args.rtol)
     write_csv(out / "envelope.csv", "t,phi,w,wp",
               zip(res.t_grid, res.phase_grid, res.envelope_grid, res.envelope_slope_grid))
     write_csv(out / "gnf.csv", "s,g_nf", zip(res.s_grid, res.g_nf_grid))
@@ -530,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=float, default=0.1)
     p.add_argument("--p0", type=float, default=0.0)
     p.add_argument("--tmax", type=float, default=100.0)
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
+    p.add_argument("--rtol", type=float, default=1e-12)
+    p.add_argument("--atol", type=float, default=1e-12)
     p.add_argument("--escape", type=float)
     _add_common(p)
     p.set_defaults(handler=cmd_family)
@@ -541,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, required=True, help="period of f")
     p.add_argument("--m", type=int, required=True, help="nonlinearity exponent")
     p.add_argument("--n-grid", type=int, default=2001, dest="n_grid")
-    p.add_argument("--rtol", type=float)
+    p.add_argument("--rtol", type=float, default=1e-12)
     _add_common(p)
     p.set_defaults(handler=cmd_reduce)
 

@@ -44,6 +44,10 @@ class FiveParamSpec:
     alpha2pp_0: float
 
     def __post_init__(self):
+        for name in ("omega", "C1", "C2", "alpha2_0", "alpha2p_0", "alpha2pp_0"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if not (self.omega > 0.0):
             raise ValueError(f"omega must be positive, got {self.omega}")
         if not (self.alpha2_0 > EPS_POS):

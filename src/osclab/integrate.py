@@ -85,6 +85,11 @@ def _check_span(t_start: float, t_end: float, escape_bound: float):
         raise ValueError(f"escape bound must be positive, got {escape_bound}")
 
 
+# most steps of h one fixed-step run may take; a larger span is refused
+# before stepping, as it would not finish and its record would not fit
+_MAX_FIXED_STEPS = 10**8
+
+
 @dataclass(frozen=True)
 class FixedStepConfig:
     h: float
@@ -97,6 +102,10 @@ class FixedStepConfig:
         if not (0.0 < self.h < math.inf):
             raise ValueError(f"step size must be positive and finite, got {self.h}")
         _check_span(self.t_start, self.t_end, self.escape_bound)
+        n_steps = (self.t_end - self.t_start) / self.h  # a float: no overflow, at worst inf
+        if not n_steps <= _MAX_FIXED_STEPS:
+            raise ValueError(f"step size h={self.h} gives {n_steps:.3g} steps over "
+                             f"[{self.t_start}, {self.t_end}], more than {_MAX_FIXED_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -207,10 +216,10 @@ def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
     t0 + k*h and once at each midpoint, in the order in which the field
     first meets them; a flat loop then does RK4's (z, p) arithmetic in
     the operation order of ``_rk4_step`` and the field, so every state
-    is bit-identical to the generic loop.  A stage where the field
-    would raise ends the run at the step that meets it.
+    is bit-identical to the generic loop.  A stage where g raises ends
+    the run at the step that meets it, with the exception g raised.
     """
-    w2, g_grid = form.w2, form.g_grid
+    w2, g = form.w2, form.g
     powers = range(form.m - 1)
     isfinite = math.isfinite
     half = 0.5 * h
@@ -224,7 +233,14 @@ def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
         times = np.empty(2 * (stop - done) + 1)
         times[0::2] = t_steps
         times[1::2] = t_steps[:-1] + half
-        gs, exc = g_grid(times.tolist())
+        gs = []
+        append = gs.append
+        exc = None
+        try:
+            for s in times.tolist():
+                append(g(s))
+        except Exception as e:  # kept for the step whose stage meets it; see below
+            exc = e
         flat = []
         push = flat.append
         escaped = False
@@ -279,10 +295,10 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig) -> Trajectory:
 
     Step times are t_start + k*h (multiplication, not accumulation); a
     final shortened step lands exactly on t_end when h does not divide
-    the interval.  A field that carries a ``power_form`` (the trig
-    fields of ``model.make_field``) takes the fused ``_rk4_power_steps``
-    for the full steps, with the same states, statuses and counts as
-    the generic loop, which runs every other field.
+    the interval.  A field that carries a ``power_form`` (every field
+    of ``model.make_field``) takes the fused ``_rk4_power_steps`` for
+    the full steps, with the same states, statuses and counts as the
+    generic loop, which runs every other field.
     """
     if len(y0) < 2:
         raise ValueError("state must have at least (z, p) components")

@@ -47,8 +47,6 @@ class InvariantCoeffs:
     """Coefficient bundle; functions are derived on evaluation, not stored."""
 
     spec: OscillatorSpec
-    alpha1_c: tuple = None
-    alpha0: float = 0.0
 
 
 def build_coeffs(spec: OscillatorSpec) -> InvariantCoeffs:
@@ -64,7 +62,7 @@ def build_coeffs(spec: OscillatorSpec) -> InvariantCoeffs:
             raise UnsupportedSourceError(
                 f"the five-parameter coefficient family exists only for m=2, got m={spec.m}"
             )
-        return InvariantCoeffs(spec=spec, alpha1_c=(src.C1, src.C2))
+        return InvariantCoeffs(spec=spec)
     raise UnsupportedSourceError(f"unknown g source {type(src).__name__}")
 
 
@@ -104,7 +102,6 @@ def _invariant(c: InvariantCoeffs, t, z, p, ys=None):
         + (w2 * a2 + 0.5 * d2) * z * z
         + (2.0 / (m + 1)) * a2 * g * z ** (m + 1)
         - al1p * z
-        + c.alpha0
     )
 
 

@@ -215,55 +215,29 @@ def g_exponent(m: int) -> float:
     return -(m + 3) / 2.0
 
 
-def g_eval(spec: OscillatorSpec, t: float) -> float:
-    """Forcing coefficient g(t) = alpha2(t)^(-(m+3)/2) (or interpolated)."""
-    src = spec.g_source
-    if isinstance(src, TrigFamily):
-        a2 = trig_alpha2_eval(src.alpha, t)[0]
-        if a2 <= EPS_POS:
-            raise CoefficientSingularError(f"alpha2(t={t}) = {a2} <= {EPS_POS}")
-        return a2 ** g_exponent(spec.m)
-    if isinstance(src, Sampled):
-        return src.value_at(t)
-    from .family import FiveParamSpec, alpha2_at
-
-    if isinstance(src, FiveParamSpec):
-        a2 = alpha2_at(src, t)[0]
-        if a2 <= EPS_POS:
-            raise CoefficientSingularError(f"alpha2(t={t}) = {a2} <= {EPS_POS}")
-        return a2 ** g_exponent(spec.m)
-    raise TypeError(f"unknown g source {type(src).__name__}")
-
-
-def vector_field(spec: OscillatorSpec, s: State):
-    """(dz/dt, dp/dt) at one state; p' = -omega^2 z - g(t) z^m."""
-    g = g_eval(spec, s.t)
-    return (s.p, -(spec.omega * spec.omega) * s.z - g * int_pow(s.z, spec.m))
-
-
 @dataclass(frozen=True)
 class PowerForm:
     """A field (p, -w2 z - g(t) z^m) whose coefficient g depends on t alone.
 
-    ``g_grid(ts)`` evaluates g at the times ts (a sequence of floats) by
-    the field's own expression and returns (gs, exc).  gs holds g at the
-    leading times up to the first one where the field raises, and exc is
-    the exception it raises there (None when every time evaluates).
+    ``g(t)`` is the coefficient the field itself calls, raising there
+    what the field raises (CoefficientSingularError where it is refused).
     """
 
     w2: float
     m: int
-    g_grid: Callable
+    g: Callable
 
 
 def make_field(spec: OscillatorSpec) -> Callable:
     """Tuple-in, tuple-out field closure for the integrator hot loop.
 
-    For trig sources all constants are hoisted out of the per-call path,
-    and the field carries a ``power_form`` (a PowerForm) that lets
-    ``integrate.integrate_fixed`` evaluate g on a whole step grid at
-    once.  FiveParam sources are not supported here: their g(t) requires
-    the jointly integrated coefficient state (see osclab.family).
+    The coefficient is one scalar g(t) per source: for trig sources a
+    closure with its constants hoisted out of the per-call path, for
+    sampled sources ``Sampled.value_at``.  The field carries it in a
+    ``power_form`` (a PowerForm) that lets ``integrate.integrate_fixed``
+    evaluate g on a whole step grid at once.  FiveParam sources are not
+    supported here: their g(t) requires the jointly integrated
+    coefficient state (see osclab.family).
     """
     m = spec.m
     w2 = spec.omega * spec.omega
@@ -276,48 +250,28 @@ def make_field(spec: OscillatorSpec) -> Callable:
         ex = g_exponent(m)
         cos, sin = math.cos, math.sin
 
-        def field(t, y):
-            z, p = y
+        def g(t):
             a2 = A + B * cos(two_w * t) + C * sin(two_w * t)
             if a2 <= EPS_POS:
                 raise CoefficientSingularError(f"alpha2(t={t}) = {a2} <= {EPS_POS}")
-            zm = z
-            for _ in range(m - 1):
-                zm *= z
-            return (p, -w2 * z - a2 ** ex * zm)
+            return a2 ** ex
+    elif isinstance(src, Sampled):
+        g = src.value_at
+    else:
+        raise ValueError(
+            f"no direct field for g source {type(src).__name__}; "
+            "use osclab.family for jointly integrated coefficient states"
+        )
 
-        def g_grid(ts):
-            gs = []
-            append = gs.append
-            try:
-                for t in ts:
-                    a2 = A + B * cos(two_w * t) + C * sin(two_w * t)
-                    if a2 <= EPS_POS:
-                        return gs, CoefficientSingularError(f"alpha2(t={t}) = {a2} <= {EPS_POS}")
-                    append(a2 ** ex)
-            except (ArithmeticError, ValueError) as exc:  # pow overflow, cos of an infinite angle
-                return gs, exc
-            return gs, None
+    def field(t, y):
+        z, p = y
+        zm = z
+        for _ in range(m - 1):
+            zm *= z
+        return (p, -w2 * z - g(t) * zm)
 
-        field.power_form = PowerForm(w2, m, g_grid)
-        return field
-
-    if isinstance(src, Sampled):
-        value_at = src.value_at
-
-        def field(t, y):
-            z, p = y
-            zm = z
-            for _ in range(m - 1):
-                zm *= z
-            return (p, -w2 * z - value_at(t) * zm)
-
-        return field
-
-    raise ValueError(
-        f"no direct field for g source {type(src).__name__}; "
-        "use osclab.family for jointly integrated coefficient states"
-    )
+    field.power_form = PowerForm(w2, m, g)
+    return field
 
 
 def make_lane_field(specs):

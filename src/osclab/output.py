@@ -60,14 +60,14 @@ def _ticks(lo, hi, n=6):
 
 
 def svg_plot(path, series, xlabel: str = "", ylabel: str = "", title: str = "",
-             xlim=None, ylim=None) -> None:
+             ylim=None) -> None:
     """Write a line/scatter plot.
 
     ``series`` is a list of dicts with keys "kind" ("line" or
-    "scatter"), "x", "y", and optional "color" / "label".  Points with
+    "scatter"), "x", "y", and optional "color".  Points with
     nonfinite coordinates are dropped.
     """
-    x_lo, x_hi = _limits(series, "x", xlim)
+    x_lo, x_hi = _limits(series, "x", None)
     y_lo, y_hi = _limits(series, "y", ylim)
     plot_w = _WIDTH - _ML - _MR
     plot_h = _HEIGHT - _MT - _MB

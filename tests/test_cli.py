@@ -202,16 +202,56 @@ _FP_SPEC = '{"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [2.2, 0.0, -3.6]}'
     (["family", "--spec", "fp.json", "--z0", "nan", "--tmax", "1"], "z0"),
     (["family", "--spec", "fp.json", "--z0", "inf", "--tmax", "1"], "z0"),
     (["family", "--spec", "fp.json", "--p0=-inf", "--tmax", "1"], "p0"),
+    # a zero step or tolerance is refused, not replaced by the default
+    (["simulate", "--preset", "fig1", "--h", "0", "--tmax", "1"], "step size"),
+    (["simulate", "--preset", "fig1", "--rtol", "1e-8", "--atol", "0", "--tmax", "1"], "atol"),
+    (["poincare", "--preset", "fig2", "--rtol", "0", "--points", "3"], "rtol"),
+    (["poincare", "--preset", "fig2", "--rtol", "1e-8", "--atol", "0", "--points", "3"], "atol"),
+    (["family", "--spec", "fp.json", "--rtol", "0", "--tmax", "1"], "rtol"),
+    (["family", "--spec", "fp.json", "--atol", "0", "--tmax", "1"], "atol"),
+    (["reduce", "--hill", "hill.csv", "--T", repr(2 * math.pi), "--m", "2", "--rtol", "0"],
+     "rtol"),
 ])
 def test_nonfinite_run_parameters_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv,
                                                        needle):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "fp.json").write_text(_FP_SPEC)
+    _write_hill_csv(tmp_path / "hill.csv", lambda t: 0.3 + 0.05 * math.cos(t),
+                    lambda t: 0.2 * (1.0 + 0.5 * math.sin(t)), 2 * math.pi)
     assert run(argv + ["--out", str(tmp_path / "x")]) == 2
     captured = capsys.readouterr()
     assert captured.out.count("\n") == 1
     assert captured.out.startswith("error: ")
     assert needle in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("fp,needle", [
+    ({"omega": 1.0, "C1": "inf", "C2": 0.0, "alpha2": [2.2, 0.0, -3.6]}, "C1"),
+    ({"omega": 1.0, "C1": 0.05, "C2": "-inf", "alpha2": [2.2, 0.0, -3.6]}, "C2"),
+    ({"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [2.2, "nan", -3.6]}, "alpha2p_0"),
+    ({"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [2.2, 0.0, "inf"]}, "alpha2pp_0"),
+    ({"omega": "inf", "C1": 0.05, "C2": 0.0, "alpha2": [2.2, 0.0, -3.6]}, "omega"),
+])
+def test_nonfinite_five_param_spec_exits_2_with_one_line(tmp_path, capsys, fp, needle):
+    spec = tmp_path / "fp.json"
+    spec.write_text(json.dumps(fp))
+    assert run(["family", "--spec", str(spec), "--tmax", "1", "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1
+    assert captured.out.startswith("error: ")
+    assert f"{needle} must be finite" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("span", [["--h", "1e-300", "--tmax", "1"], ["--tmax", "1e300"]])
+def test_fixed_step_run_it_cannot_finish_is_refused(tmp_path, capsys, span):
+    start = time.perf_counter()
+    assert run(["simulate", "--preset", "fig1", *span, "--out", str(tmp_path / "x")]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1
+    assert captured.out.startswith("error: step size h=") and "steps over" in captured.out
     assert captured.err == ""
 
 

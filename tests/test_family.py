@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from osclab.errors import CoefficientSingularError
 from osclab.family import (
@@ -22,6 +25,12 @@ def test_spec_validation():
         FiveParamSpec(0.0, 0.0, 0.0, 2.2, 0.0, -3.6)
     with pytest.raises(ValueError):
         FiveParamSpec(1.0, 0.0, 0.0, 0.0, 0.0, -3.6)  # alpha2(0) must be positive
+    good = (1.0, 0.05, 0.0, 2.2, 0.0, -3.6)
+    names = ("omega", "C1", "C2", "alpha2_0", "alpha2p_0", "alpha2pp_0")
+    for k, name in enumerate(names):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                FiveParamSpec(*good[:k], bad, *good[k + 1:])
 
 
 def test_json_round_trip():
@@ -29,6 +38,22 @@ def test_json_round_trip():
     obj = fiveparam_to_json(fp)
     assert obj == {"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [2.2, 0.0, -3.6]}
     assert fiveparam_from_json(obj) == fp
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    omega=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    C1=_finite,
+    C2=_finite,
+    alpha2_0=st.floats(min_value=2e-9, allow_infinity=False),
+    alpha2p_0=_finite,
+    alpha2pp_0=_finite,
+)
+def test_json_round_trips_through_json_text(omega, C1, C2, alpha2_0, alpha2p_0, alpha2pp_0):
+    fp = FiveParamSpec(omega, C1, C2, alpha2_0, alpha2p_0, alpha2pp_0)
+    assert fiveparam_from_json(json.loads(json.dumps(fiveparam_to_json(fp)))) == fp
 
 
 def test_alpha1_eval():

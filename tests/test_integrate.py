@@ -636,7 +636,15 @@ def test_fused_fixed_step_matches_generic_loop_on_random_systems(
         h=h, t_start=t_start, t_end=t_start + span, escape_bound=1e3, record=record))
 
 
-def test_sampled_field_takes_the_generic_loop():
-    knots = tuple(0.1 * k for k in range(40))
-    field = make_field(OscillatorSpec(1.0, 2, Sampled(knots, tuple(1.0 for _ in knots))))
-    assert not hasattr(field, "power_form")
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("t_end,want", [(5.0, "completed"), (7.0, "coefficient_singular")])
+def test_fused_fixed_step_matches_generic_loop_on_a_sampled_field(record, t_end, want):
+    # knots up to t = 5.9: a run to t = 7 stops at the first stage past the last knot
+    knots = tuple(0.1 * k for k in range(60))
+    src = Sampled(knots, tuple(0.2 + 0.1 * math.cos(t) for t in knots))
+    traj = _fused_matches_generic(make_field(OscillatorSpec(1.0, 2, src)), (0.3, 0.0),
+                                  FixedStepConfig(h=1e-3, t_end=t_end, record=record))
+    assert traj.status == want
+    assert traj.n_accepted > 4096  # past the first chunk
+    if want == "coefficient_singular":
+        assert traj.ts[-1] <= knots[-1] < traj.ts[-1] + 1e-3

@@ -1,17 +1,21 @@
+import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from osclab.errors import CoefficientSingularError
 from osclab.model import (
     OscillatorSpec,
+    PowerForm,
     Sampled,
     State,
     Trajectory,
     TrigAlpha,
     TrigFamily,
-    g_eval,
     g_exponent,
     int_pow,
     make_field,
@@ -20,7 +24,6 @@ from osclab.model import (
     spec_to_json,
     trig_alpha2_eval,
     trig_spec,
-    vector_field,
 )
 
 
@@ -71,14 +74,55 @@ def test_g_exponent():
     assert g_exponent(5) == -4.0
 
 
-def test_g_eval_frozen_values():
-    # alpha2(0) = 2.2; powers checked against a 50-digit evaluation
-    assert math.isclose(g_eval(trig_spec(1.3, 0.9, 0.0, 1.0, 2), 0.0),
-                        0.1392974922444715, rel_tol=1e-14)
-    assert math.isclose(g_eval(trig_spec(1.3, 0.9, 0.0, 1.0, 3), 0.0),
-                        0.09391435011269722, rel_tol=1e-14)
-    assert math.isclose(g_eval(trig_spec(1.3, 0.9, 0.0, 1.0, 4), 0.0),
-                        0.06331704192930523, rel_tol=1e-14)
+def _g_50_digits(A, B, C, omega, m, t):
+    """g(t) = (A + B cos 2 omega t + C sin 2 omega t)^(-(m+3)/2) at 50 digits, from the floats given."""
+    with mpmath.workdps(50):
+        th = 2 * mpmath.mpf(omega) * mpmath.mpf(t)
+        a2 = mpmath.mpf(A) + mpmath.mpf(B) * mpmath.cos(th) + mpmath.mpf(C) * mpmath.sin(th)
+        return a2 ** (-mpmath.mpf(m + 3) / 2)
+
+
+_FIELD_POINTS = [
+    # (A, B, C, omega, m, t, z, p); alpha2(0) = 2.2 in the first three
+    (1.3, 0.9, 0.0, 1.0, 2, 0.0, 0.1, 0.25),
+    (1.3, 0.9, 0.0, 1.0, 3, 0.0, -0.6, 0.0),
+    (1.3, 0.9, 0.0, 1.0, 4, 0.0, 0.8, -1.1),
+    (1.2, 0.4, 0.5, 1.3, 4, 0.0, 0.1, 0.0),
+    (1.2, 0.4, 0.5, 1.3, 4, 1.7, -0.4, 0.3),
+    (1.2, 0.4, 0.5, 1.3, 5, 9.2, 0.8, -1.1),
+]
+
+
+@pytest.mark.parametrize("A,B,C,omega,m,t,z,p", _FIELD_POINTS)
+def test_trig_field_and_its_g_match_50_digit_values(A, B, C, omega, m, t, z, p):
+    field = make_field(trig_spec(A, B, C, omega, m))
+    g = _g_50_digits(A, B, C, omega, m, t)
+    assert math.isclose(field.power_form.g(t), float(g), rel_tol=1e-14)
+    with mpmath.workdps(50):
+        dp = -mpmath.mpf(omega) ** 2 * mpmath.mpf(z) - g * mpmath.mpf(z) ** m
+    dz_got, dp_got = field(t, (z, p))
+    assert dz_got == p
+    assert math.isclose(dp_got, float(dp), rel_tol=1e-14)
+
+
+def test_field_and_its_g_refuse_a_singular_coefficient():
+    # alpha2(0) = A - R = 1e-10 is below EPS_POS
+    field = make_field(trig_spec(1.0, -(1.0 - 1e-10), 0.0, 1.0))
+    with pytest.raises(CoefficientSingularError):
+        field.power_form.g(0.0)
+    with pytest.raises(CoefficientSingularError):
+        field(0.0, (0.1, 0.0))
+
+
+def test_sampled_field_calls_its_interpolant():
+    knots = (0.0, 0.5, 1.0, 1.5, 2.0)
+    src = Sampled(knots, tuple(math.cos(t) for t in knots))
+    field = make_field(OscillatorSpec(1.5, 3, src))
+    assert field.power_form == PowerForm(2.25, 3, src.value_at)
+    g = src.value_at(0.73)
+    assert field(0.73, (0.4, -0.2)) == (-0.2, -2.25 * 0.4 - g * (0.4 * 0.4 * 0.4))
+    with pytest.raises(CoefficientSingularError):
+        field(2.5, (0.4, -0.2))
 
 
 def test_int_pow_matches_builtin():
@@ -95,25 +139,6 @@ def test_oscillator_spec_validation():
     with pytest.raises(ValueError):
         # spec omega must agree with the family's omega
         OscillatorSpec(1.1, 2, TrigFamily(TrigAlpha(1.3, 0.9, 0.0, 1.0)))
-
-
-def test_vector_field_values():
-    spec = trig_spec(1.3, 0.9, 0.0, 1.0, 2)
-    s = State(0.0, 0.1, 0.25)
-    dz, dp = vector_field(spec, s)
-    assert dz == 0.25
-    g0 = 2.2**-2.5
-    assert math.isclose(dp, -(0.1 + g0 * 0.01), rel_tol=1e-14)
-
-
-def test_make_field_matches_vector_field():
-    spec = trig_spec(1.2, 0.4, 0.5, 1.3, 4)
-    field = make_field(spec)
-    for t, z, p in ((0.0, 0.1, 0.0), (1.7, -0.4, 0.3), (9.2, 0.8, -1.1)):
-        got = field(t, (z, p))
-        want = vector_field(spec, State(t, z, p))
-        assert got[0] == want[0]
-        assert math.isclose(got[1], want[1], rel_tol=1e-14, abs_tol=1e-300)
 
 
 @pytest.mark.parametrize("A,B,C,m", [(1.3, 0.9, 0.0, 2), (1.2, 0.4, 0.5, 4),
@@ -172,6 +197,29 @@ def test_spec_json_round_trip():
     assert obj == {"omega": 1.0, "m": 2, "g": {"kind": "trig", "A": 1.3, "B": 0.9, "C": 0.0}}
     back = spec_from_json(obj)
     assert back == spec
+
+
+_finite = st.floats(-1e6, 1e6)
+_positive = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def _specs(draw):
+    omega, m = draw(_positive), draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        B, C = draw(_finite), draw(_finite)
+        return trig_spec(math.hypot(B, C) + draw(st.floats(1e-3, 1e6)), B, C, omega, m)
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=12))
+    ts = [draw(_finite)]
+    for dt in steps:
+        ts.append(ts[-1] + dt)
+    gs = draw(st.lists(_finite, min_size=len(ts), max_size=len(ts)))
+    return OscillatorSpec(omega, m, Sampled(tuple(ts), tuple(gs)))
+
+
+@given(_specs())
+def test_spec_json_round_trips_through_json_text(spec):
+    assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
 
 
 def test_spec_json_rejects_unknown_kind():

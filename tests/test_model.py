@@ -74,6 +74,24 @@ def test_g_exponent():
     assert g_exponent(5) == -4.0
 
 
+def test_g_eval_frozen_values():
+    # alpha2(0) = 2.2; powers checked against a 50-digit evaluation
+    def g0(m):
+        return make_field(trig_spec(1.3, 0.9, 0.0, 1.0, m)).power_form.g(0.0)
+
+    assert math.isclose(g0(2), 0.1392974922444715, rel_tol=1e-14)
+    assert math.isclose(g0(3), 0.09391435011269722, rel_tol=1e-14)
+    assert math.isclose(g0(4), 0.06331704192930523, rel_tol=1e-14)
+
+
+def test_vector_field_values():
+    field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
+    dz, dp = field(0.0, (0.1, 0.25))
+    assert dz == 0.25
+    g0 = 2.2**-2.5
+    assert math.isclose(dp, -(0.1 + g0 * 0.01), rel_tol=1e-14)
+
+
 def _g_50_digits(A, B, C, omega, m, t):
     """g(t) = (A + B cos 2 omega t + C sin 2 omega t)^(-(m+3)/2) at 50 digits, from the floats given."""
     with mpmath.workdps(50):

@@ -143,7 +143,13 @@ def _stride_rows(ts, cols, cap=_CSV_ROW_CAP):
     return rows
 
 
+def _stats(integrator: str, run) -> dict:
+    """The summary's ``stats``: which integrator ran and its step counts."""
+    return {"integrator": integrator, "accepted": run.n_accepted, "rejected": run.n_rejected}
+
+
 def _run_oscillator(spec, params):
+    """Returns (trajectory, y0, stats); adaptive when params set rtol, else RK4."""
     field = make_field(spec)
     y0 = (params.get("z0", 0.1), params.get("p0", 0.0))
     tmax = params.get("tmax", 600.0)
@@ -151,15 +157,17 @@ def _run_oscillator(spec, params):
     if params.get("rtol") is not None:
         cfg = AdaptiveConfig(rtol=params["rtol"], atol=params.get("atol", 1e-12),
                              t_end=tmax, escape_bound=escape)
-        return integrate_adaptive(field, y0, cfg), y0
+        traj = integrate_adaptive(field, y0, cfg)
+        return traj, y0, _stats("dormand_prince", traj)
     cfg = FixedStepConfig(h=params.get("h", 1e-3), t_end=tmax, escape_bound=escape)
-    return integrate_fixed(field, y0, cfg), y0
+    traj = integrate_fixed(field, y0, cfg)
+    return traj, y0, _stats("rk4", traj)
 
 
 def cmd_simulate(args) -> int:
     spec, params = _resolve_oscillator(args)
     out = _out_dir(args)
-    traj, y0 = _run_oscillator(spec, params)
+    traj, y0, stats = _run_oscillator(spec, params)
     write_csv(out / "traj.csv", "t,z,p", _stride_rows(traj.ts, [traj.z, traj.p]))
     if args.svg:
         yrange = params.get("yrange")
@@ -173,6 +181,7 @@ def cmd_simulate(args) -> int:
         "p_final": float(traj.p[-1]),
         "n_recorded": len(traj),
         "z0": y0[0], "p0": y0[1],
+        "stats": stats,
     }
     return _finish(out, summary, f"simulate: status={traj.status} t_final={traj.ts[-1]:.6g} "
                                  f"z_final={traj.z[-1]:.6g}", traj.status)
@@ -181,7 +190,7 @@ def cmd_simulate(args) -> int:
 def cmd_drift(args) -> int:
     spec, params = _resolve_oscillator(args)
     out = _out_dir(args)
-    traj, y0 = _run_oscillator(spec, params)
+    traj, y0, stats = _run_oscillator(spec, params)
     coeffs = invariant_mod.build_coeffs(spec)
     try:
         report = invariant_mod.drift(traj, coeffs)
@@ -200,6 +209,7 @@ def cmd_drift(args) -> int:
         "max_rel_drift": report.max_rel,
         "i0": i0,
         "n_recorded": len(traj),
+        "stats": stats,
     }
     return _finish(out, summary, f"drift: mode={report.mode} max={report.max_rel:.6e} "
                                  f"status={traj.status}", traj.status)
@@ -250,8 +260,7 @@ def cmd_poincare(args) -> int:
             [None if math.isinf(lo) else lo, None if math.isinf(hi) else hi]
             for lo, hi in curve.admissible
         ],
-        "stats": {"integrator": "dormand_prince" if h is None else "rk4",
-                  "accepted": strobe.n_accepted, "rejected": strobe.n_rejected},
+        "stats": _stats("dormand_prince" if h is None else "rk4", strobe),
     }
     return _finish(out, summary, f"poincare: points={len(strobe.states)} "
                                  f"residual_max={residual:.6e} status={strobe.status}",
@@ -368,6 +377,7 @@ def cmd_family(args) -> int:
         "mode": report.mode,
         "max_rel_drift": report.max_rel,
         "n_recorded": len(traj),
+        "stats": _stats("dormand_prince", traj),
     }
     return _finish(out, summary, f"family: status={traj.status} drift mode={report.mode} "
                                  f"max={report.max_rel:.6e}", traj.status)

@@ -7,7 +7,10 @@ components 0 and 1 being z and p):
   step, final step shortened to land exactly on t_end.
 * ``integrate_adaptive`` -- the Dormand-Prince embedded 5(4) pair with
   standard error-per-step control, in one march that lands exactly on
-  any number of stop times.
+  any number of stop times.  A (z, p) field that carries a
+  ``model.PowerForm`` (every field of ``model.make_field``) takes a fused
+  trial step with the field and the error norm inlined, bit-identical
+  to the generic ``_dp_attempt`` that every other field takes.
 * ``integrate_lanes`` -- the same Dormand-Prince pair over many
   independent problems at once, as numpy lanes that step in lock-step,
   each with its own step control (Hairer, Norsett & Wanner, Solving ODEs
@@ -88,6 +91,10 @@ def _check_span(t_start: float, t_end: float, escape_bound: float):
 # most steps of h one fixed-step run may take; a larger span is refused
 # before stepping, as it would not finish and its record would not fit
 _MAX_FIXED_STEPS = 10**8
+
+# most points of one strobe, or cells of one stability-scan row; a larger
+# grid is refused before it is allocated, since it would not finish
+_MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -377,6 +384,83 @@ def _dp_attempt(field, t, y, h, f1):
     return y_new, f7, errs
 
 
+def _dp_checked_attempt(field, t, y, h, f1, atol, rtol):
+    """``_dp_attempt`` and its error norm; returns (y_new, f7, err).
+
+    err is the RMS over the components of error / (atol + rtol *
+    max(|y|, |y_new|)), or inf when any component of y_new or of the
+    error is nonfinite.
+    """
+    y_new, f7, errs = _dp_attempt(field, t, y, h, f1)
+    err = 0.0
+    for yi, yn, e in zip(y, y_new, errs):
+        if not (math.isfinite(yn) and math.isfinite(e)):
+            return y_new, f7, math.inf
+        r = e / (atol + rtol * max(abs(yi), abs(yn)))
+        err += r * r
+    return y_new, f7, math.sqrt(err / len(y))
+
+
+def _dp_power_attempt(form, t, y, h, f1, atol, rtol):
+    """``_dp_checked_attempt`` on (z, p) for a field with a ``model.PowerForm``.
+
+    The field (p, -w2 z - g(t) z^m) and the error norm are inlined in
+    the operation order of ``_dp_attempt``, the field and
+    ``_dp_checked_attempt``, so (y_new, f7, err) are bit-identical to
+    theirs.  g is called in stage order, once per stage time: stages 6
+    and 7 share t + h.  ai and bi are the z' and p' of stage i; as z' is
+    p, ai is also the p of the state at stage i.
+    """
+    w2, g, powers = form.w2, form.g, range(form.m - 1)
+    z, p = y
+    a1, b1 = f1
+    z2 = z + h * (_A21 * a1)
+    a2 = p + h * (_A21 * b1)
+    zm = z2
+    for _ in powers:
+        zm *= z2
+    b2 = -w2 * z2 - g(t + _C2 * h) * zm
+    z3 = z + h * (_A31 * a1 + _A32 * a2)
+    a3 = p + h * (_A31 * b1 + _A32 * b2)
+    zm = z3
+    for _ in powers:
+        zm *= z3
+    b3 = -w2 * z3 - g(t + _C3 * h) * zm
+    z4 = z + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
+    a4 = p + h * (_A41 * b1 + _A42 * b2 + _A43 * b3)
+    zm = z4
+    for _ in powers:
+        zm *= z4
+    b4 = -w2 * z4 - g(t + _C4 * h) * zm
+    z5 = z + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
+    a5 = p + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
+    zm = z5
+    for _ in powers:
+        zm *= z5
+    b5 = -w2 * z5 - g(t + _C5 * h) * zm
+    z6 = z + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+    a6 = p + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
+    zm = z6
+    for _ in powers:
+        zm *= z6
+    g6 = g(t + h)
+    b6 = -w2 * z6 - g6 * zm
+    zn = z + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
+    pn = p + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)
+    zm = zn
+    for _ in powers:
+        zm *= zn
+    b7 = -w2 * zn - g6 * zm
+    ez = h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * pn)
+    ep = h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * b7)
+    isfinite = math.isfinite
+    if not (isfinite(zn) and isfinite(ez) and isfinite(pn) and isfinite(ep)):
+        return (zn, pn), (pn, b7), math.inf
+    rz = ez / (atol + rtol * max(abs(z), abs(zn)))
+    rp = ep / (atol + rtol * max(abs(p), abs(pn)))
+    return (zn, pn), (pn, b7), math.sqrt((rz * rz + rp * rp) / 2)
+
+
 def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None) -> Trajectory:
     """Dormand-Prince 5(4) with error-per-step control, marching through exact stops.
 
@@ -384,7 +468,10 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     accepted when the RMS of error/scale is <= 1, and the step factor
     0.9*err^(-1/5) is clamped to [0.2, 5].  A trial step with nonfinite
     result is treated as rejected.  StepUnderflowError signals that the
-    controller was forced below h_min on a rejection.
+    controller was forced below h_min on a rejection.  A (z, p) field
+    with a ``power_form`` takes the fused ``_dp_power_attempt``, with the
+    same states, statuses and counts as ``_dp_checked_attempt``, which
+    runs every other field.
 
     ``stops`` (default: t_end alone) are strictly ascending times in
     (t_start, t_end], the last one t_end.  A step that would pass the
@@ -409,6 +496,12 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     bound = cfg.escape_bound
     check_escape = math.isfinite(bound)
 
+    form = getattr(field, "power_form", None)
+    if form is not None and len(y) == 2:
+        attempt, stepped = _dp_power_attempt, form
+    else:
+        attempt, stepped = _dp_checked_attempt, field
+
     status = "completed"
     n_acc = 0
     n_rej = 0
@@ -426,22 +519,7 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
             else:
                 h_att = h
                 t_next = t + h
-            y_new, f7, errs = _dp_attempt(field, t, y, h_att, f1)
-
-            err = 0.0
-            finite = True
-            for yi, yn, e in zip(y, y_new, errs):
-                if not (math.isfinite(yn) and math.isfinite(e)):
-                    finite = False
-                    break
-                scale = atol + rtol * max(abs(yi), abs(yn))
-                r = e / scale
-                err += r * r
-            if finite:
-                err = math.sqrt(err / len(y))
-            else:
-                err = math.inf
-
+            y_new, f7, err = attempt(stepped, t, y, h_att, f1, atol, rtol)
             if err <= 1.0:
                 t = t_next
                 y = y_new
@@ -634,11 +712,14 @@ def sample_strobe(
     interval is a fixed-step segment, so no step straddles a strobe
     time.  On escape the result carries the points collected so far and
     status "escaped"; the counts are the accepted and rejected steps.
+    k_max above _MAX_GRID_POINTS raises ValueError before any stop time
+    is made.
     """
     if t_step <= 0.0:
         raise ValueError(f"t_step must be positive, got {t_step}")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if not 0 <= k_max <= _MAX_GRID_POINTS:
+        raise ValueError(f"k_max must be in [0, {_MAX_GRID_POINTS}] (at most "
+                         f"{_MAX_GRID_POINTS + 1} strobe points), got {k_max}")
     y = tuple(float(v) for v in y0)
     states = [State(t0, y[0], y[1])]
     if k_max == 0:

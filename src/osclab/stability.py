@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepUnderflowError
-from .integrate import AdaptiveConfig, integrate_adaptive, integrate_lanes
+from .integrate import _MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive, integrate_lanes
 from .model import OscillatorSpec, TrigFamily, make_field, make_lane_field, trig_spec
 
 
@@ -125,10 +125,6 @@ class ScanWork:
 # lanes integrated together; bounds the scan's memory for any grid
 _LANE_BATCH = 1024
 
-# cells of one omega row; a finer grid is refused before any integration,
-# since even at a few cells per millisecond it would not finish
-_MAX_ROW_CELLS = 10**6
-
 
 def scan(
     A: float,
@@ -152,7 +148,7 @@ def scan(
     A cell counts as bounded exactly when ``bounded`` would say so: only
     a completed lane is bounded.  Rows depend neither on the batch size
     nor on the order of the omegas.  A grid with more than
-    _MAX_ROW_CELLS cells in any row raises ValueError before any
+    _MAX_GRID_POINTS cells in any row raises ValueError before any
     integration.
     """
     if not (0.0 < dz0 < math.inf):
@@ -164,9 +160,9 @@ def scan(
     for omega in omegas:
         zc = z_crit(A, R, omega)
         n_cells = (1.5 * zc + 20.0 * dz0) / dz0
-        if not n_cells <= _MAX_ROW_CELLS:
+        if not n_cells <= _MAX_GRID_POINTS:
             raise ValueError(f"dz0={dz0} gives {n_cells:.3g} cells at omega={omega}, "
-                             f"more than {_MAX_ROW_CELLS} in one row")
+                             f"more than {_MAX_GRID_POINTS} in one row")
         grid.append((omega, zc, int(math.ceil(n_cells))))
 
     def cells():  # (row, spec, k) for z0 = k dz0, made as the batches need them

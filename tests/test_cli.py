@@ -5,6 +5,9 @@ import time
 import pytest
 
 from osclab.cli import PRESETS, _parse_omegas, main
+from osclab.family import fiveparam_from_json, integrate_family
+from osclab.integrate import AdaptiveConfig, integrate_adaptive
+from osclab.model import make_field, trig_spec
 
 
 def run(argv):
@@ -135,6 +138,34 @@ def test_poincare_adaptive_summary_counts_steps(tmp_path):
     # one warm march: about 97 steps per strobe interval, not 100 as with cold restarts
     assert 23 * 90 < stats["accepted"] < 23 * 99 and stats["rejected"] >= 0
     assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "drift"])
+def test_single_system_summary_counts_steps(tmp_path, command):
+    ref = integrate_adaptive(make_field(trig_spec(1.3, 0.9, 0.0, 1.0)), (0.1, 0.0),
+                             AdaptiveConfig(rtol=1e-9, t_end=5.0))
+    for flags, want in [
+        ([], {"integrator": "rk4", "accepted": 5000, "rejected": 0}),
+        (["--rtol", "1e-9"], {"integrator": "dormand_prince", "accepted": ref.n_accepted,
+                              "rejected": ref.n_rejected}),
+    ]:
+        out = tmp_path / "+".join(flags)
+        assert run([command, "--preset", "fig1", "--tmax", "5", *flags, "--no-svg",
+                    "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["stats"] == want
+    assert ref.n_rejected > 0
+
+
+def test_poincare_refuses_strobe_it_cannot_finish(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run(["poincare", "--preset", "fig2", "--points", "1000002",
+                "--out", str(tmp_path / "x")]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1
+    assert captured.out.startswith("error: k_max must be in [0, 1000000] (at most 1000001 "
+                                   "strobe points), got 1000001")
+    assert captured.err == ""
 
 
 def test_stability_scan_small(tmp_path):
@@ -348,6 +379,9 @@ def test_family_run(tmp_path):
     assert rows[0] == "t,z,p,alpha2,dalpha2,ddalpha2"
     summary = json.loads((out / "summary.json").read_text())
     assert summary["max_rel_drift"] < 1e-8
+    traj, _ = integrate_family(fiveparam_from_json(json.loads(_FP_SPEC)), 0.1, 0.0, 20.0)
+    assert summary["stats"] == {"integrator": "dormand_prince", "accepted": traj.n_accepted,
+                                "rejected": traj.n_rejected}
 
 
 def _write_hill_csv(path, f, g, T, n=121):

@@ -13,6 +13,8 @@ from osclab.integrate import (
     AdaptiveConfig,
     FixedStepConfig,
     _dp_attempt,
+    _dp_checked_attempt,
+    _dp_power_attempt,
     _escaped,
     _Recorder,
     integrate_adaptive,
@@ -230,6 +232,13 @@ def test_strobe_zero_points():
     res = sample_strobe(harmonic, (0.3, 0.1), math.pi, 0)
     assert len(res.states) == 1
     assert res.states[0].t == 0.0
+
+
+@pytest.mark.parametrize("k_max", [-1, 10**6 + 1])
+@pytest.mark.parametrize("h", [None, 1e-3])
+def test_strobe_refuses_k_max_out_of_range(k_max, h):
+    with pytest.raises(ValueError, match="k_max"):
+        sample_strobe(harmonic, (0.3, 0.1), math.pi, k_max, h=h)
 
 
 def test_strobe_stops_on_escape():
@@ -648,3 +657,100 @@ def test_fused_fixed_step_matches_generic_loop_on_a_sampled_field(record, t_end,
     assert traj.n_accepted > 4096  # past the first chunk
     if want == "coefficient_singular":
         assert traj.ts[-1] <= knots[-1] < traj.ts[-1] + 1e-3
+
+
+def _fused_march_matches_generic(field, y0, cfg):
+    """The fused attempt must march, bit for bit, like the generic ``_dp_attempt`` reference."""
+    assert field.power_form is not None
+    try:
+        ref = _adaptive_single_run(field, y0, cfg)
+    except StepUnderflowError:
+        with pytest.raises(StepUnderflowError):
+            integrate_adaptive(field, y0, cfg)
+        return None
+    got = integrate_adaptive(field, y0, cfg)
+    assert np.array_equal(got.ts, ref.ts)
+    assert np.array_equal(got.ys, ref.ys)
+    assert (got.status, got.n_accepted, got.n_rejected) == (
+        ref.status, ref.n_accepted, ref.n_rejected)
+    return got
+
+
+def test_fused_attempt_matches_generic_attempt_and_norm():
+    # stage 2 of the large trial overflows (z^6 of about 1e480): err is inf
+    field = make_field(trig_spec(1.3, 0.9, 0.2, 1.0, 6))
+    for y, h, want_inf in [((0.3, 0.1), 0.01, False), ((-1e40, 1e30), 1e-3, True)]:
+        f1 = field(0.5, y)
+        got = _dp_power_attempt(field.power_form, 0.5, y, h, f1, 1e-12, 1e-10)
+        ref = _dp_checked_attempt(field, 0.5, y, h, f1, 1e-12, 1e-10)
+        assert repr(got) == repr(ref)  # repr: equal also where a stage is NaN
+        assert math.isinf(got[2]) == want_inf
+
+
+def test_fused_attempt_is_only_for_two_components():
+    # a third component riding on a field with a power_form takes the generic attempt
+    plane = make_field(trig_spec(1.3, 0.9, 0.2, 1.0, 3))
+
+    def field(t, y):
+        return (*plane(t, y[:2]), -y[2])
+
+    field.power_form = plane.power_form
+    _fused_march_matches_generic(field, (0.3, 0.1, 1.0), AdaptiveConfig(rtol=1e-9, t_end=3.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    A=st.floats(0.5, 3.0),
+    rel_b=st.floats(-0.95, 0.95),
+    rel_c=st.one_of(st.floats(-0.95, -0.05), st.floats(0.05, 0.95)),
+    omega=st.floats(0.3, 2.0),
+    m=st.integers(2, 6),
+    z0=st.floats(-5.0, 5.0),
+    p0=st.floats(-5.0, 5.0),
+    rtol=st.floats(1e-11, 1e-6),
+    t_start=st.floats(-5.0, 5.0),
+    span=st.floats(0.1, 20.0),
+    h_init=st.floats(1e-4, 50.0),
+    escape=st.floats(5.0, 1e4),
+    record=st.booleans(),
+)
+def test_fused_attempt_matches_generic_march_on_random_systems(
+        A, rel_b, rel_c, omega, m, z0, p0, rtol, t_start, span, h_init, escape, record):
+    # R = hypot(B, C) < 0.95 A keeps alpha2 positive.  About half the runs
+    # escape, and in about a third a first step of up to 50 has stages that
+    # overflow, so the trial is rejected with err inf
+    field = make_field(trig_spec(A, 0.67 * A * rel_b, 0.67 * A * rel_c, omega, m))
+    _fused_march_matches_generic(field, (z0, p0), AdaptiveConfig(
+        rtol=rtol, h_init=h_init, t_start=t_start, t_end=t_start + span, escape_bound=escape,
+        record=record))
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_fused_attempt_matches_generic_march_on_a_sampled_field(record):
+    # knots up to t = 5.9: the run stops at the first trial whose stage passes the last knot
+    knots = tuple(0.1 * k for k in range(60))
+    src = Sampled(knots, tuple(0.2 + 0.1 * math.cos(t) for t in knots))
+    traj = _fused_march_matches_generic(make_field(OscillatorSpec(1.0, 2, src)), (0.3, 0.0),
+                                        AdaptiveConfig(rtol=1e-10, t_end=7.0, record=record))
+    assert traj.status == "coefficient_singular"
+    assert 0.0 < knots[-1] - traj.ts[-1] < 1.0 and traj.n_accepted > 10
+
+
+def test_fused_march_through_stops_matches_generic_on_fig2():
+    # a plain wrapper hides power_form, so it takes the generic attempt
+    field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
+    stops = [k * math.pi for k in range(1, 41)]
+    cfg = AdaptiveConfig(rtol=1e-10, t_end=stops[-1], escape_bound=50.0)
+    runs = []
+    for f in (field, lambda t, y: field(t, y)):
+        seen = []
+        traj = integrate_adaptive(f, (0.1004, 0.0), cfg, stops=stops,
+                                  at_stop=lambda t, y: seen.append((t, y)))
+        runs.append((traj, seen))
+    (got, got_seen), (ref, ref_seen) = runs
+    assert got_seen == ref_seen and [t for t, _ in got_seen] == stops
+    assert np.array_equal(got.ts, ref.ts)
+    assert np.array_equal(got.ys, ref.ys)
+    assert (got.status, got.n_accepted, got.n_rejected) == (
+        ref.status, ref.n_accepted, ref.n_rejected)
+    assert got.status == "completed" and got.n_rejected > 0

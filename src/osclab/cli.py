@@ -33,6 +33,7 @@ from . import family as family_mod
 from . import invariant as invariant_mod
 from . import normalform as nf_mod
 from . import poincare as poincare_mod
+from . import spline
 from . import stability as stability_mod
 from .errors import ConfigError, OscLabError
 from .integrate import AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed, sample_strobe
@@ -447,29 +448,21 @@ def _read_csv_columns(path: str, names):
 
 
 def _periodic_interpolants(grid, T: float):
-    from scipy.interpolate import CubicSpline
-
+    """Periodic cubic splines of the f and g columns of a Hill table over [0, T]."""
     ts = np.asarray(grid["t"])
     if abs(ts[0]) > 1e-12 or abs(ts[-1] - T) > 1e-9 * max(1.0, T):
         raise ConfigError(f"hill grid must cover exactly [0, {T}], got [{ts[0]}, {ts[-1]}]")
     if np.any(np.diff(ts) <= 0.0):
         raise ConfigError("hill grid times must be strictly increasing")
-    splines = {}
+    splines = []
     for name in ("f", "g"):
         vals = np.asarray(grid[name], dtype=float)
         if abs(vals[0] - vals[-1]) > 1e-9 * (abs(vals[0]) + 1.0):
             raise ConfigError(f"column {name} must match at t=0 and t=T for periodicity")
         vals = vals.copy()
         vals[-1] = vals[0]
-        splines[name] = CubicSpline(ts, vals, bc_type="periodic")
-
-    def wrap(spl):
-        def fun(t):
-            return float(spl(t - T * math.floor(t / T)))
-
-        return fun
-
-    return wrap(splines["f"]), wrap(splines["g"])
+        splines.append(spline.periodic(ts, vals))
+    return tuple(splines)
 
 
 def _add_common(p, *, svg=True):

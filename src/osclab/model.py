@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import spline
 from .errors import CoefficientSingularError
 
 # Floor for alpha2: below this the negative half-integer power of alpha2
@@ -86,9 +87,7 @@ class Sampled:
 
     @cached_property
     def _spline(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(np.asarray(self.ts), np.asarray(self.gs))
+        return spline.not_a_knot(self.ts, self.gs)
 
     def value_at(self, t: float) -> float:
         if t < self.ts[0] or t > self.ts[-1]:

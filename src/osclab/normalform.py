@@ -37,8 +37,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import spline
 from .errors import EnvelopeBlowupError, UnstableHillError
-from .integrate import AdaptiveConfig, integrate_adaptive
+from .integrate import _MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive
 from .model import int_pow
 
 _W_FLOOR = 1e-6
@@ -153,10 +154,12 @@ def cs_envelope(h: HillSpec, mono: MonodromyResult, n_grid: int = 2001,
     step size and FSAL stage carry on across them.  EnvelopeBlowupError
     is raised at the first grid time where w has left
     [_W_FLOOR, _W_CEIL].  The one-period defects |w(T)-w(0)|,
-    |w'(T)-w'(0)| are returned for quality control.
+    |w'(T)-w'(0)| are returned for quality control.  n_grid outside
+    [2, _MAX_GRID_POINTS + 1] raises ValueError before any grid time is
+    made.
     """
-    if n_grid < 2:
-        raise ValueError(f"need n_grid >= 2, got {n_grid}")
+    if not 2 <= n_grid <= _MAX_GRID_POINTS + 1:
+        raise ValueError(f"n_grid must be in [2, {_MAX_GRID_POINTS + 1}], got {n_grid}")
     f = h.f
 
     def field(t, y):
@@ -215,29 +218,21 @@ class NormalFormResult:
 
     @cached_property
     def _w_spl(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.t_grid, self.envelope_grid)
+        return spline.not_a_knot(self.t_grid, self.envelope_grid)
 
     @cached_property
     def _wp_spl(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.t_grid, self.envelope_slope_grid)
+        return spline.not_a_knot(self.t_grid, self.envelope_slope_grid)
 
     @cached_property
     def _phi_spl(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.t_grid, self.phase_grid)
+        return spline.not_a_knot(self.t_grid, self.phase_grid)
 
     @cached_property
     def _t_of_phi(self):
-        from scipy.interpolate import PchipInterpolator
-
         # Phi is strictly increasing, so the monotone interpolant of the
         # swapped grid inverts it without overshoot
-        return PchipInterpolator(self.phase_grid, self.t_grid)
+        return spline.pchip(self.phase_grid, self.t_grid)
 
     def forward(self, z: float, zp: float, t: float):
         """(z, z', t) -> (y, dy/ds, s)."""
@@ -273,10 +268,8 @@ def reduce(h: HillSpec, g: Callable, m: int, n_grid: int = 2001,
     env = cs_envelope(h, mono, n_grid=n_grid, rtol=rtol, atol=atol)
     omega_nf = env.phi_T / (2.0 * math.pi)
 
-    from scipy.interpolate import CubicSpline, PchipInterpolator
-
-    t_of_phi = PchipInterpolator(env.phi, env.ts)
-    w_spl = CubicSpline(env.ts, env.w)
+    t_of_phi = spline.pchip(env.phi, env.ts)
+    w_spl = spline.not_a_knot(env.ts, env.w)
 
     n = n_grid
     s_grid = np.array([j * (2.0 * math.pi) / (n - 1) for j in range(n)])
@@ -306,9 +299,7 @@ def make_reduced_field(res: NormalFormResult):
     State (y, dy/ds); the reduced coefficient comes from a cubic spline
     over the stored g_nf samples (exact for constant g_nf).
     """
-    from scipy.interpolate import CubicSpline
-
-    g_spl = CubicSpline(res.s_grid, res.g_nf_grid)
+    g_spl = spline.not_a_knot(res.s_grid, res.g_nf_grid)
     wnf2 = res.omega_nf * res.omega_nf
     m = res.m
 

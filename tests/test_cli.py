@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import osclab
 from osclab.cli import PRESETS, _parse_omegas, main
 from osclab.family import fiveparam_from_json, integrate_family
 from osclab.integrate import AdaptiveConfig, integrate_adaptive
@@ -392,11 +397,15 @@ def _write_hill_csv(path, f, g, T, n=121):
     path.write_text("\n".join(rows) + "\n")
 
 
+def _write_smooth_hill(path):
+    _write_hill_csv(path, lambda t: 0.3 + 0.05 * math.cos(t),
+                    lambda t: 0.2 * (1.0 + 0.5 * math.sin(t)), 2 * math.pi)
+
+
 def test_reduce_run(tmp_path):
     hill = tmp_path / "hill.csv"
     T = 2 * math.pi
-    _write_hill_csv(hill, lambda t: 0.3 + 0.05 * math.cos(t),
-                    lambda t: 0.2 * (1.0 + 0.5 * math.sin(t)), T)
+    _write_smooth_hill(hill)
     out = tmp_path / "red"
     assert run(["reduce", "--hill", str(hill), "--T", repr(T), "--m", "2",
                 "--n-grid", "401", "--out", str(out)]) == 0
@@ -425,6 +434,34 @@ def test_reduce_unstable_exits_3(tmp_path):
                 "--out", str(out)]) == 3
     summary = json.loads((out / "summary.json").read_text())
     assert summary["error"] == "unstable_hill"
+
+
+def test_reduce_refuses_grid_it_cannot_finish(tmp_path, capsys):
+    hill = tmp_path / "hill.csv"
+    _write_smooth_hill(hill)
+    start = time.perf_counter()
+    assert run(["reduce", "--hill", str(hill), "--T", repr(2 * math.pi), "--m", "2",
+                "--n-grid", "1000002", "--out", str(tmp_path / "x")]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "error: n_grid must be in [2, 1000001], got 1000002\n"
+    assert captured.err == ""
+
+
+def test_reduce_runs_without_importing_scipy(tmp_path):
+    # the splines are osclab's own; a stray scipy import costs about 0.6 s per run
+    hill = tmp_path / "hill.csv"
+    _write_smooth_hill(hill)
+    code = ("import sys\n"
+            "from osclab.cli import main\n"
+            f"assert main(['reduce', '--hill', {str(hill)!r}, '--T', {repr(2 * math.pi)!r}, "
+            f"'--m', '2', '--n-grid', '101', '--out', {str(tmp_path / 'red')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(osclab.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_reduce_rejects_nonperiodic_grid(tmp_path):

@@ -9,9 +9,10 @@ Subcommands
     family          five-parameter coefficient family run with drift
     reduce          Hill linear part to constant-frequency normal form
 
-Every run writes ``summary.json`` into --out.  Exit codes: 0 on
-success (escape during a scan or simulate is an expected outcome, not a
-failure), 2 on configuration errors, 3 on numerical failures, with the
+Each command returns a ``Record``; ``main`` alone writes it to --out.
+Exit codes: 0 on success (escape during a scan or simulate is an
+expected outcome, not a failure), 2 on configuration errors (nothing is
+written) or an unwritable --out, 3 on numerical failures, with the
 failing error name recorded in the summary.
 
 Presets encode the demonstration parameter sets used throughout:
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,27 +123,39 @@ def _require_finite(**values):
             raise ConfigError(f"{key} must be finite, got {v}")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+@dataclass(frozen=True)
+class Record:
+    """What one command computed, for ``main`` to write.
+
+    ``tables``: (file name, header, rows) per CSV; rows may be a one-shot
+    iterator.  ``plots``: (file name, series, ``svg_plot`` labels) per SVG.
+    """
+
+    summary: dict
+    report: str
+    status: str = None
+    tables: tuple = ()
+    plots: tuple = ()
+
+
+def _write(out: Path, record: Record, svg: bool) -> None:
+    """Make ``out``, write the tables, the plots when ``svg``, then summary.json."""
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _finish(out: Path, summary: dict, report: str, status: str = None) -> int:
-    """Write summary.json, print the run's report; exit code 3 for a singular coefficient."""
-    write_json(out / "summary.json", summary)
-    print(report)
-    return 3 if status == "coefficient_singular" else 0
+    for name, header, rows in record.tables:
+        write_csv(out / name, header, rows)
+    for name, series, labels in record.plots if svg else ():
+        svg_plot(out / name, series, **labels)
+    write_json(out / "summary.json", record.summary)
 
 
 def _stride_rows(ts, cols, cap=_CSV_ROW_CAP):
+    """Rows (t, *cols) at a stride that keeps at most ``cap`` of them, plus the last one."""
+    cols = [ts] + cols
     step = decimate(len(ts), cap)
-    idx = range(0, len(ts), step)
-    rows = [tuple(c[i] for c in ([ts] + cols)) for i in idx]
-    last = (len(ts) - 1)
-    if last % step != 0:
-        rows.append(tuple(c[last] for c in ([ts] + cols)))
-    return rows
+    for i in range(0, len(ts), step):
+        yield tuple(c[i] for c in cols)
+    if (len(ts) - 1) % step != 0:
+        yield tuple(c[-1] for c in cols)
 
 
 def _stats(integrator: str, run) -> dict:
@@ -165,16 +179,9 @@ def _run_oscillator(spec, params):
     return traj, y0, _stats("rk4", traj)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Record:
     spec, params = _resolve_oscillator(args)
-    out = _out_dir(args)
     traj, y0, stats = _run_oscillator(spec, params)
-    write_csv(out / "traj.csv", "t,z,p", _stride_rows(traj.ts, [traj.z, traj.p]))
-    if args.svg:
-        yrange = params.get("yrange")
-        svg_plot(out / "traj.svg",
-                 [{"kind": "line", "x": traj.ts, "y": traj.z}],
-                 xlabel="t", ylabel="z", title="trajectory", ylim=yrange)
     summary = {
         "status": traj.status,
         "t_final": float(traj.ts[-1]),
@@ -184,25 +191,23 @@ def cmd_simulate(args) -> int:
         "z0": y0[0], "p0": y0[1],
         "stats": stats,
     }
-    return _finish(out, summary, f"simulate: status={traj.status} t_final={traj.ts[-1]:.6g} "
-                                 f"z_final={traj.z[-1]:.6g}", traj.status)
+    return Record(
+        summary, f"simulate: status={traj.status} t_final={traj.ts[-1]:.6g} "
+                 f"z_final={traj.z[-1]:.6g}", traj.status,
+        tables=[("traj.csv", "t,z,p", _stride_rows(traj.ts, [traj.z, traj.p]))],
+        plots=[("traj.svg", [{"kind": "line", "x": traj.ts, "y": traj.z}],
+                {"xlabel": "t", "ylabel": "z", "title": "trajectory",
+                 "ylim": params.get("yrange")})])
 
 
-def cmd_drift(args) -> int:
+def cmd_drift(args) -> Record:
     spec, params = _resolve_oscillator(args)
-    out = _out_dir(args)
-    traj, y0, stats = _run_oscillator(spec, params)
     coeffs = invariant_mod.build_coeffs(spec)
+    traj, y0, stats = _run_oscillator(spec, params)
     try:
         report = invariant_mod.drift(traj, coeffs)
     except OscLabError:
         report = invariant_mod.drift_absolute(traj, coeffs)
-    write_csv(out / "drift.csv", "t,rel_drift", _stride_rows(report.ts, [report.series]))
-    if args.svg:
-        svg_plot(out / "drift.svg",
-                 [{"kind": "line", "x": report.ts, "y": report.series}],
-                 xlabel="t", ylabel="I/I0 - 1", title="invariant drift",
-                 ylim=(-1e-5, 1e-5))
     i0 = invariant_mod.eval_invariant(coeffs, State(0.0, y0[0], y0[1]))
     summary = {
         "status": traj.status,
@@ -212,13 +217,17 @@ def cmd_drift(args) -> int:
         "n_recorded": len(traj),
         "stats": stats,
     }
-    return _finish(out, summary, f"drift: mode={report.mode} max={report.max_rel:.6e} "
-                                 f"status={traj.status}", traj.status)
+    return Record(
+        summary, f"drift: mode={report.mode} max={report.max_rel:.6e} status={traj.status}",
+        traj.status,
+        tables=[("drift.csv", "t,rel_drift", _stride_rows(report.ts, [report.series]))],
+        plots=[("drift.svg", [{"kind": "line", "x": report.ts, "y": report.series}],
+                {"xlabel": "t", "ylabel": "I/I0 - 1", "title": "invariant drift",
+                 "ylim": (-1e-5, 1e-5)})])
 
 
-def cmd_poincare(args) -> int:
+def cmd_poincare(args) -> Record:
     spec, params = _resolve_oscillator(args)
-    out = _out_dir(args)
     z0 = params.get("z0", 0.1)
     p0 = params.get("p0", 0.0)
     n_points = int(params.get("points", 190))
@@ -239,19 +248,11 @@ def cmd_poincare(args) -> int:
         atol=params.get("atol", 1e-12),
     )
     residual = poincare_mod.section_residual(strobe.states, curve)
-    write_csv(out / "strobe.csv", "z,p", [(s.z, s.p) for s in strobe.states])
     loop = poincare_mod.curve_loop(curve, 400, z_hint=z0)
-    write_csv(out / "curve.csv", "z,p", loop)
-    if args.svg:
-        series = []
-        if loop:
-            closed = loop + [loop[0]]
-            series.append({"kind": "line", "x": [q[0] for q in closed],
-                           "y": [q[1] for q in closed]})
-        series.append({"kind": "scatter", "x": [s.z for s in strobe.states],
-                       "y": [s.p for s in strobe.states], "color": "#d62728"})
-        svg_plot(out / "section.svg", series, xlabel="z", ylabel="p",
-                 title="stroboscopic section")
+    closed = loop + loop[:1]  # an empty loop draws nothing
+    series = [{"kind": "line", "x": [q[0] for q in closed], "y": [q[1] for q in closed]},
+              {"kind": "scatter", "x": [s.z for s in strobe.states],
+               "y": [s.p for s in strobe.states], "color": "#d62728"}]
     summary = {
         "status": strobe.status,
         "i0": i0,
@@ -263,9 +264,13 @@ def cmd_poincare(args) -> int:
         ],
         "stats": _stats("dormand_prince" if h is None else "rk4", strobe),
     }
-    return _finish(out, summary, f"poincare: points={len(strobe.states)} "
-                                 f"residual_max={residual:.6e} status={strobe.status}",
-                   strobe.status)
+    return Record(
+        summary, f"poincare: points={len(strobe.states)} residual_max={residual:.6e} "
+                 f"status={strobe.status}", strobe.status,
+        tables=[("strobe.csv", "z,p", ((s.z, s.p) for s in strobe.states)),
+                ("curve.csv", "z,p", loop)],
+        plots=[("section.svg", series,
+                {"xlabel": "z", "ylabel": "p", "title": "stroboscopic section"})])
 
 
 def _parse_omegas(text: str):
@@ -284,7 +289,7 @@ def _parse_omegas(text: str):
     return tuple(a + k * step for k in range(n))
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> Record:
     if args.preset and not args.spec:
         # a scan preset names the trig family; omega comes from its grid
         params = _preset(args.preset)
@@ -306,22 +311,12 @@ def cmd_scan(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
 
-    out = _out_dir(args)
     work = stability_mod.ScanWork()
     rows = stability_mod.scan(A, B, C, omegas, dz0=dz0, t_max=tmax,
                               z_escape=escape, work=work)
-    write_csv(out / "scan.csv", "omega,z_last_bounded,z_crit",
-              [(r.omega, r.z_last_bounded, r.z_crit_analytic) for r in rows])
-    if args.svg:
-        R = math.hypot(B, C)
-        lo, hi = min(omegas), max(omegas)
-        dense = [lo + (hi - lo) * k / 199 for k in range(200)]
-        svg_plot(out / "scan.svg",
-                 [{"kind": "line", "x": dense,
-                   "y": [stability_mod.z_crit(A, R, w) for w in dense]},
-                  {"kind": "scatter", "x": [r.omega for r in rows],
-                   "y": [r.z_last_bounded for r in rows], "color": "#d62728"}],
-                 xlabel="omega", ylabel="z0", title="stability boundary")
+    R = math.hypot(B, C)
+    lo, hi = min(omegas), max(omegas)
+    dense = [lo + (hi - lo) * k / 199 for k in range(200)]
     summary = {
         "rows": [
             {"omega": r.omega, "z_last_bounded": r.z_last_bounded,
@@ -333,46 +328,40 @@ def cmd_scan(args) -> int:
         "cells": work.rows,
         "batches": work.batches,
     }
-    return _finish(out, summary, "\n".join(
-        f"omega={r.omega:<6g} z_last_bounded={r.z_last_bounded:<8g} "
-        f"z_crit={r.z_crit_analytic:.6f} agrees={r.agrees}" for r in rows))
+    return Record(
+        summary, "\n".join(f"omega={r.omega:<6g} z_last_bounded={r.z_last_bounded:<8g} "
+                           f"z_crit={r.z_crit_analytic:.6f} agrees={r.agrees}" for r in rows),
+        tables=[("scan.csv", "omega,z_last_bounded,z_crit",
+                 [(r.omega, r.z_last_bounded, r.z_crit_analytic) for r in rows])],
+        plots=[("scan.svg",
+                [{"kind": "line", "x": dense,
+                  "y": [stability_mod.z_crit(A, R, w) for w in dense]},
+                 {"kind": "scatter", "x": [r.omega for r in rows],
+                  "y": [r.z_last_bounded for r in rows], "color": "#d62728"}],
+                {"xlabel": "omega", "ylabel": "z0", "title": "stability boundary"})])
 
 
-def cmd_crit(args) -> int:
+def cmd_crit(args) -> Record:
     R = math.hypot(args.B, args.C)
     try:
         zc = stability_mod.z_crit(args.A, R, args.omega)
         ic = stability_mod.i0_crit(args.A, R, args.omega)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    print(f"z_crit = {zc:.2f}")
-    print(f"  z_crit  (full) = {zc:.17g}")
-    print(f"  i0_crit (full) = {ic:.17g}")
-    if args.out:
-        out = _out_dir(args)
-        write_json(out / "summary.json",
-                   {"A": args.A, "B": args.B, "C": args.C, "R": R,
-                    "omega": args.omega, "z_crit": zc, "i0_crit": ic})
-    return 0
+    return Record({"A": args.A, "B": args.B, "C": args.C, "R": R,
+                   "omega": args.omega, "z_crit": zc, "i0_crit": ic},
+                  f"z_crit = {zc:.2f}\n  z_crit  (full) = {zc:.17g}\n"
+                  f"  i0_crit (full) = {ic:.17g}")
 
 
-def cmd_family(args) -> int:
+def cmd_family(args) -> Record:
     fp = family_mod.fiveparam_from_json(_read_json(args.spec))
     _require_finite(z0=args.z0, p0=args.p0)
-    out = _out_dir(args)
     traj, report = family_mod.integrate_family(
         fp, args.z0, args.p0, args.tmax,
         rtol=args.rtol, atol=args.atol,
         escape_bound=args.escape if args.escape is not None else math.inf,
     )
-    cols = [traj.ys[:, i] for i in range(5)]
-    write_csv(out / "traj.csv", "t,z,p,alpha2,dalpha2,ddalpha2",
-              _stride_rows(traj.ts, cols))
-    write_csv(out / "drift.csv", "t,rel_drift", _stride_rows(report.ts, [report.series]))
-    if args.svg:
-        svg_plot(out / "family.svg",
-                 [{"kind": "line", "x": traj.ts, "y": traj.ys[:, 2]}],
-                 xlabel="t", ylabel="alpha2", title="coefficient evolution")
     summary = {
         "status": traj.status,
         "mode": report.mode,
@@ -380,27 +369,22 @@ def cmd_family(args) -> int:
         "n_recorded": len(traj),
         "stats": _stats("dormand_prince", traj),
     }
-    return _finish(out, summary, f"family: status={traj.status} drift mode={report.mode} "
-                                 f"max={report.max_rel:.6e}", traj.status)
+    return Record(
+        summary, f"family: status={traj.status} drift mode={report.mode} "
+                 f"max={report.max_rel:.6e}", traj.status,
+        tables=[("traj.csv", "t,z,p,alpha2,dalpha2,ddalpha2",
+                 _stride_rows(traj.ts, [traj.ys[:, i] for i in range(5)])),
+                ("drift.csv", "t,rel_drift", _stride_rows(report.ts, [report.series]))],
+        plots=[("family.svg", [{"kind": "line", "x": traj.ts, "y": traj.ys[:, 2]}],
+                {"xlabel": "t", "ylabel": "alpha2", "title": "coefficient evolution"})])
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> Record:
     grid = _read_csv_columns(args.hill, ("t", "f", "g"))
     T = args.T
     f_fun, g_fun = _periodic_interpolants(grid, T)
-    out = _out_dir(args)
     res = nf_mod.reduce(nf_mod.HillSpec(f=f_fun, T=T), g_fun, args.m,
                         n_grid=args.n_grid, rtol=args.rtol)
-    write_csv(out / "envelope.csv", "t,phi,w,wp",
-              zip(res.t_grid, res.phase_grid, res.envelope_grid, res.envelope_slope_grid))
-    write_csv(out / "gnf.csv", "s,g_nf", zip(res.s_grid, res.g_nf_grid))
-    if args.svg:
-        svg_plot(out / "envelope.svg",
-                 [{"kind": "line", "x": res.t_grid, "y": res.envelope_grid}],
-                 xlabel="t", ylabel="w", title="envelope")
-        svg_plot(out / "gnf.svg",
-                 [{"kind": "line", "x": res.s_grid, "y": res.g_nf_grid}],
-                 xlabel="s", ylabel="g_nf", title="reduced coefficient")
     summary = {
         "omega_nf": res.omega_nf,
         "mu": res.mono.mu,
@@ -418,8 +402,16 @@ def cmd_reduce(args) -> int:
             "envelope": {"accepted": res.env.n_accepted, "rejected": res.env.n_rejected},
         },
     }
-    return _finish(out, summary, f"reduce: omega_nf={res.omega_nf:.12g} mu={res.mono.mu:.12g} "
-                                 f"beta0={res.mono.beta0:.12g}")
+    return Record(
+        summary, f"reduce: omega_nf={res.omega_nf:.12g} mu={res.mono.mu:.12g} "
+                 f"beta0={res.mono.beta0:.12g}",
+        tables=[("envelope.csv", "t,phi,w,wp", zip(res.t_grid, res.phase_grid, res.envelope_grid,
+                                                   res.envelope_slope_grid)),
+                ("gnf.csv", "s,g_nf", zip(res.s_grid, res.g_nf_grid))],
+        plots=[("envelope.svg", [{"kind": "line", "x": res.t_grid, "y": res.envelope_grid}],
+                {"xlabel": "t", "ylabel": "w", "title": "envelope"}),
+               ("gnf.svg", [{"kind": "line", "x": res.s_grid, "y": res.g_nf_grid}],
+                {"xlabel": "s", "ylabel": "g_nf", "title": "reduced coefficient"})])
 
 
 def _read_csv_columns(path: str, names):
@@ -554,19 +546,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except ConfigError as exc:
+        record = args.handler(args)
+        code = 3 if record.status == "coefficient_singular" else 0
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}")
         return 2
     except OscLabError as exc:
-        out = getattr(args, "out", None)
-        if out:
-            out_path = Path(out)
-            out_path.mkdir(parents=True, exist_ok=True)
-            write_json(out_path / "summary.json",
-                       {"error": exc.name, "message": str(exc)})
-        print(f"numerical failure [{exc.name}]: {exc}")
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
+        record = Record({"error": exc.name, "message": str(exc)},
+                        f"numerical failure [{exc.name}]: {exc}")
+        code = 3
+    if args.out is not None:
+        try:
+            _write(Path(args.out), record, getattr(args, "svg", False))
+        except OSError as exc:
+            print(f"error: cannot write to {args.out}: {exc}")
+            return 2
+    print(record.report)
+    return code

@@ -36,8 +36,8 @@ class StepUnderflowError(OscLabError):
     name = "step_underflow"
 
 
-class UnsupportedSourceError(OscLabError):
-    """The requested operation is undefined for this g(t) source."""
+class UnsupportedSourceError(ConfigError):
+    """The requested operation is undefined for this g(t) source (a configuration error)."""
 
     name = "unsupported_source"
 

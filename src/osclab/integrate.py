@@ -701,9 +701,8 @@ def sample_strobe(
     h: float = None,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    t0: float = 0.0,
 ) -> StrobeResult:
-    """States at t_k = t0 + k*t_step for k = 0..k_max, each hit exactly.
+    """States at t_k = k*t_step for k = 0..k_max, each hit exactly.
 
     Strobe times come from multiplication, never from repeated addition.
     Without h, one adaptive run at (rtol, atol) marches through every
@@ -712,22 +711,26 @@ def sample_strobe(
     interval is a fixed-step segment, so no step straddles a strobe
     time.  On escape the result carries the points collected so far and
     status "escaped"; the counts are the accepted and rejected steps.
-    k_max above _MAX_GRID_POINTS raises ValueError before any stop time
-    is made.
+    k_max above _MAX_GRID_POINTS, or with h more than _MAX_FIXED_STEPS
+    steps in all, raises ValueError before any stop time is made.
     """
     if t_step <= 0.0:
         raise ValueError(f"t_step must be positive, got {t_step}")
     if not 0 <= k_max <= _MAX_GRID_POINTS:
         raise ValueError(f"k_max must be in [0, {_MAX_GRID_POINTS}] (at most "
                          f"{_MAX_GRID_POINTS + 1} strobe points), got {k_max}")
+    # a zero, negative or NaN h is refused by FixedStepConfig below
+    if h is not None and h > 0.0 and not k_max * t_step / h <= _MAX_FIXED_STEPS:
+        raise ValueError(f"step size h={h} gives {k_max * t_step / h:.3g} steps over "
+                         f"{k_max} strobe intervals, more than {_MAX_FIXED_STEPS}")
     y = tuple(float(v) for v in y0)
-    states = [State(t0, y[0], y[1])]
+    states = [State(0.0, y[0], y[1])]
     if k_max == 0:
         return StrobeResult(states=tuple(states), status="completed")
     if h is None:
-        stops = [t0 + k * t_step for k in range(1, k_max + 1)]
+        stops = [k * t_step for k in range(1, k_max + 1)]
         run = integrate_adaptive(
-            field, y, AdaptiveConfig(rtol=rtol, atol=atol, t_start=t0, t_end=stops[-1],
+            field, y, AdaptiveConfig(rtol=rtol, atol=atol, t_end=stops[-1],
                                      escape_bound=escape_bound, record=False),
             stops=stops, at_stop=lambda t, y: states.append(State(t, y[0], y[1])),
         )
@@ -735,8 +738,8 @@ def sample_strobe(
     status = "completed"
     n_acc = 0
     for k in range(1, k_max + 1):
-        ta = t0 + (k - 1) * t_step
-        tb = t0 + k * t_step
+        ta = (k - 1) * t_step
+        tb = k * t_step
         seg = integrate_fixed(
             field, y, FixedStepConfig(h=h, t_start=ta, t_end=tb,
                                       escape_bound=escape_bound, record=False)

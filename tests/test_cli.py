@@ -161,16 +161,23 @@ def test_single_system_summary_counts_steps(tmp_path, command):
     assert ref.n_rejected > 0
 
 
-def test_poincare_refuses_strobe_it_cannot_finish(tmp_path, capsys):
+@pytest.mark.parametrize("points,message", [
+    ("1000002", "error: k_max must be in [0, 1000000] (at most 1000001 strobe points), "
+                "got 1000001"),
+    # fig2 sets h = 1e-3: 10^6 strobe intervals of pi are about 3.1e9 RK4 steps
+    ("1000001", "error: step size h=0.001 gives 3.14e+09 steps over 1000000 strobe "
+                "intervals, more than 100000000"),
+], ids=["k_max", "fixed_steps"])
+def test_poincare_refuses_strobe_it_cannot_finish(tmp_path, capsys, points, message):
     start = time.perf_counter()
-    assert run(["poincare", "--preset", "fig2", "--points", "1000002",
+    assert run(["poincare", "--preset", "fig2", "--points", points,
                 "--out", str(tmp_path / "x")]) == 2
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out.count("\n") == 1
-    assert captured.out.startswith("error: k_max must be in [0, 1000000] (at most 1000001 "
-                                   "strobe points), got 1000001")
+    assert captured.out.startswith(message)
     assert captured.err == ""
+    assert not (tmp_path / "x").exists()
 
 
 def test_stability_scan_small(tmp_path):
@@ -319,15 +326,18 @@ UNSCANNABLE_SPECS = {
     "sampled": {"omega": 1, "m": 2, "g": {"kind": "sampled", "t": [0, 1, 2, 3],
                                           "g": [1, 1, 1, 1]}},
 }
+# well-formed, but with no stroboscopic section curve (sampled: no invariant either)
+SECTIONLESS_SPECS = {"trig_c02": {"omega": 1, "m": 2, "g": {**_TRIG, "C": 0.2}}}
 
 
 @pytest.mark.parametrize("command,name", [
     *((cmd, name) for cmd in ("simulate", "stability-scan") for name in BAD_SPECS),
     *(("stability-scan", name) for name in UNSCANNABLE_SPECS),
+    ("drift", "sampled"), ("poincare", "sampled"), ("poincare", "trig_c02"),
 ])
 def test_bad_spec_exits_2_with_one_line(tmp_path, capsys, command, name):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({**BAD_SPECS, **UNSCANNABLE_SPECS}[name]))
+    spec.write_text(json.dumps({**BAD_SPECS, **UNSCANNABLE_SPECS, **SECTIONLESS_SPECS}[name]))
     argv = [command, "--spec", str(spec), "--out", str(tmp_path / "x")]
     if command == "stability-scan":
         argv += ["--omegas", "1.0:1.0:0.2"]
@@ -335,6 +345,21 @@ def test_bad_spec_exits_2_with_one_line(tmp_path, capsys, command, name):
     captured = capsys.readouterr()
     assert captured.out.count("\n") == 1
     assert captured.out.startswith("error: ")
+    assert captured.err == ""
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["simulate", "--preset", "fig1", "--tmax", "1"], "afile"),
+    (["crit", "--A", "1.3", "--B", "0.9", "--omega", "1"], "afile/sub"),
+], ids=["simulate", "crit"])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, argv, out):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / out
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1
+    assert captured.out.startswith(f"error: cannot write to {out}: ")
     assert captured.err == ""
 
 
@@ -477,6 +502,48 @@ def test_reduce_rejects_wrong_header(tmp_path):
     hill.write_text("time,f,g\n0,1,1\n1,1,1\n2,1,1\n3,1,1\n")
     assert run(["reduce", "--hill", str(hill), "--T", "3", "--m", "2",
                 "--out", str(tmp_path / "x")]) == 2
+
+
+_CRIT = ["crit", "--A", "1.3", "--B", "0.9", "--omega", "1"]
+# a small run of each command with the CSV files, then the SVG files, it writes to --out
+_OUT_FILES = {
+    "simulate": (["simulate", "--preset", "fig1", "--tmax", "1"], ["traj.csv"], ["traj.svg"]),
+    "drift": (["drift", "--preset", "fig1", "--tmax", "1"], ["drift.csv"], ["drift.svg"]),
+    "poincare": (["poincare", "--preset", "fig2", "--points", "3"],
+                 ["curve.csv", "strobe.csv"], ["section.svg"]),
+    "stability-scan": (_SCAN + ["--dz0", "0.5", "--tmax", "2"], ["scan.csv"], ["scan.svg"]),
+    "family": (["family", "--spec", "fp.json", "--tmax", "1"],
+               ["drift.csv", "traj.csv"], ["family.svg"]),
+    "reduce": (["reduce", "--hill", "hill.csv", "--T", repr(2 * math.pi), "--m", "2",
+                "--n-grid", "11"], ["envelope.csv", "gnf.csv"], ["envelope.svg", "gnf.svg"]),
+}
+
+
+@pytest.mark.parametrize("argv,code,files", [
+    *(pytest.param(argv + ["--out", "out"], 0, csv + svg, id=cmd)
+      for cmd, (argv, csv, svg) in _OUT_FILES.items()),
+    *(pytest.param(argv + ["--no-svg", "--out", "out"], 0, csv, id=f"{cmd}-no-svg")
+      for cmd, (argv, csv, svg) in _OUT_FILES.items()),
+    pytest.param(_CRIT + ["--out", "out"], 0, [], id="crit"),
+    pytest.param(_CRIT, 0, None, id="crit-no-out"),
+    # a configuration error writes nothing, not even an empty --out
+    pytest.param(["simulate", "--preset", "fig1", "--h", "0", "--out", "out"], 2, None,
+                 id="simulate-h0"),
+    pytest.param(["poincare", "--preset", "fig2", "--points", "0", "--out", "out"], 2, None,
+                 id="poincare-points0"),
+])
+def test_out_holds_exactly_the_command_files(tmp_path, monkeypatch, argv, code, files):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fp.json").write_text(_FP_SPEC)
+    _write_smooth_hill(tmp_path / "hill.csv")
+    assert run(argv) == code
+    made = sorted(p.name for p in tmp_path.iterdir() if p.name not in ("fp.json", "hill.csv"))
+    if files is None:
+        assert made == []
+    else:
+        assert made == ["out"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+            files + ["summary.json"])
 
 
 def test_presets_cover_documented_demos():

@@ -13,6 +13,7 @@ from .errors import (
     EnvelopeBlowupError,
     NonfiniteStateError,
     OscLabError,
+    StepBudgetError,
     StepUnderflowError,
     UnstableHillError,
     UnsupportedSourceError,
@@ -47,6 +48,7 @@ __all__ = [
     "OscillatorSpec",
     "Sampled",
     "State",
+    "StepBudgetError",
     "StepUnderflowError",
     "Trajectory",
     "TrigAlpha",

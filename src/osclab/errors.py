@@ -36,6 +36,12 @@ class StepUnderflowError(OscLabError):
     name = "step_underflow"
 
 
+class StepBudgetError(OscLabError):
+    """An adaptive run took more accepted steps than one run may take."""
+
+    name = "step_budget"
+
+
 class UnsupportedSourceError(ConfigError):
     """The requested operation is undefined for this g(t) source (a configuration error)."""
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import CoefficientSingularError, ZeroReferenceError
 from .integrate import AdaptiveConfig, integrate_adaptive
 from .invariant import build_coeffs, drift, drift_absolute
-from .model import EPS_POS, OscillatorSpec, TrigAlpha
+from .model import EPS_POS, OscillatorSpec, TrigAlpha, json_number, json_numbers
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,16 @@ class FiveParamSpec:
 
 def fiveparam_from_json(obj: dict) -> FiveParamSpec:
     try:
-        a20, a2p0, a2pp0 = (float(v) for v in obj["alpha2"])
+        a20, a2p0, a2pp0 = json_numbers(obj["alpha2"])
         return FiveParamSpec(
-            omega=float(obj["omega"]),
-            C1=float(obj["C1"]),
-            C2=float(obj["C2"]),
+            omega=json_number(obj["omega"]),
+            C1=json_number(obj["C1"]),
+            C2=json_number(obj["C2"]),
             alpha2_0=a20,
             alpha2p_0=a2p0,
             alpha2pp_0=a2pp0,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed five-parameter spec: {exc}") from exc
 
 

@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoefficientSingularError, NonfiniteStateError, StepUnderflowError
+from .errors import (CoefficientSingularError, NonfiniteStateError, StepBudgetError,
+                     StepUnderflowError)
 from .model import State, Trajectory
 
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
@@ -89,7 +90,9 @@ def _check_span(t_start: float, t_end: float, escape_bound: float):
 
 
 # most steps of h one fixed-step run may take; a larger span is refused
-# before stepping, as it would not finish and its record would not fit
+# before stepping, as it would not finish and its record would not fit.
+# An adaptive run cannot know its step count beforehand, so it stops with
+# StepBudgetError at the accepted step past this count instead
 _MAX_FIXED_STEPS = 10**8
 
 # most points of one strobe, or cells of one stability-scan row; a larger
@@ -468,9 +471,10 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     accepted when the RMS of error/scale is <= 1, and the step factor
     0.9*err^(-1/5) is clamped to [0.2, 5].  A trial step with nonfinite
     result is treated as rejected.  StepUnderflowError signals that the
-    controller was forced below h_min on a rejection.  A (z, p) field
-    with a ``power_form`` takes the fused ``_dp_power_attempt``, with the
-    same states, statuses and counts as ``_dp_checked_attempt``, which
+    controller was forced below h_min on a rejection, and StepBudgetError
+    that the run took more than _MAX_FIXED_STEPS accepted steps.  A (z, p)
+    field with a ``power_form`` takes the fused ``_dp_power_attempt``, with
+    the same states, statuses and counts as ``_dp_checked_attempt``, which
     runs every other field.
 
     ``stops`` (default: t_end alone) are strictly ascending times in
@@ -505,6 +509,7 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     status = "completed"
     n_acc = 0
     n_rej = 0
+    budget = _MAX_FIXED_STEPS
     t = t0
     h = min(cfg.h_init, t_end - t0)
     n_hit = 0
@@ -525,6 +530,10 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
                 y = y_new
                 f1 = f7
                 n_acc += 1
+                if n_acc > budget:
+                    raise StepBudgetError(
+                        f"more than {budget} accepted steps before t_end={t_end}, at t={t}"
+                    )
                 rec.push(t, y)
                 if check_escape and _escaped(y, bound):
                     status = "escaped"

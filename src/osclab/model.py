@@ -43,6 +43,9 @@ class TrigAlpha:
     omega: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.A, self.B, self.C, self.omega))):
+            raise ValueError(f"A, B, C and omega must be finite, got "
+                             f"A={self.A}, B={self.B}, C={self.C}, omega={self.omega}")
         if not (self.omega > 0.0):
             raise ValueError(f"omega must be positive, got {self.omega}")
         if not (self.A > math.hypot(self.B, self.C)):
@@ -82,6 +85,8 @@ class Sampled:
             raise ValueError("knot abscissae and values differ in length")
         if len(self.ts) < 4:
             raise ValueError("cubic interpolation needs at least 4 knots")
+        if not all(map(math.isfinite, (*self.ts, *self.gs))):
+            raise ValueError("knot times and values must be finite")
         if any(b <= a for a, b in zip(self.ts, self.ts[1:])):
             raise ValueError("knot times must be strictly increasing")
 
@@ -105,8 +110,8 @@ class OscillatorSpec:
     g_source: object
 
     def __post_init__(self):
-        if not (self.omega > 0.0):
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not (0.0 < self.omega < math.inf):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not (isinstance(self.m, int) and self.m >= 2):
             raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
         src = self.g_source
@@ -331,6 +336,20 @@ def spec_to_json(spec: OscillatorSpec) -> dict:
     return {"omega": spec.omega, "m": spec.m, "g": g}
 
 
+def json_number(v) -> float:
+    """A numeric spec field as a float: a JSON number or a numeric string, not a boolean."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def json_numbers(v) -> tuple:
+    """A list-valued spec field as a tuple of floats (see ``json_number``)."""
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list of numbers, got {v!r}")
+    return tuple(map(json_number, v))
+
+
 def spec_from_json(obj) -> OscillatorSpec:
     """Inverse of spec_to_json; a missing or malformed field raises ValueError.
 
@@ -338,17 +357,20 @@ def spec_from_json(obj) -> OscillatorSpec:
     osclab.family.fiveparam_from_json.
     """
     try:
-        omega = float(obj["omega"])
-        m = int(obj["m"])
+        omega = json_number(obj["omega"])
+        m = json_number(obj["m"])
+        if m != int(m):
+            raise ValueError(f"m must be an integer, got {obj['m']!r}")
         g = obj["g"]
         kind = g["kind"]
         if kind == "trig":
-            src = TrigFamily(TrigAlpha(float(g["A"]), float(g["B"]), float(g["C"]), omega))
+            src = TrigFamily(TrigAlpha(json_number(g["A"]), json_number(g["B"]),
+                                       json_number(g["C"]), omega))
         elif kind == "sampled":
-            src = Sampled(tuple(float(v) for v in g["t"]), tuple(float(v) for v in g["g"]))
+            src = Sampled(json_numbers(g["t"]), json_numbers(g["g"]))
         else:
             raise ValueError(f"unknown g source kind {kind!r}")
-        return OscillatorSpec(omega=omega, m=m, g_source=src)
+        return OscillatorSpec(omega=omega, m=int(m), g_source=src)
     except KeyError as exc:
         raise ValueError(f"malformed oscillator spec: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

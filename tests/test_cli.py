@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import osclab
+from osclab import integrate
 from osclab.cli import PRESETS, _parse_omegas, main
 from osclab.family import fiveparam_from_json, integrate_family
 from osclab.integrate import AdaptiveConfig, integrate_adaptive
@@ -551,3 +553,167 @@ def test_presets_cover_documented_demos():
                             "fig4-bounded", "fig4-unbounded"}
     assert PRESETS["fig2"]["points"] == 190
     assert PRESETS["fig3"]["omegas"] == (0.8, 1.0, 1.2, 1.4, 1.6, 1.8)
+
+
+def test_adaptive_run_past_its_step_budget_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", 3000)
+    (tmp_path / "fp.json").write_text(_FP_SPEC)
+    for argv in (["simulate", "--preset", "fig1", "--rtol", "1e-8", "--tmax", "1e300"],
+                 ["family", "--spec", str(tmp_path / "fp.json"), "--tmax", "1e300"]):
+        out = tmp_path / argv[0]
+        assert run(argv + ["--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "step_budget"
+        assert "more than 3000 accepted steps" in summary["message"]
+        captured = capsys.readouterr()
+        assert captured.out.startswith("numerical failure [step_budget]: ")
+        assert captured.out.count("\n") == 1 and captured.err == ""
+
+
+_FUZZ_SPECS = {
+    "trig": {"omega": 1.0, "m": 2, "g": {"kind": "trig", "A": 1.3, "B": 0.9, "C": 0.0}},
+    "sampled": {"omega": 1.0, "m": 2,
+                "g": {"kind": "sampled", "t": [0.0, 1.0, 2.0, 3.0, 4.0],
+                      "g": [1.0, 1.1, 1.2, 1.1, 1.0]}},
+    "five_param": json.loads(_FP_SPEC),
+}
+# the commands that read each spec kind, with a run small enough to finish at once
+_FUZZ_COMMANDS = {
+    "trig": (["simulate", "--tmax", "1"], ["drift", "--tmax", "1"],
+             ["poincare", "--points", "3"],
+             ["stability-scan", "--omegas", "1:1:1", "--dz0", "0.5", "--tmax", "1"]),
+    "sampled": (["simulate", "--tmax", "1"],),
+    "five_param": (["family", "--tmax", "1"],),
+}
+# numeric fields where zero or a negative value is out of range
+_FUZZ_SIZES = {("omega",), ("m",), ("g", "A"), ("alpha2", 0)}
+
+
+def _fuzz_leaves(obj, path=()):
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, v in items:
+        yield path + (key,), v
+        if isinstance(v, (dict, list)):
+            yield from _fuzz_leaves(v, path + (key,))
+
+
+def _fuzz_mutations(seed, n):
+    """n (spec kind, spec text) pairs, each a valid spec broken in one way."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        kind = rng.choice(sorted(_FUZZ_SPECS))
+        spec = json.loads(json.dumps(_FUZZ_SPECS[kind]))
+        leaves = list(_fuzz_leaves(spec))
+        how = rng.choice(("missing", "type", "nonfinite", "size", "truncated"))
+        if how == "truncated":
+            text = json.dumps(spec)
+            yield kind, text[:rng.randrange(len(text))]
+            continue
+        if how == "missing":
+            path = rng.choice([p for p, _ in leaves if isinstance(p[-1], str)])
+            value = None
+        elif how == "type":
+            path = rng.choice([p for p, _ in leaves])
+            value = rng.choice((None, True, False, "abc", [], {}, [1.0], {"x": 1.0}))
+        elif how == "nonfinite":
+            path = rng.choice([p for p, v in leaves if isinstance(v, (int, float))])
+            value = rng.choice((math.nan, math.inf, -math.inf))
+        else:
+            sizes = [p for p, _ in leaves if p in _FUZZ_SIZES]
+            if kind == "sampled":  # a knot table is too short below 4 knots
+                sizes.append(("g", rng.choice(("t", "g"))))
+            path = rng.choice(sizes)
+            value = [0.0, 1.0, 2.0] if path[0] == "g" and path[-1] in "tg" else rng.choice((0, -1))
+        *head, last = path
+        parent = spec
+        for key in head:
+            parent = parent[key]
+        if how == "missing":
+            del parent[last]
+        else:
+            parent[last] = value
+        yield kind, json.dumps(spec)
+
+
+_FUZZ_ARGS = [
+    ["simulate", "--preset", "nosuch", "--tmax", "1"],
+    ["drift", "--preset", "fig3", "--tmax", "1"],
+    ["stability-scan", "--preset", "fig1"],
+    ["stability-scan", "--preset", "nosuch"],
+    ["simulate", "--preset", "fig1", "--tmax", "0"],
+    ["simulate", "--preset", "fig1", "--tmax", "-1"],
+    ["simulate", "--preset", "fig1", "--tmax", "1", "--h=-1e-3"],
+    ["simulate", "--preset", "fig1", "--tmax", "1", "--rtol=-1e-8"],
+    ["simulate", "--preset", "fig1", "--tmax", "1", "--escape", "-50"],
+    ["poincare", "--preset", "fig2", "--points", "-3"],
+    ["poincare", "--preset", "fig2", "--points", "0", "--rtol", "1e-8"],
+    ["stability-scan", "--preset", "fig3", "--omegas", "1:1:1", "--dz0", "0"],
+    ["stability-scan", "--preset", "fig3", "--omegas", "1:1:1", "--dz0", "-0.1"],
+    ["stability-scan", "--preset", "fig3", "--omegas", "1.2:0.8:0.2", "--tmax", "1"],
+    ["stability-scan", "--preset", "fig3", "--omegas", "0.8:1.2:0", "--tmax", "1"],
+    ["stability-scan", "--preset", "fig3", "--omegas", "0:0:1", "--tmax", "1"],
+    ["stability-scan", "--preset", "fig3", "--omegas", "1:1", "--tmax", "1"],
+    ["stability-scan", "--preset", "fig3", "--omegas", "1:1:1", "--tmax", "1",
+     "--workers", "0"],
+    ["family", "--spec", "fp.json", "--tmax", "0"],
+    ["family", "--spec", "fp.json", "--tmax", "-1"],
+    ["family", "--spec", "missing.json", "--tmax", "1"],
+    ["reduce", "--hill", "hill.csv", "--T", "0", "--m", "2"],
+    ["reduce", "--hill", "hill.csv", "--T", "-6.283185307179586", "--m", "2"],
+    ["reduce", "--hill", "hill.csv", "--T", "6.283185307179586", "--m", "0"],
+    ["reduce", "--hill", "hill.csv", "--T", "6.283185307179586", "--m", "2", "--n-grid", "0"],
+    ["reduce", "--hill", "hill.csv", "--T", "6.283185307179586", "--m", "2", "--n-grid", "-5"],
+    ["reduce", "--hill", "missing.csv", "--T", "6.283185307179586", "--m", "2"],
+]
+
+
+_FUZZ_SPEC_TABLE = [
+    ("trig", ""),
+    ("trig", "null"),
+    ("trig", "[]"),
+    ("trig", '"spec"'),
+    ("trig", "{"),
+    ("trig", '{"omega": Infinity, "m": 2, "g": {"kind": "trig", "A": 1.3, "B": 0.9, "C": 0.0}}'),
+    ("trig", '{"omega": 1.0, "m": 2, "g": {"kind": "trig", "A": Infinity, "B": 0.9, "C": 0}}'),
+    ("trig", '{"omega": 1.0, "m": 2.5, "g": {"kind": "trig", "A": 1.3, "B": 0.9, "C": 0.0}}'),
+    ("trig", '{"omega": 1.0, "m": 1e999, "g": {"kind": "trig", "A": 1.3, "B": 0.9, "C": 0}}'),
+    ("trig", '{"omega": 1.0, "m": 2, "g": {"kind": "trig", "A": true, "B": 0.9, "C": 0.0}}'),
+    ("trig", '{"omega": 1.0, "m": 2, "g": {"kind": "spline", "A": 1.3, "B": 0.9, "C": 0.0}}'),
+    ("trig", '{"omega": 1.0, "m": 2, "g": {"kind": "trig", "A": 0.9, "B": 1.3, "C": 0.0}}'),
+    ("sampled", '{"omega": 1.0, "m": 2, "g": {"kind": "sampled", "t": [0, 1, NaN, 3, 4], '
+                '"g": [1, 1, 1, 1, 1]}}'),
+    ("sampled", '{"omega": 1.0, "m": 2, "g": {"kind": "sampled", "t": [0, 1, 2, 3, 4], '
+                '"g": [1, 1, Infinity, 1, 1]}}'),
+    ("sampled", '{"omega": 1.0, "m": 2, "g": {"kind": "sampled", "t": [0, 2, 1, 3, 4], '
+                '"g": [1, 1, 1, 1, 1]}}'),
+    ("sampled", '{"omega": 1.0, "m": 2, "g": {"kind": "sampled", "t": "01234", '
+                '"g": [1, 1, 1, 1, 1]}}'),
+    ("five_param", '{"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [2.2, 0.0]}'),
+    ("five_param", '{"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": 2.2}'),
+    ("five_param", '{"omega": 1.0, "C1": 1' + "0" * 400 + ', "C2": 0.0, "alpha2": [2.2, 0, 0]}'),
+    ("five_param", '{"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [true, 0.0, -3.6]}'),
+]
+
+
+def _fuzz_cases():
+    for argv in _FUZZ_ARGS:
+        yield argv, None
+    for kind, text in _FUZZ_SPEC_TABLE + list(_fuzz_mutations(20261018, 120)):
+        for command in _FUZZ_COMMANDS[kind]:
+            yield [command[0], "--spec", "spec.json", *command[1:]], text
+
+
+def test_malformed_input_fuzz_ends_with_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fp.json").write_text(_FP_SPEC)
+    _write_smooth_hill(tmp_path / "hill.csv")
+    for argv, text in _fuzz_cases():
+        if text is not None:
+            (tmp_path / "spec.json").write_text(text)
+        code = run(argv + ["--out", "out"])
+        captured = capsys.readouterr()
+        case = (argv, text, code, captured.out)
+        assert code in (2, 3), case
+        assert captured.out.count("\n") == 1, case
+        assert captured.out.startswith("error: " if code == 2 else "numerical failure ["), case
+        assert captured.err == "", case

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osclab.errors import CoefficientSingularError, NonfiniteStateError, StepUnderflowError
+from osclab import integrate
+from osclab.errors import (CoefficientSingularError, NonfiniteStateError, StepBudgetError,
+                           StepUnderflowError)
 from osclab.integrate import (
     _FAC_MAX,
     _FAC_MIN,
@@ -182,6 +184,21 @@ def test_adaptive_step_underflow():
     with pytest.raises(StepUnderflowError):
         integrate_adaptive(field, (1.0, 0.0),
                            AdaptiveConfig(rtol=1e-10, t_end=1.0, h_min=1e-10))
+
+
+@pytest.mark.parametrize("field", [harmonic, make_field(trig_spec(1.3, 0.9, 0.0, 1.0))],
+                         ids=["generic", "power_form"])
+def test_adaptive_run_stops_past_its_step_budget(monkeypatch, field):
+    cfg = AdaptiveConfig(rtol=1e-8, t_end=20.0)
+    n = integrate_adaptive(field, (0.1, 0.0), cfg).n_accepted
+    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", n)
+    assert integrate_adaptive(field, (0.1, 0.0), cfg).n_accepted == n
+    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", n - 1)
+    with pytest.raises(StepBudgetError, match=f"more than {n - 1} accepted steps"):
+        integrate_adaptive(field, (0.1, 0.0), cfg)
+    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", 3000)
+    with pytest.raises(StepBudgetError):
+        integrate_adaptive(field, (0.1, 0.0), AdaptiveConfig(rtol=1e-8, t_end=1e300))
 
 
 def test_adaptive_nonfinite_trial_is_rejected_not_fatal():

@@ -19,6 +19,7 @@ from osclab.invariant import (
     pde_residual,
 )
 from osclab.model import OscillatorSpec, Sampled, State, make_field, trig_spec
+from osclab.stability import z_crit
 
 
 def test_frozen_initial_invariant():
@@ -120,6 +121,27 @@ def test_drift_small_on_accurate_run():
     assert rep.max_rel < 1e-9
     assert len(rep.series) == len(traj)
     assert rep.series[0] == 0.0
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_invariant_is_conserved_on_random_bounded_trig_systems(m):
+    # alpha2 = A + B cos(2 omega t) + C sin(2 omega t) with A > |(B, C)|; an
+    # even m starts at a quarter of z_crit(A, R, omega) (the m = 2 bound), an
+    # odd m, whose restoring term bounds every orbit, anywhere in [0.05, 0.5]
+    rng = random.Random(f"bounded-trig/{m}")
+    for _ in range(8):
+        A = rng.uniform(0.8, 1.6)
+        R = rng.uniform(0.0, 0.6) * A
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        omega = rng.uniform(0.6, 1.6)
+        spec = trig_spec(A, R * math.cos(phase), R * math.sin(phase), omega, m)
+        z0 = 0.25 * z_crit(A, R, omega) if m % 2 == 0 else rng.uniform(0.05, 0.5)
+        periods = 5
+        traj = integrate_adaptive(make_field(spec), (z0, 0.0), AdaptiveConfig(
+            rtol=1e-10, t_end=periods * 2.0 * math.pi / omega, escape_bound=50.0))
+        assert traj.status == "completed", (m, A, R, phase, omega, z0)
+        report = drift(traj, build_coeffs(spec))
+        assert report.max_rel <= 1e-7, (m, A, R, phase, omega, z0, report.max_rel)
 
 
 def test_drift_rejects_zero_reference():

@@ -1,9 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
+import pytest
 
-from osclab.output import decimate, fmt_float, svg_plot, write_csv, write_json
+from osclab.output import _columns, decimate, fmt_float, svg_plot, write_csv, write_json
 
 
 def test_fmt_float_round_trips():
@@ -75,3 +77,120 @@ def test_decimate():
     n = 600001
     stride = decimate(n, 10000)
     assert (n + stride - 1) // stride <= 10000
+
+
+def _full_vertices(series, ylim=None):
+    """Every finite vertex of each series as the unreduced writer drew it at
+    0.01 px, with the axis limits computed over Python lists (test oracle)."""
+    def limits(key, fixed):
+        if fixed is not None:
+            return float(fixed[0]), float(fixed[1])
+        vals = [float(v) for s in series for v in s[key] if math.isfinite(v)] or [0.0, 1.0]
+        lo, hi = min(vals), max(vals)
+        pad = (abs(lo) * 0.1 or 1.0) if lo == hi else 0.05 * (hi - lo)
+        return lo - pad, hi + pad
+
+    (x_lo, x_hi), (y_lo, y_hi) = limits("x", None), limits("y", ylim)
+    return [[(f"{72 + (float(x) - x_lo) / (x_hi - x_lo) * 704:.2f}",
+              f"{42 + (y_hi - float(y)) / (y_hi - y_lo) * 504:.2f}")
+             for x, y in zip(s["x"], s["y"])
+             if math.isfinite(float(x)) and math.isfinite(float(y))]
+            for s in series]
+
+
+def _written(text):
+    """The vertices of each polyline and the circles of an SVG, as written."""
+    lines = [[tuple(v.split(",")) for v in m.split()]
+             for m in re.findall(r'<polyline points="([^"]*)"', text)]
+    circles = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', text)
+    return lines, circles
+
+
+def _column_extent(vertices):
+    extent = {}
+    for xs, ys in vertices:
+        col, y = math.floor(float(xs)), float(ys)
+        lo, hi = extent.get(col, (y, y))
+        extent[col] = (min(lo, y), max(hi, y))
+    return extent
+
+
+def _is_subsequence(part, whole):
+    it = iter(whole)
+    return all(v in it for v in part)
+
+
+def test_pixel_columns_follow_the_written_coordinate():
+    # the doubles within a few ulps of each column boundary c - 0.005 of
+    # the plot, where rounding could put px + 0.005 on the wrong side
+    px = np.arange(72.0, 777.0) - 0.005
+    for _ in range(4):
+        px = np.concatenate([px, np.nextafter(px, np.inf), np.nextafter(px, -np.inf)])
+    written = [math.floor(float(f"{v:.2f}")) for v in px.tolist()]
+    assert _columns(px).tolist() == written
+
+
+def _m4_series():
+    rng = np.random.default_rng(20261018)
+    n = 60001
+    t = np.linspace(0.0, 200.0, n)
+    walk = np.cumsum(rng.standard_normal(n))
+    with np.errstate(over="ignore"):
+        escaping = 1e-3 * np.exp(t * 3.6)  # to about 1e310: past ylim, then inf
+    escaping[::7] *= -1.0
+    gappy = np.sin(t) + 0.1 * rng.standard_normal(n)
+    gappy[rng.integers(0, n, 500)] = np.nan
+    gappy[rng.integers(0, n, 50)] = np.inf
+    gappy[rng.integers(0, n, 50)] = -np.inf
+    t_gappy = t.copy()
+    t_gappy[rng.integers(0, n, 200)] = np.nan
+    s = np.linspace(0.0, 6.0 * math.pi, n)  # three laps of a closed curve
+    return {
+        "random_walk": ([{"kind": "line", "x": t, "y": walk}], None),
+        "escaping": ([{"kind": "line", "x": t, "y": escaping}], (-5.0, 5.0)),
+        "gaps": ([{"kind": "line", "x": t_gappy, "y": gappy}], None),
+        "closed_curve": ([{"kind": "line", "x": np.cos(s) + 0.3 * np.cos(7 * s),
+                           "y": np.sin(s) + 0.3 * np.sin(5 * s)}], None),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_m4_series()))
+def test_m4_polyline_keeps_the_column_extent_of_the_full_one(tmp_path, name):
+    series, ylim = _m4_series()[name]
+    path = tmp_path / "m4.svg"
+    svg_plot(path, series, xlabel="t", ylabel="y", title=name, ylim=ylim)
+    (reduced,), _ = _written(path.read_text())
+    (full,) = _full_vertices(series, ylim)
+    assert len(reduced) < len(full) / 4
+    assert reduced[0] == full[0] and reduced[-1] == full[-1]
+    assert _column_extent(reduced) == _column_extent(full)
+    assert _is_subsequence(reduced, full)
+
+
+def test_m4_keeps_every_vertex_of_a_sparse_series(tmp_path):
+    path = tmp_path / "sparse.svg"
+    x = np.linspace(0.0, 1.0, 2001)  # about 3 vertices per pixel column
+    series = [{"kind": "line", "x": x, "y": np.cos(40.0 * x)}]
+    svg_plot(path, series)
+    (written,), _ = _written(path.read_text())
+    assert written == _full_vertices(series)[0]
+
+
+def test_repeated_scatter_points_are_drawn_once(tmp_path):
+    path = tmp_path / "scatter.svg"
+    x = [0.0, 1.0, 0.0, 1e-9, 0.5, 1.0, math.nan]
+    y = [0.0, 1.0, 0.0, 0.0, 0.5, 1.0, 0.0]
+    series = [{"kind": "scatter", "x": x, "y": y}]
+    svg_plot(path, series)
+    _, circles = _written(path.read_text())
+    assert circles == list(dict.fromkeys(_full_vertices(series)[0]))
+    assert len(circles) == 3
+
+
+def test_reduced_plot_is_byte_deterministic(tmp_path):
+    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    for path in (a, b):
+        series, ylim = _m4_series()["gaps"]
+        svg_plot(path, series + [{"kind": "scatter", "x": [1.0, 1.0], "y": [0.5, 0.5]}],
+                 xlabel="t", ylabel="y", title="gaps", ylim=ylim)
+    assert a.read_bytes() == b.read_bytes()

@@ -28,7 +28,7 @@ from .integrate import (
     sample_strobe,
 )
 from .invariant import build_coeffs, drift, eval_invariant, invariant_series, pde_residual
-from .model import OscillatorSpec, Sampled, State, Trajectory, TrigAlpha, TrigFamily, make_field, trig_spec
+from .model import OscillatorSpec, Sampled, State, Trajectory, TrigAlpha, make_field, trig_spec
 from .normalform import HillSpec, monodromy, reduce
 from .poincare import curve_loop, section_curve, section_residual
 from .stability import bounded, i0_crit, scan, z_crit
@@ -52,7 +52,6 @@ __all__ = [
     "StepUnderflowError",
     "Trajectory",
     "TrigAlpha",
-    "TrigFamily",
     "UnstableHillError",
     "UnsupportedSourceError",
     "ZeroReferenceError",

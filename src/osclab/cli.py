@@ -37,9 +37,9 @@ from . import normalform as nf_mod
 from . import poincare as poincare_mod
 from . import spline
 from . import stability as stability_mod
-from .errors import ConfigError, OscLabError
+from .errors import ConfigError, OscLabError, ZeroReferenceError
 from .integrate import AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed, sample_strobe
-from .model import State, TrigFamily, make_field, spec_from_json, trig_spec
+from .model import MAX_M, State, make_field, spec_from_json, trig_spec
 from .output import decimate, svg_plot, write_csv, write_json
 
 PRESETS = {
@@ -103,10 +103,7 @@ def _resolve_oscillator(args):
         spec = trig_spec(params["A"], params["B"], params["C"],
                          params["omega"], params.get("m", 2))
     elif args.spec:
-        try:
-            spec = spec_from_json(_read_json(args.spec))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        spec = spec_from_json(_read_json(args.spec))
     else:
         raise ConfigError("a system is required: --preset <name> or --spec <file.json>")
     for key in ("z0", "p0", "h", "rtol", "atol", "tmax", "escape", "points"):
@@ -206,7 +203,7 @@ def cmd_drift(args) -> Record:
     traj, y0, stats = _run_oscillator(spec, params)
     try:
         report = invariant_mod.drift(traj, coeffs)
-    except OscLabError:
+    except ZeroReferenceError:
         report = invariant_mod.drift_absolute(traj, coeffs)
     i0 = invariant_mod.eval_invariant(coeffs, State(0.0, y0[0], y0[1]))
     summary = {
@@ -296,10 +293,8 @@ def cmd_scan(args) -> Record:
         A, B, C = params["A"], params["B"], params["C"]
     else:
         spec, params = _resolve_oscillator(args)
-        if not (isinstance(spec.g_source, TrigFamily) and spec.m == 2):
-            raise ConfigError("stability-scan needs an m=2 trig-family spec")
-        a = spec.g_source.alpha
-        A, B, C = a.A, a.B, a.C
+        stability_mod._require_m2_trig(spec)
+        A, B, C = spec.g_source.A, spec.g_source.B, spec.g_source.C
     omegas = params.get("omegas", ())
     if args.omegas:
         omegas = _parse_omegas(args.omegas)
@@ -343,11 +338,8 @@ def cmd_scan(args) -> Record:
 
 def cmd_crit(args) -> Record:
     R = math.hypot(args.B, args.C)
-    try:
-        zc = stability_mod.z_crit(args.A, R, args.omega)
-        ic = stability_mod.i0_crit(args.A, R, args.omega)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    zc = stability_mod.z_crit(args.A, R, args.omega)
+    ic = stability_mod.i0_crit(args.A, R, args.omega)
     return Record({"A": args.A, "B": args.B, "C": args.C, "R": R,
                    "omega": args.omega, "z_crit": zc, "i0_crit": ic},
                   f"z_crit = {zc:.2f}\n  z_crit  (full) = {zc:.17g}\n"
@@ -457,11 +449,10 @@ def _periodic_interpolants(grid, T: float):
     return tuple(splines)
 
 
-def _add_common(p, *, svg=True):
+def _add_common(p):
     p.add_argument("--out", default=".", help="output directory (default: current)")
-    if svg:
-        p.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True,
-                       help="write SVG plots (default on; --no-svg disables)")
+    p.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True,
+                   help="write SVG plots (default on; --no-svg disables)")
 
 
 def _add_system(p):
@@ -534,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="Hill linear part to normal form")
     p.add_argument("--hill", required=True, help="CSV with columns t,f,g over one period")
     p.add_argument("--T", type=float, required=True, help="period of f")
-    p.add_argument("--m", type=int, required=True, help="nonlinearity exponent")
+    p.add_argument("--m", type=int, required=True, help=f"nonlinearity exponent, 2 to {MAX_M}")
     p.add_argument("--n-grid", type=int, default=2001, dest="n_grid")
     p.add_argument("--rtol", type=float, default=1e-12)
     _add_common(p)

@@ -37,7 +37,7 @@ class StepUnderflowError(OscLabError):
 
 
 class StepBudgetError(OscLabError):
-    """An adaptive run took more accepted steps than one run may take."""
+    """An adaptive run took more accepted steps, or a lane run more lock-steps, than allowed."""
 
     name = "step_budget"
 

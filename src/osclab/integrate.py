@@ -92,7 +92,8 @@ def _check_span(t_start: float, t_end: float, escape_bound: float):
 # most steps of h one fixed-step run may take; a larger span is refused
 # before stepping, as it would not finish and its record would not fit.
 # An adaptive run cannot know its step count beforehand, so it stops with
-# StepBudgetError at the accepted step past this count instead
+# StepBudgetError at the accepted step past this count instead, and a
+# lane run at the lock-step past it
 _MAX_FIXED_STEPS = 10**8
 
 # most points of one strobe, or cells of one stability-scan row; a larger
@@ -606,6 +607,8 @@ def integrate_lanes(field, y0, params, cfg: AdaptiveConfig) -> LaneRun:
     when a stage of its trial step is singular, or "step_underflow" where
     ``integrate_adaptive`` raises StepUnderflowError.  Finished lanes are
     compacted out of the arrays, together with their columns of params.
+    A run that takes more than _MAX_FIXED_STEPS lock-steps raises
+    StepBudgetError.
     """
     y = np.array(y0, dtype=float)
     params = np.array(params, dtype=float)
@@ -627,6 +630,7 @@ def integrate_lanes(field, y0, params, cfg: AdaptiveConfig) -> LaneRun:
     out_code = np.zeros(lanes, dtype=np.int8)
     out_acc, out_rej = n_acc.copy(), n_rej.copy()
     lock_steps = 0
+    budget = _MAX_FIXED_STEPS
 
     with np.errstate(all="ignore"):  # singular and nonfinite lanes are handled below
         f1, singular = field(t, y, params)
@@ -644,6 +648,9 @@ def integrate_lanes(field, y0, params, cfg: AdaptiveConfig) -> LaneRun:
             if live.size == 0:
                 break
             lock_steps += 1
+            if lock_steps > budget:
+                raise StepBudgetError(f"more than {budget} lock-steps before t_end={t_end}, "
+                                      f"with {live.size} lanes running")
 
             t_next = t + h
             last = t_next >= t_end

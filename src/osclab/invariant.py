@@ -35,7 +35,7 @@ from .model import (
     Sampled,
     State,
     Trajectory,
-    TrigFamily,
+    TrigAlpha,
     g_exponent,
     int_pow,
     trig_alpha2_eval,
@@ -51,7 +51,7 @@ class InvariantCoeffs:
 
 def build_coeffs(spec: OscillatorSpec) -> InvariantCoeffs:
     src = spec.g_source
-    if isinstance(src, TrigFamily):
+    if isinstance(src, TrigAlpha):
         return InvariantCoeffs(spec=spec)
     if isinstance(src, Sampled):
         raise UnsupportedSourceError("a sampled g(t) carries no known invariant")
@@ -75,8 +75,8 @@ def _coeffs(c: InvariantCoeffs, t, ys=None):
     (one row per time), and integrates them with alpha2_at otherwise.
     """
     src = c.spec.g_source
-    if isinstance(src, TrigFamily):
-        a2, d1, d2, _ = trig_alpha2_eval(src.alpha, t)
+    if isinstance(src, TrigAlpha):
+        a2, d1, d2, _ = trig_alpha2_eval(src, t)
         al1 = al1p = 0.0
     else:
         from .family import alpha1_eval, alpha2_at
@@ -158,8 +158,8 @@ def _parts(c: InvariantCoeffs, t: float):
     spec = c.spec
     src = spec.g_source
     a2, d1, d2, al1, al1p, g = _coeffs(c, t)
-    if isinstance(src, TrigFamily):
-        d3 = trig_alpha2_eval(src.alpha, t)[3]
+    if isinstance(src, TrigAlpha):
+        d3 = trig_alpha2_eval(src, t)[3]
     else:
         from .family import make_augmented_field
 

@@ -1,16 +1,19 @@
 """Core model: the oscillator z'' + omega^2 z + g(t) z^m = 0 and its g(t) sources.
 
-The forcing coefficient g(t) comes from one of three sources:
+The forcing coefficient g(t) comes from one of three sources, the
+``g_source`` of an ``OscillatorSpec``:
 
-* ``TrigFamily`` -- g = alpha2(t)^(-(m+3)/2) with
+* ``TrigAlpha`` -- g = alpha2(t)^(-(m+3)/2) with
   alpha2(t) = A + B cos(2 omega t) + C sin(2 omega t).  This is the
   closed-form coefficient family for which a quadratic first integral
   exists at every integer m >= 2.
-* ``FiveParam`` -- the m = 2 family in which alpha2(t) solves a nonlinear
-  third-order ODE driven by two extra constants (C1, C2); see
-  :mod:`osclab.family`.
+* ``family.FiveParamSpec`` -- the m = 2 family in which alpha2(t) solves
+  a nonlinear third-order ODE driven by two extra constants (C1, C2);
+  see :mod:`osclab.family`.
 * ``Sampled`` -- tabulated (t, g) knots with cubic interpolation, for
   systems without a known invariant.
+
+The exponent m is an integer in [2, MAX_M].
 
 All types here are immutable value objects; every operation is a pure
 function of its inputs.
@@ -31,6 +34,10 @@ from .errors import CoefficientSingularError
 # Floor for alpha2: below this the negative half-integer power of alpha2
 # amplifies roundoff catastrophically, so evaluation is refused instead.
 EPS_POS = 1e-9
+
+# Largest exponent m a spec may carry.  Every field call multiplies m - 1
+# times, so an unbounded m makes an unbounded run out of a tiny one.
+MAX_M = 100
 
 
 @dataclass(frozen=True)
@@ -63,11 +70,6 @@ class TrigAlpha:
     def phi(self) -> float:
         """Phase of the (B, C) pair, alpha2 = A + R cos(2 omega t - phi)."""
         return math.atan2(self.C, self.B)
-
-
-@dataclass(frozen=True)
-class TrigFamily:
-    alpha: TrigAlpha
 
 
 @dataclass(frozen=True)
@@ -112,26 +114,23 @@ class OscillatorSpec:
     def __post_init__(self):
         if not (0.0 < self.omega < math.inf):
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        if not (isinstance(self.m, int) and self.m >= 2):
-            raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
-        src = self.g_source
-        if isinstance(src, TrigFamily):
-            if src.alpha.omega != self.omega:
-                raise ValueError(
-                    "trig coefficient must use the oscillator frequency: "
-                    f"{src.alpha.omega} != {self.omega}"
-                )
-        else:
-            src_omega = getattr(src, "omega", None)
-            if src_omega is not None and src_omega != self.omega:
-                raise ValueError(
-                    f"g source frequency {src_omega} != oscillator frequency {self.omega}"
-                )
+        check_m(self.m)
+        src_omega = getattr(self.g_source, "omega", None)
+        if src_omega is not None and src_omega != self.omega:
+            raise ValueError(
+                f"g source frequency {src_omega} != oscillator frequency {self.omega}"
+            )
+
+
+def check_m(m) -> None:
+    """Refuse an exponent m that is not an integer in [2, MAX_M]."""
+    if not (isinstance(m, int) and 2 <= m <= MAX_M):
+        raise ValueError(f"m must be an integer in [2, {MAX_M}], got {m!r}")
 
 
 def trig_spec(A: float, B: float, C: float, omega: float, m: int = 2) -> OscillatorSpec:
     """Convenience constructor for a trig-family oscillator."""
-    return OscillatorSpec(omega=omega, m=m, g_source=TrigFamily(TrigAlpha(A, B, C, omega)))
+    return OscillatorSpec(omega=omega, m=m, g_source=TrigAlpha(A, B, C, omega))
 
 
 @dataclass(frozen=True)
@@ -247,10 +246,9 @@ def make_field(spec: OscillatorSpec) -> Callable:
     w2 = spec.omega * spec.omega
     src = spec.g_source
 
-    if isinstance(src, TrigFamily):
-        a = src.alpha
-        A, B, C = a.A, a.B, a.C
-        two_w = 2.0 * a.omega
+    if isinstance(src, TrigAlpha):
+        A, B, C = src.A, src.B, src.C
+        two_w = 2.0 * src.omega
         ex = g_exponent(m)
         cos, sin = math.cos, math.sin
 
@@ -296,12 +294,11 @@ def make_lane_field(specs):
     ulps.
     """
     specs = tuple(specs)
-    if not specs or not all(isinstance(s.g_source, TrigFamily) for s in specs):
+    if not specs or not all(isinstance(s.g_source, TrigAlpha) for s in specs):
         raise ValueError("lane fields need at least one spec, all of the trig family")
-    a, m = specs[0].g_source.alpha, specs[0].m
+    a, m = specs[0].g_source, specs[0].m
     A, B, C = a.A, a.B, a.C
-    if any((s.g_source.alpha.A, s.g_source.alpha.B, s.g_source.alpha.C, s.m) != (A, B, C, m)
-           for s in specs):
+    if any((s.g_source.A, s.g_source.B, s.g_source.C, s.m) != (A, B, C, m) for s in specs):
         raise ValueError("lane specs must share A, B, C and m")
     ex = g_exponent(m)
     params = np.array([[2.0 * s.omega for s in specs], [s.omega * s.omega for s in specs]])
@@ -326,9 +323,8 @@ def make_lane_field(specs):
 
 def spec_to_json(spec: OscillatorSpec) -> dict:
     src = spec.g_source
-    if isinstance(src, TrigFamily):
-        a = src.alpha
-        g = {"kind": "trig", "A": a.A, "B": a.B, "C": a.C}
+    if isinstance(src, TrigAlpha):
+        g = {"kind": "trig", "A": src.A, "B": src.B, "C": src.C}
     elif isinstance(src, Sampled):
         g = {"kind": "sampled", "t": list(src.ts), "g": list(src.gs)}
     else:
@@ -364,8 +360,8 @@ def spec_from_json(obj) -> OscillatorSpec:
         g = obj["g"]
         kind = g["kind"]
         if kind == "trig":
-            src = TrigFamily(TrigAlpha(json_number(g["A"]), json_number(g["B"]),
-                                       json_number(g["C"]), omega))
+            src = TrigAlpha(json_number(g["A"]), json_number(g["B"]),
+                            json_number(g["C"]), omega)
         elif kind == "sampled":
             src = Sampled(json_numbers(g["t"]), json_numbers(g["g"]))
         else:

@@ -40,7 +40,7 @@ import numpy as np
 from . import spline
 from .errors import EnvelopeBlowupError, UnstableHillError
 from .integrate import _MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive
-from .model import int_pow
+from .model import check_m, int_pow
 
 _W_FLOOR = 1e-6
 _W_CEIL = 1e6
@@ -262,8 +262,7 @@ def reduce(h: HillSpec, g: Callable, m: int, n_grid: int = 2001,
     g is evaluated at the grid preimages t(s); the reduced coefficient
     carries the envelope factor w^(m+3).
     """
-    if not (isinstance(m, int) and m >= 2):
-        raise ValueError(f"m must be an integer >= 2, got {m!r}")
+    check_m(m)
     mono = monodromy(h, rtol=rtol, atol=atol)
     env = cs_envelope(h, mono, n_grid=n_grid, rtol=rtol, atol=atol)
     omega_nf = env.phi_T / (2.0 * math.pi)

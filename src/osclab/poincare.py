@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .cubic import real_roots
 from .errors import UnsupportedSourceError
-from .model import OscillatorSpec, TrigFamily
+from .model import OscillatorSpec, TrigAlpha
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,11 @@ def _admissible_intervals(c_z2: float, c_z3: float, I0: float):
 
 def section_curve(spec: OscillatorSpec, I0: float) -> SectionCurve:
     """Analytic strobe curve at level I0 for an m = 2, C = 0 trig system."""
-    src = spec.g_source
-    if not isinstance(src, TrigFamily):
+    a = spec.g_source
+    if not isinstance(a, TrigAlpha):
         raise UnsupportedSourceError("section curves exist only for the trig family")
     if spec.m != 2:
         raise UnsupportedSourceError(f"section curve derived for m=2 only, got m={spec.m}")
-    a = src.alpha
     if a.C != 0.0:
         raise UnsupportedSourceError(
             "sections require C = 0: with C != 0 the coefficient derivative "

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import StepUnderflowError
 from .integrate import _MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive, integrate_lanes
-from .model import OscillatorSpec, TrigFamily, make_field, make_lane_field, trig_spec
+from .model import OscillatorSpec, TrigAlpha, make_field, make_lane_field, trig_spec
 
 
 def _check_amplitudes(A: float, R: float, omega: float):
@@ -68,18 +68,18 @@ def z_crit(A: float, R: float, omega: float) -> float:
 
 
 def _require_m2_trig(spec: OscillatorSpec) -> None:
-    if not (isinstance(spec.g_source, TrigFamily) and spec.m == 2):
+    if not (isinstance(spec.g_source, TrigAlpha) and spec.m == 2):
         raise ValueError("boundedness analysis applies to the m=2 trig family only")
 
 
-def bounded(
-    spec: OscillatorSpec,
-    z0: float,
-    t_max: float = 600.0,
-    z_escape: float = 50.0,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> bool:
+def _cell_config(t_max: float, z_escape: float) -> AdaptiveConfig:
+    """The run of one scan cell, for ``bounded`` and ``scan`` alike."""
+    return AdaptiveConfig(rtol=1e-10, atol=1e-12, t_end=t_max, escape_bound=z_escape,
+                          record=False)
+
+
+def bounded(spec: OscillatorSpec, z0: float, t_max: float = 600.0,
+            z_escape: float = 50.0) -> bool:
     """True iff the run from (z0, 0) stays within |z| <= z_escape up to t_max.
 
     Any terminated run counts as not bounded: escape past the bound,
@@ -89,12 +89,8 @@ def bounded(
     _require_m2_trig(spec)
     if z0 < 0.0:
         raise ValueError(f"the scan convention uses z0 >= 0, got {z0}")
-    field = make_field(spec)
-    cfg = AdaptiveConfig(
-        rtol=rtol, atol=atol, t_end=t_max, escape_bound=z_escape, record=False
-    )
     try:
-        traj = integrate_adaptive(field, (z0, 0.0), cfg)
+        traj = integrate_adaptive(make_field(spec), (z0, 0.0), _cell_config(t_max, z_escape))
     except StepUnderflowError:
         return False
     return traj.status == "completed"
@@ -134,7 +130,6 @@ def scan(
     dz0: float = 0.02,
     t_max: float = 600.0,
     z_escape: float = 50.0,
-    rtol: float = 1e-10,
     work: ScanWork = None,
 ):
     """Numerical boundary scan over a list of omega values.
@@ -145,15 +140,16 @@ def scan(
     the analytic boundary so the scan always terminates; every cell up
     to the cap is integrated, in batches of at most _LANE_BATCH lanes
     made as they are needed, so memory does not grow with the grid.
-    A cell counts as bounded exactly when ``bounded`` would say so: only
-    a completed lane is bounded.  Rows depend neither on the batch size
-    nor on the order of the omegas.  A grid with more than
-    _MAX_GRID_POINTS cells in any row raises ValueError before any
-    integration.
+    A cell runs with ``bounded``'s config and counts as bounded exactly
+    when ``bounded`` would say so: only a completed lane is bounded.
+    Rows depend neither on the batch size nor on the order of the
+    omegas.  A grid with more than _MAX_GRID_POINTS cells in any row
+    raises ValueError before any integration; a batch that takes more
+    than _MAX_FIXED_STEPS lock-steps raises StepBudgetError.
     """
     if not (0.0 < dz0 < math.inf):
         raise ValueError(f"dz0 must be positive and finite, got {dz0}")
-    cfg = AdaptiveConfig(rtol=rtol, t_end=t_max, escape_bound=z_escape, record=False)
+    cfg = _cell_config(t_max, z_escape)
     R = math.hypot(B, C)
 
     grid = []

@@ -1,0 +1,47 @@
+"""The names and flags of osclab that the benchmark under bench/ relies on.
+
+The benchmark builds its jobs from the checkout it runs in, so a change
+to osclab that drops a traced function, an import of the
+microbenchmarks or a flag of a job would only show when the benchmark
+runs.  These checks read bench/ without running it.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from osclab.cli import build_parser
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name: str):
+    """bench/<name>.py as the module bench_<name>, without putting bench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("layer", sorted(_load("layertrace").TRACED))
+def test_every_traced_function_exists(layer):
+    modname, names = _load("layertrace").TRACED[layer]
+    module = importlib.import_module(modname)
+    assert [n for n in names if not callable(getattr(module, n, None))] == []
+
+
+def test_microbenchmarks_import():
+    assert callable(_load("micro").main)
+
+
+@pytest.mark.parametrize("workload", sorted(_load("workloads").WORKLOADS))
+def test_job_flags_parse(tmp_path, workload):
+    job = _load("workloads").WORKLOADS[workload](7, tmp_path, True, 2)
+    parser = build_parser()
+    for argv in (job.argv, job.trace_argv):
+        args = parser.parse_args([*argv, "--out", str(tmp_path / "out")])
+        assert args.command == argv[0]

@@ -321,6 +321,7 @@ BAD_SPECS = {
     "g_not_object": {"omega": 1, "m": 2, "g": [1.3, 0.9, 0.0]},
     "five_param_kind": {"omega": 1, "m": 2, "g": {"kind": "five_param", "C1": 0.0, "C2": 0.0,
                                                   "alpha2": [2.2, 0.0, -3.6]}},
+    "m_huge": {"omega": 1, "m": 1000000000, "g": _TRIG},
 }
 # well-formed, but not a system the boundary scan covers
 UNSCANNABLE_SPECS = {
@@ -349,6 +350,18 @@ def test_bad_spec_exits_2_with_one_line(tmp_path, capsys, command, name):
     assert captured.out.startswith("error: ")
     assert captured.err == ""
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["stability-scan", "--omegas", "1:1:1"]],
+                         ids=["simulate", "stability-scan"])
+def test_huge_exponent_is_refused_at_once(tmp_path, capsys, argv):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(BAD_SPECS["m_huge"]))
+    start = time.perf_counter()
+    assert run(argv + ["--spec", str(spec), "--tmax", "1", "--out", str(tmp_path / "x")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == ("error: malformed oscillator spec: "
+                                       "m must be an integer in [2, 100], got 1000000000\n")
 
 
 @pytest.mark.parametrize("argv,out", [
@@ -475,6 +488,19 @@ def test_reduce_refuses_grid_it_cannot_finish(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_reduce_refuses_an_exponent_above_the_cap(tmp_path, capsys):
+    hill = tmp_path / "hill.csv"
+    _write_smooth_hill(hill)
+    start = time.perf_counter()
+    assert run(["reduce", "--hill", str(hill), "--T", repr(2 * math.pi), "--m", "1000000000",
+                "--out", str(tmp_path / "x")]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "error: m must be an integer in [2, 100], got 1000000000\n"
+    assert captured.err == ""
+    assert not (tmp_path / "x").exists()
+
+
 def test_reduce_runs_without_importing_scipy(tmp_path):
     # the splines are osclab's own; a stray scipy import costs about 0.6 s per run
     hill = tmp_path / "hill.csv"
@@ -568,6 +594,19 @@ def test_adaptive_run_past_its_step_budget_exits_3(tmp_path, monkeypatch, capsys
         captured = capsys.readouterr()
         assert captured.out.startswith("numerical failure [step_budget]: ")
         assert captured.out.count("\n") == 1 and captured.err == ""
+
+
+def test_scan_past_its_lock_step_budget_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", 3000)
+    out = tmp_path / "scan"
+    assert run(["stability-scan", "--preset", "fig3", "--omegas", "1:1:1", "--dz0", "0.5",
+                "--tmax", "1e300", "--out", str(out)]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"] == "step_budget"
+    assert "more than 3000 lock-steps" in summary["message"]
+    captured = capsys.readouterr()
+    assert captured.out.startswith("numerical failure [step_budget]: ")
+    assert captured.out.count("\n") == 1 and captured.err == ""
 
 
 _FUZZ_SPECS = {

@@ -524,6 +524,22 @@ def test_trig_lanes_end_like_scalar_runs(B, escape, want):
         assert math.isclose(run.ts[j], ref.ts[-1], rel_tol=1e-8)
 
 
+def test_lanes_stop_past_their_lock_step_budget(monkeypatch):
+    specs = [trig_spec(1.3, 0.9, 0.0, w) for w in (0.8, 1.2)]
+    field, params = make_lane_field(specs)
+    y0 = np.array([[0.1, 0.2], [0.0, 0.0]])
+    cfg = AdaptiveConfig(rtol=1e-10, t_end=20.0, record=False)
+    n = integrate_lanes(field, y0, params, cfg).lock_steps
+    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", n)
+    assert integrate_lanes(field, y0, params, cfg).lock_steps == n
+    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", n - 1)
+    with pytest.raises(StepBudgetError, match=f"more than {n - 1} lock-steps"):
+        integrate_lanes(field, y0, params, cfg)
+    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", 3000)
+    with pytest.raises(StepBudgetError):
+        integrate_lanes(field, y0, params, AdaptiveConfig(rtol=1e-10, t_end=1e300, record=False))
+
+
 def test_lanes_reject_misshapen_input():
     cfg = AdaptiveConfig(rtol=1e-10, t_end=1.0)
     with pytest.raises(ValueError):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from osclab.errors import CoefficientSingularError
 from osclab.model import (
+    MAX_M,
     OscillatorSpec,
     PowerForm,
     Sampled,
     State,
     Trajectory,
     TrigAlpha,
-    TrigFamily,
     g_exponent,
     int_pow,
     make_field,
@@ -151,12 +151,18 @@ def test_int_pow_matches_builtin():
 
 def test_oscillator_spec_validation():
     with pytest.raises(ValueError):
-        OscillatorSpec(1.0, 1, TrigFamily(TrigAlpha(1.3, 0.9, 0.0, 1.0)))
+        OscillatorSpec(1.0, 1, TrigAlpha(1.3, 0.9, 0.0, 1.0))
     with pytest.raises(ValueError):
-        OscillatorSpec(1.0, 2.5, TrigFamily(TrigAlpha(1.3, 0.9, 0.0, 1.0)))
+        OscillatorSpec(1.0, 2.5, TrigAlpha(1.3, 0.9, 0.0, 1.0))
     with pytest.raises(ValueError):
         # spec omega must agree with the family's omega
-        OscillatorSpec(1.1, 2, TrigFamily(TrigAlpha(1.3, 0.9, 0.0, 1.0)))
+        OscillatorSpec(1.1, 2, TrigAlpha(1.3, 0.9, 0.0, 1.0))
+
+
+def test_oscillator_spec_caps_the_exponent():
+    assert trig_spec(1.3, 0.9, 0.0, 1.0, m=MAX_M).m == MAX_M
+    with pytest.raises(ValueError, match=rf"m must be an integer in \[2, {MAX_M}\], got 101"):
+        trig_spec(1.3, 0.9, 0.0, 1.0, m=101)
 
 
 @pytest.mark.parametrize("A,B,C,m", [(1.3, 0.9, 0.0, 2), (1.2, 0.4, 0.5, 4),

@@ -12,8 +12,8 @@ Subcommands
 Each command returns a ``Record``; ``main`` alone writes it to --out.
 Exit codes: 0 on success (escape during a scan or simulate is an
 expected outcome, not a failure), 2 on configuration errors (nothing is
-written) or an unwritable --out, 3 on numerical failures, with the
-failing error name recorded in the summary.
+written) or an unwritable --out, 3 on numerical failures (an
+OverflowError among them), with the error name recorded in the summary.
 
 Presets encode the demonstration parameter sets used throughout:
 fig1/sec3ref (drift of the m=2 trig system at omega=1), fig2 (190
@@ -38,7 +38,8 @@ from . import poincare as poincare_mod
 from . import spline
 from . import stability as stability_mod
 from .errors import ConfigError, OscLabError, ZeroReferenceError
-from .integrate import AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed, sample_strobe
+from .integrate import (_MAX_GRID_POINTS, AdaptiveConfig, FixedStepConfig, integrate_adaptive,
+                        integrate_fixed, sample_strobe)
 from .model import MAX_M, State, make_field, spec_from_json, trig_spec
 from .output import decimate, svg_plot, write_csv, write_json
 
@@ -145,10 +146,10 @@ def _write(out: Path, record: Record, svg: bool) -> None:
     write_json(out / "summary.json", record.summary)
 
 
-def _stride_rows(ts, cols, cap=_CSV_ROW_CAP):
-    """Rows (t, *cols) at a stride that keeps at most ``cap`` of them, plus the last one."""
+def _stride_rows(ts, cols):
+    """Rows (t, *cols) at a stride that keeps at most _CSV_ROW_CAP of them, plus the last one."""
     cols = [ts] + cols
-    step = decimate(len(ts), cap)
+    step = decimate(len(ts), _CSV_ROW_CAP)
     for i in range(0, len(ts), step):
         yield tuple(c[i] for c in cols)
     if (len(ts) - 1) % step != 0:
@@ -282,8 +283,10 @@ def _parse_omegas(text: str):
         raise ConfigError(f"--omegas wants finite numbers, got {text!r}")
     if step <= 0.0 or b < a:
         raise ConfigError(f"--omegas wants a <= b and step > 0, got {text!r}")
-    n = int(math.floor((b - a) / step + 1e-9)) + 1
-    return tuple(a + k * step for k in range(n))
+    span = (b - a) / step + 1e-9  # a float: no overflow, at worst inf
+    if not span < _MAX_GRID_POINTS:  # floor(span) + 1 omegas
+        raise ConfigError(f"--omegas {text!r} gives more than {_MAX_GRID_POINTS} omegas")
+    return tuple(a + k * step for k in range(int(span) + 1))
 
 
 def cmd_scan(args) -> Record:
@@ -542,9 +545,10 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}")
         return 2
-    except OscLabError as exc:
-        record = Record({"error": exc.name, "message": str(exc)},
-                        f"numerical failure [{exc.name}]: {exc}")
+    except (OscLabError, OverflowError) as exc:  # say, g(t) past the float range at a large m
+        name = exc.name if isinstance(exc, OscLabError) else "overflow"
+        record = Record({"error": name, "message": str(exc)},
+                        f"numerical failure [{name}]: {exc}")
         code = 3
     if args.out is not None:
         try:

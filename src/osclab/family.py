@@ -155,7 +155,6 @@ def integrate_family(
     rtol: float = 1e-12,
     atol: float = 1e-12,
     escape_bound: float = math.inf,
-    record: bool = True,
 ):
     """Integrate the joint system and report invariant drift.
 
@@ -166,9 +165,7 @@ def integrate_family(
     """
     field = make_augmented_field(fp)
     y0 = (z0, p0, fp.alpha2_0, fp.alpha2p_0, fp.alpha2pp_0)
-    cfg = AdaptiveConfig(
-        rtol=rtol, atol=atol, t_end=t_end, escape_bound=escape_bound, record=record
-    )
+    cfg = AdaptiveConfig(rtol=rtol, atol=atol, t_end=t_end, escape_bound=escape_bound)
     traj = integrate_adaptive(field, y0, cfg)
     spec = OscillatorSpec(omega=fp.omega, m=2, g_source=fp)
     coeffs = build_coeffs(spec)

@@ -3,11 +3,9 @@
 The integrators share one state convention (tuples of floats, n >= 2,
 components 0 and 1 being z and p):
 
-* ``integrate_fixed`` -- the classical 4th-order method with constant
-  step, final step shortened to land exactly on t_end.
+* ``integrate_fixed`` -- the classical 4th-order method with constant step.
 * ``integrate_adaptive`` -- the Dormand-Prince embedded 5(4) pair with
-  standard error-per-step control, in one march that lands exactly on
-  any number of stop times.  A (z, p) field that carries a
+  standard error-per-step control.  A (z, p) field that carries a
   ``model.PowerForm`` (every field of ``model.make_field``) takes a fused
   trial step with the field and the error norm inlined, bit-identical
   to the generic ``_dp_attempt`` that every other field takes.
@@ -15,6 +13,10 @@ components 0 and 1 being z and p):
   independent problems at once, as numpy lanes that step in lock-step,
   each with its own step control (Hairer, Norsett & Wanner, Solving ODEs
   I, section II.4).
+
+The two scalar integrators march through any number of stop times in
+one run (``_check_stops``): a step that would pass the next stop is
+shortened to land on it exactly, and the run carries on from there.
 
 Escape past a caller-supplied bound is an expected outcome in stability
 scans, so it is reported as a trajectory status, never as an exception.
@@ -42,6 +44,7 @@ The last stage of an accepted step equals the first stage of the next
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -87,6 +90,16 @@ def _check_span(t_start: float, t_end: float, escape_bound: float):
         raise ValueError(f"need t_end > t_start, got [{t_start}, {t_end}]")
     if not (escape_bound > 0.0):
         raise ValueError(f"escape bound must be positive, got {escape_bound}")
+
+
+def _check_stops(stops, t_start: float, t_end: float):
+    """A run's stops, (t_end,) for None; others must ascend strictly from t_start to t_end."""
+    if stops is None:
+        return (t_end,)
+    if not (len(stops) and stops[-1] == t_end
+            and all(a < b for a, b in zip([t_start, *stops], stops))):
+        raise ValueError(f"stops must ascend strictly from t_start={t_start} to t_end={t_end}")
+    return stops
 
 
 # most steps of h one fixed-step run may take; a larger span is refused
@@ -301,58 +314,62 @@ def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
     return "completed", done, t, (z, p)
 
 
-def integrate_fixed(field, y0, cfg: FixedStepConfig) -> Trajectory:
-    """Classical RK4 with constant step h.
+def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None) -> Trajectory:
+    """Classical RK4 with constant step h, marching through exact stops.
 
-    Step times are t_start + k*h (multiplication, not accumulation); a
-    final shortened step lands exactly on t_end when h does not divide
-    the interval.  A field that carries a ``power_form`` (every field
-    of ``model.make_field``) takes the fused ``_rk4_power_steps`` for
-    the full steps, with the same states, statuses and counts as the
-    generic loop, which runs every other field.
+    ``stops`` and ``at_stop`` follow the rules of ``integrate_adaptive``.
+    From t_start and from each stop the step times are that time + k*h
+    (multiplication, not accumulation), and a shortened step lands
+    exactly on the next stop when h does not divide the interval, so
+    each interval runs exactly as a run of its own would.  A field that
+    carries a ``power_form`` (every field of ``model.make_field``) takes
+    the fused ``_rk4_power_steps`` for the full steps, with the same
+    states, statuses and counts as the generic loop, which runs every
+    other field.
     """
     if len(y0) < 2:
         raise ValueError("state must have at least (z, p) components")
-    t0, t_end, h = cfg.t_start, cfg.t_end, cfg.h
+    t0, h = cfg.t_start, cfg.h
+    stops = _check_stops(stops, t0, cfg.t_end)
     y = tuple(float(v) for v in y0)
     rec = _Recorder(cfg.record, t0, y)
     bound = cfg.escape_bound
-    check_escape = math.isfinite(bound)
-
-    n_full = int(math.floor((t_end - t0) / h))
-    while t0 + (n_full + 1) * h <= t_end:
-        n_full += 1
-    while n_full > 0 and t0 + n_full * h > t_end:
-        n_full -= 1
+    form = getattr(field, "power_form", None)
 
     status = "completed"
     t = t0
     n_done = 0
-    form = getattr(field, "power_form", None)
     try:
-        if form is not None:
-            status, n_done, t, y = _rk4_power_steps(form, t0, y, h, n_full, rec, bound)
-        else:
-            for k in range(n_full):
-                t_next = t0 + (k + 1) * h
-                y = _rk4_step(field, t, y, h, t_next)
+        for stop in stops:
+            # the interval's full steps end at t0 + k*h, k <= n_full; rem is the shortened one
+            n_full = int(math.floor((stop - t0) / h))
+            while t0 + (n_full + 1) * h <= stop:
+                n_full += 1
+            while n_full > 0 and t0 + n_full * h > stop:
+                n_full -= 1
+            rem = stop - (t0 + n_full * h)
+            if form is not None:
+                status, n, t, y = _rk4_power_steps(form, t0, y, h, n_full, rec, bound)
+                n_done += n
+                steps = []
+            else:
+                steps = ((h, t0 + k * h) for k in range(1, n_full + 1))
+            if status == "completed" and rem > 0.0:
+                steps = itertools.chain(steps, [(rem, stop)])
+            for h_k, t_next in steps:
+                y = _rk4_step(field, t, y, h_k, t_next)
                 _check_state(y)
                 t = t_next
                 n_done += 1
                 rec.push(t, y)
-                if check_escape and _escaped(y, bound):
+                if _escaped(y, bound):
                     status = "escaped"
                     break
-        if status == "completed":
-            rem = t_end - (t0 + n_full * h)
-            if rem > 0.0:
-                y = _rk4_step(field, t, y, rem, t_end)
-                _check_state(y)
-                t = t_end
-                n_done += 1
-                rec.push(t, y)
-                if check_escape and _escaped(y, bound):
-                    status = "escaped"
+            if status != "completed":
+                break
+            if at_stop is not None:
+                at_stop(t, y)
+            t0 = stop
     except CoefficientSingularError:
         status = "coefficient_singular"
     return rec.build(status, n_accepted=n_done)
@@ -490,17 +507,11 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     if len(y0) < 2:
         raise ValueError("state must have at least (z, p) components")
     t0, t_end = cfg.t_start, cfg.t_end
-    if stops is None:
-        stops = (t_end,)
-    elif not (len(stops) and stops[-1] == t_end
-              and all(a < b for a, b in zip([t0, *stops], stops))):
-        raise ValueError(f"stops must ascend strictly from t_start={t0} to t_end={t_end}")
+    stops = _check_stops(stops, t0, t_end)
     rtol, atol = cfg.rtol, cfg.atol
     y = tuple(float(v) for v in y0)
     rec = _Recorder(cfg.record, t0, y)
     bound = cfg.escape_bound
-    check_escape = math.isfinite(bound)
-
     form = getattr(field, "power_form", None)
     if form is not None and len(y) == 2:
         attempt, stepped = _dp_power_attempt, form
@@ -536,7 +547,7 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
                         f"more than {budget} accepted steps before t_end={t_end}, at t={t}"
                     )
                 rec.push(t, y)
-                if check_escape and _escaped(y, bound):
+                if _escaped(y, bound):
                     status = "escaped"
                     break
                 if err == 0.0:
@@ -619,7 +630,6 @@ def integrate_lanes(field, y0, params, cfg: AdaptiveConfig) -> LaneRun:
     n, lanes = y.shape
     t_end, rtol, atol, h_min = cfg.t_end, cfg.rtol, cfg.atol, cfg.h_min
     bound = cfg.escape_bound
-    check_escape = math.isfinite(bound)
 
     t = np.full(lanes, cfg.t_start)
     h = np.full(lanes, min(cfg.h_init, t_end - cfg.t_start))
@@ -675,8 +685,7 @@ def integrate_lanes(field, y0, params, cfg: AdaptiveConfig) -> LaneRun:
 
             code = np.where(singular, _SINGULAR, 0)
             code[ok & last] = _COMPLETED
-            if check_escape:
-                code[ok & (np.abs(y_new) > bound).any(axis=0)] = _ESCAPED
+            code[ok & (np.abs(y_new) > bound).any(axis=0)] = _ESCAPED
             code[rejected & (h_new < h_min)] = _UNDERFLOW
 
     return LaneRun(
@@ -721,49 +730,30 @@ def sample_strobe(
     """States at t_k = k*t_step for k = 0..k_max, each hit exactly.
 
     Strobe times come from multiplication, never from repeated addition.
-    Without h, one adaptive run at (rtol, atol) marches through every
-    t_k as a stop of ``integrate_adaptive``, keeping its step size and
-    FSAL stage from one strobe interval to the next.  With h, each
-    interval is a fixed-step segment, so no step straddles a strobe
-    time.  On escape the result carries the points collected so far and
-    status "escaped"; the counts are the accepted and rejected steps.
-    k_max above _MAX_GRID_POINTS, or with h more than _MAX_FIXED_STEPS
-    steps in all, raises ValueError before any stop time is made.
+    One run marches through every t_k as a stop: adaptive at (rtol,
+    atol) without h, keeping its step size and FSAL stage from one strobe
+    interval to the next, and fixed-step with h, restarting the grid
+    t_k + j*h at each t_k so that no step straddles a strobe time.  On
+    escape the result carries the points collected so far and status
+    "escaped"; the counts are the accepted and rejected steps.  k_max
+    above _MAX_GRID_POINTS raises ValueError, and so does the run's
+    config (for h, more than _MAX_FIXED_STEPS steps in all), before any
+    stop time is made.
     """
     if t_step <= 0.0:
         raise ValueError(f"t_step must be positive, got {t_step}")
     if not 0 <= k_max <= _MAX_GRID_POINTS:
         raise ValueError(f"k_max must be in [0, {_MAX_GRID_POINTS}] (at most "
                          f"{_MAX_GRID_POINTS + 1} strobe points), got {k_max}")
-    # a zero, negative or NaN h is refused by FixedStepConfig below
-    if h is not None and h > 0.0 and not k_max * t_step / h <= _MAX_FIXED_STEPS:
-        raise ValueError(f"step size h={h} gives {k_max * t_step / h:.3g} steps over "
-                         f"{k_max} strobe intervals, more than {_MAX_FIXED_STEPS}")
     y = tuple(float(v) for v in y0)
     states = [State(0.0, y[0], y[1])]
     if k_max == 0:
         return StrobeResult(states=tuple(states), status="completed")
+    run_cfg = dict(t_end=k_max * t_step, escape_bound=escape_bound, record=False)
     if h is None:
-        stops = [k * t_step for k in range(1, k_max + 1)]
-        run = integrate_adaptive(
-            field, y, AdaptiveConfig(rtol=rtol, atol=atol, t_end=stops[-1],
-                                     escape_bound=escape_bound, record=False),
-            stops=stops, at_stop=lambda t, y: states.append(State(t, y[0], y[1])),
-        )
-        return StrobeResult(tuple(states), run.status, run.n_accepted, run.n_rejected)
-    status = "completed"
-    n_acc = 0
-    for k in range(1, k_max + 1):
-        ta = (k - 1) * t_step
-        tb = k * t_step
-        seg = integrate_fixed(
-            field, y, FixedStepConfig(h=h, t_start=ta, t_end=tb,
-                                      escape_bound=escape_bound, record=False)
-        )
-        n_acc += seg.n_accepted
-        y = tuple(float(v) for v in seg.ys[-1])
-        if seg.status != "completed":
-            status = seg.status
-            break
-        states.append(State(tb, y[0], y[1]))
-    return StrobeResult(tuple(states), status, n_acc)
+        integrate, cfg = integrate_adaptive, AdaptiveConfig(rtol=rtol, atol=atol, **run_cfg)
+    else:
+        integrate, cfg = integrate_fixed, FixedStepConfig(h=h, **run_cfg)
+    run = integrate(field, y, cfg, stops=[k * t_step for k in range(1, k_max + 1)],
+                    at_stop=lambda t, y: states.append(State(t, y[0], y[1])))
+    return StrobeResult(tuple(states), run.status, run.n_accepted, run.n_rejected)

@@ -170,10 +170,6 @@ class Trajectory:
         return int(self.ts.shape[0])
 
     @property
-    def t(self) -> np.ndarray:
-        return self.ts
-
-    @property
     def z(self) -> np.ndarray:
         return self.ys[:, 0]
 

@@ -52,19 +52,30 @@ def i0_of_z0(A: float, R: float, omega: float, z0: float) -> float:
     return w2 * (A - R) * z0 * z0 + (2.0 / 3.0) * (A + R) ** -1.5 * z0 * z0 * z0
 
 
+def _finite(name: str, value: float, A: float, R: float, omega: float) -> float:
+    """value, or ValueError naming the inputs when it is not finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not finite for A={A}, R={R}, omega={omega}")
+    return value
+
+
 def i0_crit(A: float, R: float, omega: float) -> float:
-    """Critical level where the bounded lobe of the cubic level set vanishes."""
+    """Level where the bounded lobe of the cubic level set vanishes; finite or ValueError."""
     _check_amplitudes(A, R, omega)
     w6 = omega * omega * omega
     w6 *= w6
     aa_rr = A * A - R * R
-    return (w6 * aa_rr * aa_rr * aa_rr) / 3.0
+    return _finite("i0_crit", (w6 * aa_rr * aa_rr * aa_rr) / 3.0, A, R, omega)
 
 
 def z_crit(A: float, R: float, omega: float) -> float:
-    """Largest initial amplitude (p0 = 0) with a bounded level set."""
+    """Largest initial amplitude (p0 = 0) with a bounded level set; finite or ValueError."""
     _check_amplitudes(A, R, omega)
-    return 0.5 * omega * omega * (A - R) * (A + R) ** 1.5
+    try:
+        zc = 0.5 * omega * omega * (A - R) * (A + R) ** 1.5
+    except OverflowError:
+        zc = math.inf
+    return _finite("z_crit", zc, A, R, omega)
 
 
 def _require_m2_trig(spec: OscillatorSpec) -> None:

@@ -1,9 +1,11 @@
-"""The names and flags of osclab that the benchmark under bench/ relies on.
+"""The names, flags and gates of osclab that the benchmark under bench/ relies on.
 
 The benchmark builds its jobs from the checkout it runs in, so a change
 to osclab that drops a traced function, an import of the
-microbenchmarks or a flag of a job would only show when the benchmark
-runs.  These checks read bench/ without running it.
+microbenchmarks or a flag of a job, or that breaks a job's correctness
+gate, would only show when the benchmark runs.  These checks read
+bench/ without editing it; the last one runs each job at its small
+size in-process and applies the job's own gate.
 """
 
 import importlib
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from osclab.cli import build_parser
+from osclab.cli import build_parser, main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -45,3 +47,11 @@ def test_job_flags_parse(tmp_path, workload):
     for argv in (job.argv, job.trace_argv):
         args = parser.parse_args([*argv, "--out", str(tmp_path / "out")])
         assert args.command == argv[0]
+
+
+@pytest.mark.parametrize("workload", sorted(_load("workloads").WORKLOADS))
+def test_small_job_passes_its_gate(tmp_path, workload):
+    job = _load("workloads").WORKLOADS[workload](7, tmp_path, True, 2)
+    out = tmp_path / "out"
+    assert main([*job.argv, "--out", str(out)]) == 0
+    job.check(out)

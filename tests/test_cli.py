@@ -167,8 +167,8 @@ def test_single_system_summary_counts_steps(tmp_path, command):
     ("1000002", "error: k_max must be in [0, 1000000] (at most 1000001 strobe points), "
                 "got 1000001"),
     # fig2 sets h = 1e-3: 10^6 strobe intervals of pi are about 3.1e9 RK4 steps
-    ("1000001", "error: step size h=0.001 gives 3.14e+09 steps over 1000000 strobe "
-                "intervals, more than 100000000"),
+    ("1000001", "error: step size h=0.001 gives 3.14e+09 steps over [0.0, 3141592.653589793], "
+                "more than 100000000"),
 ], ids=["k_max", "fixed_steps"])
 def test_poincare_refuses_strobe_it_cannot_finish(tmp_path, capsys, points, message):
     start = time.perf_counter()
@@ -362,6 +362,54 @@ def test_huge_exponent_is_refused_at_once(tmp_path, capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == ("error: malformed oscillator spec: "
                                        "m must be an integer in [2, 100], got 1000000000\n")
+
+
+@pytest.mark.parametrize("omegas", ["0:1e308:1e-300", "1:2:1e-6"],
+                         ids=["infinite", "one_past_the_cap"])
+def test_omega_grid_past_the_cap_is_refused_at_once(tmp_path, capsys, omegas):
+    start = time.perf_counter()
+    assert run(["stability-scan", "--preset", "fig3", "--omegas", omegas, "--dz0", "0.1",
+                "--tmax", "1", "--out", str(tmp_path / "x")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == f"error: --omegas {omegas!r} gives more than 1000000 omegas\n"
+    assert not (tmp_path / "x").exists()
+    assert len(_parse_omegas("0:999999:1")) == 10**6  # the cap itself is allowed
+
+
+@pytest.mark.parametrize("argv,message", [
+    # (A + R) ** 1.5 raises OverflowError
+    (["crit", "--A", "1e300", "--B", "0", "--omega", "1e300"],
+     "z_crit is not finite for A=1e+300, R=0.0, omega=1e+300"),
+    # the product is inf without raising
+    (["crit", "--A", "1e200", "--B", "0", "--omega", "1e100"],
+     "z_crit is not finite for A=1e+200, R=0.0, omega=1e+100"),
+    (["crit", "--A", "1e100", "--B", "0", "--omega", "1e10"],
+     "i0_crit is not finite for A=1e+100, R=0.0, omega=10000000000.0"),
+    (["stability-scan", "--spec", "spec.json", "--omegas", "1:1:1", "--dz0", "0.1",
+      "--tmax", "1"], "z_crit is not finite for A=1e+300, R=0.9, omega=1.0"),
+], ids=["crit_raises", "crit_inf", "crit_i0", "stability-scan"])
+def test_closed_form_past_the_float_range_exits_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps({"omega": 1.0, "m": 2,
+                                                    "g": {**_TRIG, "A": 1e300}}))
+    assert run(argv + ["--out", "x"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (f"error: {message}\n", "")
+    assert not (tmp_path / "x").exists()
+
+
+def test_g_past_the_float_range_is_a_numerical_failure(tmp_path, capsys):
+    # alpha2 falls to 1e-7 at t = pi/2; within 7e-4 of it alpha2 ** -51.5 overflows
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"omega": 1.0, "m": 100, "g": {**_TRIG, "A": 1.0,
+                                                               "B": 0.9999999}}))
+    out = tmp_path / "out"
+    assert run(["simulate", "--spec", str(spec), "--tmax", "3", "--z0", "0.01",
+                "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1 and captured.err == ""
+    assert captured.out.startswith("numerical failure [overflow]: ")
+    assert json.loads((out / "summary.json").read_text())["error"] == "overflow"
 
 
 @pytest.mark.parametrize("argv,out", [
@@ -694,6 +742,11 @@ _FUZZ_ARGS = [
     ["stability-scan", "--preset", "fig3", "--omegas", "1:1", "--tmax", "1"],
     ["stability-scan", "--preset", "fig3", "--omegas", "1:1:1", "--tmax", "1",
      "--workers", "0"],
+    ["stability-scan", "--preset", "fig3", "--omegas", "0:1e308:1e-300", "--dz0", "0.1",
+     "--tmax", "1"],
+    ["stability-scan", "--preset", "fig3", "--omegas", "1:2:1e-6", "--dz0", "0.1", "--tmax", "1"],
+    ["crit", "--A", "1e300", "--B", "0", "--omega", "1e300"],
+    ["crit", "--A", "1e200", "--B", "0", "--omega", "1e100"],
     ["family", "--spec", "fp.json", "--tmax", "0"],
     ["family", "--spec", "fp.json", "--tmax", "-1"],
     ["family", "--spec", "missing.json", "--tmax", "1"],

@@ -353,6 +353,8 @@ def test_adaptive_rejects_bad_stops(stops):
     with pytest.raises(ValueError, match="stops"):
         integrate_adaptive(harmonic, (1.0, 0.0), AdaptiveConfig(rtol=1e-10, t_end=1.0),
                            stops=stops)
+    with pytest.raises(ValueError, match="stops"):
+        integrate_fixed(harmonic, (1.0, 0.0), FixedStepConfig(h=1e-3, t_end=1.0), stops=stops)
 
 
 def test_march_lands_on_every_stop_and_keeps_its_step():
@@ -690,6 +692,111 @@ def test_fused_fixed_step_matches_generic_loop_on_a_sampled_field(record, t_end,
     assert traj.n_accepted > 4096  # past the first chunk
     if want == "coefficient_singular":
         assert traj.ts[-1] <= knots[-1] < traj.ts[-1] + 1e-3
+
+
+def _per_interval_runs(field, y0, cfg, stops):
+    """Reference for a fixed-step march: one recorded run per interval between stops.
+
+    Returns the stitched (ts, ys, status, accepted steps) and the (t, y)
+    of each stop reached without escaping.
+    """
+    t0, y = cfg.t_start, tuple(y0)
+    ts, ys, seen, n_acc = [t0], [y], [], 0
+    for stop in stops:
+        seg = integrate_fixed(field, y, FixedStepConfig(h=cfg.h, t_start=t0, t_end=stop,
+                                                        escape_bound=cfg.escape_bound))
+        ts += seg.ts[1:].tolist()
+        ys += [tuple(row) for row in seg.ys[1:].tolist()]
+        n_acc += seg.n_accepted
+        y = ys[-1]
+        if seg.status != "completed":
+            return (ts, ys, seg.status, n_acc), seen
+        seen.append((stop, y))
+        t0 = stop
+    return (ts, ys, "completed", n_acc), seen
+
+
+_KNOTS = tuple(0.1 * k for k in range(60))
+_SAMPLED = OscillatorSpec(1.0, 2, Sampled(_KNOTS, tuple(0.2 + 0.1 * math.cos(t) for t in _KNOTS)))
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["record", "endpoints"])
+@pytest.mark.parametrize("wrap", [False, True], ids=["fused", "generic"])
+@pytest.mark.parametrize("spec,y0,h,t_start,stops,escape,want", [
+    # h = 7e-4 divides no interval of pi: every interval ends on a shortened step,
+    # and its 4488 full steps cross a fused chunk boundary
+    (trig_spec(1.3, 0.9, 0.0, 1.0), (0.1, 0.0), 7e-4, 0.0,
+     [k * math.pi for k in range(1, 5)], math.inf, "completed"),
+    # h = 0.125 divides every interval: no shortened step
+    (trig_spec(1.3, 0.9, 0.2, 1.0, 3), (0.3, 0.1), 0.125, -1.5,
+     [-1.0, 0.5, 1.0, 3.0], math.inf, "completed"),
+    # escapes at t = 5.14, inside the third strobe interval [4.49, 6.73]
+    (trig_spec(1.3, 0.9, 0.0, 1.4), (1.4, 0.0), 1e-3, 0.0,
+     [k * math.pi / 1.4 for k in range(1, 7)], 50.0, "escaped"),
+    # knots up to t = 5.9: singular inside the interval [4.5, 6.0]
+    (_SAMPLED, (0.3, 0.0), 1e-3, 0.0, [1.5, 3.0, 4.5, 6.0, 7.5], math.inf,
+     "coefficient_singular"),
+], ids=["completes", "h_divides", "escapes", "singular"])
+def test_fixed_march_matches_per_interval_runs(spec, y0, h, t_start, stops, escape, want,
+                                               wrap, record):
+    fused = make_field(spec)
+    field = (lambda t, y: fused(t, y)) if wrap else fused
+    cfg = FixedStepConfig(h=h, t_start=t_start, t_end=stops[-1], escape_bound=escape,
+                          record=record)
+    seen = []
+    got = integrate_fixed(field, y0, cfg, stops=stops, at_stop=lambda t, y: seen.append((t, y)))
+    (ts, ys, status, n_acc), ref_seen = _per_interval_runs(field, y0, cfg, stops)
+    rows = slice(None) if record else [0, -1]
+    assert got.ts.tolist() == np.array(ts)[rows].tolist()
+    assert np.array_equal(got.ys, np.array(ys)[rows])
+    assert (got.status, got.n_accepted, got.n_rejected) == (status, n_acc, 0)
+    assert seen == ref_seen
+    assert got.status == want
+    if want != "completed":
+        assert got.ts[-1] not in stops  # the run ended inside an interval
+        assert len(seen) < len(stops)
+
+
+@pytest.mark.parametrize("wrap", [False, True], ids=["fused", "generic"])
+def test_fixed_march_ends_where_at_stop_raises(wrap):
+    fused = make_field(trig_spec(1.3, 0.9, 0.0, 1.0))
+    field = (lambda t, y: fused(t, y)) if wrap else fused
+    stops = [k * math.pi for k in range(1, 6)]
+    cfg = FixedStepConfig(h=7e-4, t_end=stops[-1])
+    seen = []
+
+    def at_stop(t, y):
+        seen.append((t, y))
+        if len(seen) == 3:
+            raise RuntimeError("enough")
+
+    with pytest.raises(RuntimeError, match="enough"):
+        integrate_fixed(field, (0.1, 0.0), cfg, stops=stops, at_stop=at_stop)
+    assert seen == _per_interval_runs(field, (0.1, 0.0), cfg, stops[:3])[1]
+
+
+@pytest.mark.parametrize("h", [None, 7e-4])
+def test_strobe_is_one_run_through_its_stops(monkeypatch, h):
+    calls = []
+
+    def counted(run):
+        def wrapper(*args, **kwargs):
+            calls.append(run.__name__)
+            return run(*args, **kwargs)
+        return wrapper
+
+    for run in (integrate.integrate_fixed, integrate.integrate_adaptive):
+        monkeypatch.setattr(integrate, run.__name__, counted(run))
+    field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0))
+    res = sample_strobe(field, (0.1, 0.0), math.pi, 5, h=h)
+    assert calls == ["integrate_adaptive" if h is None else "integrate_fixed"]
+    assert res.status == "completed"
+    if h is not None:  # the strobe points are those of one run per strobe interval
+        cfg = FixedStepConfig(h=h, t_end=5 * math.pi)
+        (_, _, _, n_acc), seen = _per_interval_runs(field, (0.1, 0.0), cfg,
+                                                    [k * math.pi for k in range(1, 6)])
+        assert [(s.t, (s.z, s.p)) for s in res.states[1:]] == seen
+        assert res.n_accepted == n_acc
 
 
 def _fused_march_matches_generic(field, y0, cfg):

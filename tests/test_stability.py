@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,18 @@ def test_amplitude_validation():
     for A, R, omega in ((math.inf, 0.9, 1.0), (1.3, 0.9, math.inf), (1.3, 0.9, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             z_crit(A, R, omega)
+
+
+@pytest.mark.parametrize("closed_form,A,R,omega", [
+    (z_crit, 1e300, 0.0, 1e300),  # (A + R) ** 1.5 raises OverflowError
+    (z_crit, 1e200, 0.0, 1e100),  # the product rounds to inf
+    (i0_crit, 1e100, 0.0, 1e10),
+    (i0_crit, 1e300, 1e299, 1.0),  # A * A - R * R is inf - inf
+])
+def test_closed_forms_refuse_a_result_past_the_float_range(closed_form, A, R, omega):
+    message = f"not finite for A={A}, R={R}, omega={omega}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        closed_form(A, R, omega)
 
 
 def test_bounded_both_sides_of_threshold():

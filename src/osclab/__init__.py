@@ -17,7 +17,6 @@ from .errors import (
     StepUnderflowError,
     UnstableHillError,
     UnsupportedSourceError,
-    ZeroReferenceError,
 )
 from .family import FiveParamSpec, integrate_family
 from .integrate import (
@@ -54,7 +53,6 @@ __all__ = [
     "TrigAlpha",
     "UnstableHillError",
     "UnsupportedSourceError",
-    "ZeroReferenceError",
     "bounded",
     "build_coeffs",
     "curve_loop",

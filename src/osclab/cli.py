@@ -37,7 +37,7 @@ from . import normalform as nf_mod
 from . import poincare as poincare_mod
 from . import spline
 from . import stability as stability_mod
-from .errors import ConfigError, OscLabError, ZeroReferenceError
+from .errors import ConfigError, OscLabError
 from .integrate import (_MAX_GRID_POINTS, AdaptiveConfig, FixedStepConfig, integrate_adaptive,
                         integrate_fixed, sample_strobe)
 from .model import MAX_M, State, make_field, spec_from_json, trig_spec
@@ -200,13 +200,10 @@ def cmd_simulate(args) -> Record:
 
 def cmd_drift(args) -> Record:
     spec, params = _resolve_oscillator(args)
-    coeffs = invariant_mod.build_coeffs(spec)
+    invariant_mod.build_coeffs(spec)  # a system without an invariant is refused before the run
     traj, y0, stats = _run_oscillator(spec, params)
-    try:
-        report = invariant_mod.drift(traj, coeffs)
-    except ZeroReferenceError:
-        report = invariant_mod.drift_absolute(traj, coeffs)
-    i0 = invariant_mod.eval_invariant(coeffs, State(0.0, y0[0], y0[1]))
+    report = invariant_mod.drift(traj, spec)
+    i0 = invariant_mod.eval_invariant(spec, State(0.0, y0[0], y0[1]))
     summary = {
         "status": traj.status,
         "mode": report.mode,
@@ -231,8 +228,7 @@ def cmd_poincare(args) -> Record:
     n_points = int(params.get("points", 190))
     if n_points < 1:
         raise ConfigError(f"need at least one strobe point, got {n_points}")
-    coeffs = invariant_mod.build_coeffs(spec)
-    i0 = invariant_mod.eval_invariant(coeffs, State(0.0, z0, p0))
+    i0 = invariant_mod.eval_invariant(invariant_mod.build_coeffs(spec), State(0.0, z0, p0))
     curve = poincare_mod.section_curve(spec, i0)
 
     field = make_field(spec)

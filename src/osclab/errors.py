@@ -48,12 +48,6 @@ class UnsupportedSourceError(ConfigError):
     name = "unsupported_source"
 
 
-class ZeroReferenceError(OscLabError):
-    """Relative drift is undefined because the initial invariant is zero."""
-
-    name = "zero_reference"
-
-
 class UnstableHillError(OscLabError):
     """The one-period transfer matrix has |trace| >= 2 (no stable envelope)."""
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoefficientSingularError, ZeroReferenceError
+from .errors import CoefficientSingularError
 from .integrate import AdaptiveConfig, integrate_adaptive
-from .invariant import build_coeffs, drift, drift_absolute
+from .invariant import build_coeffs, drift
 from .model import EPS_POS, OscillatorSpec, TrigAlpha, json_number, json_numbers
 
 
@@ -160,7 +160,7 @@ def integrate_family(
 
     Returns (Trajectory, DriftReport).  The invariant uses the alpha2
     columns carried in the state.  When the initial invariant is exactly
-    zero (for example z0 = p0 = 0) the drift falls back to absolute
+    zero (for example z0 = p0 = 0) ``drift`` reports the absolute
     deviation, flagged by report.mode.
     """
     field = make_augmented_field(fp)
@@ -168,9 +168,4 @@ def integrate_family(
     cfg = AdaptiveConfig(rtol=rtol, atol=atol, t_end=t_end, escape_bound=escape_bound)
     traj = integrate_adaptive(field, y0, cfg)
     spec = OscillatorSpec(omega=fp.omega, m=2, g_source=fp)
-    coeffs = build_coeffs(spec)
-    try:
-        report = drift(traj, coeffs)
-    except ZeroReferenceError:
-        report = drift_absolute(traj, coeffs)
-    return traj, report
+    return traj, drift(traj, build_coeffs(spec))

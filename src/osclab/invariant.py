@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedSourceError, ZeroReferenceError
+from . import family  # imports this module in turn; osclab/__init__ loads family first
+from .errors import UnsupportedSourceError
 from .model import (
     OscillatorSpec,
     Sampled,
@@ -42,31 +43,26 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class InvariantCoeffs:
-    """Coefficient bundle; functions are derived on evaluation, not stored."""
+def build_coeffs(spec: OscillatorSpec) -> OscillatorSpec:
+    """The spec itself, once it is known to carry an invariant.
 
-    spec: OscillatorSpec
-
-
-def build_coeffs(spec: OscillatorSpec) -> InvariantCoeffs:
+    The functions below take a spec that passed this check.
+    """
     src = spec.g_source
     if isinstance(src, TrigAlpha):
-        return InvariantCoeffs(spec=spec)
+        return spec
     if isinstance(src, Sampled):
         raise UnsupportedSourceError("a sampled g(t) carries no known invariant")
-    from .family import FiveParamSpec
-
-    if isinstance(src, FiveParamSpec):
+    if isinstance(src, family.FiveParamSpec):
         if spec.m != 2:
             raise UnsupportedSourceError(
                 f"the five-parameter coefficient family exists only for m=2, got m={spec.m}"
             )
-        return InvariantCoeffs(spec=spec)
+        return spec
     raise UnsupportedSourceError(f"unknown g source {type(src).__name__}")
 
 
-def _coeffs(c: InvariantCoeffs, t, ys=None):
+def _coeffs(spec: OscillatorSpec, t, ys=None):
     """(a2, d1, d2, al1, al1p, g) at t, a float or an array of times.
 
     The only source of the invariant's coefficients.  Trig sources use
@@ -74,28 +70,26 @@ def _coeffs(c: InvariantCoeffs, t, ys=None):
     derivatives from columns 2..4 of the states ys when they are given
     (one row per time), and integrates them with alpha2_at otherwise.
     """
-    src = c.spec.g_source
+    src = spec.g_source
     if isinstance(src, TrigAlpha):
         a2, d1, d2, _ = trig_alpha2_eval(src, t)
         al1 = al1p = 0.0
     else:
-        from .family import alpha1_eval, alpha2_at
-
         if ys is None:
-            a2, d1, d2 = alpha2_at(src, t)
+            a2, d1, d2 = family.alpha2_at(src, t)
         elif ys.shape[1] < 5:
             raise ValueError("five-parameter invariant needs the augmented (5-column) state")
         else:
             a2, d1, d2 = ys[:, 2], ys[:, 3], ys[:, 4]
-        al1, al1p = alpha1_eval(src, t)
-    return (a2, d1, d2, al1, al1p, a2 ** g_exponent(c.spec.m))
+        al1, al1p = family.alpha1_eval(src, t)
+    return (a2, d1, d2, al1, al1p, a2 ** g_exponent(spec.m))
 
 
-def _invariant(c: InvariantCoeffs, t, z, p, ys=None):
+def _invariant(spec: OscillatorSpec, t, z, p, ys=None):
     """I at (z, p, t), for floats or for arrays of equal length alike."""
-    m = c.spec.m
-    w2 = c.spec.omega * c.spec.omega
-    a2, d1, d2, al1, al1p, g = _coeffs(c, t, ys)
+    m = spec.m
+    w2 = spec.omega * spec.omega
+    a2, d1, d2, al1, al1p, g = _coeffs(spec, t, ys)
     return (
         a2 * p * p
         + (al1 - d1 * z) * p
@@ -105,17 +99,17 @@ def _invariant(c: InvariantCoeffs, t, z, p, ys=None):
     )
 
 
-def eval_invariant(c: InvariantCoeffs, s: State) -> float:
-    return _invariant(c, s.t, s.z, s.p)
+def eval_invariant(spec: OscillatorSpec, s: State) -> float:
+    return _invariant(spec, s.t, s.z, s.p)
 
 
-def invariant_series(c: InvariantCoeffs, traj: Trajectory) -> np.ndarray:
+def invariant_series(spec: OscillatorSpec, traj: Trajectory) -> np.ndarray:
     """I(t) along a whole trajectory, vectorized.
 
     A five-parameter source requires the augmented trajectory, whose
     columns 2..4 carry alpha2 and its two derivatives.
     """
-    return _invariant(c, traj.ts, traj.z, traj.p, traj.ys)
+    return _invariant(spec, traj.ts, traj.z, traj.p, traj.ys)
 
 
 @dataclass(frozen=True)
@@ -133,37 +127,38 @@ class DriftReport:
     series: np.ndarray
 
 
-def drift(traj: Trajectory, c: InvariantCoeffs) -> DriftReport:
-    series = invariant_series(c, traj)
+def drift(traj: Trajectory, spec: OscillatorSpec) -> DriftReport:
+    """The relative report, or the absolute one when |I0| < 1e-300 (say, at rest)."""
+    series = invariant_series(spec, traj)
     i0 = float(series[0])
     if abs(i0) < 1e-300:
-        raise ZeroReferenceError(f"initial invariant {i0} too small for relative drift")
+        return _absolute(traj, series)
     rel = series / i0 - 1.0
     return DriftReport(mode="relative", max_rel=float(np.max(np.abs(rel))), ts=traj.ts, series=rel)
 
 
-def drift_absolute(traj: Trajectory, c: InvariantCoeffs) -> DriftReport:
-    series = invariant_series(c, traj)
+def drift_absolute(traj: Trajectory, spec: OscillatorSpec) -> DriftReport:
+    return _absolute(traj, invariant_series(spec, traj))
+
+
+def _absolute(traj: Trajectory, series: np.ndarray) -> DriftReport:
     dev = series - float(series[0])
     return DriftReport(mode="absolute", max_rel=float(np.max(np.abs(dev))), ts=traj.ts, series=dev)
 
 
-def _parts(c: InvariantCoeffs, t: float):
+def _parts(spec: OscillatorSpec, t: float):
     """(a2, d1, d2, d3, al1, al1p, al1pp, g, gp) at one time t.
 
     d3 comes from the definition of each family: the trig closed form,
     or the five-parameter field the integrator runs.  So the residuals
     cancel identically only if that definition is consistent.
     """
-    spec = c.spec
     src = spec.g_source
-    a2, d1, d2, al1, al1p, g = _coeffs(c, t)
+    a2, d1, d2, al1, al1p, g = _coeffs(spec, t)
     if isinstance(src, TrigAlpha):
         d3 = trig_alpha2_eval(src, t)[3]
     else:
-        from .family import make_augmented_field
-
-        d3 = make_augmented_field(src)(t, (0.0, 0.0, a2, d1, d2))[4]
+        d3 = family.make_augmented_field(src)(t, (0.0, 0.0, a2, d1, d2))[4]
     ex = g_exponent(spec.m)
     gp = ex * a2 ** (ex - 1.0) * d1
     return (a2, d1, d2, d3, al1, al1p, -(spec.omega * spec.omega) * al1, g, gp)
@@ -199,13 +194,12 @@ def _residuals(m, omega, z, a2, d1, d2, d3, al1, al1p, al1pp, g, gp):
     return (r_t, r_mixed, r_shear, r_p3)
 
 
-def pde_residual(c: InvariantCoeffs, z: float, t: float):
+def pde_residual(spec: OscillatorSpec, z: float, t: float):
     """Residuals of the four defining relations at one point (z, t).
 
     All four vanish up to roundoff for a correctly constructed
     invariant; their weighted sum r_t + r_mixed p + r_shear p^2 + r_p3 p^3
     is the total time derivative of I along the flow.
     """
-    spec = c.spec
-    a2, d1, d2, d3, al1, al1p, al1pp, g, gp = _parts(c, t)
+    a2, d1, d2, d3, al1, al1p, al1pp, g, gp = _parts(spec, t)
     return _residuals(spec.m, spec.omega, z, a2, d1, d2, d3, al1, al1p, al1pp, g, gp)

@@ -202,7 +202,8 @@ class NormalFormResult:
     Grids: phase_grid is Phi sampled on t_grid; envelope_grid is w on
     t_grid; g_nf_grid is the reduced coefficient on the uniform s_grid
     over [0, 2 pi].  ``forward``/``inverse`` map states between the two
-    charts within one period (t in [0, T], s in [0, 2 pi]).
+    charts within one period (t in [0, T], s in [0, 2 pi]); they use the
+    splines of w(t) and t(Phi) that ``reduce`` built for g_nf_grid.
     """
 
     omega_nf: float
@@ -215,10 +216,8 @@ class NormalFormResult:
     g_nf_grid: np.ndarray
     mono: MonodromyResult
     env: EnvelopeResult
-
-    @cached_property
-    def _w_spl(self):
-        return spline.not_a_knot(self.t_grid, self.envelope_grid)
+    _w_spl: spline.Piecewise
+    _t_of_phi: spline.Piecewise
 
     @cached_property
     def _wp_spl(self):
@@ -227,12 +226,6 @@ class NormalFormResult:
     @cached_property
     def _phi_spl(self):
         return spline.not_a_knot(self.t_grid, self.phase_grid)
-
-    @cached_property
-    def _t_of_phi(self):
-        # Phi is strictly increasing, so the monotone interpolant of the
-        # swapped grid inverts it without overshoot
-        return spline.pchip(self.phase_grid, self.t_grid)
 
     def forward(self, z: float, zp: float, t: float):
         """(z, z', t) -> (y, dy/ds, s)."""
@@ -267,6 +260,8 @@ def reduce(h: HillSpec, g: Callable, m: int, n_grid: int = 2001,
     env = cs_envelope(h, mono, n_grid=n_grid, rtol=rtol, atol=atol)
     omega_nf = env.phi_T / (2.0 * math.pi)
 
+    # Phi is strictly increasing, so the monotone interpolant of the
+    # swapped grid inverts it without overshoot
     t_of_phi = spline.pchip(env.phi, env.ts)
     w_spl = spline.not_a_knot(env.ts, env.w)
 
@@ -289,6 +284,8 @@ def reduce(h: HillSpec, g: Callable, m: int, n_grid: int = 2001,
         g_nf_grid=g_nf,
         mono=mono,
         env=env,
+        _w_spl=w_spl,
+        _t_of_phi=t_of_phi,
     )
 
 

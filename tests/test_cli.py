@@ -477,6 +477,20 @@ def test_family_run(tmp_path):
                                 "rejected": traj.n_rejected}
 
 
+@pytest.mark.parametrize("argv", [
+    ["drift", "--preset", "fig1", "--z0", "0", "--tmax", "5"],
+    ["family", "--spec", "fp.json", "--z0", "0", "--p0", "0", "--tmax", "5"],
+], ids=["drift", "family"])
+def test_zero_amplitude_drift_is_absolute(tmp_path, monkeypatch, argv):
+    # the rest state has I0 = 0, so the drift is I - I0, and the rest state keeps it at 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fp.json").write_text(_FP_SPEC)
+    assert run([*argv, "--out", "out"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["mode"] == "absolute"
+    assert summary["max_rel_drift"] == 0.0
+
+
 def _write_hill_csv(path, f, g, T, n=121):
     rows = ["t,f,g"]
     for k in range(n):
@@ -547,6 +561,10 @@ def test_reduce_refuses_an_exponent_above_the_cap(tmp_path, capsys):
     assert captured.out == "error: m must be an integer in [2, 100], got 1000000000\n"
     assert captured.err == ""
     assert not (tmp_path / "x").exists()
+
+
+def test_every_public_name_resolves():
+    assert [name for name in osclab.__all__ if not hasattr(osclab, name)] == []
 
 
 def test_reduce_runs_without_importing_scipy(tmp_path):

@@ -4,11 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from osclab.errors import UnsupportedSourceError, ZeroReferenceError
+from osclab.errors import UnsupportedSourceError
 from osclab.family import FiveParamSpec, integrate_family
 from osclab.integrate import AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed
 from osclab.invariant import (
-    InvariantCoeffs,
     _parts,
     _residuals,
     build_coeffs,
@@ -144,16 +143,15 @@ def test_invariant_is_conserved_on_random_bounded_trig_systems(m):
         assert report.max_rel <= 1e-7, (m, A, R, phase, omega, z0, report.max_rel)
 
 
-def test_drift_rejects_zero_reference():
+def test_drift_is_absolute_at_zero_reference():
     spec = trig_spec(1.3, 0.9, 0.0, 1.0, 2)
     c = build_coeffs(spec)
     traj = integrate_fixed(make_field(spec), (0.0, 0.0),
                            FixedStepConfig(h=1e-2, t_end=1.0))
-    with pytest.raises(ZeroReferenceError):
-        drift(traj, c)
-    rep = drift_absolute(traj, c)
+    rep = drift(traj, c)
     assert rep.mode == "absolute"
     assert rep.max_rel == 0.0  # the zero solution conserves exactly
+    np.testing.assert_array_equal(rep.series, drift_absolute(traj, c).series)
 
 
 def test_quadratic_coefficient_is_alpha2():
@@ -182,6 +180,6 @@ def test_alpha1_enters_linear_coefficient():
 
 def test_invariant_coeffs_requires_known_source():
     spec = trig_spec(1.3, 0.9, 0.0, 1.0, 2)
-    c = InvariantCoeffs(spec=spec)
+    c = build_coeffs(spec)
     # the additive constant is fixed at zero: I vanishes at z = p = 0
     assert eval_invariant(c, State(0.7, 0.0, 0.0)) == 0.0

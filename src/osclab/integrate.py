@@ -5,18 +5,21 @@ components 0 and 1 being z and p):
 
 * ``integrate_fixed`` -- the classical 4th-order method with constant step.
 * ``integrate_adaptive`` -- the Dormand-Prince embedded 5(4) pair with
-  standard error-per-step control.  A (z, p) field that carries a
-  ``model.PowerForm`` (every field of ``model.make_field``) takes a fused
-  trial step with the field and the error norm inlined, bit-identical
-  to the generic ``_dp_attempt`` that every other field takes.
+  standard error-per-step control.
 * ``integrate_lanes`` -- the same Dormand-Prince pair over many
   independent problems at once, as numpy lanes that step in lock-step,
   each with its own step control (Hairer, Norsett & Wanner, Solving ODEs
   I, section II.4).
 
-The two scalar integrators march through any number of stop times in
-one run (``_check_stops``): a step that would pass the next stop is
-shortened to land on it exactly, and the run carries on from there.
+The two scalar integrators share one start (``_start``) and march
+through any number of stop times in one run (``_check_stops``): a step
+that would pass the next stop is shortened to land on it exactly, and
+the run carries on from there.  A field that carries a
+``model.PowerForm`` (every field of ``model.make_field``) with a (z, p)
+state takes the fused path of either integrator, with the field (and
+the error norm) inlined, bit-identical to the generic path that every
+other field or state takes.  A nonfinite initial state raises
+NonfiniteStateError before the first step.
 
 Escape past a caller-supplied bound is an expected outcome in stability
 scans, so it is reported as a trajectory status, never as an exception.
@@ -205,6 +208,24 @@ def _check_state(y):
     # a finite-component sum can still overflow; that case falls through
 
 
+def _start(field, y0, cfg, stops):
+    """The start that both scalar integrators share: (stops, y, recorder, form).
+
+    Refuses a state of fewer than two components, bad stops
+    (``_check_stops``) and a nonfinite initial state.  form is the
+    field's ``model.PowerForm`` for a (z, p) state, and None for any
+    other field or state: the integrator then takes its generic path.
+    """
+    if len(y0) < 2:
+        raise ValueError("state must have at least (z, p) components")
+    stops = _check_stops(stops, cfg.t_start, cfg.t_end)
+    y = tuple(float(v) for v in y0)
+    _check_state(y)
+    rec = _Recorder(cfg.record, cfg.t_start, y)
+    form = getattr(field, "power_form", None) if len(y) == 2 else None
+    return stops, y, rec, form
+
+
 def _escaped(y, bound):
     for v in y:
         if abs(v) > bound:
@@ -321,20 +342,13 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None) -
     From t_start and from each stop the step times are that time + k*h
     (multiplication, not accumulation), and a shortened step lands
     exactly on the next stop when h does not divide the interval, so
-    each interval runs exactly as a run of its own would.  A field that
-    carries a ``power_form`` (every field of ``model.make_field``) takes
-    the fused ``_rk4_power_steps`` for the full steps, with the same
-    states, statuses and counts as the generic loop, which runs every
-    other field.
+    each interval runs exactly as a run of its own would.  The fused
+    path (see the module docstring) runs the full steps through
+    ``_rk4_power_steps``.
     """
-    if len(y0) < 2:
-        raise ValueError("state must have at least (z, p) components")
+    stops, y, rec, form = _start(field, y0, cfg, stops)
     t0, h = cfg.t_start, cfg.h
-    stops = _check_stops(stops, t0, cfg.t_end)
-    y = tuple(float(v) for v in y0)
-    rec = _Recorder(cfg.record, t0, y)
     bound = cfg.escape_bound
-    form = getattr(field, "power_form", None)
 
     status = "completed"
     t = t0
@@ -490,10 +504,9 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     0.9*err^(-1/5) is clamped to [0.2, 5].  A trial step with nonfinite
     result is treated as rejected.  StepUnderflowError signals that the
     controller was forced below h_min on a rejection, and StepBudgetError
-    that the run took more than _MAX_FIXED_STEPS accepted steps.  A (z, p)
-    field with a ``power_form`` takes the fused ``_dp_power_attempt``, with
-    the same states, statuses and counts as ``_dp_checked_attempt``, which
-    runs every other field.
+    that the run took more than _MAX_FIXED_STEPS accepted steps.  The
+    fused path (see the module docstring) tries each step with
+    ``_dp_power_attempt``, the generic one with ``_dp_checked_attempt``.
 
     ``stops`` (default: t_end alone) are strictly ascending times in
     (t_start, t_end], the last one t_end.  A step that would pass the
@@ -504,19 +517,14 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     controller ramp up again.  ``at_stop(t, y)`` is called at each stop
     reached without escaping; an exception it raises ends the run.
     """
-    if len(y0) < 2:
-        raise ValueError("state must have at least (z, p) components")
-    t0, t_end = cfg.t_start, cfg.t_end
-    stops = _check_stops(stops, t0, t_end)
-    rtol, atol = cfg.rtol, cfg.atol
-    y = tuple(float(v) for v in y0)
-    rec = _Recorder(cfg.record, t0, y)
-    bound = cfg.escape_bound
-    form = getattr(field, "power_form", None)
-    if form is not None and len(y) == 2:
+    stops, y, rec, form = _start(field, y0, cfg, stops)
+    if form is not None:
         attempt, stepped = _dp_power_attempt, form
     else:
         attempt, stepped = _dp_checked_attempt, field
+    t0, t_end = cfg.t_start, cfg.t_end
+    rtol, atol, h_min = cfg.rtol, cfg.atol, cfg.h_min
+    bound = cfg.escape_bound
 
     status = "completed"
     n_acc = 0
@@ -524,57 +532,41 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     budget = _MAX_FIXED_STEPS
     t = t0
     h = min(cfg.h_init, t_end - t0)
-    n_hit = 0
-    stop = stops[0]
     try:
         f1 = field(t, y)
-        while True:
-            clipped = t + h >= stop
-            if clipped:
-                h_att = stop - t
-                t_next = stop
-            else:
-                h_att = h
-                t_next = t + h
-            y_new, f7, err = attempt(stepped, t, y, h_att, f1, atol, rtol)
-            if err <= 1.0:
-                t = t_next
-                y = y_new
-                f1 = f7
-                n_acc += 1
-                if n_acc > budget:
-                    raise StepBudgetError(
-                        f"more than {budget} accepted steps before t_end={t_end}, at t={t}"
-                    )
-                rec.push(t, y)
-                if _escaped(y, bound):
-                    status = "escaped"
-                    break
-                if err == 0.0:
-                    fac = _FAC_MAX
-                else:
-                    fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2))
-                h_new = max(h_att * fac, cfg.h_min)
+        for stop in stops:
+            while t < stop:
+                clipped = t + h >= stop
                 if clipped:
-                    if at_stop is not None:
-                        at_stop(t, y)
-                    n_hit += 1
-                    if n_hit == len(stops):
-                        break
-                    stop = stops[n_hit]
-                    h_new = max(h_new, h)  # h is still the step proposed before the clip
-                h = h_new
-            else:
-                n_rej += 1
-                if math.isinf(err):
-                    fac = _FAC_MIN
+                    h_att, t_next = stop - t, stop
                 else:
-                    fac = max(_FAC_MIN, _SAFETY * err ** -0.2)
-                h = h_att * fac
-                if h < cfg.h_min:
-                    raise StepUnderflowError(
-                        f"required step {h:.3e} < h_min {cfg.h_min:.3e} at t={t}"
-                    )
+                    h_att, t_next = h, t + h
+                y_new, f7, err = attempt(stepped, t, y, h_att, f1, atol, rtol)
+                # err = 0 gives the factor _FAC_MAX, err = inf gives _FAC_MIN
+                fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2)) if err else _FAC_MAX
+                if err <= 1.0:
+                    t, y, f1 = t_next, y_new, f7
+                    n_acc += 1
+                    if n_acc > budget:
+                        raise StepBudgetError(f"more than {budget} accepted steps before "
+                                              f"t_end={t_end}, at t={t}")
+                    rec.push(t, y)
+                    if _escaped(y, bound):
+                        status = "escaped"
+                        break
+                    h_new = max(h_att * fac, h_min)
+                    # after a clip, h is still the step proposed before it
+                    h = max(h_new, h) if clipped else h_new
+                else:
+                    n_rej += 1
+                    h = h_att * fac
+                    if h < h_min:
+                        raise StepUnderflowError(f"required step {h:.3e} < h_min {h_min:.3e} "
+                                                 f"at t={t}")
+            if status != "completed":
+                break
+            if at_stop is not None:
+                at_stop(t, y)
     except CoefficientSingularError:
         status = "coefficient_singular"
     return rec.build(status, n_accepted=n_acc, n_rejected=n_rej)

@@ -220,6 +220,7 @@ class PowerForm:
 
     ``g(t)`` is the coefficient the field itself calls, raising there
     what the field raises (CoefficientSingularError where it is refused).
+    Both scalar integrators inline a field that carries one on (z, p).
     """
 
     w2: float
@@ -233,8 +234,9 @@ def make_field(spec: OscillatorSpec) -> Callable:
     The coefficient is one scalar g(t) per source: for trig sources a
     closure with its constants hoisted out of the per-call path, for
     sampled sources ``Sampled.value_at``.  The field carries it in a
-    ``power_form`` (a PowerForm) that lets ``integrate.integrate_fixed``
-    evaluate g on a whole step grid at once.  FiveParam sources are not
+    ``power_form`` (a PowerForm), with which both scalar integrators of
+    ``osclab.integrate`` inline the field on a (z, p) state, the RK4 one
+    evaluating g on a whole step grid at once.  FiveParam sources are not
     supported here: their g(t) requires the jointly integrated
     coefficient state (see osclab.family).
     """

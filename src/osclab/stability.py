@@ -95,7 +95,8 @@ def bounded(spec: OscillatorSpec, z0: float, t_max: float = 600.0,
 
     Any terminated run counts as not bounded: escape past the bound,
     step underflow (the solution reaches -infinity in finite time above
-    the threshold), or a singular coefficient.
+    the threshold), or a singular coefficient.  A nonfinite z0 raises
+    NonfiniteStateError.
     """
     _require_m2_trig(spec)
     if z0 < 0.0:

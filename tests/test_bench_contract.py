@@ -4,12 +4,14 @@ The benchmark builds its jobs from the checkout it runs in, so a change
 to osclab that drops a traced function, an import of the
 microbenchmarks or a flag of a job, or that breaks a job's correctness
 gate, would only show when the benchmark runs.  These checks read
-bench/ without editing it; the last one runs each job at its small
-size in-process and applies the job's own gate.
+bench/ without editing it; the last two run each job at its small size,
+in-process and under the layer tracer, and apply the job's own gate.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,7 +19,8 @@ import pytest
 
 from osclab.cli import build_parser, main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _load(name: str):
@@ -55,3 +58,25 @@ def test_small_job_passes_its_gate(tmp_path, workload):
     out = tmp_path / "out"
     assert main([*job.argv, "--out", str(out)]) == 0
     job.check(out)
+
+
+def _artifacts(out: Path) -> dict:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("workload", sorted(_load("workloads").WORKLOADS))
+def test_small_traced_job_matches_untraced(tmp_path, workload):
+    # the tracer wraps the field, which hides its power_form: the traced
+    # job takes the generic integrator paths, the untraced one the fused ones
+    job = _load("workloads").WORKLOADS[workload](7, tmp_path, True, 2)
+    ref, out = tmp_path / "ref", tmp_path / "traced"
+    assert main([*job.argv, "--out", str(ref)]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "traced_job.py"), str(tmp_path / "spans.json"), "--",
+         *job.trace_argv, "--out", str(out)],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    job.check(out)
+    assert _artifacts(out) == _artifacts(ref)

@@ -24,7 +24,9 @@ from osclab.integrate import (
     integrate_lanes,
     sample_strobe,
 )
-from osclab.model import OscillatorSpec, Sampled, State, make_field, make_lane_field, trig_spec
+from osclab.model import (OscillatorSpec, PowerForm, Sampled, State, make_field, make_lane_field,
+                          trig_spec)
+from osclab.stability import bounded
 
 
 def harmonic(t, y):
@@ -894,3 +896,176 @@ def test_fused_march_through_stops_matches_generic_on_fig2():
     assert (got.status, got.n_accepted, got.n_rejected) == (
         ref.status, ref.n_accepted, ref.n_rejected)
     assert got.status == "completed" and got.n_rejected > 0
+
+
+def test_fused_fixed_step_is_only_for_two_components():
+    # a third component riding on a field with a power_form takes the generic RK4 loop
+    plane = make_field(trig_spec(1.3, 0.9, 0.2, 1.0, 3))
+
+    def field(t, y):
+        return (*plane(t, y[:2]), -y[2])
+
+    field.power_form = plane.power_form
+    y0 = (0.3, 0.1, 1.0)
+    cfg = FixedStepConfig(h=1e-2, t_end=3.0)
+    got, ref = [integrate_fixed(f, y0, cfg) for f in (field, lambda t, y: field(t, y))]
+    assert np.array_equal(got.ts, ref.ts)
+    assert np.array_equal(got.ys, ref.ys)
+    assert (got.status, got.n_accepted) == (ref.status, ref.n_accepted) == ("completed", 300)
+    strobes = [sample_strobe(f, y0, 0.5, 6, h=1e-2) for f in (field, lambda t, y: field(t, y))]
+    assert strobes[0] == strobes[1]
+    assert (strobes[0].status, strobes[0].n_accepted) == ("completed", 300)
+
+
+def _counted(wrap):
+    """A fig2 field behind a call counter: a plain wrapper, or a fused field whose g counts."""
+    fused = make_field(trig_spec(1.3, 0.9, 0.0, 1.0))
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        return fused(t, y)
+
+    if not wrap:
+        form = fused.power_form
+
+        def g(t):
+            calls.append(t)
+            return form.g(t)
+
+        field.power_form = PowerForm(form.w2, form.m, g)
+    return field, calls
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("wrap", [False, True], ids=["fused", "generic"])
+@pytest.mark.parametrize("cfg", [FixedStepConfig(h=1e-3, t_end=10.0),
+                                 AdaptiveConfig(rtol=1e-10, t_end=10.0)],
+                         ids=["fixed", "adaptive"])
+def test_nonfinite_start_raises_before_the_first_step(cfg, wrap, bad):
+    run = integrate_fixed if isinstance(cfg, FixedStepConfig) else integrate_adaptive
+    field, calls = _counted(wrap)
+    for y0 in [(bad, 0.0), (0.1, bad)]:
+        with pytest.raises(NonfiniteStateError):
+            run(field, y0, cfg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_start_raises_in_strobe_and_bounded(bad):
+    for wrap in (False, True):
+        field, calls = _counted(wrap)
+        for h in (None, 1e-3):
+            with pytest.raises(NonfiniteStateError):
+                sample_strobe(field, (bad, 0.0), math.pi, 5, h=h)
+        assert calls == []
+    with pytest.raises(NonfiniteStateError):
+        bounded(trig_spec(1.3, 0.9, 0.0, 1.0), bad, t_max=10.0)
+
+
+def _adaptive_march_reference(field, y0, cfg, stops, at_stop):
+    """Reference: the Dormand-Prince march through stops as one flat loop of trial steps.
+
+    The stop index advances on each accepted step that was shortened
+    onto a stop, and the run ends on the last one.
+    """
+    t, t_end = cfg.t_start, cfg.t_end
+    y = tuple(float(v) for v in y0)
+    rec = _Recorder(cfg.record, t, y)
+    status, n_acc, n_rej, n_hit = "completed", 0, 0, 0
+    h = min(cfg.h_init, t_end - t)
+    stop = stops[0]
+    try:
+        f1 = field(t, y)
+        while True:
+            clipped = t + h >= stop
+            if clipped:
+                h_att, t_next = stop - t, stop
+            else:
+                h_att, t_next = h, t + h
+            y_new, f7, errs = _dp_attempt(field, t, y, h_att, f1)
+            err, finite = 0.0, True
+            for yi, yn, e in zip(y, y_new, errs):
+                if not (math.isfinite(yn) and math.isfinite(e)):
+                    finite = False
+                    break
+                r = e / (cfg.atol + cfg.rtol * max(abs(yi), abs(yn)))
+                err += r * r
+            err = math.sqrt(err / len(y)) if finite else math.inf
+            if err <= 1.0:
+                t, y, f1 = t_next, y_new, f7
+                n_acc += 1
+                rec.push(t, y)
+                if _escaped(y, cfg.escape_bound):
+                    status = "escaped"
+                    break
+                if err == 0.0:
+                    fac = _FAC_MAX
+                else:
+                    fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2))
+                h_new = max(h_att * fac, cfg.h_min)
+                if clipped:
+                    at_stop(t, y)
+                    n_hit += 1
+                    if n_hit == len(stops):
+                        break
+                    stop = stops[n_hit]
+                    h_new = max(h_new, h)
+                h = h_new
+            else:
+                n_rej += 1
+                fac = _FAC_MIN if math.isinf(err) else max(_FAC_MIN, _SAFETY * err ** -0.2)
+                h = h_att * fac
+                if h < cfg.h_min:
+                    raise StepUnderflowError(f"required step {h:.3e} < h_min {cfg.h_min:.3e}")
+    except CoefficientSingularError:
+        status = "coefficient_singular"
+    return rec.build(status, n_accepted=n_acc, n_rejected=n_rej)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    A=st.floats(0.5, 3.0),
+    rel_b=st.floats(-0.95, 0.95),
+    rel_c=st.floats(-0.95, 0.95),
+    omega=st.floats(0.3, 2.0),
+    m=st.integers(2, 5),
+    z0=st.floats(-3.0, 3.0),
+    p0=st.floats(-3.0, 3.0),
+    rtol=st.floats(1e-11, 1e-6),
+    t_start=st.floats(-5.0, 5.0),
+    span=st.floats(0.1, 20.0),
+    h_init=st.floats(1e-4, 20.0),
+    escape=st.floats(5.0, 1e4),
+    cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=8),
+    wrap=st.booleans(),
+    record=st.booleans(),
+)
+def test_adaptive_march_through_stops_matches_flat_reference(
+        A, rel_b, rel_c, omega, m, z0, p0, rtol, t_start, span, h_init, escape, cuts, wrap,
+        record):
+    # R = hypot(B, C) < 0.95 A keeps alpha2 positive; a large first step or
+    # amplitude gives rejected trials with err inf, and escapes
+    fused = make_field(trig_spec(A, 0.67 * A * rel_b, 0.67 * A * rel_c, omega, m))
+    field = (lambda t, y: fused(t, y)) if wrap else fused
+    t_end = t_start + span
+    stops = sorted({t_start + c * span for c in cuts} - {t_start, t_end}) + [t_end]
+    cfg = AdaptiveConfig(rtol=rtol, h_init=h_init, t_start=t_start, t_end=t_end,
+                         escape_bound=escape, record=record)
+    ref_seen, got_seen = [], []
+    try:
+        ref = _adaptive_march_reference(field, (z0, p0), cfg, stops,
+                                         lambda t, y: ref_seen.append((t, y)))
+    except StepUnderflowError:
+        with pytest.raises(StepUnderflowError):
+            integrate_adaptive(field, (z0, p0), cfg, stops=stops,
+                               at_stop=lambda t, y: got_seen.append((t, y)))
+        assert got_seen == ref_seen
+        return
+    got = integrate_adaptive(field, (z0, p0), cfg, stops=stops,
+                             at_stop=lambda t, y: got_seen.append((t, y)))
+    assert np.array_equal(got.ts, ref.ts)
+    assert np.array_equal(got.ys, ref.ys)
+    assert (got.status, got.n_accepted, got.n_rejected) == (
+        ref.status, ref.n_accepted, ref.n_rejected)
+    assert got_seen == ref_seen

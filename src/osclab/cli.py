@@ -319,6 +319,7 @@ def cmd_scan(args) -> Record:
         ],
         "all_agree": all(r.agrees for r in rows),
         "dz0": dz0,
+        "integrator": stability_mod.SCAN_PAIR.name,
         "cells": work.rows,
         "batches": work.batches,
     }

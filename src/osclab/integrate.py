@@ -6,10 +6,12 @@ components 0 and 1 being z and p):
 * ``integrate_fixed`` -- the classical 4th-order method with constant step.
 * ``integrate_adaptive`` -- the Dormand-Prince embedded 5(4) pair with
   standard error-per-step control.
-* ``integrate_lanes`` -- the same Dormand-Prince pair over many
-  independent problems at once, as numpy lanes that step in lock-step,
-  each with its own step control (Hairer, Norsett & Wanner, Solving ODEs
-  I, section II.4).
+* ``integrate_lanes`` -- the same Dormand-Prince pair (``DP54``), or
+  Dormand-Prince 8(5,3) (``DOP853``), over many independent problems at
+  once, as numpy lanes that step in lock-step, each with its own step
+  control (Hairer, Norsett & Wanner, Solving ODEs I, sections II.4 and
+  II.10).  Lanes pay per numpy call, not per field evaluation, so the
+  stability scan takes DOP853: twice the stages, a few times fewer steps.
 
 The two scalar integrators share one start (``_start``) and march
 through any number of stop times in one run (``_check_stops``): a step
@@ -43,6 +45,12 @@ order weights b, and error weights e = b - b_hat against the embedded
 
 The last stage of an accepted step equals the first stage of the next
 (FSAL), so an accepted step costs six field evaluations.
+
+The DOP853 tableau (``_D8_*``) holds the float values of scipy's
+``integrate/_ivp/dop853_coefficients.py`` (a test checks them bit for
+bit); its error norm is scipy's, and its step factor 0.9*err^(-1/8)
+has the clamps of DP5(4).  Its field at the new state is FSAL too, so
+an accepted step costs twelve field evaluations.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -572,6 +581,112 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     return rec.build(status, n_accepted=n_acc, n_rejected=n_rej)
 
 
+def _dp_lane_attempt(field, t, y, h, f1, params, atol, rtol):
+    """``_dp_checked_attempt`` on lane arrays, plus the lanes singular at any stage."""
+    f2, s2 = field(t + _C2 * h, y + h * (_A21 * f1), params)
+    f3, s3 = field(t + _C3 * h, y + h * (_A31 * f1 + _A32 * f2), params)
+    f4, s4 = field(t + _C4 * h, y + h * (_A41 * f1 + _A42 * f2 + _A43 * f3), params)
+    f5, s5 = field(t + _C5 * h,
+                   y + h * (_A51 * f1 + _A52 * f2 + _A53 * f3 + _A54 * f4), params)
+    f6, s6 = field(t + h,
+                   y + h * (_A61 * f1 + _A62 * f2 + _A63 * f3 + _A64 * f4 + _A65 * f5), params)
+    y_new = y + h * (_B1 * f1 + _B3 * f3 + _B4 * f4 + _B5 * f5 + _B6 * f6)
+    f7, s7 = field(t + h, y_new, params)
+    errs = h * (_E1 * f1 + _E3 * f3 + _E4 * f4 + _E5 * f5 + _E6 * f6 + _E7 * f7)
+    finite = np.isfinite(y_new).all(axis=0) & np.isfinite(errs).all(axis=0)
+    r = errs / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+    err = np.where(finite, np.sqrt((r * r).sum(axis=0) / len(y)), np.inf)
+    return y_new, f7, err, s2 | s3 | s4 | s5 | s6 | s7
+
+
+# Dormand-Prince 8(5,3), the values of scipy's integrate/_ivp/dop853_coefficients.py.
+# Stages k0..k11 (k0 = f at the step's start): _D8_C[i] and _D8_A[i] give
+# the node and the nonzero {j: a_j} of stage i + 1; B and the 5th and 3rd
+# order error weights E5 and E3 are {j: weight} over the same stages.
+_D8_C = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+         0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+         0.8571428571428571, 1.0)
+_D8_A = (
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726, 5: 27.59209969944671,
+     6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843, 5: 21.230051448181193,
+     6: 15.279233632882423, 7: -33.28821096898486, 8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295, 5: -8.149787010746927,
+     6: -18.52006565999696, 7: 22.739487099350505, 8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625, 5: -17.9589318631188,
+     6: 27.94888452941996, 7: -2.8589982771350235, 8: -8.87285693353063, 9: 12.360567175794303,
+     10: 0.6433927460157636},
+)
+_D8_B = {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+         7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+         10: 0.20136540080403034, 11: 0.04471061572777259}
+_D8_E5 = {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+          7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+          10: 0.08192320648511571, 11: -0.022355307863886294}
+_D8_E3 = {0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
+          7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
+          10: 0.20136540080403034, 11: 0.02265179219836082}
+
+
+def _weighted(ks, weights):
+    """The sum of w * ks[j] over weights {j: w}, term by term in index order."""
+    terms = iter(weights.items())
+    j, w = next(terms)
+    total = w * ks[j]
+    for j, w in terms:
+        total = total + w * ks[j]
+    return total
+
+
+def _dop853_lane_attempt(field, t, y, h, f1, params, atol, rtol):
+    """One trial DOP853 step on lane arrays: (y_new, f_new, err, singular).
+
+    Every stage is y + h * (a_0 k_0 + a_1 k_1 + ...) summed elementwise,
+    so a lane's bits depend neither on its column nor on the number of
+    lanes.  err is the norm of scipy's DOP853: with e5 and e3 the two
+    error estimates over the scale atol + rtol * max(|y|, |y_new|), it is
+    h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), 0 when both are 0, and inf
+    when any value is nonfinite.
+    """
+    ks = [f1]
+    singular = np.zeros(t.shape, dtype=bool)
+    for c, row in zip(_D8_C, _D8_A):
+        k, s = field(t + c * h, y + h * _weighted(ks, row), params)
+        ks.append(k)
+        singular |= s
+    y_new = y + h * _weighted(ks, _D8_B)
+    f_new, s = field(t + h, y_new, params)
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+    e5 = _weighted(ks, _D8_E5) / scale
+    e3 = _weighted(ks, _D8_E3) / scale
+    e5_2, e3_2 = (e5 * e5).sum(axis=0), (e3 * e3).sum(axis=0)
+    denom = e5_2 + 0.01 * e3_2
+    err = np.where(denom > 0.0, h * e5_2 / np.sqrt(denom * len(y)), 0.0)
+    finite = np.isfinite(y_new).all(axis=0) & np.isfinite(denom)
+    return y_new, f_new, np.where(finite, err, np.inf), singular | s
+
+
+@dataclass(frozen=True)
+class LanePair:
+    """An embedded pair for ``integrate_lanes``; the step factor is 0.9 * err ** exponent."""
+
+    name: str
+    attempt: Callable  # (field, t, y, h, f1, params, atol, rtol) -> (y_new, f_new, err, singular)
+    exponent: float
+
+
+DP54 = LanePair("dormand_prince", _dp_lane_attempt, -0.2)
+DOP853 = LanePair("dop853", _dop853_lane_attempt, -0.125)
+
+
 # terminal statuses of a lane; code 0 marks a lane still running
 LANE_STATUSES = ("completed", "escaped", "coefficient_singular", "step_underflow")
 _COMPLETED, _ESCAPED, _SINGULAR, _UNDERFLOW = range(1, 5)
@@ -594,8 +709,8 @@ class LaneRun:
     lock_steps: int
 
 
-def integrate_lanes(field, y0, params, cfg: AdaptiveConfig) -> LaneRun:
-    """Dormand-Prince 5(4) over independent lanes that step in lock-step.
+def integrate_lanes(field, y0, params, cfg: AdaptiveConfig, pair: LanePair = DP54) -> LaneRun:
+    """An embedded pair (default DP54) over independent lanes that step in lock-step.
 
     Column j of y0 (shape (n, lanes), n >= 2) and of params (per-lane
     constants, shape (k, lanes)) is one initial value problem.
@@ -604,10 +719,11 @@ def integrate_lanes(field, y0, params, cfg: AdaptiveConfig) -> LaneRun:
     coefficient is singular there (see ``model.make_lane_field``).
 
     Each lane keeps its own t, h, FSAL stage and counters and is accepted
-    or rejected by the rules of ``integrate_adaptive``, in the same
-    floating-point operation order.  A lane ends as "completed" at t_end,
-    "escaped" on an accepted state past the bound, "coefficient_singular"
-    when a stage of its trial step is singular, or "step_underflow" where
+    or rejected by the rules of ``integrate_adaptive`` with the pair's
+    error norm and exponent, with DP54 in the same floating-point
+    operation order.  A lane ends as "completed" at t_end, "escaped" on
+    an accepted state past the bound, "coefficient_singular" when a
+    stage of its trial step is singular, or "step_underflow" where
     ``integrate_adaptive`` raises StepUnderflowError.  Finished lanes are
     compacted out of the arrays, together with their columns of params.
     A run that takes more than _MAX_FIXED_STEPS lock-steps raises
@@ -619,7 +735,7 @@ def integrate_lanes(field, y0, params, cfg: AdaptiveConfig) -> LaneRun:
         raise ValueError("lane states must have shape (n >= 2, lanes)")
     if params.ndim != 2 or params.shape[1] != y.shape[1]:
         raise ValueError("lane constants must have shape (k, lanes)")
-    n, lanes = y.shape
+    lanes = y.shape[1]
     t_end, rtol, atol, h_min = cfg.t_end, cfg.rtol, cfg.atol, cfg.h_min
     bound = cfg.escape_bound
 
@@ -658,20 +774,17 @@ def integrate_lanes(field, y0, params, cfg: AdaptiveConfig) -> LaneRun:
             last = t_next >= t_end
             h_att = np.where(last, t_end - t, h)
             t_next[last] = t_end
-            y_new, f7, errs, singular = _dp_lane_attempt(field, t, y, h_att, f1, params)
-
-            finite = np.isfinite(y_new).all(axis=0) & np.isfinite(errs).all(axis=0)
-            r = errs / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
-            err = np.where(finite, np.sqrt((r * r).sum(axis=0) / n), np.inf)
+            y_new, f_new, err, singular = pair.attempt(field, t, y, h_att, f1, params,
+                                                       atol, rtol)
             ok = (err <= 1.0) & ~singular
             rejected = ~ok & ~singular
 
             # err = 0 gives the factor _FAC_MAX, err = inf gives _FAC_MIN
-            h_new = h_att * np.clip(_SAFETY * err ** -0.2, _FAC_MIN, _FAC_MAX)
+            h_new = h_att * np.clip(_SAFETY * err ** pair.exponent, _FAC_MIN, _FAC_MAX)
             h = np.where(ok, np.maximum(h_new, h_min), h_new)
             t = np.where(ok, t_next, t)
             y = np.where(ok, y_new, y)
-            f1 = np.where(ok, f7, f1)
+            f1 = np.where(ok, f_new, f1)
             n_acc += ok
             n_rej += rejected
 
@@ -684,21 +797,6 @@ def integrate_lanes(field, y0, params, cfg: AdaptiveConfig) -> LaneRun:
         ts=out_t, ys=out_y, status=tuple(LANE_STATUSES[c - 1] for c in out_code),
         n_accepted=out_acc, n_rejected=out_rej, lock_steps=lock_steps,
     )
-
-
-def _dp_lane_attempt(field, t, y, h, f1, params):
-    """``_dp_attempt`` on lane arrays; also returns the lanes singular at any stage."""
-    f2, s2 = field(t + _C2 * h, y + h * (_A21 * f1), params)
-    f3, s3 = field(t + _C3 * h, y + h * (_A31 * f1 + _A32 * f2), params)
-    f4, s4 = field(t + _C4 * h, y + h * (_A41 * f1 + _A42 * f2 + _A43 * f3), params)
-    f5, s5 = field(t + _C5 * h,
-                   y + h * (_A51 * f1 + _A52 * f2 + _A53 * f3 + _A54 * f4), params)
-    f6, s6 = field(t + h,
-                   y + h * (_A61 * f1 + _A62 * f2 + _A63 * f3 + _A64 * f4 + _A65 * f5), params)
-    y_new = y + h * (_B1 * f1 + _B3 * f3 + _B4 * f4 + _B5 * f5 + _B6 * f6)
-    f7, s7 = field(t + h, y_new, params)
-    errs = h * (_E1 * f1 + _E3 * f3 + _E4 * f4 + _E5 * f5 + _E6 * f6 + _E7 * f7)
-    return y_new, f7, errs, s2 | s3 | s4 | s5 | s6 | s7
 
 
 @dataclass(frozen=True)
@@ -730,7 +828,8 @@ def sample_strobe(
     "escaped"; the counts are the accepted and rejected steps.  k_max
     above _MAX_GRID_POINTS raises ValueError, and so does the run's
     config (for h, more than _MAX_FIXED_STEPS steps in all), before any
-    stop time is made.
+    stop time is made.  A nonfinite start raises NonfiniteStateError,
+    at k_max = 0 too.
     """
     if t_step <= 0.0:
         raise ValueError(f"t_step must be positive, got {t_step}")
@@ -738,6 +837,7 @@ def sample_strobe(
         raise ValueError(f"k_max must be in [0, {_MAX_GRID_POINTS}] (at most "
                          f"{_MAX_GRID_POINTS + 1} strobe points), got {k_max}")
     y = tuple(float(v) for v in y0)
+    _check_state(y)
     states = [State(0.0, y[0], y[1])]
     if k_max == 0:
         return StrobeResult(states=tuple(states), status="completed")

@@ -17,9 +17,9 @@ only sees the oscillation amplitude of the coefficient, not its phase.
 ``scan`` reproduces the numerical experiment: for each omega it raises
 z0 in steps of dz0 until an integration escapes, then compares the last
 bounded z0 against z_crit.  Scan cells are independent integrations, so
-the scan runs them in one process as lanes of one lock-step
-Dormand-Prince run (``integrate.integrate_lanes``); ``bounded`` is the
-scalar reference for one cell.
+the scan runs them in one process as lanes of one lock-step run
+(``integrate.integrate_lanes``) of the DOP853 pair; ``bounded`` is the
+scalar Dormand-Prince 5(4) reference for one cell, with the same config.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepUnderflowError
-from .integrate import _MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive, integrate_lanes
+from .integrate import (_MAX_GRID_POINTS, DOP853, AdaptiveConfig, integrate_adaptive,
+                        integrate_lanes)
 from .model import OscillatorSpec, TrigAlpha, make_field, make_lane_field, trig_spec
 
 
@@ -133,6 +134,9 @@ class ScanWork:
 # lanes integrated together; bounds the scan's memory for any grid
 _LANE_BATCH = 1024
 
+# the pair the scan's lanes step with; ``bounded`` stays on Dormand-Prince 5(4)
+SCAN_PAIR = DOP853
+
 
 def scan(
     A: float,
@@ -152,8 +156,9 @@ def scan(
     the analytic boundary so the scan always terminates; every cell up
     to the cap is integrated, in batches of at most _LANE_BATCH lanes
     made as they are needed, so memory does not grow with the grid.
-    A cell runs with ``bounded``'s config and counts as bounded exactly
-    when ``bounded`` would say so: only a completed lane is bounded.
+    A cell runs with ``bounded``'s config on the DOP853 pair (SCAN_PAIR),
+    and only a completed lane is bounded; a test pins its agreement with
+    ``bounded`` at the boundary cells of each row of one three-omega grid.
     Rows depend neither on the batch size nor on the order of the
     omegas.  A grid with more than _MAX_GRID_POINTS cells in any row
     raises ValueError before any integration; a batch that takes more
@@ -187,7 +192,8 @@ def scan(
         row_of, specs, ks = zip(*batch)
         lane_field, params = make_lane_field(specs)
         z0 = np.array([k * dz0 for k in ks])
-        run = integrate_lanes(lane_field, np.stack([z0, np.zeros_like(z0)]), params, cfg)
+        run = integrate_lanes(lane_field, np.stack([z0, np.zeros_like(z0)]), params, cfg,
+                              SCAN_PAIR)
         for row, k, st, acc, rej in zip(row_of, ks, run.status, run.n_accepted.tolist(),
                                         run.n_rejected.tolist()):
             if st != "completed":

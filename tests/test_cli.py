@@ -220,6 +220,15 @@ def test_stability_scan_summary_counts_cells(tmp_path):
         assert batch["lock_steps"] >= (c["accepted"] + c["rejected"]) / c["cells"]
 
 
+def test_stability_scan_summary_names_its_integrator(tmp_path):
+    out = tmp_path / "scan"
+    assert run(["stability-scan", "--preset", "fig3", "--omegas", "1:1:1", "--dz0", "0.5",
+                "--tmax", "2", "--no-svg", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    # the scan's lanes step with DOP853; the scalar runs stay on Dormand-Prince 5(4)
+    assert summary["integrator"] == "dop853"
+
+
 _SCAN = ["stability-scan", "--preset", "fig3", "--omegas", "1.0:1.0:0.2"]
 _FP_SPEC = '{"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [2.2, 0.0, -3.6]}'
 

@@ -963,6 +963,17 @@ def test_nonfinite_start_raises_in_strobe_and_bounded(bad):
         bounded(trig_spec(1.3, 0.9, 0.0, 1.0), bad, t_max=10.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_zero_point_strobe_refuses_a_nonfinite_start(bad):
+    for wrap in (False, True):
+        field, calls = _counted(wrap)
+        for h in (None, 1e-3):
+            for y0 in [(bad, 0.0), (0.1, bad)]:
+                with pytest.raises(NonfiniteStateError):
+                    sample_strobe(field, y0, math.pi, 0, h=h)
+        assert calls == []
+
+
 def _adaptive_march_reference(field, y0, cfg, stops, at_stop):
     """Reference: the Dormand-Prince march through stops as one flat loop of trial steps.
 

@@ -142,6 +142,20 @@ def test_scan_rows_ignore_lane_order_and_batch_size(monkeypatch):
     assert sum(b["lanes"] for b in small.batches) == work.batches[0]["lanes"]
 
 
+def test_dop853_scan_rows_agree_with_bounded_at_the_boundary():
+    # the benchmark grid: omegas 0.8:1.6:0.4 as the CLI makes them, dz0 0.05, tmax 100
+    omegas = tuple(0.8 + k * 0.4 for k in range(3))
+    rows = scan(1.3, 0.9, 0.0, omegas, dz0=0.05, t_max=100.0)
+    assert [r.z_last_bounded for r in rows] == [8 * 0.05, 18 * 0.05, 33 * 0.05]
+    # the scan's DOP853 lanes and the Dormand-Prince 5(4) reference agree on
+    # the last bounded cell and the first open cell of each row
+    for r in rows:
+        spec = trig_spec(1.3, 0.9, 0.0, r.omega)
+        k_last = round(r.z_last_bounded / 0.05)
+        assert bounded(spec, k_last * 0.05, t_max=100.0)
+        assert not bounded(spec, (k_last + 1) * 0.05, t_max=100.0)
+
+
 def test_scan_work_counts_every_cell():
     work = ScanWork()
     rows = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.1, t_max=60.0, work=work)

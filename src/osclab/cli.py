@@ -161,6 +161,24 @@ def _stats(integrator: str, run) -> dict:
     return {"integrator": integrator, "accepted": run.n_accepted, "rejected": run.n_rejected}
 
 
+def _oscillator_stats(integrator: str, run, ran: bool = True) -> dict:
+    """``_stats`` plus ``field_evals``: the field evaluations, counted from the steps.
+
+    RK4 evaluates the field four times per step, Dormand-Prince once at
+    the start and six times per trial step, as the last stage of an
+    accepted step is the first of the next (FSAL).  A run not made (a
+    one-point strobe) made none.  The stages of a step that met a
+    singular coefficient are not counted.
+    """
+    if not ran:
+        evals = 0
+    elif integrator == "rk4":
+        evals = 4 * run.n_accepted
+    else:
+        evals = 1 + 6 * (run.n_accepted + run.n_rejected)
+    return {**_stats(integrator, run), "field_evals": evals}
+
+
 def _run_oscillator(spec, params):
     """Returns (trajectory, y0, stats); adaptive when params set rtol, else RK4."""
     field = make_field(spec)
@@ -171,10 +189,10 @@ def _run_oscillator(spec, params):
         cfg = AdaptiveConfig(rtol=params["rtol"], atol=params.get("atol", 1e-12),
                              t_end=tmax, escape_bound=escape)
         traj = integrate_adaptive(field, y0, cfg)
-        return traj, y0, _stats("dormand_prince", traj)
+        return traj, y0, _oscillator_stats("dormand_prince", traj)
     cfg = FixedStepConfig(h=params.get("h", 1e-3), t_end=tmax, escape_bound=escape)
     traj = integrate_fixed(field, y0, cfg)
-    return traj, y0, _stats("rk4", traj)
+    return traj, y0, _oscillator_stats("rk4", traj)
 
 
 def cmd_simulate(args) -> Record:
@@ -256,7 +274,8 @@ def cmd_poincare(args) -> Record:
             [None if math.isinf(lo) else lo, None if math.isinf(hi) else hi]
             for lo, hi in curve.admissible
         ],
-        "stats": _stats("dormand_prince" if h is None else "rk4", strobe),
+        "stats": _oscillator_stats("dormand_prince" if h is None else "rk4", strobe,
+                                   ran=n_points > 1),
     }
     return Record(
         summary, f"poincare: points={len(strobe.states)} residual_max={residual:.6e} "

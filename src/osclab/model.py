@@ -214,6 +214,22 @@ def g_exponent(m: int) -> float:
     return -(m + 3) / 2.0
 
 
+def alpha2_grid(A: float, B: float, C: float, two_w, t) -> np.ndarray:
+    """alpha2 = A + B cos(th) + C sin(th), th = two_w * t, over numpy arrays.
+
+    The operations and their order are those of the scalar g of
+    ``make_field``, and numpy's float64 cos and sin round like math.cos
+    and math.sin (no difference on 4 million random arguments up to 1e4;
+    ``tests/test_model.py`` pins it on the fig1 step grid), so each value
+    is bit-identical to the scalar alpha2.
+    """
+    th = two_w * t
+    a2 = A + B * np.cos(th)
+    if C:  # C * sin(th) is +-0 when C = 0, so skipping it changes no value
+        a2 = a2 + C * np.sin(th)
+    return a2
+
+
 @dataclass(frozen=True)
 class PowerForm:
     """A field (p, -w2 z - g(t) z^m) whose coefficient g depends on t alone.
@@ -221,11 +237,16 @@ class PowerForm:
     ``g(t)`` is the coefficient the field itself calls, raising there
     what the field raises (CoefficientSingularError where it is refused).
     Both scalar integrators inline a field that carries one on (z, p).
+    ``g_grid(ts)``, where present, takes a float64 array of times and
+    returns ``[g(t) for t in ts]`` bit for bit, or None where g would
+    raise at any of them; the fused RK4 path calls it on each chunk of
+    its step grid and falls back to g, time by time, where it is None.
     """
 
     w2: float
     m: int
     g: Callable
+    g_grid: Callable = None
 
 
 def make_field(spec: OscillatorSpec) -> Callable:
@@ -235,10 +256,14 @@ def make_field(spec: OscillatorSpec) -> Callable:
     closure with its constants hoisted out of the per-call path, for
     sampled sources ``Sampled.value_at``.  The field carries it in a
     ``power_form`` (a PowerForm), with which both scalar integrators of
-    ``osclab.integrate`` inline the field on a (z, p) state, the RK4 one
-    evaluating g on a whole step grid at once.  FiveParam sources are not
-    supported here: their g(t) requires the jointly integrated
-    coefficient state (see osclab.family).
+    ``osclab.integrate`` inline the field on a (z, p) state.  A trig
+    form also carries ``g_grid``, which the fused RK4 path calls on a
+    whole chunk of its step grid at once: alpha2 by ``alpha2_grid`` and
+    the power per element as a float ``**``, since numpy's power does
+    not round like it (it differs on about 5 % of arguments).  Sampled
+    sources have no ``g_grid``.  FiveParam sources are not supported
+    here: their g(t) requires the jointly integrated coefficient state
+    (see osclab.family).
     """
     m = spec.m
     w2 = spec.omega * spec.omega
@@ -255,8 +280,17 @@ def make_field(spec: OscillatorSpec) -> Callable:
             if a2 <= EPS_POS:
                 raise CoefficientSingularError(f"alpha2(t={t}) = {a2} <= {EPS_POS}")
             return a2 ** ex
+
+        def g_grid(ts):
+            a2 = alpha2_grid(A, B, C, two_w, ts)
+            if (a2 <= EPS_POS).any():
+                return None
+            try:
+                return [a ** ex for a in a2.tolist()]
+            except OverflowError:
+                return None
     elif isinstance(src, Sampled):
-        g = src.value_at
+        g, g_grid = src.value_at, None
     else:
         raise ValueError(
             f"no direct field for g source {type(src).__name__}; "
@@ -270,7 +304,7 @@ def make_field(spec: OscillatorSpec) -> Callable:
             zm *= z
         return (p, -w2 * z - g(t) * zm)
 
-    field.power_form = PowerForm(w2, m, g)
+    field.power_form = PowerForm(w2, m, g, g_grid)
     return field
 
 
@@ -286,10 +320,11 @@ def make_lane_field(specs):
     columns of params (see ``integrate.integrate_lanes``).
 
     The specs must share A, B, C and m; only omega may vary.  Each lane
-    repeats the operations of ``make_field`` in the same order, but
-    numpy's cos, sin and power need not round like math.cos, math.sin
-    and float ``**``, so lanes may differ from the scalar field by a few
-    ulps.
+    repeats the operations of ``make_field`` in the same order, with
+    alpha2 from ``alpha2_grid``, so alpha2 is bit-identical to the
+    scalar one.  The power is numpy's, which rounds apart from float
+    ``**`` on about 5 % of arguments, so a lane's p' may differ from the
+    scalar field's by a few ulps.
     """
     specs = tuple(specs)
     if not specs or not all(isinstance(s.g_source, TrigAlpha) for s in specs):
@@ -304,10 +339,7 @@ def make_lane_field(specs):
     def field(t, y, params):
         two_w, w2 = params
         z = y[0]
-        th = two_w * t
-        a2 = A + B * np.cos(th)
-        if C:  # C * sin(th) is +-0 when C = 0, so skipping it changes no value
-            a2 = a2 + C * np.sin(th)
+        a2 = alpha2_grid(A, B, C, two_w, t)
         zm = z
         for _ in range(m - 1):
             zm = zm * z

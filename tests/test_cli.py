@@ -13,7 +13,8 @@ import osclab
 from osclab import integrate
 from osclab.cli import PRESETS, _parse_omegas, main
 from osclab.family import fiveparam_from_json, integrate_family
-from osclab.integrate import AdaptiveConfig, integrate_adaptive
+from osclab.integrate import (AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed,
+                              sample_strobe)
 from osclab.model import make_field, trig_spec
 
 
@@ -131,7 +132,8 @@ def test_poincare_outputs(tmp_path):
     assert summary["n_points"] == 24
     assert summary["residual_max"] < 1e-6
     # 23 strobe intervals of pi at the preset h = 1e-3, each with a shortened last step
-    assert summary["stats"] == {"integrator": "rk4", "accepted": 23 * 3142, "rejected": 0}
+    assert summary["stats"] == {"integrator": "rk4", "accepted": 23 * 3142, "rejected": 0,
+                                "field_evals": 4 * 23 * 3142}
     assert (out / "section.svg").exists()
 
 
@@ -152,15 +154,69 @@ def test_single_system_summary_counts_steps(tmp_path, command):
     ref = integrate_adaptive(make_field(trig_spec(1.3, 0.9, 0.0, 1.0)), (0.1, 0.0),
                              AdaptiveConfig(rtol=1e-9, t_end=5.0))
     for flags, want in [
-        ([], {"integrator": "rk4", "accepted": 5000, "rejected": 0}),
+        ([], {"integrator": "rk4", "accepted": 5000, "rejected": 0, "field_evals": 20000}),
         (["--rtol", "1e-9"], {"integrator": "dormand_prince", "accepted": ref.n_accepted,
-                              "rejected": ref.n_rejected}),
+                              "rejected": ref.n_rejected,
+                              "field_evals": 1 + 6 * (ref.n_accepted + ref.n_rejected)}),
     ]:
         out = tmp_path / "+".join(flags)
         assert run([command, "--preset", "fig1", "--tmax", "5", *flags, "--no-svg",
                     "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["stats"] == want
     assert ref.n_rejected > 0
+
+
+def _counted_field(preset):
+    """The preset's field behind a call counter, and the list of its call times."""
+    p = PRESETS[preset]
+    field = make_field(trig_spec(p["A"], p["B"], p["C"], p["omega"], p["m"]))
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return field(t, y)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("command", ["simulate", "drift"])
+@pytest.mark.parametrize("rtol", [None, 1e-9], ids=["rk4", "dormand_prince"])
+@pytest.mark.parametrize("preset,tmax,want", [("fig1", 5.0, "completed"),
+                                              ("fig4-unbounded", 60.0, "escaped")])
+def test_field_evals_counts_the_field_calls(tmp_path, command, rtol, preset, tmax, want):
+    p = PRESETS[preset]
+    field, calls = _counted_field(preset)
+    run_cfg = dict(t_end=tmax, escape_bound=p.get("escape", math.inf))
+    if rtol is None:
+        ref = integrate_fixed(field, (p["z0"], p["p0"]), FixedStepConfig(h=p["h"], **run_cfg))
+    else:
+        ref = integrate_adaptive(field, (p["z0"], p["p0"]), AdaptiveConfig(rtol=rtol, **run_cfg))
+    assert ref.status == want
+    flags = [] if rtol is None else ["--rtol", str(rtol)]
+    out = tmp_path / "out"
+    assert run([command, "--preset", preset, "--tmax", str(tmax), *flags, "--no-svg",
+                "--out", str(out)]) == 0
+    stats = json.loads((out / "summary.json").read_text())["stats"]
+    assert (stats["accepted"], stats["rejected"]) == (ref.n_accepted, ref.n_rejected)
+    assert stats["field_evals"] == len(calls)
+
+
+@pytest.mark.parametrize("h", [1e-3, None], ids=["rk4", "dormand_prince"])
+@pytest.mark.parametrize("points,z0,want", [(1, 0.1, "completed"), (6, 0.1, "completed"),
+                                            (24, 1.4, "escaped")])
+def test_poincare_field_evals_counts_the_field_calls(tmp_path, h, points, z0, want):
+    field, calls = _counted_field("fig2")
+    ref = sample_strobe(field, (z0, 0.0), math.pi, points - 1, escape_bound=50.0, h=h,
+                        rtol=1e-10)
+    assert ref.status == want
+    flags = ["--h", str(h)] if h else ["--rtol", "1e-10"]
+    out = tmp_path / "out"
+    assert run(["poincare", "--preset", "fig2", "--points", str(points), "--z0", str(z0),
+                *flags, "--no-svg", "--out", str(out)]) == 0
+    stats = json.loads((out / "summary.json").read_text())["stats"]
+    assert (stats["accepted"], stats["rejected"]) == (ref.n_accepted, ref.n_rejected)
+    assert stats["field_evals"] == len(calls)
+    assert (stats["field_evals"] == 0) == (points == 1)
 
 
 @pytest.mark.parametrize("points,message", [

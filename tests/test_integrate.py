@@ -260,6 +260,15 @@ def test_strobe_refuses_k_max_out_of_range(k_max, h):
         sample_strobe(harmonic, (0.3, 0.1), math.pi, k_max, h=h)
 
 
+@pytest.mark.parametrize("k_max", [0, 1])
+@pytest.mark.parametrize("h", [None, 1e-3])
+def test_strobe_refuses_a_one_component_state(k_max, h):
+    # refused like integrate_fixed/integrate_adaptive refuse it, before any state is made
+    for field in (harmonic, make_field(trig_spec(1.3, 0.9, 0.0, 1.0))):
+        with pytest.raises(ValueError, match=r"state must have at least \(z, p\) components"):
+            sample_strobe(field, (0.3,), math.pi, k_max, h=h)
+
+
 def test_strobe_stops_on_escape():
     res = sample_strobe(lambda t, y: (y[1], y[0]), (1.0, 1.0), 1.0, 20,
                         escape_bound=100.0, rtol=1e-10)
@@ -694,6 +703,54 @@ def test_fused_fixed_step_matches_generic_loop_on_a_sampled_field(record, t_end,
     assert traj.n_accepted > 4096  # past the first chunk
     if want == "coefficient_singular":
         assert traj.ts[-1] <= knots[-1] < traj.ts[-1] + 1e-3
+
+
+def _counted_g(spec):
+    """A make_field field whose power_form keeps its g_grid but counts the calls of its g."""
+    plain = make_field(spec)
+    form = plain.power_form
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return form.g(t)
+
+    def field(t, y):
+        return plain(t, y)
+
+    field.power_form = PowerForm(form.w2, form.m, g, form.g_grid)
+    return field, calls
+
+
+def test_fused_fixed_step_evaluates_g_on_the_grid():
+    spec = trig_spec(1.3, 0.9, 0.2, 1.0, 3)
+    field, calls = _counted_g(spec)
+    cfg = FixedStepConfig(h=1e-3, t_end=10.0)
+    traj = integrate_fixed(field, (0.3, 0.1), cfg)
+    assert (traj.status, traj.n_accepted) == ("completed", 10000)
+    assert calls == []
+    ref = integrate_fixed(make_field(spec), (0.3, 0.1), cfg)
+    assert np.array_equal(traj.ys, ref.ys)
+
+
+@pytest.mark.parametrize("B,h,n_before", [
+    # the grids of test_fused_fixed_step_singular_matches_generic_loop, all in the first chunk
+    (1.0 - 1e-10, (math.pi / 2) / 1000, 999),
+    (1.0 - 1e-10, (math.pi / 2) / 999.5, 999),
+    (-(1.0 - 1e-10), 1e-3, 0),
+    # the singular step time in a later chunk
+    (1.0 - 1e-10, (math.pi / 2) / 5000, 4999),
+])
+def test_fused_fixed_step_calls_g_only_on_the_singular_chunk(B, h, n_before):
+    field, calls = _counted_g(trig_spec(1.0, B, 0.0, 1.0))
+    traj = integrate_fixed(field, (1e-7, 0.0), FixedStepConfig(h=h, t_end=5.0))
+    assert (traj.status, traj.n_accepted) == ("coefficient_singular", n_before)
+    # g ran time by time from the start of the chunk to the singular time, once each
+    chunk = n_before // integrate._FUSED_CHUNK * integrate._FUSED_CHUNK
+    assert calls[0] == chunk * h
+    assert calls == sorted(calls) and len(calls) <= 2 * integrate._FUSED_CHUNK + 1
+    with pytest.raises(CoefficientSingularError):
+        field.power_form.g(calls[-1])
 
 
 def _per_interval_runs(field, y0, cfg, stops):

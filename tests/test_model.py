@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osclab.errors import CoefficientSingularError
@@ -130,6 +130,59 @@ def test_field_and_its_g_refuse_a_singular_coefficient():
         field.power_form.g(0.0)
     with pytest.raises(CoefficientSingularError):
         field(0.0, (0.1, 0.0))
+
+
+def _step_grid(t0, h, n):
+    """The times of n RK4 steps of h from t0 as the fused path takes them: t0 + k*h, then midpoints."""
+    steps = t0 + np.arange(n + 1) * h
+    ts = np.empty(2 * n + 1)
+    ts[0::2] = steps
+    ts[1::2] = steps[:-1] + 0.5 * h
+    return ts
+
+
+def test_g_grid_matches_scalar_g_on_the_fig1_step_grid():
+    # drift --preset fig1 --tmax 200: 200k steps, about 400k times; numpy's cos
+    # must round like math.cos here, else the fused RK4 path would move bits
+    form = make_field(trig_spec(1.3, 0.9, 0.0, 1.0)).power_form
+    ts = _step_grid(0.0, 1e-3, 200_000)
+    assert form.g_grid(ts) == [form.g(t) for t in ts.tolist()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    A=st.floats(0.5, 3.0),
+    rel_b=st.floats(-0.95, 0.95),
+    rel_c=st.floats(-0.95, 0.95).filter(bool),
+    omega=st.floats(0.3, 2.0),
+    m=st.integers(2, 6),
+    t0=st.floats(-100.0, 0.0),
+    h=st.floats(1e-3, 5e-2),
+)
+def test_g_grid_matches_scalar_g_on_random_trig_grids(A, rel_b, rel_c, omega, m, t0, h):
+    # C != 0, so numpy's sin is checked against math.sin too
+    form = make_field(trig_spec(A, 0.67 * A * rel_b, 0.67 * A * rel_c, omega, m)).power_form
+    ts = _step_grid(t0, h, 2000)
+    got = form.g_grid(ts)
+    assert got == [form.g(t) for t in ts.tolist()]
+    assert all(type(v) is float for v in got)
+
+
+@pytest.mark.parametrize("B,m,exc", [
+    # alpha2 dips below EPS_POS within 2e-5 of t = pi/2, which the grid hits
+    (1.0 - 1e-10, 2, CoefficientSingularError),
+    # alpha2 bottoms out at 2e-9, above the floor, where alpha2 ** -36.5 overflows
+    (1.0 - 2e-9, 70, OverflowError),
+])
+def test_g_grid_is_none_where_g_raises(B, m, exc):
+    form = make_field(trig_spec(1.0, B, 0.0, 1.0, m)).power_form
+    ts = _step_grid(0.0, (math.pi / 2) / 1000, 2000)
+    assert form.g_grid(ts) is None
+    with pytest.raises(exc):
+        for t in ts.tolist():
+            form.g(t)
+    # the same form on a stretch of the grid away from pi/2
+    assert form.g_grid(ts[:1000]) == [form.g(t) for t in ts[:1000].tolist()]
 
 
 def test_sampled_field_calls_its_interpolant():

@@ -12,6 +12,10 @@ components 0 and 1 being z and p):
   control (Hairer, Norsett & Wanner, Solving ODEs I, sections II.4 and
   II.10).  Lanes pay per numpy call, not per field evaluation, so the
   stability scan takes DOP853: twice the stages, a few times fewer steps.
+  For the same reason a lane field that carries a ``model.LaneForm``
+  (every field of ``model.make_lane_field``) has g evaluated at all stage
+  times of a trial step in one pass (``_lane_stages``), bit-identical to
+  one field call per stage, which every other lane field takes.
 
 The two scalar integrators share one start (``_start``) and march
 through any number of stop times in one run (``_check_stops``): a step
@@ -290,6 +294,7 @@ def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
     w2, g, g_grid = form.w2, form.g, form.g_grid
     powers = range(form.m - 1)
     isfinite = math.isfinite
+    escapable = bound < math.inf  # past the finiteness check, no state is beyond inf
     half = 0.5 * h
     sixth = h / 6.0
     z, p = y
@@ -343,7 +348,7 @@ def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
                 _check_state((z, p))
             push(z)
             push(p)
-            if abs(z) > bound or abs(p) > bound:
+            if escapable and (abs(z) > bound or abs(p) > bound):
                 escaped = True
                 break
         n = len(flat) // 2
@@ -550,6 +555,7 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     t0, t_end = cfg.t_start, cfg.t_end
     rtol, atol, h_min = cfg.rtol, cfg.atol, cfg.h_min
     bound = cfg.escape_bound
+    escapable = bound < math.inf  # an accepted state is finite, so never beyond inf
 
     status = "completed"
     n_acc = 0
@@ -576,7 +582,7 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
                         raise StepBudgetError(f"more than {budget} accepted steps before "
                                               f"t_end={t_end}, at t={t}")
                     rec.push(t, y)
-                    if _escaped(y, bound):
+                    if escapable and _escaped(y, bound):
                         status = "escaped"
                         break
                     h_new = max(h_att * fac, h_min)
@@ -597,22 +603,51 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     return rec.build(status, n_accepted=n_acc, n_rejected=n_rej)
 
 
+def _lane_stages(field, t, h, nodes, params):
+    """The stages of one lane trial step: (stage, singular).
+
+    ``stage(i, y)`` is the field at the times t + nodes[i] * h and states
+    y.  A field with a ``model.LaneForm`` has g evaluated at every stage
+    time at once, before the first stage, and singular is then already
+    the mask of the lanes singular at any of them; for any other field
+    each stage is one field call, and singular fills in as they run.
+    """
+    form = getattr(field, "lane_form", None)
+    if form is not None:
+        gs, singular = form.g_stages(t + nodes[:, None] * h, params)
+        deriv = form.deriv
+        return (lambda i, y: deriv(gs[i], y, params)), singular
+    singular = np.zeros(t.shape, dtype=bool)
+
+    def stage(i, y):
+        k, s = field(t + nodes[i] * h, y, params)
+        np.logical_or(singular, s, out=singular)
+        return k
+
+    return stage, singular
+
+
+_DP_NODES = np.array([_C2, _C3, _C4, _C5, 1.0])
+
+
 def _dp_lane_attempt(field, t, y, h, f1, params, atol, rtol):
-    """``_dp_checked_attempt`` on lane arrays, plus the lanes singular at any stage."""
-    f2, s2 = field(t + _C2 * h, y + h * (_A21 * f1), params)
-    f3, s3 = field(t + _C3 * h, y + h * (_A31 * f1 + _A32 * f2), params)
-    f4, s4 = field(t + _C4 * h, y + h * (_A41 * f1 + _A42 * f2 + _A43 * f3), params)
-    f5, s5 = field(t + _C5 * h,
-                   y + h * (_A51 * f1 + _A52 * f2 + _A53 * f3 + _A54 * f4), params)
-    f6, s6 = field(t + h,
-                   y + h * (_A61 * f1 + _A62 * f2 + _A63 * f3 + _A64 * f4 + _A65 * f5), params)
+    """``_dp_checked_attempt`` on lane arrays, plus the lanes singular at any stage.
+
+    Stages 6 and 7 share the time t + h (``_lane_stages``).
+    """
+    stage, singular = _lane_stages(field, t, h, _DP_NODES, params)
+    f2 = stage(0, y + h * (_A21 * f1))
+    f3 = stage(1, y + h * (_A31 * f1 + _A32 * f2))
+    f4 = stage(2, y + h * (_A41 * f1 + _A42 * f2 + _A43 * f3))
+    f5 = stage(3, y + h * (_A51 * f1 + _A52 * f2 + _A53 * f3 + _A54 * f4))
+    f6 = stage(4, y + h * (_A61 * f1 + _A62 * f2 + _A63 * f3 + _A64 * f4 + _A65 * f5))
     y_new = y + h * (_B1 * f1 + _B3 * f3 + _B4 * f4 + _B5 * f5 + _B6 * f6)
-    f7, s7 = field(t + h, y_new, params)
+    f7 = stage(4, y_new)
     errs = h * (_E1 * f1 + _E3 * f3 + _E4 * f4 + _E5 * f5 + _E6 * f6 + _E7 * f7)
     finite = np.isfinite(y_new).all(axis=0) & np.isfinite(errs).all(axis=0)
     r = errs / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
     err = np.where(finite, np.sqrt((r * r).sum(axis=0) / len(y)), np.inf)
-    return y_new, f7, err, s2 | s3 | s4 | s5 | s6 | s7
+    return y_new, f7, err, singular
 
 
 # Dormand-Prince 8(5,3), the values of scipy's integrate/_ivp/dop853_coefficients.py.
@@ -650,6 +685,7 @@ _D8_E5 = {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502
 _D8_E3 = {0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
           7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
           10: 0.20136540080403034, 11: 0.02265179219836082}
+_D8_NODES = np.array(_D8_C)
 
 
 def _weighted(ks, weights):
@@ -667,19 +703,18 @@ def _dop853_lane_attempt(field, t, y, h, f1, params, atol, rtol):
 
     Every stage is y + h * (a_0 k_0 + a_1 k_1 + ...) summed elementwise,
     so a lane's bits depend neither on its column nor on the number of
-    lanes.  err is the norm of scipy's DOP853: with e5 and e3 the two
-    error estimates over the scale atol + rtol * max(|y|, |y_new|), it is
-    h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), 0 when both are 0, and inf
-    when any value is nonfinite.
+    lanes; f_new at t + h shares the time of the last stage, as its node
+    is 1 (``_lane_stages``).  err is the norm of scipy's DOP853: with e5
+    and e3 the two error estimates over the scale atol + rtol *
+    max(|y|, |y_new|), it is h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), 0
+    when both are 0, and inf when any value is nonfinite.
     """
+    stage, singular = _lane_stages(field, t, h, _D8_NODES, params)
     ks = [f1]
-    singular = np.zeros(t.shape, dtype=bool)
-    for c, row in zip(_D8_C, _D8_A):
-        k, s = field(t + c * h, y + h * _weighted(ks, row), params)
-        ks.append(k)
-        singular |= s
+    for i, row in enumerate(_D8_A):
+        ks.append(stage(i, y + h * _weighted(ks, row)))
     y_new = y + h * _weighted(ks, _D8_B)
-    f_new, s = field(t + h, y_new, params)
+    f_new = stage(-1, y_new)
     scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
     e5 = _weighted(ks, _D8_E5) / scale
     e3 = _weighted(ks, _D8_E3) / scale
@@ -687,20 +722,26 @@ def _dop853_lane_attempt(field, t, y, h, f1, params, atol, rtol):
     denom = e5_2 + 0.01 * e3_2
     err = np.where(denom > 0.0, h * e5_2 / np.sqrt(denom * len(y)), 0.0)
     finite = np.isfinite(y_new).all(axis=0) & np.isfinite(denom)
-    return y_new, f_new, np.where(finite, err, np.inf), singular | s
+    return y_new, f_new, np.where(finite, err, np.inf), singular
 
 
 @dataclass(frozen=True)
 class LanePair:
-    """An embedded pair for ``integrate_lanes``; the step factor is 0.9 * err ** exponent."""
+    """An embedded pair for ``integrate_lanes``; the step factor is 0.9 * err ** exponent.
+
+    ``evals`` is the field evaluations of one trial step: the first stage
+    is the last of the step before (FSAL), so a lane that takes n trial
+    steps evaluates its field 1 + evals * n times.
+    """
 
     name: str
     attempt: Callable  # (field, t, y, h, f1, params, atol, rtol) -> (y_new, f_new, err, singular)
     exponent: float
+    evals: int
 
 
-DP54 = LanePair("dormand_prince", _dp_lane_attempt, -0.2)
-DOP853 = LanePair("dop853", _dop853_lane_attempt, -0.125)
+DP54 = LanePair("dormand_prince", _dp_lane_attempt, -0.2, 6)
+DOP853 = LanePair("dop853", _dop853_lane_attempt, -0.125, 12)
 
 
 # terminal statuses of a lane; code 0 marks a lane still running

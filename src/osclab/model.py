@@ -276,7 +276,10 @@ def make_field(spec: OscillatorSpec) -> Callable:
         cos, sin = math.cos, math.sin
 
         def g(t):
-            a2 = A + B * cos(two_w * t) + C * sin(two_w * t)
+            th = two_w * t
+            a2 = A + B * cos(th)
+            if C:  # as in alpha2_grid
+                a2 = a2 + C * sin(th)
             if a2 <= EPS_POS:
                 raise CoefficientSingularError(f"alpha2(t={t}) = {a2} <= {EPS_POS}")
             return a2 ** ex
@@ -308,23 +311,44 @@ def make_field(spec: OscillatorSpec) -> Callable:
     return field
 
 
+@dataclass(frozen=True)
+class LaneForm:
+    """The parts of a lane field (p, -w2 z - g(t) z^m) whose g depends on t alone.
+
+    ``g_stages(ts, params)`` takes times ts of shape (stages, lanes) and
+    returns g over them and a (lanes,) mask of the lanes where alpha2 <=
+    EPS_POS at any of their times; ``deriv(g, y, params)`` returns the
+    (2, lanes) derivative at states y given g at their times.  The lane
+    attempts of ``osclab.integrate`` evaluate g at all stage times of a
+    trial step in one call and then only do each stage's state arithmetic.
+    """
+
+    g_stages: Callable
+    deriv: Callable
+
+
 def make_lane_field(specs):
     """The trig field of ``make_field`` vectorised over lanes, one lane per spec.
 
     Returns (field, params).  params holds the per-lane constants
-    (2 omega, omega^2) as a (2, lanes) array; ``field(t, y, params)`` takes
+    (2 omega, -omega^2) as a (2, lanes) array; ``field(t, y, params)`` takes
     lane times t (lanes,) and states y (2, lanes) and returns the
     derivatives (2, lanes) and a boolean mask of the lanes where
     alpha2(t) <= EPS_POS, which ``make_field`` refuses with
     CoefficientSingularError.  A caller that drops lanes drops the same
-    columns of params (see ``integrate.integrate_lanes``).
+    columns of params (see ``integrate.integrate_lanes``).  The field
+    carries its parts in a ``lane_form`` (a LaneForm) and is their
+    composition at one time, so the coefficient and the derivative are
+    each written once.
 
     The specs must share A, B, C and m; only omega may vary.  Each lane
     repeats the operations of ``make_field`` in the same order, with
     alpha2 from ``alpha2_grid``, so alpha2 is bit-identical to the
     scalar one.  The power is numpy's, which rounds apart from float
     ``**`` on about 5 % of arguments, so a lane's p' may differ from the
-    scalar field's by a few ulps.
+    scalar field's by a few ulps.  numpy's cos and power round an element
+    alike at any position and in any shape of array, so g over many stage
+    times at once equals g at each of them alone.
     """
     specs = tuple(specs)
     if not specs or not all(isinstance(s.g_source, TrigAlpha) for s in specs):
@@ -334,20 +358,28 @@ def make_lane_field(specs):
     if any((s.g_source.A, s.g_source.B, s.g_source.C, s.m) != (A, B, C, m) for s in specs):
         raise ValueError("lane specs must share A, B, C and m")
     ex = g_exponent(m)
-    params = np.array([[2.0 * s.omega for s in specs], [s.omega * s.omega for s in specs]])
+    # -omega^2 is negated once here, not at every stage: the bits of -w2 * z stay
+    params = np.array([[2.0 * s.omega for s in specs], [-(s.omega * s.omega) for s in specs]])
 
-    def field(t, y, params):
-        two_w, w2 = params
+    def g_stages(ts, params):
+        a2 = alpha2_grid(A, B, C, params[0], ts)
+        return a2 ** ex, (a2 <= EPS_POS).any(axis=0)
+
+    def deriv(g, y, params):
         z = y[0]
-        a2 = alpha2_grid(A, B, C, two_w, t)
         zm = z
         for _ in range(m - 1):
             zm = zm * z
         dy = np.empty_like(y)
         dy[0] = y[1]
-        dy[1] = -w2 * z - a2 ** ex * zm
-        return dy, a2 <= EPS_POS
+        dy[1] = params[1] * z - g * zm
+        return dy
 
+    def field(t, y, params):
+        g, singular = g_stages(t[None], params)
+        return deriv(g[0], y, params), singular
+
+    field.lane_form = LaneForm(g_stages, deriv)
     return field, params
 
 

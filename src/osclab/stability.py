@@ -122,9 +122,12 @@ class ScanWork:
     """What a scan integrated; ``scan`` fills in one the caller passes.
 
     ``rows`` holds one dict per omega: the cells integrated, how many of
-    them escaped, underflowed or met a singular coefficient, and their
-    accepted and rejected steps.  ``batches`` holds one dict per lane
-    batch: its lanes and the trial steps they took together.
+    them escaped, underflowed or met a singular coefficient, their
+    accepted and rejected steps, and their field evaluations counted from
+    the steps (one per cell plus the pair's ``evals`` per trial step; a
+    lane's last trial, when singular, is not counted).  ``batches`` holds
+    one dict per lane batch: its lanes and the trial steps they took
+    together.
     """
 
     rows: list = field(default_factory=list)
@@ -219,5 +222,6 @@ def scan(
                 "step_underflow": c["step_underflow"],
                 "coefficient_singular": c["coefficient_singular"],
                 "accepted": c["accepted"], "rejected": c["rejected"],
+                "field_evals": n_cells + SCAN_PAIR.evals * (c["accepted"] + c["rejected"]),
             })
     return rows

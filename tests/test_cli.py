@@ -285,6 +285,16 @@ def test_stability_scan_summary_names_its_integrator(tmp_path):
     assert summary["integrator"] == "dop853"
 
 
+def test_stability_scan_summary_counts_field_evals(tmp_path):
+    out = tmp_path / "scan"
+    assert run(["stability-scan", "--preset", "fig3", "--omegas", "1:1:1", "--dz0", "0.5",
+                "--tmax", "2", "--no-svg", "--out", str(out)]) == 0
+    (cells,) = json.loads((out / "summary.json").read_text())["cells"]
+    # one evaluation per cell, then twelve per DOP853 trial step (FSAL)
+    assert cells["field_evals"] == cells["cells"] + 12 * (cells["accepted"] + cells["rejected"])
+    assert cells["accepted"] > 0
+
+
 _SCAN = ["stability-scan", "--preset", "fig3", "--omegas", "1.0:1.0:0.2"]
 _FP_SPEC = '{"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [2.2, 0.0, -3.6]}'
 

@@ -586,6 +586,69 @@ def test_lanes_match_scalar_runs_on_random_trig_cells(A, rel_b, rel_c, m, cells)
             assert np.allclose(run.ys[:, j], ref.ys[-1], rtol=1e-8, atol=1e-8)
 
 
+def _lane_batches(seed, n):
+    """n seeded (field, y0, params, cfg) trig lane batches, each system of its own family.
+
+    1-300 lanes, m 2-5, C != 0 and negative start times; amplitudes up to 2
+    escape.  Every fifth batch dips to alpha2 = 1e-10: at t = pi/(2 omega) for
+    B > 0, at t = 0 for B < 0, inside or at the start of its span.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        lanes, m = int(rng.integers(1, 301)), int(rng.integers(2, 6))
+        A = rng.uniform(0.5, 3.0)
+        B, C = 0.67 * A * rng.uniform(-0.95, 0.95), 0.67 * A * rng.uniform(0.05, 0.95)
+        if i % 5 == 4:
+            A, B, C = 1.0, (1.0 - 1e-10) * (-1) ** i, 0.0
+        field, params = make_lane_field(
+            [trig_spec(A, B, C, w, m) for w in rng.uniform(0.5, 2.0, lanes)])
+        y0 = np.array([rng.uniform(-2.0, 2.0, lanes), rng.uniform(-0.5, 0.5, lanes)])
+        t0 = -rng.uniform(0.0, 3.0) if i % 10 != 9 else 0.0
+        cfg = AdaptiveConfig(rtol=1e-8, t_start=t0, t_end=t0 + rng.uniform(0.5, 4.0),
+                             escape_bound=50.0, record=False)
+        yield field, y0, params, cfg
+
+
+@pytest.mark.parametrize("pair", [integrate.DP54, integrate.DOP853], ids=["dp54", "dop853"])
+def test_lane_form_runs_match_the_generic_stages_bit_for_bit(pair):
+    # with its LaneForm a field has g evaluated at all stage times of a trial
+    # at once; a plain wrapper hides the form and calls the field per stage
+    seen = set()
+    for field, y0, params, cfg in _lane_batches(11, 10):
+        fast = integrate_lanes(field, y0, params, cfg, pair)
+        ref = integrate_lanes(lambda t, y, params: field(t, y, params), y0, params, cfg, pair)
+        for a, b in [(fast.ts, ref.ts), (fast.ys, ref.ys), (fast.n_accepted, ref.n_accepted),
+                     (fast.n_rejected, ref.n_rejected)]:
+            assert a.tobytes() == b.tobytes()
+        assert (fast.status, fast.lock_steps) == (ref.status, ref.lock_steps)
+        seen.update(fast.status)
+    assert seen == {"completed", "escaped", "coefficient_singular"}
+
+
+@pytest.mark.parametrize("pair", [integrate.DP54, integrate.DOP853], ids=["dp54", "dop853"])
+def test_lane_form_is_called_once_per_trial_step_not_per_stage(pair):
+    field, params = make_lane_field([trig_spec(1.3, 0.9, 0.2, w) for w in (0.8, 1.2, 1.6)])
+    form, calls, stage_calls = field.lane_form, [], []
+
+    def counted(t, y, params):
+        calls.append(t)
+        return field(t, y, params)
+
+    def g_stages(ts, params):
+        stage_calls.append(ts.shape)
+        return form.g_stages(ts, params)
+
+    counted.lane_form = type(form)(g_stages, form.deriv)
+    run = integrate_lanes(counted, np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]]), params,
+                          AdaptiveConfig(rtol=1e-10, t_end=3.0, record=False), pair)
+    assert run.status == ("completed",) * 3
+    # the field once, for the run's first f1; g once per lock-step, at every stage time
+    assert len(calls) == 1 and calls[0].tolist() == [0.0] * 3
+    assert len(stage_calls) == run.lock_steps
+    assert {rows for rows, _ in stage_calls} == {5 if pair is integrate.DP54 else 11}
+    assert stage_calls[0][1] == 3  # all lanes, until the first completes
+
+
 def _fused_matches_generic(field, y0, cfg):
     """The fused path must match, bit for bit, the generic loop that a plain wrapper forces."""
     assert field.power_form is not None
@@ -599,7 +662,7 @@ def _fused_matches_generic(field, y0, cfg):
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_fused_fixed_step_matches_generic_loop(m):
-    # C != 0, and 10k steps cross two chunk boundaries
+    # C != 0, and 10k steps cross nine chunk boundaries
     traj = _fused_matches_generic(make_field(trig_spec(1.3, 0.9, 0.2, 1.0, m)), (0.3, 0.1),
                                   FixedStepConfig(h=1e-3, t_end=10.0))
     assert traj.status == "completed" and traj.n_accepted == 10000
@@ -621,7 +684,7 @@ def test_fused_fixed_step_escape_matches_generic_loop():
     traj = _fused_matches_generic(make_field(trig_spec(1.3, 0.9, 0.0, 1.4)), (1.4, 0.0),
                                   FixedStepConfig(h=1e-3, t_end=60.0, escape_bound=50.0))
     assert traj.status == "escaped"
-    assert traj.n_accepted > 4096  # the escape falls in the second chunk
+    assert traj.n_accepted > 4096  # the escape falls past the fourth chunk
 
 
 @pytest.mark.parametrize("B,h,n_before", [
@@ -700,7 +763,7 @@ def test_fused_fixed_step_matches_generic_loop_on_a_sampled_field(record, t_end,
     traj = _fused_matches_generic(make_field(OscillatorSpec(1.0, 2, src)), (0.3, 0.0),
                                   FixedStepConfig(h=1e-3, t_end=t_end, record=record))
     assert traj.status == want
-    assert traj.n_accepted > 4096  # past the first chunk
+    assert traj.n_accepted > 4096  # past the fourth chunk
     if want == "coefficient_singular":
         assert traj.ts[-1] <= knots[-1] < traj.ts[-1] + 1e-3
 
@@ -783,7 +846,7 @@ _SAMPLED = OscillatorSpec(1.0, 2, Sampled(_KNOTS, tuple(0.2 + 0.1 * math.cos(t) 
 @pytest.mark.parametrize("wrap", [False, True], ids=["fused", "generic"])
 @pytest.mark.parametrize("spec,y0,h,t_start,stops,escape,want", [
     # h = 7e-4 divides no interval of pi: every interval ends on a shortened step,
-    # and its 4488 full steps cross a fused chunk boundary
+    # and its 4488 full steps cross four fused chunk boundaries
     (trig_spec(1.3, 0.9, 0.0, 1.0), (0.1, 0.0), 7e-4, 0.0,
      [k * math.pi for k in range(1, 5)], math.inf, "completed"),
     # h = 0.125 divides every interval: no shortened step

@@ -16,6 +16,7 @@ from osclab.model import (
     State,
     Trajectory,
     TrigAlpha,
+    alpha2_grid,
     g_exponent,
     int_pow,
     make_field,
@@ -240,6 +241,56 @@ def test_lane_field_matches_make_field(A, B, C, m):
         # numpy's cos, sin and power may round apart from math's
         assert math.isclose(dy[1, j], want[1], rel_tol=1e-13)
     assert singular.any() == (A - math.hypot(B, C) < 1e-9)
+
+
+@pytest.mark.parametrize("C", [0.0, -0.0, 0.35, -0.35])
+def test_trig_g_matches_its_written_out_expression(C):
+    # g skips C sin(th) when C is 0, which must change no value
+    rng = np.random.default_rng(17)
+    for m in (2, 3, 5):
+        ex = g_exponent(m)
+        g = make_field(trig_spec(1.3, 0.9, C, 1.1, m)).power_form.g
+        for t in rng.uniform(-1e3, 1e3, 200).tolist():
+            th = 2.2 * t
+            assert g(t) == (1.3 + 0.9 * math.cos(th) + C * math.sin(th)) ** ex
+
+
+@pytest.mark.parametrize("C", [0.0, -0.0])
+def test_trig_g_refuses_and_overflows_where_its_expression_does(C):
+    t = math.pi / 2  # alpha2 = A - |B| here, at its least
+    singular = make_field(trig_spec(1.0, 1.0 - 1e-10, C, 1.0)).power_form.g
+    assert 1.0 + (1.0 - 1e-10) * math.cos(2.0 * t) + C * math.sin(2.0 * t) <= 1e-9
+    with pytest.raises(CoefficientSingularError):
+        singular(t)
+    # alpha2 bottoms out at 2e-9, above the floor, where alpha2 ** -36.5 overflows
+    overflow = make_field(trig_spec(1.0, 1.0 - 2e-9, C, 1.0, 70)).power_form.g
+    with pytest.raises(OverflowError):
+        (1.0 + (1.0 - 2e-9) * math.cos(2.0 * t) + C * math.sin(2.0 * t)) ** g_exponent(70)
+    with pytest.raises(OverflowError):
+        overflow(t)
+
+
+@pytest.mark.parametrize("A,B,C,m", [(1.3, 0.9, 0.0, 2), (1.2, 0.4, -0.5, 4),
+                                     (1.0, -(1.0 - 1e-10), 0.0, 2)])
+def test_lane_form_g_stages_match_the_field_row_by_row(A, B, C, m):
+    rng = np.random.default_rng(5)
+    specs = [trig_spec(A, B, C, w, m) for w in rng.uniform(0.5, 2.0, 30)]
+    field, params = make_lane_field(specs)
+    form, ex = field.lane_form, g_exponent(m)
+    ts = rng.uniform(-10.0, 10.0, (12, 30))
+    ts[3, :5] = 0.0  # a singular time for B < 0
+    y = rng.uniform(-2.0, 2.0, (2, 30))
+    with np.errstate(all="ignore"):
+        gs, singular = form.g_stages(ts, params)
+        any_row = np.zeros(30, dtype=bool)
+        for i, t in enumerate(ts):
+            dy, s = field(t, y, params)
+            assert dy.tobytes() == form.deriv(gs[i], y, params).tobytes()
+            # the same bits as g on one row of times alone
+            assert gs[i].tobytes() == (alpha2_grid(A, B, C, params[0], t) ** ex).tobytes()
+            any_row |= s
+    assert singular.tolist() == any_row.tolist()
+    assert singular.any() == (B < 0)
 
 
 def test_lane_field_needs_one_trig_family():

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -166,6 +167,34 @@ def test_scan_work_counts_every_cell():
     assert counts["escaped"] == counts["cells"] - round(rows[0].z_last_bounded / 0.1)
     assert counts["step_underflow"] == counts["coefficient_singular"] == 0
     assert counts["accepted"] > counts["rejected"] > 0
+
+
+def test_scan_field_evals_count_the_lane_field_calls(monkeypatch):
+    # a counting lane field without a LaneForm: one call per stage, and each
+    # call evaluates every live lane, whose row its 2 omega names
+    evals = Counter()
+
+    def counting_lane_field(specs):
+        field, params = make_lane_field(specs)
+
+        def counted(t, y, params):
+            evals.update(params[0].tolist())
+            return field(t, y, params)
+
+        return counted, params
+
+    omegas = (0.8, 1.4)
+    kw = dict(dz0=0.1, t_max=20.0)
+    work = ScanWork()
+    rows = scan(1.3, 0.9, 0.2, omegas, work=work, **kw)
+    monkeypatch.setattr(stability, "make_lane_field", counting_lane_field)
+    counted = ScanWork()
+    assert scan(1.3, 0.9, 0.2, omegas, work=counted, **kw) == rows
+    assert counted.rows == work.rows
+    assert sum(r["coefficient_singular"] for r in work.rows) == 0
+    for omega, r in zip(omegas, work.rows):
+        assert r["field_evals"] == evals[2.0 * omega]
+        assert r["field_evals"] == r["cells"] + 12 * (r["accepted"] + r["rejected"])
 
 
 @pytest.mark.parametrize("kw,match", [

@@ -156,19 +156,15 @@ def _stride_rows(ts, cols):
         yield tuple(c[-1] for c in cols)
 
 
-def _stats(integrator: str, run) -> dict:
-    """The summary's ``stats``: which integrator ran and its step counts."""
-    return {"integrator": integrator, "accepted": run.n_accepted, "rejected": run.n_rejected}
+def _stats(integrator: str, run, ran: bool = True) -> dict:
+    """The summary's ``stats``: which integrator ran, its step counts and ``field_evals``.
 
-
-def _oscillator_stats(integrator: str, run, ran: bool = True) -> dict:
-    """``_stats`` plus ``field_evals``: the field evaluations, counted from the steps.
-
-    RK4 evaluates the field four times per step, Dormand-Prince once at
-    the start and six times per trial step, as the last stage of an
-    accepted step is the first of the next (FSAL).  A run not made (a
-    one-point strobe) made none.  The stages of a step that met a
-    singular coefficient are not counted.
+    field_evals is the field evaluations, counted from the steps: RK4
+    evaluates the field four times per step, Dormand-Prince once at the
+    start and six times per trial step, as the last stage of an accepted
+    step is the first of the next (FSAL).  A run not made (a one-point
+    strobe) made none.  The stages of a step that met a singular
+    coefficient are not counted.
     """
     if not ran:
         evals = 0
@@ -176,7 +172,8 @@ def _oscillator_stats(integrator: str, run, ran: bool = True) -> dict:
         evals = 4 * run.n_accepted
     else:
         evals = 1 + 6 * (run.n_accepted + run.n_rejected)
-    return {**_stats(integrator, run), "field_evals": evals}
+    return {"integrator": integrator, "accepted": run.n_accepted, "rejected": run.n_rejected,
+            "field_evals": evals}
 
 
 def _run_oscillator(spec, params):
@@ -189,10 +186,10 @@ def _run_oscillator(spec, params):
         cfg = AdaptiveConfig(rtol=params["rtol"], atol=params.get("atol", 1e-12),
                              t_end=tmax, escape_bound=escape)
         traj = integrate_adaptive(field, y0, cfg)
-        return traj, y0, _oscillator_stats("dormand_prince", traj)
+        return traj, y0, _stats("dormand_prince", traj)
     cfg = FixedStepConfig(h=params.get("h", 1e-3), t_end=tmax, escape_bound=escape)
     traj = integrate_fixed(field, y0, cfg)
-    return traj, y0, _oscillator_stats("rk4", traj)
+    return traj, y0, _stats("rk4", traj)
 
 
 def cmd_simulate(args) -> Record:
@@ -274,8 +271,7 @@ def cmd_poincare(args) -> Record:
             [None if math.isinf(lo) else lo, None if math.isinf(hi) else hi]
             for lo, hi in curve.admissible
         ],
-        "stats": _oscillator_stats("dormand_prince" if h is None else "rk4", strobe,
-                                   ran=n_points > 1),
+        "stats": _stats("dormand_prince" if h is None else "rk4", strobe, ran=n_points > 1),
     }
     return Record(
         summary, f"poincare: points={len(strobe.states)} residual_max={residual:.6e} "
@@ -408,9 +404,10 @@ def cmd_reduce(args) -> Record:
         "defect_wp": res.env.defect_wp,
         "m": res.m,
         "n_grid": args.n_grid,
-        "stats": {
-            "monodromy": {"accepted": res.mono.n_accepted, "rejected": res.mono.n_rejected},
-            "envelope": {"accepted": res.env.n_accepted, "rejected": res.env.n_rejected},
+        "stats": {  # field_evals: 1 + 6 per trial step for each Dormand-Prince run
+            name: {"accepted": r.n_accepted, "rejected": r.n_rejected,
+                   "field_evals": runs + 6 * (r.n_accepted + r.n_rejected)}
+            for name, r, runs in (("monodromy", res.mono, 2), ("envelope", res.env, 1))
         },
     }
     return Record(

@@ -24,10 +24,13 @@ the run carries on from there.  A field that carries a
 ``model.PowerForm`` (every field of ``model.make_field``) with a (z, p)
 state takes the fused path of either integrator, with the field (and
 the error norm) inlined, bit-identical to the generic path that every
-other field or state takes.  The fused RK4 path evaluates g on a whole
-chunk of its step grid at once with the form's ``g_grid`` (trig
-sources), and time by time where there is none (sampled sources) or
-where g raises in the chunk.  A nonfinite initial state raises
+other field or state takes.  The fused Dormand-Prince path
+(``_dp_power_march``) runs the whole march, stops, step control and
+trial steps, in one loop; the tests check its states, counts, statuses
+and errors bit for bit against the generic loop.  The fused RK4 path
+evaluates g on a whole chunk of its step grid at once with the form's
+``g_grid`` (trig sources), and time by time where there is none
+(sampled sources) or where g raises in the chunk.  A nonfinite initial state raises
 NonfiniteStateError before the first step.
 
 Escape past a caller-supplied bound is an expected outcome in stability
@@ -466,64 +469,121 @@ def _dp_checked_attempt(field, t, y, h, f1, atol, rtol):
     return y_new, f7, math.sqrt(err / len(y))
 
 
-def _dp_power_attempt(form, t, y, h, f1, atol, rtol):
-    """``_dp_checked_attempt`` on (z, p) for a field with a ``model.PowerForm``.
+def _dp_power_march(form, y, cfg: AdaptiveConfig, stops, at_stop, rec) -> Trajectory:
+    """``integrate_adaptive`` on (z, p) for a field with a ``model.PowerForm``, in one loop.
 
-    The field (p, -w2 z - g(t) z^m) and the error norm are inlined in
-    the operation order of ``_dp_attempt``, the field and
-    ``_dp_checked_attempt``, so (y_new, f7, err) are bit-identical to
-    theirs.  g is called in stage order, once per stage time: stages 6
-    and 7 share t + h.  ai and bi are the z' and p' of stage i; as z' is
-    p, ai is also the p of the state at stage i.
+    The trial step, the field (p, -w2 z - g(t) z^m) and the error norm
+    are inlined in the operation order of ``_dp_attempt``, the field and
+    ``_dp_checked_attempt``, the step control in that of the generic
+    loop, so states, counts, statuses and raised errors are bit-identical
+    to its.  g is called once at the start and once per stage time
+    (stages 6 and 7 share t + h).  ai and bi are the z' and p' of stage
+    i; as z' is p, a1 is p itself.
     """
     w2, g, powers = form.w2, form.g, range(form.m - 1)
+    isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
+    t_end, rtol, atol, h_min = cfg.t_end, cfg.rtol, cfg.atol, cfg.h_min
+    bound = cfg.escape_bound
+    escapable = bound < inf  # an accepted state is finite, so never beyond inf
+    record = rec.record
+    if record:
+        push_t, push_y = rec.ts.append, rec.buf.extend
+    status = "completed"
+    n_acc = n_rej = 0
+    t = cfg.t_start
+    h = min(cfg.h_init, t_end - t)
     z, p = y
-    a1, b1 = f1
-    z2 = z + h * (_A21 * a1)
-    a2 = p + h * (_A21 * b1)
-    zm = z2
-    for _ in powers:
-        zm *= z2
-    b2 = -w2 * z2 - g(t + _C2 * h) * zm
-    z3 = z + h * (_A31 * a1 + _A32 * a2)
-    a3 = p + h * (_A31 * b1 + _A32 * b2)
-    zm = z3
-    for _ in powers:
-        zm *= z3
-    b3 = -w2 * z3 - g(t + _C3 * h) * zm
-    z4 = z + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
-    a4 = p + h * (_A41 * b1 + _A42 * b2 + _A43 * b3)
-    zm = z4
-    for _ in powers:
-        zm *= z4
-    b4 = -w2 * z4 - g(t + _C4 * h) * zm
-    z5 = z + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
-    a5 = p + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
-    zm = z5
-    for _ in powers:
-        zm *= z5
-    b5 = -w2 * z5 - g(t + _C5 * h) * zm
-    z6 = z + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
-    a6 = p + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
-    zm = z6
-    for _ in powers:
-        zm *= z6
-    g6 = g(t + h)
-    b6 = -w2 * z6 - g6 * zm
-    zn = z + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
-    pn = p + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)
-    zm = zn
-    for _ in powers:
-        zm *= zn
-    b7 = -w2 * zn - g6 * zm
-    ez = h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * pn)
-    ep = h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * b7)
-    isfinite = math.isfinite
-    if not (isfinite(zn) and isfinite(ez) and isfinite(pn) and isfinite(ep)):
-        return (zn, pn), (pn, b7), math.inf
-    rz = ez / (atol + rtol * max(abs(z), abs(zn)))
-    rp = ep / (atol + rtol * max(abs(p), abs(pn)))
-    return (zn, pn), (pn, b7), math.sqrt((rz * rz + rp * rp) / 2)
+    try:
+        zm = z
+        for _ in powers:
+            zm *= z
+        b1 = -w2 * z - g(t) * zm
+        for stop in stops:
+            while t < stop:
+                clipped = t + h >= stop
+                if clipped:
+                    h_att, t_next = stop - t, stop
+                else:
+                    h_att, t_next = h, t + h
+                z2 = z + h_att * (_A21 * p)
+                a2 = p + h_att * (_A21 * b1)
+                zm = z2
+                for _ in powers:
+                    zm *= z2
+                b2 = -w2 * z2 - g(t + _C2 * h_att) * zm
+                z3 = z + h_att * (_A31 * p + _A32 * a2)
+                a3 = p + h_att * (_A31 * b1 + _A32 * b2)
+                zm = z3
+                for _ in powers:
+                    zm *= z3
+                b3 = -w2 * z3 - g(t + _C3 * h_att) * zm
+                z4 = z + h_att * (_A41 * p + _A42 * a2 + _A43 * a3)
+                a4 = p + h_att * (_A41 * b1 + _A42 * b2 + _A43 * b3)
+                zm = z4
+                for _ in powers:
+                    zm *= z4
+                b4 = -w2 * z4 - g(t + _C4 * h_att) * zm
+                z5 = z + h_att * (_A51 * p + _A52 * a2 + _A53 * a3 + _A54 * a4)
+                a5 = p + h_att * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
+                zm = z5
+                for _ in powers:
+                    zm *= z5
+                b5 = -w2 * z5 - g(t + _C5 * h_att) * zm
+                z6 = z + h_att * (_A61 * p + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+                a6 = p + h_att * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
+                zm = z6
+                for _ in powers:
+                    zm *= z6
+                g6 = g(t + h_att)
+                b6 = -w2 * z6 - g6 * zm
+                zn = z + h_att * (_B1 * p + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
+                pn = p + h_att * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)
+                zm = zn
+                for _ in powers:
+                    zm *= zn
+                b7 = -w2 * zn - g6 * zm
+                ez = h_att * (_E1 * p + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * pn)
+                ep = h_att * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * b7)
+                if isfinite(zn) and isfinite(ez) and isfinite(pn) and isfinite(ep):
+                    # max(|y|, |y_new|) and the min/max clamp below as chained comparisons
+                    rz = ez / (atol + rtol * (abs(zn) if abs(zn) > abs(z) else abs(z)))
+                    rp = ep / (atol + rtol * (abs(pn) if abs(pn) > abs(p) else abs(p)))
+                    err = sqrt((rz * rz + rp * rp) / 2)
+                else:
+                    err = inf
+                fac = _SAFETY * err ** -0.2 if err else _FAC_MAX
+                fac = _FAC_MIN if not fac > _FAC_MIN else fac if fac < _FAC_MAX else _FAC_MAX
+                if err <= 1.0:
+                    t, z, p, b1 = t_next, zn, pn, b7
+                    n_acc += 1
+                    if n_acc > _MAX_FIXED_STEPS:
+                        raise StepBudgetError(f"more than {_MAX_FIXED_STEPS} accepted steps "
+                                              f"before t_end={t_end}, at t={t}")
+                    if record:
+                        push_t(t)
+                        push_y((z, p))
+                    if escapable and (abs(z) > bound or abs(p) > bound):
+                        status = "escaped"
+                        break
+                    h_new = h_att * fac
+                    h_new = h_min if h_min > h_new else h_new
+                    # after a clip, h is still the step proposed before it
+                    h = h if clipped and h > h_new else h_new
+                else:
+                    n_rej += 1
+                    h = h_att * fac
+                    if h < h_min:
+                        raise StepUnderflowError(f"required step {h:.3e} < h_min {h_min:.3e} "
+                                                 f"at t={t}")
+            if status != "completed":
+                break
+            if at_stop is not None:
+                at_stop(t, (z, p))
+    except CoefficientSingularError:
+        status = "coefficient_singular"
+    if not record:
+        rec.last = (t, (z, p))
+    return rec.build(status, n_accepted=n_acc, n_rejected=n_rej)
 
 
 def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None) -> Trajectory:
@@ -535,8 +595,9 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     result is treated as rejected.  StepUnderflowError signals that the
     controller was forced below h_min on a rejection, and StepBudgetError
     that the run took more than _MAX_FIXED_STEPS accepted steps.  The
-    fused path (see the module docstring) tries each step with
-    ``_dp_power_attempt``, the generic one with ``_dp_checked_attempt``.
+    loop below, which tries each step with ``_dp_checked_attempt``, is
+    the definition; the fused path (see the module docstring) runs the
+    whole march in ``_dp_power_march``, bit for bit as this loop would.
 
     ``stops`` (default: t_end alone) are strictly ascending times in
     (t_start, t_end], the last one t_end.  A step that would pass the
@@ -549,9 +610,7 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     """
     stops, y, rec, form = _start(field, y0, cfg, stops)
     if form is not None:
-        attempt, stepped = _dp_power_attempt, form
-    else:
-        attempt, stepped = _dp_checked_attempt, field
+        return _dp_power_march(form, y, cfg, stops, at_stop, rec)
     t0, t_end = cfg.t_start, cfg.t_end
     rtol, atol, h_min = cfg.rtol, cfg.atol, cfg.h_min
     bound = cfg.escape_bound
@@ -572,7 +631,7 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
                     h_att, t_next = stop - t, stop
                 else:
                     h_att, t_next = h, t + h
-                y_new, f7, err = attempt(stepped, t, y, h_att, f1, atol, rtol)
+                y_new, f7, err = _dp_checked_attempt(field, t, y, h_att, f1, atol, rtol)
                 # err = 0 gives the factor _FAC_MAX, err = inf gives _FAC_MIN
                 fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2)) if err else _FAC_MAX
                 if err <= 1.0:

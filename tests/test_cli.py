@@ -549,7 +549,38 @@ def test_family_run(tmp_path):
     assert summary["max_rel_drift"] < 1e-8
     traj, _ = integrate_family(fiveparam_from_json(json.loads(_FP_SPEC)), 0.1, 0.0, 20.0)
     assert summary["stats"] == {"integrator": "dormand_prince", "accepted": traj.n_accepted,
-                                "rejected": traj.n_rejected}
+                                "rejected": traj.n_rejected,
+                                "field_evals": 1 + 6 * (traj.n_accepted + traj.n_rejected)}
+
+
+def _counted_runs(monkeypatch, module):
+    """Field calls per ``integrate_adaptive`` run of ``module``, each run's field behind a counter."""
+    counts = []
+
+    def counted_run(field, y0, cfg, **kwargs):
+        i = len(counts)
+        counts.append(0)
+
+        def counted(t, y):
+            counts[i] += 1
+            return field(t, y)
+
+        return integrate_adaptive(counted, y0, cfg, **kwargs)
+
+    monkeypatch.setattr(module, "integrate_adaptive", counted_run)
+    return counts
+
+
+def test_family_field_evals_counts_the_field_calls(tmp_path, monkeypatch):
+    counts = _counted_runs(monkeypatch, osclab.family)
+    spec = tmp_path / "fp.json"
+    spec.write_text(_FP_SPEC)
+    out = tmp_path / "fam"
+    assert run(["family", "--spec", str(spec), "--z0", "0.1", "--tmax", "20", "--rtol", "1e-8",
+                "--no-svg", "--out", str(out)]) == 0
+    stats = json.loads((out / "summary.json").read_text())["stats"]
+    assert len(counts) == 1 and stats["rejected"] > 0
+    assert stats["field_evals"] == counts[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -598,6 +629,20 @@ def test_reduce_run(tmp_path):
     rows = (out / "envelope.csv").read_text().splitlines()
     assert rows[0] == "t,phi,w,wp"
     assert (out / "gnf.csv").read_text().splitlines()[0] == "s,g_nf"
+
+
+def test_reduce_field_evals_count_the_field_calls(tmp_path, monkeypatch):
+    # two monodromy runs, from (1, 0) and (0, 1), then the envelope run
+    counts = _counted_runs(monkeypatch, osclab.normalform)
+    hill = tmp_path / "hill.csv"
+    _write_smooth_hill(hill)
+    out = tmp_path / "red"
+    assert run(["reduce", "--hill", str(hill), "--T", repr(2 * math.pi), "--m", "2",
+                "--n-grid", "401", "--no-svg", "--out", str(out)]) == 0
+    stats = json.loads((out / "summary.json").read_text())["stats"]
+    assert len(counts) == 3
+    assert stats["monodromy"]["field_evals"] == counts[0] + counts[1]
+    assert stats["envelope"]["field_evals"] == counts[2]
 
 
 def test_reduce_unstable_exits_3(tmp_path):

@@ -16,7 +16,6 @@ from osclab.integrate import (
     FixedStepConfig,
     _dp_attempt,
     _dp_checked_attempt,
-    _dp_power_attempt,
     _escaped,
     _Recorder,
     integrate_adaptive,
@@ -939,14 +938,42 @@ def _fused_march_matches_generic(field, y0, cfg):
 
 
 def test_fused_attempt_matches_generic_attempt_and_norm():
-    # stage 2 of the large trial overflows (z^6 of about 1e480): err is inf
+    # one-trial runs from t = 0.5: an h_min of the trial's own step ends the
+    # run at its first rejection.  A stage of the large trial overflows, so
+    # err is inf and the trial is rejected with the factor _FAC_MIN
     field = make_field(trig_spec(1.3, 0.9, 0.2, 1.0, 6))
     for y, h, want_inf in [((0.3, 0.1), 0.01, False), ((-1e40, 1e30), 1e-3, True)]:
-        f1 = field(0.5, y)
-        got = _dp_power_attempt(field.power_form, 0.5, y, h, f1, 1e-12, 1e-10)
-        ref = _dp_checked_attempt(field, 0.5, y, h, f1, 1e-12, 1e-10)
-        assert repr(got) == repr(ref)  # repr: equal also where a stage is NaN
-        assert math.isinf(got[2]) == want_inf
+        h = (0.5 + h) - 0.5  # the step of the run's one trial
+        cfg = AdaptiveConfig(rtol=1e-10, atol=1e-12, t_start=0.5, t_end=0.5 + h, h_init=h,
+                             h_min=h)
+        y_new, _, err = _dp_checked_attempt(field, 0.5, y, h, field(0.5, y), cfg.atol, cfg.rtol)
+        assert math.isinf(err) == want_inf
+        runs = []
+        for f in (field, lambda t, y: field(t, y)):
+            try:
+                traj = integrate_adaptive(f, y, cfg)
+                runs.append((traj.status, traj.n_accepted, traj.n_rejected,
+                             repr(traj.ts.tolist()), repr(traj.ys.tolist())))
+            except StepUnderflowError as exc:
+                runs.append(str(exc))
+        assert runs[0] == runs[1]
+        if want_inf:
+            assert runs[0] == f"required step {_FAC_MIN * h:.3e} < h_min {h:.3e} at t=0.5"
+        else:
+            assert runs[0][:3] == ("completed", 1, 0)
+            assert runs[0][4] == repr([list(y), list(y_new)])
+
+
+def test_fused_march_floors_an_accepted_step_at_h_min():
+    # with h_min = h_init = h and the first trial's err near 0.62, each accepted
+    # trial proposes about 0.99 h, which the floor raises back to h_min
+    field = make_field(trig_spec(1.3, 0.9, 0.2, 1.0, 3))
+    y, h = (0.3, 0.1), 0.05
+    err = _dp_checked_attempt(field, 0.0, y, h, field(0.0, y), 1e-12, 1e-10)[2]
+    cfg = AdaptiveConfig(rtol=1e-10 * err / 0.62, t_end=3 * h, h_init=h, h_min=h)
+    traj = _fused_march_matches_generic(field, y, cfg)
+    assert (traj.status, traj.n_accepted, traj.n_rejected) == ("completed", 3, 0)
+    assert np.allclose(np.diff(traj.ts), h, rtol=1e-12, atol=0.0)
 
 
 def test_fused_attempt_is_only_for_two_components():
@@ -1016,6 +1043,16 @@ def test_fused_march_through_stops_matches_generic_on_fig2():
     assert (got.status, got.n_accepted, got.n_rejected) == (
         ref.status, ref.n_accepted, ref.n_rejected)
     assert got.status == "completed" and got.n_rejected > 0
+
+
+def test_fused_march_calls_g_once_per_stage_time():
+    # once at the start, then five times per trial step: stages 6 and 7 share t + h.
+    # field_evals (1 + 6 per trial) still counts the field evaluations, not these calls
+    field, calls = _counted_g(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
+    res = sample_strobe(field, (0.1004, 0.0), math.pi, 40, escape_bound=50.0, rtol=1e-10)
+    assert res.status == "completed" and len(res.states) == 41 and res.n_rejected > 0
+    assert len(calls) == 1 + 5 * (res.n_accepted + res.n_rejected)
+    assert calls[0] == 0.0 and max(calls) == 40 * math.pi
 
 
 def test_fused_fixed_step_is_only_for_two_components():

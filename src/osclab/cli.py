@@ -38,8 +38,8 @@ from . import poincare as poincare_mod
 from . import spline
 from . import stability as stability_mod
 from .errors import ConfigError, OscLabError
-from .integrate import (_MAX_GRID_POINTS, AdaptiveConfig, FixedStepConfig, integrate_adaptive,
-                        integrate_fixed, sample_strobe)
+from .integrate import (_MAX_GRID_POINTS, DP54, AdaptiveConfig, FixedStepConfig,
+                        integrate_adaptive, integrate_fixed, sample_strobe)
 from .model import MAX_M, State, make_field, spec_from_json, trig_spec
 from .output import decimate, svg_plot, write_csv, write_json
 
@@ -156,22 +156,20 @@ def _stride_rows(ts, cols):
         yield tuple(c[-1] for c in cols)
 
 
-def _stats(integrator: str, run, ran: bool = True) -> dict:
+def _stats(integrator: str, run, runs: int = 1) -> dict:
     """The summary's ``stats``: which integrator ran, its step counts and ``field_evals``.
 
-    field_evals is the field evaluations, counted from the steps: RK4
-    evaluates the field four times per step, Dormand-Prince once at the
-    start and six times per trial step, as the last stage of an accepted
-    step is the first of the next (FSAL).  A run not made (a one-point
-    strobe) made none.  The stages of a step that met a singular
-    coefficient are not counted.
+    field_evals is the field evaluations of ``runs`` runs, counted from
+    the steps: RK4 evaluates the field four times per step, ``DP54``
+    once at the start of each run and ``evals`` times per trial step, as
+    the last stage of an accepted step is the first of the next (FSAL).
+    A one-point strobe makes no run.  The stages of a step that met a
+    singular coefficient are not counted.
     """
-    if not ran:
-        evals = 0
-    elif integrator == "rk4":
+    if integrator == "rk4":
         evals = 4 * run.n_accepted
     else:
-        evals = 1 + 6 * (run.n_accepted + run.n_rejected)
+        evals = runs + DP54.evals * (run.n_accepted + run.n_rejected)
     return {"integrator": integrator, "accepted": run.n_accepted, "rejected": run.n_rejected,
             "field_evals": evals}
 
@@ -186,7 +184,7 @@ def _run_oscillator(spec, params):
         cfg = AdaptiveConfig(rtol=params["rtol"], atol=params.get("atol", 1e-12),
                              t_end=tmax, escape_bound=escape)
         traj = integrate_adaptive(field, y0, cfg)
-        return traj, y0, _stats("dormand_prince", traj)
+        return traj, y0, _stats(DP54.name, traj)
     cfg = FixedStepConfig(h=params.get("h", 1e-3), t_end=tmax, escape_bound=escape)
     traj = integrate_fixed(field, y0, cfg)
     return traj, y0, _stats("rk4", traj)
@@ -271,7 +269,7 @@ def cmd_poincare(args) -> Record:
             [None if math.isinf(lo) else lo, None if math.isinf(hi) else hi]
             for lo, hi in curve.admissible
         ],
-        "stats": _stats("dormand_prince" if h is None else "rk4", strobe, ran=n_points > 1),
+        "stats": _stats(DP54.name if h is None else "rk4", strobe, runs=int(n_points > 1)),
     }
     return Record(
         summary, f"poincare: points={len(strobe.states)} residual_max={residual:.6e} "
@@ -374,7 +372,7 @@ def cmd_family(args) -> Record:
         "mode": report.mode,
         "max_rel_drift": report.max_rel,
         "n_recorded": len(traj),
-        "stats": _stats("dormand_prince", traj),
+        "stats": _stats(DP54.name, traj),
     }
     return Record(
         summary, f"family: status={traj.status} drift mode={report.mode} "
@@ -404,11 +402,8 @@ def cmd_reduce(args) -> Record:
         "defect_wp": res.env.defect_wp,
         "m": res.m,
         "n_grid": args.n_grid,
-        "stats": {  # field_evals: 1 + 6 per trial step for each Dormand-Prince run
-            name: {"accepted": r.n_accepted, "rejected": r.n_rejected,
-                   "field_evals": runs + 6 * (r.n_accepted + r.n_rejected)}
-            for name, r, runs in (("monodromy", res.mono, 2), ("envelope", res.env, 1))
-        },
+        "stats": {"monodromy": _stats(DP54.name, res.mono, runs=2),
+                  "envelope": _stats(DP54.name, res.env)},
     }
     return Record(
         summary, f"reduce: omega_nf={res.omega_nf:.12g} mu={res.mono.mu:.12g} "

@@ -28,10 +28,9 @@ other field or state takes.  The fused Dormand-Prince path
 (``_dp_power_march``) runs the whole march, stops, step control and
 trial steps, in one loop; the tests check its states, counts, statuses
 and errors bit for bit against the generic loop.  The fused RK4 path
-evaluates g on a whole chunk of its step grid at once with the form's
-``g_grid`` (trig sources), and time by time where there is none
-(sampled sources) or where g raises in the chunk.  A nonfinite initial state raises
-NonfiniteStateError before the first step.
+runs every chunk of steps whose g the form evaluates on the grid, and
+the generic loop runs the rest (``integrate_fixed``).  A nonfinite
+initial state raises NonfiniteStateError before the first step.
 
 Escape past a caller-supplied bound is an expected outcome in stability
 scans, so it is reported as a trajectory status, never as an exception.
@@ -176,43 +175,31 @@ class AdaptiveConfig:
 
 
 class _Recorder:
-    """Accumulates accepted steps; with record=False keeps only endpoints."""
+    """Accumulates accepted steps; with record=False keeps only the start."""
 
     def __init__(self, record: bool, t0: float, y0):
         self.record = record
-        self.ndim = len(y0)
-        if record:
-            self.ts = array("d", [t0])
-            self.buf = array("d", y0)
-        else:
-            self.first = (t0, tuple(y0))
-            self.last = self.first
+        self.ts = array("d", [t0])
+        self.buf = array("d", y0)
 
     def push(self, t, y):
         if self.record:
             self.ts.append(t)
             self.buf.extend(y)
-        else:
-            self.last = (t, tuple(y))
 
     def push_many(self, ts, flat):
         """push each time of ts (a float64 array) with its state, read in order from flat."""
         if self.record:
             self.ts.frombytes(ts.tobytes())
             self.buf += array("d", flat)
-        else:
-            self.last = (float(ts[-1]), tuple(flat[-self.ndim:]))
 
-    def build(self, status, **meta) -> Trajectory:
-        if self.record:
-            ts = np.frombuffer(self.ts, dtype=float).copy()
-            ys = np.frombuffer(self.buf, dtype=float).reshape(-1, self.ndim).copy()
-        elif self.last[0] > self.first[0]:
-            ts = np.array([self.first[0], self.last[0]])
-            ys = np.array([self.first[1], self.last[1]])
-        else:
-            ts = np.array([self.first[0]])
-            ys = np.array([self.first[1]])
+    def build(self, status, t, y, **meta) -> Trajectory:
+        """The trajectory of a run whose last accepted state is (t, y)."""
+        if t > self.ts[-1]:  # not yet pushed: a run with record=False
+            self.ts.append(t)
+            self.buf.extend(y)
+        ts = np.frombuffer(self.ts, dtype=float).copy()
+        ys = np.frombuffer(self.buf, dtype=float).reshape(len(ts), -1).copy()
         return Trajectory(ts=ts, ys=ys, status=status, **meta)
 
 
@@ -273,28 +260,24 @@ def _rk4_step(field, t, y, h, t_next):
     )
 
 
-# steps per chunk of the fused path: bounds its buffers, and the
-# coefficient work that an early escape or singular step wastes.  Past
+# steps per chunk of the fused path: bounds its buffers, the coefficient
+# work an early escape wastes and the generic steps where g raises.  Past
 # about 1024 steps the chunk's numpy temporaries raise the run's peak
 # resident memory (4096 steps: 0.4 MB more over 200k steps) and gain no speed
 _FUSED_CHUNK = 1024
 
 
 def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
-    """n_steps RK4 steps of h from t0 for a field with a ``model.PowerForm``.
+    """Up to n_steps RK4 steps of h from t0 for a field with a ``model.PowerForm``.
 
-    Returns (status, steps done, t, y), status "completed" when every
-    step ran.  Chunk by chunk, g is evaluated once at each step time
-    t0 + k*h and once at each midpoint: all at once by the form's
-    ``g_grid`` where it has one, else (or where it returns None, as g
-    would raise somewhere in the chunk) by g, time by time in the order
-    in which the field first meets them.  A flat loop then does RK4's
-    (z, p) arithmetic in the operation order of ``_rk4_step`` and the
-    field, so every state is bit-identical to the generic loop.  A stage
-    where g raises ends the run at the step that meets it, with the
-    exception g raised.
+    Returns (status, steps done, t, y), status "escaped" or "completed".
+    Chunk by chunk, the form's ``g_grid`` evaluates g at each step time
+    t0 + k*h and each midpoint, and a flat loop does RK4's (z, p)
+    arithmetic in the operation order of ``_rk4_step`` and the field, so
+    every state is bit-identical to the generic loop.  The run stops
+    before a chunk where ``g_grid`` returns None (g raises there).
     """
-    w2, g, g_grid = form.w2, form.g, form.g_grid
+    w2, g_grid = form.w2, form.g_grid
     powers = range(form.m - 1)
     isfinite = math.isfinite
     escapable = bound < math.inf  # past the finiteness check, no state is beyond inf
@@ -309,16 +292,9 @@ def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
         times = np.empty(2 * (stop - done) + 1)
         times[0::2] = t_steps
         times[1::2] = t_steps[:-1] + half
-        gs = None if g_grid is None else g_grid(times)
-        exc = None
+        gs = g_grid(times)
         if gs is None:
-            gs = []
-            append = gs.append
-            try:
-                for s in times.tolist():
-                    append(g(s))
-            except Exception as e:  # kept for the step whose stage meets it; see below
-                exc = e
+            break
         flat = []
         push = flat.append
         escaped = False
@@ -355,16 +331,11 @@ def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
                 escaped = True
                 break
         n = len(flat) // 2
-        if n:
-            t = float(t_steps[n])
-            rec.push_many(t_steps[1:n + 1], flat)
+        t = float(t_steps[n])
+        rec.push_many(t_steps[1:n + 1], flat)
         done += n
         if escaped:
             return "escaped", done, t, (z, p)
-        if exc is not None:
-            if isinstance(exc, CoefficientSingularError):
-                return "coefficient_singular", done, t, (z, p)
-            raise exc
     return "completed", done, t, (z, p)
 
 
@@ -375,9 +346,9 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None) -
     From t_start and from each stop the step times are that time + k*h
     (multiplication, not accumulation), and a shortened step lands
     exactly on the next stop when h does not divide the interval, so
-    each interval runs exactly as a run of its own would.  The fused
-    path (see the module docstring) runs the full steps through
-    ``_rk4_power_steps``.
+    each interval runs exactly as a run of its own would.  On the fused
+    path ``_rk4_power_steps`` runs the full steps it can, and the generic
+    loop the rest: from a chunk where g raises on, and the shortened step.
     """
     stops, y, rec, form = _start(field, y0, cfg, stops)
     t0, h = cfg.t_start, cfg.h
@@ -395,13 +366,14 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None) -
             while n_full > 0 and t0 + n_full * h > stop:
                 n_full -= 1
             rem = stop - (t0 + n_full * h)
+            n = 0
             if form is not None:
                 status, n, t, y = _rk4_power_steps(form, t0, y, h, n_full, rec, bound)
                 n_done += n
-                steps = []
-            else:
-                steps = ((h, t0 + k * h) for k in range(1, n_full + 1))
-            if status == "completed" and rem > 0.0:
+                if status != "completed":
+                    break
+            steps = ((h, t0 + k * h) for k in range(n + 1, n_full + 1))
+            if rem > 0.0:
                 steps = itertools.chain(steps, [(rem, stop)])
             for h_k, t_next in steps:
                 y = _rk4_step(field, t, y, h_k, t_next)
@@ -419,7 +391,7 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None) -
             t0 = stop
     except CoefficientSingularError:
         status = "coefficient_singular"
-    return rec.build(status, n_accepted=n_done)
+    return rec.build(status, t, y, n_accepted=n_done)
 
 
 def _dp_attempt(field, t, y, h, f1):
@@ -581,9 +553,7 @@ def _dp_power_march(form, y, cfg: AdaptiveConfig, stops, at_stop, rec) -> Trajec
                 at_stop(t, (z, p))
     except CoefficientSingularError:
         status = "coefficient_singular"
-    if not record:
-        rec.last = (t, (z, p))
-    return rec.build(status, n_accepted=n_acc, n_rejected=n_rej)
+    return rec.build(status, t, (z, p), n_accepted=n_acc, n_rejected=n_rej)
 
 
 def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None) -> Trajectory:
@@ -659,7 +629,7 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
                 at_stop(t, y)
     except CoefficientSingularError:
         status = "coefficient_singular"
-    return rec.build(status, n_accepted=n_acc, n_rejected=n_rej)
+    return rec.build(status, t, y, n_accepted=n_acc, n_rejected=n_rej)
 
 
 def _lane_stages(field, t, h, nodes, params):

@@ -237,16 +237,16 @@ class PowerForm:
     ``g(t)`` is the coefficient the field itself calls, raising there
     what the field raises (CoefficientSingularError where it is refused).
     Both scalar integrators inline a field that carries one on (z, p).
-    ``g_grid(ts)``, where present, takes a float64 array of times and
-    returns ``[g(t) for t in ts]`` bit for bit, or None where g would
-    raise at any of them; the fused RK4 path calls it on each chunk of
-    its step grid and falls back to g, time by time, where it is None.
+    ``g_grid(ts)`` takes a float64 array of times and returns
+    ``[g(t) for t in ts]`` bit for bit, or None where g would raise at
+    any of them; the fused RK4 path calls it on each chunk of its step
+    grid and leaves a chunk where it is None to the generic loop.
     """
 
     w2: float
     m: int
     g: Callable
-    g_grid: Callable = None
+    g_grid: Callable
 
 
 def make_field(spec: OscillatorSpec) -> Callable:
@@ -256,14 +256,14 @@ def make_field(spec: OscillatorSpec) -> Callable:
     closure with its constants hoisted out of the per-call path, for
     sampled sources ``Sampled.value_at``.  The field carries it in a
     ``power_form`` (a PowerForm), with which both scalar integrators of
-    ``osclab.integrate`` inline the field on a (z, p) state.  A trig
-    form also carries ``g_grid``, which the fused RK4 path calls on a
-    whole chunk of its step grid at once: alpha2 by ``alpha2_grid`` and
-    the power per element as a float ``**``, since numpy's power does
-    not round like it (it differs on about 5 % of arguments).  Sampled
-    sources have no ``g_grid``.  FiveParam sources are not supported
-    here: their g(t) requires the jointly integrated coefficient state
-    (see osclab.family).
+    ``osclab.integrate`` inline the field on a (z, p) state, with a
+    ``g_grid`` for the fused RK4 path.  For trig sources it takes alpha2
+    by ``alpha2_grid`` and the power per element as a float ``**``, since
+    numpy's power does not round like it (it differs on about 5 % of
+    arguments); for sampled sources it is the spline on the array, None
+    past the knots.  FiveParam sources are not supported here: their
+    g(t) requires the jointly integrated coefficient state (see
+    osclab.family).
     """
     m = spec.m
     w2 = spec.omega * spec.omega
@@ -293,7 +293,12 @@ def make_field(spec: OscillatorSpec) -> Callable:
             except OverflowError:
                 return None
     elif isinstance(src, Sampled):
-        g, g_grid = src.value_at, None
+        g = src.value_at
+
+        def g_grid(ts):
+            if ts.min() < src.ts[0] or ts.max() > src.ts[-1]:
+                return None
+            return src._spline(ts).tolist()
     else:
         raise ValueError(
             f"no direct field for g source {type(src).__name__}; "

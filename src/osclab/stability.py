@@ -12,7 +12,9 @@ stays below the critical value
 exactly while z0 < z_crit = (omega^2/2) (A-R) (A+R)^(3/2); above it the
 bounded lobe of the level set merges with the escape branch and the
 motion runs off to z -> -infinity.  R = sqrt(B^2 + C^2): the algebra
-only sees the oscillation amplitude of the coefficient, not its phase.
+starts where alpha2 is at its maximum A + R, so it only sees the
+oscillation amplitude of the coefficient, not its phase; each cell
+starts there too (``_cell_spec``).
 
 ``scan`` reproduces the numerical experiment: for each omega it raises
 z0 in steps of dz0 until an integration escapes, then compares the last
@@ -84,6 +86,11 @@ def _require_m2_trig(spec: OscillatorSpec) -> None:
         raise ValueError("boundedness analysis applies to the m=2 trig family only")
 
 
+def _cell_spec(A: float, R: float, omega: float) -> OscillatorSpec:
+    """A cell's system: alpha2 = A + R cos(2 omega t), any (B, C) shifted to a maximum at t = 0."""
+    return trig_spec(A, R, 0.0, omega)
+
+
 def _cell_config(t_max: float, z_escape: float) -> AdaptiveConfig:
     """The run of one scan cell, for ``bounded`` and ``scan`` alike."""
     return AdaptiveConfig(rtol=1e-10, atol=1e-12, t_end=t_max, escape_bound=z_escape,
@@ -92,7 +99,7 @@ def _cell_config(t_max: float, z_escape: float) -> AdaptiveConfig:
 
 def bounded(spec: OscillatorSpec, z0: float, t_max: float = 600.0,
             z_escape: float = 50.0) -> bool:
-    """True iff the run from (z0, 0) stays within |z| <= z_escape up to t_max.
+    """True iff the cell run from (z0, 0) stays within |z| <= z_escape up to t_max.
 
     Any terminated run counts as not bounded: escape past the bound,
     step underflow (the solution reaches -infinity in finite time above
@@ -102,8 +109,9 @@ def bounded(spec: OscillatorSpec, z0: float, t_max: float = 600.0,
     _require_m2_trig(spec)
     if z0 < 0.0:
         raise ValueError(f"the scan convention uses z0 >= 0, got {z0}")
+    cell = _cell_spec(spec.g_source.A, spec.g_source.R, spec.omega)
     try:
-        traj = integrate_adaptive(make_field(spec), (z0, 0.0), _cell_config(t_max, z_escape))
+        traj = integrate_adaptive(make_field(cell), (z0, 0.0), _cell_config(t_max, z_escape))
     except StepUnderflowError:
         return False
     return traj.status == "completed"
@@ -159,8 +167,8 @@ def scan(
     the analytic boundary so the scan always terminates; every cell up
     to the cap is integrated, in batches of at most _LANE_BATCH lanes
     made as they are needed, so memory does not grow with the grid.
-    A cell runs with ``bounded``'s config on the DOP853 pair (SCAN_PAIR),
-    and only a completed lane is bounded; a test pins its agreement with
+    A cell runs ``bounded``'s run on the DOP853 pair (SCAN_PAIR), and
+    only a completed lane is bounded; a test pins its agreement with
     ``bounded`` at the boundary cells of each row of one three-omega grid.
     Rows depend neither on the batch size nor on the order of the
     omegas.  A grid with more than _MAX_GRID_POINTS cells in any row
@@ -183,7 +191,7 @@ def scan(
 
     def cells():  # (row, spec, k) for z0 = k dz0, made as the batches need them
         for row, (omega, _, n_cells) in enumerate(grid):
-            spec = trig_spec(A, B, C, omega)
+            spec = _cell_spec(A, R, omega)
             for k in range(1, n_cells + 1):
                 yield row, spec, k
 

@@ -718,6 +718,26 @@ def test_reduce_rejects_wrong_header(tmp_path):
                 "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("table,needle", [
+    ("", "is empty"),
+    ("t,f,g\n0,1,1\n1,1\n2,1,1\n3,1,1\n", "hill.csv:3: expected 3 columns"),
+    ("t,f,g\n0,1,1\n1,one,1\n2,1,1\n3,1,1\n", "hill.csv:3: could not convert"),
+    ("t,f,g\n0,1,1\n1,1,1\n3,1,1\n", "at least 4 rows"),
+    ("t,f,g\n0,1,1\n2,1,1\n1,1,1\n3,1,1\n", "strictly increasing"),
+], ids=["empty", "columns", "not-a-number", "three-rows", "unordered"])
+def test_malformed_hill_table_exits_2_with_one_line(tmp_path, monkeypatch, capsys, table,
+                                                    needle):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "hill.csv").write_text(table)
+    assert run(["reduce", "--hill", "hill.csv", "--T", "3", "--m", "2", "--out", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1
+    assert captured.out.startswith("error: ")
+    assert needle in captured.out
+    assert captured.err == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["hill.csv"]
+
+
 _CRIT = ["crit", "--A", "1.3", "--B", "0.9", "--omega", "1"]
 # a small run of each command with the CSV files, then the SVG files, it writes to --out
 _OUT_FILES = {

@@ -318,7 +318,7 @@ def _adaptive_single_run(field, y0, cfg):
                     raise StepUnderflowError(f"required step {h:.3e} < h_min {cfg.h_min:.3e}")
     except CoefficientSingularError:
         status = "coefficient_singular"
-    return rec.build(status, n_accepted=n_acc, n_rejected=n_rej)
+    return rec.build(status, t, y, n_accepted=n_acc, n_rejected=n_rej)
 
 
 def _late_singular(t, y):
@@ -768,19 +768,27 @@ def test_fused_fixed_step_matches_generic_loop_on_a_sampled_field(record, t_end,
 
 
 def _counted_g(spec):
-    """A make_field field whose power_form keeps its g_grid but counts the calls of its g."""
+    """A make_field field that records the times of its calls and of its form's g and g_grid.
+
+    g_grid records the first time of each chunk it is called on.
+    """
     plain = make_field(spec)
     form = plain.power_form
-    calls = []
+    calls = {"field": [], "g": [], "g_grid": []}
 
     def g(t):
-        calls.append(t)
+        calls["g"].append(t)
         return form.g(t)
 
+    def g_grid(ts):
+        calls["g_grid"].append(float(ts[0]))
+        return form.g_grid(ts)
+
     def field(t, y):
+        calls["field"].append(t)
         return plain(t, y)
 
-    field.power_form = PowerForm(form.w2, form.m, g, form.g_grid)
+    field.power_form = PowerForm(form.w2, form.m, g, g_grid)
     return field, calls
 
 
@@ -790,7 +798,8 @@ def test_fused_fixed_step_evaluates_g_on_the_grid():
     cfg = FixedStepConfig(h=1e-3, t_end=10.0)
     traj = integrate_fixed(field, (0.3, 0.1), cfg)
     assert (traj.status, traj.n_accepted) == ("completed", 10000)
-    assert calls == []
+    assert calls["field"] == calls["g"] == []
+    assert len(calls["g_grid"]) == 10  # one call per chunk of 1024 steps
     ref = integrate_fixed(make_field(spec), (0.3, 0.1), cfg)
     assert np.array_equal(traj.ys, ref.ys)
 
@@ -807,12 +816,16 @@ def test_fused_fixed_step_calls_g_only_on_the_singular_chunk(B, h, n_before):
     field, calls = _counted_g(trig_spec(1.0, B, 0.0, 1.0))
     traj = integrate_fixed(field, (1e-7, 0.0), FixedStepConfig(h=h, t_end=5.0))
     assert (traj.status, traj.n_accepted) == ("coefficient_singular", n_before)
-    # g ran time by time from the start of the chunk to the singular time, once each
+    # g_grid ran on each chunk up to the singular one, and the generic loop's
+    # field from the start of that chunk to the singular time
     chunk = n_before // integrate._FUSED_CHUNK * integrate._FUSED_CHUNK
-    assert calls[0] == chunk * h
-    assert calls == sorted(calls) and len(calls) <= 2 * integrate._FUSED_CHUNK + 1
+    assert calls["g_grid"] == [k * h for k in range(0, chunk + 1, integrate._FUSED_CHUNK)]
+    assert calls["field"][0] == chunk * h
+    assert calls["field"] == sorted(calls["field"])
+    assert len(calls["field"]) <= 4 * integrate._FUSED_CHUNK
+    assert calls["g"] == []
     with pytest.raises(CoefficientSingularError):
-        field.power_form.g(calls[-1])
+        field(calls["field"][-1], (1e-7, 0.0))
 
 
 def _per_interval_runs(field, y0, cfg, stops):
@@ -1051,8 +1064,9 @@ def test_fused_march_calls_g_once_per_stage_time():
     field, calls = _counted_g(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
     res = sample_strobe(field, (0.1004, 0.0), math.pi, 40, escape_bound=50.0, rtol=1e-10)
     assert res.status == "completed" and len(res.states) == 41 and res.n_rejected > 0
-    assert len(calls) == 1 + 5 * (res.n_accepted + res.n_rejected)
-    assert calls[0] == 0.0 and max(calls) == 40 * math.pi
+    assert len(calls["g"]) == 1 + 5 * (res.n_accepted + res.n_rejected)
+    assert calls["g"][0] == 0.0 and max(calls["g"]) == 40 * math.pi
+    assert calls["field"] == calls["g_grid"] == []
 
 
 def test_fused_fixed_step_is_only_for_two_components():
@@ -1090,7 +1104,11 @@ def _counted(wrap):
             calls.append(t)
             return form.g(t)
 
-        field.power_form = PowerForm(form.w2, form.m, g)
+        def g_grid(ts):
+            calls.extend(ts.tolist())
+            return form.g_grid(ts)
+
+        field.power_form = PowerForm(form.w2, form.m, g, g_grid)
     return field, calls
 
 
@@ -1188,7 +1206,7 @@ def _adaptive_march_reference(field, y0, cfg, stops, at_stop):
                     raise StepUnderflowError(f"required step {h:.3e} < h_min {cfg.h_min:.3e}")
     except CoefficientSingularError:
         status = "coefficient_singular"
-    return rec.build(status, n_accepted=n_acc, n_rejected=n_rej)
+    return rec.build(status, t, y, n_accepted=n_acc, n_rejected=n_rej)
 
 
 @settings(max_examples=40, deadline=None)

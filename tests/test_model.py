@@ -11,7 +11,6 @@ from osclab.errors import CoefficientSingularError
 from osclab.model import (
     MAX_M,
     OscillatorSpec,
-    PowerForm,
     Sampled,
     State,
     Trajectory,
@@ -190,7 +189,13 @@ def test_sampled_field_calls_its_interpolant():
     knots = (0.0, 0.5, 1.0, 1.5, 2.0)
     src = Sampled(knots, tuple(math.cos(t) for t in knots))
     field = make_field(OscillatorSpec(1.5, 3, src))
-    assert field.power_form == PowerForm(2.25, 3, src.value_at)
+    form = field.power_form
+    assert (form.w2, form.m, form.g) == (2.25, 3, src.value_at)
+    # g on a grid equals g time by time, and is None when a time lies past the knots
+    ts = np.linspace(0.0, 2.0, 401)
+    assert form.g_grid(ts) == [src.value_at(t) for t in ts.tolist()]
+    assert form.g_grid(np.array([1.0, 2.0 + 1e-12])) is None
+    assert form.g_grid(np.array([-1e-12, 1.0])) is None
     g = src.value_at(0.73)
     assert field(0.73, (0.4, -0.2)) == (-0.2, -2.25 * 0.4 - g * (0.4 * 0.4 * 0.4))
     with pytest.raises(CoefficientSingularError):

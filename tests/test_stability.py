@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from osclab import stability
+from osclab.errors import StepUnderflowError
 from osclab.integrate import AdaptiveConfig, integrate_adaptive, integrate_lanes
 from osclab.model import make_field, make_lane_field, trig_spec
 from osclab.stability import (
@@ -97,6 +98,33 @@ def test_bounded_both_sides_of_threshold():
     assert not bounded(spec, 1.4, t_max=200.0)
     with pytest.raises(ValueError):
         bounded(spec, -0.5)
+
+
+def test_bounded_is_false_through_step_underflow():
+    # above the threshold z runs off to -infinity in finite time; with a bound
+    # it never reaches, the run underflows before it escapes
+    spec = trig_spec(1.3, 0.9, 0.0, 1.4)
+    cfg = AdaptiveConfig(rtol=1e-10, atol=1e-12, t_end=60.0, escape_bound=1e60, record=False)
+    with pytest.raises(StepUnderflowError, match=r"at t=5\.494"):
+        integrate_adaptive(make_field(spec), (1.4, 0.0), cfg)
+    assert not bounded(spec, 1.4, t_max=60.0, z_escape=1e60)
+
+
+def test_cells_start_at_the_maximum_of_alpha2():
+    # the README spec: with C != 0, alpha2 is not at its maximum A + R at t = 0,
+    # where z_crit starts; the cells start there, so the rows agree with it
+    omegas = tuple(0.8 + k * 0.4 for k in range(3))
+    kw = dict(dz0=0.05, t_max=100.0)
+    rows = scan(1.3, 0.6, 0.5, omegas, **kw)
+    assert [r.z_last_bounded for r in rows] == [9 * 0.05, 22 * 0.05, 39 * 0.05]
+    assert all(r.agrees for r in rows)
+    for r in rows:
+        spec = trig_spec(1.3, 0.6, 0.5, r.omega)
+        k_last = round(r.z_last_bounded / 0.05)
+        assert bounded(spec, k_last * 0.05, t_max=100.0)
+        assert not bounded(spec, (k_last + 1) * 0.05, t_max=100.0)
+    # with C = 0 and B < 0 alpha2 is least at t = 0: the cells are those of -B
+    assert scan(1.3, -0.9, 0.0, omegas, **kw) == scan(1.3, 0.9, 0.0, omegas, **kw)
 
 
 def test_scan_small_grid():

@@ -39,7 +39,8 @@ def real_roots(c3: float, c2: float, c1: float, c0: float):
     """Real roots of c3 x^3 + c2 x^2 + c1 x + c0, ascending, with multiplicity.
 
     Returns a list of (root, multiplicity) pairs; multiplicities over
-    all real roots sum to 1 or 3.  Requires c3 != 0.
+    all real roots sum to 1 or 3.  Requires c3 != 0, and refuses with
+    ValueError a cubic past the float range (|q| > 1e153 or |p| > 1e102).
     """
     if c3 == 0.0:
         raise ValueError("leading coefficient must be nonzero")
@@ -59,10 +60,11 @@ def real_roots(c3: float, c2: float, c1: float, c0: float):
     if size == 0.0:
         # p = q = 0: triple root of the depressed cubic
         return [(-shift, 3)]
+    if not math.isfinite(size):
+        raise ValueError(f"cubic ({c3}, {c2}, {c1}, {c0}) is past the float range of the solver")
 
     if abs(disc) <= _DEGENERATE * size:
-        if p == 0.0:
-            return [(-shift, 3)]
+        # p != 0 here: with p = 0, |disc| = 27 q^2 = size
         double = -3.0 * q / (2.0 * p) - shift
         simple = 3.0 * q / p - shift
         simple = _polish(c3, c2, c1, c0, simple, deriv_scale)

@@ -12,10 +12,10 @@ components 0 and 1 being z and p):
   control (Hairer, Norsett & Wanner, Solving ODEs I, sections II.4 and
   II.10).  Lanes pay per numpy call, not per field evaluation, so the
   stability scan takes DOP853: twice the stages, a few times fewer steps.
-  For the same reason a lane field that carries a ``model.LaneForm``
-  (every field of ``model.make_lane_field``) has g evaluated at all stage
-  times of a trial step in one pass (``_lane_stages``), bit-identical to
-  one field call per stage, which every other lane field takes.
+  For the same reason the lanes take their field as a ``model.LaneForm``
+  (``model.make_lane_field`` makes one): its time part g is evaluated at
+  all stage times of a trial step in one pass, and each stage then only
+  applies its state part.
 
 The two scalar integrators share one start (``_start``) and march
 through any number of stop times in one run (``_check_stops``): a step
@@ -632,46 +632,24 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     return rec.build(status, t, y, n_accepted=n_acc, n_rejected=n_rej)
 
 
-def _lane_stages(field, t, h, nodes, params):
-    """The stages of one lane trial step: (stage, singular).
-
-    ``stage(i, y)`` is the field at the times t + nodes[i] * h and states
-    y.  A field with a ``model.LaneForm`` has g evaluated at every stage
-    time at once, before the first stage, and singular is then already
-    the mask of the lanes singular at any of them; for any other field
-    each stage is one field call, and singular fills in as they run.
-    """
-    form = getattr(field, "lane_form", None)
-    if form is not None:
-        gs, singular = form.g_stages(t + nodes[:, None] * h, params)
-        deriv = form.deriv
-        return (lambda i, y: deriv(gs[i], y, params)), singular
-    singular = np.zeros(t.shape, dtype=bool)
-
-    def stage(i, y):
-        k, s = field(t + nodes[i] * h, y, params)
-        np.logical_or(singular, s, out=singular)
-        return k
-
-    return stage, singular
-
-
 _DP_NODES = np.array([_C2, _C3, _C4, _C5, 1.0])
 
 
-def _dp_lane_attempt(field, t, y, h, f1, params, atol, rtol):
+def _dp_lane_attempt(form, t, y, h, f1, params, atol, rtol):
     """``_dp_checked_attempt`` on lane arrays, plus the lanes singular at any stage.
 
-    Stages 6 and 7 share the time t + h (``_lane_stages``).
+    Stages 6 and 7 share the time t + h, so g is evaluated at five times.
     """
-    stage, singular = _lane_stages(field, t, h, _DP_NODES, params)
-    f2 = stage(0, y + h * (_A21 * f1))
-    f3 = stage(1, y + h * (_A31 * f1 + _A32 * f2))
-    f4 = stage(2, y + h * (_A41 * f1 + _A42 * f2 + _A43 * f3))
-    f5 = stage(3, y + h * (_A51 * f1 + _A52 * f2 + _A53 * f3 + _A54 * f4))
-    f6 = stage(4, y + h * (_A61 * f1 + _A62 * f2 + _A63 * f3 + _A64 * f4 + _A65 * f5))
+    gs, singular = form.g_stages(t + _DP_NODES[:, None] * h, params)
+    deriv = form.deriv
+    f2 = deriv(gs[0], y + h * (_A21 * f1), params)
+    f3 = deriv(gs[1], y + h * (_A31 * f1 + _A32 * f2), params)
+    f4 = deriv(gs[2], y + h * (_A41 * f1 + _A42 * f2 + _A43 * f3), params)
+    f5 = deriv(gs[3], y + h * (_A51 * f1 + _A52 * f2 + _A53 * f3 + _A54 * f4), params)
+    f6 = deriv(gs[4], y + h * (_A61 * f1 + _A62 * f2 + _A63 * f3 + _A64 * f4 + _A65 * f5),
+               params)
     y_new = y + h * (_B1 * f1 + _B3 * f3 + _B4 * f4 + _B5 * f5 + _B6 * f6)
-    f7 = stage(4, y_new)
+    f7 = deriv(gs[4], y_new, params)
     errs = h * (_E1 * f1 + _E3 * f3 + _E4 * f4 + _E5 * f5 + _E6 * f6 + _E7 * f7)
     finite = np.isfinite(y_new).all(axis=0) & np.isfinite(errs).all(axis=0)
     r = errs / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
@@ -727,23 +705,24 @@ def _weighted(ks, weights):
     return total
 
 
-def _dop853_lane_attempt(field, t, y, h, f1, params, atol, rtol):
+def _dop853_lane_attempt(form, t, y, h, f1, params, atol, rtol):
     """One trial DOP853 step on lane arrays: (y_new, f_new, err, singular).
 
     Every stage is y + h * (a_0 k_0 + a_1 k_1 + ...) summed elementwise,
     so a lane's bits depend neither on its column nor on the number of
     lanes; f_new at t + h shares the time of the last stage, as its node
-    is 1 (``_lane_stages``).  err is the norm of scipy's DOP853: with e5
+    is 1.  err is the norm of scipy's DOP853: with e5
     and e3 the two error estimates over the scale atol + rtol *
     max(|y|, |y_new|), it is h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), 0
     when both are 0, and inf when any value is nonfinite.
     """
-    stage, singular = _lane_stages(field, t, h, _D8_NODES, params)
+    gs, singular = form.g_stages(t + _D8_NODES[:, None] * h, params)
+    deriv = form.deriv
     ks = [f1]
-    for i, row in enumerate(_D8_A):
-        ks.append(stage(i, y + h * _weighted(ks, row)))
+    for g, row in zip(gs, _D8_A):
+        ks.append(deriv(g, y + h * _weighted(ks, row), params))
     y_new = y + h * _weighted(ks, _D8_B)
-    f_new = stage(-1, y_new)
+    f_new = deriv(gs[-1], y_new, params)
     scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
     e5 = _weighted(ks, _D8_E5) / scale
     e3 = _weighted(ks, _D8_E3) / scale
@@ -758,13 +737,13 @@ def _dop853_lane_attempt(field, t, y, h, f1, params, atol, rtol):
 class LanePair:
     """An embedded pair for ``integrate_lanes``; the step factor is 0.9 * err ** exponent.
 
-    ``evals`` is the field evaluations of one trial step: the first stage
-    is the last of the step before (FSAL), so a lane that takes n trial
-    steps evaluates its field 1 + evals * n times.
+    ``evals`` is the field evaluations (``deriv`` calls) of one trial
+    step: the first stage is the last of the step before (FSAL), so a
+    lane that takes n trial steps evaluates its field 1 + evals * n times.
     """
 
     name: str
-    attempt: Callable  # (field, t, y, h, f1, params, atol, rtol) -> (y_new, f_new, err, singular)
+    attempt: Callable  # (form, t, y, h, f1, params, atol, rtol) -> (y_new, f_new, err, singular)
     exponent: float
     evals: int
 
@@ -795,14 +774,14 @@ class LaneRun:
     lock_steps: int
 
 
-def integrate_lanes(field, y0, params, cfg: AdaptiveConfig, pair: LanePair = DP54) -> LaneRun:
+def integrate_lanes(form, y0, params, cfg: AdaptiveConfig, pair: LanePair = DP54) -> LaneRun:
     """An embedded pair (default DP54) over independent lanes that step in lock-step.
 
     Column j of y0 (shape (n, lanes), n >= 2) and of params (per-lane
-    constants, shape (k, lanes)) is one initial value problem.
-    ``field(t, y, params)`` evaluates all live lanes at their own times t
-    and returns the derivatives plus a boolean mask of lanes whose
-    coefficient is singular there (see ``model.make_lane_field``).
+    constants, shape (k, lanes)) is one initial value problem, whose
+    field is the ``model.LaneForm`` form.  The run's first stage is
+    ``form(t, y, params)``; each trial step evaluates ``form.g_stages``
+    once, at all its stage times, and ``form.deriv`` once per stage.
 
     Each lane keeps its own t, h, FSAL stage and counters and is accepted
     or rejected by the rules of ``integrate_adaptive`` with the pair's
@@ -837,7 +816,7 @@ def integrate_lanes(field, y0, params, cfg: AdaptiveConfig, pair: LanePair = DP5
     budget = _MAX_FIXED_STEPS
 
     with np.errstate(all="ignore"):  # singular and nonfinite lanes are handled below
-        f1, singular = field(t, y, params)
+        f1, singular = form(t, y, params)
         code = np.where(singular, _SINGULAR, 0)
         while True:
             done = code != 0
@@ -860,7 +839,7 @@ def integrate_lanes(field, y0, params, cfg: AdaptiveConfig, pair: LanePair = DP5
             last = t_next >= t_end
             h_att = np.where(last, t_end - t, h)
             t_next[last] = t_end
-            y_new, f_new, err, singular = pair.attempt(field, t, y, h_att, f1, params,
+            y_new, f_new, err, singular = pair.attempt(form, t, y, h_att, f1, params,
                                                        atol, rtol)
             ok = (err <= 1.0) & ~singular
             rejected = ~ok & ~singular
@@ -912,13 +891,14 @@ def sample_strobe(
     t_k + j*h at each t_k so that no step straddles a strobe time.  On
     escape the result carries the points collected so far and status
     "escaped"; the counts are the accepted and rejected steps.  k_max
-    above _MAX_GRID_POINTS raises ValueError, and so does the run's
+    above _MAX_GRID_POINTS or a t_step that is not positive and finite
+    raises ValueError, and so does the run's
     config (for h, more than _MAX_FIXED_STEPS steps in all), before any
     stop time is made.  A start of fewer than two components raises
     ValueError and a nonfinite one NonfiniteStateError, at k_max = 0 too.
     """
-    if t_step <= 0.0:
-        raise ValueError(f"t_step must be positive, got {t_step}")
+    if not 0.0 < t_step < math.inf:
+        raise ValueError(f"t_step must be positive and finite, got {t_step}")
     if not 0 <= k_max <= _MAX_GRID_POINTS:
         raise ValueError(f"k_max must be in [0, {_MAX_GRID_POINTS}] (at most "
                          f"{_MAX_GRID_POINTS + 1} strobe points), got {k_max}")

@@ -318,33 +318,34 @@ def make_field(spec: OscillatorSpec) -> Callable:
 
 @dataclass(frozen=True)
 class LaneForm:
-    """The parts of a lane field (p, -w2 z - g(t) z^m) whose g depends on t alone.
+    """A lane field split into a time part and a state part: the field of ``integrate_lanes``.
 
-    ``g_stages(ts, params)`` takes times ts of shape (stages, lanes) and
-    returns g over them and a (lanes,) mask of the lanes where alpha2 <=
-    EPS_POS at any of their times; ``deriv(g, y, params)`` returns the
-    (2, lanes) derivative at states y given g at their times.  The lane
-    attempts of ``osclab.integrate`` evaluate g at all stage times of a
-    trial step in one call and then only do each stage's state arithmetic.
+    ``g_stages(ts, params)`` takes times ts (stages, lanes) and returns
+    the time part g over them, row by row, and a (lanes,) mask of the
+    lanes singular at any of their times; ``deriv(g, y, params)`` is the
+    (n, lanes) derivative at states y given one row of g.  A lane attempt
+    calls ``g_stages`` once on all its stage times, then ``deriv`` per
+    stage; calling the form gives (derivative, singular) at one time per
+    lane.  Any lane ODE fits: its g can be the stage times themselves.
     """
 
     g_stages: Callable
     deriv: Callable
 
+    def __call__(self, t, y, params):
+        g, singular = self.g_stages(t[None], params)
+        return self.deriv(g[0], y, params), singular
+
 
 def make_lane_field(specs):
     """The trig field of ``make_field`` vectorised over lanes, one lane per spec.
 
-    Returns (field, params).  params holds the per-lane constants
-    (2 omega, -omega^2) as a (2, lanes) array; ``field(t, y, params)`` takes
-    lane times t (lanes,) and states y (2, lanes) and returns the
-    derivatives (2, lanes) and a boolean mask of the lanes where
-    alpha2(t) <= EPS_POS, which ``make_field`` refuses with
+    Returns (form, params): a LaneForm and the per-lane constants
+    (2 omega, -omega^2) as a (2, lanes) array.  The form's g is
+    alpha2^(-(m+3)/2), and its singular mask flags the lanes where
+    alpha2 <= EPS_POS, which ``make_field`` refuses with
     CoefficientSingularError.  A caller that drops lanes drops the same
-    columns of params (see ``integrate.integrate_lanes``).  The field
-    carries its parts in a ``lane_form`` (a LaneForm) and is their
-    composition at one time, so the coefficient and the derivative are
-    each written once.
+    columns of params (see ``integrate.integrate_lanes``).
 
     The specs must share A, B, C and m; only omega may vary.  Each lane
     repeats the operations of ``make_field`` in the same order, with
@@ -380,12 +381,7 @@ def make_lane_field(specs):
         dy[1] = params[1] * z - g * zm
         return dy
 
-    def field(t, y, params):
-        g, singular = g_stages(t[None], params)
-        return deriv(g[0], y, params), singular
-
-    field.lane_form = LaneForm(g_stages, deriv)
-    return field, params
+    return LaneForm(g_stages, deriv), params
 
 
 def spec_to_json(spec: OscillatorSpec) -> dict:

@@ -45,6 +45,11 @@ from .model import check_m, int_pow
 _W_FLOOR = 1e-6
 _W_CEIL = 1e6
 
+# tolerance of the fundamental runs, whatever the caller's: it keeps the trace
+# error inside monodromy's margin of 1e-12 (at rtol 1e-12, f = 1 over T = 2 pi,
+# where tr M = 2 exactly, gave 2 - 1.5e-12 and passed as stable)
+_MONO_RTOL, _MONO_ATOL = 1e-13, 1e-15
+
 
 @dataclass(frozen=True)
 class HillSpec:
@@ -82,30 +87,31 @@ def _hill_field(h: HillSpec):
     return field
 
 
-def _fundamental_runs(h: HillSpec, rtol: float, atol: float):
+def _fundamental_runs(h: HillSpec):
     """Runs from (1, 0) and (0, 1) over one period; their end states are the columns of M."""
     field = _hill_field(h)
-    cfg = AdaptiveConfig(rtol=rtol, atol=atol, t_end=h.T, record=False)
+    cfg = AdaptiveConfig(rtol=_MONO_RTOL, atol=_MONO_ATOL, t_end=h.T, record=False)
     return [integrate_adaptive(field, y0, cfg) for y0 in ((1.0, 0.0), (0.0, 1.0))]
 
 
-def transfer_matrix(h: HillSpec, rtol: float = 1e-13, atol: float = 1e-15) -> np.ndarray:
+def transfer_matrix(h: HillSpec) -> np.ndarray:
     """One-period transfer matrix of (z, z') from the two fundamental runs."""
-    return np.column_stack([run.ys[-1] for run in _fundamental_runs(h, rtol, atol)])
+    return np.column_stack([run.ys[-1] for run in _fundamental_runs(h)])
 
 
-def monodromy(h: HillSpec, rtol: float = 1e-13, atol: float = 1e-15) -> MonodromyResult:
+def monodromy(h: HillSpec) -> MonodromyResult:
     """Floquet analysis over one period.
 
     Raises UnstableHillError when |tr M| >= 2 - 1e-12 (the degenerate
-    boundary included).  The default rtol must keep the trace error
-    below that margin, or an exactly-degenerate system slips through as
-    spuriously stable.  In the stable case the phase advance mu is
+    boundary included).  The fundamental runs take the fixed tolerance
+    _MONO_RTOL, which keeps the trace error below that margin; a looser
+    one lets an exactly degenerate system slip through as spuriously
+    stable.  In the stable case the phase advance mu is
     placed in (0, 2 pi) with sin(mu) matching the sign of M[0,1], which
     makes beta0 = M[0,1]/sin(mu) positive.  The step counts sum both
     fundamental runs.
     """
-    runs = _fundamental_runs(h, rtol, atol)
+    runs = _fundamental_runs(h)
     M = np.column_stack([run.ys[-1] for run in runs])
     tr = float(M[0, 0] + M[1, 1])
     det = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
@@ -253,10 +259,12 @@ def reduce(h: HillSpec, g: Callable, m: int, n_grid: int = 2001,
     """Full reduction: monodromy, envelope, frequency, and g_nf on [0, 2 pi].
 
     g is evaluated at the grid preimages t(s); the reduced coefficient
-    carries the envelope factor w^(m+3).
+    carries the envelope factor w^(m+3).  rtol and atol set the envelope
+    run only: the monodromy always runs at its own tolerance (see
+    ``monodromy``).
     """
     check_m(m)
-    mono = monodromy(h, rtol=rtol, atol=atol)
+    mono = monodromy(h)
     env = cs_envelope(h, mono, n_grid=n_grid, rtol=rtol, atol=atol)
     omega_nf = env.phi_T / (2.0 * math.pi)
 

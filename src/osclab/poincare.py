@@ -51,7 +51,7 @@ class SectionCurve:
 
 
 def _admissible_intervals(c_z2: float, c_z3: float, I0: float):
-    """Closed intervals where I0 - c_z2 z^2 - c_z3 z^3 >= 0 (c_z3 > 0)."""
+    """Closed intervals where I0 - c_z2 z^2 - c_z3 z^3 >= 0 (c_z3 > 0); the last is bounded."""
     roots = real_roots(-c_z3, -c_z2, 0.0, I0)
     intervals = []
     sign = 1  # radicand sign left of the smallest root
@@ -66,9 +66,7 @@ def _admissible_intervals(c_z2: float, c_z3: float, I0: float):
         elif sign < 0:
             intervals.append((r, r))
         # an even-multiplicity root inside a positive region is interior
-    if sign > 0:
-        intervals.append((start, math.inf))
-    return tuple(intervals)
+    return tuple(intervals)  # the odd multiplicities sum to 1 or 3: the sign ends negative
 
 
 def section_curve(spec: OscillatorSpec, I0: float) -> SectionCurve:

@@ -201,10 +201,9 @@ def scan(
     todo = cells()
     while batch := list(itertools.islice(todo, _LANE_BATCH)):
         row_of, specs, ks = zip(*batch)
-        lane_field, params = make_lane_field(specs)
+        form, params = make_lane_field(specs)
         z0 = np.array([k * dz0 for k in ks])
-        run = integrate_lanes(lane_field, np.stack([z0, np.zeros_like(z0)]), params, cfg,
-                              SCAN_PAIR)
+        run = integrate_lanes(form, np.stack([z0, np.zeros_like(z0)]), params, cfg, SCAN_PAIR)
         for row, k, st, acc, rej in zip(row_of, ks, run.status, run.n_accepted.tolist(),
                                         run.n_rejected.tolist()):
             if st != "completed":

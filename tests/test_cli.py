@@ -387,6 +387,7 @@ def test_scan_refuses_row_it_cannot_finish(tmp_path, capsys):
 
 
 _TRIG = {"kind": "trig", "A": 1.3, "B": 0.9, "C": 0.0}
+_SAMPLED = {"kind": "sampled", "t": [0, 1, 2, 3], "g": [1, 1, 1, 1]}
 
 # malformed for every command that reads an oscillator spec
 BAD_SPECS = {
@@ -397,12 +398,13 @@ BAD_SPECS = {
     "five_param_kind": {"omega": 1, "m": 2, "g": {"kind": "five_param", "C1": 0.0, "C2": 0.0,
                                                   "alpha2": [2.2, 0.0, -3.6]}},
     "m_huge": {"omega": 1, "m": 1000000000, "g": _TRIG},
+    "sampled_omega_nan": {"omega": "nan", "m": 2, "g": _SAMPLED},
+    "sampled_omega_negative": {"omega": -1, "m": 2, "g": _SAMPLED},
 }
 # well-formed, but not a system the boundary scan covers
 UNSCANNABLE_SPECS = {
     "m5": {"omega": 1, "m": 5, "g": _TRIG},
-    "sampled": {"omega": 1, "m": 2, "g": {"kind": "sampled", "t": [0, 1, 2, 3],
-                                          "g": [1, 1, 1, 1]}},
+    "sampled": {"omega": 1, "m": 2, "g": _SAMPLED},
 }
 # well-formed, but with no stroboscopic section curve (sampled: no invariant either)
 SECTIONLESS_SPECS = {"trig_c02": {"omega": 1, "m": 2, "g": {**_TRIG, "C": 0.2}}}
@@ -462,7 +464,11 @@ def test_omega_grid_past_the_cap_is_refused_at_once(tmp_path, capsys, omegas):
      "i0_crit is not finite for A=1e+100, R=0.0, omega=10000000000.0"),
     (["stability-scan", "--spec", "spec.json", "--omegas", "1:1:1", "--dz0", "0.1",
       "--tmax", "1"], "z_crit is not finite for A=1e+300, R=0.9, omega=1.0"),
-], ids=["crit_raises", "crit_inf", "crit_i0", "stability-scan"])
+    # the section cubic's 27 q^2 overflows; its roots were a curve point at z = 1.2e180
+    (["poincare", "--preset", "fig2", "--z0=-1e60", "--points", "3"],
+     "cubic (-0.20430298862522484, -0.4, 0.0, -2.0430298862522482e+179) is past the float "
+     "range of the solver"),
+], ids=["crit_raises", "crit_inf", "crit_i0", "stability-scan", "poincare"])
 def test_closed_form_past_the_float_range_exits_2(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spec.json").write_text(json.dumps({"omega": 1.0, "m": 2,
@@ -651,6 +657,19 @@ def test_reduce_unstable_exits_3(tmp_path):
     # inside the first parametric resonance tongue
     _write_hill_csv(hill, lambda t: 0.25 * (1.0 + 0.1 * math.cos(t)),
                     lambda t: 0.2, T)
+    out = tmp_path / "red"
+    assert run(["reduce", "--hill", str(hill), "--T", repr(T), "--m", "2",
+                "--out", str(out)]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"] == "unstable_hill"
+
+
+@pytest.mark.parametrize("f0", [1.0, 2.25, 4.0])
+def test_reduce_degenerate_hill_exits_3(tmp_path, f0):
+    # tr M = +-2 exactly; the monodromy runs at its own tolerance whatever --rtol says
+    hill = tmp_path / "hill.csv"
+    T = 2 * math.pi
+    _write_hill_csv(hill, lambda t: f0, lambda t: 0.2, T)
     out = tmp_path / "red"
     assert run(["reduce", "--hill", str(hill), "--T", repr(T), "--m", "2",
                 "--out", str(out)]) == 3

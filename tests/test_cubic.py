@@ -95,6 +95,15 @@ def test_leading_coefficient_required():
         real_roots(0.0, 1.0, 2.0, 3.0)
 
 
+@pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0, 1e200), (1.0, 0.0, -1e110, 1e200),
+                                    (1.0, 0.0, 0.0, math.nan)])
+def test_cubic_past_the_float_range_is_refused(coeffs):
+    # 27 q^2 or 4 p^3 overflows: the discriminant test no longer tells the
+    # root patterns apart (these gave a triple root at 0 and a NaN root)
+    with pytest.raises(ValueError, match="past the float range"):
+        real_roots(*coeffs)
+
+
 def test_critical_section_cubic_frozen():
     # radicand cubic at the critical level for amplitudes (1.3, 0.9), omega=1:
     # -c3 z^3 - c2 z^2 + i0_crit with c2 = 0.4, c3 = (2/3) 2.2^(-3/2).

@@ -7,7 +7,7 @@ import pytest
 
 from osclab import integrate
 from osclab.errors import CoefficientSingularError
-from osclab.model import make_field, make_lane_field, trig_spec
+from osclab.model import LaneForm, make_field, make_lane_field, trig_spec
 
 
 def _dense(weights, size):
@@ -93,10 +93,12 @@ def test_dop853_lane_attempt_flags_a_singular_stage():
 
 def test_dop853_lane_attempt_norm_edges():
     # a field at rest gives err = 0 (the factor _FAC_MAX); a nonfinite stage gives inf
-    def field(t, y, params):
+    def deriv(t, y, params):
         dy = np.zeros_like(y)
         dy[0] = params[0] * y[1]
-        return dy, np.zeros(t.shape, dtype=bool)
+        return dy
+
+    field = LaneForm(lambda ts, params: (ts, np.zeros(ts.shape[1], dtype=bool)), deriv)
 
     t = np.zeros(2)
     y = np.array([[1.0, 1.0], [0.0, math.inf]])

@@ -100,6 +100,12 @@ def test_alpha2_at_initial_values():
         alpha2_at(fp, -1.0)
 
 
+def test_alpha2_at_refuses_a_coefficient_ode_that_turns_singular():
+    # alpha2 starts at 0.05 and is driven below the floor before t = 5
+    with pytest.raises(CoefficientSingularError, match="coefficient_singular"):
+        alpha2_at(FiveParamSpec(1.0, 5.0, 0.0, 0.05, 0.0, -3.6), 5.0)
+
+
 def test_alpha2_matches_closed_form_when_decoupled():
     # C1 = C2 = 0 reduces the coefficient equation to the trig solution
     fp = FiveParamSpec(1.0, 0.0, 0.0, 2.2, 0.0, -3.6)

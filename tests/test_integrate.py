@@ -23,8 +23,8 @@ from osclab.integrate import (
     integrate_lanes,
     sample_strobe,
 )
-from osclab.model import (OscillatorSpec, PowerForm, Sampled, State, make_field, make_lane_field,
-                          trig_spec)
+from osclab.model import (LaneForm, OscillatorSpec, PowerForm, Sampled, State, make_field,
+                          make_lane_field, trig_spec)
 from osclab.stability import bounded
 
 
@@ -259,6 +259,13 @@ def test_strobe_refuses_k_max_out_of_range(k_max, h):
         sample_strobe(harmonic, (0.3, 0.1), math.pi, k_max, h=h)
 
 
+@pytest.mark.parametrize("t_step", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("k_max", [0, 3])
+def test_strobe_refuses_a_t_step_that_is_not_positive_and_finite(t_step, k_max):
+    with pytest.raises(ValueError, match=f"t_step must be positive and finite, got {t_step}"):
+        sample_strobe(harmonic, (0.3, 0.1), t_step, k_max)
+
+
 @pytest.mark.parametrize("k_max", [0, 1])
 @pytest.mark.parametrize("h", [None, 1e-3])
 def test_strobe_refuses_a_one_component_state(k_max, h):
@@ -479,12 +486,21 @@ def _scalar_field(kind):
     return field
 
 
-def _lane_field(t, y, params):
+def _kinds_times(ts, params):
+    # the time part of the kinds field is the stage times themselves
+    kind = params[0]
+    singular = (kind == SINGULAR_AT_START) | ((kind == SINGULAR_LATE) & (ts > 0.5))
+    return ts, singular.any(axis=0)
+
+
+def _kinds_deriv(t, y, params):
     kind = params[0]
     z, p = y
     dp = np.select([kind == GROWTH, kind == STIFF], [z, -z / (1.0 - t)], -z)
-    singular = (kind == SINGULAR_AT_START) | ((kind == SINGULAR_LATE) & (t > 0.5))
-    return np.stack([p, dp]), singular
+    return np.stack([p, dp])
+
+
+_lane_field = LaneForm(_kinds_times, _kinds_deriv)
 
 
 def test_lanes_end_like_scalar_runs():
@@ -586,7 +602,7 @@ def test_lanes_match_scalar_runs_on_random_trig_cells(A, rel_b, rel_c, m, cells)
 
 
 def _lane_batches(seed, n):
-    """n seeded (field, y0, params, cfg) trig lane batches, each system of its own family.
+    """n seeded (form, y0, params, cfg) trig lane batches, each system of its own family.
 
     1-300 lanes, m 2-5, C != 0 and negative start times; amplitudes up to 2
     escape.  Every fifth batch dips to alpha2 = 1e-10: at t = pi/(2 omega) for
@@ -599,23 +615,30 @@ def _lane_batches(seed, n):
         B, C = 0.67 * A * rng.uniform(-0.95, 0.95), 0.67 * A * rng.uniform(0.05, 0.95)
         if i % 5 == 4:
             A, B, C = 1.0, (1.0 - 1e-10) * (-1) ** i, 0.0
-        field, params = make_lane_field(
+        form, params = make_lane_field(
             [trig_spec(A, B, C, w, m) for w in rng.uniform(0.5, 2.0, lanes)])
         y0 = np.array([rng.uniform(-2.0, 2.0, lanes), rng.uniform(-0.5, 0.5, lanes)])
         t0 = -rng.uniform(0.0, 3.0) if i % 10 != 9 else 0.0
         cfg = AdaptiveConfig(rtol=1e-8, t_start=t0, t_end=t0 + rng.uniform(0.5, 4.0),
                              escape_bound=50.0, record=False)
-        yield field, y0, params, cfg
+        yield form, y0, params, cfg
 
 
 @pytest.mark.parametrize("pair", [integrate.DP54, integrate.DOP853], ids=["dp54", "dop853"])
 def test_lane_form_runs_match_the_generic_stages_bit_for_bit(pair):
-    # with its LaneForm a field has g evaluated at all stage times of a trial
-    # at once; a plain wrapper hides the form and calls the field per stage
+    # the lanes evaluate g at all stage times of a trial at once; the
+    # reference form evaluates it one stage row at a time, as one field
+    # call per stage would, and ORs the singular rows
     seen = set()
-    for field, y0, params, cfg in _lane_batches(11, 10):
-        fast = integrate_lanes(field, y0, params, cfg, pair)
-        ref = integrate_lanes(lambda t, y, params: field(t, y, params), y0, params, cfg, pair)
+    for form, y0, params, cfg in _lane_batches(11, 10):
+
+        def g_per_row(ts, params, g_stages=form.g_stages):
+            rows = [g_stages(t[None], params) for t in ts]
+            return (np.concatenate([g for g, _ in rows]),
+                    np.logical_or.reduce([s for _, s in rows]))
+
+        fast = integrate_lanes(form, y0, params, cfg, pair)
+        ref = integrate_lanes(LaneForm(g_per_row, form.deriv), y0, params, cfg, pair)
         for a, b in [(fast.ts, ref.ts), (fast.ys, ref.ys), (fast.n_accepted, ref.n_accepted),
                      (fast.n_rejected, ref.n_rejected)]:
             assert a.tobytes() == b.tobytes()
@@ -626,26 +649,23 @@ def test_lane_form_runs_match_the_generic_stages_bit_for_bit(pair):
 
 @pytest.mark.parametrize("pair", [integrate.DP54, integrate.DOP853], ids=["dp54", "dop853"])
 def test_lane_form_is_called_once_per_trial_step_not_per_stage(pair):
-    field, params = make_lane_field([trig_spec(1.3, 0.9, 0.2, w) for w in (0.8, 1.2, 1.6)])
-    form, calls, stage_calls = field.lane_form, [], []
-
-    def counted(t, y, params):
-        calls.append(t)
-        return field(t, y, params)
+    form, params = make_lane_field([trig_spec(1.3, 0.9, 0.2, w) for w in (0.8, 1.2, 1.6)])
+    calls = []
 
     def g_stages(ts, params):
-        stage_calls.append(ts.shape)
+        calls.append(ts.copy())
         return form.g_stages(ts, params)
 
-    counted.lane_form = type(form)(g_stages, form.deriv)
-    run = integrate_lanes(counted, np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]]), params,
+    run = integrate_lanes(LaneForm(g_stages, form.deriv),
+                          np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]]), params,
                           AdaptiveConfig(rtol=1e-10, t_end=3.0, record=False), pair)
     assert run.status == ("completed",) * 3
-    # the field once, for the run's first f1; g once per lock-step, at every stage time
-    assert len(calls) == 1 and calls[0].tolist() == [0.0] * 3
-    assert len(stage_calls) == run.lock_steps
-    assert {rows for rows, _ in stage_calls} == {5 if pair is integrate.DP54 else 11}
-    assert stage_calls[0][1] == 3  # all lanes, until the first completes
+    # g once for the run's first f1, over one row of start times, then once
+    # per lock-step, at every stage time
+    assert len(calls) == run.lock_steps + 1
+    assert calls[0].tolist() == [[0.0] * 3]
+    assert {c.shape[0] for c in calls[1:]} == {5 if pair is integrate.DP54 else 11}
+    assert calls[1].shape[1] == 3  # all lanes, until the first completes
 
 
 def _fused_matches_generic(field, y0, cfg):

@@ -280,8 +280,8 @@ def test_trig_g_refuses_and_overflows_where_its_expression_does(C):
 def test_lane_form_g_stages_match_the_field_row_by_row(A, B, C, m):
     rng = np.random.default_rng(5)
     specs = [trig_spec(A, B, C, w, m) for w in rng.uniform(0.5, 2.0, 30)]
-    field, params = make_lane_field(specs)
-    form, ex = field.lane_form, g_exponent(m)
+    form, params = make_lane_field(specs)
+    ex = g_exponent(m)
     ts = rng.uniform(-10.0, 10.0, (12, 30))
     ts[3, :5] = 0.0  # a singular time for B < 0
     y = rng.uniform(-2.0, 2.0, (2, 30))
@@ -289,7 +289,7 @@ def test_lane_form_g_stages_match_the_field_row_by_row(A, B, C, m):
         gs, singular = form.g_stages(ts, params)
         any_row = np.zeros(30, dtype=bool)
         for i, t in enumerate(ts):
-            dy, s = field(t, y, params)
+            dy, s = form(t, y, params)
             assert dy.tobytes() == form.deriv(gs[i], y, params).tobytes()
             # the same bits as g on one row of times alone
             assert gs[i].tobytes() == (alpha2_grid(A, B, C, params[0], t) ** ex).tobytes()
@@ -366,6 +366,14 @@ def test_spec_json_rejects_unknown_kind():
 
     with pytest.raises(TypeError):
         spec_to_json(OscillatorSpec(1.0, 2, FiveParamSpec(1.0, 0.0, 0.0, 2.2, 0.0, -3.6)))
+
+
+def test_make_field_refuses_a_five_parameter_source():
+    from osclab.family import FiveParamSpec
+
+    spec = OscillatorSpec(1.0, 2, FiveParamSpec(1.0, 0.0, 0.0, 2.2, 0.0, -3.6))
+    with pytest.raises(ValueError, match="no direct field for g source FiveParamSpec"):
+        make_field(spec)
 
 
 @pytest.mark.parametrize("obj", [

@@ -53,6 +53,16 @@ def test_monodromy_rejects_unstable():
         monodromy(HillSpec(f=lambda t: 0.25 * (1.0 + 0.1 * math.cos(t)), T=TWO_PI))
 
 
+@pytest.mark.parametrize("rtol", [1e-12, 1e-10])
+@pytest.mark.parametrize("f0", [1.0, 2.25, 4.0])
+def test_reduce_refuses_an_exactly_degenerate_hill_system(f0, rtol):
+    # f = omega0^2 over T = 2 pi: tr M = +-2 exactly.  reduce's rtol sets the
+    # envelope run only; at 1e-12 the fundamental runs put |tr M| within
+    # 3e-12 of 2, inside the margin, and the system passed as stable
+    with pytest.raises(UnstableHillError):
+        reduce(HillSpec(f=lambda t: f0, T=TWO_PI), lambda t: 0.2, 2, rtol=rtol)
+
+
 def test_unstable_flag_agrees_with_growth():
     # the raw transfer matrix of the resonant system shows real growth,
     # consistent with the stability flag that refused it above
@@ -145,7 +155,7 @@ def _tabulated_hill(n_rows=257):
 ])
 def test_envelope_march_matches_cold_segments(make_hill, n_grid, max_steps):
     h = make_hill()
-    mono = monodromy(h, rtol=1e-12, atol=1e-14)
+    mono = monodromy(h)
     env = cs_envelope(h, mono, n_grid=n_grid)
     ts, w, wp, phi = _cold_envelope(h, mono, n_grid)
     assert np.array_equal(env.ts, ts) and env.ts[-1] == h.T

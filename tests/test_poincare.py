@@ -1,12 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osclab.errors import UnsupportedSourceError
 from osclab.integrate import sample_strobe
 from osclab.invariant import build_coeffs, eval_invariant
 from osclab.model import Sampled, OscillatorSpec, State, make_field, trig_spec
-from osclab.poincare import SectionCurve, curve_loop, curve_points, section_curve, section_residual
+from osclab.poincare import (SectionCurve, _admissible_intervals, curve_loop, curve_points,
+                             section_curve, section_residual)
 from osclab.stability import i0_crit, z_crit
 
 
@@ -63,6 +66,18 @@ def test_admissible_intervals_supercritical():
     lo, hi = curve.admissible[0]
     assert lo == -math.inf
     assert hi > z_crit(1.3, 0.9, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c_z2=st.floats(-10.0, 10.0), c_z3=st.floats(1e-3, 10.0), I0=st.floats(-10.0, 10.0))
+def test_admissible_intervals_ascend_disjoint_and_bounded_above(c_z2, c_z3, I0):
+    # the cubic term sends the radicand to -inf as z -> +inf, so for c_z3 > 0
+    # the first interval is open below and the last one closes above
+    intervals = _admissible_intervals(c_z2, c_z3, I0)
+    assert intervals and intervals[0][0] == -math.inf
+    assert all(lo <= hi for lo, hi in intervals)
+    assert all(a[1] < b[0] for a, b in zip(intervals, intervals[1:]))
+    assert math.isfinite(intervals[-1][1])
 
 
 def test_admissible_zero_level_is_tangency():

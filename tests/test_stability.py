@@ -9,7 +9,7 @@ import pytest
 from osclab import stability
 from osclab.errors import StepUnderflowError
 from osclab.integrate import AdaptiveConfig, integrate_adaptive, integrate_lanes
-from osclab.model import make_field, make_lane_field, trig_spec
+from osclab.model import LaneForm, make_field, make_lane_field, trig_spec
 from osclab.stability import (
     ScanWork,
     StabilityRow,
@@ -198,18 +198,18 @@ def test_scan_work_counts_every_cell():
 
 
 def test_scan_field_evals_count_the_lane_field_calls(monkeypatch):
-    # a counting lane field without a LaneForm: one call per stage, and each
-    # call evaluates every live lane, whose row its 2 omega names
+    # a lane form with a counting deriv: one call per stage, and each call
+    # evaluates every live lane, whose row its 2 omega names
     evals = Counter()
 
     def counting_lane_field(specs):
-        field, params = make_lane_field(specs)
+        form, params = make_lane_field(specs)
 
-        def counted(t, y, params):
+        def deriv(g, y, params):
             evals.update(params[0].tolist())
-            return field(t, y, params)
+            return form.deriv(g, y, params)
 
-        return counted, params
+        return LaneForm(form.g_stages, deriv), params
 
     omegas = (0.8, 1.4)
     kw = dict(dz0=0.1, t_max=20.0)

@@ -194,12 +194,18 @@ class _Recorder:
             self.buf += array("d", flat)
 
     def build(self, status, t, y, **meta) -> Trajectory:
-        """The trajectory of a run whose last accepted state is (t, y)."""
+        """The trajectory of a run whose last accepted state is (t, y).
+
+        Its arrays are views of the recorder's buffers, not copies, so a
+        run's record is held once.  ``build`` is the recorder's last act:
+        a buffer that a view exports cannot grow, so nothing is pushed
+        after it.
+        """
         if t > self.ts[-1]:  # not yet pushed: a run with record=False
             self.ts.append(t)
             self.buf.extend(y)
-        ts = np.frombuffer(self.ts, dtype=float).copy()
-        ys = np.frombuffer(self.buf, dtype=float).reshape(len(ts), -1).copy()
+        ts = np.frombuffer(self.ts, dtype=float)
+        ys = np.frombuffer(self.buf, dtype=float).reshape(len(ts), -1)
         return Trajectory(ts=ts, ys=ys, status=status, **meta)
 
 

@@ -103,13 +103,27 @@ def eval_invariant(spec: OscillatorSpec, s: State) -> float:
     return _invariant(spec, s.t, s.z, s.p)
 
 
+# rows per _invariant call of invariant_series: each of its dozen or so
+# temporaries then takes 64 KB, whatever the trajectory's length
+_SERIES_CHUNK = 8192
+
+
 def invariant_series(spec: OscillatorSpec, traj: Trajectory) -> np.ndarray:
     """I(t) along a whole trajectory, vectorized.
 
-    A five-parameter source requires the augmented trajectory, whose
-    columns 2..4 carry alpha2 and its two derivatives.
+    ``_invariant`` runs on _SERIES_CHUNK rows at a time into one output
+    array, so the temporaries of its formula stay a fixed size rather
+    than growing with the run.  Every element takes the same operations
+    in the same order as in one whole-array call, so the series is
+    bit-identical to it.  A five-parameter source requires the augmented
+    trajectory, whose columns 2..4 carry alpha2 and its two derivatives.
     """
-    return _invariant(spec, traj.ts, traj.z, traj.p, traj.ys)
+    ts, ys = traj.ts, traj.ys
+    out = np.empty(len(ts))
+    for i in range(0, len(ts), _SERIES_CHUNK):
+        rows = slice(i, i + _SERIES_CHUNK)
+        out[rows] = _invariant(spec, ts[rows], ys[rows, 0], ys[rows, 1], ys[rows])
+    return out
 
 
 @dataclass(frozen=True)
@@ -133,8 +147,9 @@ def drift(traj: Trajectory, spec: OscillatorSpec) -> DriftReport:
     i0 = float(series[0])
     if abs(i0) < 1e-300:
         return _absolute(traj, series)
-    rel = series / i0 - 1.0
-    return DriftReport(mode="relative", max_rel=float(np.max(np.abs(rel))), ts=traj.ts, series=rel)
+    series /= i0  # in place: I/I0 - 1 rounds as the two whole-array operations would
+    series -= 1.0
+    return DriftReport(mode="relative", max_rel=_max_abs(series), ts=traj.ts, series=series)
 
 
 def drift_absolute(traj: Trajectory, spec: OscillatorSpec) -> DriftReport:
@@ -142,8 +157,14 @@ def drift_absolute(traj: Trajectory, spec: OscillatorSpec) -> DriftReport:
 
 
 def _absolute(traj: Trajectory, series: np.ndarray) -> DriftReport:
-    dev = series - float(series[0])
-    return DriftReport(mode="absolute", max_rel=float(np.max(np.abs(dev))), ts=traj.ts, series=dev)
+    """The absolute report of a series that this module made; it turns into I - I0 in place."""
+    series -= float(series[0])
+    return DriftReport(mode="absolute", max_rel=_max_abs(series), ts=traj.ts, series=series)
+
+
+def _max_abs(v: np.ndarray) -> float:
+    """max |v|, NaN if any is NaN, without the array np.abs(v) would make."""
+    return max(float(v.max()), -float(v.min()))
 
 
 def _parts(spec: OscillatorSpec, t: float):

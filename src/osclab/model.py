@@ -161,7 +161,8 @@ class Trajectory:
             raise ValueError("state array must have one row per time")
         if self.ts.shape[0] == 0:
             raise ValueError("trajectory cannot be empty")
-        if self.ts.shape[0] > 1 and not np.all(np.diff(self.ts) > 0.0):
+        # neighbours compared: a bool per time, no float temporary as long as the run
+        if not np.all(self.ts[1:] > self.ts[:-1]):
             raise ValueError("trajectory times must be strictly increasing")
         if self.status not in ("completed", "escaped", "coefficient_singular"):
             raise ValueError(f"unknown status {self.status!r}")

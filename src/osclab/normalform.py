@@ -45,9 +45,10 @@ from .model import check_m, int_pow
 _W_FLOOR = 1e-6
 _W_CEIL = 1e6
 
-# tolerance of the fundamental runs, whatever the caller's: it keeps the trace
-# error inside monodromy's margin of 1e-12 (at rtol 1e-12, f = 1 over T = 2 pi,
-# where tr M = 2 exactly, gave 2 - 1.5e-12 and passed as stable)
+# tolerance of the fundamental runs, whatever the caller's: for a few
+# oscillations per period it keeps the trace error inside monodromy's floor
+# margin of 1e-12 (at rtol 1e-12, f = 1 over T = 2 pi, where tr M = 2
+# exactly, gave 2 - 1.5e-12 and passed as stable)
 _MONO_RTOL, _MONO_ATOL = 1e-13, 1e-15
 
 
@@ -102,10 +103,11 @@ def transfer_matrix(h: HillSpec) -> np.ndarray:
 def monodromy(h: HillSpec) -> MonodromyResult:
     """Floquet analysis over one period.
 
-    Raises UnstableHillError when |tr M| >= 2 - 1e-12 (the degenerate
-    boundary included).  The fundamental runs take the fixed tolerance
-    _MONO_RTOL, which keeps the trace error below that margin; a looser
-    one lets an exactly degenerate system slip through as spuriously
+    Raises UnstableHillError when |tr M| >= 2 - max(1e-12, 4 |det M - 1|)
+    (the degenerate boundary included).  The fundamental runs take the
+    fixed tolerance _MONO_RTOL; the margin grows with their error, which
+    |det M - 1| measures, so an exactly degenerate system is refused
+    however many oscillations a period holds, not passed as spuriously
     stable.  In the stable case the phase advance mu is
     placed in (0, 2 pi) with sin(mu) matching the sign of M[0,1], which
     makes beta0 = M[0,1]/sin(mu) positive.  The step counts sum both
@@ -115,7 +117,12 @@ def monodromy(h: HillSpec) -> MonodromyResult:
     M = np.column_stack([run.ys[-1] for run in runs])
     tr = float(M[0, 0] + M[1, 1])
     det = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    if abs(tr) >= 2.0 - 1e-12:
+    # Liouville: det M = 1 exactly, so |det M - 1| is the runs' error.  On
+    # an exactly degenerate system (f = omega0^2 over T = 2 pi, omega0 from
+    # 0.5 to 20) 2 - |tr M| came out equal to |det M - 1| to two digits, up
+    # to 3.3e-12, past the fixed 1e-12; K = 4 refuses those with a factor 4
+    # to spare and leaves the bench Hill tables (|det M - 1| ~ 1e-13) at 1e-12
+    if abs(tr) >= 2.0 - max(1e-12, 4.0 * abs(det - 1.0)):
         raise UnstableHillError(f"|trace| = {abs(tr)} >= 2: no stable periodic envelope")
     mu = math.acos(0.5 * tr)
     if M[0, 1] < 0.0:

@@ -4,7 +4,9 @@ All floating-point CSV values use 17 significant digits, enough to
 round-trip IEEE doubles exactly.  SVG output is a fixed 800x600
 viewport with linear axes, drawn at plot resolution (``svg_plot``), and
 carries no timestamps or environment details, so repeated runs produce
-byte-identical files.
+byte-identical files.  A line is reduced by M4 block by block
+(``_m4_line``), so plotting it takes memory of a fixed size beyond its
+data, whatever its length.
 """
 
 from __future__ import annotations
@@ -45,9 +47,13 @@ def _limits(values, fixed):
     if fixed is not None:
         lo, hi = float(fixed[0]), float(fixed[1])
     else:
-        vals = np.concatenate([np.empty(0), *values])
-        vals = vals[np.isfinite(vals)]
-        lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (0.0, 1.0)
+        # per array: no concatenated copy of them all
+        lo = min((float(np.min(v, where=np.isfinite(v), initial=np.inf)) for v in values),
+                 default=np.inf)
+        hi = max((float(np.max(v, where=np.isfinite(v), initial=-np.inf)) for v in values),
+                 default=-np.inf)
+        if lo > hi:  # no finite value
+            lo, hi = 0.0, 1.0
         if lo == hi:
             pad = abs(lo) * 0.1 or 1.0
             lo, hi = lo - pad, hi + pad
@@ -100,6 +106,44 @@ def _m4_indices(px, py):
     return np.flatnonzero(keep)
 
 
+# vertices per block of a line's M4 walk (``_m4_line``): its temporaries
+# then take about 1 MB whatever the line's length, against 10 MB for one
+# pass over a 200k-vertex line
+_M4_BLOCK = 16384
+
+
+def _m4_line(x, y, px, py) -> str:
+    """The written vertices "x,y x,y ..." that ``_m4_indices`` keeps of a line.
+
+    x and y are the line's finite data and px, py map them to pixels.
+    The line is walked in blocks of _M4_BLOCK vertices, each cut back to
+    end at its last pixel-column change (a change at the vertex just past
+    it included), so a run of ``_m4_indices`` never spans two blocks and
+    the output is that of one pass over the whole line.  A block without
+    a change is doubled until it has one or reaches the end.
+    """
+    n = len(x)
+    pieces = []
+    i, size = 0, _M4_BLOCK
+    while i < n:
+        j = min(i + size, n)
+        bx = px(x[i:j + 1])
+        if j < n:
+            col = _columns(bx)
+            change = np.flatnonzero(col[1:] != col[:-1])
+            if not change.size:
+                size *= 2
+                continue
+            j = i + int(change[-1]) + 1
+            bx = bx[:j - i]
+        by = py(y[i:j])
+        keep = _m4_indices(bx, by)
+        pieces.append(" ".join(f"{a:.2f},{b:.2f}"
+                               for a, b in zip(bx[keep].tolist(), by[keep].tolist())))
+        i, size = j, _M4_BLOCK
+    return " ".join(pieces)
+
+
 def svg_plot(path, series, xlabel: str = "", ylabel: str = "", title: str = "",
              ylim=None) -> None:
     """Write a line/scatter plot at plot resolution.
@@ -107,8 +151,8 @@ def svg_plot(path, series, xlabel: str = "", ylabel: str = "", title: str = "",
     ``series`` is a list of dicts with keys "kind" ("line" or
     "scatter"), "x", "y", and optional "color".  Points with
     nonfinite coordinates are dropped.  A line keeps the vertices of
-    ``_m4_indices``, and a scatter drops a point written at the same
-    0.01 px position as an earlier one.
+    ``_m4_indices``, found block-wise by ``_m4_line``, and a scatter
+    drops a point written at the same 0.01 px position as an earlier one.
     """
     data = [(np.asarray(s["x"], dtype=float), np.asarray(s["y"], dtype=float))
             for s in series]
@@ -168,22 +212,20 @@ def svg_plot(path, series, xlabel: str = "", ylabel: str = "", title: str = "",
 
     for i, (s, (x, y)) in enumerate(zip(series, data)):
         color = s.get("color", _PALETTE[i % len(_PALETTE)])
-        ok = np.isfinite(x) & np.isfinite(y)
+        ok = np.isfinite(x)
+        ok &= np.isfinite(y)
         if not ok.any():
             continue
+        if not ok.all():  # copies only for a series with a nonfinite point
+            x, y = x[ok], y[ok]
         with np.errstate(over="ignore", invalid="ignore"):
-            xs, ys = px(x[ok]), py(y[ok])
-        if s.get("kind", "line") == "line":
-            keep = _m4_indices(xs, ys)
-            coords = " ".join(f"{a:.2f},{b:.2f}"
-                              for a, b in zip(xs[keep].tolist(), ys[keep].tolist()))
-            parts.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.2"/>'
-            )
-        else:
-            parts.extend(dict.fromkeys(
-                f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2" fill="{color}"/>'
-                for a, b in zip(xs.tolist(), ys.tolist())))
+            if s.get("kind", "line") == "line":
+                parts.append(f'<polyline points="{_m4_line(x, y, px, py)}" fill="none" '
+                             f'stroke="{color}" stroke-width="1.2"/>')
+            else:
+                parts.extend(dict.fromkeys(
+                    f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2" fill="{color}"/>'
+                    for a, b in zip(px(x).tolist(), py(y).tolist())))
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 

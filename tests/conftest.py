@@ -1,0 +1,41 @@
+import tracemalloc
+
+import pytest
+
+from osclab import integrate
+
+
+@pytest.fixture
+def step_cap(monkeypatch):
+    """Set integrate._MAX_FIXED_STEPS, the step budget of every run, to n.
+
+    A test whose runs are known to take at most about n accepted steps (a
+    scalar adaptive run) or lock-steps (a lane run) sets a cap just above
+    that: a broken tableau, whose error estimate makes the steps shrink,
+    then fails with StepBudgetError in seconds instead of stepping on for
+    minutes.  FixedStepConfig checks the same budget, so the cap must
+    also cover any fixed-step run of the test.
+    """
+    def cap(n):
+        monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", n)
+
+    return cap
+
+
+@pytest.fixture
+def peak_alloc():
+    """Call fn() under tracemalloc: (its result, peak bytes allocated above the start)."""
+    def measure(fn):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return measure

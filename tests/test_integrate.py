@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from osclab import integrate
@@ -110,6 +110,19 @@ def test_fixed_record_false_keeps_endpoints_only():
     assert traj.ts[-1] == 1.0
 
 
+def test_recorder_builds_views_of_its_buffers():
+    # the trajectory shares the recorder's memory, so the record is held once
+    rec = _Recorder(True, 0.0, (1.0, 2.0))
+    rec.push(0.5, (3.0, 4.0))
+    rec.push_many(np.array([0.75, 1.0]), [5.0, 6.0, 7.0, 8.0])
+    traj = rec.build("completed", 1.0, (7.0, 8.0))
+    assert np.shares_memory(traj.ts, rec.ts) and np.shares_memory(traj.ys, rec.buf)
+    assert traj.ts.tolist() == [0.0, 0.5, 0.75, 1.0]
+    assert traj.ys.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]
+    with pytest.raises(BufferError):  # build is the recorder's last act
+        rec.push(2.0, (9.0, 10.0))
+
+
 def test_adaptive_config_validation():
     with pytest.raises(ValueError):
         AdaptiveConfig(rtol=1e-15, t_end=1.0)
@@ -141,7 +154,8 @@ def test_configs_reject_nonpositive_escape_bound(bound):
     assert AdaptiveConfig(rtol=1e-10, t_end=1.0).escape_bound == math.inf
 
 
-def test_adaptive_matches_tight_reference():
+def test_adaptive_matches_tight_reference(step_cap):
+    step_cap(3400)
     spec = trig_spec(1.3, 0.9, 0.0, 1.0, 2)
     field = make_field(spec)
     ref = integrate_adaptive(field, (0.35, 0.0),
@@ -408,7 +422,8 @@ def _cold_strobe(field, y0, t_step, k_max, **cfg):
     return states, "completed"
 
 
-def test_warm_strobe_matches_cold_segments_on_fig2():
+def test_warm_strobe_matches_cold_segments_on_fig2(step_cap):
+    step_cap(116_000)
     field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
     res = sample_strobe(field, (0.1, 0.0), math.pi, 999, escape_bound=50.0, rtol=1e-10)
     ref, status = _cold_strobe(field, (0.1, 0.0), math.pi, 999, rtol=1e-10, atol=1e-12,
@@ -443,7 +458,8 @@ def test_warm_strobe_underflows_like_cold_segments():
         _cold_strobe(field, (1.0, 0.0), 0.25, 8, rtol=1e-10)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     A=st.floats(1.0, 3.0),
     rel_b=st.floats(-0.95, 0.95),
@@ -455,7 +471,9 @@ def test_warm_strobe_underflows_like_cold_segments():
     k_max=st.integers(1, 12),
 )
 def test_warm_strobe_matches_cold_segments_on_random_systems(A, rel_b, rel_c, omega, m, z0, p0,
-                                                             k_max):
+                                                             k_max, step_cap):
+    # at most 1,680 accepted steps on the corners of the strategy
+    step_cap(2100)
     # R = hypot(B, C) < 0.95 A keeps alpha2 positive; small amplitudes keep the motion bounded
     field = make_field(trig_spec(A, 0.67 * A * rel_b, 0.67 * A * rel_c, omega, m))
     t_step = math.pi / omega
@@ -503,7 +521,8 @@ def _kinds_deriv(t, y, params):
 _lane_field = LaneForm(_kinds_times, _kinds_deriv)
 
 
-def test_lanes_end_like_scalar_runs():
+def test_lanes_end_like_scalar_runs(step_cap):
+    step_cap(300)
     # harmonic lanes outlive neighbours that escape, turn singular or underflow
     kinds = [HARMONIC, GROWTH, SINGULAR_LATE, HARMONIC, STIFF, SINGULAR_AT_START, HARMONIC]
     y0 = [(1.0, 0.0), (5.0, 5.0), (0.5, 0.0), (0.2, -0.3), (1.0, 0.0), (1.0, 0.0), (-2.0, 1.0)]
@@ -534,7 +553,8 @@ def test_lanes_end_like_scalar_runs():
     # the dip sits at t = 0, so the first field call is singular
     (-(1.0 - 1e-10), 50.0, ("coefficient_singular", "coefficient_singular")),
 ])
-def test_trig_lanes_end_like_scalar_runs(B, escape, want):
+def test_trig_lanes_end_like_scalar_runs(B, escape, want, step_cap):
+    step_cap(1500)
     spec = trig_spec(1.0, B, 0.0, 1.0)
     z0s = [1e-7, 1e-5]
     cfg = AdaptiveConfig(rtol=1e-10, t_end=5.0, escape_bound=escape, record=False)
@@ -552,7 +572,8 @@ def test_trig_lanes_end_like_scalar_runs(B, escape, want):
         assert math.isclose(run.ts[j], ref.ts[-1], rel_tol=1e-8)
 
 
-def test_lanes_stop_past_their_lock_step_budget(monkeypatch):
+def test_lanes_stop_past_their_lock_step_budget(monkeypatch, step_cap):
+    step_cap(950)
     specs = [trig_spec(1.3, 0.9, 0.0, w) for w in (0.8, 1.2)]
     field, params = make_lane_field(specs)
     y0 = np.array([[0.1, 0.2], [0.0, 0.0]])
@@ -576,7 +597,10 @@ def test_lanes_reject_misshapen_input():
         integrate_lanes(_lane_field, np.zeros((2, 3)), np.zeros((1, 2)), cfg)
 
 
-@settings(max_examples=25, deadline=None)
+@example(A=1.3, rel_b=0.7, rel_c=0.2, m=2,  # a bounded and an escaping cell, checked first
+         cells=[(0.8, 0.3, 0.0), (1.6, 1.9, 0.1)])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     A=st.floats(0.5, 3.0),
     rel_b=st.floats(-0.95, 0.95),
@@ -585,15 +609,21 @@ def test_lanes_reject_misshapen_input():
     cells=st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(-2.0, 2.0), st.floats(-0.5, 0.5)),
                    min_size=1, max_size=6),
 )
-def test_lanes_match_scalar_runs_on_random_trig_cells(A, rel_b, rel_c, m, cells):
+def test_lanes_match_scalar_runs_on_random_trig_cells(A, rel_b, rel_c, m, cells, step_cap):
+    # a random search of the strategy found cells of up to 12,900 trial steps
+    step_cap(16_000)
     # cells (omega, z0, p0) of one trig family: small amplitudes stay bounded, large ones escape
     specs = [trig_spec(A, 0.67 * A * rel_b, 0.67 * A * rel_c, omega, m) for omega, _, _ in cells]
     cfg = AdaptiveConfig(rtol=1e-10, t_end=20.0, escape_bound=50.0, record=False)
+    refs = [integrate_adaptive(make_field(spec), (z0, p0), cfg)
+            for spec, (_, z0, p0) in zip(specs, cells)]
+    # each lane takes its scalar run's trial steps, one per lock-step, so a
+    # lane run that needs more lock-steps fails at once instead of stepping on
+    step_cap(max(ref.n_accepted + ref.n_rejected for ref in refs))
     field, params = make_lane_field(specs)
     run = integrate_lanes(field, np.array([[z0 for _, z0, _ in cells], [p0 for _, _, p0 in cells]]),
                           params, cfg)
-    for j, (spec, (_, z0, p0)) in enumerate(zip(specs, cells)):
-        ref = integrate_adaptive(make_field(spec), (z0, p0), cfg)
+    for j, ref in enumerate(refs):
         assert run.status[j] == ref.status
         assert (run.n_accepted[j], run.n_rejected[j]) == (ref.n_accepted, ref.n_rejected)
         if ref.status == "completed":
@@ -625,7 +655,8 @@ def _lane_batches(seed, n):
 
 
 @pytest.mark.parametrize("pair", [integrate.DP54, integrate.DOP853], ids=["dp54", "dop853"])
-def test_lane_form_runs_match_the_generic_stages_bit_for_bit(pair):
+def test_lane_form_runs_match_the_generic_stages_bit_for_bit(pair, step_cap):
+    step_cap(2200)
     # the lanes evaluate g at all stage times of a trial at once; the
     # reference form evaluates it one stage row at a time, as one field
     # call per stage would, and ORs the singular rows
@@ -648,7 +679,8 @@ def test_lane_form_runs_match_the_generic_stages_bit_for_bit(pair):
 
 
 @pytest.mark.parametrize("pair", [integrate.DP54, integrate.DOP853], ids=["dp54", "dop853"])
-def test_lane_form_is_called_once_per_trial_step_not_per_stage(pair):
+def test_lane_form_is_called_once_per_trial_step_not_per_stage(pair, step_cap):
+    step_cap(200)
     form, params = make_lane_field([trig_spec(1.3, 0.9, 0.2, w) for w in (0.8, 1.2, 1.6)])
     calls = []
 
@@ -1020,7 +1052,8 @@ def test_fused_attempt_is_only_for_two_components():
     _fused_march_matches_generic(field, (0.3, 0.1, 1.0), AdaptiveConfig(rtol=1e-9, t_end=3.0))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     A=st.floats(0.5, 3.0),
     rel_b=st.floats(-0.95, 0.95),
@@ -1037,7 +1070,10 @@ def test_fused_attempt_is_only_for_two_components():
     record=st.booleans(),
 )
 def test_fused_attempt_matches_generic_march_on_random_systems(
-        A, rel_b, rel_c, omega, m, z0, p0, rtol, t_start, span, h_init, escape, record):
+        A, rel_b, rel_c, omega, m, z0, p0, rtol, t_start, span, h_init, escape, record, step_cap):
+    # the strategy's costliest corner (A = 0.5, m = 5, z0 = p0 = -5, rtol
+    # 1e-11, span 20) takes 750k accepted steps
+    step_cap(1_000_000)
     # R = hypot(B, C) < 0.95 A keeps alpha2 positive.  About half the runs
     # escape, and in about a third a first step of up to 50 has stages that
     # overflow, so the trial is rejected with err inf
@@ -1048,7 +1084,8 @@ def test_fused_attempt_matches_generic_march_on_random_systems(
 
 
 @pytest.mark.parametrize("record", [True, False])
-def test_fused_attempt_matches_generic_march_on_a_sampled_field(record):
+def test_fused_attempt_matches_generic_march_on_a_sampled_field(record, step_cap):
+    step_cap(250)
     # knots up to t = 5.9: the run stops at the first trial whose stage passes the last knot
     knots = tuple(0.1 * k for k in range(60))
     src = Sampled(knots, tuple(0.2 + 0.1 * math.cos(t) for t in knots))
@@ -1058,7 +1095,8 @@ def test_fused_attempt_matches_generic_march_on_a_sampled_field(record):
     assert 0.0 < knots[-1] - traj.ts[-1] < 1.0 and traj.n_accepted > 10
 
 
-def test_fused_march_through_stops_matches_generic_on_fig2():
+def test_fused_march_through_stops_matches_generic_on_fig2(step_cap):
+    step_cap(4600)
     # a plain wrapper hides power_form, so it takes the generic attempt
     field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
     stops = [k * math.pi for k in range(1, 41)]
@@ -1229,7 +1267,8 @@ def _adaptive_march_reference(field, y0, cfg, stops, at_stop):
     return rec.build(status, t, y, n_accepted=n_acc, n_rejected=n_rej)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     A=st.floats(0.5, 3.0),
     rel_b=st.floats(-0.95, 0.95),
@@ -1249,7 +1288,10 @@ def _adaptive_march_reference(field, y0, cfg, stops, at_stop):
 )
 def test_adaptive_march_through_stops_matches_flat_reference(
         A, rel_b, rel_c, omega, m, z0, p0, rtol, t_start, span, h_init, escape, cuts, wrap,
-        record):
+        record, step_cap):
+    # the strategy's costliest corner (A = 0.5, m = 5, z0 = p0 = -3, rtol
+    # 1e-11, span 20) takes 269k accepted steps
+    step_cap(330_000)
     # R = hypot(B, C) < 0.95 A keeps alpha2 positive; a large first step or
     # amplitude gives rejected trials with err inf, and escapes
     fused = make_field(trig_spec(A, 0.67 * A * rel_b, 0.67 * A * rel_c, omega, m))

@@ -4,10 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from osclab import invariant
 from osclab.errors import UnsupportedSourceError
-from osclab.family import FiveParamSpec, integrate_family
+from osclab.family import FiveParamSpec, integrate_family, make_augmented_field
 from osclab.integrate import AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed
 from osclab.invariant import (
+    _invariant,
     _parts,
     _residuals,
     build_coeffs,
@@ -17,7 +19,7 @@ from osclab.invariant import (
     invariant_series,
     pde_residual,
 )
-from osclab.model import OscillatorSpec, Sampled, State, make_field, trig_spec
+from osclab.model import OscillatorSpec, Sampled, State, Trajectory, make_field, trig_spec
 from osclab.stability import z_crit
 
 
@@ -99,6 +101,41 @@ def test_invariant_series_matches_pointwise():
         for i in (0, len(traj) // 3, len(traj) - 1):
             direct = eval_invariant(c, traj.state(i))
             assert math.isclose(series[i], direct, rel_tol=rel_tol, abs_tol=1e-15)
+
+
+def _series_cases():
+    """(spec, trajectory) pairs of 20001 rows, no multiple of the series chunk."""
+    spec = trig_spec(1.3, 0.4, 0.7, 1.1, 3)
+    trig = integrate_fixed(make_field(spec), (0.2, 0.1), FixedStepConfig(h=1e-3, t_end=20.0))
+    fp = FiveParamSpec(1.1, 0.03, -0.07, 1.8, 0.4, -2.0)
+    five = integrate_fixed(make_augmented_field(fp), (0.2, 0.1, 1.8, 0.4, -2.0),
+                           FixedStepConfig(h=1e-3, t_end=20.0))
+    return [(spec, trig), (OscillatorSpec(1.1, 2, fp), five)]
+
+
+@pytest.mark.parametrize("chunk", [1000, 8192])
+def test_chunked_invariant_series_is_one_whole_array_call(monkeypatch, chunk):
+    monkeypatch.setattr(invariant, "_SERIES_CHUNK", chunk)
+    for spec, traj in _series_cases():
+        assert len(traj) == 20001 and len(traj) % chunk
+        whole = _invariant(spec, traj.ts, traj.z, traj.p, traj.ys)
+        np.testing.assert_array_equal(invariant_series(spec, traj), whole)
+        # drift's in-place I/I0 - 1 and its max |.| are the whole-array ones
+        rep = drift(traj, spec)
+        rel = whole / whole[0] - 1.0
+        np.testing.assert_array_equal(rep.series, rel)
+        assert rep.max_rel == float(np.max(np.abs(rel)))
+
+
+def test_drift_peak_memory_stays_near_its_series(peak_alloc):
+    # a 200k-row trajectory made with numpy, not integrated: the series and
+    # the report are 1.6 MB; the whole-array formula took about 13 MB
+    ts = np.arange(200_001) * 1e-3
+    traj = Trajectory(ts=ts, ys=np.column_stack([0.1 * np.cos(ts), -0.1 * np.sin(ts)]),
+                      status="completed")
+    rep, peak = peak_alloc(lambda: drift(traj, trig_spec(1.3, 0.9, 0.0, 1.0, 2)))
+    assert rep.mode == "relative"
+    assert peak <= rep.series.nbytes + 1_000_000
 
 
 def test_invariant_series_needs_augmented_state():

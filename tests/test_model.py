@@ -414,6 +414,30 @@ def test_trajectory_accessors():
     assert list(traj.p) == [0.0, -0.01, -0.02]
 
 
+@pytest.mark.parametrize("ts", [
+    [0.0, 0.0], [0.0, 0.1, 0.1], [0.2, 0.1], [0.0, 1.0, 0.5],
+    [0.0, math.nan], [math.nan, 0.0], [1.0, math.nan, 2.0], [0.0, math.inf, math.inf],
+    [-math.inf, -math.inf],
+])
+def test_trajectory_rejects_times_that_do_not_increase(ts):
+    ts = np.array(ts)
+    with np.errstate(invalid="ignore"):  # the old check, np.diff, agrees
+        assert not np.all(np.diff(ts) > 0.0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(ts=ts, ys=np.zeros((len(ts), 2)), status="completed")
+
+
+@pytest.mark.parametrize("ts", [
+    [0.0], [math.inf], [0.0, 5e-324], [-1e308, 1e308], [-math.inf, 0.0, math.inf],
+    [-3.0, -2.5, 7.0],
+])
+def test_trajectory_accepts_times_that_increase(ts):
+    ts = np.array(ts)
+    with np.errstate(over="ignore"):
+        assert np.all(np.diff(ts) > 0.0)
+    assert len(Trajectory(ts=ts, ys=np.zeros((len(ts), 2)), status="completed")) == len(ts)
+
+
 def test_trajectory_validation():
     ys = np.array([[0.1, 0.0], [0.1, 0.0]])
     with pytest.raises(ValueError):

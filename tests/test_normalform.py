@@ -63,6 +63,25 @@ def test_reduce_refuses_an_exactly_degenerate_hill_system(f0, rtol):
         reduce(HillSpec(f=lambda t: f0, T=TWO_PI), lambda t: 0.2, 2, rtol=rtol)
 
 
+@pytest.mark.parametrize("omega0,stable", [
+    (7.0, False), (8.0, False), (9.0, False), (12.0, False), (20.0, False),
+    (1.2345, True), (7.3, True), (13.1, True),
+])
+def test_monodromy_margin_grows_with_the_runs_error(omega0, stable):
+    # f = omega0^2 over T = 2 pi: tr M = 2 cos(2 pi omega0), +-2 exactly at
+    # an integer omega0.  There the fundamental runs leave 2 - |tr M| equal
+    # to |det M - 1|, from 1.07e-12 at omega0 = 7 to 3.3e-12 at 20: outside a
+    # fixed 1e-12 margin, inside 4 |det M - 1|
+    h = HillSpec(f=lambda t: omega0 * omega0, T=TWO_PI)
+    if not stable:
+        with pytest.raises(UnstableHillError):
+            monodromy(h)
+        return
+    mono = monodromy(h)
+    assert mono.stable
+    assert mono.trace == pytest.approx(2.0 * math.cos(TWO_PI * omega0), abs=1e-9)
+
+
 def test_unstable_flag_agrees_with_growth():
     # the raw transfer matrix of the resonant system shows real growth,
     # consistent with the stability flag that refused it above

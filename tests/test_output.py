@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from osclab.output import _columns, decimate, fmt_float, svg_plot, write_csv, write_json
+from osclab import output
+from osclab.output import (_columns, _limits, _m4_indices, _m4_line, decimate, fmt_float,
+                          svg_plot, write_csv, write_json)
 
 
 def test_fmt_float_round_trips():
@@ -194,3 +196,108 @@ def test_reduced_plot_is_byte_deterministic(tmp_path):
         svg_plot(path, series + [{"kind": "scatter", "x": [1.0, 1.0], "y": [0.5, 0.5]}],
                  xlabel="t", ylabel="y", title="gaps", ylim=ylim)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _limits_concatenated(values, fixed):
+    """Reference for _limits: min and max over one concatenated copy of the arrays."""
+    if fixed is not None:
+        return float(fixed[0]), float(fixed[1])
+    vals = np.concatenate([np.empty(0), *values])
+    vals = vals[np.isfinite(vals)]
+    lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (0.0, 1.0)
+    pad = (abs(lo) * 0.1 or 1.0) if lo == hi else 0.05 * (hi - lo)
+    return lo - pad, hi + pad
+
+
+@pytest.mark.parametrize("values", [
+    [np.array([0.5, np.nan, -2.0, 3.0])],
+    [np.array([np.inf, 1.0]), np.array([-np.inf, -1.0, np.nan])],
+    [np.array([np.nan, np.inf]), np.array([-np.inf])],
+    [np.array([np.nan]), np.array([2.0, 2.0])],
+    [np.array([-0.0, 0.0]), np.array([0.0])],
+    [np.array([]), np.array([7.0, np.nan, -1e300])],
+    [np.array([])],
+    [],
+], ids=["nan", "pm_inf", "all_nonfinite", "constant", "signed_zeros", "empty_and_huge",
+        "empty", "no_series"])
+def test_limits_match_one_concatenated_pass(values):
+    assert _limits(values, None) == _limits_concatenated(values, None)
+    assert _limits(values, (-1, 2)) == (-1.0, 2.0)
+
+
+def _px_py(x, y):
+    """svg_plot's pixel maps for one series (x, y), with its limits."""
+    x_lo, x_hi = _limits([x], None)
+    y_lo, y_hi = _limits([y], None)
+    return (lambda v: 72 + (v - x_lo) / (x_hi - x_lo) * 704,
+            lambda v: 42 + (y_hi - v) / (y_hi - y_lo) * 504)
+
+
+def _m4_whole(x, y, px, py):
+    """The written vertices of one _m4_indices pass over the whole line."""
+    xs, ys = px(x), py(y)
+    keep = _m4_indices(xs, ys)
+    return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xs[keep].tolist(), ys[keep].tolist()))
+
+
+def _m4_lines():
+    rng = np.random.default_rng(20261019)
+    n = 5000
+    t = np.linspace(0.0, 1.0, n)
+    s = np.linspace(0.0, 6.0 * math.pi, n)
+    # 625 steps of 8 equal x, each step one pixel column further on: with a
+    # block of 8 every block edge is a column change (checked below)
+    edge_x = np.repeat(np.arange(625.0), 8)
+    return {
+        # 2000 vertices in one pixel column, then a ramp
+        "long_run": (np.concatenate([np.zeros(2000), t[:3000]]), rng.standard_normal(n)),
+        "block_edge": (edge_x, rng.standard_normal(n)),
+        "closed_curve": (np.cos(s) + 0.3 * np.cos(7 * s), np.sin(s) + 0.3 * np.sin(5 * s)),
+        "random_walk": (t, np.cumsum(rng.standard_normal(n))),
+        "constant_y": (t, np.full(n, 2.5)),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 7, 8, 64, 4096])
+@pytest.mark.parametrize("name", sorted(_m4_lines()))
+def test_blockwise_m4_line_is_one_whole_line_pass(monkeypatch, name, block):
+    x, y = _m4_lines()[name]
+    px, py = _px_py(x, y)
+    monkeypatch.setattr(output, "_M4_BLOCK", block)
+    assert _m4_line(x, y, px, py) == _m4_whole(x, y, px, py)
+
+
+def test_block_edge_line_changes_column_at_each_block_edge():
+    x, y = _m4_lines()["block_edge"]
+    col = _columns(_px_py(x, y)[0](x))
+    assert np.flatnonzero(col[1:] != col[:-1]).tolist() == list(range(7, len(x) - 1, 8))
+
+
+@pytest.mark.parametrize("name", ["gaps", "escaping", "closed_curve"])
+def test_blockwise_svg_plot_is_byte_identical_to_one_pass(monkeypatch, tmp_path, name):
+    series, ylim = _m4_series()[name]
+    x, y = series[0]["x"], series[0]["y"]
+    # a long all-NaN stretch, and a series with no finite point at all
+    y = y.copy()
+    y[20000:40000] = np.nan
+    series = [{"kind": "line", "x": x, "y": y},
+              {"kind": "line", "x": x, "y": np.full(len(x), np.nan)},
+              {"kind": "line", "x": x[:5000], "y": np.full(5000, 0.5)}]
+    files = []
+    for block in (10**9, 16384, 257):  # one block is the whole-array pass
+        monkeypatch.setattr(output, "_M4_BLOCK", block)
+        path = tmp_path / f"{block}.svg"
+        svg_plot(path, series, xlabel="t", ylabel="y", title=name, ylim=ylim)
+        files.append(path.read_bytes())
+    assert files[0] == files[1] == files[2]
+    assert files[0].count(b"<polyline") == 2
+
+
+def test_svg_plot_of_a_long_line_peaks_at_a_fixed_size(tmp_path, peak_alloc):
+    # 200k vertices, as a fixed-step run of 200k steps draws: one pass over
+    # the whole line took about 10 MB, the blocks about 1.2 MB
+    t = np.arange(200_001) * 1e-3
+    x, y = t, 1e-6 * np.sin(t) + 1e-9 * np.cos(977.0 * t)
+    _, peak = peak_alloc(lambda: svg_plot(tmp_path / "long.svg",
+                                          [{"kind": "line", "x": x, "y": y}]))
+    assert peak <= 1_500_000

@@ -137,7 +137,8 @@ def test_scan_small_grid():
     assert row.agrees
 
 
-def test_scan_lanes_match_bounded_cell_by_cell():
+def test_scan_lanes_match_bounded_cell_by_cell(step_cap):
+    step_cap(6200)
     # the 40 cells of the omega = 1 row, each integrated alone by the
     # scalar reference and all together as lanes
     spec = trig_spec(1.3, 0.9, 0.0, 1.0)
@@ -155,7 +156,8 @@ def test_scan_lanes_match_bounded_cell_by_cell():
         assert np.abs(run.ys[:, j] - ref.ys[-1]).max() <= 1e-8 * np.abs(ref.ys[-1]).max()
 
 
-def test_scan_rows_ignore_lane_order_and_batch_size(monkeypatch):
+def test_scan_rows_ignore_lane_order_and_batch_size(monkeypatch, step_cap):
+    step_cap(530)
     omegas = (0.8, 1.2)
     kw = dict(dz0=0.1, t_max=30.0)
     work = ScanWork()
@@ -171,7 +173,8 @@ def test_scan_rows_ignore_lane_order_and_batch_size(monkeypatch):
     assert sum(b["lanes"] for b in small.batches) == work.batches[0]["lanes"]
 
 
-def test_dop853_scan_rows_agree_with_bounded_at_the_boundary():
+def test_dop853_scan_rows_agree_with_bounded_at_the_boundary(step_cap):
+    step_cap(8100)
     # the benchmark grid: omegas 0.8:1.6:0.4 as the CLI makes them, dz0 0.05, tmax 100
     omegas = tuple(0.8 + k * 0.4 for k in range(3))
     rows = scan(1.3, 0.9, 0.0, omegas, dz0=0.05, t_max=100.0)
@@ -197,7 +200,8 @@ def test_scan_work_counts_every_cell():
     assert counts["accepted"] > counts["rejected"] > 0
 
 
-def test_scan_field_evals_count_the_lane_field_calls(monkeypatch):
+def test_scan_field_evals_count_the_lane_field_calls(monkeypatch, step_cap):
+    step_cap(430)
     # a lane form with a counting deriv: one call per stage, and each call
     # evaluates every live lane, whose row its 2 omega names
     evals = Counter()

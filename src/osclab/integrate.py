@@ -20,17 +20,18 @@ components 0 and 1 being z and p):
 The two scalar integrators share one start (``_start``) and march
 through any number of stop times in one run (``_check_stops``): a step
 that would pass the next stop is shortened to land on it exactly, and
-the run carries on from there.  A field that carries a
-``model.PowerForm`` (every field of ``model.make_field``) with a (z, p)
-state takes the fused path of either integrator, with the field (and
-the error norm) inlined, bit-identical to the generic path that every
-other field or state takes.  The fused Dormand-Prince path
-(``_dp_power_march``) runs the whole march, stops, step control and
-trial steps, in one loop; the tests check its states, counts, statuses
-and errors bit for bit against the generic loop.  The fused RK4 path
-runs every chunk of steps whose g the form evaluates on the grid, and
-the generic loop runs the rest (``integrate_fixed``).  A nonfinite
-initial state raises NonfiniteStateError before the first step.
+the run carries on from there.  A ``model.PowerForm`` field (every
+field of ``model.make_field``) takes the fused path of either
+integrator, with the field (and the error norm) inlined on its (z, p)
+state, bit-identical to the generic path that every other field takes;
+a PowerForm with any other state is refused with ValueError.  The
+fused Dormand-Prince path (``_dp_power_march``) runs the whole march,
+stops, step control and trial steps, in one loop; the tests check its
+states, counts, statuses and errors bit for bit against the generic
+loop.  The fused RK4 path runs every chunk of steps whose g the form
+evaluates on the grid, and the generic loop runs the rest
+(``integrate_fixed``).  A nonfinite initial state raises
+NonfiniteStateError before the first step.
 
 Escape past a caller-supplied bound is an expected outcome in stability
 scans, so it is reported as a trajectory status, never as an exception.
@@ -74,7 +75,7 @@ import numpy as np
 
 from .errors import (CoefficientSingularError, NonfiniteStateError, StepBudgetError,
                      StepUnderflowError)
-from .model import State, Trajectory
+from .model import PowerForm, State, Trajectory
 
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
 _A21 = 1.0 / 5.0
@@ -220,10 +221,16 @@ def _check_state(y):
     # a finite-component sum can still overflow; that case falls through
 
 
-def _initial_state(y0):
-    """y0 as a tuple of floats; refuses fewer than two components and a nonfinite state."""
+def _initial_state(field, y0):
+    """y0 as a tuple of floats for field.
+
+    Refuses fewer than two components, a state that is not (z, p) for a
+    ``model.PowerForm`` field, and a nonfinite state.
+    """
     if len(y0) < 2:
         raise ValueError("state must have at least (z, p) components")
+    if isinstance(field, PowerForm) and len(y0) != 2:
+        raise ValueError(f"a PowerForm field takes a (z, p) state, got {len(y0)} components")
     y = tuple(float(v) for v in y0)
     _check_state(y)
     return y
@@ -233,15 +240,14 @@ def _start(field, y0, cfg, stops):
     """The start that both scalar integrators share: (stops, y, recorder, form).
 
     Refuses what ``_initial_state`` refuses and bad stops
-    (``_check_stops``).  form is the field's ``model.PowerForm`` for a
-    (z, p) state, and None for any other field or state: the integrator
-    then takes its generic path.
+    (``_check_stops``).  form is the field when it is a
+    ``model.PowerForm`` (on a (z, p) state, then), and None for any other
+    field: the integrator then takes its generic path.
     """
-    y = _initial_state(y0)
+    y = _initial_state(field, y0)
     stops = _check_stops(stops, cfg.t_start, cfg.t_end)
     rec = _Recorder(cfg.record, cfg.t_start, y)
-    form = getattr(field, "power_form", None) if len(y) == 2 else None
-    return stops, y, rec, form
+    return stops, y, rec, field if isinstance(field, PowerForm) else None
 
 
 def _escaped(y, bound):
@@ -274,7 +280,7 @@ _FUSED_CHUNK = 1024
 
 
 def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
-    """Up to n_steps RK4 steps of h from t0 for a field with a ``model.PowerForm``.
+    """Up to n_steps RK4 steps of h from t0 for a ``model.PowerForm`` field.
 
     Returns (status, steps done, t, y), status "escaped" or "completed".
     Chunk by chunk, the form's ``g_grid`` evaluates g at each step time
@@ -283,8 +289,7 @@ def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
     every state is bit-identical to the generic loop.  The run stops
     before a chunk where ``g_grid`` returns None (g raises there).
     """
-    w2, g_grid = form.w2, form.g_grid
-    powers = range(form.m - 1)
+    w2, g_grid, powers = form.w2, form.g_grid, form.powers
     isfinite = math.isfinite
     escapable = bound < math.inf  # past the finiteness check, no state is beyond inf
     half = 0.5 * h
@@ -448,7 +453,7 @@ def _dp_checked_attempt(field, t, y, h, f1, atol, rtol):
 
 
 def _dp_power_march(form, y, cfg: AdaptiveConfig, stops, at_stop, rec) -> Trajectory:
-    """``integrate_adaptive`` on (z, p) for a field with a ``model.PowerForm``, in one loop.
+    """``integrate_adaptive`` on (z, p) for a ``model.PowerForm`` field, in one loop.
 
     The trial step, the field (p, -w2 z - g(t) z^m) and the error norm
     are inlined in the operation order of ``_dp_attempt``, the field and
@@ -458,7 +463,7 @@ def _dp_power_march(form, y, cfg: AdaptiveConfig, stops, at_stop, rec) -> Trajec
     (stages 6 and 7 share t + h).  ai and bi are the z' and p' of stage
     i; as z' is p, a1 is p itself.
     """
-    w2, g, powers = form.w2, form.g, range(form.m - 1)
+    w2, g, powers = form.w2, form.g, form.powers
     isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
     t_end, rtol, atol, h_min = cfg.t_end, cfg.rtol, cfg.atol, cfg.h_min
     bound = cfg.escape_bound
@@ -900,15 +905,16 @@ def sample_strobe(
     above _MAX_GRID_POINTS or a t_step that is not positive and finite
     raises ValueError, and so does the run's
     config (for h, more than _MAX_FIXED_STEPS steps in all), before any
-    stop time is made.  A start of fewer than two components raises
-    ValueError and a nonfinite one NonfiniteStateError, at k_max = 0 too.
+    stop time is made.  A start of fewer than two components, or one that
+    is not (z, p) for a ``model.PowerForm`` field, raises ValueError and a
+    nonfinite one NonfiniteStateError, at k_max = 0 too.
     """
     if not 0.0 < t_step < math.inf:
         raise ValueError(f"t_step must be positive and finite, got {t_step}")
     if not 0 <= k_max <= _MAX_GRID_POINTS:
         raise ValueError(f"k_max must be in [0, {_MAX_GRID_POINTS}] (at most "
                          f"{_MAX_GRID_POINTS + 1} strobe points), got {k_max}")
-    y = _initial_state(y0)
+    y = _initial_state(field, y0)
     states = [State(0.0, y[0], y[1])]
     if k_max == 0:
         return StrobeResult(states=tuple(states), status="completed")

@@ -15,6 +15,13 @@ The forcing coefficient g(t) comes from one of three sources, the
 
 The exponent m is an integer in [2, MAX_M].
 
+``make_field`` gives a trig or sampled system's field as a
+``PowerForm``, the (z, p) field that both scalar integrators inline, and
+``make_lane_field`` the trig field over many lanes as a ``LaneForm``.
+The field, the lanes and the invariant (``trig_alpha2_eval``) sum alpha2
+in one order, that of ``alpha2_grid``, and take z^m by the one loop of
+``int_pow``.
+
 All types here are immutable value objects; every operation is a pure
 function of its inputs.
 """
@@ -22,7 +29,7 @@ function of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -185,18 +192,25 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-def int_pow(z: float, m: int) -> float:
-    """z**m by repeated multiplication: exact sign semantics for odd m."""
+def int_pow(z, m: int):
+    """z**m by repeated multiplication: exact sign semantics for odd m.
+
+    z may be a float or a numpy array (a lane row); an array argument is
+    left unchanged.  ``PowerForm`` and the two fused loops of
+    ``osclab.integrate`` inline this loop, bit for bit.
+    """
     out = z
     for _ in range(m - 1):
-        out *= z
+        out = out * z
     return out
 
 
 def trig_alpha2_eval(a: TrigAlpha, t):
     """alpha2(t) and its first three derivatives, all in closed form.
 
-    t may be a float or an array.  The third derivative is computed as
+    t may be a float or an array.  alpha2 is summed in the order of
+    ``alpha2_grid``, (A + B c) + C s, so the invariant sees the very
+    alpha2 the field integrated.  The third derivative is computed as
     -(4 omega^2) * d1 from the same product, so d3 + 4 omega^2 d1 == 0
     holds exactly in floating point.
     """
@@ -205,10 +219,13 @@ def trig_alpha2_eval(a: TrigAlpha, t):
         c, s = math.cos(th), math.sin(th)
     else:
         c, s = np.cos(th), np.sin(th)
+    a2 = a.A + a.B * c
+    if a.C:  # as in alpha2_grid
+        a2 = a2 + a.C * s
     osc = a.B * c + a.C * s
     d1 = 2.0 * a.omega * (a.C * c - a.B * s)
     four_w2 = 4.0 * a.omega * a.omega
-    return (a.A + osc, d1, -four_w2 * osc, -(four_w2 * d1))
+    return (a2, d1, -four_w2 * osc, -(four_w2 * d1))
 
 
 def g_exponent(m: int) -> float:
@@ -219,10 +236,10 @@ def alpha2_grid(A: float, B: float, C: float, two_w, t) -> np.ndarray:
     """alpha2 = A + B cos(th) + C sin(th), th = two_w * t, over numpy arrays.
 
     The operations and their order are those of the scalar g of
-    ``make_field``, and numpy's float64 cos and sin round like math.cos
-    and math.sin (no difference on 4 million random arguments up to 1e4;
-    ``tests/test_model.py`` pins it on the fig1 step grid), so each value
-    is bit-identical to the scalar alpha2.
+    ``make_field`` and of ``trig_alpha2_eval``, and numpy's float64 cos
+    and sin round like math.cos and math.sin (no difference on 4 million
+    random arguments up to 1e4; ``tests/test_model.py`` pins it on the
+    fig1 step grid), so each value is bit-identical to the scalar alpha2.
     """
     th = two_w * t
     a2 = A + B * np.cos(th)
@@ -233,38 +250,49 @@ def alpha2_grid(A: float, B: float, C: float, two_w, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerForm:
-    """A field (p, -w2 z - g(t) z^m) whose coefficient g depends on t alone.
+    """The field (p, -w2 z - g(t) z^m) on a (z, p) state: the field of ``make_field``.
 
-    ``g(t)`` is the coefficient the field itself calls, raising there
-    what the field raises (CoefficientSingularError where it is refused).
-    Both scalar integrators inline a field that carries one on (z, p).
+    Calling the form gives the field at (t, (z, p)), with z^m by the
+    loop of ``int_pow`` over ``powers`` (range(m - 1), built once here).
+    ``g(t)`` is the coefficient the call uses, raising there what the
+    field raises (CoefficientSingularError where it is refused).
     ``g_grid(ts)`` takes a float64 array of times and returns
     ``[g(t) for t in ts]`` bit for bit, or None where g would raise at
-    any of them; the fused RK4 path calls it on each chunk of its step
-    grid and leaves a chunk where it is None to the generic loop.
+    any of them.  Both scalar integrators of ``osclab.integrate`` inline
+    a PowerForm on its (z, p) state and refuse it on any other; the
+    fused RK4 path calls ``g_grid`` on each chunk of its step grid and
+    leaves a chunk where it is None to the generic loop.
     """
 
     w2: float
     m: int
     g: Callable
     g_grid: Callable
+    powers: range = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "powers", range(self.m - 1))
+
+    def __call__(self, t, y):
+        z, p = y
+        zm = z
+        for _ in self.powers:
+            zm *= z
+        return (p, -self.w2 * z - self.g(t) * zm)
 
 
-def make_field(spec: OscillatorSpec) -> Callable:
-    """Tuple-in, tuple-out field closure for the integrator hot loop.
+def make_field(spec: OscillatorSpec) -> PowerForm:
+    """The field of a trig or sampled system, as a ``PowerForm``.
 
     The coefficient is one scalar g(t) per source: for trig sources a
     closure with its constants hoisted out of the per-call path, for
-    sampled sources ``Sampled.value_at``.  The field carries it in a
-    ``power_form`` (a PowerForm), with which both scalar integrators of
-    ``osclab.integrate`` inline the field on a (z, p) state, with a
-    ``g_grid`` for the fused RK4 path.  For trig sources it takes alpha2
-    by ``alpha2_grid`` and the power per element as a float ``**``, since
-    numpy's power does not round like it (it differs on about 5 % of
-    arguments); for sampled sources it is the spline on the array, None
-    past the knots.  FiveParam sources are not supported here: their
-    g(t) requires the jointly integrated coefficient state (see
-    osclab.family).
+    sampled sources ``Sampled.value_at``.  ``g_grid`` for trig sources
+    takes alpha2 by ``alpha2_grid`` and the power per element as a float
+    ``**``, since numpy's power does not round like it (it differs on
+    about 5 % of arguments); for sampled sources it is the spline on the
+    array, None past the knots.  FiveParam sources are not supported
+    here: their g(t) requires the jointly integrated coefficient state
+    (see osclab.family).
     """
     m = spec.m
     w2 = spec.omega * spec.omega
@@ -306,15 +334,7 @@ def make_field(spec: OscillatorSpec) -> Callable:
             "use osclab.family for jointly integrated coefficient states"
         )
 
-    def field(t, y):
-        z, p = y
-        zm = z
-        for _ in range(m - 1):
-            zm *= z
-        return (p, -w2 * z - g(t) * zm)
-
-    field.power_form = PowerForm(w2, m, g, g_grid)
-    return field
+    return PowerForm(w2, m, g, g_grid)
 
 
 @dataclass(frozen=True)
@@ -374,12 +394,9 @@ def make_lane_field(specs):
 
     def deriv(g, y, params):
         z = y[0]
-        zm = z
-        for _ in range(m - 1):
-            zm = zm * z
         dy = np.empty_like(y)
         dy[0] = y[1]
-        dy[1] = params[1] * z - g * zm
+        dy[1] = params[1] * z - g * int_pow(z, m)
         return dy
 
     return LaneForm(g_stages, deriv), params

@@ -66,7 +66,7 @@ def _artifacts(out: Path) -> dict:
 
 @pytest.mark.parametrize("workload", sorted(_load("workloads").WORKLOADS))
 def test_small_traced_job_matches_untraced(tmp_path, workload):
-    # the tracer wraps the field, which hides its power_form: the traced
+    # the tracer wraps the PowerForm field in a plain function: the traced
     # job takes the generic integrator paths, the untraced one the fused ones
     job = _load("workloads").WORKLOADS[workload](7, tmp_path, True, 2)
     ref, out = tmp_path / "ref", tmp_path / "traced"

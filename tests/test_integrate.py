@@ -348,6 +348,11 @@ def _late_singular(t, y):
     return (y[1], -y[0])
 
 
+def _field_id(value):
+    """Test id "field" for a PowerForm parameter; None keeps pytest's own id for the rest."""
+    return "field" if isinstance(value, PowerForm) else None
+
+
 @pytest.mark.parametrize("field,y0,cfg", [
     (harmonic, (1.0, 0.0), AdaptiveConfig(rtol=1e-10, t_end=10.0)),
     (make_field(trig_spec(1.3, 0.9, 0.2, 1.0, 3)), (0.3, 0.1),
@@ -359,7 +364,7 @@ def _late_singular(t, y):
     (_late_singular, (1.0, 0.0), AdaptiveConfig(rtol=1e-10, t_end=5.0)),
     (lambda t, y: (y[1], math.inf if abs(y[0]) > 1e3 else y[0]), (1.0, 1.0),
      AdaptiveConfig(rtol=1e-10, t_end=50.0, escape_bound=100.0, record=False)),
-])
+], ids=_field_id)
 def test_single_stop_march_matches_single_run(field, y0, cfg):
     ref = _adaptive_single_run(field, y0, cfg)
     for got in (integrate_adaptive(field, y0, cfg),
@@ -441,7 +446,7 @@ def test_warm_strobe_matches_cold_segments_on_fig2(step_cap):
     (make_field(trig_spec(1.3, 0.9, 0.0, 1.4)), (1.4, 0.0), math.pi / 1.4, 50.0, "escaped"),
     (lambda t, y: (y[1], y[0]), (1.0, 1.0), 1.0, 100.0, "escaped"),
     (_late_singular, (1.0, 0.0), 1.0, math.inf, "coefficient_singular"),
-])
+], ids=_field_id)
 def test_warm_strobe_stops_where_cold_segments_stop(field, y0, t_step, escape, want):
     res = sample_strobe(field, y0, t_step, 20, escape_bound=escape, rtol=1e-10)
     ref, status = _cold_strobe(field, y0, t_step, 20, rtol=1e-10, atol=1e-12,
@@ -702,7 +707,7 @@ def test_lane_form_is_called_once_per_trial_step_not_per_stage(pair, step_cap):
 
 def _fused_matches_generic(field, y0, cfg):
     """The fused path must match, bit for bit, the generic loop that a plain wrapper forces."""
-    assert field.power_form is not None
+    assert isinstance(field, PowerForm)
     fused = integrate_fixed(field, y0, cfg)
     ref = integrate_fixed(lambda t, y: field(t, y), y0, cfg)
     assert np.array_equal(fused.ts, ref.ts)
@@ -820,13 +825,13 @@ def test_fused_fixed_step_matches_generic_loop_on_a_sampled_field(record, t_end,
 
 
 def _counted_g(spec):
-    """A make_field field that records the times of its calls and of its form's g and g_grid.
+    """The field of make_field as a PowerForm whose g and g_grid record the times of their calls.
 
-    g_grid records the first time of each chunk it is called on.
+    g_grid records the first time of each chunk it is called on.  A call
+    of the form itself, as the generic loops make it, calls g once.
     """
-    plain = make_field(spec)
-    form = plain.power_form
-    calls = {"field": [], "g": [], "g_grid": []}
+    form = make_field(spec)
+    calls = {"g": [], "g_grid": []}
 
     def g(t):
         calls["g"].append(t)
@@ -836,12 +841,7 @@ def _counted_g(spec):
         calls["g_grid"].append(float(ts[0]))
         return form.g_grid(ts)
 
-    def field(t, y):
-        calls["field"].append(t)
-        return plain(t, y)
-
-    field.power_form = PowerForm(form.w2, form.m, g, g_grid)
-    return field, calls
+    return PowerForm(form.w2, form.m, g, g_grid), calls
 
 
 def test_fused_fixed_step_evaluates_g_on_the_grid():
@@ -850,7 +850,7 @@ def test_fused_fixed_step_evaluates_g_on_the_grid():
     cfg = FixedStepConfig(h=1e-3, t_end=10.0)
     traj = integrate_fixed(field, (0.3, 0.1), cfg)
     assert (traj.status, traj.n_accepted) == ("completed", 10000)
-    assert calls["field"] == calls["g"] == []
+    assert calls["g"] == []
     assert len(calls["g_grid"]) == 10  # one call per chunk of 1024 steps
     ref = integrate_fixed(make_field(spec), (0.3, 0.1), cfg)
     assert np.array_equal(traj.ys, ref.ys)
@@ -868,16 +868,15 @@ def test_fused_fixed_step_calls_g_only_on_the_singular_chunk(B, h, n_before):
     field, calls = _counted_g(trig_spec(1.0, B, 0.0, 1.0))
     traj = integrate_fixed(field, (1e-7, 0.0), FixedStepConfig(h=h, t_end=5.0))
     assert (traj.status, traj.n_accepted) == ("coefficient_singular", n_before)
-    # g_grid ran on each chunk up to the singular one, and the generic loop's
-    # field from the start of that chunk to the singular time
+    # g_grid ran on each chunk up to the singular one, and g (through the
+    # generic loop's field calls) from the start of that chunk to the singular time
     chunk = n_before // integrate._FUSED_CHUNK * integrate._FUSED_CHUNK
     assert calls["g_grid"] == [k * h for k in range(0, chunk + 1, integrate._FUSED_CHUNK)]
-    assert calls["field"][0] == chunk * h
-    assert calls["field"] == sorted(calls["field"])
-    assert len(calls["field"]) <= 4 * integrate._FUSED_CHUNK
-    assert calls["g"] == []
+    assert calls["g"][0] == chunk * h
+    assert calls["g"] == sorted(calls["g"])
+    assert len(calls["g"]) <= 4 * integrate._FUSED_CHUNK
     with pytest.raises(CoefficientSingularError):
-        field(calls["field"][-1], (1e-7, 0.0))
+        field(calls["g"][-1], (1e-7, 0.0))
 
 
 def _per_interval_runs(field, y0, cfg, stops):
@@ -985,15 +984,21 @@ def test_strobe_is_one_run_through_its_stops(monkeypatch, h):
         assert res.n_accepted == n_acc
 
 
-def _fused_march_matches_generic(field, y0, cfg):
-    """The fused attempt must march, bit for bit, like the generic ``_dp_attempt`` reference."""
-    assert field.power_form is not None
+def _fused_march_matches_generic(field, y0, cfg, step_cap=None):
+    """The fused attempt must march, bit for bit, like the generic ``_dp_attempt`` reference.
+
+    With the ``step_cap`` fixture, the fused run may take no more
+    accepted steps than the reference took.
+    """
+    assert isinstance(field, PowerForm)
     try:
         ref = _adaptive_single_run(field, y0, cfg)
     except StepUnderflowError:
         with pytest.raises(StepUnderflowError):
             integrate_adaptive(field, y0, cfg)
         return None
+    if step_cap is not None:
+        step_cap(ref.n_accepted)
     got = integrate_adaptive(field, y0, cfg)
     assert np.array_equal(got.ts, ref.ts)
     assert np.array_equal(got.ys, ref.ys)
@@ -1041,17 +1046,8 @@ def test_fused_march_floors_an_accepted_step_at_h_min():
     assert np.allclose(np.diff(traj.ts), h, rtol=1e-12, atol=0.0)
 
 
-def test_fused_attempt_is_only_for_two_components():
-    # a third component riding on a field with a power_form takes the generic attempt
-    plane = make_field(trig_spec(1.3, 0.9, 0.2, 1.0, 3))
-
-    def field(t, y):
-        return (*plane(t, y[:2]), -y[2])
-
-    field.power_form = plane.power_form
-    _fused_march_matches_generic(field, (0.3, 0.1, 1.0), AdaptiveConfig(rtol=1e-9, t_end=3.0))
-
-
+@example(A=1.3, rel_b=0.7, rel_c=0.3, omega=1.0, m=3, z0=0.3, p0=0.1, rtol=1e-9,  # checked first
+         t_start=0.0, span=5.0, h_init=0.01, escape=100.0, record=True)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -1072,7 +1068,8 @@ def test_fused_attempt_is_only_for_two_components():
 def test_fused_attempt_matches_generic_march_on_random_systems(
         A, rel_b, rel_c, omega, m, z0, p0, rtol, t_start, span, h_init, escape, record, step_cap):
     # the strategy's costliest corner (A = 0.5, m = 5, z0 = p0 = -5, rtol
-    # 1e-11, span 20) takes 750k accepted steps
+    # 1e-11, span 20) takes 750k accepted steps.  This cap holds where the
+    # reference underflows; else the fused run is capped at the reference's steps
     step_cap(1_000_000)
     # R = hypot(B, C) < 0.95 A keeps alpha2 positive.  About half the runs
     # escape, and in about a third a first step of up to 50 has stages that
@@ -1080,7 +1077,7 @@ def test_fused_attempt_matches_generic_march_on_random_systems(
     field = make_field(trig_spec(A, 0.67 * A * rel_b, 0.67 * A * rel_c, omega, m))
     _fused_march_matches_generic(field, (z0, p0), AdaptiveConfig(
         rtol=rtol, h_init=h_init, t_start=t_start, t_end=t_start + span, escape_bound=escape,
-        record=record))
+        record=record), step_cap)
 
 
 @pytest.mark.parametrize("record", [True, False])
@@ -1097,7 +1094,7 @@ def test_fused_attempt_matches_generic_march_on_a_sampled_field(record, step_cap
 
 def test_fused_march_through_stops_matches_generic_on_fig2(step_cap):
     step_cap(4600)
-    # a plain wrapper hides power_form, so it takes the generic attempt
+    # a plain wrapper is not a PowerForm, so it takes the generic attempt
     field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
     stops = [k * math.pi for k in range(1, 41)]
     cfg = AdaptiveConfig(rtol=1e-10, t_end=stops[-1], escape_bound=50.0)
@@ -1124,50 +1121,44 @@ def test_fused_march_calls_g_once_per_stage_time():
     assert res.status == "completed" and len(res.states) == 41 and res.n_rejected > 0
     assert len(calls["g"]) == 1 + 5 * (res.n_accepted + res.n_rejected)
     assert calls["g"][0] == 0.0 and max(calls["g"]) == 40 * math.pi
-    assert calls["field"] == calls["g_grid"] == []
+    assert calls["g_grid"] == []
 
 
-def test_fused_fixed_step_is_only_for_two_components():
-    # a third component riding on a field with a power_form takes the generic RK4 loop
-    plane = make_field(trig_spec(1.3, 0.9, 0.2, 1.0, 3))
-
-    def field(t, y):
-        return (*plane(t, y[:2]), -y[2])
-
-    field.power_form = plane.power_form
-    y0 = (0.3, 0.1, 1.0)
-    cfg = FixedStepConfig(h=1e-2, t_end=3.0)
-    got, ref = [integrate_fixed(f, y0, cfg) for f in (field, lambda t, y: field(t, y))]
-    assert np.array_equal(got.ts, ref.ts)
-    assert np.array_equal(got.ys, ref.ys)
-    assert (got.status, got.n_accepted) == (ref.status, ref.n_accepted) == ("completed", 300)
-    strobes = [sample_strobe(f, y0, 0.5, 6, h=1e-2) for f in (field, lambda t, y: field(t, y))]
-    assert strobes[0] == strobes[1]
-    assert (strobes[0].status, strobes[0].n_accepted) == ("completed", 300)
+@pytest.mark.parametrize("run", [
+    lambda f, y0: integrate_fixed(f, y0, FixedStepConfig(h=1e-2, t_end=3.0)),
+    lambda f, y0: integrate_adaptive(f, y0, AdaptiveConfig(rtol=1e-9, t_end=3.0)),
+    lambda f, y0: sample_strobe(f, y0, 0.5, 6),
+    lambda f, y0: sample_strobe(f, y0, 0.5, 6, h=1e-2),
+    lambda f, y0: sample_strobe(f, y0, 0.5, 0),
+], ids=["fixed", "adaptive", "strobe", "strobe_h", "strobe_no_step"])
+def test_power_form_refuses_a_state_that_is_not_z_p(run):
+    # the form is the (z, p) field: a third component is refused before g is called
+    field, calls = _counted_g(trig_spec(1.3, 0.9, 0.2, 1.0, 3))
+    with pytest.raises(ValueError, match=r"^a PowerForm field takes a \(z, p\) state, got 3 "):
+        run(field, (0.3, 0.1, 1.0))
+    assert calls == {"g": [], "g_grid": []}
 
 
 def _counted(wrap):
-    """A fig2 field behind a call counter: a plain wrapper, or a fused field whose g counts."""
+    """A fig2 field behind a call counter: a plain wrapper, or a PowerForm whose g counts."""
     fused = make_field(trig_spec(1.3, 0.9, 0.0, 1.0))
     calls = []
-
-    def field(t, y):
-        calls.append(t)
-        return fused(t, y)
-
-    if not wrap:
-        form = fused.power_form
-
-        def g(t):
+    if wrap:
+        def field(t, y):
             calls.append(t)
-            return form.g(t)
+            return fused(t, y)
 
-        def g_grid(ts):
-            calls.extend(ts.tolist())
-            return form.g_grid(ts)
+        return field, calls
 
-        field.power_form = PowerForm(form.w2, form.m, g, g_grid)
-    return field, calls
+    def g(t):
+        calls.append(t)
+        return fused.g(t)
+
+    def g_grid(ts):
+        calls.extend(ts.tolist())
+        return fused.g_grid(ts)
+
+    return PowerForm(fused.w2, fused.m, g, g_grid), calls
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -1267,6 +1258,9 @@ def _adaptive_march_reference(field, y0, cfg, stops, at_stop):
     return rec.build(status, t, y, n_accepted=n_acc, n_rejected=n_rej)
 
 
+@example(A=1.3, rel_b=0.7, rel_c=0.3, omega=1.0, m=3, z0=0.3, p0=0.1, rtol=1e-9,  # checked first
+         t_start=0.0, span=5.0, h_init=0.01, escape=100.0, cuts=[0.25, 0.5, 0.75], wrap=False,
+         record=True)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -1290,7 +1284,8 @@ def test_adaptive_march_through_stops_matches_flat_reference(
         A, rel_b, rel_c, omega, m, z0, p0, rtol, t_start, span, h_init, escape, cuts, wrap,
         record, step_cap):
     # the strategy's costliest corner (A = 0.5, m = 5, z0 = p0 = -3, rtol
-    # 1e-11, span 20) takes 269k accepted steps
+    # 1e-11, span 20) takes 269k accepted steps.  This cap holds where the
+    # reference underflows; else the run is capped at the reference's steps
     step_cap(330_000)
     # R = hypot(B, C) < 0.95 A keeps alpha2 positive; a large first step or
     # amplitude gives rejected trials with err inf, and escapes
@@ -1310,6 +1305,7 @@ def test_adaptive_march_through_stops_matches_flat_reference(
                                at_stop=lambda t, y: got_seen.append((t, y)))
         assert got_seen == ref_seen
         return
+    step_cap(ref.n_accepted)
     got = integrate_adaptive(field, (z0, p0), cfg, stops=stops,
                              at_stop=lambda t, y: got_seen.append((t, y)))
     assert np.array_equal(got.ts, ref.ts)

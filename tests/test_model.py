@@ -11,6 +11,7 @@ from osclab.errors import CoefficientSingularError
 from osclab.model import (
     MAX_M,
     OscillatorSpec,
+    PowerForm,
     Sampled,
     State,
     Trajectory,
@@ -77,7 +78,7 @@ def test_g_exponent():
 def test_g_eval_frozen_values():
     # alpha2(0) = 2.2; powers checked against a 50-digit evaluation
     def g0(m):
-        return make_field(trig_spec(1.3, 0.9, 0.0, 1.0, m)).power_form.g(0.0)
+        return make_field(trig_spec(1.3, 0.9, 0.0, 1.0, m)).g(0.0)
 
     assert math.isclose(g0(2), 0.1392974922444715, rel_tol=1e-14)
     assert math.isclose(g0(3), 0.09391435011269722, rel_tol=1e-14)
@@ -115,7 +116,7 @@ _FIELD_POINTS = [
 def test_trig_field_and_its_g_match_50_digit_values(A, B, C, omega, m, t, z, p):
     field = make_field(trig_spec(A, B, C, omega, m))
     g = _g_50_digits(A, B, C, omega, m, t)
-    assert math.isclose(field.power_form.g(t), float(g), rel_tol=1e-14)
+    assert math.isclose(field.g(t), float(g), rel_tol=1e-14)
     with mpmath.workdps(50):
         dp = -mpmath.mpf(omega) ** 2 * mpmath.mpf(z) - g * mpmath.mpf(z) ** m
     dz_got, dp_got = field(t, (z, p))
@@ -127,7 +128,7 @@ def test_field_and_its_g_refuse_a_singular_coefficient():
     # alpha2(0) = A - R = 1e-10 is below EPS_POS
     field = make_field(trig_spec(1.0, -(1.0 - 1e-10), 0.0, 1.0))
     with pytest.raises(CoefficientSingularError):
-        field.power_form.g(0.0)
+        field.g(0.0)
     with pytest.raises(CoefficientSingularError):
         field(0.0, (0.1, 0.0))
 
@@ -144,7 +145,7 @@ def _step_grid(t0, h, n):
 def test_g_grid_matches_scalar_g_on_the_fig1_step_grid():
     # drift --preset fig1 --tmax 200: 200k steps, about 400k times; numpy's cos
     # must round like math.cos here, else the fused RK4 path would move bits
-    form = make_field(trig_spec(1.3, 0.9, 0.0, 1.0)).power_form
+    form = make_field(trig_spec(1.3, 0.9, 0.0, 1.0))
     ts = _step_grid(0.0, 1e-3, 200_000)
     assert form.g_grid(ts) == [form.g(t) for t in ts.tolist()]
 
@@ -161,7 +162,7 @@ def test_g_grid_matches_scalar_g_on_the_fig1_step_grid():
 )
 def test_g_grid_matches_scalar_g_on_random_trig_grids(A, rel_b, rel_c, omega, m, t0, h):
     # C != 0, so numpy's sin is checked against math.sin too
-    form = make_field(trig_spec(A, 0.67 * A * rel_b, 0.67 * A * rel_c, omega, m)).power_form
+    form = make_field(trig_spec(A, 0.67 * A * rel_b, 0.67 * A * rel_c, omega, m))
     ts = _step_grid(t0, h, 2000)
     got = form.g_grid(ts)
     assert got == [form.g(t) for t in ts.tolist()]
@@ -175,7 +176,7 @@ def test_g_grid_matches_scalar_g_on_random_trig_grids(A, rel_b, rel_c, omega, m,
     (1.0 - 2e-9, 70, OverflowError),
 ])
 def test_g_grid_is_none_where_g_raises(B, m, exc):
-    form = make_field(trig_spec(1.0, B, 0.0, 1.0, m)).power_form
+    form = make_field(trig_spec(1.0, B, 0.0, 1.0, m))
     ts = _step_grid(0.0, (math.pi / 2) / 1000, 2000)
     assert form.g_grid(ts) is None
     with pytest.raises(exc):
@@ -188,8 +189,7 @@ def test_g_grid_is_none_where_g_raises(B, m, exc):
 def test_sampled_field_calls_its_interpolant():
     knots = (0.0, 0.5, 1.0, 1.5, 2.0)
     src = Sampled(knots, tuple(math.cos(t) for t in knots))
-    field = make_field(OscillatorSpec(1.5, 3, src))
-    form = field.power_form
+    form = make_field(OscillatorSpec(1.5, 3, src))
     assert (form.w2, form.m, form.g) == (2.25, 3, src.value_at)
     # g on a grid equals g time by time, and is None when a time lies past the knots
     ts = np.linspace(0.0, 2.0, 401)
@@ -197,15 +197,37 @@ def test_sampled_field_calls_its_interpolant():
     assert form.g_grid(np.array([1.0, 2.0 + 1e-12])) is None
     assert form.g_grid(np.array([-1e-12, 1.0])) is None
     g = src.value_at(0.73)
-    assert field(0.73, (0.4, -0.2)) == (-0.2, -2.25 * 0.4 - g * (0.4 * 0.4 * 0.4))
+    assert form(0.73, (0.4, -0.2)) == (-0.2, -2.25 * 0.4 - g * (0.4 * 0.4 * 0.4))
     with pytest.raises(CoefficientSingularError):
-        field(2.5, (0.4, -0.2))
+        form(2.5, (0.4, -0.2))
 
 
 def test_int_pow_matches_builtin():
     for z in (-2.3, -0.5, 0.0, 0.7, 1.9):
         for m in range(2, 9):
             assert int_pow(z, m) == pytest.approx(z**m, rel=1e-15, abs=1e-300)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 17, MAX_M])
+def test_int_pow_on_a_lane_row_is_the_lane_loop_and_leaves_the_row(m):
+    row = np.random.default_rng(5).uniform(-1.3, 1.3, 64)
+    before = row.copy()
+    zm = before
+    for _ in range(m - 1):  # the lane field's loop before it took int_pow
+        zm = zm * before
+    assert int_pow(row, m).tobytes() == zm.tobytes()
+    assert row.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7, 17, MAX_M])
+def test_power_form_is_its_g_and_int_pow(m):
+    form = make_field(trig_spec(1.2, 0.4, 0.5, 1.3, m))
+    assert isinstance(form, PowerForm) and form.powers == range(m - 1)
+    rng = np.random.default_rng(m)
+    for t, z, p in rng.uniform(-1.2, 1.2, (50, 3)).tolist():
+        got = form(t, (z, p))
+        assert got[0] == p
+        assert got[1].hex() == (-form.w2 * z - form.g(t) * int_pow(z, m)).hex()
 
 
 def test_oscillator_spec_validation():
@@ -254,7 +276,7 @@ def test_trig_g_matches_its_written_out_expression(C):
     rng = np.random.default_rng(17)
     for m in (2, 3, 5):
         ex = g_exponent(m)
-        g = make_field(trig_spec(1.3, 0.9, C, 1.1, m)).power_form.g
+        g = make_field(trig_spec(1.3, 0.9, C, 1.1, m)).g
         for t in rng.uniform(-1e3, 1e3, 200).tolist():
             th = 2.2 * t
             assert g(t) == (1.3 + 0.9 * math.cos(th) + C * math.sin(th)) ** ex
@@ -263,12 +285,12 @@ def test_trig_g_matches_its_written_out_expression(C):
 @pytest.mark.parametrize("C", [0.0, -0.0])
 def test_trig_g_refuses_and_overflows_where_its_expression_does(C):
     t = math.pi / 2  # alpha2 = A - |B| here, at its least
-    singular = make_field(trig_spec(1.0, 1.0 - 1e-10, C, 1.0)).power_form.g
+    singular = make_field(trig_spec(1.0, 1.0 - 1e-10, C, 1.0)).g
     assert 1.0 + (1.0 - 1e-10) * math.cos(2.0 * t) + C * math.sin(2.0 * t) <= 1e-9
     with pytest.raises(CoefficientSingularError):
         singular(t)
     # alpha2 bottoms out at 2e-9, above the floor, where alpha2 ** -36.5 overflows
-    overflow = make_field(trig_spec(1.0, 1.0 - 2e-9, C, 1.0, 70)).power_form.g
+    overflow = make_field(trig_spec(1.0, 1.0 - 2e-9, C, 1.0, 70)).g
     with pytest.raises(OverflowError):
         (1.0 + (1.0 - 2e-9) * math.cos(2.0 * t) + C * math.sin(2.0 * t)) ** g_exponent(70)
     with pytest.raises(OverflowError):
@@ -390,6 +412,19 @@ def test_make_field_refuses_a_five_parameter_source():
 def test_spec_json_rejects_malformed_fields(obj):
     with pytest.raises(ValueError, match="malformed oscillator spec"):
         spec_from_json(obj)
+
+
+@pytest.mark.parametrize("C", [0.0, -0.0, *np.random.default_rng(23).uniform(-0.5, 0.5, 4).tolist()],
+                         ids=["0", "-0", "random1", "random2", "random3", "random4"])
+def test_trig_alpha2_eval_sums_alpha2_like_alpha2_grid(C):
+    # the invariant must see the very alpha2 that the field and the lanes integrate
+    a = TrigAlpha(1.2, 0.4, C, 1.3)
+    ts = np.random.default_rng(29).uniform(-1e3, 1e3, 2000)
+    got = trig_alpha2_eval(a, ts)[0]
+    assert got.tobytes() == alpha2_grid(a.A, a.B, a.C, 2.0 * a.omega, ts).tobytes()
+    for t in ts[:200].tolist():
+        want = float(alpha2_grid(a.A, a.B, a.C, 2.0 * a.omega, t))
+        assert trig_alpha2_eval(a, t)[0].hex() == want.hex()
 
 
 def test_trig_alpha2_eval_on_arrays_matches_scalars():

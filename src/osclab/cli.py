@@ -405,13 +405,13 @@ def cmd_reduce(args) -> Record:
         "stats": {"monodromy": _stats(DP54.name, res.mono, runs=2),
                   "envelope": _stats(DP54.name, res.env)},
     }
+    env = res.env
     return Record(
         summary, f"reduce: omega_nf={res.omega_nf:.12g} mu={res.mono.mu:.12g} "
                  f"beta0={res.mono.beta0:.12g}",
-        tables=[("envelope.csv", "t,phi,w,wp", zip(res.t_grid, res.phase_grid, res.envelope_grid,
-                                                   res.envelope_slope_grid)),
+        tables=[("envelope.csv", "t,phi,w,wp", zip(env.ts, env.phi, env.w, env.wp)),
                 ("gnf.csv", "s,g_nf", zip(res.s_grid, res.g_nf_grid))],
-        plots=[("envelope.svg", [{"kind": "line", "x": res.t_grid, "y": res.envelope_grid}],
+        plots=[("envelope.svg", [{"kind": "line", "x": env.ts, "y": env.w}],
                 {"xlabel": "t", "ylabel": "w", "title": "envelope"}),
                ("gnf.svg", [{"kind": "line", "x": res.s_grid, "y": res.g_nf_grid}],
                 {"xlabel": "s", "ylabel": "g_nf", "title": "reduced coefficient"})])

@@ -126,11 +126,12 @@ def make_augmented_field(fp: FiveParamSpec):
     return field
 
 
-def alpha2_at(fp: FiveParamSpec, t: float, rtol: float = 1e-12, atol: float = 1e-14):
+def alpha2_at(fp: FiveParamSpec, t: float):
     """(alpha2, alpha2', alpha2'') at time t >= 0 by direct integration.
 
-    Each call integrates the coefficient ODE from t = 0, so this is a
-    diagnostic path; production runs carry alpha2 in the joint state.
+    Each call integrates the coefficient ODE from t = 0, at rtol 1e-12
+    and atol 1e-14, so this is a diagnostic path; production runs carry
+    alpha2 in the joint state.
     """
     if t < 0.0:
         raise ValueError("the coefficient state is defined by forward integration from t = 0")
@@ -139,7 +140,7 @@ def alpha2_at(fp: FiveParamSpec, t: float, rtol: float = 1e-12, atol: float = 1e
         return y0
     # pad with two dummy oscillator components to satisfy the integrator
     field = make_augmented_field(fp)
-    cfg = AdaptiveConfig(rtol=rtol, atol=atol, t_end=t, record=False)
+    cfg = AdaptiveConfig(rtol=1e-12, atol=1e-14, t_end=t, record=False)
     traj = integrate_adaptive(field, (0.0, 0.0) + y0, cfg)
     if traj.status != "completed":
         raise CoefficientSingularError(f"coefficient ODE terminated with status {traj.status}")

@@ -25,7 +25,8 @@ same statement in user-facing terms.
 
 The envelope is propagated from monodromy-derived initial values rather
 than averaged, so its periodicity defect is a direct quality check and
-is carried in the result.
+is carried in the result, which holds each value once: the envelope
+samples in its ``env``, the Floquet data in its ``mono``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ _W_CEIL = 1e6
 # margin of 1e-12 (at rtol 1e-12, f = 1 over T = 2 pi, where tr M = 2
 # exactly, gave 2 - 1.5e-12 and passed as stable)
 _MONO_RTOL, _MONO_ATOL = 1e-13, 1e-15
+_ENV_ATOL = 1e-14  # the envelope run's atol; its rtol is the caller's
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ class HillSpec:
     T: float
 
     def __post_init__(self):
-        if not (self.T > 0.0):
-            raise ValueError(f"period must be positive, got {self.T}")
+        if not (0.0 < self.T < math.inf):
+            raise ValueError(f"period T must be positive and finite, got {self.T}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,6 @@ class MonodromyResult:
     M: np.ndarray
     trace: float
     det: float
-    stable: bool
     mu: float
     beta0: float
     alphaT: float
@@ -89,15 +90,16 @@ def _hill_field(h: HillSpec):
 
 
 def _fundamental_runs(h: HillSpec):
-    """Runs from (1, 0) and (0, 1) over one period; their end states are the columns of M."""
+    """(M, runs): the runs from (1, 0) and (0, 1) over one period, their end states M's columns."""
     field = _hill_field(h)
     cfg = AdaptiveConfig(rtol=_MONO_RTOL, atol=_MONO_ATOL, t_end=h.T, record=False)
-    return [integrate_adaptive(field, y0, cfg) for y0 in ((1.0, 0.0), (0.0, 1.0))]
+    runs = [integrate_adaptive(field, y0, cfg) for y0 in ((1.0, 0.0), (0.0, 1.0))]
+    return np.column_stack([run.ys[-1] for run in runs]), runs
 
 
 def transfer_matrix(h: HillSpec) -> np.ndarray:
     """One-period transfer matrix of (z, z') from the two fundamental runs."""
-    return np.column_stack([run.ys[-1] for run in _fundamental_runs(h)])
+    return _fundamental_runs(h)[0]
 
 
 def monodromy(h: HillSpec) -> MonodromyResult:
@@ -113,8 +115,7 @@ def monodromy(h: HillSpec) -> MonodromyResult:
     makes beta0 = M[0,1]/sin(mu) positive.  The step counts sum both
     fundamental runs.
     """
-    runs = _fundamental_runs(h)
-    M = np.column_stack([run.ys[-1] for run in runs])
+    M, runs = _fundamental_runs(h)
     tr = float(M[0, 0] + M[1, 1])
     det = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
     # Liouville: det M = 1 exactly, so |det M - 1| is the runs' error.  On
@@ -132,7 +133,7 @@ def monodromy(h: HillSpec) -> MonodromyResult:
     alphaT = float(M[0, 0] - M[1, 1]) / (2.0 * sin_mu)
     gamma0 = (1.0 + alphaT * alphaT) / beta0
     return MonodromyResult(
-        M=M, trace=tr, det=det, stable=True, mu=mu, beta0=beta0, alphaT=alphaT, gamma0=gamma0,
+        M=M, trace=tr, det=det, mu=mu, beta0=beta0, alphaT=alphaT, gamma0=gamma0,
         n_accepted=sum(run.n_accepted for run in runs),
         n_rejected=sum(run.n_rejected for run in runs),
     )
@@ -157,7 +158,7 @@ class EnvelopeResult:
 
 
 def cs_envelope(h: HillSpec, mono: MonodromyResult, n_grid: int = 2001,
-                rtol: float = 1e-12, atol: float = 1e-14) -> EnvelopeResult:
+                rtol: float = 1e-12) -> EnvelopeResult:
     """Propagate the envelope ODE w'' + f w = 1/w^3 jointly with Phi' = 1/w^2.
 
     Initial values come from the monodromy Twiss parameters:
@@ -169,7 +170,7 @@ def cs_envelope(h: HillSpec, mono: MonodromyResult, n_grid: int = 2001,
     [_W_FLOOR, _W_CEIL].  The one-period defects |w(T)-w(0)|,
     |w'(T)-w'(0)| are returned for quality control.  n_grid outside
     [2, _MAX_GRID_POINTS + 1] raises ValueError before any grid time is
-    made.
+    made.  The run takes the caller's rtol and atol _ENV_ATOL.
     """
     if not 2 <= n_grid <= _MAX_GRID_POINTS + 1:
         raise ValueError(f"n_grid must be in [2, {_MAX_GRID_POINTS + 1}], got {n_grid}")
@@ -192,9 +193,8 @@ def cs_envelope(h: HillSpec, mono: MonodromyResult, n_grid: int = 2001,
 
     step = h.T / (n_grid - 1)
     stops = [j * step for j in range(1, n_grid - 1)] + [h.T]
-    run = integrate_adaptive(field, rows[0], AdaptiveConfig(rtol=rtol, atol=atol, t_end=h.T,
-                                                            record=False),
-                             stops=stops, at_stop=at_stop)
+    cfg = AdaptiveConfig(rtol=rtol, atol=_ENV_ATOL, t_end=h.T, record=False)
+    run = integrate_adaptive(field, rows[0], cfg, stops=stops, at_stop=at_stop)
     ws, wps, phis = np.array(rows).T.copy()
     return EnvelopeResult(
         ts=np.array([0.0] + stops),
@@ -212,19 +212,16 @@ def cs_envelope(h: HillSpec, mono: MonodromyResult, n_grid: int = 2001,
 class NormalFormResult:
     """Constant-frequency reduction of one Hill system plus nonlinearity.
 
-    Grids: phase_grid is Phi sampled on t_grid; envelope_grid is w on
-    t_grid; g_nf_grid is the reduced coefficient on the uniform s_grid
-    over [0, 2 pi].  ``forward``/``inverse`` map states between the two
-    charts within one period (t in [0, T], s in [0, 2 pi]); they use the
-    splines of w(t) and t(Phi) that ``reduce`` built for g_nf_grid.
+    Phi, w and w' on the t-grid are read from ``env`` (``env.phi``,
+    ``env.w``, ``env.wp`` on ``env.ts``), not copied; g_nf_grid is the
+    reduced coefficient on the uniform s_grid over [0, 2 pi].
+    ``forward``/``inverse`` map states between the two charts within one
+    period (t in [0, T], s in [0, 2 pi]); they use the splines of w(t)
+    and t(Phi) that ``reduce`` built for g_nf_grid.
     """
 
     omega_nf: float
     m: int
-    t_grid: np.ndarray
-    phase_grid: np.ndarray
-    envelope_grid: np.ndarray
-    envelope_slope_grid: np.ndarray
     s_grid: np.ndarray
     g_nf_grid: np.ndarray
     mono: MonodromyResult
@@ -234,11 +231,11 @@ class NormalFormResult:
 
     @cached_property
     def _wp_spl(self):
-        return spline.not_a_knot(self.t_grid, self.envelope_slope_grid)
+        return spline.not_a_knot(self.env.ts, self.env.wp)
 
     @cached_property
     def _phi_spl(self):
-        return spline.not_a_knot(self.t_grid, self.phase_grid)
+        return spline.not_a_knot(self.env.ts, self.env.phi)
 
     def forward(self, z: float, zp: float, t: float):
         """(z, z', t) -> (y, dy/ds, s)."""
@@ -252,7 +249,7 @@ class NormalFormResult:
     def inverse(self, y: float, dyds: float, s: float):
         """(y, dy/ds, s) -> (z, z', t)."""
         phi = self.omega_nf * s
-        phi = min(max(phi, float(self.phase_grid[0])), float(self.phase_grid[-1]))
+        phi = min(max(phi, float(self.env.phi[0])), self.env.phi_T)
         t = float(self._t_of_phi(phi))
         w = float(self._w_spl(t))
         wp = float(self._wp_spl(t))
@@ -262,17 +259,18 @@ class NormalFormResult:
 
 
 def reduce(h: HillSpec, g: Callable, m: int, n_grid: int = 2001,
-           rtol: float = 1e-12, atol: float = 1e-14) -> NormalFormResult:
+           rtol: float = 1e-12) -> NormalFormResult:
     """Full reduction: monodromy, envelope, frequency, and g_nf on [0, 2 pi].
 
     g is evaluated at the grid preimages t(s); the reduced coefficient
-    carries the envelope factor w^(m+3).  rtol and atol set the envelope
-    run only: the monodromy always runs at its own tolerance (see
-    ``monodromy``).
+    carries the envelope factor w^(m+3).  rtol sets the envelope run
+    only (its atol is _ENV_ATOL): the monodromy always runs at its own
+    tolerance (see ``monodromy``).  The result keeps both as-is, in
+    ``env`` and ``mono``.
     """
     check_m(m)
     mono = monodromy(h)
-    env = cs_envelope(h, mono, n_grid=n_grid, rtol=rtol, atol=atol)
+    env = cs_envelope(h, mono, n_grid=n_grid, rtol=rtol)
     omega_nf = env.phi_T / (2.0 * math.pi)
 
     # Phi is strictly increasing, so the monotone interpolant of the
@@ -291,10 +289,6 @@ def reduce(h: HillSpec, g: Callable, m: int, n_grid: int = 2001,
     return NormalFormResult(
         omega_nf=omega_nf,
         m=m,
-        t_grid=env.ts,
-        phase_grid=env.phi,
-        envelope_grid=env.w,
-        envelope_slope_grid=env.wp,
         s_grid=s_grid,
         g_nf_grid=g_nf,
         mono=mono,

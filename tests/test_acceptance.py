@@ -239,11 +239,11 @@ def test_criterion_10_normal_form_reduction():
 
     # (c) envelope identity (1/2) b b'' - (1/4) b'^2 + b^2 f = 1 within
     #     1e-6 pointwise, b = w^2, second derivative by finite differences
-    ts = res.t_grid
-    b = res.envelope_grid**2
+    ts = res.env.ts
+    b = res.env.w**2
     h = ts[1] - ts[0]
     bpp = (-b[:-4] + 16 * b[1:-3] - 30 * b[2:-2] + 16 * b[3:-1] - b[4:]) / (12 * h * h)
-    bp = 2.0 * res.envelope_grid * res.envelope_slope_grid
+    bp = 2.0 * res.env.w * res.env.wp
     fv = np.array([f(t) for t in ts])
     ident = 0.5 * b[2:-2] * bpp - 0.25 * bp[2:-2] ** 2 + b[2:-2] ** 2 * fv[2:-2]
     assert float(np.max(np.abs(ident - 1.0))) <= 1e-6

@@ -331,6 +331,7 @@ _FP_SPEC = '{"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [2.2, 0.0, -3.6]}'
     (["family", "--spec", "fp.json", "--atol", "0", "--tmax", "1"], "atol"),
     (["reduce", "--hill", "hill.csv", "--T", repr(2 * math.pi), "--m", "2", "--rtol", "0"],
      "rtol"),
+    (["reduce", "--hill", "hill.csv", "--T", "inf", "--m", "2"], "period T"),
 ])
 def test_nonfinite_run_parameters_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv,
                                                        needle):
@@ -344,6 +345,7 @@ def test_nonfinite_run_parameters_exit_2_with_one_line(tmp_path, capsys, monkeyp
     assert captured.out.startswith("error: ")
     assert needle in captured.out
     assert captured.err == ""
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("fp,needle", [

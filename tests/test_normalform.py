@@ -35,7 +35,6 @@ def test_transfer_matrix_constant_f():
 
 def test_monodromy_constant_f():
     mono = monodromy(_const_hill())
-    assert mono.stable
     assert abs(mono.trace) < 1e-10
     assert abs(mono.det - 1.0) < 1e-11  # Wronskian of a Hill equation
     assert abs(mono.mu - math.pi / 2.0) < 1e-11
@@ -78,7 +77,6 @@ def test_monodromy_margin_grows_with_the_runs_error(omega0, stable):
             monodromy(h)
         return
     mono = monodromy(h)
-    assert mono.stable
     assert mono.trace == pytest.approx(2.0 * math.cos(TWO_PI * omega0), abs=1e-9)
 
 
@@ -213,7 +211,7 @@ def test_reduce_constant_recovers_autonomous_form():
     for m in (2, 3, 5):
         res = reduce(HillSpec(f=lambda t: omega0 * omega0, T=TWO_PI), lambda t: g0, m)
         assert abs(res.omega_nf - omega0) < 1e-9
-        assert np.max(np.abs(res.envelope_grid - omega0**-0.5)) < 1e-9
+        assert np.max(np.abs(res.env.w - omega0**-0.5)) < 1e-9
         want = g0 * omega0 ** (-(m + 3) / 2.0)
         assert np.max(np.abs(res.g_nf_grid - want)) < 1e-9 * want
 
@@ -259,13 +257,13 @@ def test_forward_inverse_round_trip():
         assert abs(t2 - t) < 1e-8
 
 
-def test_phase_grid_monotone_and_normalized():
+def test_envelope_phase_monotone_and_normalized():
     h = HillSpec(f=lambda t: 0.3 + 0.05 * math.cos(t), T=TWO_PI)
     res = reduce(h, lambda t: 0.2, 2)
-    assert np.all(np.diff(res.phase_grid) > 0.0)
+    assert np.all(np.diff(res.env.phi) > 0.0)
     assert res.s_grid[0] == 0.0
     assert abs(res.s_grid[-1] - TWO_PI) < 1e-12
-    assert abs(res.omega_nf - res.phase_grid[-1] / TWO_PI) < 1e-15
+    assert abs(res.omega_nf - res.env.phi[-1] / TWO_PI) < 1e-15
 
 
 def test_reduced_field_two_path_consistency():
@@ -299,3 +297,6 @@ def test_reduced_field_two_path_consistency():
 def test_hill_spec_validation():
     with pytest.raises(ValueError):
         HillSpec(f=lambda t: 1.0, T=0.0)
+    for T in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="period T must be positive and finite"):
+            HillSpec(f=lambda t: 1.0, T=T)

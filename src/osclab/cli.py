@@ -95,6 +95,8 @@ def _resolve_oscillator(args):
     """Oscillator spec plus merged run parameters from preset/file/flags."""
     if args.preset and args.spec:
         raise ConfigError("give either --preset or --spec, not both")
+    if getattr(args, "h", None) is not None and getattr(args, "rtol", None) is not None:
+        raise ConfigError("give either --h (RK4) or --rtol (Dormand-Prince), not both")
     params = {}
     if args.preset:
         params = _preset(args.preset)
@@ -174,18 +176,29 @@ def _stats(integrator: str, run, runs: int = 1) -> dict:
             "field_evals": evals}
 
 
+def _fixed_step(params, default_h):
+    """A run's RK4 step (``default_h`` unless set), or None for Dormand-Prince, which
+    ``--rtol`` selects over a preset's h; ``--atol``, which RK4 would not read, is refused."""
+    h = params.get("h", default_h) if params.get("rtol") is None else None
+    if h is not None and "atol" in params:
+        raise ConfigError("--atol applies to an adaptive run only; this run is RK4 "
+                          "(give --rtol to run Dormand-Prince)")
+    return h
+
+
 def _run_oscillator(spec, params):
-    """Returns (trajectory, y0, stats); adaptive when params set rtol, else RK4."""
+    """Returns (trajectory, y0, stats); RK4 or Dormand-Prince as ``_fixed_step`` says."""
+    h = _fixed_step(params, 1e-3)
     field = make_field(spec)
     y0 = (params.get("z0", 0.1), params.get("p0", 0.0))
     tmax = params.get("tmax", 600.0)
     escape = params.get("escape", math.inf)
-    if params.get("rtol") is not None:
+    if h is None:
         cfg = AdaptiveConfig(rtol=params["rtol"], atol=params.get("atol", 1e-12),
                              t_end=tmax, escape_bound=escape)
         traj = integrate_adaptive(field, y0, cfg)
         return traj, y0, _stats(DP54.name, traj)
-    cfg = FixedStepConfig(h=params.get("h", 1e-3), t_end=tmax, escape_bound=escape)
+    cfg = FixedStepConfig(h=h, t_end=tmax, escape_bound=escape)
     traj = integrate_fixed(field, y0, cfg)
     return traj, y0, _stats("rk4", traj)
 
@@ -241,12 +254,12 @@ def cmd_poincare(args) -> Record:
     n_points = int(params.get("points", 190))
     if n_points < 1:
         raise ConfigError(f"need at least one strobe point, got {n_points}")
-    i0 = invariant_mod.eval_invariant(invariant_mod.build_coeffs(spec), State(0.0, z0, p0))
+    h = _fixed_step(params, None)
+    i0 = invariant_mod.eval_invariant(spec, State(0.0, z0, p0))
     curve = poincare_mod.section_curve(spec, i0)
 
     field = make_field(spec)
     t_step = math.pi / spec.omega
-    h = params.get("h") if params.get("rtol") is None else None
     strobe = sample_strobe(
         field, (z0, p0), t_step, n_points - 1,
         escape_bound=params.get("escape", math.inf),
@@ -318,9 +331,8 @@ def cmd_scan(args) -> Record:
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
 
-    work = stability_mod.ScanWork()
-    rows = stability_mod.scan(A, B, C, omegas, dz0=dz0, t_max=tmax,
-                              z_escape=escape, work=work)
+    result = stability_mod.scan(A, B, C, omegas, dz0=dz0, t_max=tmax, z_escape=escape)
+    rows = result.rows
     R = math.hypot(B, C)
     lo, hi = min(omegas), max(omegas)
     dense = [lo + (hi - lo) * k / 199 for k in range(200)]
@@ -333,8 +345,9 @@ def cmd_scan(args) -> Record:
         "all_agree": all(r.agrees for r in rows),
         "dz0": dz0,
         "integrator": stability_mod.SCAN_PAIR.name,
-        "cells": work.rows,
-        "batches": work.batches,
+        "cells": [{k: getattr(r, k) for k in ("omega", "cells", "escaped", "step_underflow",
+                   "coefficient_singular", "accepted", "rejected", "field_evals")} for r in rows],
+        "batches": result.batches,
     }
     return Record(
         summary, "\n".join(f"omega={r.omega:<6g} z_last_bounded={r.z_last_bounded:<8g} "

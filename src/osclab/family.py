@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CoefficientSingularError
 from .integrate import AdaptiveConfig, integrate_adaptive
-from .invariant import build_coeffs, drift
+from .invariant import drift
 from .model import EPS_POS, OscillatorSpec, TrigAlpha, json_number, json_numbers
 
 
@@ -169,4 +169,4 @@ def integrate_family(
     cfg = AdaptiveConfig(rtol=rtol, atol=atol, t_end=t_end, escape_bound=escape_bound)
     traj = integrate_adaptive(field, y0, cfg)
     spec = OscillatorSpec(omega=fp.omega, m=2, g_source=fp)
-    return traj, drift(traj, build_coeffs(spec))
+    return traj, drift(traj, spec)

@@ -46,7 +46,8 @@ from .model import (
 def build_coeffs(spec: OscillatorSpec) -> OscillatorSpec:
     """The spec itself, once it is known to carry an invariant.
 
-    The functions below take a spec that passed this check.
+    ``_coeffs`` applies this check, so every function below refuses a
+    spec outside the catalogue with UnsupportedSourceError.
     """
     src = spec.g_source
     if isinstance(src, TrigAlpha):
@@ -69,7 +70,9 @@ def _coeffs(spec: OscillatorSpec, t, ys=None):
     the closed form.  A five-parameter source reads alpha2 and its two
     derivatives from columns 2..4 of the states ys when they are given
     (one row per time), and integrates them with alpha2_at otherwise.
+    A spec outside the catalogue raises ``build_coeffs``'s error.
     """
+    build_coeffs(spec)
     src = spec.g_source
     if isinstance(src, TrigAlpha):
         a2, d1, d2, _ = trig_alpha2_eval(src, t)

@@ -18,10 +18,11 @@ starts there too (``_cell_spec``).
 
 ``scan`` reproduces the numerical experiment: for each omega it raises
 z0 in steps of dz0 until an integration escapes, then compares the last
-bounded z0 against z_crit.  Scan cells are independent integrations, so
-the scan runs them in one process as lanes of one lock-step run
-(``integrate.integrate_lanes``) of the DOP853 pair; ``bounded`` is the
-scalar Dormand-Prince 5(4) reference for one cell, with the same config.
+bounded z0 against z_crit; each omega's ``StabilityRow`` holds that
+verdict and the counts of its cells.  Scan cells are independent
+integrations, so the scan runs them in one process as lanes of one
+lock-step run (``integrate.integrate_lanes``) of the DOP853 pair;
+``bounded`` is the scalar Dormand-Prince 5(4) reference for one cell.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,27 +120,37 @@ def bounded(spec: OscillatorSpec, z0: float, t_max: float = 600.0,
 
 @dataclass(frozen=True)
 class StabilityRow:
+    """One omega of a scan: its verdict and how its cells ended.
+
+    ``agrees``: z_last_bounded lies within 2 dz0 of z_crit_analytic.
+    ``escaped``, ``step_underflow`` and ``coefficient_singular`` count the
+    ``cells`` that ended so, ``accepted`` and ``rejected`` their steps;
+    ``field_evals`` counts one field call per cell plus the pair's ``evals``
+    per trial step (a lane's last trial, when singular, is not counted).
+    """
+
     omega: float
     z_last_bounded: float
     z_crit_analytic: float
     agrees: bool
+    cells: int
+    escaped: int
+    step_underflow: int
+    coefficient_singular: int
+    accepted: int
+    rejected: int
+
+    @property
+    def field_evals(self) -> int:
+        return self.cells + SCAN_PAIR.evals * (self.accepted + self.rejected)
 
 
-@dataclass
-class ScanWork:
-    """What a scan integrated; ``scan`` fills in one the caller passes.
+@dataclass(frozen=True)
+class ScanResult:
+    """The rows of a scan, one per omega in input order, and its lane batches."""
 
-    ``rows`` holds one dict per omega: the cells integrated, how many of
-    them escaped, underflowed or met a singular coefficient, their
-    accepted and rejected steps, and their field evaluations counted from
-    the steps (one per cell plus the pair's ``evals`` per trial step; a
-    lane's last trial, when singular, is not counted).  ``batches`` holds
-    one dict per lane batch: its lanes and the trial steps they took
-    together.
-    """
-
-    rows: list = field(default_factory=list)
-    batches: list = field(default_factory=list)
+    rows: tuple[StabilityRow, ...]
+    batches: tuple[dict, ...]  # {"lanes": lanes in the batch, "lock_steps": trial steps they took}
 
 
 # lanes integrated together; bounds the scan's memory for any grid
@@ -157,8 +168,7 @@ def scan(
     dz0: float = 0.02,
     t_max: float = 600.0,
     z_escape: float = 50.0,
-    work: ScanWork = None,
-):
+) -> ScanResult:
     """Numerical boundary scan over a list of omega values.
 
     For each omega, z0 walks the grid dz0, 2 dz0, ... and the row
@@ -170,10 +180,10 @@ def scan(
     A cell runs ``bounded``'s run on the DOP853 pair (SCAN_PAIR), and
     only a completed lane is bounded; a test pins its agreement with
     ``bounded`` at the boundary cells of each row of one three-omega grid.
-    Rows depend neither on the batch size nor on the order of the
-    omegas.  A grid with more than _MAX_GRID_POINTS cells in any row
-    raises ValueError before any integration; a batch that takes more
-    than _MAX_FIXED_STEPS lock-steps raises StepBudgetError.
+    Rows, counts included, depend neither on the batch size nor on the
+    order of the omegas.  A grid with more than _MAX_GRID_POINTS cells in
+    any row raises ValueError before any integration; a batch that takes
+    more than _MAX_FIXED_STEPS lock-steps raises StepBudgetError.
     """
     if not (0.0 < dz0 < math.inf):
         raise ValueError(f"dz0 must be positive and finite, got {dz0}")
@@ -198,6 +208,7 @@ def scan(
     # per row: the first cell that did not complete, and how its cells ended
     first_open = [n_cells + 1 for _, _, n_cells in grid]
     ended = [Counter() for _ in grid]
+    batches = []
     todo = cells()
     while batch := list(itertools.islice(todo, _LANE_BATCH)):
         row_of, specs, ks = zip(*batch)
@@ -209,26 +220,14 @@ def scan(
             if st != "completed":
                 first_open[row] = min(first_open[row], k)
             ended[row].update({st: 1, "accepted": acc, "rejected": rej})
-        if work is not None:
-            work.batches.append({"lanes": len(batch), "lock_steps": run.lock_steps})
+        batches.append({"lanes": len(batch), "lock_steps": run.lock_steps})
 
     rows = []
     for (omega, zc, n_cells), k_open, c in zip(grid, first_open, ended):
         z_last = (k_open - 1) * dz0
-        rows.append(
-            StabilityRow(
-                omega=omega,
-                z_last_bounded=z_last,
-                z_crit_analytic=zc,
-                agrees=abs(z_last - zc) <= 2.0 * dz0,
-            )
-        )
-        if work is not None:
-            work.rows.append({
-                "omega": omega, "cells": n_cells, "escaped": c["escaped"],
-                "step_underflow": c["step_underflow"],
-                "coefficient_singular": c["coefficient_singular"],
-                "accepted": c["accepted"], "rejected": c["rejected"],
-                "field_evals": n_cells + SCAN_PAIR.evals * (c["accepted"] + c["rejected"]),
-            })
-    return rows
+        rows.append(StabilityRow(
+            omega=omega, z_last_bounded=z_last, z_crit_analytic=zc,
+            agrees=abs(z_last - zc) <= 2.0 * dz0, cells=n_cells, escaped=c["escaped"],
+            step_underflow=c["step_underflow"], coefficient_singular=c["coefficient_singular"],
+            accepted=c["accepted"], rejected=c["rejected"]))
+    return ScanResult(tuple(rows), tuple(batches))

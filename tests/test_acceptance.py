@@ -50,7 +50,7 @@ def test_criterion_03_boundary_scan_tracks_analytic_curve():
     # six-frequency scan with dz0=0.02, t_max=600, z_escape=50: the last
     # bounded amplitude sits within two grid steps of the closed form
     rows = scan(1.3, 0.9, 0.0, (0.8, 1.0, 1.2, 1.4, 1.6, 1.8),
-                dz0=0.02, t_max=600.0, z_escape=50.0)
+                dz0=0.02, t_max=600.0, z_escape=50.0).rows
     assert len(rows) == 6
     for row in rows:
         assert abs(row.z_last_bounded - row.z_crit_analytic) <= 0.04, row

@@ -332,6 +332,12 @@ _FP_SPEC = '{"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [2.2, 0.0, -3.6]}'
     (["reduce", "--hill", "hill.csv", "--T", repr(2 * math.pi), "--m", "2", "--rtol", "0"],
      "rtol"),
     (["reduce", "--hill", "hill.csv", "--T", "inf", "--m", "2"], "period T"),
+    # a flag the chosen integrator would not read is refused, whatever its value
+    (["simulate", "--preset", "fig1", "--tmax", "1", "--atol", "nan"], "--atol"),
+    (["simulate", "--preset", "fig1", "--tmax", "1", "--atol", "0"], "--atol"),
+    (["simulate", "--preset", "fig1", "--tmax", "1", "--atol", "1e-9"], "--atol"),
+    (["poincare", "--preset", "fig2", "--points", "3", "--atol", "1e-9"], "--atol"),
+    (["simulate", "--preset", "fig1", "--tmax", "1", "--rtol", "1e-8", "--h", "nan"], "--h"),
 ])
 def test_nonfinite_run_parameters_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv,
                                                        needle):

@@ -86,6 +86,31 @@ def test_unsupported_sources():
         build_coeffs(OscillatorSpec(1.0, 3, fp))
 
 
+_SAMPLED = Sampled(ts=tuple(0.1 * k for k in range(40)),
+                   gs=tuple(1.0 + 0.1 * math.sin(0.1 * k) for k in range(40)))
+
+
+@pytest.mark.parametrize("spec,match", [
+    (OscillatorSpec(1.0, 2, _SAMPLED), r"sampled g\(t\) carries no known invariant"),
+    (OscillatorSpec(1.0, 3, FiveParamSpec(1.0, 0.05, 0.0, 2.2, 0.0, -3.6)),
+     "exists only for m=2, got m=3"),
+], ids=["sampled", "fiveparam_m3"])
+@pytest.mark.parametrize("call", [
+    lambda spec, traj: eval_invariant(spec, State(0.5, 0.1, 0.0)),
+    lambda spec, traj: invariant_series(spec, traj),
+    lambda spec, traj: drift(traj, spec),
+    lambda spec, traj: drift_absolute(traj, spec),
+    lambda spec, traj: pde_residual(spec, 0.1, 0.5),
+], ids=["eval_invariant", "invariant_series", "drift", "drift_absolute", "pde_residual"])
+def test_invariant_functions_refuse_a_spec_outside_the_catalogue(spec, match, call):
+    # each function checks the spec itself, with no build_coeffs call first;
+    # the states carry the five columns a five-parameter series reads
+    traj = Trajectory(np.array([0.0, 0.5]), np.tile([0.1, 0.0, 2.2, 0.0, -3.6], (2, 1)),
+                      "completed")
+    with pytest.raises(UnsupportedSourceError, match=match):
+        call(spec, traj)
+
+
 def test_invariant_series_matches_pointwise():
     spec = trig_spec(1.3, 0.4, 0.7, 1.1, 3)
     trig_traj = integrate_adaptive(make_field(spec), (0.2, 0.1),

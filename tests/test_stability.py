@@ -11,7 +11,6 @@ from osclab.errors import StepUnderflowError
 from osclab.integrate import AdaptiveConfig, integrate_adaptive, integrate_lanes
 from osclab.model import LaneForm, make_field, make_lane_field, trig_spec
 from osclab.stability import (
-    ScanWork,
     StabilityRow,
     bounded,
     i0_crit,
@@ -115,7 +114,7 @@ def test_cells_start_at_the_maximum_of_alpha2():
     # where z_crit starts; the cells start there, so the rows agree with it
     omegas = tuple(0.8 + k * 0.4 for k in range(3))
     kw = dict(dz0=0.05, t_max=100.0)
-    rows = scan(1.3, 0.6, 0.5, omegas, **kw)
+    rows = scan(1.3, 0.6, 0.5, omegas, **kw).rows
     assert [r.z_last_bounded for r in rows] == [9 * 0.05, 22 * 0.05, 39 * 0.05]
     assert all(r.agrees for r in rows)
     for r in rows:
@@ -128,7 +127,7 @@ def test_cells_start_at_the_maximum_of_alpha2():
 
 
 def test_scan_small_grid():
-    rows = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.05, t_max=150.0)
+    rows = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.05, t_max=150.0).rows
     assert len(rows) == 1
     row = rows[0]
     assert isinstance(row, StabilityRow)
@@ -160,24 +159,22 @@ def test_scan_rows_ignore_lane_order_and_batch_size(monkeypatch, step_cap):
     step_cap(530)
     omegas = (0.8, 1.2)
     kw = dict(dz0=0.1, t_max=30.0)
-    work = ScanWork()
-    rows = scan(1.3, 0.9, 0.0, omegas, work=work, **kw)
-    assert work.batches == [{"lanes": sum(r["cells"] for r in work.rows),
-                             "lock_steps": work.batches[0]["lock_steps"]}]
+    whole = scan(1.3, 0.9, 0.0, omegas, **kw)
+    assert whole.batches == ({"lanes": sum(r.cells for r in whole.rows),
+                              "lock_steps": whole.batches[0]["lock_steps"]},)
     monkeypatch.setattr(stability, "_LANE_BATCH", 7)
-    small = ScanWork()
-    reverse = scan(1.3, 0.9, 0.0, omegas[::-1], work=small, **kw)
-    assert reverse[::-1] == rows
-    assert small.rows[::-1] == work.rows
+    small = scan(1.3, 0.9, 0.0, omegas[::-1], **kw)
+    # whole rows: the verdicts and the cell counts
+    assert small.rows[::-1] == whole.rows
     assert [b["lanes"] for b in small.batches][:-1] == [7] * (len(small.batches) - 1)
-    assert sum(b["lanes"] for b in small.batches) == work.batches[0]["lanes"]
+    assert sum(b["lanes"] for b in small.batches) == whole.batches[0]["lanes"]
 
 
 def test_dop853_scan_rows_agree_with_bounded_at_the_boundary(step_cap):
     step_cap(8100)
     # the benchmark grid: omegas 0.8:1.6:0.4 as the CLI makes them, dz0 0.05, tmax 100
     omegas = tuple(0.8 + k * 0.4 for k in range(3))
-    rows = scan(1.3, 0.9, 0.0, omegas, dz0=0.05, t_max=100.0)
+    rows = scan(1.3, 0.9, 0.0, omegas, dz0=0.05, t_max=100.0).rows
     assert [r.z_last_bounded for r in rows] == [8 * 0.05, 18 * 0.05, 33 * 0.05]
     # the scan's DOP853 lanes and the Dormand-Prince 5(4) reference agree on
     # the last bounded cell and the first open cell of each row
@@ -188,16 +185,14 @@ def test_dop853_scan_rows_agree_with_bounded_at_the_boundary(step_cap):
         assert not bounded(spec, (k_last + 1) * 0.05, t_max=100.0)
 
 
-def test_scan_work_counts_every_cell():
-    work = ScanWork()
-    rows = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.1, t_max=60.0, work=work)
-    (counts,) = work.rows
-    assert counts["omega"] == rows[0].omega
+def test_scan_rows_count_every_cell():
+    (row,) = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.1, t_max=60.0).rows
+    assert row.omega == 1.0
     # the first escape ends the bounded run of cells; every cell is integrated
-    assert counts["cells"] == math.ceil((1.5 * rows[0].z_crit_analytic + 2.0) / 0.1)
-    assert counts["escaped"] == counts["cells"] - round(rows[0].z_last_bounded / 0.1)
-    assert counts["step_underflow"] == counts["coefficient_singular"] == 0
-    assert counts["accepted"] > counts["rejected"] > 0
+    assert row.cells == math.ceil((1.5 * row.z_crit_analytic + 2.0) / 0.1)
+    assert row.escaped == row.cells - round(row.z_last_bounded / 0.1)
+    assert row.step_underflow == row.coefficient_singular == 0
+    assert row.accepted > row.rejected > 0
 
 
 def test_scan_field_evals_count_the_lane_field_calls(monkeypatch, step_cap):
@@ -217,16 +212,13 @@ def test_scan_field_evals_count_the_lane_field_calls(monkeypatch, step_cap):
 
     omegas = (0.8, 1.4)
     kw = dict(dz0=0.1, t_max=20.0)
-    work = ScanWork()
-    rows = scan(1.3, 0.9, 0.2, omegas, work=work, **kw)
+    rows = scan(1.3, 0.9, 0.2, omegas, **kw).rows
     monkeypatch.setattr(stability, "make_lane_field", counting_lane_field)
-    counted = ScanWork()
-    assert scan(1.3, 0.9, 0.2, omegas, work=counted, **kw) == rows
-    assert counted.rows == work.rows
-    assert sum(r["coefficient_singular"] for r in work.rows) == 0
-    for omega, r in zip(omegas, work.rows):
-        assert r["field_evals"] == evals[2.0 * omega]
-        assert r["field_evals"] == r["cells"] + 12 * (r["accepted"] + r["rejected"])
+    assert scan(1.3, 0.9, 0.2, omegas, **kw).rows == rows
+    assert sum(r.coefficient_singular for r in rows) == 0
+    for omega, r in zip(omegas, rows):
+        assert r.field_evals == evals[2.0 * omega]
+        assert r.field_evals == r.cells + 12 * (r.accepted + r.rejected)
 
 
 @pytest.mark.parametrize("kw,match", [

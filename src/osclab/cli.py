@@ -152,8 +152,7 @@ def _stride_rows(ts, cols):
     """Rows (t, *cols) at a stride that keeps at most _CSV_ROW_CAP of them, plus the last one."""
     cols = [ts] + cols
     step = decimate(len(ts), _CSV_ROW_CAP)
-    for i in range(0, len(ts), step):
-        yield tuple(c[i] for c in cols)
+    yield from zip(*(c[::step].tolist() for c in cols))
     if (len(ts) - 1) % step != 0:
         yield tuple(c[-1] for c in cols)
 

@@ -23,7 +23,8 @@ that would pass the next stop is shortened to land on it exactly, and
 the run carries on from there.  A ``model.PowerForm`` field (every
 field of ``model.make_field``) takes the fused path of either
 integrator, with the field (and the error norm) inlined on its (z, p)
-state, bit-identical to the generic path that every other field takes;
+state, bit-identical to the generic path that every other field takes
+(z^m is z * z for m = 2 and ``model.int_pow`` for any other m);
 a PowerForm with any other state is refused with ValueError.  The
 fused Dormand-Prince path (``_dp_power_march``) runs the whole march,
 stops, step control and trial steps, in one loop; the tests check its
@@ -75,7 +76,7 @@ import numpy as np
 
 from .errors import (CoefficientSingularError, NonfiniteStateError, StepBudgetError,
                      StepUnderflowError)
-from .model import PowerForm, State, Trajectory
+from .model import PowerForm, State, Trajectory, int_pow
 
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
 _A21 = 1.0 / 5.0
@@ -289,7 +290,8 @@ def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
     every state is bit-identical to the generic loop.  The run stops
     before a chunk where ``g_grid`` returns None (g raises there).
     """
-    w2, g_grid, powers = form.w2, form.g_grid, form.powers
+    nw2, g_grid, m = -form.w2, form.g_grid, form.m
+    square = m == 2
     isfinite = math.isfinite
     escapable = bound < math.inf  # past the finiteness check, no state is beyond inf
     half = 0.5 * h
@@ -310,28 +312,20 @@ def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
         push = flat.append
         escaped = False
         for g0, gm, g1 in zip(gs[0::2], gs[1::2], gs[2::2]):
-            zm = z
-            for _ in powers:
-                zm *= z
-            f1 = -w2 * z - g0 * zm
+            zm = z * z if square else int_pow(z, m)
+            f1 = nw2 * z - g0 * zm
             z2 = z + half * p
             p2 = p + half * f1
-            zm = z2
-            for _ in powers:
-                zm *= z2
-            f2 = -w2 * z2 - gm * zm
+            zm = z2 * z2 if square else int_pow(z2, m)
+            f2 = nw2 * z2 - gm * zm
             z3 = z + half * p2
             p3 = p + half * f2
-            zm = z3
-            for _ in powers:
-                zm *= z3
-            f3 = -w2 * z3 - gm * zm
+            zm = z3 * z3 if square else int_pow(z3, m)
+            f3 = nw2 * z3 - gm * zm
             z4 = z + h * p3
             p4 = p + h * f3
-            zm = z4
-            for _ in powers:
-                zm *= z4
-            f4 = -w2 * z4 - g1 * zm
+            zm = z4 * z4 if square else int_pow(z4, m)
+            f4 = nw2 * z4 - g1 * zm
             z, p = (z + sixth * (p + 2.0 * (p2 + p3) + p4),
                     p + sixth * (f1 + 2.0 * (f2 + f3) + f4))
             if not isfinite(z + p):
@@ -463,7 +457,8 @@ def _dp_power_march(form, y, cfg: AdaptiveConfig, stops, at_stop, rec) -> Trajec
     (stages 6 and 7 share t + h).  ai and bi are the z' and p' of stage
     i; as z' is p, a1 is p itself.
     """
-    w2, g, powers = form.w2, form.g, form.powers
+    nw2, g, m = -form.w2, form.g, form.m
+    square = m == 2
     isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
     t_end, rtol, atol, h_min = cfg.t_end, cfg.rtol, cfg.atol, cfg.h_min
     bound = cfg.escape_bound
@@ -477,10 +472,8 @@ def _dp_power_march(form, y, cfg: AdaptiveConfig, stops, at_stop, rec) -> Trajec
     h = min(cfg.h_init, t_end - t)
     z, p = y
     try:
-        zm = z
-        for _ in powers:
-            zm *= z
-        b1 = -w2 * z - g(t) * zm
+        zm = z * z if square else int_pow(z, m)
+        b1 = nw2 * z - g(t) * zm
         for stop in stops:
             while t < stop:
                 clipped = t + h >= stop
@@ -490,41 +483,29 @@ def _dp_power_march(form, y, cfg: AdaptiveConfig, stops, at_stop, rec) -> Trajec
                     h_att, t_next = h, t + h
                 z2 = z + h_att * (_A21 * p)
                 a2 = p + h_att * (_A21 * b1)
-                zm = z2
-                for _ in powers:
-                    zm *= z2
-                b2 = -w2 * z2 - g(t + _C2 * h_att) * zm
+                zm = z2 * z2 if square else int_pow(z2, m)
+                b2 = nw2 * z2 - g(t + _C2 * h_att) * zm
                 z3 = z + h_att * (_A31 * p + _A32 * a2)
                 a3 = p + h_att * (_A31 * b1 + _A32 * b2)
-                zm = z3
-                for _ in powers:
-                    zm *= z3
-                b3 = -w2 * z3 - g(t + _C3 * h_att) * zm
+                zm = z3 * z3 if square else int_pow(z3, m)
+                b3 = nw2 * z3 - g(t + _C3 * h_att) * zm
                 z4 = z + h_att * (_A41 * p + _A42 * a2 + _A43 * a3)
                 a4 = p + h_att * (_A41 * b1 + _A42 * b2 + _A43 * b3)
-                zm = z4
-                for _ in powers:
-                    zm *= z4
-                b4 = -w2 * z4 - g(t + _C4 * h_att) * zm
+                zm = z4 * z4 if square else int_pow(z4, m)
+                b4 = nw2 * z4 - g(t + _C4 * h_att) * zm
                 z5 = z + h_att * (_A51 * p + _A52 * a2 + _A53 * a3 + _A54 * a4)
                 a5 = p + h_att * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
-                zm = z5
-                for _ in powers:
-                    zm *= z5
-                b5 = -w2 * z5 - g(t + _C5 * h_att) * zm
+                zm = z5 * z5 if square else int_pow(z5, m)
+                b5 = nw2 * z5 - g(t + _C5 * h_att) * zm
                 z6 = z + h_att * (_A61 * p + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
                 a6 = p + h_att * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
-                zm = z6
-                for _ in powers:
-                    zm *= z6
+                zm = z6 * z6 if square else int_pow(z6, m)
                 g6 = g(t + h_att)
-                b6 = -w2 * z6 - g6 * zm
+                b6 = nw2 * z6 - g6 * zm
                 zn = z + h_att * (_B1 * p + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
                 pn = p + h_att * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)
-                zm = zn
-                for _ in powers:
-                    zm *= zn
-                b7 = -w2 * zn - g6 * zm
+                zm = zn * zn if square else int_pow(zn, m)
+                b7 = nw2 * zn - g6 * zm
                 ez = h_att * (_E1 * p + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * pn)
                 ep = h_att * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * b7)
                 if isfinite(zn) and isfinite(ez) and isfinite(pn) and isfinite(ep):

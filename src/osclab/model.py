@@ -29,7 +29,7 @@ function of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -196,8 +196,9 @@ def int_pow(z, m: int):
     """z**m by repeated multiplication: exact sign semantics for odd m.
 
     z may be a float or a numpy array (a lane row); an array argument is
-    left unchanged.  ``PowerForm`` and the two fused loops of
-    ``osclab.integrate`` inline this loop, bit for bit.
+    left unchanged.  ``PowerForm`` and the fused loops of
+    ``osclab.integrate`` take z * z, its one product, for m = 2 and call
+    it for any other m, so their z^m is this loop's bit for bit.
     """
     out = z
     for _ in range(m - 1):
@@ -252,32 +253,26 @@ def alpha2_grid(A: float, B: float, C: float, two_w, t) -> np.ndarray:
 class PowerForm:
     """The field (p, -w2 z - g(t) z^m) on a (z, p) state: the field of ``make_field``.
 
-    Calling the form gives the field at (t, (z, p)), with z^m by the
-    loop of ``int_pow`` over ``powers`` (range(m - 1), built once here).
+    Calling the form gives the field at (t, (z, p)), with z^m as z * z
+    for m = 2 and by ``int_pow`` for any other m, bit for bit.
     ``g(t)`` is the coefficient the call uses, raising there what the
     field raises (CoefficientSingularError where it is refused).
     ``g_grid(ts)`` takes a float64 array of times and returns
     ``[g(t) for t in ts]`` bit for bit, or None where g would raise at
     any of them.  Both scalar integrators of ``osclab.integrate`` inline
-    a PowerForm on its (z, p) state and refuse it on any other; the
-    fused RK4 path calls ``g_grid`` on each chunk of its step grid and
-    leaves a chunk where it is None to the generic loop.
+    a PowerForm on its (z, p) state, z^m taken as in the call, and refuse
+    it on any other; the fused RK4 path calls ``g_grid`` on each chunk of
+    its step grid and leaves a chunk where it is None to the generic loop.
     """
 
     w2: float
     m: int
     g: Callable
     g_grid: Callable
-    powers: range = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "powers", range(self.m - 1))
 
     def __call__(self, t, y):
         z, p = y
-        zm = z
-        for _ in self.powers:
-            zm *= z
+        zm = z * z if self.m == 2 else int_pow(z, self.m)
         return (p, -self.w2 * z - self.g(t) * zm)
 
 

@@ -27,7 +27,7 @@ def fmt_float(x) -> str:
 def write_csv(path, header: str, rows) -> None:
     lines = [header]
     for row in rows:
-        lines.append(",".join(fmt_float(v) for v in row))
+        lines.append(",".join(map(fmt_float, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -7,15 +7,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import osclab
-from osclab import integrate
+from osclab import cli, integrate
 from osclab.cli import PRESETS, _parse_omegas, main
 from osclab.family import fiveparam_from_json, integrate_family
 from osclab.integrate import (AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed,
                               sample_strobe)
 from osclab.model import make_field, trig_spec
+from osclab.output import decimate, write_csv
 
 
 def run(argv):
@@ -994,3 +996,27 @@ def test_malformed_input_fuzz_ends_with_one_error_line(tmp_path, monkeypatch, ca
         assert captured.out.count("\n") == 1, case
         assert captured.out.startswith("error: " if code == 2 else "numerical failure ["), case
         assert captured.err == "", case
+
+
+def test_stride_rows_match_per_index_rows(tmp_path, monkeypatch):
+    cap = 3
+    monkeypatch.setattr(cli, "_CSV_ROW_CAP", cap)
+    rng = np.random.default_rng(5)
+    steps_with_last_on_stride = 0
+    for n in range(1, 4 * cap + 3):
+        ts = np.cumsum(rng.random(n))
+        cols = [rng.standard_normal(n), rng.standard_normal(n) * 1e-300]
+        step = decimate(n, cap)
+        idx = list(range(0, n, step))
+        if idx[-1] != n - 1:
+            idx.append(n - 1)
+        elif step > 1:
+            steps_with_last_on_stride += 1  # n = 1 (mod step): no extra last row
+        want = [(ts[i], *(c[i] for c in cols)) for i in idx]
+        got = list(cli._stride_rows(ts, cols))
+        assert got == want
+        assert all(isinstance(v, float) for row in got for v in row)
+        write_csv(tmp_path / "got.csv", "t,a,b", got)
+        write_csv(tmp_path / "want.csv", "t,a,b", want)
+        assert (tmp_path / "got.csv").read_text() == (tmp_path / "want.csv").read_text()
+    assert steps_with_last_on_stride > 0

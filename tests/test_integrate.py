@@ -23,8 +23,8 @@ from osclab.integrate import (
     integrate_lanes,
     sample_strobe,
 )
-from osclab.model import (LaneForm, OscillatorSpec, PowerForm, Sampled, State, make_field,
-                          make_lane_field, trig_spec)
+from osclab.model import (MAX_M, LaneForm, OscillatorSpec, PowerForm, Sampled, State,
+                          make_field, make_lane_field, trig_spec)
 from osclab.stability import bounded
 
 
@@ -1092,16 +1092,15 @@ def test_fused_attempt_matches_generic_march_on_a_sampled_field(record, step_cap
     assert 0.0 < knots[-1] - traj.ts[-1] < 1.0 and traj.n_accepted > 10
 
 
-def test_fused_march_through_stops_matches_generic_on_fig2(step_cap):
-    step_cap(4600)
-    # a plain wrapper is not a PowerForm, so it takes the generic attempt
-    field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
-    stops = [k * math.pi for k in range(1, 41)]
-    cfg = AdaptiveConfig(rtol=1e-10, t_end=stops[-1], escape_bound=50.0)
+def _fused_stops_match_generic(field, y0, cfg, stops):
+    """The fused march through stops must match, bit for bit, the generic one of a wrapper.
+
+    A plain wrapper is not a PowerForm, so it takes the generic attempt.
+    """
     runs = []
     for f in (field, lambda t, y: field(t, y)):
         seen = []
-        traj = integrate_adaptive(f, (0.1004, 0.0), cfg, stops=stops,
+        traj = integrate_adaptive(f, y0, cfg, stops=stops,
                                   at_stop=lambda t, y: seen.append((t, y)))
         runs.append((traj, seen))
     (got, got_seen), (ref, ref_seen) = runs
@@ -1110,7 +1109,31 @@ def test_fused_march_through_stops_matches_generic_on_fig2(step_cap):
     assert np.array_equal(got.ys, ref.ys)
     assert (got.status, got.n_accepted, got.n_rejected) == (
         ref.status, ref.n_accepted, ref.n_rejected)
+    return got
+
+
+def test_fused_march_through_stops_matches_generic_on_fig2(step_cap):
+    step_cap(4600)
+    field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
+    stops = [k * math.pi for k in range(1, 41)]
+    cfg = AdaptiveConfig(rtol=1e-10, t_end=stops[-1], escape_bound=50.0)
+    got = _fused_stops_match_generic(field, (0.1004, 0.0), cfg, stops)
     assert got.status == "completed" and got.n_rejected > 0
+
+
+@pytest.mark.parametrize("m,y0", [(3, (-0.8, 0.3)), (MAX_M, (0.6, -0.2))],
+                         ids=["odd_negative_z", "max_m"])
+def test_fused_power_matches_generic_at_extreme_m(m, y0, step_cap):
+    # the fused loops take z * z for m = 2 only: here z^m comes from int_pow,
+    # with the sign of an odd power, and with the longest product at |z| < 1
+    step_cap(5000)
+    field = make_field(trig_spec(1.3, 0.9, 0.2, 1.0, m))
+    traj = _fused_matches_generic(field, y0, FixedStepConfig(h=1e-3, t_end=5.0))
+    assert (traj.status, traj.n_accepted) == ("completed", 5000)
+    stops = [k * math.pi / 2 for k in range(1, 5)]
+    got = _fused_stops_match_generic(field, y0, AdaptiveConfig(rtol=1e-10, t_end=stops[-1]),
+                                     stops)
+    assert got.status == "completed" and np.any(got.ys[:, 0] < 0.0)
 
 
 def test_fused_march_calls_g_once_per_stage_time():

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,9 +40,9 @@ from . import spline
 from . import stability as stability_mod
 from .errors import ConfigError, OscLabError
 from .integrate import (_MAX_GRID_POINTS, DP54, AdaptiveConfig, FixedStepConfig,
-                        integrate_adaptive, integrate_fixed, sample_strobe)
+                        _interval_steps, integrate_adaptive, integrate_fixed, sample_strobe)
 from .model import MAX_M, State, make_field, spec_from_json, trig_spec
-from .output import decimate, svg_plot, write_csv, write_json
+from .output import M4Line, Strided, plot_frame, svg_plot, write_csv, write_json
 
 PRESETS = {
     "fig1": {
@@ -150,11 +151,9 @@ def _write(out: Path, record: Record, svg: bool) -> None:
 
 def _stride_rows(ts, cols):
     """Rows (t, *cols) at a stride that keeps at most _CSV_ROW_CAP of them, plus the last one."""
-    cols = [ts] + cols
-    step = decimate(len(ts), _CSV_ROW_CAP)
-    yield from zip(*(c[::step].tolist() for c in cols))
-    if (len(ts) - 1) % step != 0:
-        yield tuple(c[-1] for c in cols)
+    table = Strided(len(ts), _CSV_ROW_CAP)
+    table.feed([ts, *cols])
+    return zip(*table.cols)
 
 
 def _stats(integrator: str, run, runs: int = 1) -> dict:
@@ -185,8 +184,61 @@ def _fixed_step(params, default_h):
     return h
 
 
-def _run_oscillator(spec, params):
-    """Returns (trajectory, y0, stats); RK4 or Dormand-Prince as ``_fixed_step`` says."""
+class _Kept:
+    """What simulate and drift keep of a run of n rows, fed as blocks (ts, ys) from the
+    start row: the CSV rows and the M4 line of the plot of x against y (or ylim).
+    ``values(ts, ys)`` makes the columns after t; the first is plotted.  As an
+    ``integrate_fixed`` sink (start row pushed first) it cuts the run's rows as
+    ``invariant_series`` does, and ``build`` returns it with the run's status, t, counts.
+    """
+
+    def __init__(self, n, x, y, ylim, values):
+        self.table, self.values, self.plot_data = Strided(n, _CSV_ROW_CAP), values, (x, y, ylim)
+        self.line = M4Line(*plot_frame([x], [y], ylim)[1:])
+        self.ts, self.buf = array("d"), array("d")
+
+    def feed(self, ts, ys):
+        cols = np.atleast_2d(self.values(ts, ys))
+        self.table.feed([ts, *cols])
+        self.line.feed(ts, cols[0])
+
+    def plot(self, name, **labels):
+        x, y, ylim = self.plot_data
+        series = {"kind": "line", "x": x, "y": y, "points": self.line.finish()}
+        return name, [series], dict(labels, ylim=ylim)
+
+    def push(self, t, y):
+        self.ts.append(t)
+        self.buf.extend(y)
+        if len(self.ts) == invariant_mod._SERIES_CHUNK:
+            self._flush(len(self.ts))
+
+    def push_many(self, ts, flat):
+        self.ts.frombytes(ts.tobytes())
+        self.buf += array("d", flat)
+        while len(self.ts) >= invariant_mod._SERIES_CHUNK:
+            self._flush(invariant_mod._SERIES_CHUNK)
+
+    def _flush(self, k):
+        ts, buf = self.ts, self.buf
+        self.ts, self.buf = ts[k:], buf[2 * k:]  # copies: numpy views below pin the old ones
+        self.feed(np.frombuffer(ts)[:k], np.frombuffer(buf)[:2 * k].reshape(k, 2))
+
+    def build(self, status, t, y, n_accepted=0, n_rejected=0):
+        if self.ts:
+            self._flush(len(self.ts))
+        self.status, self.t, self.n_accepted, self.n_rejected = status, t, n_accepted, n_rejected
+        return self
+
+
+def _run_oscillator(spec, params, ylim, values):
+    """(status, stats, ``_Kept`` of ``values()``) of a run, RK4 or as ``_fixed_step`` says.
+
+    An RK4 run with a ``ylim`` streams into ``_Kept``: its length and t-span, which fix the
+    stride and the frame, are known before it starts, and one that ends early runs again
+    knowing them (it is deterministic).  Any other run (or one that twice missed its frame)
+    keeps its record and feeds it after; with no ``ylim`` the y-range is its z's.
+    """
     h = _fixed_step(params, 1e-3)
     field = make_field(spec)
     y0 = (params.get("z0", 0.1), params.get("p0", 0.0))
@@ -195,55 +247,65 @@ def _run_oscillator(spec, params):
     if h is None:
         cfg = AdaptiveConfig(rtol=params["rtol"], atol=params.get("atol", 1e-12),
                              t_end=tmax, escape_bound=escape)
-        traj = integrate_adaptive(field, y0, cfg)
-        return traj, y0, _stats(DP54.name, traj)
-    cfg = FixedStepConfig(h=h, t_end=tmax, escape_bound=escape)
-    traj = integrate_fixed(field, y0, cfg)
-    return traj, y0, _stats("rk4", traj)
+        run = integrate_adaptive(field, y0, cfg)
+    else:
+        cfg = FixedStepConfig(h=h, t_end=tmax, escape_bound=escape)
+        n_full, rem = _interval_steps(cfg.t_start, tmax, h)
+        n, t_end = n_full + (rem > 0.0) + 1, tmax
+        for _ in range(0 if ylim is None else 2):
+            kept = _Kept(n, np.array((cfg.t_start, t_end)), (), ylim, values())
+            kept.push(cfg.t_start, y0)
+            run = integrate_fixed(field, y0, cfg, sink=kept)
+            if (run.n_accepted + 1, run.t) == (n, t_end):
+                return run.status, _stats("rk4", run), kept
+            n, t_end = run.n_accepted + 1, run.t
+        run = integrate_fixed(field, y0, cfg)
+    kept = _Kept(len(run), run.ts, run.z, ylim, values())
+    chunk = invariant_mod._SERIES_CHUNK
+    for i in range(0, len(run), chunk):
+        kept.feed(run.ts[i:i + chunk], run.ys[i:i + chunk])
+    return run.status, _stats(DP54.name if h is None else "rk4", run), kept
 
 
 def cmd_simulate(args) -> Record:
     spec, params = _resolve_oscillator(args)
-    traj, y0, stats = _run_oscillator(spec, params)
+    status, stats, kept = _run_oscillator(spec, params, params.get("yrange"),
+                                          lambda: lambda ts, ys: ys.T)
+    t, z, p = (c[-1] for c in kept.table.cols)
     summary = {
-        "status": traj.status,
-        "t_final": float(traj.ts[-1]),
-        "z_final": float(traj.z[-1]),
-        "p_final": float(traj.p[-1]),
-        "n_recorded": len(traj),
-        "z0": y0[0], "p0": y0[1],
+        "status": status,
+        "t_final": t,
+        "z_final": z,
+        "p_final": p,
+        "n_recorded": kept.table.n,
+        "z0": params.get("z0", 0.1), "p0": params.get("p0", 0.0),
         "stats": stats,
     }
     return Record(
-        summary, f"simulate: status={traj.status} t_final={traj.ts[-1]:.6g} "
-                 f"z_final={traj.z[-1]:.6g}", traj.status,
-        tables=[("traj.csv", "t,z,p", _stride_rows(traj.ts, [traj.z, traj.p]))],
-        plots=[("traj.svg", [{"kind": "line", "x": traj.ts, "y": traj.z}],
-                {"xlabel": "t", "ylabel": "z", "title": "trajectory",
-                 "ylim": params.get("yrange")})])
+        summary, f"simulate: status={status} t_final={t:.6g} z_final={z:.6g}", status,
+        tables=[("traj.csv", "t,z,p", zip(*kept.table.cols))],
+        plots=[kept.plot("traj.svg", xlabel="t", ylabel="z", title="trajectory")])
 
 
 def cmd_drift(args) -> Record:
     spec, params = _resolve_oscillator(args)
     invariant_mod.build_coeffs(spec)  # a system without an invariant is refused before the run
-    traj, y0, stats = _run_oscillator(spec, params)
-    report = invariant_mod.drift(traj, spec)
-    i0 = invariant_mod.eval_invariant(spec, State(0.0, y0[0], y0[1]))
+    status, stats, kept = _run_oscillator(spec, params, (-1e-5, 1e-5),
+                                          lambda: invariant_mod.DriftSeries(spec))
+    report = kept.values
     summary = {
-        "status": traj.status,
+        "status": status,
         "mode": report.mode,
         "max_rel_drift": report.max_rel,
-        "i0": i0,
-        "n_recorded": len(traj),
+        "i0": invariant_mod.eval_invariant(
+            spec, State(0.0, params.get("z0", 0.1), params.get("p0", 0.0))),
+        "n_recorded": kept.table.n,
         "stats": stats,
     }
     return Record(
-        summary, f"drift: mode={report.mode} max={report.max_rel:.6e} status={traj.status}",
-        traj.status,
-        tables=[("drift.csv", "t,rel_drift", _stride_rows(report.ts, [report.series]))],
-        plots=[("drift.svg", [{"kind": "line", "x": report.ts, "y": report.series}],
-                {"xlabel": "t", "ylabel": "I/I0 - 1", "title": "invariant drift",
-                 "ylim": (-1e-5, 1e-5)})])
+        summary, f"drift: mode={report.mode} max={report.max_rel:.6e} status={status}", status,
+        tables=[("drift.csv", "t,rel_drift", zip(*kept.table.cols))],
+        plots=[kept.plot("drift.svg", xlabel="t", ylabel="I/I0 - 1", title="invariant drift")])
 
 
 def cmd_poincare(args) -> Record:

@@ -69,15 +69,6 @@ def fiveparam_from_json(obj: dict) -> FiveParamSpec:
         raise ValueError(f"malformed five-parameter spec: {exc}") from exc
 
 
-def fiveparam_to_json(fp: FiveParamSpec) -> dict:
-    return {
-        "omega": fp.omega,
-        "C1": fp.C1,
-        "C2": fp.C2,
-        "alpha2": [fp.alpha2_0, fp.alpha2p_0, fp.alpha2pp_0],
-    }
-
-
 def to_trig_alpha(fp: FiveParamSpec) -> TrigAlpha:
     """Closed-form (A, B, C) matching the initial values when C1 = C2 = 0."""
     if fp.C1 != 0.0 or fp.C2 != 0.0:

@@ -237,8 +237,8 @@ def _initial_state(field, y0):
     return y
 
 
-def _start(field, y0, cfg, stops):
-    """The start that both scalar integrators share: (stops, y, recorder, form).
+def _start(field, y0, cfg, stops, sink=None):
+    """The start that both scalar integrators share: (stops, y, sink, form).
 
     Refuses what ``_initial_state`` refuses and bad stops
     (``_check_stops``).  form is the field when it is a
@@ -247,7 +247,7 @@ def _start(field, y0, cfg, stops):
     """
     y = _initial_state(field, y0)
     stops = _check_stops(stops, cfg.t_start, cfg.t_end)
-    rec = _Recorder(cfg.record, cfg.t_start, y)
+    rec = _Recorder(cfg.record, cfg.t_start, y) if sink is None else sink
     return stops, y, rec, field if isinstance(field, PowerForm) else None
 
 
@@ -344,7 +344,17 @@ def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
     return "completed", done, t, (z, p)
 
 
-def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None) -> Trajectory:
+def _interval_steps(t0, stop, h):
+    """(n_full, rem): full steps end at t0 + k*h, k <= n_full; rem lands on stop (or is 0.0)."""
+    n_full = math.floor((stop - t0) / h)
+    while t0 + (n_full + 1) * h <= stop:
+        n_full += 1
+    while n_full > 0 and t0 + n_full * h > stop:
+        n_full -= 1
+    return n_full, stop - (t0 + n_full * h)
+
+
+def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None, sink=None):
     """Classical RK4 with constant step h, marching through exact stops.
 
     ``stops`` and ``at_stop`` follow the rules of ``integrate_adaptive``.
@@ -354,23 +364,18 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None) -
     each interval runs exactly as a run of its own would.  On the fused
     path ``_rk4_power_steps`` runs the full steps it can, and the generic
     loop the rest: from a chunk where g raises on, and the shortened step.
+    Steps go to ``sink`` (a ``_Recorder`` unless given one that holds the
+    start), and the run returns its ``build``.
     """
-    stops, y, rec, form = _start(field, y0, cfg, stops)
-    t0, h = cfg.t_start, cfg.h
-    bound = cfg.escape_bound
+    stops, y, rec, form = _start(field, y0, cfg, stops, sink)
+    t0, h, bound = cfg.t_start, cfg.h, cfg.escape_bound
 
     status = "completed"
     t = t0
     n_done = 0
     try:
         for stop in stops:
-            # the interval's full steps end at t0 + k*h, k <= n_full; rem is the shortened one
-            n_full = int(math.floor((stop - t0) / h))
-            while t0 + (n_full + 1) * h <= stop:
-                n_full += 1
-            while n_full > 0 and t0 + n_full * h > stop:
-                n_full -= 1
-            rem = stop - (t0 + n_full * h)
+            n_full, rem = _interval_steps(t0, stop, h)
             n = 0
             if form is not None:
                 status, n, t, y = _rk4_power_steps(form, t0, y, h, n_full, rec, bound)

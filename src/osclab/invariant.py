@@ -144,30 +144,46 @@ class DriftReport:
     series: np.ndarray
 
 
+class DriftSeries:
+    """I/I0 - 1, or I - I0 when |I0| < 1e-300 (say, at rest), of a run's
+    rows fed in blocks (ts, ys) from the start row.  Cut as
+    ``invariant_series`` cuts them, every value is bit-identical to the
+    whole-array one.  ``max_rel`` is max |series| once all are fed.
+    """
+
+    def __init__(self, spec: OscillatorSpec):
+        self.spec, self.i0, self.hi, self.lo = spec, None, -np.inf, np.inf
+
+    def __call__(self, ts, ys) -> np.ndarray:
+        s = _invariant(self.spec, ts, ys[:, 0], ys[:, 1], ys)
+        if self.i0 is None:
+            self.i0 = float(s[0])
+            self.mode = "absolute" if abs(self.i0) < 1e-300 else "relative"
+        if self.mode == "relative":
+            s /= self.i0  # in place: rounds as the two whole-array operations would
+            s -= 1.0
+        else:
+            s -= self.i0
+        self.hi, self.lo = np.maximum(self.hi, s.max()), np.minimum(self.lo, s.min())
+        return s
+
+    @property
+    def max_rel(self) -> float:  # NaN if any value is NaN
+        return max(float(self.hi), -float(self.lo))
+
+
 def drift(traj: Trajectory, spec: OscillatorSpec) -> DriftReport:
-    """The relative report, or the absolute one when |I0| < 1e-300 (say, at rest)."""
-    series = invariant_series(spec, traj)
-    i0 = float(series[0])
-    if abs(i0) < 1e-300:
-        return _absolute(traj, series)
-    series /= i0  # in place: I/I0 - 1 rounds as the two whole-array operations would
-    series -= 1.0
-    return DriftReport(mode="relative", max_rel=_max_abs(series), ts=traj.ts, series=series)
+    """The report of ``DriftSeries`` along a whole trajectory."""
+    d, series = DriftSeries(spec), np.empty(len(traj))
+    for i in range(0, len(traj), _SERIES_CHUNK):
+        series[i:i + _SERIES_CHUNK] = d(traj.ts[i:i + _SERIES_CHUNK], traj.ys[i:i + _SERIES_CHUNK])
+    return DriftReport(mode=d.mode, max_rel=d.max_rel, ts=traj.ts, series=series)
 
 
 def drift_absolute(traj: Trajectory, spec: OscillatorSpec) -> DriftReport:
-    return _absolute(traj, invariant_series(spec, traj))
-
-
-def _absolute(traj: Trajectory, series: np.ndarray) -> DriftReport:
-    """The absolute report of a series that this module made; it turns into I - I0 in place."""
+    series = invariant_series(spec, traj)
     series -= float(series[0])
-    return DriftReport(mode="absolute", max_rel=_max_abs(series), ts=traj.ts, series=series)
-
-
-def _max_abs(v: np.ndarray) -> float:
-    """max |v|, NaN if any is NaN, without the array np.abs(v) would make."""
-    return max(float(v.max()), -float(v.min()))
+    return DriftReport("absolute", max(float(series.max()), -float(series.min())), traj.ts, series)
 
 
 def _parts(spec: OscillatorSpec, t: float):

@@ -188,9 +188,6 @@ class Trajectory:
     def state(self, i: int) -> State:
         return State(float(self.ts[i]), float(self.ys[i, 0]), float(self.ys[i, 1]))
 
-    def final_state(self) -> State:
-        return self.state(len(self) - 1)
-
 
 def int_pow(z, m: int):
     """z**m by repeated multiplication: exact sign semantics for odd m.

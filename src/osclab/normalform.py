@@ -97,11 +97,6 @@ def _fundamental_runs(h: HillSpec):
     return np.column_stack([run.ys[-1] for run in runs]), runs
 
 
-def transfer_matrix(h: HillSpec) -> np.ndarray:
-    """One-period transfer matrix of (z, z') from the two fundamental runs."""
-    return _fundamental_runs(h)[0]
-
-
 def monodromy(h: HillSpec) -> MonodromyResult:
     """Floquet analysis over one period.
 

@@ -12,6 +12,7 @@ data, whatever its length.
 from __future__ import annotations
 
 import json
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +80,7 @@ def _columns(px):
     return np.floor(px + 0.005)
 
 
-def _m4_indices(px, py):
+def _m4_indices(px, py, cut=0):
     """Indices, ascending, of the vertices M4 keeps of a polyline.
 
     The vertices are cut into runs of consecutive ones in the same pixel
@@ -88,14 +89,17 @@ def _m4_indices(px, py):
     when it has at most four, so the drawn path covers the same pixels
     as the full one (Jugel et al., "M4: A Visualization-Oriented Time
     Series Data Aggregation", PVLDB 7(10), 2014).  Runs, not column
-    bins, let x go back and forth, as on a closed curve.
+    bins, let x go back and forth, as on a closed curve.  ``cut`` counts
+    vertices of the first run that an earlier call dropped (``M4Line``).
     """
     n = len(px)
     col = _columns(px)
     starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
     ends = np.append(starts[1:], n)
-    run = np.repeat(np.arange(len(starts)), ends - starts)
-    keep = (ends - starts <= 4)[run]
+    sizes = ends - starts
+    run = np.repeat(np.arange(len(starts)), sizes)
+    sizes[0] += cut
+    keep = (sizes <= 4)[run]
     keep[starts] = True
     keep[ends - 1] = True
     order = np.arange(n)
@@ -106,42 +110,78 @@ def _m4_indices(px, py):
     return np.flatnonzero(keep)
 
 
-# vertices per block of a line's M4 walk (``_m4_line``): its temporaries
-# then take about 1 MB whatever the line's length, against 10 MB for one
-# pass over a 200k-vertex line
+class M4Line:
+    """The written vertices "x,y x,y ..." that ``_m4_indices`` keeps of a
+    line fed in blocks of data (x, y); px and py map them to pixels.
+
+    What arrived up to the last pixel-column change is whole runs and is
+    written at once.  The open run is held cut to the vertices it keeps
+    if it ends there, with the count of the ones cut away: no later
+    vertex can make one of those a first, extreme or last one.  So the
+    text is that of one pass over the whole line, in memory of one block.
+    """
+
+    def __init__(self, px, py):
+        self.px, self.py, self.text = px, py, []
+        self.open = (np.empty(0), np.empty(0), 0)  # the open run's pixels, vertices cut
+
+    def feed(self, x, y):
+        ok = np.isfinite(x)
+        ok &= np.isfinite(y)
+        if not ok.all():  # copies only for a block with a nonfinite point
+            x, y = x[ok], y[ok]
+        ox, oy, cut = self.open
+        with np.errstate(over="ignore", invalid="ignore"):
+            bx, by = np.concatenate((ox, self.px(x))), np.concatenate((oy, self.py(y)))
+            if not len(bx):
+                return
+            col = _columns(bx)
+            change = np.flatnonzero(col[1:] != col[:-1])
+            if change.size:
+                j = int(change[-1]) + 1
+                self._write(bx[:j], by[:j], _m4_indices(bx[:j], by[:j], cut))
+                bx, by, cut = bx[j:], by[j:], 0
+            keep = _m4_indices(bx, by, cut)
+        self.open = (bx[keep], by[keep], cut + len(bx) - len(keep))
+
+    def _write(self, bx, by, keep):
+        self.text.append(" ".join(f"{a:.2f},{b:.2f}"
+                                  for a, b in zip(bx[keep].tolist(), by[keep].tolist())))
+
+    def finish(self) -> str:
+        """The text, once every block is fed; empty if no vertex was finite."""
+        ox, oy, _ = self.open
+        if len(ox):
+            self._write(ox, oy, slice(None))
+        return " ".join(self.text)
+
+
+# vertices per block that ``_m4_line`` feeds: its temporaries then take
+# about 1 MB whatever the line's length, against 10 MB for one pass over
+# a 200k-vertex line
 _M4_BLOCK = 16384
 
 
 def _m4_line(x, y, px, py) -> str:
-    """The written vertices "x,y x,y ..." that ``_m4_indices`` keeps of a line.
+    """The ``M4Line`` text of a whole line, fed in blocks of _M4_BLOCK vertices."""
+    line = M4Line(px, py)
+    for i in range(0, len(x), _M4_BLOCK):
+        line.feed(x[i:i + _M4_BLOCK], y[i:i + _M4_BLOCK])
+    return line.finish()
 
-    x and y are the line's finite data and px, py map them to pixels.
-    The line is walked in blocks of _M4_BLOCK vertices, each cut back to
-    end at its last pixel-column change (a change at the vertex just past
-    it included), so a run of ``_m4_indices`` never spans two blocks and
-    the output is that of one pass over the whole line.  A block without
-    a change is doubled until it has one or reaches the end.
-    """
-    n = len(x)
-    pieces = []
-    i, size = 0, _M4_BLOCK
-    while i < n:
-        j = min(i + size, n)
-        bx = px(x[i:j + 1])
-        if j < n:
-            col = _columns(bx)
-            change = np.flatnonzero(col[1:] != col[:-1])
-            if not change.size:
-                size *= 2
-                continue
-            j = i + int(change[-1]) + 1
-            bx = bx[:j - i]
-        by = py(y[i:j])
-        keep = _m4_indices(bx, by)
-        pieces.append(" ".join(f"{a:.2f},{b:.2f}"
-                               for a, b in zip(bx[keep].tolist(), by[keep].tolist())))
-        i, size = j, _M4_BLOCK
-    return " ".join(pieces)
+
+def plot_frame(xs, ys, ylim=None):
+    """((x_lo, x_hi, y_lo, y_hi), px, py) of a plot of the arrays xs against ys."""
+    x_lo, x_hi = _limits(xs, None)
+    y_lo, y_hi = _limits(ys, ylim)
+
+    def px(x):
+        return _ML + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - _ML - _MR)
+
+    def py(y):
+        return _MT + (y_hi - y) / (y_hi - y_lo) * (_HEIGHT - _MT - _MB)
+
+    return (x_lo, x_hi, y_lo, y_hi), px, py
 
 
 def svg_plot(path, series, xlabel: str = "", ylabel: str = "", title: str = "",
@@ -151,21 +191,17 @@ def svg_plot(path, series, xlabel: str = "", ylabel: str = "", title: str = "",
     ``series`` is a list of dicts with keys "kind" ("line" or
     "scatter"), "x", "y", and optional "color".  Points with
     nonfinite coordinates are dropped.  A line keeps the vertices of
-    ``_m4_indices``, found block-wise by ``_m4_line``, and a scatter
-    drops a point written at the same 0.01 px position as an earlier one.
+    ``_m4_indices``, and a scatter drops a point written at the same
+    0.01 px position as an earlier one.  A line may carry "points", the
+    text of an ``M4Line`` fed in this plot's frame, drawn in place of
+    its data, which then only sets the frame.
     """
     data = [(np.asarray(s["x"], dtype=float), np.asarray(s["y"], dtype=float))
             for s in series]
-    x_lo, x_hi = _limits([x for x, _ in data], None)
-    y_lo, y_hi = _limits([y for _, y in data], ylim)
+    (x_lo, x_hi, y_lo, y_hi), px, py = plot_frame([x for x, _ in data],
+                                                  [y for _, y in data], ylim)
     plot_w = _WIDTH - _ML - _MR
     plot_h = _HEIGHT - _MT - _MB
-
-    def px(x):
-        return _ML + (x - x_lo) / (x_hi - x_lo) * plot_w
-
-    def py(y):
-        return _MT + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -212,22 +248,36 @@ def svg_plot(path, series, xlabel: str = "", ylabel: str = "", title: str = "",
 
     for i, (s, (x, y)) in enumerate(zip(series, data)):
         color = s.get("color", _PALETTE[i % len(_PALETTE)])
+        if s.get("kind", "line") == "line":
+            points = s["points"] if "points" in s else _m4_line(x, y, px, py)
+            if points:
+                parts.append(f'<polyline points="{points}" fill="none" '
+                             f'stroke="{color}" stroke-width="1.2"/>')
+            continue
         ok = np.isfinite(x)
         ok &= np.isfinite(y)
-        if not ok.any():
-            continue
-        if not ok.all():  # copies only for a series with a nonfinite point
-            x, y = x[ok], y[ok]
         with np.errstate(over="ignore", invalid="ignore"):
-            if s.get("kind", "line") == "line":
-                parts.append(f'<polyline points="{_m4_line(x, y, px, py)}" fill="none" '
-                             f'stroke="{color}" stroke-width="1.2"/>')
-            else:
-                parts.extend(dict.fromkeys(
-                    f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2" fill="{color}"/>'
-                    for a, b in zip(px(x).tolist(), py(y).tolist())))
+            parts.extend(dict.fromkeys(
+                f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2" fill="{color}"/>'
+                for a, b in zip(px(x[ok]).tolist(), py(y[ok]).tolist())))
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
+
+
+class Strided:
+    """Every ``decimate(n, cap)``-th row of an n-row table from row 0, plus
+    the last row, kept as columns of floats (``cols``) as blocks of the
+    rows arrive in order, each a list of columns."""
+
+    def __init__(self, n, cap):
+        self.n, self.step, self.seen, self.cols = n, decimate(n, cap), 0, None
+
+    def feed(self, cols):
+        self.cols = self.cols or [array("d") for _ in cols]
+        first, self.seen = -self.seen % self.step, self.seen + len(cols[0])
+        last = [-1] if self.seen == self.n and (self.n - 1) % self.step else []
+        for kept, c in zip(self.cols, cols):
+            kept.extend(c[first::self.step].tolist() + [c[i] for i in last])
 
 
 def decimate(n: int, cap: int) -> int:

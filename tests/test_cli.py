@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 import osclab
-from osclab import cli, integrate
-from osclab.cli import PRESETS, _parse_omegas, main
+from osclab import cli, integrate, invariant
+from osclab.cli import PRESETS, _parse_omegas, _stride_rows, main
 from osclab.family import fiveparam_from_json, integrate_family
 from osclab.integrate import (AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed,
                               sample_strobe)
-from osclab.model import make_field, trig_spec
-from osclab.output import decimate, write_csv
+from osclab.model import State, make_field, trig_spec
+from osclab.output import _columns, decimate, plot_frame, svg_plot, write_csv, write_json
 
 
 def run(argv):
@@ -1020,3 +1020,131 @@ def test_stride_rows_match_per_index_rows(tmp_path, monkeypatch):
         write_csv(tmp_path / "want.csv", "t,a,b", want)
         assert (tmp_path / "got.csv").read_text() == (tmp_path / "want.csv").read_text()
     assert steps_with_last_on_stride > 0
+
+
+_SINGULAR_SPEC = {"omega": 1.0, "m": 2,
+                  "g": {"kind": "trig", "A": 1.0, "B": 0.9999999999999, "C": 0.0}}
+_SINGULAR = ["--spec", "singular.json", "--tmax", "5", "--z0", "1e-30",
+             "--h", "0.0015707963267948966"]
+
+
+def _record_path(argv, out):
+    """(exit code, stdout) of simulate or drift as they ran when each kept its whole record,
+    writing to out: the integrator's Trajectory, the whole-array drift series, then
+    ``_stride_rows`` and ``svg_plot`` of whole arrays."""
+    args = cli.build_parser().parse_args([*argv, "--out", str(out)])
+    spec, params = cli._resolve_oscillator(args)
+    y0 = (params.get("z0", 0.1), params.get("p0", 0.0))
+    span = dict(t_end=params.get("tmax", 600.0), escape_bound=params.get("escape", math.inf))
+    field = cli.make_field(spec)
+    if params.get("rtol") is None:
+        traj = integrate_fixed(field, y0, FixedStepConfig(h=params.get("h", 1e-3), **span))
+        stats = cli._stats("rk4", traj)
+    else:
+        traj = integrate_adaptive(field, y0, AdaptiveConfig(rtol=params["rtol"], **span))
+        stats = cli._stats(integrate.DP54.name, traj)
+    if args.command == "drift":
+        series = invariant.invariant_series(spec, traj)
+        i0 = float(series[0])
+        mode = "absolute" if abs(i0) < 1e-300 else "relative"
+        series = series - i0 if mode == "absolute" else series / i0 - 1.0
+        max_rel = float(np.max(np.abs(series)))
+        summary = {"status": traj.status, "mode": mode, "max_rel_drift": max_rel,
+                   "i0": invariant.eval_invariant(spec, State(0.0, *y0)),
+                   "n_recorded": len(traj), "stats": stats}
+        report = f"drift: mode={mode} max={max_rel:.6e} status={traj.status}"
+        table = ("drift.csv", "t,rel_drift", _stride_rows(traj.ts, [series]))
+        plot = ("drift.svg", series, dict(ylabel="I/I0 - 1", title="invariant drift",
+                                          ylim=(-1e-5, 1e-5)))
+    else:
+        t, z, p = float(traj.ts[-1]), float(traj.z[-1]), float(traj.p[-1])
+        summary = {"status": traj.status, "t_final": t, "z_final": z, "p_final": p,
+                   "n_recorded": len(traj), "z0": y0[0], "p0": y0[1], "stats": stats}
+        report = f"simulate: status={traj.status} t_final={t:.6g} z_final={z:.6g}"
+        table = ("traj.csv", "t,z,p", _stride_rows(traj.ts, [traj.z, traj.p]))
+        plot = ("traj.svg", traj.z, dict(ylabel="z", title="trajectory",
+                                         ylim=params.get("yrange")))
+    out.mkdir(parents=True)
+    write_csv(out / table[0], table[1], table[2])
+    if args.svg:
+        svg_plot(out / plot[0], [{"kind": "line", "x": traj.ts, "y": plot[1]}], xlabel="t",
+                 **plot[2])
+    write_json(out / "summary.json", summary)
+    return 3 if traj.status == "coefficient_singular" else 0, report + "\n"
+
+
+def _hide_power_form(spec):
+    form = make_field(spec)
+    return lambda t, y: form(t, y)  # not a PowerForm: the generic loop, one push per step
+
+
+# id: (argv, for each integrate_fixed call of the command whether it was given a sink)
+_STREAM_CASES = {
+    "fig1": (["drift", "--preset", "fig1", "--tmax", "20"], [True]),  # 20000 % 3 != 0
+    "last_on_stride": (["drift", "--preset", "fig1", "--tmax", "30"], [True]),  # 30000 % 4 == 0
+    "few_rows": (["drift", "--preset", "fig1", "--tmax", "5"], [True]),  # under _CSV_ROW_CAP
+    "whole_blocks": (["drift", "--preset", "fig1", "--tmax", "16.383"], [True]),  # 2 x 8192 rows
+    "short_last_step": (["drift", "--preset", "fig1", "--tmax", "20", "--h", "0.003"], [True]),
+    "absolute": (["drift", "--preset", "fig1", "--tmax", "20", "--z0", "0", "--p0", "0"], [True]),
+    "absolute_tiny": (["drift", "--preset", "fig1", "--tmax", "5", "--z0", "1e-160"], [True]),
+    "no_svg": (["drift", "--preset", "fig1", "--tmax", "20", "--no-svg"], [True]),
+    "escaped": (["drift", "--preset", "fig4-unbounded", "--tmax", "60"], [True, True]),
+    "singular": (["drift", *_SINGULAR], [True, True]),
+    "adaptive": (["drift", "--preset", "fig1", "--rtol", "1e-10", "--tmax", "20"], []),
+    "simulate_ylim": (["simulate", "--preset", "fig4-bounded", "--tmax", "20"], [True]),
+    "simulate_escaped": (["simulate", "--preset", "fig4-unbounded"], [True, True]),
+    "simulate_singular": (["simulate", *_SINGULAR], [False]),
+    "simulate_no_ylim": (["simulate", "--preset", "fig1", "--tmax", "20"], [False]),  # y from z
+}
+_GENERIC_CASES = ("fig1", "short_last_step", "absolute", "escaped", "singular", "simulate_ylim")
+
+
+@pytest.mark.parametrize("argv,runs,generic", [
+    *(pytest.param(*case, False, id=name) for name, case in _STREAM_CASES.items()),
+    *(pytest.param(*_STREAM_CASES[name], True, id=f"{name}-generic") for name in _GENERIC_CASES),
+])
+def test_streamed_outputs_equal_the_record_path(tmp_path, monkeypatch, capsys, argv, runs,
+                                                generic):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "singular.json").write_text(json.dumps(_SINGULAR_SPEC))
+    if generic:
+        monkeypatch.setattr(cli, "make_field", _hide_power_form)
+    calls = []
+
+    def counted(field, y0, cfg, sink=None):
+        calls.append(sink is not None)
+        return integrate_fixed(field, y0, cfg, sink=sink)
+
+    monkeypatch.setattr(cli, "integrate_fixed", counted)
+    code = main([*argv, "--out", "streamed"])
+    out = capsys.readouterr().out
+    assert calls == runs
+    assert (code, out) == _record_path(argv, tmp_path / "record")
+    streamed, record = (sorted((tmp_path / d).iterdir()) for d in ("streamed", "record"))
+    assert [p.name for p in streamed] == [p.name for p in record]
+    for a, b in zip(streamed, record):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_fig1_blocks_split_pixel_columns():
+    # the drift plot of fig1 at --tmax 20 has pixel columns that span a
+    # row block edge (8192) and an M4 block edge of svg_plot (16384)
+    _, px, _ = plot_frame([np.array((0.0, 20.0))], (), (-1e-5, 1e-5))
+    col = _columns(px(np.arange(20001) * 1e-3))
+    assert col[8191] == col[8192] and col[16383] == col[16384]
+    n_full, rem = integrate._interval_steps(0.0, 16.383, 1e-3)
+    assert (n_full + (rem > 0.0) + 1) % invariant._SERIES_CHUNK == 0
+
+
+def test_drift_peak_memory_does_not_grow_with_the_run(tmp_path, peak_alloc):
+    # both write 10,000 CSV rows (stride 1 and 3); the 30,000-row record
+    # would take 0.72 MB and its drift series 0.24 MB: a drift that kept
+    # them peaked about 0.33 MB higher at the longer length
+    def drift(tmax):
+        return lambda: main(["drift", "--preset", "fig1", "--tmax", tmax,
+                             "--out", str(tmp_path / tmax)])
+
+    drift("2")()  # first-call allocations stay out of the measurement
+    (short_code, short), (long_code, long) = peak_alloc(drift("9.999")), peak_alloc(drift("29.999"))
+    assert short_code == long_code == 0
+    assert abs(long - short) < 100_000

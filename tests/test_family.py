@@ -12,7 +12,6 @@ from osclab.family import (
     alpha1_eval,
     alpha2_at,
     fiveparam_from_json,
-    fiveparam_to_json,
     integrate_family,
     make_augmented_field,
     to_trig_alpha,
@@ -33,11 +32,9 @@ def test_spec_validation():
                 FiveParamSpec(*good[:k], bad, *good[k + 1:])
 
 
-def test_json_round_trip():
-    fp = FiveParamSpec(1.0, 0.05, 0.0, 2.2, 0.0, -3.6)
-    obj = fiveparam_to_json(fp)
-    assert obj == {"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [2.2, 0.0, -3.6]}
-    assert fiveparam_from_json(obj) == fp
+def test_from_json_reads_a_literal_dict():
+    obj = {"omega": 1.0, "C1": 0.05, "C2": 0.0, "alpha2": [2.2, 0.0, -3.6]}
+    assert fiveparam_from_json(obj) == FiveParamSpec(1.0, 0.05, 0.0, 2.2, 0.0, -3.6)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -51,9 +48,12 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
     alpha2p_0=_finite,
     alpha2pp_0=_finite,
 )
-def test_json_round_trips_through_json_text(omega, C1, C2, alpha2_0, alpha2p_0, alpha2pp_0):
+def test_from_json_reads_json_text(omega, C1, C2, alpha2_0, alpha2p_0, alpha2pp_0):
+    # the format of README, written as JSON text: every finite double reads back exactly
+    text = json.dumps({"omega": omega, "C1": C1, "C2": C2,
+                       "alpha2": [alpha2_0, alpha2p_0, alpha2pp_0]})
     fp = FiveParamSpec(omega, C1, C2, alpha2_0, alpha2p_0, alpha2pp_0)
-    assert fiveparam_from_json(json.loads(json.dumps(fiveparam_to_json(fp)))) == fp
+    assert fiveparam_from_json(json.loads(text)) == fp
 
 
 def test_alpha1_eval():

@@ -444,7 +444,7 @@ def test_trajectory_accessors():
     )
     assert len(traj) == 3
     assert traj.state(1) == State(0.1, 0.09, -0.01)
-    assert traj.final_state() == State(0.2, 0.07, -0.02)
+    assert traj.state(len(traj) - 1) == State(0.2, 0.07, -0.02)
     assert list(traj.z) == [0.1, 0.09, 0.07]
     assert list(traj.p) == [0.0, -0.01, -0.02]
 

@@ -11,9 +11,9 @@ from osclab.normalform import (
     HillSpec,
     cs_envelope,
     make_reduced_field,
+    _fundamental_runs,
     monodromy,
     reduce,
-    transfer_matrix,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -26,7 +26,7 @@ def _const_hill(f0=1.0 / 16.0):
 def test_transfer_matrix_constant_f():
     # closed form at f = 1/16 over T = 2 pi: rotation by pi/2 scaled by
     # the frequency, M = [[0, 4], [-1/4, 0]]
-    M = transfer_matrix(_const_hill())
+    M = _fundamental_runs(_const_hill())[0]
     assert abs(M[0, 0]) < 1e-11
     assert abs(M[0, 1] - 4.0) < 1e-10
     assert abs(M[1, 0] + 0.25) < 1e-11
@@ -83,7 +83,7 @@ def test_monodromy_margin_grows_with_the_runs_error(omega0, stable):
 def test_unstable_flag_agrees_with_growth():
     # the raw transfer matrix of the resonant system shows real growth,
     # consistent with the stability flag that refused it above
-    M = transfer_matrix(HillSpec(f=lambda t: 0.25 * (1.0 + 0.1 * math.cos(t)), T=TWO_PI))
+    M = _fundamental_runs(HillSpec(f=lambda t: 0.25 * (1.0 + 0.1 * math.cos(t)), T=TWO_PI))[0]
     tr = float(M[0, 0] + M[1, 1])
     assert abs(tr) > 2.0
     # dominant multiplier |lambda| = |tr|/2 + sqrt(tr^2/4 - 1) > 1

@@ -76,6 +76,11 @@ PRESETS = {
 
 _CSV_ROW_CAP = 10000
 
+# the run parameters of simulate and drift where neither preset nor flag sets
+# them; poincare adds its strobe points, and stability-scan has its own
+_RUN_DEFAULTS = {"z0": 0.1, "p0": 0.0, "tmax": 600.0, "escape": math.inf}
+_SCAN_DEFAULTS = {"dz0": 0.02, "tmax": 600.0, "escape": 50.0}
+
 
 def _preset(name: str) -> dict:
     if name not in PRESETS:
@@ -92,15 +97,15 @@ def _read_json(path: str) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _resolve_oscillator(args):
-    """Oscillator spec plus merged run parameters from preset/file/flags."""
+def _resolve_oscillator(args, defaults):
+    """Oscillator spec plus run parameters: ``defaults``, then the preset's, then the flags."""
     if args.preset and args.spec:
         raise ConfigError("give either --preset or --spec, not both")
     if getattr(args, "h", None) is not None and getattr(args, "rtol", None) is not None:
         raise ConfigError("give either --h (RK4) or --rtol (Dormand-Prince), not both")
-    params = {}
+    params = dict(defaults)
     if args.preset:
-        params = _preset(args.preset)
+        params.update(_preset(args.preset))
         if "omega" not in params:
             raise ConfigError(f"preset {args.preset!r} sets no single omega; "
                               "it is a stability-scan preset")
@@ -114,7 +119,7 @@ def _resolve_oscillator(args):
         v = getattr(args, key, None)
         if v is not None:
             params[key] = v
-    _require_finite(z0=params.get("z0", 0.0), p0=params.get("p0", 0.0))
+    _require_finite(**{key: params[key] for key in ("z0", "p0") if key in params})
     return spec, params
 
 
@@ -241,9 +246,7 @@ def _run_oscillator(spec, params, ylim, values):
     """
     h = _fixed_step(params, 1e-3)
     field = make_field(spec)
-    y0 = (params.get("z0", 0.1), params.get("p0", 0.0))
-    tmax = params.get("tmax", 600.0)
-    escape = params.get("escape", math.inf)
+    y0, tmax, escape = (params["z0"], params["p0"]), params["tmax"], params["escape"]
     if h is None:
         cfg = AdaptiveConfig(rtol=params["rtol"], atol=params.get("atol", 1e-12),
                              t_end=tmax, escape_bound=escape)
@@ -268,7 +271,7 @@ def _run_oscillator(spec, params, ylim, values):
 
 
 def cmd_simulate(args) -> Record:
-    spec, params = _resolve_oscillator(args)
+    spec, params = _resolve_oscillator(args, _RUN_DEFAULTS)
     status, stats, kept = _run_oscillator(spec, params, params.get("yrange"),
                                           lambda: lambda ts, ys: ys.T)
     t, z, p = (c[-1] for c in kept.table.cols)
@@ -278,7 +281,7 @@ def cmd_simulate(args) -> Record:
         "z_final": z,
         "p_final": p,
         "n_recorded": kept.table.n,
-        "z0": params.get("z0", 0.1), "p0": params.get("p0", 0.0),
+        "z0": params["z0"], "p0": params["p0"],
         "stats": stats,
     }
     return Record(
@@ -288,7 +291,7 @@ def cmd_simulate(args) -> Record:
 
 
 def cmd_drift(args) -> Record:
-    spec, params = _resolve_oscillator(args)
+    spec, params = _resolve_oscillator(args, _RUN_DEFAULTS)
     invariant_mod.build_coeffs(spec)  # a system without an invariant is refused before the run
     status, stats, kept = _run_oscillator(spec, params, (-1e-5, 1e-5),
                                           lambda: invariant_mod.DriftSeries(spec))
@@ -297,8 +300,7 @@ def cmd_drift(args) -> Record:
         "status": status,
         "mode": report.mode,
         "max_rel_drift": report.max_rel,
-        "i0": invariant_mod.eval_invariant(
-            spec, State(0.0, params.get("z0", 0.1), params.get("p0", 0.0))),
+        "i0": invariant_mod.eval_invariant(spec, State(0.0, params["z0"], params["p0"])),
         "n_recorded": kept.table.n,
         "stats": stats,
     }
@@ -309,10 +311,9 @@ def cmd_drift(args) -> Record:
 
 
 def cmd_poincare(args) -> Record:
-    spec, params = _resolve_oscillator(args)
-    z0 = params.get("z0", 0.1)
-    p0 = params.get("p0", 0.0)
-    n_points = int(params.get("points", 190))
+    spec, params = _resolve_oscillator(args, dict(_RUN_DEFAULTS, points=190))
+    z0, p0 = params["z0"], params["p0"]
+    n_points = int(params["points"])
     if n_points < 1:
         raise ConfigError(f"need at least one strobe point, got {n_points}")
     h = _fixed_step(params, None)
@@ -323,7 +324,7 @@ def cmd_poincare(args) -> Record:
     t_step = math.pi / spec.omega
     strobe = sample_strobe(
         field, (z0, p0), t_step, n_points - 1,
-        escape_bound=params.get("escape", math.inf),
+        escape_bound=params["escape"],
         h=h,
         rtol=params.get("rtol", 1e-10),
         atol=params.get("atol", 1e-12),
@@ -375,10 +376,10 @@ def _parse_omegas(text: str):
 def cmd_scan(args) -> Record:
     if args.preset and not args.spec:
         # a scan preset names the trig family; omega comes from its grid
-        params = _preset(args.preset)
+        params = dict(_SCAN_DEFAULTS, **_preset(args.preset))
         A, B, C = params["A"], params["B"], params["C"]
     else:
-        spec, params = _resolve_oscillator(args)
+        spec, params = _resolve_oscillator(args, _SCAN_DEFAULTS)
         stability_mod._require_m2_trig(spec)
         A, B, C = spec.g_source.A, spec.g_source.B, spec.g_source.C
     omegas = params.get("omegas", ())
@@ -386,9 +387,9 @@ def cmd_scan(args) -> Record:
         omegas = _parse_omegas(args.omegas)
     if not omegas:
         raise ConfigError("no omega values: pass --omegas a:b:step")
-    dz0 = args.dz0 if args.dz0 is not None else params.get("dz0", 0.02)
-    tmax = args.tmax if args.tmax is not None else params.get("tmax", 600.0)
-    escape = args.escape if args.escape is not None else params.get("escape", 50.0)
+    dz0 = args.dz0 if args.dz0 is not None else params["dz0"]
+    tmax = args.tmax if args.tmax is not None else params["tmax"]
+    escape = args.escape if args.escape is not None else params["escape"]
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
 

@@ -26,12 +26,13 @@ integrator, with the field (and the error norm) inlined on its (z, p)
 state, bit-identical to the generic path that every other field takes
 (z^m is z * z for m = 2 and ``model.int_pow`` for any other m);
 a PowerForm with any other state is refused with ValueError.  The
-fused Dormand-Prince path (``_dp_power_march``) runs the whole march,
-stops, step control and trial steps, in one loop; the tests check its
-states, counts, statuses and errors bit for bit against the generic
-loop.  The fused RK4 path runs every chunk of steps whose g the form
-evaluates on the grid, and the generic loop runs the rest
-(``integrate_fixed``).  A nonfinite initial state raises
+fused Dormand-Prince path is the inline trial step of the one march of
+``integrate_adaptive``, checked against ``_dp_checked_attempt``: stops
+and step control are written once, and only the trial step branches;
+the tests check its states, counts, statuses and errors bit for bit
+against the generic step.  The fused RK4 path runs every chunk of steps
+whose g the form evaluates on the grid, and the generic loop runs the
+rest (``integrate_fixed``).  A nonfinite initial state raises
 NonfiniteStateError before the first step.
 
 Escape past a caller-supplied bound is an expected outcome in stability
@@ -451,108 +452,6 @@ def _dp_checked_attempt(field, t, y, h, f1, atol, rtol):
     return y_new, f7, math.sqrt(err / len(y))
 
 
-def _dp_power_march(form, y, cfg: AdaptiveConfig, stops, at_stop, rec) -> Trajectory:
-    """``integrate_adaptive`` on (z, p) for a ``model.PowerForm`` field, in one loop.
-
-    The trial step, the field (p, -w2 z - g(t) z^m) and the error norm
-    are inlined in the operation order of ``_dp_attempt``, the field and
-    ``_dp_checked_attempt``, the step control in that of the generic
-    loop, so states, counts, statuses and raised errors are bit-identical
-    to its.  g is called once at the start and once per stage time
-    (stages 6 and 7 share t + h).  ai and bi are the z' and p' of stage
-    i; as z' is p, a1 is p itself.
-    """
-    nw2, g, m = -form.w2, form.g, form.m
-    square = m == 2
-    isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
-    t_end, rtol, atol, h_min = cfg.t_end, cfg.rtol, cfg.atol, cfg.h_min
-    bound = cfg.escape_bound
-    escapable = bound < inf  # an accepted state is finite, so never beyond inf
-    record = rec.record
-    if record:
-        push_t, push_y = rec.ts.append, rec.buf.extend
-    status = "completed"
-    n_acc = n_rej = 0
-    t = cfg.t_start
-    h = min(cfg.h_init, t_end - t)
-    z, p = y
-    try:
-        zm = z * z if square else int_pow(z, m)
-        b1 = nw2 * z - g(t) * zm
-        for stop in stops:
-            while t < stop:
-                clipped = t + h >= stop
-                if clipped:
-                    h_att, t_next = stop - t, stop
-                else:
-                    h_att, t_next = h, t + h
-                z2 = z + h_att * (_A21 * p)
-                a2 = p + h_att * (_A21 * b1)
-                zm = z2 * z2 if square else int_pow(z2, m)
-                b2 = nw2 * z2 - g(t + _C2 * h_att) * zm
-                z3 = z + h_att * (_A31 * p + _A32 * a2)
-                a3 = p + h_att * (_A31 * b1 + _A32 * b2)
-                zm = z3 * z3 if square else int_pow(z3, m)
-                b3 = nw2 * z3 - g(t + _C3 * h_att) * zm
-                z4 = z + h_att * (_A41 * p + _A42 * a2 + _A43 * a3)
-                a4 = p + h_att * (_A41 * b1 + _A42 * b2 + _A43 * b3)
-                zm = z4 * z4 if square else int_pow(z4, m)
-                b4 = nw2 * z4 - g(t + _C4 * h_att) * zm
-                z5 = z + h_att * (_A51 * p + _A52 * a2 + _A53 * a3 + _A54 * a4)
-                a5 = p + h_att * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
-                zm = z5 * z5 if square else int_pow(z5, m)
-                b5 = nw2 * z5 - g(t + _C5 * h_att) * zm
-                z6 = z + h_att * (_A61 * p + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
-                a6 = p + h_att * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
-                zm = z6 * z6 if square else int_pow(z6, m)
-                g6 = g(t + h_att)
-                b6 = nw2 * z6 - g6 * zm
-                zn = z + h_att * (_B1 * p + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
-                pn = p + h_att * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)
-                zm = zn * zn if square else int_pow(zn, m)
-                b7 = nw2 * zn - g6 * zm
-                ez = h_att * (_E1 * p + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * pn)
-                ep = h_att * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * b7)
-                if isfinite(zn) and isfinite(ez) and isfinite(pn) and isfinite(ep):
-                    # max(|y|, |y_new|) and the min/max clamp below as chained comparisons
-                    rz = ez / (atol + rtol * (abs(zn) if abs(zn) > abs(z) else abs(z)))
-                    rp = ep / (atol + rtol * (abs(pn) if abs(pn) > abs(p) else abs(p)))
-                    err = sqrt((rz * rz + rp * rp) / 2)
-                else:
-                    err = inf
-                fac = _SAFETY * err ** -0.2 if err else _FAC_MAX
-                fac = _FAC_MIN if not fac > _FAC_MIN else fac if fac < _FAC_MAX else _FAC_MAX
-                if err <= 1.0:
-                    t, z, p, b1 = t_next, zn, pn, b7
-                    n_acc += 1
-                    if n_acc > _MAX_FIXED_STEPS:
-                        raise StepBudgetError(f"more than {_MAX_FIXED_STEPS} accepted steps "
-                                              f"before t_end={t_end}, at t={t}")
-                    if record:
-                        push_t(t)
-                        push_y((z, p))
-                    if escapable and (abs(z) > bound or abs(p) > bound):
-                        status = "escaped"
-                        break
-                    h_new = h_att * fac
-                    h_new = h_min if h_min > h_new else h_new
-                    # after a clip, h is still the step proposed before it
-                    h = h if clipped and h > h_new else h_new
-                else:
-                    n_rej += 1
-                    h = h_att * fac
-                    if h < h_min:
-                        raise StepUnderflowError(f"required step {h:.3e} < h_min {h_min:.3e} "
-                                                 f"at t={t}")
-            if status != "completed":
-                break
-            if at_stop is not None:
-                at_stop(t, (z, p))
-    except CoefficientSingularError:
-        status = "coefficient_singular"
-    return rec.build(status, t, (z, p), n_accepted=n_acc, n_rejected=n_rej)
-
-
 def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None) -> Trajectory:
     """Dormand-Prince 5(4) with error-per-step control, marching through exact stops.
 
@@ -561,10 +460,17 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     0.9*err^(-1/5) is clamped to [0.2, 5].  A trial step with nonfinite
     result is treated as rejected.  StepUnderflowError signals that the
     controller was forced below h_min on a rejection, and StepBudgetError
-    that the run took more than _MAX_FIXED_STEPS accepted steps.  The
-    loop below, which tries each step with ``_dp_checked_attempt``, is
-    the definition; the fused path (see the module docstring) runs the
-    whole march in ``_dp_power_march``, bit for bit as this loop would.
+    that the run took more than _MAX_FIXED_STEPS accepted steps.
+
+    One loop runs the march; only its trial step branches.  A field that
+    is not a ``model.PowerForm`` is tried by ``_dp_checked_attempt``, the
+    definition; a PowerForm is tried by the fused step inlined below:
+    the stages, the field (p, -w2 z - g(t) z^m) and the error norm in
+    the operation order of ``_dp_attempt``, the field and
+    ``_dp_checked_attempt``, with g called once per stage time (stages 6
+    and 7 share t + h), so its states, counts, statuses and errors are
+    bit-identical to the definition's.  On that path f1 and f7 hold only
+    p' (z' is p), and ai and bi are the z' and p' of stages 2 to 6.
 
     ``stops`` (default: t_end alone) are strictly ascending times in
     (t_start, t_end], the last one t_end.  A step that would pass the
@@ -577,20 +483,24 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     """
     stops, y, rec, form = _start(field, y0, cfg, stops)
     if form is not None:
-        return _dp_power_march(form, y, cfg, stops, at_stop, rec)
-    t0, t_end = cfg.t_start, cfg.t_end
-    rtol, atol, h_min = cfg.rtol, cfg.atol, cfg.h_min
+        nw2, g, m = -form.w2, form.g, form.m
+        square = m == 2
+    isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
+    t_end, rtol, atol, h_min = cfg.t_end, cfg.rtol, cfg.atol, cfg.h_min
     bound = cfg.escape_bound
-    escapable = bound < math.inf  # an accepted state is finite, so never beyond inf
-
-    status = "completed"
-    n_acc = 0
-    n_rej = 0
+    escapable = bound < inf  # an accepted state is finite, so never beyond inf
     budget = _MAX_FIXED_STEPS
-    t = t0
-    h = min(cfg.h_init, t_end - t0)
+    record = rec.record
+    if record:
+        push_t, push_y = rec.ts.append, rec.buf.extend
+    status = "completed"
+    n_acc = n_rej = 0
+    t = cfg.t_start
+    h = min(cfg.h_init, t_end - t)
     try:
         f1 = field(t, y)
+        if form is not None:
+            f1 = f1[1]
         for stop in stops:
             while t < stop:
                 clipped = t + h >= stop
@@ -598,22 +508,68 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
                     h_att, t_next = stop - t, stop
                 else:
                     h_att, t_next = h, t + h
-                y_new, f7, err = _dp_checked_attempt(field, t, y, h_att, f1, atol, rtol)
-                # err = 0 gives the factor _FAC_MAX, err = inf gives _FAC_MIN
-                fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2)) if err else _FAC_MAX
+                if form is None:
+                    y_new, f7, err = _dp_checked_attempt(field, t, y, h_att, f1, atol, rtol)
+                else:
+                    z, p = y
+                    z2 = z + h_att * (_A21 * p)
+                    a2 = p + h_att * (_A21 * f1)
+                    zm = z2 * z2 if square else int_pow(z2, m)
+                    b2 = nw2 * z2 - g(t + _C2 * h_att) * zm
+                    z3 = z + h_att * (_A31 * p + _A32 * a2)
+                    a3 = p + h_att * (_A31 * f1 + _A32 * b2)
+                    zm = z3 * z3 if square else int_pow(z3, m)
+                    b3 = nw2 * z3 - g(t + _C3 * h_att) * zm
+                    z4 = z + h_att * (_A41 * p + _A42 * a2 + _A43 * a3)
+                    a4 = p + h_att * (_A41 * f1 + _A42 * b2 + _A43 * b3)
+                    zm = z4 * z4 if square else int_pow(z4, m)
+                    b4 = nw2 * z4 - g(t + _C4 * h_att) * zm
+                    z5 = z + h_att * (_A51 * p + _A52 * a2 + _A53 * a3 + _A54 * a4)
+                    a5 = p + h_att * (_A51 * f1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
+                    zm = z5 * z5 if square else int_pow(z5, m)
+                    b5 = nw2 * z5 - g(t + _C5 * h_att) * zm
+                    z6 = z + h_att * (_A61 * p + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+                    a6 = p + h_att * (_A61 * f1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
+                    zm = z6 * z6 if square else int_pow(z6, m)
+                    g6 = g(t + h_att)
+                    b6 = nw2 * z6 - g6 * zm
+                    zn = z + h_att * (_B1 * p + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
+                    pn = p + h_att * (_B1 * f1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)
+                    zm = zn * zn if square else int_pow(zn, m)
+                    f7 = nw2 * zn - g6 * zm
+                    ez = h_att * (_E1 * p + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * pn)
+                    ep = h_att * (_E1 * f1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * f7)
+                    y_new = (zn, pn)
+                    if isfinite(zn) and isfinite(ez) and isfinite(pn) and isfinite(ep):
+                        # max(|y|, |y_new|) as chained comparisons
+                        rz = ez / (atol + rtol * (abs(zn) if abs(zn) > abs(z) else abs(z)))
+                        rp = ep / (atol + rtol * (abs(pn) if abs(pn) > abs(p) else abs(p)))
+                        err = sqrt((rz * rz + rp * rp) / 2)
+                    else:
+                        err = inf
+                # err = 0 gives the factor _FAC_MAX, err = inf gives _FAC_MIN; the
+                # clamp, the floor and the carry-over below are min and max as comparisons
+                fac = _SAFETY * err ** -0.2 if err else _FAC_MAX
+                fac = _FAC_MIN if not fac > _FAC_MIN else fac if fac < _FAC_MAX else _FAC_MAX
                 if err <= 1.0:
                     t, y, f1 = t_next, y_new, f7
                     n_acc += 1
                     if n_acc > budget:
                         raise StepBudgetError(f"more than {budget} accepted steps before "
                                               f"t_end={t_end}, at t={t}")
-                    rec.push(t, y)
-                    if escapable and _escaped(y, bound):
-                        status = "escaped"
-                        break
-                    h_new = max(h_att * fac, h_min)
+                    if record:
+                        push_t(t)
+                        push_y(y)
+                    if escapable:  # _escaped inline: a call per step costs more than the test
+                        for v in y:
+                            if abs(v) > bound:
+                                status = "escaped"
+                        if status != "completed":
+                            break
+                    h_new = h_att * fac
+                    h_new = h_min if h_min > h_new else h_new
                     # after a clip, h is still the step proposed before it
-                    h = max(h_new, h) if clipped else h_new
+                    h = h if clipped and h > h_new else h_new
                 else:
                     n_rej += 1
                     h = h_att * fac

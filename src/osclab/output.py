@@ -26,10 +26,10 @@ def fmt_float(x) -> str:
 
 
 def write_csv(path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(map(fmt_float, row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the header, then each row as it is formatted: no text of the whole table."""
+    with Path(path).open("w") as f:
+        f.write(header + "\n")
+        f.writelines(",".join(map(fmt_float, row)) + "\n" for row in rows)
 
 
 def write_json(path, obj) -> None:

@@ -525,7 +525,8 @@ def test_stability_scan_spec_matches_preset(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(["stability-scan", "--preset", "fig3", "--out", str(a)] + args) == 0
     assert run(["stability-scan", "--spec", str(spec), "--out", str(b)] + args) == 0
-    assert (a / "scan.csv").read_bytes() == (b / "scan.csv").read_bytes()
+    for name in ("scan.csv", "summary.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -1033,9 +1034,9 @@ def _record_path(argv, out):
     writing to out: the integrator's Trajectory, the whole-array drift series, then
     ``_stride_rows`` and ``svg_plot`` of whole arrays."""
     args = cli.build_parser().parse_args([*argv, "--out", str(out)])
-    spec, params = cli._resolve_oscillator(args)
-    y0 = (params.get("z0", 0.1), params.get("p0", 0.0))
-    span = dict(t_end=params.get("tmax", 600.0), escape_bound=params.get("escape", math.inf))
+    spec, params = cli._resolve_oscillator(args, cli._RUN_DEFAULTS)
+    y0 = (params["z0"], params["p0"])
+    span = dict(t_end=params["tmax"], escape_bound=params["escape"])
     field = cli.make_field(spec)
     if params.get("rtol") is None:
         traj = integrate_fixed(field, y0, FixedStepConfig(h=params.get("h", 1e-3), **span))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from osclab import integrate
 from osclab.errors import (CoefficientSingularError, NonfiniteStateError, StepBudgetError,
                            StepUnderflowError)
+from osclab.family import FiveParamSpec, make_augmented_field
 from osclab.integrate import (
     _FAC_MAX,
     _FAC_MIN,
@@ -55,8 +56,11 @@ def test_fixed_step_harmonic_period():
     assert abs(traj.ys[-1][1]) < 1e-10
 
 
-def test_fixed_step_order_four():
-    # halving h must shrink the endpoint error by about 2^4
+def test_fixed_step_order_four(step_cap):
+    # halving h must shrink the endpoint error by about 2^4.  The adaptive
+    # reference takes 1383 accepted steps and the smallest h 5000; the cap
+    # ends a broken Dormand-Prince step, whose steps shrink, in seconds
+    step_cap(5000)
     spec = trig_spec(1.3, 0.9, 0.0, 1.0, 2)
     field = make_field(spec)
     ref = integrate_adaptive(field, (0.35, 0.0),
@@ -381,6 +385,20 @@ def test_single_stop_march_underflows_like_single_run():
     for run in (_adaptive_single_run, integrate_adaptive):
         with pytest.raises(StepUnderflowError):
             run(field, (1.0, 0.0), cfg)
+
+
+def test_a_rejection_onto_h_min_goes_on():
+    # the first trial (h = 1) meets g = inf, so its err is inf and the next h is
+    # 0.2 * 1.0, exactly h_min: that is allowed, and only the rejection after the
+    # accepted step to t = 0.2 falls below h_min
+    form = PowerForm(1.0, 2, lambda t: 1.0 if t < 0.5 else math.inf, None)
+    cfg = AdaptiveConfig(rtol=1e-3, t_end=1.0, h_init=1.0, h_min=0.2)
+    msgs = []
+    for field in (form, lambda t, y: form(t, y)):
+        with pytest.raises(StepUnderflowError) as exc:
+            integrate_adaptive(field, (1.0, 0.0), cfg)
+        msgs.append(str(exc.value))
+    assert msgs[0] == msgs[1] and msgs[0].endswith(" < h_min 2.000e-01 at t=0.2")
 
 
 @pytest.mark.parametrize("stops", [[], [0.5, 0.4, 1.0], [0.5, 0.5, 1.0], [0.0, 1.0], [0.5],
@@ -1331,6 +1349,67 @@ def test_adaptive_march_through_stops_matches_flat_reference(
     step_cap(ref.n_accepted)
     got = integrate_adaptive(field, (z0, p0), cfg, stops=stops,
                              at_stop=lambda t, y: got_seen.append((t, y)))
+    assert np.array_equal(got.ts, ref.ts)
+    assert np.array_equal(got.ys, ref.ys)
+    assert (got.status, got.n_accepted, got.n_rejected) == (
+        ref.status, ref.n_accepted, ref.n_rejected)
+    assert got_seen == ref_seen
+
+
+@example(omega=1.0, C1=0.05, C2=0.0, a2=2.2, a2p=0.0, a2pp=-3.6, z0=1.5, p0=0.0,  # escapes
+         rtol=1e-9, t_start=0.0, span=8.0, h_init=0.01, escape=5.0, cuts=[0.25, 0.5, 0.75],
+         record=True)  # on z, near t = 3.02, after its first stop
+@example(omega=1.0, C1=0.05, C2=0.0, a2=2.2, a2p=0.0, a2pp=-3.6, z0=-3.0, p0=-3.0,  # escapes
+         rtol=1e-9, t_start=0.0, span=8.0, h_init=0.01, escape=10.0, cuts=[0.1, 0.5],
+         record=False)  # on p alone, near t = 1.06, after its first stop
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    omega=st.floats(0.5, 1.5),
+    C1=st.floats(-0.3, 0.3),
+    C2=st.floats(-0.3, 0.3),
+    a2=st.floats(1.0, 3.0),
+    a2p=st.floats(-0.5, 0.5),
+    a2pp=st.floats(-4.0, 4.0),
+    z0=st.floats(-3.0, 3.0),
+    p0=st.floats(-3.0, 3.0),
+    rtol=st.floats(1e-10, 1e-6),
+    t_start=st.floats(-5.0, 5.0),
+    span=st.floats(0.1, 10.0),
+    h_init=st.floats(1e-4, 10.0),
+    escape=st.floats(3.0, 1e3),
+    cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=8),
+    record=st.booleans(),
+)
+def test_five_component_march_through_stops_matches_flat_reference(
+        omega, C1, C2, a2, a2p, a2pp, z0, p0, rtol, t_start, span, h_init, escape, cuts, record,
+        step_cap):
+    # the generic trial step on more than (z, p): the five-parameter family's
+    # joint state.  About a quarter of these runs escape (the bound covers the
+    # alpha2 components too) and a few meet alpha2 <= EPS_POS.  Sampled runs
+    # take at most a few hundred trial steps; the cap holds where the reference
+    # underflows, else the run is capped at the reference's steps
+    step_cap(20_000)
+    field = make_augmented_field(FiveParamSpec(omega, C1, C2, a2, a2p, a2pp))
+    y0 = (z0, p0, a2, a2p, a2pp)
+    t_end = t_start + span
+    stops = sorted({t_start + c * span for c in cuts} - {t_start, t_end}) + [t_end]
+    cfg = AdaptiveConfig(rtol=rtol, h_init=h_init, t_start=t_start, t_end=t_end,
+                         escape_bound=escape, record=record)
+    ref_seen, got_seen = [], []
+    try:
+        ref = _adaptive_march_reference(field, y0, cfg, stops,
+                                         lambda t, y: ref_seen.append((t, y)))
+    except StepUnderflowError:
+        with pytest.raises(StepUnderflowError):
+            integrate_adaptive(field, y0, cfg, stops=stops,
+                               at_stop=lambda t, y: got_seen.append((t, y)))
+        assert got_seen == ref_seen
+        return
+    step_cap(ref.n_accepted)
+    got = integrate_adaptive(field, y0, cfg, stops=stops,
+                             at_stop=lambda t, y: got_seen.append((t, y)))
+    assert got.ys.shape == ref.ys.shape and got.ys.shape[1] == 5
     assert np.array_equal(got.ts, ref.ts)
     assert np.array_equal(got.ys, ref.ys)
     assert (got.status, got.n_accepted, got.n_rejected) == (

@@ -77,15 +77,9 @@ PRESETS = {
 _CSV_ROW_CAP = 10000
 
 # the run parameters of simulate and drift where neither preset nor flag sets
-# them; poincare adds its strobe points, and stability-scan has its own
+# them; poincare adds its strobe points, family runs to 100, stability-scan has its own
 _RUN_DEFAULTS = {"z0": 0.1, "p0": 0.0, "tmax": 600.0, "escape": math.inf}
 _SCAN_DEFAULTS = {"dz0": 0.02, "tmax": 600.0, "escape": 50.0}
-
-
-def _preset(name: str) -> dict:
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    return dict(PRESETS[name])
 
 
 def _read_json(path: str) -> dict:
@@ -97,15 +91,36 @@ def _read_json(path: str) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _resolve_oscillator(args, defaults):
-    """Oscillator spec plus run parameters: ``defaults``, then the preset's, then the flags."""
-    if args.preset and args.spec:
+def _resolve(args, defaults):
+    """A run's parameters: ``defaults``, then the preset's, then the flags that are set.
+
+    Refuses --preset with --spec, --h with --rtol, and a z0 or p0 that is not finite.
+    """
+    preset = getattr(args, "preset", None)
+    if preset and args.spec:
         raise ConfigError("give either --preset or --spec, not both")
     if getattr(args, "h", None) is not None and getattr(args, "rtol", None) is not None:
         raise ConfigError("give either --h (RK4) or --rtol (Dormand-Prince), not both")
     params = dict(defaults)
+    if preset:
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; "
+                              f"available: {', '.join(sorted(PRESETS))}")
+        params.update(PRESETS[preset])
+    for key in ("z0", "p0", "h", "rtol", "atol", "tmax", "escape", "points", "dz0"):
+        v = getattr(args, key, None)
+        if v is not None:
+            params[key] = v
+    for key in ("z0", "p0"):
+        if not math.isfinite(params.get(key, 0.0)):
+            raise ConfigError(f"{key} must be finite, got {params[key]}")
+    return params
+
+
+def _resolve_oscillator(args, defaults):
+    """Oscillator spec of the preset or the --spec file, plus ``_resolve``'s parameters."""
+    params = _resolve(args, defaults)
     if args.preset:
-        params.update(_preset(args.preset))
         if "omega" not in params:
             raise ConfigError(f"preset {args.preset!r} sets no single omega; "
                               "it is a stability-scan preset")
@@ -115,18 +130,7 @@ def _resolve_oscillator(args, defaults):
         spec = spec_from_json(_read_json(args.spec))
     else:
         raise ConfigError("a system is required: --preset <name> or --spec <file.json>")
-    for key in ("z0", "p0", "h", "rtol", "atol", "tmax", "escape", "points"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = v
-    _require_finite(**{key: params[key] for key in ("z0", "p0") if key in params})
     return spec, params
-
-
-def _require_finite(**values):
-    for key, v in values.items():
-        if not math.isfinite(v):
-            raise ConfigError(f"{key} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -179,14 +183,21 @@ def _stats(integrator: str, run, runs: int = 1) -> dict:
             "field_evals": evals}
 
 
-def _fixed_step(params, default_h):
-    """A run's RK4 step (``default_h`` unless set), or None for Dormand-Prince, which
-    ``--rtol`` selects over a preset's h; ``--atol``, which RK4 would not read, is refused."""
-    h = params.get("h", default_h) if params.get("rtol") is None else None
-    if h is not None and "atol" in params:
+def _method(params, default_h):
+    """(integrator name, its settings that are set) of a run.
+
+    Dormand-Prince runs where rtol is set or neither h nor ``default_h`` is; it takes
+    whichever of rtol and atol are set, so an unset one is the library's default.  Else
+    RK4 takes ``{"h": h}``, h defaulting to ``default_h``; ``--atol``, which RK4 would not
+    read, is refused.
+    """
+    h = params.get("h", default_h) if "rtol" not in params else None
+    if h is None:
+        return DP54.name, {key: params[key] for key in ("rtol", "atol") if key in params}
+    if "atol" in params:
         raise ConfigError("--atol applies to an adaptive run only; this run is RK4 "
                           "(give --rtol to run Dormand-Prince)")
-    return h
+    return "rk4", {"h": h}
 
 
 class _Kept:
@@ -237,37 +248,38 @@ class _Kept:
 
 
 def _run_oscillator(spec, params, ylim, values):
-    """(status, stats, ``_Kept`` of ``values()``) of a run, RK4 or as ``_fixed_step`` says.
+    """(status, stats, ``_Kept`` of ``values()``) of a run, RK4 or as ``_method`` says.
 
     An RK4 run with a ``ylim`` streams into ``_Kept``: its length and t-span, which fix the
-    stride and the frame, are known before it starts, and one that ends early runs again
-    knowing them (it is deterministic).  Any other run (or one that twice missed its frame)
-    keeps its record and feeds it after; with no ``ylim`` the y-range is its z's.
+    stride and the frame, are known before it starts, and one that ends early runs once
+    more knowing them (it is deterministic, so that run ends where the first did).  Any
+    other run keeps its record and feeds it after; with no ``ylim`` the y-range is its z's.
     """
-    h = _fixed_step(params, 1e-3)
+    name, settings = _method(params, 1e-3)
     field = make_field(spec)
-    y0, tmax, escape = (params["z0"], params["p0"]), params["tmax"], params["escape"]
-    if h is None:
-        cfg = AdaptiveConfig(rtol=params["rtol"], atol=params.get("atol", 1e-12),
-                             t_end=tmax, escape_bound=escape)
-        run = integrate_adaptive(field, y0, cfg)
+    y0 = (params["z0"], params["p0"])
+    kw = dict(settings, t_end=params["tmax"], escape_bound=params["escape"])
+    if name == DP54.name:
+        run = integrate_adaptive(field, y0, AdaptiveConfig(**kw))
+    elif ylim is None:
+        run = integrate_fixed(field, y0, FixedStepConfig(**kw))
     else:
-        cfg = FixedStepConfig(h=h, t_end=tmax, escape_bound=escape)
-        n_full, rem = _interval_steps(cfg.t_start, tmax, h)
-        n, t_end = n_full + (rem > 0.0) + 1, tmax
-        for _ in range(0 if ylim is None else 2):
+        cfg = FixedStepConfig(**kw)
+        n_full, rem = _interval_steps(cfg.t_start, cfg.t_end, cfg.h)
+        n, t_end = n_full + (rem > 0.0) + 1, cfg.t_end
+        for _ in range(2):
             kept = _Kept(n, np.array((cfg.t_start, t_end)), (), ylim, values())
             kept.push(cfg.t_start, y0)
             run = integrate_fixed(field, y0, cfg, sink=kept)
             if (run.n_accepted + 1, run.t) == (n, t_end):
-                return run.status, _stats("rk4", run), kept
+                break
             n, t_end = run.n_accepted + 1, run.t
-        run = integrate_fixed(field, y0, cfg)
+        return run.status, _stats(name, run), kept
     kept = _Kept(len(run), run.ts, run.z, ylim, values())
     chunk = invariant_mod._SERIES_CHUNK
     for i in range(0, len(run), chunk):
         kept.feed(run.ts[i:i + chunk], run.ys[i:i + chunk])
-    return run.status, _stats(DP54.name if h is None else "rk4", run), kept
+    return run.status, _stats(name, run), kept
 
 
 def cmd_simulate(args) -> Record:
@@ -316,19 +328,14 @@ def cmd_poincare(args) -> Record:
     n_points = int(params["points"])
     if n_points < 1:
         raise ConfigError(f"need at least one strobe point, got {n_points}")
-    h = _fixed_step(params, None)
+    name, settings = _method(params, None)
     i0 = invariant_mod.eval_invariant(spec, State(0.0, z0, p0))
     curve = poincare_mod.section_curve(spec, i0)
 
     field = make_field(spec)
     t_step = math.pi / spec.omega
-    strobe = sample_strobe(
-        field, (z0, p0), t_step, n_points - 1,
-        escape_bound=params["escape"],
-        h=h,
-        rtol=params.get("rtol", 1e-10),
-        atol=params.get("atol", 1e-12),
-    )
+    strobe = sample_strobe(field, (z0, p0), t_step, n_points - 1,
+                           escape_bound=params["escape"], **settings)
     residual = poincare_mod.section_residual(strobe.states, curve)
     loop = poincare_mod.curve_loop(curve, 400, z_hint=z0)
     closed = loop + loop[:1]  # an empty loop draws nothing
@@ -344,7 +351,7 @@ def cmd_poincare(args) -> Record:
             [None if math.isinf(lo) else lo, None if math.isinf(hi) else hi]
             for lo, hi in curve.admissible
         ],
-        "stats": _stats(DP54.name if h is None else "rk4", strobe, runs=int(n_points > 1)),
+        "stats": _stats(name, strobe, runs=int(n_points > 1)),
     }
     return Record(
         summary, f"poincare: points={len(strobe.states)} residual_max={residual:.6e} "
@@ -374,26 +381,22 @@ def _parse_omegas(text: str):
 
 
 def cmd_scan(args) -> Record:
-    if args.preset and not args.spec:
+    if args.preset:
         # a scan preset names the trig family; omega comes from its grid
-        params = dict(_SCAN_DEFAULTS, **_preset(args.preset))
+        params = _resolve(args, _SCAN_DEFAULTS)
         A, B, C = params["A"], params["B"], params["C"]
     else:
         spec, params = _resolve_oscillator(args, _SCAN_DEFAULTS)
         stability_mod._require_m2_trig(spec)
         A, B, C = spec.g_source.A, spec.g_source.B, spec.g_source.C
-    omegas = params.get("omegas", ())
-    if args.omegas:
-        omegas = _parse_omegas(args.omegas)
+    omegas = _parse_omegas(args.omegas) if args.omegas else params.get("omegas", ())
     if not omegas:
         raise ConfigError("no omega values: pass --omegas a:b:step")
-    dz0 = args.dz0 if args.dz0 is not None else params["dz0"]
-    tmax = args.tmax if args.tmax is not None else params["tmax"]
-    escape = args.escape if args.escape is not None else params["escape"]
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
 
-    result = stability_mod.scan(A, B, C, omegas, dz0=dz0, t_max=tmax, z_escape=escape)
+    result = stability_mod.scan(A, B, C, omegas, dz0=params["dz0"], t_max=params["tmax"],
+                                z_escape=params["escape"])
     rows = result.rows
     R = math.hypot(B, C)
     lo, hi = min(omegas), max(omegas)
@@ -405,7 +408,7 @@ def cmd_scan(args) -> Record:
             for r in rows
         ],
         "all_agree": all(r.agrees for r in rows),
-        "dz0": dz0,
+        "dz0": params["dz0"],
         "integrator": stability_mod.SCAN_PAIR.name,
         "cells": [{k: getattr(r, k) for k in ("omega", "cells", "escaped", "step_underflow",
                    "coefficient_singular", "accepted", "rejected", "field_evals")} for r in rows],
@@ -436,18 +439,16 @@ def cmd_crit(args) -> Record:
 
 def cmd_family(args) -> Record:
     fp = family_mod.fiveparam_from_json(_read_json(args.spec))
-    _require_finite(z0=args.z0, p0=args.p0)
+    params = _resolve(args, dict(_RUN_DEFAULTS, tmax=100.0))
+    name, settings = _method(params, None)
     traj, report = family_mod.integrate_family(
-        fp, args.z0, args.p0, args.tmax,
-        rtol=args.rtol, atol=args.atol,
-        escape_bound=args.escape if args.escape is not None else math.inf,
-    )
+        fp, params["z0"], params["p0"], params["tmax"], escape_bound=params["escape"], **settings)
     summary = {
         "status": traj.status,
         "mode": report.mode,
         "max_rel_drift": report.max_rel,
         "n_recorded": len(traj),
-        "stats": _stats(DP54.name, traj),
+        "stats": _stats(name, traj),
     }
     return Record(
         summary, f"family: status={traj.status} drift mode={report.mode} "
@@ -549,7 +550,6 @@ def _add_system(p):
     p.add_argument("--h", type=float, help="fixed step size (default 1e-3)")
     p.add_argument("--rtol", type=float, help="use the adaptive integrator at this rtol")
     p.add_argument("--atol", type=float, help="adaptive absolute tolerance")
-    p.add_argument("--tmax", type=float, help="integration horizon")
     p.add_argument("--escape", type=float, help="escape bound on |z|, |p|")
 
 
@@ -561,15 +561,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="integrate one system")
-    _add_system(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("drift", help="invariant drift along a run")
-    _add_system(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_drift)
+    for name, handler, text in (("simulate", cmd_simulate, "integrate one system"),
+                                ("drift", cmd_drift, "invariant drift along a run")):
+        p = sub.add_parser(name, help=text)
+        _add_system(p)
+        p.add_argument("--tmax", type=float, help="integration horizon")
+        _add_common(p)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("poincare", help="stroboscopic section and curve")
     _add_system(p)
@@ -599,12 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="five-parameter family run with drift")
     p.add_argument("--spec", required=True, help="five-parameter spec JSON file")
-    p.add_argument("--z0", type=float, default=0.1)
-    p.add_argument("--p0", type=float, default=0.0)
-    p.add_argument("--tmax", type=float, default=100.0)
-    p.add_argument("--rtol", type=float, default=1e-12)
-    p.add_argument("--atol", type=float, default=1e-12)
-    p.add_argument("--escape", type=float)
+    for flag in ("--z0", "--p0", "--tmax", "--rtol", "--atol", "--escape"):
+        p.add_argument(flag, type=float)
     _add_common(p)
     p.set_defaults(handler=cmd_family)
 

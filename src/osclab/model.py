@@ -73,11 +73,6 @@ class TrigAlpha:
         """Oscillation amplitude sqrt(B^2 + C^2) of alpha2 about A."""
         return math.hypot(self.B, self.C)
 
-    @property
-    def phi(self) -> float:
-        """Phase of the (B, C) pair, alpha2 = A + R cos(2 omega t - phi)."""
-        return math.atan2(self.C, self.B)
-
 
 @dataclass(frozen=True)
 class Sampled:
@@ -184,9 +179,6 @@ class Trajectory:
     @property
     def p(self) -> np.ndarray:
         return self.ys[:, 1]
-
-    def state(self, i: int) -> State:
-        return State(float(self.ts[i]), float(self.ys[i, 0]), float(self.ys[i, 1]))
 
 
 def int_pow(z, m: int):

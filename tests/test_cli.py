@@ -529,6 +529,27 @@ def test_stability_scan_spec_matches_preset(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("flags,want", [
+    ([], {"dz0": 0.02, "t_max": 600.0, "z_escape": 50.0}),
+    (["--dz0", "0.1", "--tmax", "5", "--escape", "20"], {"dz0": 0.1, "t_max": 5.0,
+                                                         "z_escape": 20.0}),
+], ids=["defaults", "flags"])
+def test_stability_scan_preset_and_spec_resolve_alike(tmp_path, monkeypatch, flags, want):
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return cli.stability_mod.ScanResult((), ())
+
+    monkeypatch.setattr(cli.stability_mod, "scan", recorded)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"omega": 1.0, "m": 2, "g": _TRIG}))
+    for name, system in (("a", ["--preset", "fig3"]), ("b", ["--spec", str(spec)])):
+        assert run(["stability-scan", *system, "--omegas", "1.0:1.0:0.2", *flags, "--no-svg",
+                    "--out", str(tmp_path / name)]) == 0
+    assert calls == [((1.3, 0.9, 0.0, (1.0,)), want)] * 2
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_stability_scan_rejects_nonpositive_workers(tmp_path, capsys, workers):
     assert run(["stability-scan", "--preset", "fig3", "--omegas", "1.0:1.0:0.2",
@@ -568,6 +589,48 @@ def test_family_run(tmp_path):
     assert summary["stats"] == {"integrator": "dormand_prince", "accepted": traj.n_accepted,
                                 "rejected": traj.n_rejected,
                                 "field_evals": 1 + 6 * (traj.n_accepted + traj.n_rejected)}
+
+
+def test_unset_run_parameters_take_the_defaults(tmp_path):
+    # a --spec run with neither --h nor --rtol: simulate and drift step RK4 at h = 1e-3,
+    # poincare and family run Dormand-Prince at the library's tolerances, all from (0.1, 0)
+    (tmp_path / "fig.json").write_text(json.dumps({"omega": 1.0, "m": 2, "g": _TRIG}))
+    (tmp_path / "fp.json").write_text(_FP_SPEC)
+    fig, outs = str(tmp_path / "fig.json"), iter(range(10))
+
+    def stats(*argv):
+        out = tmp_path / f"out{next(outs)}"
+        assert run([*argv, "--no-svg", "--out", str(out)]) == 0
+        return json.loads((out / "summary.json").read_text())["stats"]
+
+    def dormand_prince(run):
+        return {"integrator": "dormand_prince", "accepted": run.n_accepted,
+                "rejected": run.n_rejected,
+                "field_evals": 1 + 6 * (run.n_accepted + run.n_rejected)}
+
+    for command in ("simulate", "drift"):
+        assert stats(command, "--spec", fig, "--tmax", "1") == {
+            "integrator": "rk4", "accepted": 1000, "rejected": 0, "field_evals": 4000}
+    field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0))
+    strobe = sample_strobe(field, (0.1, 0.0), math.pi, 2)
+    strobe_atol = sample_strobe(field, (0.1, 0.0), math.pi, 2, atol=1e-9)
+    assert strobe.n_accepted != strobe_atol.n_accepted
+    assert stats("poincare", "--spec", fig, "--points", "3") == dormand_prince(strobe)
+    assert stats("poincare", "--spec", fig, "--points", "3", "--atol", "1e-9") == \
+        dormand_prince(strobe_atol)
+    traj, _ = integrate_family(fiveparam_from_json(json.loads(_FP_SPEC)), 0.1, 0.0, 100.0)
+    assert stats("family", "--spec", str(tmp_path / "fp.json")) == dormand_prince(traj)
+
+
+@pytest.mark.parametrize("tmax", ["5", "nan"])
+def test_poincare_has_no_tmax(tmp_path, capsys, tmax):
+    # the strobe span is --points intervals of pi/omega, so a horizon is refused, not ignored
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        run(["poincare", "--preset", "fig2", "--points", "3", "--tmax", tmax, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tmax" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _counted_runs(monkeypatch, module):

@@ -124,7 +124,8 @@ def test_invariant_series_matches_pointwise():
         series = invariant_series(c, traj)
         assert len(series) == len(traj)
         for i in (0, len(traj) // 3, len(traj) - 1):
-            direct = eval_invariant(c, traj.state(i))
+            state = State(float(traj.ts[i]), float(traj.z[i]), float(traj.p[i]))
+            direct = eval_invariant(c, state)
             assert math.isclose(series[i], direct, rel_tol=rel_tol, abs_tol=1e-15)
 
 

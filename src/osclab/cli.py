@@ -223,12 +223,6 @@ class _Kept:
         series = {"kind": "line", "x": x, "y": y, "points": self.line.finish()}
         return name, [series], dict(labels, ylim=ylim)
 
-    def push(self, t, y):
-        self.ts.append(t)
-        self.buf.extend(y)
-        if len(self.ts) == invariant_mod._SERIES_CHUNK:
-            self._flush(len(self.ts))
-
     def push_many(self, ts, flat):
         self.ts.frombytes(ts.tobytes())
         self.buf += array("d", flat)
@@ -269,7 +263,7 @@ def _run_oscillator(spec, params, ylim, values):
         n, t_end = n_full + (rem > 0.0) + 1, cfg.t_end
         for _ in range(2):
             kept = _Kept(n, np.array((cfg.t_start, t_end)), (), ylim, values())
-            kept.push(cfg.t_start, y0)
+            kept.push_many(np.array((cfg.t_start,)), y0)
             run = integrate_fixed(field, y0, cfg, sink=kept)
             if (run.n_accepted + 1, run.t) == (n, t_end):
                 break
@@ -542,12 +536,12 @@ def _add_common(p):
                    help="write SVG plots (default on; --no-svg disables)")
 
 
-def _add_system(p):
+def _add_system(p, h_help):
     p.add_argument("--preset", help="named parameter set, e.g. fig1")
     p.add_argument("--spec", help="oscillator spec JSON file")
     p.add_argument("--z0", type=float, help="initial position")
     p.add_argument("--p0", type=float, help="initial momentum")
-    p.add_argument("--h", type=float, help="fixed step size (default 1e-3)")
+    p.add_argument("--h", type=float, help=h_help)
     p.add_argument("--rtol", type=float, help="use the adaptive integrator at this rtol")
     p.add_argument("--atol", type=float, help="adaptive absolute tolerance")
     p.add_argument("--escape", type=float, help="escape bound on |z|, |p|")
@@ -564,13 +558,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler, text in (("simulate", cmd_simulate, "integrate one system"),
                                 ("drift", cmd_drift, "invariant drift along a run")):
         p = sub.add_parser(name, help=text)
-        _add_system(p)
+        _add_system(p, "RK4 step size (default 1e-3)")
         p.add_argument("--tmax", type=float, help="integration horizon")
         _add_common(p)
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("poincare", help="stroboscopic section and curve")
-    _add_system(p)
+    _add_system(p, "RK4 step size; without it or a preset's, the strobe runs Dormand-Prince")
     p.add_argument("--points", type=int, help="number of strobe points (default 190)")
     _add_common(p)
     p.set_defaults(handler=cmd_poincare)

@@ -20,19 +20,22 @@ components 0 and 1 being z and p):
 The two scalar integrators share one start (``_start``) and march
 through any number of stop times in one run (``_check_stops``): a step
 that would pass the next stop is shortened to land on it exactly, and
-the run carries on from there.  A ``model.PowerForm`` field (every
-field of ``model.make_field``) takes the fused path of either
-integrator, with the field (and the error norm) inlined on its (z, p)
-state, bit-identical to the generic path that every other field takes
-(z^m is z * z for m = 2 and ``model.int_pow`` for any other m);
+the run carries on from there.  Each integrator is one march, whose
+stops, counting, recording, escape status and singular status are
+written once for every field; only its steps branch.  A
+``model.PowerForm`` field (every field of ``model.make_field``) takes
+the fused steps, with the field (and the error norm) inlined on its
+(z, p) state, bit-identical to the generic steps that every other field
+takes (z^m is z * z for m = 2 and ``model.int_pow`` for any other m);
 a PowerForm with any other state is refused with ValueError.  The
-fused Dormand-Prince path is the inline trial step of the one march of
-``integrate_adaptive``, checked against ``_dp_checked_attempt``: stops
-and step control are written once, and only the trial step branches;
-the tests check its states, counts, statuses and errors bit for bit
-against the generic step.  The fused RK4 path runs every chunk of steps
-whose g the form evaluates on the grid, and the generic loop runs the
-rest (``integrate_fixed``).  A nonfinite initial state raises
+fused Dormand-Prince step is the inline trial step of
+``integrate_adaptive``, checked against ``_dp_checked_attempt``.  The
+RK4 march of ``integrate_fixed`` runs chunks of steps, and a fused
+chunk takes g from the form's ``g_grid`` at all its stage times at
+once; the shortened step onto a stop is a chunk of its own, on the grid
+too, and only a chunk where g raises takes ``_rk4_step``.  The tests
+check the fused states, counts, statuses and errors bit for bit against
+the generic steps.  A nonfinite initial state raises
 NonfiniteStateError before the first step.
 
 Escape past a caller-supplied bound is an expected outcome in stability
@@ -67,7 +70,6 @@ an accepted step costs twelve field evaluations.
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from collections.abc import Callable
@@ -185,13 +187,8 @@ class _Recorder:
         self.ts = array("d", [t0])
         self.buf = array("d", y0)
 
-    def push(self, t, y):
-        if self.record:
-            self.ts.append(t)
-            self.buf.extend(y)
-
     def push_many(self, ts, flat):
-        """push each time of ts (a float64 array) with its state, read in order from flat."""
+        """Append each time of ts (a float64 array) with its state, read in order from flat."""
         if self.record:
             self.ts.frombytes(ts.tobytes())
             self.buf += array("d", flat)
@@ -274,75 +271,12 @@ def _rk4_step(field, t, y, h, t_next):
     )
 
 
-# steps per chunk of the fused path: bounds its buffers, the coefficient
-# work an early escape wastes and the generic steps where g raises.  Past
-# about 1024 steps the chunk's numpy temporaries raise the run's peak
-# resident memory (4096 steps: 0.4 MB more over 200k steps) and gain no speed
+# full steps per chunk of a fixed-step run: bounds its buffers, the
+# coefficient work an early escape wastes and the generic steps where g
+# raises.  Past about 1024 steps the chunk's numpy temporaries raise the
+# run's peak resident memory (4096 steps: 0.4 MB more over 200k steps) and
+# gain no speed
 _FUSED_CHUNK = 1024
-
-
-def _rk4_power_steps(form, t0, y, h, n_steps, rec, bound):
-    """Up to n_steps RK4 steps of h from t0 for a ``model.PowerForm`` field.
-
-    Returns (status, steps done, t, y), status "escaped" or "completed".
-    Chunk by chunk, the form's ``g_grid`` evaluates g at each step time
-    t0 + k*h and each midpoint, and a flat loop does RK4's (z, p)
-    arithmetic in the operation order of ``_rk4_step`` and the field, so
-    every state is bit-identical to the generic loop.  The run stops
-    before a chunk where ``g_grid`` returns None (g raises there).
-    """
-    nw2, g_grid, m = -form.w2, form.g_grid, form.m
-    square = m == 2
-    isfinite = math.isfinite
-    escapable = bound < math.inf  # past the finiteness check, no state is beyond inf
-    half = 0.5 * h
-    sixth = h / 6.0
-    z, p = y
-    t = t0
-    done = 0
-    while done < n_steps:
-        stop = min(done + _FUSED_CHUNK, n_steps)
-        t_steps = t0 + np.arange(done, stop + 1) * h
-        times = np.empty(2 * (stop - done) + 1)
-        times[0::2] = t_steps
-        times[1::2] = t_steps[:-1] + half
-        gs = g_grid(times)
-        if gs is None:
-            break
-        flat = []
-        push = flat.append
-        escaped = False
-        for g0, gm, g1 in zip(gs[0::2], gs[1::2], gs[2::2]):
-            zm = z * z if square else int_pow(z, m)
-            f1 = nw2 * z - g0 * zm
-            z2 = z + half * p
-            p2 = p + half * f1
-            zm = z2 * z2 if square else int_pow(z2, m)
-            f2 = nw2 * z2 - gm * zm
-            z3 = z + half * p2
-            p3 = p + half * f2
-            zm = z3 * z3 if square else int_pow(z3, m)
-            f3 = nw2 * z3 - gm * zm
-            z4 = z + h * p3
-            p4 = p + h * f3
-            zm = z4 * z4 if square else int_pow(z4, m)
-            f4 = nw2 * z4 - g1 * zm
-            z, p = (z + sixth * (p + 2.0 * (p2 + p3) + p4),
-                    p + sixth * (f1 + 2.0 * (f2 + f3) + f4))
-            if not isfinite(z + p):
-                _check_state((z, p))
-            push(z)
-            push(p)
-            if escapable and (abs(z) > bound or abs(p) > bound):
-                escaped = True
-                break
-        n = len(flat) // 2
-        t = float(t_steps[n])
-        rec.push_many(t_steps[1:n + 1], flat)
-        done += n
-        if escaped:
-            return "escaped", done, t, (z, p)
-    return "completed", done, t, (z, p)
 
 
 def _interval_steps(t0, stop, h):
@@ -355,6 +289,19 @@ def _interval_steps(t0, stop, h):
     return n_full, stop - (t0 + n_full * h)
 
 
+def _chunks(t0, stop, h):
+    """The steps from t0 to stop as chunks (step size, float64 array of the chunk's step times).
+
+    The full steps end at t0 + k*h, _FUSED_CHUNK to a chunk, and a
+    shortened step [t0 + n_full*h, stop] is a chunk of its own.
+    """
+    n_full, rem = _interval_steps(t0, stop, h)
+    for done in range(0, n_full, _FUSED_CHUNK):
+        yield h, t0 + np.arange(done, min(done + _FUSED_CHUNK, n_full) + 1) * h
+    if rem > 0.0:
+        yield rem, np.array((t0 + n_full * h, stop))
+
+
 def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None, sink=None):
     """Classical RK4 with constant step h, marching through exact stops.
 
@@ -362,46 +309,91 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None, s
     From t_start and from each stop the step times are that time + k*h
     (multiplication, not accumulation), and a shortened step lands
     exactly on the next stop when h does not divide the interval, so
-    each interval runs exactly as a run of its own would.  On the fused
-    path ``_rk4_power_steps`` runs the full steps it can, and the generic
-    loop the rest: from a chunk where g raises on, and the shortened step.
-    Steps go to ``sink`` (a ``_Recorder`` unless given one that holds the
-    start), and the run returns its ``build``.
+    each interval runs exactly as a run of its own would.
+
+    One loop runs the chunks of ``_chunks``; only a chunk's steps branch.
+    For a ``model.PowerForm`` whose ``g_grid`` gives g at the chunk's
+    step times and midpoints, a flat loop does RK4's (z, p) arithmetic
+    with the state check and escape test inline, in the operation order
+    of ``_rk4_step`` and the field, so every state is bit-identical to
+    the generic steps.  Any other field, and a chunk where ``g_grid`` is
+    None (g raises there, so the run ends in it), takes ``_rk4_step``.
+    Each chunk's steps go to ``sink`` (a ``_Recorder`` unless given one
+    that holds the start) by one ``push_many``, those before a
+    CoefficientSingularError too, and the run returns its ``build``.
     """
     stops, y, rec, form = _start(field, y0, cfg, stops, sink)
     t0, h, bound = cfg.t_start, cfg.h, cfg.escape_bound
-
+    if form is not None:
+        nw2, g_grid, m = -form.w2, form.g_grid, form.m
+        square = m == 2
+    isfinite = math.isfinite
+    escapable = bound < math.inf  # past the finiteness check, no state is beyond inf
     status = "completed"
     t = t0
     n_done = 0
-    try:
-        for stop in stops:
-            n_full, rem = _interval_steps(t0, stop, h)
-            n = 0
+    for stop in stops:
+        for h_k, t_steps in _chunks(t0, stop, h):
+            half = 0.5 * h_k
+            gs = None
             if form is not None:
-                status, n, t, y = _rk4_power_steps(form, t0, y, h, n_full, rec, bound)
-                n_done += n
-                if status != "completed":
-                    break
-            steps = ((h, t0 + k * h) for k in range(n + 1, n_full + 1))
-            if rem > 0.0:
-                steps = itertools.chain(steps, [(rem, stop)])
-            for h_k, t_next in steps:
-                y = _rk4_step(field, t, y, h_k, t_next)
-                _check_state(y)
-                t = t_next
-                n_done += 1
-                rec.push(t, y)
-                if _escaped(y, bound):
-                    status = "escaped"
-                    break
+                times = np.empty(2 * len(t_steps) - 1)
+                times[0::2] = t_steps
+                times[1::2] = t_steps[:-1] + half
+                gs = g_grid(times)
+            flat = []
+            try:
+                if gs is not None:
+                    sixth = h_k / 6.0
+                    push = flat.append
+                    z, p = y
+                    for g0, gm, g1 in zip(gs[0::2], gs[1::2], gs[2::2]):
+                        zm = z * z if square else int_pow(z, m)
+                        f1 = nw2 * z - g0 * zm
+                        z2 = z + half * p
+                        p2 = p + half * f1
+                        zm = z2 * z2 if square else int_pow(z2, m)
+                        f2 = nw2 * z2 - gm * zm
+                        z3 = z + half * p2
+                        p3 = p + half * f2
+                        zm = z3 * z3 if square else int_pow(z3, m)
+                        f3 = nw2 * z3 - gm * zm
+                        z4 = z + h_k * p3
+                        p4 = p + h_k * f3
+                        zm = z4 * z4 if square else int_pow(z4, m)
+                        f4 = nw2 * z4 - g1 * zm
+                        z, p = (z + sixth * (p + 2.0 * (p2 + p3) + p4),
+                                p + sixth * (f1 + 2.0 * (f2 + f3) + f4))
+                        if not isfinite(z + p):
+                            _check_state((z, p))
+                        push(z)
+                        push(p)
+                        if escapable and (abs(z) > bound or abs(p) > bound):
+                            status = "escaped"
+                            break
+                    y = (z, p)
+                else:
+                    for t_next in t_steps[1:].tolist():
+                        y = _rk4_step(field, t, y, h_k, t_next)
+                        _check_state(y)
+                        t = t_next
+                        flat.extend(y)
+                        if _escaped(y, bound):
+                            status = "escaped"
+                            break
+            except CoefficientSingularError:
+                status = "coefficient_singular"
+            n = len(flat) // len(y)
+            t = float(t_steps[n])
+            n_done += n
+            rec.push_many(t_steps[1:n + 1], flat)
             if status != "completed":
                 break
-            if at_stop is not None:
-                at_stop(t, y)
-            t0 = stop
-    except CoefficientSingularError:
-        status = "coefficient_singular"
+        if status != "completed":
+            break
+        if at_stop is not None:
+            at_stop(t, y)
+        t0 = stop
     return rec.build(status, t, y, n_accepted=n_done)
 
 

@@ -250,8 +250,8 @@ class PowerForm:
     ``[g(t) for t in ts]`` bit for bit, or None where g would raise at
     any of them.  Both scalar integrators of ``osclab.integrate`` inline
     a PowerForm on its (z, p) state, z^m taken as in the call, and refuse
-    it on any other; the fused RK4 path calls ``g_grid`` on each chunk of
-    its step grid and leaves a chunk where it is None to the generic loop.
+    it on any other; the RK4 march calls ``g_grid`` on each chunk of its
+    step grid and takes the generic steps on a chunk where it is None.
     """
 
     w2: float

@@ -633,6 +633,19 @@ def test_poincare_has_no_tmax(tmp_path, capsys, tmax):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,says,not_says", [
+    ("simulate", "RK4 step size (default 1e-3)", "Dormand-Prince"),
+    ("drift", "RK4 step size (default 1e-3)", "Dormand-Prince"),
+    # without --h or a preset h, poincare runs Dormand-Prince (_method(params, None))
+    ("poincare", "the strobe runs Dormand-Prince", "default 1e-3"),
+])
+def test_h_help_names_the_run_without_it(capsys, command, says, not_says):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps the help text
+    assert says in text and not_says not in text
+
+
 def _counted_runs(monkeypatch, module):
     """Field calls per ``integrate_adaptive`` run of ``module``, each run's field behind a counter."""
     counts = []

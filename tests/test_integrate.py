@@ -15,10 +15,12 @@ from osclab.integrate import (
     _SAFETY,
     AdaptiveConfig,
     FixedStepConfig,
+    _check_state,
     _dp_attempt,
     _dp_checked_attempt,
     _escaped,
     _Recorder,
+    _rk4_step,
     integrate_adaptive,
     integrate_fixed,
     integrate_lanes,
@@ -117,14 +119,14 @@ def test_fixed_record_false_keeps_endpoints_only():
 def test_recorder_builds_views_of_its_buffers():
     # the trajectory shares the recorder's memory, so the record is held once
     rec = _Recorder(True, 0.0, (1.0, 2.0))
-    rec.push(0.5, (3.0, 4.0))
+    rec.push_many(np.array([0.5]), (3.0, 4.0))
     rec.push_many(np.array([0.75, 1.0]), [5.0, 6.0, 7.0, 8.0])
     traj = rec.build("completed", 1.0, (7.0, 8.0))
     assert np.shares_memory(traj.ts, rec.ts) and np.shares_memory(traj.ys, rec.buf)
     assert traj.ts.tolist() == [0.0, 0.5, 0.75, 1.0]
     assert traj.ys.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]
     with pytest.raises(BufferError):  # build is the recorder's last act
-        rec.push(2.0, (9.0, 10.0))
+        rec.push_many(np.array([2.0]), (9.0, 10.0))
 
 
 def test_adaptive_config_validation():
@@ -326,7 +328,7 @@ def _adaptive_single_run(field, y0, cfg):
             if err <= 1.0:
                 t, y, f1 = t_next, y_new, f7
                 n_acc += 1
-                rec.push(t, y)
+                rec.push_many(np.array([t]), y)
                 if math.isfinite(cfg.escape_bound) and _escaped(y, cfg.escape_bound):
                     status = "escaped"
                     break
@@ -723,8 +725,51 @@ def test_lane_form_is_called_once_per_trial_step_not_per_stage(pair, step_cap):
     assert calls[1].shape[1] == 3  # all lanes, until the first completes
 
 
+def _fixed_march_reference(field, y0, cfg, stops):
+    """Reference: the RK4 march through stops as one flat loop of ``_rk4_step`` calls.
+
+    From t_start and from each stop the steps end at that time + k*h
+    while that is at most the next stop, then a shortened step lands on
+    the stop if none did; each step is one record row.  Returns the
+    trajectory and the (t, y) of each stop reached without escaping.
+    """
+    t0, h = cfg.t_start, cfg.h
+    t, y = t0, tuple(float(v) for v in y0)
+    rec = _Recorder(cfg.record, t, y)
+    status, n_acc, seen = "completed", 0, []
+    try:
+        for stop in stops:
+            k = 1
+            while status == "completed" and t < stop:
+                h_k, t_next = h, t0 + k * h
+                if t_next > stop:
+                    h_k, t_next = stop - t, stop
+                y = _rk4_step(field, t, y, h_k, t_next)
+                _check_state(y)
+                t = t_next
+                k += 1
+                n_acc += 1
+                rec.push_many(np.array([t]), y)
+                if _escaped(y, cfg.escape_bound):
+                    status = "escaped"
+            if status != "completed":
+                break
+            seen.append((t, y))
+            t0 = stop
+    except CoefficientSingularError:
+        status = "coefficient_singular"
+    return rec.build(status, t, y, n_accepted=n_acc), seen
+
+
+def _same_fixed_run(got, ref):
+    """A fixed-step run must match, bit for bit, the run of ``_fixed_march_reference``."""
+    assert np.array_equal(got.ts, ref.ts)
+    assert np.array_equal(got.ys, ref.ys)
+    assert (got.status, got.n_accepted, got.n_rejected) == (ref.status, ref.n_accepted, 0)
+
+
 def _fused_matches_generic(field, y0, cfg):
-    """The fused path must match, bit for bit, the generic loop that a plain wrapper forces."""
+    """The fused steps must match, bit for bit, the generic steps that a plain wrapper forces."""
     assert isinstance(field, PowerForm)
     fused = integrate_fixed(field, y0, cfg)
     ref = integrate_fixed(lambda t, y: field(t, y), y0, cfg)
@@ -772,9 +817,12 @@ def test_fused_fixed_step_escape_matches_generic_loop():
 def test_fused_fixed_step_singular_matches_generic_loop(B, h, n_before):
     field = make_field(trig_spec(1.0, B, 0.0, 1.0))
     for record in (True, False):
-        traj = _fused_matches_generic(field, (1e-7, 0.0),
-                                      FixedStepConfig(h=h, t_end=5.0, record=record))
+        cfg = FixedStepConfig(h=h, t_end=5.0, record=record)
+        traj = _fused_matches_generic(field, (1e-7, 0.0), cfg)
         assert (traj.status, traj.n_accepted) == ("coefficient_singular", n_before)
+        ref, _ = _fixed_march_reference(field, (1e-7, 0.0), cfg, [cfg.t_end])
+        for f in (field, lambda t, y: field(t, y)):  # the fused and the generic steps
+            _same_fixed_run(integrate_fixed(f, (1e-7, 0.0), cfg), ref)
 
 
 def test_fused_fixed_step_raises_what_the_field_raises():
@@ -874,6 +922,21 @@ def test_fused_fixed_step_evaluates_g_on_the_grid():
     assert np.array_equal(traj.ys, ref.ys)
 
 
+def test_shortened_step_onto_a_stop_runs_on_the_grid():
+    # 20 strobe intervals of pi/20 at h = 1e-3: each is 157 full steps and a
+    # shortened step onto its stop, and each takes g from g_grid, once for its
+    # full steps and once for the shortened one, never from the scalar g
+    spec = trig_spec(1.3, 0.9, 0.0, 1.0)
+    field, calls = _counted_g(spec)
+    fused = make_field(spec)
+    got = sample_strobe(field, (0.1, 0.0), math.pi / 20, 20, h=1e-3)
+    ref = sample_strobe(lambda t, y: fused(t, y), (0.1, 0.0), math.pi / 20, 20, h=1e-3)
+    assert got == ref
+    assert (got.status, len(got.states), got.n_accepted) == ("completed", 21, 20 * 158)
+    assert calls["g"] == []
+    assert len(calls["g_grid"]) == 40
+
+
 @pytest.mark.parametrize("B,h,n_before", [
     # the grids of test_fused_fixed_step_singular_matches_generic_loop, all in the first chunk
     (1.0 - 1e-10, (math.pi / 2) / 1000, 999),
@@ -954,6 +1017,10 @@ def test_fixed_march_matches_per_interval_runs(spec, y0, h, t_start, stops, esca
     assert np.array_equal(got.ys, np.array(ys)[rows])
     assert (got.status, got.n_accepted, got.n_rejected) == (status, n_acc, 0)
     assert seen == ref_seen
+    # the per-interval runs take the same loop: check both against the flat reference
+    ref, flat_seen = _fixed_march_reference(fused, y0, cfg, stops)
+    _same_fixed_run(got, ref)
+    assert seen == flat_seen
     assert got.status == want
     if want != "completed":
         assert got.ts[-1] not in stops  # the run ended inside an interval
@@ -1066,6 +1133,8 @@ def test_fused_march_floors_an_accepted_step_at_h_min():
 
 @example(A=1.3, rel_b=0.7, rel_c=0.3, omega=1.0, m=3, z0=0.3, p0=0.1, rtol=1e-9,  # checked first
          t_start=0.0, span=5.0, h_init=0.01, escape=100.0, record=True)
+@example(A=1.0, rel_b=0.0, rel_c=-0.5, omega=1.0, m=2, z0=1.0, p0=0.0,  # escapes on p alone
+         rtol=9.914883246169391e-07, t_start=0.0, span=4.0, h_init=1.0, escape=5.0, record=False)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -1271,7 +1340,7 @@ def _adaptive_march_reference(field, y0, cfg, stops, at_stop):
             if err <= 1.0:
                 t, y, f1 = t_next, y_new, f7
                 n_acc += 1
-                rec.push(t, y)
+                rec.push_many(np.array([t]), y)
                 if _escaped(y, cfg.escape_bound):
                     status = "escaped"
                     break

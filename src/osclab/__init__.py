@@ -7,30 +7,41 @@ boundary, and reduces periodic Hill linear parts to a constant-frequency
 normal form.
 """
 
-from .errors import (
-    CoefficientSingularError,
-    ConfigError,
-    EnvelopeBlowupError,
-    NonfiniteStateError,
-    OscLabError,
-    StepBudgetError,
-    StepUnderflowError,
-    UnstableHillError,
-    UnsupportedSourceError,
-)
-from .family import FiveParamSpec, integrate_family
-from .integrate import (
-    AdaptiveConfig,
-    FixedStepConfig,
-    integrate_adaptive,
-    integrate_fixed,
-    sample_strobe,
-)
-from .invariant import build_coeffs, drift, eval_invariant, invariant_series, pde_residual
-from .model import OscillatorSpec, Sampled, State, Trajectory, TrigAlpha, make_field, trig_spec
-from .normalform import HillSpec, monodromy, reduce
-from .poincare import curve_loop, section_curve, section_residual
-from .stability import bounded, i0_crit, scan, z_crit
+import importlib
+
+# public name -> the submodule that defines it; ``__getattr__`` imports the
+# submodule at the name's first use, so ``import osclab`` executes none of them
+_SOURCES = {
+    **dict.fromkeys(("CoefficientSingularError", "ConfigError", "EnvelopeBlowupError",
+                     "NonfiniteStateError", "OscLabError", "StepBudgetError",
+                     "StepUnderflowError", "UnstableHillError", "UnsupportedSourceError"),
+                    "errors"),
+    **dict.fromkeys(("FiveParamSpec", "integrate_family"), "family"),
+    **dict.fromkeys(("AdaptiveConfig", "FixedStepConfig", "integrate_adaptive",
+                     "integrate_fixed", "sample_strobe"), "integrate"),
+    **dict.fromkeys(("build_coeffs", "drift", "eval_invariant", "invariant_series",
+                     "pde_residual"), "invariant"),
+    **dict.fromkeys(("OscillatorSpec", "Sampled", "State", "Trajectory", "TrigAlpha",
+                     "make_field", "trig_spec"), "model"),
+    **dict.fromkeys(("HillSpec", "monodromy", "reduce"), "normalform"),
+    **dict.fromkeys(("curve_loop", "section_curve", "section_residual"), "poincare"),
+    **dict.fromkeys(("bounded", "i0_crit", "scan", "z_crit"), "stability"),
+}
+
+
+def __getattr__(name):
+    try:
+        source = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{source}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SOURCES))
+
 
 __version__ = "0.1.0"
 

@@ -10,6 +10,11 @@ Subcommands
     reduce          Hill linear part to constant-frequency normal form
 
 Each command returns a ``Record``; ``main`` alone writes it to --out.
+Importing this module executes errors, integrate, model and output,
+which every command uses.  family, invariant, normalform, poincare,
+spline and stability are lazy (``_lazy``): each runs when a command
+first reads from it, so ``crit`` adds stability only and ``reduce``
+normalform and spline.
 Exit codes: 0 on success (escape during a scan or simulate is an
 expected outcome, not a failure), 2 on configuration errors (nothing is
 written) or an unwritable --out, 3 on numerical failures (an
@@ -24,25 +29,49 @@ fig4-unbounded (one run just below and one just above the threshold).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import family as family_mod
-from . import invariant as invariant_mod
-from . import normalform as nf_mod
-from . import poincare as poincare_mod
-from . import spline
-from . import stability as stability_mod
 from .errors import ConfigError, OscLabError
 from .integrate import (_MAX_GRID_POINTS, DP54, AdaptiveConfig, FixedStepConfig,
                         _interval_steps, integrate_adaptive, integrate_fixed, sample_strobe)
 from .model import MAX_M, State, make_field, spec_from_json, trig_spec
 from .output import M4Line, Strided, plot_frame, svg_plot, write_csv, write_json
+
+
+def _lazy(name: str):
+    """The osclab submodule ``name``, executed at its first attribute access.
+
+    The lazy-import recipe of the importlib docs: the module is registered in
+    sys.modules and on the package now, as an import would do, but runs only
+    once something reads from it.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    loader.exec_module(module)
+    return module
+
+
+family_mod = _lazy("family")
+invariant_mod = _lazy("invariant")
+nf_mod = _lazy("normalform")
+poincare_mod = _lazy("poincare")
+spline = _lazy("spline")
+stability_mod = _lazy("stability")
 
 PRESETS = {
     "fig1": {

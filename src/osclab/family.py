@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import CoefficientSingularError
 from .integrate import AdaptiveConfig, integrate_adaptive
-from .invariant import drift
 from .model import EPS_POS, OscillatorSpec, TrigAlpha, json_number, json_numbers
 
 
@@ -155,6 +154,8 @@ def integrate_family(
     zero (for example z0 = p0 = 0) ``drift`` reports the absolute
     deviation, flagged by report.mode.
     """
+    from .invariant import drift  # here, not at the top: invariant imports this module
+
     field = make_augmented_field(fp)
     y0 = (z0, p0, fp.alpha2_0, fp.alpha2p_0, fp.alpha2pp_0)
     cfg = AdaptiveConfig(rtol=rtol, atol=atol, t_end=t_end, escape_bound=escape_bound)

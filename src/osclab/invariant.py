@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import family  # imports this module in turn; osclab/__init__ loads family first
+from . import family  # which imports this module only inside integrate_family
 from .errors import UnsupportedSourceError
 from .model import (
     OscillatorSpec,

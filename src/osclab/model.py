@@ -35,7 +35,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import spline
 from .errors import CoefficientSingularError
 
 # Floor for alpha2: below this the negative half-integer power of alpha2
@@ -96,6 +95,8 @@ class Sampled:
 
     @cached_property
     def _spline(self):
+        from . import spline
+
         return spline.not_a_knot(self.ts, self.gs)
 
     def value_at(self, t: float) -> float:

@@ -793,20 +793,90 @@ def test_every_public_name_resolves():
     assert [name for name in osclab.__all__ if not hasattr(osclab, name)] == []
 
 
-def test_reduce_runs_without_importing_scipy(tmp_path):
-    # the splines are osclab's own; a stray scipy import costs about 0.6 s per run
-    hill = tmp_path / "hill.csv"
-    _write_smooth_hill(hill)
-    code = ("import sys\n"
-            "from osclab.cli import main\n"
-            f"assert main(['reduce', '--hill', {str(hill)!r}, '--T', {repr(2 * math.pi)!r}, "
-            f"'--m', '2', '--n-grid', '101', '--out', {str(tmp_path / 'red')!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+def _fresh(code):
+    """stdout of ``code`` run in a fresh interpreter on this osclab; it must exit 0."""
     env = dict(os.environ, PYTHONPATH=str(Path(osclab.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout
+
+
+def test_reduce_runs_without_importing_scipy(tmp_path):
+    # the splines are osclab's own; a stray scipy import costs about 0.6 s per run
+    hill = tmp_path / "hill.csv"
+    _write_smooth_hill(hill)
+    out = _fresh("import sys\n"
+                 "from osclab.cli import main\n"
+                 f"assert main(['reduce', '--hill', {str(hill)!r}, '--T', {repr(2 * math.pi)!r}, "
+                 f"'--m', '2', '--n-grid', '101', '--out', {str(tmp_path / 'red')!r}]) == 0\n"
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert out.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("module", sorted(
+    "osclab" if p.stem == "__init__" else f"osclab.{p.stem}"
+    for p in Path(osclab.__file__).parent.glob("*.py")))
+def test_every_module_imports_alone(module):
+    _fresh(f"import {module}")
+
+
+_CLI_MODULES = {"cli", "errors", "integrate", "model", "output"}
+
+
+@pytest.mark.parametrize("argv, added", [
+    (None, set()),
+    (["crit", "--A", "1.3", "--B", "0.9", "--omega", "1"], {"stability"}),
+    (["stability-scan", "--preset", "fig3", "--omegas", "1.0:1.0:0.2", "--dz0", "0.5",
+      "--tmax", "1", "--no-svg", "--out", "{out}"], {"stability"}),
+    # a trig spec never reaches family: invariant's isinstance test of TrigAlpha comes first
+    (["drift", "--preset", "fig1", "--tmax", "1", "--out", "{out}"], {"invariant"}),
+    (["poincare", "--preset", "fig2", "--points", "3", "--out", "{out}"],
+     {"poincare", "cubic", "invariant"}),
+    (["family", "--spec", "{fiveparam}", "--tmax", "1", "--out", "{out}"],
+     {"family", "invariant"}),
+    (["reduce", "--hill", "{hill}", "--T", repr(2 * math.pi), "--m", "2", "--n-grid", "101",
+      "--out", "{out}"], {"normalform", "spline"}),
+], ids=["import", "crit", "stability-scan", "drift", "poincare", "family", "reduce"])
+def test_command_executes_only_its_modules(tmp_path, argv, added):
+    # a lazily imported module stays a _LazyModule until it runs, then becomes a plain module
+    hill, fiveparam = tmp_path / "hill.csv", tmp_path / "fiveparam.json"
+    _write_smooth_hill(hill)
+    fiveparam.write_text(json.dumps({"omega": 1.0, "C1": 0.05, "C2": 0.0,
+                                     "alpha2": [2.2, 0.0, -3.6]}))
+    paths = {"out": tmp_path / "out", "hill": hill, "fiveparam": fiveparam}
+    code = "import sys, types\nfrom osclab.cli import main\n"
+    if argv is not None:
+        code += f"assert main({[a.format(**paths) for a in argv]!r}) == 0\n"
+    code += ("print(sorted(n for n, m in sys.modules.items()\n"
+             "             if n.startswith('osclab.') and type(m) is types.ModuleType))\n")
+    executed = _fresh(code).splitlines()[-1]
+    assert executed == repr(sorted(f"osclab.{m}" for m in _CLI_MODULES | added))
+
+
+def test_star_import_binds_every_public_name():
+    out = _fresh("import osclab\n"
+                 "names = {}\n"
+                 "exec('from osclab import *', names)\n"
+                 "print(sorted(set(osclab.__all__) - set(names)))\n"
+                 "print(sorted(set(osclab.__all__) - set(dir(osclab))))\n")
+    assert out.splitlines()[-2:] == ["[]", "[]"]
+
+
+def test_unknown_public_name_raises_attribute_error_naming_it():
+    out = _fresh("import osclab\n"
+                 "try:\n"
+                 "    osclab.no_such_name\n"
+                 "except AttributeError as e:\n"
+                 "    print(e)\n")
+    assert out.splitlines()[-1] == "module 'osclab' has no attribute 'no_such_name'"
+
+
+def test_public_names_are_their_modules_objects():
+    out = _fresh("from osclab import reduce, scan\n"
+                 "import osclab.normalform, osclab.stability\n"
+                 "print(reduce is osclab.normalform.reduce, scan is osclab.stability.scan)\n")
+    assert out.splitlines()[-1] == "True True"
 
 
 def test_reduce_rejects_nonperiodic_grid(tmp_path):

@@ -13,8 +13,8 @@ Each command returns a ``Record``; ``main`` alone writes it to --out.
 Importing this module executes errors, integrate, model and output,
 which every command uses.  family, invariant, normalform, poincare,
 spline and stability are lazy (``_lazy``): each runs when a command
-first reads from it, so ``crit`` adds stability only and ``reduce``
-normalform and spline.
+first reads from it, so ``crit`` adds stability and the lanes it
+imports, and ``reduce`` normalform and spline.
 Exit codes: 0 on success (escape during a scan or simulate is an
 expected outcome, not a failure), 2 on configuration errors (nothing is
 written) or an unwritable --out, 3 on numerical failures (an
@@ -40,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, OscLabError
-from .integrate import (_MAX_GRID_POINTS, DP54, AdaptiveConfig, FixedStepConfig,
-                        _interval_steps, integrate_adaptive, integrate_fixed, sample_strobe)
+from .integrate import (DP_EVALS, DP_NAME, MAX_GRID_POINTS, AdaptiveConfig, FixedStepConfig,
+                        integrate_adaptive, integrate_fixed, interval_steps, sample_strobe)
 from .model import MAX_M, State, make_field, spec_from_json, trig_spec
 from .output import M4Line, Strided, plot_frame, svg_plot, write_csv, write_json
 
@@ -104,6 +104,10 @@ PRESETS = {
 }
 
 _CSV_ROW_CAP = 10000
+
+# rows per block that ``_Kept`` feeds: bounds the temporaries of its values
+# whatever the run's length; they are elementwise, so the cut moves no value
+_ROW_BLOCK = 8192
 
 # the run parameters of simulate and drift where neither preset nor flag sets
 # them; poincare adds its strobe points, family runs to 100, stability-scan has its own
@@ -198,8 +202,8 @@ def _stats(integrator: str, run, runs: int = 1) -> dict:
     """The summary's ``stats``: which integrator ran, its step counts and ``field_evals``.
 
     field_evals is the field evaluations of ``runs`` runs, counted from
-    the steps: RK4 evaluates the field four times per step, ``DP54``
-    once at the start of each run and ``evals`` times per trial step, as
+    the steps: RK4 evaluates the field four times per step, Dormand-Prince
+    once at the start of each run and ``DP_EVALS`` times per trial step, as
     the last stage of an accepted step is the first of the next (FSAL).
     A one-point strobe makes no run.  The stages of a step that met a
     singular coefficient are not counted.
@@ -207,7 +211,7 @@ def _stats(integrator: str, run, runs: int = 1) -> dict:
     if integrator == "rk4":
         evals = 4 * run.n_accepted
     else:
-        evals = runs + DP54.evals * (run.n_accepted + run.n_rejected)
+        evals = runs + DP_EVALS * (run.n_accepted + run.n_rejected)
     return {"integrator": integrator, "accepted": run.n_accepted, "rejected": run.n_rejected,
             "field_evals": evals}
 
@@ -222,7 +226,7 @@ def _method(params, default_h):
     """
     h = params.get("h", default_h) if "rtol" not in params else None
     if h is None:
-        return DP54.name, {key: params[key] for key in ("rtol", "atol") if key in params}
+        return DP_NAME, {key: params[key] for key in ("rtol", "atol") if key in params}
     if "atol" in params:
         raise ConfigError("--atol applies to an adaptive run only; this run is RK4 "
                           "(give --rtol to run Dormand-Prince)")
@@ -233,8 +237,8 @@ class _Kept:
     """What simulate and drift keep of a run of n rows, fed as blocks (ts, ys) from the
     start row: the CSV rows and the M4 line of the plot of x against y (or ylim).
     ``values(ts, ys)`` makes the columns after t; the first is plotted.  As an
-    ``integrate_fixed`` sink (start row pushed first) it cuts the run's rows as
-    ``invariant_series`` does, and ``build`` returns it with the run's status, t, counts.
+    ``integrate_fixed`` sink (start row pushed first) it cuts the run's rows into blocks
+    of _ROW_BLOCK, and ``build`` returns it with the run's status, t, counts.
     """
 
     def __init__(self, n, x, y, ylim, values):
@@ -255,8 +259,8 @@ class _Kept:
     def push_many(self, ts, flat):
         self.ts.frombytes(ts.tobytes())
         self.buf += array("d", flat)
-        while len(self.ts) >= invariant_mod._SERIES_CHUNK:
-            self._flush(invariant_mod._SERIES_CHUNK)
+        while len(self.ts) >= _ROW_BLOCK:
+            self._flush(_ROW_BLOCK)
 
     def _flush(self, k):
         ts, buf = self.ts, self.buf
@@ -282,13 +286,13 @@ def _run_oscillator(spec, params, ylim, values):
     field = make_field(spec)
     y0 = (params["z0"], params["p0"])
     kw = dict(settings, t_end=params["tmax"], escape_bound=params["escape"])
-    if name == DP54.name:
+    if name == DP_NAME:
         run = integrate_adaptive(field, y0, AdaptiveConfig(**kw))
     elif ylim is None:
         run = integrate_fixed(field, y0, FixedStepConfig(**kw))
     else:
         cfg = FixedStepConfig(**kw)
-        n_full, rem = _interval_steps(cfg.t_start, cfg.t_end, cfg.h)
+        n_full, rem = interval_steps(cfg.t_start, cfg.t_end, cfg.h)
         n, t_end = n_full + (rem > 0.0) + 1, cfg.t_end
         for _ in range(2):
             kept = _Kept(n, np.array((cfg.t_start, t_end)), (), ylim, values())
@@ -299,9 +303,8 @@ def _run_oscillator(spec, params, ylim, values):
             n, t_end = run.n_accepted + 1, run.t
         return run.status, _stats(name, run), kept
     kept = _Kept(len(run), run.ts, run.z, ylim, values())
-    chunk = invariant_mod._SERIES_CHUNK
-    for i in range(0, len(run), chunk):
-        kept.feed(run.ts[i:i + chunk], run.ys[i:i + chunk])
+    for i in range(0, len(run), _ROW_BLOCK):
+        kept.feed(run.ts[i:i + _ROW_BLOCK], run.ys[i:i + _ROW_BLOCK])
     return run.status, _stats(name, run), kept
 
 
@@ -398,8 +401,8 @@ def _parse_omegas(text: str):
     if step <= 0.0 or b < a:
         raise ConfigError(f"--omegas wants a <= b and step > 0, got {text!r}")
     span = (b - a) / step + 1e-9  # a float: no overflow, at worst inf
-    if not span < _MAX_GRID_POINTS:  # floor(span) + 1 omegas
-        raise ConfigError(f"--omegas {text!r} gives more than {_MAX_GRID_POINTS} omegas")
+    if not span < MAX_GRID_POINTS:  # floor(span) + 1 omegas
+        raise ConfigError(f"--omegas {text!r} gives more than {MAX_GRID_POINTS} omegas")
     return tuple(a + k * step for k in range(int(span) + 1))
 
 
@@ -410,7 +413,7 @@ def cmd_scan(args) -> Record:
         A, B, C = params["A"], params["B"], params["C"]
     else:
         spec, params = _resolve_oscillator(args, _SCAN_DEFAULTS)
-        stability_mod._require_m2_trig(spec)
+        stability_mod.require_m2_trig(spec)
         A, B, C = spec.g_source.A, spec.g_source.B, spec.g_source.C
     omegas = _parse_omegas(args.omegas) if args.omegas else params.get("omegas", ())
     if not omegas:
@@ -501,8 +504,8 @@ def cmd_reduce(args) -> Record:
         "defect_wp": res.env.defect_wp,
         "m": res.m,
         "n_grid": args.n_grid,
-        "stats": {"monodromy": _stats(DP54.name, res.mono, runs=2),
-                  "envelope": _stats(DP54.name, res.env)},
+        "stats": {"monodromy": _stats(DP_NAME, res.mono, runs=2),
+                  "envelope": _stats(DP_NAME, res.env)},
     }
     env = res.env
     return Record(

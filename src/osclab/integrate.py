@@ -6,16 +6,10 @@ components 0 and 1 being z and p):
 * ``integrate_fixed`` -- the classical 4th-order method with constant step.
 * ``integrate_adaptive`` -- the Dormand-Prince embedded 5(4) pair with
   standard error-per-step control.
-* ``integrate_lanes`` -- the same Dormand-Prince pair (``DP54``), or
-  Dormand-Prince 8(5,3) (``DOP853``), over many independent problems at
-  once, as numpy lanes that step in lock-step, each with its own step
-  control (Hairer, Norsett & Wanner, Solving ODEs I, sections II.4 and
-  II.10).  Lanes pay per numpy call, not per field evaluation, so the
-  stability scan takes DOP853: twice the stages, a few times fewer steps.
-  For the same reason the lanes take their field as a ``model.LaneForm``
-  (``model.make_lane_field`` makes one): its time part g is evaluated at
-  all stage times of a trial step in one pass, and each stage then only
-  applies its state part.
+
+The lock-step lanes of the stability scan are ``osclab.lanes``; they
+share the Dormand-Prince tableau, the step factor constants and the step
+budget ``MAX_STEPS`` defined here.
 
 The two scalar integrators share one start (``_start``) and march
 through any number of stop times in one run (``_check_stops``): a step
@@ -59,20 +53,13 @@ order weights b, and error weights e = b - b_hat against the embedded
     e  = 71/57600, 0, -71/16695, 71/1920, -17253/339200, 22/525, -1/40
 
 The last stage of an accepted step equals the first stage of the next
-(FSAL), so an accepted step costs six field evaluations.
-
-The DOP853 tableau (``_D8_*``) holds the float values of scipy's
-``integrate/_ivp/dop853_coefficients.py`` (a test checks them bit for
-bit); its error norm is scipy's, and its step factor 0.9*err^(-1/8)
-has the clamps of DP5(4).  Its field at the new state is FSAL too, so
-an accepted step costs twelve field evaluations.
+(FSAL), so an accepted step costs six field evaluations (``DP_EVALS``).
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,20 +68,20 @@ from .errors import (CoefficientSingularError, NonfiniteStateError, StepBudgetEr
                      StepUnderflowError)
 from .model import PowerForm, State, Trajectory, int_pow
 
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
+C2, C3, C4, C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+A21 = 1.0 / 5.0
+A31, A32 = 3.0 / 40.0, 9.0 / 40.0
+A41, A42, A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+A51, A52, A53, A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
+A61, A62, A63, A64, A65 = (
     9017.0 / 3168.0,
     -355.0 / 33.0,
     46732.0 / 5247.0,
     49.0 / 176.0,
     -5103.0 / 18656.0,
 )
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (
+B1, B3, B4, B5, B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
+E1, E3, E4, E5, E6, E7 = (
     71.0 / 57600.0,
     -71.0 / 16695.0,
     71.0 / 1920.0,
@@ -103,9 +90,10 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1.0 / 40.0,
 )
 
-_SAFETY = 0.9
-_FAC_MIN = 0.2
-_FAC_MAX = 5.0
+# the step factor 0.9 * err^(-1/q) of an embedded pair of order q, clamped to [0.2, 5]
+SAFETY = 0.9
+FAC_MIN = 0.2
+FAC_MAX = 5.0
 
 
 def _check_span(t_start: float, t_end: float, escape_bound: float):
@@ -133,11 +121,11 @@ def _check_stops(stops, t_start: float, t_end: float):
 # An adaptive run cannot know its step count beforehand, so it stops with
 # StepBudgetError at the accepted step past this count instead, and a
 # lane run at the lock-step past it
-_MAX_FIXED_STEPS = 10**8
+MAX_STEPS = 10**8
 
 # most points of one strobe, or cells of one stability-scan row; a larger
 # grid is refused before it is allocated, since it would not finish
-_MAX_GRID_POINTS = 10**6
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -153,9 +141,9 @@ class FixedStepConfig:
             raise ValueError(f"step size must be positive and finite, got {self.h}")
         _check_span(self.t_start, self.t_end, self.escape_bound)
         n_steps = (self.t_end - self.t_start) / self.h  # a float: no overflow, at worst inf
-        if not n_steps <= _MAX_FIXED_STEPS:
+        if not n_steps <= MAX_STEPS:
             raise ValueError(f"step size h={self.h} gives {n_steps:.3g} steps over "
-                             f"[{self.t_start}, {self.t_end}], more than {_MAX_FIXED_STEPS}")
+                             f"[{self.t_start}, {self.t_end}], more than {MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -279,7 +267,7 @@ def _rk4_step(field, t, y, h, t_next):
 _FUSED_CHUNK = 1024
 
 
-def _interval_steps(t0, stop, h):
+def interval_steps(t0, stop, h):
     """(n_full, rem): full steps end at t0 + k*h, k <= n_full; rem lands on stop (or is 0.0)."""
     n_full = math.floor((stop - t0) / h)
     while t0 + (n_full + 1) * h <= stop:
@@ -295,7 +283,7 @@ def _chunks(t0, stop, h):
     The full steps end at t0 + k*h, _FUSED_CHUNK to a chunk, and a
     shortened step [t0 + n_full*h, stop] is a chunk of its own.
     """
-    n_full, rem = _interval_steps(t0, stop, h)
+    n_full, rem = interval_steps(t0, stop, h)
     for done in range(0, n_full, _FUSED_CHUNK):
         yield h, t0 + np.arange(done, min(done + _FUSED_CHUNK, n_full) + 1) * h
     if rem > 0.0:
@@ -399,29 +387,29 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None, s
 
 def _dp_attempt(field, t, y, h, f1):
     """One trial Dormand-Prince step; returns (y_new, f7, err_terms)."""
-    y2 = tuple(yi + h * (_A21 * a) for yi, a in zip(y, f1))
-    f2 = field(t + _C2 * h, y2)
-    y3 = tuple(yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, f1, f2))
-    f3 = field(t + _C3 * h, y3)
-    y4 = tuple(yi + h * (_A41 * a + _A42 * b + _A43 * c) for yi, a, b, c in zip(y, f1, f2, f3))
-    f4 = field(t + _C4 * h, y4)
+    y2 = tuple(yi + h * (A21 * a) for yi, a in zip(y, f1))
+    f2 = field(t + C2 * h, y2)
+    y3 = tuple(yi + h * (A31 * a + A32 * b) for yi, a, b in zip(y, f1, f2))
+    f3 = field(t + C3 * h, y3)
+    y4 = tuple(yi + h * (A41 * a + A42 * b + A43 * c) for yi, a, b, c in zip(y, f1, f2, f3))
+    f4 = field(t + C4 * h, y4)
     y5 = tuple(
-        yi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+        yi + h * (A51 * a + A52 * b + A53 * c + A54 * d)
         for yi, a, b, c, d in zip(y, f1, f2, f3, f4)
     )
-    f5 = field(t + _C5 * h, y5)
+    f5 = field(t + C5 * h, y5)
     y6 = tuple(
-        yi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+        yi + h * (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
         for yi, a, b, c, d, e in zip(y, f1, f2, f3, f4, f5)
     )
     f6 = field(t + h, y6)
     y_new = tuple(
-        yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+        yi + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * f)
         for yi, a, c, d, e, f in zip(y, f1, f3, f4, f5, f6)
     )
     f7 = field(t + h, y_new)
     errs = tuple(
-        h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
+        h * (E1 * a + E3 * c + E4 * d + E5 * e + E6 * f + E7 * g)
         for a, c, d, e, f, g in zip(f1, f3, f4, f5, f6, f7)
     )
     return y_new, f7, errs
@@ -444,6 +432,12 @@ def _dp_checked_attempt(field, t, y, h, f1, atol, rtol):
     return y_new, f7, math.sqrt(err / len(y))
 
 
+# the pair of integrate_adaptive as a run's stats name it, and its field
+# evaluations per trial step (FSAL)
+DP_NAME = "dormand_prince"
+DP_EVALS = 6
+
+
 def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None) -> Trajectory:
     """Dormand-Prince 5(4) with error-per-step control, marching through exact stops.
 
@@ -452,7 +446,7 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     0.9*err^(-1/5) is clamped to [0.2, 5].  A trial step with nonfinite
     result is treated as rejected.  StepUnderflowError signals that the
     controller was forced below h_min on a rejection, and StepBudgetError
-    that the run took more than _MAX_FIXED_STEPS accepted steps.
+    that the run took more than MAX_STEPS accepted steps.
 
     One loop runs the march; only its trial step branches.  A field that
     is not a ``model.PowerForm`` is tried by ``_dp_checked_attempt``, the
@@ -481,7 +475,7 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     t_end, rtol, atol, h_min = cfg.t_end, cfg.rtol, cfg.atol, cfg.h_min
     bound = cfg.escape_bound
     escapable = bound < inf  # an accepted state is finite, so never beyond inf
-    budget = _MAX_FIXED_STEPS
+    budget = MAX_STEPS
     record = rec.record
     if record:
         push_t, push_y = rec.ts.append, rec.buf.extend
@@ -504,33 +498,33 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
                     y_new, f7, err = _dp_checked_attempt(field, t, y, h_att, f1, atol, rtol)
                 else:
                     z, p = y
-                    z2 = z + h_att * (_A21 * p)
-                    a2 = p + h_att * (_A21 * f1)
+                    z2 = z + h_att * (A21 * p)
+                    a2 = p + h_att * (A21 * f1)
                     zm = z2 * z2 if square else int_pow(z2, m)
-                    b2 = nw2 * z2 - g(t + _C2 * h_att) * zm
-                    z3 = z + h_att * (_A31 * p + _A32 * a2)
-                    a3 = p + h_att * (_A31 * f1 + _A32 * b2)
+                    b2 = nw2 * z2 - g(t + C2 * h_att) * zm
+                    z3 = z + h_att * (A31 * p + A32 * a2)
+                    a3 = p + h_att * (A31 * f1 + A32 * b2)
                     zm = z3 * z3 if square else int_pow(z3, m)
-                    b3 = nw2 * z3 - g(t + _C3 * h_att) * zm
-                    z4 = z + h_att * (_A41 * p + _A42 * a2 + _A43 * a3)
-                    a4 = p + h_att * (_A41 * f1 + _A42 * b2 + _A43 * b3)
+                    b3 = nw2 * z3 - g(t + C3 * h_att) * zm
+                    z4 = z + h_att * (A41 * p + A42 * a2 + A43 * a3)
+                    a4 = p + h_att * (A41 * f1 + A42 * b2 + A43 * b3)
                     zm = z4 * z4 if square else int_pow(z4, m)
-                    b4 = nw2 * z4 - g(t + _C4 * h_att) * zm
-                    z5 = z + h_att * (_A51 * p + _A52 * a2 + _A53 * a3 + _A54 * a4)
-                    a5 = p + h_att * (_A51 * f1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
+                    b4 = nw2 * z4 - g(t + C4 * h_att) * zm
+                    z5 = z + h_att * (A51 * p + A52 * a2 + A53 * a3 + A54 * a4)
+                    a5 = p + h_att * (A51 * f1 + A52 * b2 + A53 * b3 + A54 * b4)
                     zm = z5 * z5 if square else int_pow(z5, m)
-                    b5 = nw2 * z5 - g(t + _C5 * h_att) * zm
-                    z6 = z + h_att * (_A61 * p + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
-                    a6 = p + h_att * (_A61 * f1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
+                    b5 = nw2 * z5 - g(t + C5 * h_att) * zm
+                    z6 = z + h_att * (A61 * p + A62 * a2 + A63 * a3 + A64 * a4 + A65 * a5)
+                    a6 = p + h_att * (A61 * f1 + A62 * b2 + A63 * b3 + A64 * b4 + A65 * b5)
                     zm = z6 * z6 if square else int_pow(z6, m)
                     g6 = g(t + h_att)
                     b6 = nw2 * z6 - g6 * zm
-                    zn = z + h_att * (_B1 * p + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
-                    pn = p + h_att * (_B1 * f1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)
+                    zn = z + h_att * (B1 * p + B3 * a3 + B4 * a4 + B5 * a5 + B6 * a6)
+                    pn = p + h_att * (B1 * f1 + B3 * b3 + B4 * b4 + B5 * b5 + B6 * b6)
                     zm = zn * zn if square else int_pow(zn, m)
                     f7 = nw2 * zn - g6 * zm
-                    ez = h_att * (_E1 * p + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * pn)
-                    ep = h_att * (_E1 * f1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * f7)
+                    ez = h_att * (E1 * p + E3 * a3 + E4 * a4 + E5 * a5 + E6 * a6 + E7 * pn)
+                    ep = h_att * (E1 * f1 + E3 * b3 + E4 * b4 + E5 * b5 + E6 * b6 + E7 * f7)
                     y_new = (zn, pn)
                     if isfinite(zn) and isfinite(ez) and isfinite(pn) and isfinite(ep):
                         # max(|y|, |y_new|) as chained comparisons
@@ -539,10 +533,10 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
                         err = sqrt((rz * rz + rp * rp) / 2)
                     else:
                         err = inf
-                # err = 0 gives the factor _FAC_MAX, err = inf gives _FAC_MIN; the
+                # err = 0 gives the factor FAC_MAX, err = inf gives FAC_MIN; the
                 # clamp, the floor and the carry-over below are min and max as comparisons
-                fac = _SAFETY * err ** -0.2 if err else _FAC_MAX
-                fac = _FAC_MIN if not fac > _FAC_MIN else fac if fac < _FAC_MAX else _FAC_MAX
+                fac = SAFETY * err ** -0.2 if err else FAC_MAX
+                fac = FAC_MIN if not fac > FAC_MIN else fac if fac < FAC_MAX else FAC_MAX
                 if err <= 1.0:
                     t, y, f1 = t_next, y_new, f7
                     n_acc += 1
@@ -577,238 +571,6 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     return rec.build(status, t, y, n_accepted=n_acc, n_rejected=n_rej)
 
 
-_DP_NODES = np.array([_C2, _C3, _C4, _C5, 1.0])
-
-
-def _dp_lane_attempt(form, t, y, h, f1, params, atol, rtol):
-    """``_dp_checked_attempt`` on lane arrays, plus the lanes singular at any stage.
-
-    Stages 6 and 7 share the time t + h, so g is evaluated at five times.
-    """
-    gs, singular = form.g_stages(t + _DP_NODES[:, None] * h, params)
-    deriv = form.deriv
-    f2 = deriv(gs[0], y + h * (_A21 * f1), params)
-    f3 = deriv(gs[1], y + h * (_A31 * f1 + _A32 * f2), params)
-    f4 = deriv(gs[2], y + h * (_A41 * f1 + _A42 * f2 + _A43 * f3), params)
-    f5 = deriv(gs[3], y + h * (_A51 * f1 + _A52 * f2 + _A53 * f3 + _A54 * f4), params)
-    f6 = deriv(gs[4], y + h * (_A61 * f1 + _A62 * f2 + _A63 * f3 + _A64 * f4 + _A65 * f5),
-               params)
-    y_new = y + h * (_B1 * f1 + _B3 * f3 + _B4 * f4 + _B5 * f5 + _B6 * f6)
-    f7 = deriv(gs[4], y_new, params)
-    errs = h * (_E1 * f1 + _E3 * f3 + _E4 * f4 + _E5 * f5 + _E6 * f6 + _E7 * f7)
-    finite = np.isfinite(y_new).all(axis=0) & np.isfinite(errs).all(axis=0)
-    r = errs / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
-    err = np.where(finite, np.sqrt((r * r).sum(axis=0) / len(y)), np.inf)
-    return y_new, f7, err, singular
-
-
-# Dormand-Prince 8(5,3), the values of scipy's integrate/_ivp/dop853_coefficients.py.
-# Stages k0..k11 (k0 = f at the step's start): _D8_C[i] and _D8_A[i] give
-# the node and the nonzero {j: a_j} of stage i + 1; B and the 5th and 3rd
-# order error weights E5 and E3 are {j: weight} over the same stages.
-_D8_C = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-         0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
-         0.8571428571428571, 1.0)
-_D8_A = (
-    {0: 0.05260015195876773},
-    {0: 0.0197250569845379, 1: 0.0591751709536137},
-    {0: 0.02958758547680685, 2: 0.08876275643042054},
-    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
-    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
-    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
-    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
-     5: -0.015319437748624402, 6: 0.008273789163814023},
-    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726, 5: 27.59209969944671,
-     6: 20.154067550477894, 7: -43.48988418106996},
-    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843, 5: 21.230051448181193,
-     6: 15.279233632882423, 7: -33.28821096898486, 8: -0.020331201708508627},
-    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295, 5: -8.149787010746927,
-     6: -18.52006565999696, 7: 22.739487099350505, 8: 2.4936055526796523, 9: -3.0467644718982196},
-    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625, 5: -17.9589318631188,
-     6: 27.94888452941996, 7: -2.8589982771350235, 8: -8.87285693353063, 9: 12.360567175794303,
-     10: 0.6433927460157636},
-)
-_D8_B = {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
-         7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
-         10: 0.20136540080403034, 11: 0.04471061572777259}
-_D8_E5 = {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
-          7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
-          10: 0.08192320648511571, 11: -0.022355307863886294}
-_D8_E3 = {0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
-          7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
-          10: 0.20136540080403034, 11: 0.02265179219836082}
-_D8_NODES = np.array(_D8_C)
-
-
-def _weighted(ks, weights):
-    """The sum of w * ks[j] over weights {j: w}, term by term in index order."""
-    terms = iter(weights.items())
-    j, w = next(terms)
-    total = w * ks[j]
-    for j, w in terms:
-        total = total + w * ks[j]
-    return total
-
-
-def _dop853_lane_attempt(form, t, y, h, f1, params, atol, rtol):
-    """One trial DOP853 step on lane arrays: (y_new, f_new, err, singular).
-
-    Every stage is y + h * (a_0 k_0 + a_1 k_1 + ...) summed elementwise,
-    so a lane's bits depend neither on its column nor on the number of
-    lanes; f_new at t + h shares the time of the last stage, as its node
-    is 1.  err is the norm of scipy's DOP853: with e5
-    and e3 the two error estimates over the scale atol + rtol *
-    max(|y|, |y_new|), it is h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), 0
-    when both are 0, and inf when any value is nonfinite.
-    """
-    gs, singular = form.g_stages(t + _D8_NODES[:, None] * h, params)
-    deriv = form.deriv
-    ks = [f1]
-    for g, row in zip(gs, _D8_A):
-        ks.append(deriv(g, y + h * _weighted(ks, row), params))
-    y_new = y + h * _weighted(ks, _D8_B)
-    f_new = deriv(gs[-1], y_new, params)
-    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    e5 = _weighted(ks, _D8_E5) / scale
-    e3 = _weighted(ks, _D8_E3) / scale
-    e5_2, e3_2 = (e5 * e5).sum(axis=0), (e3 * e3).sum(axis=0)
-    denom = e5_2 + 0.01 * e3_2
-    err = np.where(denom > 0.0, h * e5_2 / np.sqrt(denom * len(y)), 0.0)
-    finite = np.isfinite(y_new).all(axis=0) & np.isfinite(denom)
-    return y_new, f_new, np.where(finite, err, np.inf), singular
-
-
-@dataclass(frozen=True)
-class LanePair:
-    """An embedded pair for ``integrate_lanes``; the step factor is 0.9 * err ** exponent.
-
-    ``evals`` is the field evaluations (``deriv`` calls) of one trial
-    step: the first stage is the last of the step before (FSAL), so a
-    lane that takes n trial steps evaluates its field 1 + evals * n times.
-    """
-
-    name: str
-    attempt: Callable  # (form, t, y, h, f1, params, atol, rtol) -> (y_new, f_new, err, singular)
-    exponent: float
-    evals: int
-
-
-DP54 = LanePair("dormand_prince", _dp_lane_attempt, -0.2, 6)
-DOP853 = LanePair("dop853", _dop853_lane_attempt, -0.125, 12)
-
-
-# terminal statuses of a lane; code 0 marks a lane still running
-LANE_STATUSES = ("completed", "escaped", "coefficient_singular", "step_underflow")
-_COMPLETED, _ESCAPED, _SINGULAR, _UNDERFLOW = range(1, 5)
-
-
-@dataclass(frozen=True)
-class LaneRun:
-    """End of each lane of ``integrate_lanes``, in input lane order.
-
-    ``ts`` and ``ys`` (one column per lane) hold the last accepted state;
-    ``status`` names how each lane ended, one of LANE_STATUSES.
-    ``lock_steps`` counts the trial steps the lanes took together.
-    """
-
-    ts: np.ndarray
-    ys: np.ndarray
-    status: tuple
-    n_accepted: np.ndarray
-    n_rejected: np.ndarray
-    lock_steps: int
-
-
-def integrate_lanes(form, y0, params, cfg: AdaptiveConfig, pair: LanePair = DP54) -> LaneRun:
-    """An embedded pair (default DP54) over independent lanes that step in lock-step.
-
-    Column j of y0 (shape (n, lanes), n >= 2) and of params (per-lane
-    constants, shape (k, lanes)) is one initial value problem, whose
-    field is the ``model.LaneForm`` form.  The run's first stage is
-    ``form(t, y, params)``; each trial step evaluates ``form.g_stages``
-    once, at all its stage times, and ``form.deriv`` once per stage.
-
-    Each lane keeps its own t, h, FSAL stage and counters and is accepted
-    or rejected by the rules of ``integrate_adaptive`` with the pair's
-    error norm and exponent, with DP54 in the same floating-point
-    operation order.  A lane ends as "completed" at t_end, "escaped" on
-    an accepted state past the bound, "coefficient_singular" when a
-    stage of its trial step is singular, or "step_underflow" where
-    ``integrate_adaptive`` raises StepUnderflowError.  Finished lanes are
-    compacted out of the arrays, together with their columns of params.
-    A run that takes more than _MAX_FIXED_STEPS lock-steps raises
-    StepBudgetError.
-    """
-    y = np.array(y0, dtype=float)
-    params = np.array(params, dtype=float)
-    if y.ndim != 2 or y.shape[0] < 2:
-        raise ValueError("lane states must have shape (n >= 2, lanes)")
-    if params.ndim != 2 or params.shape[1] != y.shape[1]:
-        raise ValueError("lane constants must have shape (k, lanes)")
-    lanes = y.shape[1]
-    t_end, rtol, atol, h_min = cfg.t_end, cfg.rtol, cfg.atol, cfg.h_min
-    bound = cfg.escape_bound
-
-    t = np.full(lanes, cfg.t_start)
-    h = np.full(lanes, min(cfg.h_init, t_end - cfg.t_start))
-    n_acc = np.zeros(lanes, dtype=np.int64)
-    n_rej = np.zeros(lanes, dtype=np.int64)
-    live = np.arange(lanes)  # input index of each live lane
-    out_t, out_y = t.copy(), y.copy()
-    out_code = np.zeros(lanes, dtype=np.int8)
-    out_acc, out_rej = n_acc.copy(), n_rej.copy()
-    lock_steps = 0
-    budget = _MAX_FIXED_STEPS
-
-    with np.errstate(all="ignore"):  # singular and nonfinite lanes are handled below
-        f1, singular = form(t, y, params)
-        code = np.where(singular, _SINGULAR, 0)
-        while True:
-            done = code != 0
-            if done.any():
-                idx = live[done]
-                out_t[idx], out_y[:, idx], out_code[idx] = t[done], y[:, done], code[done]
-                out_acc[idx], out_rej[idx] = n_acc[done], n_rej[done]
-                keep = ~done
-                live, t, h, y, f1, params = (
-                    live[keep], t[keep], h[keep], y[:, keep], f1[:, keep], params[:, keep])
-                n_acc, n_rej = n_acc[keep], n_rej[keep]
-            if live.size == 0:
-                break
-            lock_steps += 1
-            if lock_steps > budget:
-                raise StepBudgetError(f"more than {budget} lock-steps before t_end={t_end}, "
-                                      f"with {live.size} lanes running")
-
-            t_next = t + h
-            last = t_next >= t_end
-            h_att = np.where(last, t_end - t, h)
-            t_next[last] = t_end
-            y_new, f_new, err, singular = pair.attempt(form, t, y, h_att, f1, params,
-                                                       atol, rtol)
-            ok = (err <= 1.0) & ~singular
-            rejected = ~ok & ~singular
-
-            # err = 0 gives the factor _FAC_MAX, err = inf gives _FAC_MIN
-            h_new = h_att * np.clip(_SAFETY * err ** pair.exponent, _FAC_MIN, _FAC_MAX)
-            h = np.where(ok, np.maximum(h_new, h_min), h_new)
-            t = np.where(ok, t_next, t)
-            y = np.where(ok, y_new, y)
-            f1 = np.where(ok, f_new, f1)
-            n_acc += ok
-            n_rej += rejected
-
-            code = np.where(singular, _SINGULAR, 0)
-            code[ok & last] = _COMPLETED
-            code[ok & (np.abs(y_new) > bound).any(axis=0)] = _ESCAPED
-            code[rejected & (h_new < h_min)] = _UNDERFLOW
-
-    return LaneRun(
-        ts=out_t, ys=out_y, status=tuple(LANE_STATUSES[c - 1] for c in out_code),
-        n_accepted=out_acc, n_rejected=out_rej, lock_steps=lock_steps,
-    )
-
-
 @dataclass(frozen=True)
 class StrobeResult:
     states: tuple
@@ -836,18 +598,18 @@ def sample_strobe(
     t_k + j*h at each t_k so that no step straddles a strobe time.  On
     escape the result carries the points collected so far and status
     "escaped"; the counts are the accepted and rejected steps.  k_max
-    above _MAX_GRID_POINTS or a t_step that is not positive and finite
+    above MAX_GRID_POINTS or a t_step that is not positive and finite
     raises ValueError, and so does the run's
-    config (for h, more than _MAX_FIXED_STEPS steps in all), before any
+    config (for h, more than MAX_STEPS steps in all), before any
     stop time is made.  A start of fewer than two components, or one that
     is not (z, p) for a ``model.PowerForm`` field, raises ValueError and a
     nonfinite one NonfiniteStateError, at k_max = 0 too.
     """
     if not 0.0 < t_step < math.inf:
         raise ValueError(f"t_step must be positive and finite, got {t_step}")
-    if not 0 <= k_max <= _MAX_GRID_POINTS:
-        raise ValueError(f"k_max must be in [0, {_MAX_GRID_POINTS}] (at most "
-                         f"{_MAX_GRID_POINTS + 1} strobe points), got {k_max}")
+    if not 0 <= k_max <= MAX_GRID_POINTS:
+        raise ValueError(f"k_max must be in [0, {MAX_GRID_POINTS}] (at most "
+                         f"{MAX_GRID_POINTS + 1} strobe points), got {k_max}")
     y = _initial_state(field, y0)
     states = [State(0.0, y[0], y[1])]
     if k_max == 0:

@@ -16,11 +16,10 @@ The forcing coefficient g(t) comes from one of three sources, the
 The exponent m is an integer in [2, MAX_M].
 
 ``make_field`` gives a trig or sampled system's field as a
-``PowerForm``, the (z, p) field that both scalar integrators inline, and
-``make_lane_field`` the trig field over many lanes as a ``LaneForm``.
-The field, the lanes and the invariant (``trig_alpha2_eval``) sum alpha2
-in one order, that of ``alpha2_grid``, and take z^m by the one loop of
-``int_pow``.
+``PowerForm``, the (z, p) field that both scalar integrators inline;
+``osclab.lanes`` makes the trig field over many lanes.  The field, the
+lanes and the invariant (``trig_alpha2_eval``) sum alpha2 in one order,
+that of ``alpha2_grid``, and take z^m by the one loop of ``int_pow``.
 
 All types here are immutable value objects; every operation is a pure
 function of its inputs.
@@ -320,71 +319,6 @@ def make_field(spec: OscillatorSpec) -> PowerForm:
         )
 
     return PowerForm(w2, m, g, g_grid)
-
-
-@dataclass(frozen=True)
-class LaneForm:
-    """A lane field split into a time part and a state part: the field of ``integrate_lanes``.
-
-    ``g_stages(ts, params)`` takes times ts (stages, lanes) and returns
-    the time part g over them, row by row, and a (lanes,) mask of the
-    lanes singular at any of their times; ``deriv(g, y, params)`` is the
-    (n, lanes) derivative at states y given one row of g.  A lane attempt
-    calls ``g_stages`` once on all its stage times, then ``deriv`` per
-    stage; calling the form gives (derivative, singular) at one time per
-    lane.  Any lane ODE fits: its g can be the stage times themselves.
-    """
-
-    g_stages: Callable
-    deriv: Callable
-
-    def __call__(self, t, y, params):
-        g, singular = self.g_stages(t[None], params)
-        return self.deriv(g[0], y, params), singular
-
-
-def make_lane_field(specs):
-    """The trig field of ``make_field`` vectorised over lanes, one lane per spec.
-
-    Returns (form, params): a LaneForm and the per-lane constants
-    (2 omega, -omega^2) as a (2, lanes) array.  The form's g is
-    alpha2^(-(m+3)/2), and its singular mask flags the lanes where
-    alpha2 <= EPS_POS, which ``make_field`` refuses with
-    CoefficientSingularError.  A caller that drops lanes drops the same
-    columns of params (see ``integrate.integrate_lanes``).
-
-    The specs must share A, B, C and m; only omega may vary.  Each lane
-    repeats the operations of ``make_field`` in the same order, with
-    alpha2 from ``alpha2_grid``, so alpha2 is bit-identical to the
-    scalar one.  The power is numpy's, which rounds apart from float
-    ``**`` on about 5 % of arguments, so a lane's p' may differ from the
-    scalar field's by a few ulps.  numpy's cos and power round an element
-    alike at any position and in any shape of array, so g over many stage
-    times at once equals g at each of them alone.
-    """
-    specs = tuple(specs)
-    if not specs or not all(isinstance(s.g_source, TrigAlpha) for s in specs):
-        raise ValueError("lane fields need at least one spec, all of the trig family")
-    a, m = specs[0].g_source, specs[0].m
-    A, B, C = a.A, a.B, a.C
-    if any((s.g_source.A, s.g_source.B, s.g_source.C, s.m) != (A, B, C, m) for s in specs):
-        raise ValueError("lane specs must share A, B, C and m")
-    ex = g_exponent(m)
-    # -omega^2 is negated once here, not at every stage: the bits of -w2 * z stay
-    params = np.array([[2.0 * s.omega for s in specs], [-(s.omega * s.omega) for s in specs]])
-
-    def g_stages(ts, params):
-        a2 = alpha2_grid(A, B, C, params[0], ts)
-        return a2 ** ex, (a2 <= EPS_POS).any(axis=0)
-
-    def deriv(g, y, params):
-        z = y[0]
-        dy = np.empty_like(y)
-        dy[0] = y[1]
-        dy[1] = params[1] * z - g * int_pow(z, m)
-        return dy
-
-    return LaneForm(g_stages, deriv), params
 
 
 def spec_to_json(spec: OscillatorSpec) -> dict:

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import spline
 from .errors import EnvelopeBlowupError, UnstableHillError
-from .integrate import _MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive
+from .integrate import MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive
 from .model import check_m, int_pow
 
 _W_FLOOR = 1e-6
@@ -164,11 +164,11 @@ def cs_envelope(h: HillSpec, mono: MonodromyResult, n_grid: int = 2001,
     is raised at the first grid time where w has left
     [_W_FLOOR, _W_CEIL].  The one-period defects |w(T)-w(0)|,
     |w'(T)-w'(0)| are returned for quality control.  n_grid outside
-    [2, _MAX_GRID_POINTS + 1] raises ValueError before any grid time is
+    [2, MAX_GRID_POINTS + 1] raises ValueError before any grid time is
     made.  The run takes the caller's rtol and atol _ENV_ATOL.
     """
-    if not 2 <= n_grid <= _MAX_GRID_POINTS + 1:
-        raise ValueError(f"n_grid must be in [2, {_MAX_GRID_POINTS + 1}], got {n_grid}")
+    if not 2 <= n_grid <= MAX_GRID_POINTS + 1:
+        raise ValueError(f"n_grid must be in [2, {MAX_GRID_POINTS + 1}], got {n_grid}")
     f = h.f
 
     def field(t, y):

@@ -21,7 +21,7 @@ z0 in steps of dz0 until an integration escapes, then compares the last
 bounded z0 against z_crit; each omega's ``StabilityRow`` holds that
 verdict and the counts of its cells.  Scan cells are independent
 integrations, so the scan runs them in one process as lanes of one
-lock-step run (``integrate.integrate_lanes``) of the DOP853 pair;
+lock-step run (``lanes.integrate_lanes``) of the DOP853 pair;
 ``bounded`` is the scalar Dormand-Prince 5(4) reference for one cell.
 """
 
@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepUnderflowError
-from .integrate import (_MAX_GRID_POINTS, DOP853, AdaptiveConfig, integrate_adaptive,
-                        integrate_lanes)
-from .model import OscillatorSpec, TrigAlpha, make_field, make_lane_field, trig_spec
+from .integrate import MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive
+from .lanes import DOP853, integrate_lanes, make_lane_field
+from .model import OscillatorSpec, TrigAlpha, make_field, trig_spec
 
 
 def _check_amplitudes(A: float, R: float, omega: float):
@@ -82,7 +82,7 @@ def z_crit(A: float, R: float, omega: float) -> float:
     return _finite("z_crit", zc, A, R, omega)
 
 
-def _require_m2_trig(spec: OscillatorSpec) -> None:
+def require_m2_trig(spec: OscillatorSpec) -> None:
     if not (isinstance(spec.g_source, TrigAlpha) and spec.m == 2):
         raise ValueError("boundedness analysis applies to the m=2 trig family only")
 
@@ -107,7 +107,7 @@ def bounded(spec: OscillatorSpec, z0: float, t_max: float = 600.0,
     the threshold), or a singular coefficient.  A nonfinite z0 raises
     NonfiniteStateError.
     """
-    _require_m2_trig(spec)
+    require_m2_trig(spec)
     if z0 < 0.0:
         raise ValueError(f"the scan convention uses z0 >= 0, got {z0}")
     cell = _cell_spec(spec.g_source.A, spec.g_source.R, spec.omega)
@@ -181,9 +181,9 @@ def scan(
     only a completed lane is bounded; a test pins its agreement with
     ``bounded`` at the boundary cells of each row of one three-omega grid.
     Rows, counts included, depend neither on the batch size nor on the
-    order of the omegas.  A grid with more than _MAX_GRID_POINTS cells in
+    order of the omegas.  A grid with more than MAX_GRID_POINTS cells in
     any row raises ValueError before any integration; a batch that takes
-    more than _MAX_FIXED_STEPS lock-steps raises StepBudgetError.
+    more than ``integrate.MAX_STEPS`` lock-steps raises StepBudgetError.
     """
     if not (0.0 < dz0 < math.inf):
         raise ValueError(f"dz0 must be positive and finite, got {dz0}")
@@ -194,9 +194,9 @@ def scan(
     for omega in omegas:
         zc = z_crit(A, R, omega)
         n_cells = (1.5 * zc + 20.0 * dz0) / dz0
-        if not n_cells <= _MAX_GRID_POINTS:
+        if not n_cells <= MAX_GRID_POINTS:
             raise ValueError(f"dz0={dz0} gives {n_cells:.3g} cells at omega={omega}, "
-                             f"more than {_MAX_GRID_POINTS} in one row")
+                             f"more than {MAX_GRID_POINTS} in one row")
         grid.append((omega, zc, int(math.ceil(n_cells))))
 
     def cells():  # (row, spec, k) for z0 = k dz0, made as the batches need them

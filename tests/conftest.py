@@ -13,7 +13,7 @@ settings.load_profile("derandomized")
 
 @pytest.fixture
 def step_cap(monkeypatch):
-    """Set integrate._MAX_FIXED_STEPS, the step budget of every run, to n.
+    """Set integrate.MAX_STEPS, the step budget of every run, to n.
 
     A test whose runs are known to take at most about n accepted steps (a
     scalar adaptive run) or lock-steps (a lane run) sets a cap just above
@@ -23,7 +23,7 @@ def step_cap(monkeypatch):
     also cover any fixed-step run of the test.
     """
     def cap(n):
-        monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", n)
+        monkeypatch.setattr(integrate, "MAX_STEPS", n)
 
     return cap
 

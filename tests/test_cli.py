@@ -826,9 +826,10 @@ _CLI_MODULES = {"cli", "errors", "integrate", "model", "output"}
 
 @pytest.mark.parametrize("argv, added", [
     (None, set()),
-    (["crit", "--A", "1.3", "--B", "0.9", "--omega", "1"], {"stability"}),
+    (["crit", "--A", "1.3", "--B", "0.9", "--omega", "1"], {"stability", "lanes"}),
     (["stability-scan", "--preset", "fig3", "--omegas", "1.0:1.0:0.2", "--dz0", "0.5",
-      "--tmax", "1", "--no-svg", "--out", "{out}"], {"stability"}),
+      "--tmax", "1", "--no-svg", "--out", "{out}"], {"stability", "lanes"}),
+    (["simulate", "--preset", "fig1", "--tmax", "1", "--out", "{out}"], set()),
     # a trig spec never reaches family: invariant's isinstance test of TrigAlpha comes first
     (["drift", "--preset", "fig1", "--tmax", "1", "--out", "{out}"], {"invariant"}),
     (["poincare", "--preset", "fig2", "--points", "3", "--out", "{out}"],
@@ -837,7 +838,8 @@ _CLI_MODULES = {"cli", "errors", "integrate", "model", "output"}
      {"family", "invariant"}),
     (["reduce", "--hill", "{hill}", "--T", repr(2 * math.pi), "--m", "2", "--n-grid", "101",
       "--out", "{out}"], {"normalform", "spline"}),
-], ids=["import", "crit", "stability-scan", "drift", "poincare", "family", "reduce"])
+], ids=["import", "crit", "stability-scan", "simulate", "drift", "poincare", "family",
+        "reduce"])
 def test_command_executes_only_its_modules(tmp_path, argv, added):
     # a lazily imported module stays a _LazyModule until it runs, then becomes a plain module
     hill, fiveparam = tmp_path / "hill.csv", tmp_path / "fiveparam.json"
@@ -964,7 +966,7 @@ def test_presets_cover_documented_demos():
 
 
 def test_adaptive_run_past_its_step_budget_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", 3000)
+    monkeypatch.setattr(integrate, "MAX_STEPS", 3000)
     (tmp_path / "fp.json").write_text(_FP_SPEC)
     for argv in (["simulate", "--preset", "fig1", "--rtol", "1e-8", "--tmax", "1e300"],
                  ["family", "--spec", str(tmp_path / "fp.json"), "--tmax", "1e300"]):
@@ -979,7 +981,7 @@ def test_adaptive_run_past_its_step_budget_exits_3(tmp_path, monkeypatch, capsys
 
 
 def test_scan_past_its_lock_step_budget_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", 3000)
+    monkeypatch.setattr(integrate, "MAX_STEPS", 3000)
     out = tmp_path / "scan"
     assert run(["stability-scan", "--preset", "fig3", "--omegas", "1:1:1", "--dz0", "0.5",
                 "--tmax", "1e300", "--out", str(out)]) == 3
@@ -1189,7 +1191,7 @@ def _record_path(argv, out):
         stats = cli._stats("rk4", traj)
     else:
         traj = integrate_adaptive(field, y0, AdaptiveConfig(rtol=params["rtol"], **span))
-        stats = cli._stats(integrate.DP54.name, traj)
+        stats = cli._stats(integrate.DP_NAME, traj)
     if args.command == "drift":
         series = invariant.invariant_series(spec, traj)
         i0 = float(series[0])
@@ -1279,8 +1281,8 @@ def test_fig1_blocks_split_pixel_columns():
     _, px, _ = plot_frame([np.array((0.0, 20.0))], (), (-1e-5, 1e-5))
     col = _columns(px(np.arange(20001) * 1e-3))
     assert col[8191] == col[8192] and col[16383] == col[16384]
-    n_full, rem = integrate._interval_steps(0.0, 16.383, 1e-3)
-    assert (n_full + (rem > 0.0) + 1) % invariant._SERIES_CHUNK == 0
+    n_full, rem = integrate.interval_steps(0.0, 16.383, 1e-3)
+    assert (n_full + (rem > 0.0) + 1) % cli._ROW_BLOCK == 0
 
 
 def test_drift_peak_memory_does_not_grow_with_the_run(tmp_path, peak_alloc):

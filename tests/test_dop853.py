@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from osclab import integrate
 from osclab.errors import CoefficientSingularError
-from osclab.model import LaneForm, make_field, make_lane_field, trig_spec
+from osclab.lanes import (_D8_A, _D8_B, _D8_C, _D8_E3, _D8_E5, LaneForm, _dop853_lane_attempt,
+                          make_lane_field)
+from osclab.model import make_field, trig_spec
 
 
 def _dense(weights, size):
@@ -25,13 +26,13 @@ def test_dop853_tableau_is_scipys_bit_for_bit():
     ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
     n = ref.N_STAGES
     a = np.zeros((n, n))
-    for i, row in enumerate(integrate._D8_A, start=1):
+    for i, row in enumerate(_D8_A, start=1):
         a[i] = _dense(row, n)
     assert _bits(a) == _bits(ref.A[:n, :n])
-    assert _bits((0.0, *integrate._D8_C)) == _bits(ref.C[:n])
-    assert _bits(_dense(integrate._D8_B, n)) == _bits(ref.B)
-    assert _bits(_dense(integrate._D8_E3, n + 1)) == _bits(ref.E3)
-    assert _bits(_dense(integrate._D8_E5, n + 1)) == _bits(ref.E5)
+    assert _bits((0.0, *_D8_C)) == _bits(ref.C[:n])
+    assert _bits(_dense(_D8_B, n)) == _bits(ref.B)
+    assert _bits(_dense(_D8_E3, n + 1)) == _bits(ref.E3)
+    assert _bits(_dense(_D8_E5, n + 1)) == _bits(ref.E5)
 
 
 def _scipy_step(spec, t, y, f1, h, atol, rtol):
@@ -58,8 +59,7 @@ def test_dop853_lane_attempt_matches_scipy_step(m, C):
     h = 10.0 ** rng.uniform(-3.0, -0.5, lanes)
     atol, rtol = 1e-12, 1e-10
     f1, _ = field(t, y, params)
-    y_new, f_new, err, singular = integrate._dop853_lane_attempt(field, t, y, h, f1, params,
-                                                                 atol, rtol)
+    y_new, f_new, err, singular = _dop853_lane_attempt(field, t, y, h, f1, params, atol, rtol)
     assert not singular.any()
     for j, spec in enumerate(specs):
         ref_y, ref_f, ref_err = _scipy_step(spec, t[j], y[:, j], f1[:, j], h[j], atol, rtol)
@@ -77,13 +77,12 @@ def test_dop853_lane_attempt_flags_a_singular_stage():
     # end their step before the dip
     spec = trig_spec(1.0, 1.0 - 1e-10, 0.0, 1.0)
     h = np.array([0.1, 0.1, 0.5])
-    t = np.array([math.pi / 2 - integrate._D8_C[4] * 0.1, 0.2, 0.3])
+    t = np.array([math.pi / 2 - _D8_C[4] * 0.1, 0.2, 0.3])
     y = np.array([[0.1, 0.1, -0.2], [0.0, 0.3, 0.1]])
     field, params = make_lane_field([spec] * 3)
     f1, _ = field(t, y, params)
     with np.errstate(all="ignore"):
-        _, _, _, singular = integrate._dop853_lane_attempt(field, t, y, h, f1, params,
-                                                           1e-12, 1e-10)
+        _, _, _, singular = _dop853_lane_attempt(field, t, y, h, f1, params, 1e-12, 1e-10)
     assert singular.tolist() == [True, False, False]
     with pytest.raises(CoefficientSingularError):
         _scipy_step(spec, t[0], y[:, 0], f1[:, 0], h[0], 1e-12, 1e-10)
@@ -106,7 +105,6 @@ def test_dop853_lane_attempt_norm_edges():
     params = np.array([[0.0, 1.0]])
     f1, _ = field(t, y, params)
     with np.errstate(all="ignore"):
-        y_new, _, err, singular = integrate._dop853_lane_attempt(field, t, y, h, f1, params,
-                                                                 1e-12, 1e-10)
+        y_new, _, err, singular = _dop853_lane_attempt(field, t, y, h, f1, params, 1e-12, 1e-10)
     assert err[0] == 0.0 and math.isinf(err[1])
     assert y_new[:, 0].tolist() == [1.0, 0.0] and not singular.any()

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from osclab import integrate
+from osclab import integrate, lanes
 from osclab.errors import (CoefficientSingularError, NonfiniteStateError, StepBudgetError,
                            StepUnderflowError)
 from osclab.family import FiveParamSpec, make_augmented_field
 from osclab.integrate import (
-    _FAC_MAX,
-    _FAC_MIN,
-    _SAFETY,
+    FAC_MAX,
+    FAC_MIN,
+    SAFETY,
     AdaptiveConfig,
     FixedStepConfig,
     _check_state,
@@ -23,11 +23,10 @@ from osclab.integrate import (
     _rk4_step,
     integrate_adaptive,
     integrate_fixed,
-    integrate_lanes,
     sample_strobe,
 )
-from osclab.model import (MAX_M, LaneForm, OscillatorSpec, PowerForm, Sampled, State,
-                          make_field, make_lane_field, trig_spec)
+from osclab.lanes import LaneForm, integrate_lanes, make_lane_field
+from osclab.model import MAX_M, OscillatorSpec, PowerForm, Sampled, State, make_field, trig_spec
 from osclab.stability import bounded
 
 
@@ -212,12 +211,12 @@ def test_adaptive_step_underflow():
 def test_adaptive_run_stops_past_its_step_budget(monkeypatch, field):
     cfg = AdaptiveConfig(rtol=1e-8, t_end=20.0)
     n = integrate_adaptive(field, (0.1, 0.0), cfg).n_accepted
-    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", n)
+    monkeypatch.setattr(integrate, "MAX_STEPS", n)
     assert integrate_adaptive(field, (0.1, 0.0), cfg).n_accepted == n
-    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", n - 1)
+    monkeypatch.setattr(integrate, "MAX_STEPS", n - 1)
     with pytest.raises(StepBudgetError, match=f"more than {n - 1} accepted steps"):
         integrate_adaptive(field, (0.1, 0.0), cfg)
-    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", 3000)
+    monkeypatch.setattr(integrate, "MAX_STEPS", 3000)
     with pytest.raises(StepBudgetError):
         integrate_adaptive(field, (0.1, 0.0), AdaptiveConfig(rtol=1e-8, t_end=1e300))
 
@@ -333,13 +332,13 @@ def _adaptive_single_run(field, y0, cfg):
                     status = "escaped"
                     break
                 if err == 0.0:
-                    fac = _FAC_MAX
+                    fac = FAC_MAX
                 else:
-                    fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2))
+                    fac = min(FAC_MAX, max(FAC_MIN, SAFETY * err ** -0.2))
                 h = max(h_att * fac, cfg.h_min)
             else:
                 n_rej += 1
-                fac = _FAC_MIN if math.isinf(err) else max(_FAC_MIN, _SAFETY * err ** -0.2)
+                fac = FAC_MIN if math.isinf(err) else max(FAC_MIN, SAFETY * err ** -0.2)
                 h = h_att * fac
                 if h < cfg.h_min:
                     raise StepUnderflowError(f"required step {h:.3e} < h_min {cfg.h_min:.3e}")
@@ -604,12 +603,12 @@ def test_lanes_stop_past_their_lock_step_budget(monkeypatch, step_cap):
     y0 = np.array([[0.1, 0.2], [0.0, 0.0]])
     cfg = AdaptiveConfig(rtol=1e-10, t_end=20.0, record=False)
     n = integrate_lanes(field, y0, params, cfg).lock_steps
-    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", n)
+    monkeypatch.setattr(integrate, "MAX_STEPS", n)
     assert integrate_lanes(field, y0, params, cfg).lock_steps == n
-    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", n - 1)
+    monkeypatch.setattr(integrate, "MAX_STEPS", n - 1)
     with pytest.raises(StepBudgetError, match=f"more than {n - 1} lock-steps"):
         integrate_lanes(field, y0, params, cfg)
-    monkeypatch.setattr(integrate, "_MAX_FIXED_STEPS", 3000)
+    monkeypatch.setattr(integrate, "MAX_STEPS", 3000)
     with pytest.raises(StepBudgetError):
         integrate_lanes(field, y0, params, AdaptiveConfig(rtol=1e-10, t_end=1e300, record=False))
 
@@ -679,7 +678,7 @@ def _lane_batches(seed, n):
         yield form, y0, params, cfg
 
 
-@pytest.mark.parametrize("pair", [integrate.DP54, integrate.DOP853], ids=["dp54", "dop853"])
+@pytest.mark.parametrize("pair", [lanes.DP54, lanes.DOP853], ids=["dp54", "dop853"])
 def test_lane_form_runs_match_the_generic_stages_bit_for_bit(pair, step_cap):
     step_cap(2200)
     # the lanes evaluate g at all stage times of a trial at once; the
@@ -703,7 +702,7 @@ def test_lane_form_runs_match_the_generic_stages_bit_for_bit(pair, step_cap):
     assert seen == {"completed", "escaped", "coefficient_singular"}
 
 
-@pytest.mark.parametrize("pair", [integrate.DP54, integrate.DOP853], ids=["dp54", "dop853"])
+@pytest.mark.parametrize("pair", [lanes.DP54, lanes.DOP853], ids=["dp54", "dop853"])
 def test_lane_form_is_called_once_per_trial_step_not_per_stage(pair, step_cap):
     step_cap(200)
     form, params = make_lane_field([trig_spec(1.3, 0.9, 0.2, w) for w in (0.8, 1.2, 1.6)])
@@ -721,7 +720,7 @@ def test_lane_form_is_called_once_per_trial_step_not_per_stage(pair, step_cap):
     # per lock-step, at every stage time
     assert len(calls) == run.lock_steps + 1
     assert calls[0].tolist() == [[0.0] * 3]
-    assert {c.shape[0] for c in calls[1:]} == {5 if pair is integrate.DP54 else 11}
+    assert {c.shape[0] for c in calls[1:]} == {5 if pair is lanes.DP54 else 11}
     assert calls[1].shape[1] == 3  # all lanes, until the first completes
 
 
@@ -1095,7 +1094,7 @@ def _fused_march_matches_generic(field, y0, cfg, step_cap=None):
 def test_fused_attempt_matches_generic_attempt_and_norm():
     # one-trial runs from t = 0.5: an h_min of the trial's own step ends the
     # run at its first rejection.  A stage of the large trial overflows, so
-    # err is inf and the trial is rejected with the factor _FAC_MIN
+    # err is inf and the trial is rejected with the factor FAC_MIN
     field = make_field(trig_spec(1.3, 0.9, 0.2, 1.0, 6))
     for y, h, want_inf in [((0.3, 0.1), 0.01, False), ((-1e40, 1e30), 1e-3, True)]:
         h = (0.5 + h) - 0.5  # the step of the run's one trial
@@ -1113,7 +1112,7 @@ def test_fused_attempt_matches_generic_attempt_and_norm():
                 runs.append(str(exc))
         assert runs[0] == runs[1]
         if want_inf:
-            assert runs[0] == f"required step {_FAC_MIN * h:.3e} < h_min {h:.3e} at t=0.5"
+            assert runs[0] == f"required step {FAC_MIN * h:.3e} < h_min {h:.3e} at t=0.5"
         else:
             assert runs[0][:3] == ("completed", 1, 0)
             assert runs[0][4] == repr([list(y), list(y_new)])
@@ -1345,9 +1344,9 @@ def _adaptive_march_reference(field, y0, cfg, stops, at_stop):
                     status = "escaped"
                     break
                 if err == 0.0:
-                    fac = _FAC_MAX
+                    fac = FAC_MAX
                 else:
-                    fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2))
+                    fac = min(FAC_MAX, max(FAC_MIN, SAFETY * err ** -0.2))
                 h_new = max(h_att * fac, cfg.h_min)
                 if clipped:
                     at_stop(t, y)
@@ -1359,7 +1358,7 @@ def _adaptive_march_reference(field, y0, cfg, stops, at_stop):
                 h = h_new
             else:
                 n_rej += 1
-                fac = _FAC_MIN if math.isinf(err) else max(_FAC_MIN, _SAFETY * err ** -0.2)
+                fac = FAC_MIN if math.isinf(err) else max(FAC_MIN, SAFETY * err ** -0.2)
                 h = h_att * fac
                 if h < cfg.h_min:
                     raise StepUnderflowError(f"required step {h:.3e} < h_min {cfg.h_min:.3e}")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osclab.errors import CoefficientSingularError
+from osclab.lanes import make_lane_field
 from osclab.model import (
     MAX_M,
     OscillatorSpec,
@@ -19,7 +20,6 @@ from osclab.model import (
     g_exponent,
     int_pow,
     make_field,
-    make_lane_field,
     spec_from_json,
     spec_to_json,
     trig_alpha2_eval,

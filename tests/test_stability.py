@@ -8,8 +8,9 @@ import pytest
 
 from osclab import stability
 from osclab.errors import StepUnderflowError
-from osclab.integrate import AdaptiveConfig, integrate_adaptive, integrate_lanes
-from osclab.model import LaneForm, make_field, make_lane_field, trig_spec
+from osclab.integrate import AdaptiveConfig, integrate_adaptive
+from osclab.lanes import LaneForm, integrate_lanes, make_lane_field
+from osclab.model import make_field, trig_spec
 from osclab.stability import (
     StabilityRow,
     bounded,

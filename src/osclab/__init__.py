@@ -24,8 +24,9 @@ _SOURCES = {
     **dict.fromkeys(("OscillatorSpec", "Sampled", "State", "Trajectory", "TrigAlpha",
                      "make_field", "trig_spec"), "model"),
     **dict.fromkeys(("HillSpec", "monodromy", "reduce"), "normalform"),
-    **dict.fromkeys(("curve_loop", "section_curve", "section_residual"), "poincare"),
-    **dict.fromkeys(("bounded", "i0_crit", "scan", "z_crit"), "stability"),
+    **dict.fromkeys(("curve_loop", "i0_crit", "section_curve", "section_residual", "z_crit"),
+                    "poincare"),
+    **dict.fromkeys(("bounded", "scan"), "stability"),
 }
 
 
@@ -45,44 +46,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptiveConfig",
-    "CoefficientSingularError",
-    "ConfigError",
-    "EnvelopeBlowupError",
-    "FiveParamSpec",
-    "FixedStepConfig",
-    "HillSpec",
-    "NonfiniteStateError",
-    "OscLabError",
-    "OscillatorSpec",
-    "Sampled",
-    "State",
-    "StepBudgetError",
-    "StepUnderflowError",
-    "Trajectory",
-    "TrigAlpha",
-    "UnstableHillError",
-    "UnsupportedSourceError",
-    "bounded",
-    "build_coeffs",
-    "curve_loop",
-    "drift",
-    "eval_invariant",
-    "i0_crit",
-    "integrate_adaptive",
-    "integrate_family",
-    "integrate_fixed",
-    "invariant_series",
-    "make_field",
-    "monodromy",
-    "pde_residual",
-    "reduce",
-    "sample_strobe",
-    "scan",
-    "section_curve",
-    "section_residual",
-    "trig_spec",
-    "z_crit",
-    "__version__",
-]
+__all__ = sorted(_SOURCES) + ["__version__"]

@@ -13,8 +13,9 @@ Each command returns a ``Record``; ``main`` alone writes it to --out.
 Importing this module executes errors, integrate, model and output,
 which every command uses.  family, invariant, normalform, poincare,
 spline and stability are lazy (``_lazy``): each runs when a command
-first reads from it, so ``crit`` adds stability and the lanes it
-imports, and ``reduce`` normalform and spline.
+first reads from it, so ``crit`` adds poincare and cubic,
+``stability-scan`` adds stability and what it imports (lanes, poincare
+and cubic), and ``reduce`` normalform and spline.
 Exit codes: 0 on success (escape during a scan or simulate is an
 expected outcome, not a failure), 2 on configuration errors (nothing is
 written) or an unwritable --out, 3 on numerical failures (an
@@ -447,7 +448,7 @@ def cmd_scan(args) -> Record:
                  [(r.omega, r.z_last_bounded, r.z_crit_analytic) for r in rows])],
         plots=[("scan.svg",
                 [{"kind": "line", "x": dense,
-                  "y": [stability_mod.z_crit(A, R, w) for w in dense]},
+                  "y": [poincare_mod.z_crit(A, R, w) for w in dense]},
                  {"kind": "scatter", "x": [r.omega for r in rows],
                   "y": [r.z_last_bounded for r in rows], "color": "#d62728"}],
                 {"xlabel": "omega", "ylabel": "z0", "title": "stability boundary"})])
@@ -455,8 +456,8 @@ def cmd_scan(args) -> Record:
 
 def cmd_crit(args) -> Record:
     R = math.hypot(args.B, args.C)
-    zc = stability_mod.z_crit(args.A, R, args.omega)
-    ic = stability_mod.i0_crit(args.A, R, args.omega)
+    zc = poincare_mod.z_crit(args.A, R, args.omega)
+    ic = poincare_mod.i0_crit(args.A, R, args.omega)
     return Record({"A": args.A, "B": args.B, "C": args.C, "R": R,
                    "omega": args.omega, "z_crit": zc, "i0_crit": ic},
                   f"z_crit = {zc:.2f}\n  z_crit  (full) = {zc:.17g}\n"

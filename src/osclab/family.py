@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CoefficientSingularError
 from .integrate import AdaptiveConfig, integrate_adaptive
-from .model import EPS_POS, OscillatorSpec, TrigAlpha, json_number, json_numbers
+from .model import EPS_POS, OscillatorSpec, TrigAlpha, g_exponent, json_number, json_numbers
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,13 @@ def make_augmented_field(fp: FiveParamSpec):
     """
     w2 = fp.omega * fp.omega
     four_w2 = 4.0 * w2
+    ex = g_exponent(2)
 
     def field(t, y):
         z, p, a2, a2p, a2pp = y
         if a2 <= EPS_POS:
             raise CoefficientSingularError(f"alpha2(t={t}) = {a2} <= {EPS_POS}")
-        g = a2 ** -2.5
+        g = a2 ** ex
         al1, _ = alpha1_eval(fp, t)
         a2ppp = -four_w2 * a2p + 2.0 * al1 * g
         return (p, -w2 * z - g * (z * z), a2p, a2pp, a2ppp)

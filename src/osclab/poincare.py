@@ -1,4 +1,4 @@
-"""Stroboscopic section curve for the m = 2 trig family with C = 0.
+"""Stroboscopic section curve of the m = 2 trig family and its critical level.
 
 Sampling the motion at t_k = k pi/omega freezes the coefficient at
 alpha2 = A + B with alpha2' = 0 and alpha2'' = -4 omega^2 B, so the
@@ -8,9 +8,27 @@ invariant collapses to an algebraic curve in the (z, p) plane:
 
 The admissible z-set is where the radicand of p(z) is nonnegative; its
 topology changes at the critical level where the cubic acquires a
-double root (see osclab.stability).  Sections with C != 0 are refused:
-at t_k the coefficient derivative alpha2' no longer vanishes there and
-no comparably simple curve exists.
+double root.  Sections with C != 0 are refused: at t_k the coefficient
+derivative alpha2' no longer vanishes there and no comparably simple
+curve exists.
+
+With p(0) = 0 the level set through (z0, 0) is this curve at B = R.  Its
+level
+
+    i0_of_z0 = omega^2 (A-R) z0^2 + (2/3) (A+R)^(-3/2) z0^3
+
+stays below the critical value
+
+    i0_crit = (1/3) omega^6 (A^2 - R^2)^3
+
+exactly while z0 < z_crit = (omega^2/2) (A-R) (A+R)^(3/2); above it the
+bounded lobe of the level set merges with the escape branch and the
+motion runs off to z -> -infinity.  R = sqrt(B^2 + C^2): the algebra
+starts where alpha2 is at its maximum A + R, so it only sees the
+oscillation amplitude of the coefficient, not its phase; the cells of
+``osclab.stability.scan`` start there too.  The section curve and
+``i0_of_z0`` take their coefficients from one function,
+``_level_coefficients``.
 """
 
 from __future__ import annotations
@@ -69,6 +87,12 @@ def _admissible_intervals(c_z2: float, c_z3: float, I0: float):
     return tuple(intervals)  # the odd multiplicities sum to 1 or 3: the sign ends negative
 
 
+def _level_coefficients(A: float, B: float, omega: float):
+    """(c_p2, c_z2, c_z3) of the strobe curve where alpha2 = A + B, alpha2' = 0."""
+    c_p2 = A + B
+    return c_p2, omega * omega * (A - B), (2.0 / 3.0) * c_p2 ** -1.5
+
+
 def section_curve(spec: OscillatorSpec, I0: float) -> SectionCurve:
     """Analytic strobe curve at level I0 for an m = 2, C = 0 trig system."""
     a = spec.g_source
@@ -81,10 +105,7 @@ def section_curve(spec: OscillatorSpec, I0: float) -> SectionCurve:
             "sections require C = 0: with C != 0 the coefficient derivative "
             "does not vanish at the strobe times"
         )
-    w2 = spec.omega * spec.omega
-    c_p2 = a.A + a.B
-    c_z2 = w2 * (a.A - a.B)
-    c_z3 = (2.0 / 3.0) * c_p2 ** -1.5
+    c_p2, c_z2, c_z3 = _level_coefficients(a.A, a.B, spec.omega)
     return SectionCurve(
         c_p2=c_p2,
         c_z2=c_z2,
@@ -161,3 +182,45 @@ def section_residual(points, curve: SectionCurve) -> float:
         if r > worst:
             worst = r
     return worst
+
+
+def _check_amplitudes(A: float, R: float, omega: float):
+    if not all(math.isfinite(v) for v in (A, R, omega)):
+        raise ValueError(f"need finite A, R and omega, got A={A}, R={R}, omega={omega}")
+    if not (A > R >= 0.0):
+        raise ValueError(f"need A > R >= 0, got A={A}, R={R}")
+    if not omega > 0.0:
+        raise ValueError(f"need omega > 0, got {omega}")
+
+
+def i0_of_z0(A: float, R: float, omega: float, z0: float) -> float:
+    """Invariant level selected by the initial condition (z0, p0=0)."""
+    _check_amplitudes(A, R, omega)
+    _, c_z2, c_z3 = _level_coefficients(A, R, omega)
+    return c_z2 * z0 * z0 + c_z3 * z0 * z0 * z0
+
+
+def _finite(name: str, value: float, A: float, R: float, omega: float) -> float:
+    """value, or ValueError naming the inputs when it is not finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not finite for A={A}, R={R}, omega={omega}")
+    return value
+
+
+def i0_crit(A: float, R: float, omega: float) -> float:
+    """Level where the bounded lobe of the cubic level set vanishes; finite or ValueError."""
+    _check_amplitudes(A, R, omega)
+    w6 = omega * omega * omega
+    w6 *= w6
+    aa_rr = A * A - R * R
+    return _finite("i0_crit", (w6 * aa_rr * aa_rr * aa_rr) / 3.0, A, R, omega)
+
+
+def z_crit(A: float, R: float, omega: float) -> float:
+    """Largest initial amplitude (p0 = 0) with a bounded level set; finite or ValueError."""
+    _check_amplitudes(A, R, omega)
+    try:
+        zc = 0.5 * omega * omega * (A - R) * (A + R) ** 1.5
+    except OverflowError:
+        zc = math.inf
+    return _finite("z_crit", zc, A, R, omega)

@@ -1,28 +1,16 @@
-"""Exact stability boundary of the m = 2 trig family and the numerical scan.
-
-With p(0) = 0 the invariant level set through (z0, 0) at the strobe
-times is the cubic curve of osclab.poincare.  The level
-
-    i0_of_z0 = omega^2 (A-R) z0^2 + (2/3) (A+R)^(-3/2) z0^3
-
-stays below the critical value
-
-    i0_crit = (1/3) omega^6 (A^2 - R^2)^3
-
-exactly while z0 < z_crit = (omega^2/2) (A-R) (A+R)^(3/2); above it the
-bounded lobe of the level set merges with the escape branch and the
-motion runs off to z -> -infinity.  R = sqrt(B^2 + C^2): the algebra
-starts where alpha2 is at its maximum A + R, so it only sees the
-oscillation amplitude of the coefficient, not its phase; each cell
-starts there too (``_cell_spec``).
+"""The numerical boundary scan of the m = 2 trig family.
 
 ``scan`` reproduces the numerical experiment: for each omega it raises
 z0 in steps of dz0 until an integration escapes, then compares the last
-bounded z0 against z_crit; each omega's ``StabilityRow`` holds that
-verdict and the counts of its cells.  Scan cells are independent
-integrations, so the scan runs them in one process as lanes of one
-lock-step run (``lanes.integrate_lanes``) of the DOP853 pair;
-``bounded`` is the scalar Dormand-Prince 5(4) reference for one cell.
+bounded z0 against the closed form z_crit of osclab.poincare; each
+omega's ``StabilityRow`` holds that verdict and the counts of its cells.
+Each cell starts where alpha2 is at its maximum A + R, as the closed
+forms do (``_cell_spec``).  Scan cells are independent integrations, so
+the scan runs them in one process as lanes of one lock-step run
+(``lanes.integrate_lanes``) of the DOP853 pair; ``bounded`` is the
+scalar Dormand-Prince 5(4) reference for one cell.  The closed forms
+``i0_crit`` and ``i0_of_z0`` stay bound here for readers of
+``osclab.stability``.
 """
 
 from __future__ import annotations
@@ -38,48 +26,7 @@ from .errors import StepUnderflowError
 from .integrate import MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive
 from .lanes import DOP853, integrate_lanes, make_lane_field
 from .model import OscillatorSpec, TrigAlpha, make_field, trig_spec
-
-
-def _check_amplitudes(A: float, R: float, omega: float):
-    if not all(math.isfinite(v) for v in (A, R, omega)):
-        raise ValueError(f"need finite A, R and omega, got A={A}, R={R}, omega={omega}")
-    if not (A > R >= 0.0):
-        raise ValueError(f"need A > R >= 0, got A={A}, R={R}")
-    if not omega > 0.0:
-        raise ValueError(f"need omega > 0, got {omega}")
-
-
-def i0_of_z0(A: float, R: float, omega: float, z0: float) -> float:
-    """Invariant level selected by the initial condition (z0, p0=0)."""
-    _check_amplitudes(A, R, omega)
-    w2 = omega * omega
-    return w2 * (A - R) * z0 * z0 + (2.0 / 3.0) * (A + R) ** -1.5 * z0 * z0 * z0
-
-
-def _finite(name: str, value: float, A: float, R: float, omega: float) -> float:
-    """value, or ValueError naming the inputs when it is not finite."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} is not finite for A={A}, R={R}, omega={omega}")
-    return value
-
-
-def i0_crit(A: float, R: float, omega: float) -> float:
-    """Level where the bounded lobe of the cubic level set vanishes; finite or ValueError."""
-    _check_amplitudes(A, R, omega)
-    w6 = omega * omega * omega
-    w6 *= w6
-    aa_rr = A * A - R * R
-    return _finite("i0_crit", (w6 * aa_rr * aa_rr * aa_rr) / 3.0, A, R, omega)
-
-
-def z_crit(A: float, R: float, omega: float) -> float:
-    """Largest initial amplitude (p0 = 0) with a bounded level set; finite or ValueError."""
-    _check_amplitudes(A, R, omega)
-    try:
-        zc = 0.5 * omega * omega * (A - R) * (A + R) ** 1.5
-    except OverflowError:
-        zc = math.inf
-    return _finite("z_crit", zc, A, R, omega)
+from .poincare import i0_crit, i0_of_z0, z_crit  # noqa: F401
 
 
 def require_m2_trig(spec: OscillatorSpec) -> None:

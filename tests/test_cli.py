@@ -826,9 +826,9 @@ _CLI_MODULES = {"cli", "errors", "integrate", "model", "output"}
 
 @pytest.mark.parametrize("argv, added", [
     (None, set()),
-    (["crit", "--A", "1.3", "--B", "0.9", "--omega", "1"], {"stability", "lanes"}),
+    (["crit", "--A", "1.3", "--B", "0.9", "--omega", "1"], {"poincare", "cubic"}),
     (["stability-scan", "--preset", "fig3", "--omegas", "1.0:1.0:0.2", "--dz0", "0.5",
-      "--tmax", "1", "--no-svg", "--out", "{out}"], {"stability", "lanes"}),
+      "--tmax", "1", "--no-svg", "--out", "{out}"], {"stability", "lanes", "poincare", "cubic"}),
     (["simulate", "--preset", "fig1", "--tmax", "1", "--out", "{out}"], set()),
     # a trig spec never reaches family: invariant's isinstance test of TrigAlpha comes first
     (["drift", "--preset", "fig1", "--tmax", "1", "--out", "{out}"], {"invariant"}),
@@ -875,10 +875,13 @@ def test_unknown_public_name_raises_attribute_error_naming_it():
 
 
 def test_public_names_are_their_modules_objects():
-    out = _fresh("from osclab import reduce, scan\n"
-                 "import osclab.normalform, osclab.stability\n"
-                 "print(reduce is osclab.normalform.reduce, scan is osclab.stability.scan)\n")
-    assert out.splitlines()[-1] == "True True"
+    # each name's object is the one its _SOURCES module defines, not one it only binds
+    out = _fresh("import importlib, osclab\n"
+                 "print(sorted(n for n, src in osclab._SOURCES.items()\n"
+                 "             if getattr(osclab, n) is not getattr(\n"
+                 "                 importlib.import_module('osclab.' + src), n)\n"
+                 "             or getattr(osclab, n).__module__ != 'osclab.' + src))\n")
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_reduce_rejects_nonperiodic_grid(tmp_path):

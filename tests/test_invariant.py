@@ -20,7 +20,7 @@ from osclab.invariant import (
     pde_residual,
 )
 from osclab.model import OscillatorSpec, Sampled, State, Trajectory, make_field, trig_spec
-from osclab.stability import z_crit
+from osclab.poincare import z_crit
 
 
 def test_frozen_initial_invariant():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,7 @@ from osclab.integrate import sample_strobe
 from osclab.invariant import build_coeffs, eval_invariant
 from osclab.model import Sampled, OscillatorSpec, State, make_field, trig_spec
 from osclab.poincare import (SectionCurve, _admissible_intervals, curve_loop, curve_points,
-                             section_curve, section_residual)
-from osclab.stability import i0_crit, z_crit
+                             i0_crit, i0_of_z0, section_curve, section_residual, z_crit)
 
 
 def _demo_curve(i0=0.004204302988625225):
@@ -24,6 +24,18 @@ def test_curve_coefficients_frozen():
     assert curve.c_p2 == 2.2
     assert math.isclose(curve.c_z2, 0.4, rel_tol=1e-15)
     assert math.isclose(curve.c_z3, 0.20430298862522486, rel_tol=1e-14)
+
+
+def test_i0_of_z0_is_the_section_curve_level_bit_for_bit():
+    # the level of (z0, 0) and the strobe curve at B = R share one cubic
+    rng = random.Random(32)
+    for _ in range(200):
+        A = rng.uniform(0.05, 5.0)
+        R = A * rng.random()
+        omega = rng.uniform(0.05, 3.0)
+        z0 = rng.uniform(0.0, 3.0 * z_crit(A, R, omega))
+        curve = section_curve(trig_spec(A, R, 0.0, omega), 0.0)
+        assert i0_of_z0(A, R, omega, z0) == curve.residual_at(z0, 0.0), (A, R, omega, z0)
 
 
 def test_requires_trig_m2_with_c_zero():

@@ -110,7 +110,8 @@ def test_bounded_is_false_through_step_underflow():
     assert not bounded(spec, 1.4, t_max=60.0, z_escape=1e60)
 
 
-def test_cells_start_at_the_maximum_of_alpha2():
+def test_cells_start_at_the_maximum_of_alpha2(step_cap):
+    step_cap(6500)
     # the README spec: with C != 0, alpha2 is not at its maximum A + R at t = 0,
     # where z_crit starts; the cells start there, so the rows agree with it
     omegas = tuple(0.8 + k * 0.4 for k in range(3))
@@ -127,7 +128,8 @@ def test_cells_start_at_the_maximum_of_alpha2():
     assert scan(1.3, -0.9, 0.0, omegas, **kw) == scan(1.3, 0.9, 0.0, omegas, **kw)
 
 
-def test_scan_small_grid():
+def test_scan_small_grid(step_cap):
+    step_cap(1900)
     rows = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.05, t_max=150.0).rows
     assert len(rows) == 1
     row = rows[0]
@@ -186,7 +188,8 @@ def test_dop853_scan_rows_agree_with_bounded_at_the_boundary(step_cap):
         assert not bounded(spec, (k_last + 1) * 0.05, t_max=100.0)
 
 
-def test_scan_rows_count_every_cell():
+def test_scan_rows_count_every_cell(step_cap):
+    step_cap(800)
     (row,) = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.1, t_max=60.0).rows
     assert row.omega == 1.0
     # the first escape ends the bounded run of cells; every cell is integrated

@@ -177,7 +177,6 @@ class Record:
 
     summary: dict
     report: str
-    status: str = None
     tables: tuple = ()
     plots: tuple = ()
 
@@ -207,12 +206,14 @@ def _stats(integrator: str, run, runs: int = 1) -> dict:
     once at the start of each run and ``DP_EVALS`` times per trial step, as
     the last stage of an accepted step is the first of the next (FSAL).
     A one-point strobe makes no run.  The stages of a step that met a
-    singular coefficient are not counted.
+    singular coefficient are not counted, nor is the start of a run that
+    took no trial step.
     """
+    trials = run.n_accepted + run.n_rejected
     if integrator == "rk4":
         evals = 4 * run.n_accepted
     else:
-        evals = runs + DP_EVALS * (run.n_accepted + run.n_rejected)
+        evals = (runs if trials else 0) + DP_EVALS * trials
     return {"integrator": integrator, "accepted": run.n_accepted, "rejected": run.n_rejected,
             "field_evals": evals}
 
@@ -324,7 +325,7 @@ def cmd_simulate(args) -> Record:
         "stats": stats,
     }
     return Record(
-        summary, f"simulate: status={status} t_final={t:.6g} z_final={z:.6g}", status,
+        summary, f"simulate: status={status} t_final={t:.6g} z_final={z:.6g}",
         tables=[("traj.csv", "t,z,p", zip(*kept.table.cols))],
         plots=[kept.plot("traj.svg", xlabel="t", ylabel="z", title="trajectory")])
 
@@ -344,7 +345,7 @@ def cmd_drift(args) -> Record:
         "stats": stats,
     }
     return Record(
-        summary, f"drift: mode={report.mode} max={report.max_rel:.6e} status={status}", status,
+        summary, f"drift: mode={report.mode} max={report.max_rel:.6e} status={status}",
         tables=[("drift.csv", "t,rel_drift", zip(*kept.table.cols))],
         plots=[kept.plot("drift.svg", xlabel="t", ylabel="I/I0 - 1", title="invariant drift")])
 
@@ -382,7 +383,7 @@ def cmd_poincare(args) -> Record:
     }
     return Record(
         summary, f"poincare: points={len(strobe.states)} residual_max={residual:.6e} "
-                 f"status={strobe.status}", strobe.status,
+                 f"status={strobe.status}",
         tables=[("strobe.csv", "z,p", ((s.z, s.p) for s in strobe.states)),
                 ("curve.csv", "z,p", loop)],
         plots=[("section.svg", series,
@@ -479,7 +480,7 @@ def cmd_family(args) -> Record:
     }
     return Record(
         summary, f"family: status={traj.status} drift mode={report.mode} "
-                 f"max={report.max_rel:.6e}", traj.status,
+                 f"max={report.max_rel:.6e}",
         tables=[("traj.csv", "t,z,p,alpha2,dalpha2,ddalpha2",
                  _stride_rows(traj.ts, [traj.ys[:, i] for i in range(5)])),
                 ("drift.csv", "t,rel_drift", _stride_rows(report.ts, [report.series]))],
@@ -645,7 +646,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         record = args.handler(args)
-        code = 3 if record.status == "coefficient_singular" else 0
+        code = 3 if record.summary.get("status") == "coefficient_singular" else 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}")
         return 2

@@ -106,27 +106,32 @@ def eval_invariant(spec: OscillatorSpec, s: State) -> float:
     return _invariant(spec, s.t, s.z, s.p)
 
 
-# rows per _invariant call of invariant_series: each of its dozen or so
-# temporaries then takes 64 KB, whatever the trajectory's length
+# rows per _invariant call of _walk: each of its dozen or so temporaries
+# then takes 64 KB, whatever the trajectory's length
 _SERIES_CHUNK = 8192
+
+
+def _walk(traj: Trajectory, block) -> np.ndarray:
+    """block(ts, ys) on _SERIES_CHUNK rows of traj at a time, in order, into one array."""
+    ts, ys = traj.ts, traj.ys
+    out = np.empty(len(ts))
+    for i in range(0, len(ts), _SERIES_CHUNK):
+        rows = slice(i, i + _SERIES_CHUNK)
+        out[rows] = block(ts[rows], ys[rows])
+    return out
 
 
 def invariant_series(spec: OscillatorSpec, traj: Trajectory) -> np.ndarray:
     """I(t) along a whole trajectory, vectorized.
 
-    ``_invariant`` runs on _SERIES_CHUNK rows at a time into one output
-    array, so the temporaries of its formula stay a fixed size rather
-    than growing with the run.  Every element takes the same operations
-    in the same order as in one whole-array call, so the series is
-    bit-identical to it.  A five-parameter source requires the augmented
-    trajectory, whose columns 2..4 carry alpha2 and its two derivatives.
+    ``_invariant`` runs on _SERIES_CHUNK rows at a time (``_walk``), so
+    the temporaries of its formula stay a fixed size rather than growing
+    with the run.  Every element takes the same operations in the same
+    order as in one whole-array call, so the series is bit-identical to
+    it.  A five-parameter source requires the augmented trajectory,
+    whose columns 2..4 carry alpha2 and its two derivatives.
     """
-    ts, ys = traj.ts, traj.ys
-    out = np.empty(len(ts))
-    for i in range(0, len(ts), _SERIES_CHUNK):
-        rows = slice(i, i + _SERIES_CHUNK)
-        out[rows] = _invariant(spec, ts[rows], ys[rows, 0], ys[rows, 1], ys[rows])
-    return out
+    return _walk(traj, lambda ts, ys: _invariant(spec, ts, ys[:, 0], ys[:, 1], ys))
 
 
 @dataclass(frozen=True)
@@ -173,10 +178,9 @@ class DriftSeries:
 
 
 def drift(traj: Trajectory, spec: OscillatorSpec) -> DriftReport:
-    """The report of ``DriftSeries`` along a whole trajectory."""
-    d, series = DriftSeries(spec), np.empty(len(traj))
-    for i in range(0, len(traj), _SERIES_CHUNK):
-        series[i:i + _SERIES_CHUNK] = d(traj.ts[i:i + _SERIES_CHUNK], traj.ys[i:i + _SERIES_CHUNK])
+    """The report of ``DriftSeries`` along a whole trajectory, fed by ``_walk``."""
+    d = DriftSeries(spec)
+    series = _walk(traj, d)
     return DriftReport(mode=d.mode, max_rel=d.max_rel, ts=traj.ts, series=series)
 
 

@@ -13,7 +13,7 @@ The forcing coefficient g(t) comes from one of three sources, the
 * ``Sampled`` -- tabulated (t, g) knots with cubic interpolation, for
   systems without a known invariant.
 
-The exponent m is an integer in [2, MAX_M].
+The exponent m of an ``OscillatorSpec`` is an integer in [2, MAX_M].
 
 ``make_field`` gives a trig or sampled system's field as a
 ``PowerForm``, the (z, p) field that both scalar integrators inline;
@@ -243,7 +243,11 @@ class PowerForm:
     """The field (p, -w2 z - g(t) z^m) on a (z, p) state: the field of ``make_field``.
 
     Calling the form gives the field at (t, (z, p)), with z^m as z * z
-    for m = 2 and by ``int_pow`` for any other m, bit for bit.
+    for m = 2 and by ``int_pow`` for any other m, bit for bit.  A form's
+    m is a positive integer, 1 too: ``osclab.normalform`` runs the linear
+    Hill field z'' + f(t) z = 0 as the form with w2 = 0, m = 1 and g = f,
+    and its reduced system as one more form.  An ``OscillatorSpec``
+    keeps m in [2, MAX_M].
     ``g(t)`` is the coefficient the call uses, raising there what the
     field raises (CoefficientSingularError where it is refused).
     ``g_grid(ts)`` takes a float64 array of times and returns

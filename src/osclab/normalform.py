@@ -23,6 +23,12 @@ the reduced frequency at omega_nf, consistent with the oscillator
 normal form used everywhere else in this package.  See README for the
 same statement in user-facing terms.
 
+Both two-component systems are the oscillator field of
+``model.PowerForm``, so their runs take the fused Dormand-Prince step:
+the Hill equation is the form with w2 = 0, m = 1 and g = f, the reduced
+system the form with w2 = omega_nf^2 and g = omega_nf^2 g_nf.  The
+envelope run's three-component state takes the generic step.
+
 The envelope is propagated from monodromy-derived initial values rather
 than averaged, so its periodicity defect is a direct quality check and
 is carried in the result, which holds each value once: the envelope
@@ -41,7 +47,7 @@ import numpy as np
 from . import spline
 from .errors import EnvelopeBlowupError, UnstableHillError
 from .integrate import MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive
-from .model import check_m, int_pow
+from .model import PowerForm, check_m
 
 _W_FLOOR = 1e-6
 _W_CEIL = 1e6
@@ -79,19 +85,9 @@ class MonodromyResult:
     n_rejected: int
 
 
-def _hill_field(h: HillSpec):
-    f = h.f
-
-    def field(t, y):
-        z, v = y
-        return (v, -f(t) * z)
-
-    return field
-
-
 def _fundamental_runs(h: HillSpec):
     """(M, runs): the runs from (1, 0) and (0, 1) over one period, their end states M's columns."""
-    field = _hill_field(h)
+    field = PowerForm(0.0, 1, h.f, lambda ts: [h.f(t) for t in ts.tolist()])
     cfg = AdaptiveConfig(rtol=_MONO_RTOL, atol=_MONO_ATOL, t_end=h.T, record=False)
     runs = [integrate_adaptive(field, y0, cfg) for y0 in ((1.0, 0.0), (0.0, 1.0))]
     return np.column_stack([run.ys[-1] for run in runs]), runs
@@ -293,18 +289,14 @@ def reduce(h: HillSpec, g: Callable, m: int, n_grid: int = 2001,
     )
 
 
-def make_reduced_field(res: NormalFormResult):
+def make_reduced_field(res: NormalFormResult) -> PowerForm:
     """Field of the reduced system in s-time, for cross-checks.
 
-    State (y, dy/ds); the reduced coefficient comes from a cubic spline
-    over the stored g_nf samples (exact for constant g_nf).
+    State (y, dy/ds): the ``PowerForm`` with w2 = omega_nf^2 and
+    coefficient omega_nf^2 g_nf(s), g_nf from a cubic spline over the
+    stored samples (exact for constant g_nf).
     """
     g_spl = spline.not_a_knot(res.s_grid, res.g_nf_grid)
     wnf2 = res.omega_nf * res.omega_nf
-    m = res.m
-
-    def field(s, y):
-        yy, dy = y
-        return (dy, -wnf2 * yy - wnf2 * float(g_spl(s)) * int_pow(yy, m))
-
-    return field
+    return PowerForm(wnf2, res.m, lambda s: wnf2 * float(g_spl(s)),
+                     lambda ss: (wnf2 * g_spl(ss)).tolist())

@@ -203,6 +203,22 @@ def test_field_evals_counts_the_field_calls(tmp_path, command, rtol, preset, tma
     assert stats["field_evals"] == len(calls)
 
 
+@pytest.mark.parametrize("flags,integrator", [(["--rtol", "1e-8"], "dormand_prince"),
+                                              (["--h", "1e-3"], "rk4")])
+def test_a_run_singular_at_its_start_counts_no_field_evaluation(tmp_path, flags, integrator):
+    # the knots start at t = 1, so g raises at t = 0, before a first step completes
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"omega": 1.0, "m": 2, "g": {
+        "kind": "sampled", "t": [1, 2, 3, 4], "g": [1, 1, 1, 1]}}))
+    out = tmp_path / "out"
+    assert run(["simulate", "--spec", str(spec), "--tmax", "5", *flags, "--no-svg",
+                "--out", str(out)]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "coefficient_singular"
+    assert summary["stats"] == {"integrator": integrator, "accepted": 0, "rejected": 0,
+                                "field_evals": 0}
+
+
 @pytest.mark.parametrize("h", [1e-3, None], ids=["rk4", "dormand_prince"])
 @pytest.mark.parametrize("points,z0,want", [(1, 0.1, "completed"), (6, 0.1, "completed"),
                                             (24, 1.4, "escaped")])

@@ -1,12 +1,15 @@
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
 
+from osclab import normalform, spline
 from osclab.cli import _periodic_interpolants
 from osclab.errors import EnvelopeBlowupError, UnstableHillError
-from osclab.integrate import AdaptiveConfig, integrate_adaptive
+from osclab.integrate import AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed
+from osclab.model import PowerForm, int_pow
 from osclab.normalform import (
     HillSpec,
     cs_envelope,
@@ -17,6 +20,15 @@ from osclab.normalform import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+@pytest.fixture(autouse=True)
+def _step_budget(step_cap):
+    # the monodromy runs take the fused Dormand-Prince step, so a broken stage
+    # must fail with StepBudgetError rather than step on: the costliest run here
+    # takes 16,129 steps (f = 400, twenty oscillations a period).  A test with a
+    # reference run lowers the cap to the reference's own count
+    step_cap(17_000)
 
 
 def _const_hill(f0=1.0 / 16.0):
@@ -194,15 +206,60 @@ def test_envelope_blowup_raised_at_first_bad_grid_time():
     assert times[0] == times[1]
 
 
-def test_monodromy_counts_both_fundamental_runs():
+def test_monodromy_counts_both_fundamental_runs(step_cap):
     h = HillSpec(f=lambda t: 0.3 + 0.05 * math.cos(t), T=TWO_PI)
     cfg = AdaptiveConfig(rtol=1e-13, atol=1e-15, t_end=TWO_PI, record=False)
     field = lambda t, y: (y[1], -h.f(t) * y[0])  # noqa: E731
     runs = [integrate_adaptive(field, y0, cfg) for y0 in ((1.0, 0.0), (0.0, 1.0))]
+    step_cap(max(r.n_accepted for r in runs))
     mono = monodromy(h)
     assert mono.n_accepted == sum(r.n_accepted for r in runs)
     assert mono.n_rejected == sum(r.n_rejected for r in runs)
     assert np.array_equal(mono.M, np.column_stack([r.ys[-1] for r in runs]))
+
+
+def _bits(run):
+    """A run's status, counts and every bit of its record, signs of zero included."""
+    return (run.status, run.n_accepted, run.n_rejected, run.ts.tobytes(), run.ys.tobytes())
+
+
+_HILL_FS = {
+    "mathieu": lambda t: 0.3 + 0.05 * math.cos(t),
+    "negative": lambda t: -0.5,
+    "zero": lambda t: 0.0,
+    "int_one": lambda t: 1,
+}
+
+
+@pytest.mark.parametrize("f", list(_HILL_FS.values()), ids=list(_HILL_FS))
+def test_fundamental_runs_are_the_generic_closure_runs_bit_for_bit(f, monkeypatch, step_cap):
+    # the reference is the Hill field as a plain closure, whose trial steps are
+    # _dp_checked_attempt's; the form _fundamental_runs builds takes the fused
+    # step.  f = -0.5 and f = 1 are unstable or degenerate, so monodromy
+    # would refuse them; the runs themselves still must agree
+    def closure(t, y):
+        return (y[1], -f(t) * y[0])
+
+    tol = dict(rtol=normalform._MONO_RTOL, atol=normalform._MONO_ATOL, t_end=TWO_PI)
+    cfg, whole = AdaptiveConfig(record=False, **tol), AdaptiveConfig(**tol)
+    refs = [integrate_adaptive(closure, y0, cfg) for y0 in ((1.0, 0.0), (0.0, 1.0))]
+    forms = []
+
+    def run(field, y0, cfg):
+        forms.append(field)
+        return integrate_adaptive(field, y0, cfg)
+
+    monkeypatch.setattr(normalform, "integrate_adaptive", run)
+    step_cap(max(ref.n_accepted for ref in refs))
+    M, runs = _fundamental_runs(HillSpec(f=f, T=TWO_PI))
+    assert [_bits(r) for r in runs] == [_bits(r) for r in refs]
+    assert M.tobytes() == np.column_stack([r.ys[-1] for r in refs]).tobytes()
+    form = forms[0]
+    assert isinstance(form, PowerForm) and forms[1] is form
+    for y0 in ((0.0, -0.0), (-0.0, 0.0)):
+        ref = integrate_adaptive(closure, y0, whole)
+        step_cap(ref.n_accepted)
+        assert _bits(integrate_adaptive(form, y0, whole)) == _bits(ref)
 
 
 def test_reduce_constant_recovers_autonomous_form():
@@ -266,7 +323,42 @@ def test_envelope_phase_monotone_and_normalized():
     assert abs(res.omega_nf - res.env.phi[-1] / TWO_PI) < 1e-15
 
 
-def test_reduced_field_two_path_consistency():
+def _old_reduced_field(res):
+    """``make_reduced_field``'s field as a plain closure: a reference on the generic path."""
+    g_spl = spline.not_a_knot(res.s_grid, res.g_nf_grid)
+    wnf2 = res.omega_nf * res.omega_nf
+
+    def field(s, y):
+        yy, dy = y
+        return (dy, -wnf2 * yy - wnf2 * float(g_spl(s)) * int_pow(yy, res.m))
+
+    return field
+
+
+@functools.cache
+def _criterion_10b(m):
+    """The reduction of f = 0.3 + 0.05 cos t, g = 0.2 (1 + 0.5 sin t) at exponent m."""
+    return reduce(HillSpec(f=lambda t: 0.3 + 0.05 * math.cos(t), T=TWO_PI),
+                  lambda t: 0.2 * (1.0 + 0.5 * math.sin(t)), m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("integrate,cfg", [
+    (integrate_adaptive, AdaptiveConfig(rtol=1e-12, atol=1e-14, t_end=TWO_PI)),
+    # 6284 steps cross the fused chunks, and the last step is shortened onto 2 pi
+    (integrate_fixed, FixedStepConfig(h=1e-3, t_end=TWO_PI)),
+], ids=["adaptive", "fixed"])
+@pytest.mark.parametrize("y0", [(0.3, 0.1), (-0.2, 0.05), (0.0, -0.0), (-0.0, 0.0)])
+def test_reduced_field_is_the_old_closure_bit_for_bit(m, integrate, cfg, y0, step_cap):
+    res = _criterion_10b(m)
+    field = make_reduced_field(res)
+    assert isinstance(field, PowerForm)
+    ref = integrate(_old_reduced_field(res), y0, cfg)
+    step_cap(ref.n_accepted)
+    assert _bits(integrate(field, y0, cfg)) == _bits(ref)
+
+
+def test_reduced_field_two_path_consistency(step_cap):
     def f(t):
         return 0.3 + 0.05 * math.cos(t)
 
@@ -287,9 +379,11 @@ def test_reduced_field_two_path_consistency():
     y_a, dyds_a, _ = res.forward(run_t.ys[-1][0], run_t.ys[-1][1], TWO_PI)
 
     y0, dyds0, _ = res.forward(z0, zp0, 0.0)
-    run_s = integrate_adaptive(make_reduced_field(res), (y0, dyds0),
-                               AdaptiveConfig(rtol=1e-12, atol=1e-14, t_end=TWO_PI,
-                                              record=False))
+    cfg = AdaptiveConfig(rtol=1e-12, atol=1e-14, t_end=TWO_PI, record=False)
+    ref = integrate_adaptive(_old_reduced_field(res), (y0, dyds0), cfg)
+    step_cap(ref.n_accepted)
+    run_s = integrate_adaptive(make_reduced_field(res), (y0, dyds0), cfg)
+    assert _bits(run_s) == _bits(ref)
     assert abs(run_s.ys[-1][0] - y_a) < 1e-6
     assert abs(run_s.ys[-1][1] - dyds_a) < 1e-6
 

@@ -205,9 +205,9 @@ def _stats(integrator: str, run, runs: int = 1) -> dict:
     the steps: RK4 evaluates the field four times per step, Dormand-Prince
     once at the start of each run and ``DP_EVALS`` times per trial step, as
     the last stage of an accepted step is the first of the next (FSAL).
-    A one-point strobe makes no run.  The stages of a step that met a
-    singular coefficient are not counted, nor is the start of a run that
-    took no trial step.
+    The stages of a step that met a singular coefficient are not counted,
+    nor is the start of a run that took no trial step, such as a strobe
+    of one point, which makes no run.
     """
     trials = run.n_accepted + run.n_rejected
     if integrator == "rk4":
@@ -364,27 +364,26 @@ def cmd_poincare(args) -> Record:
     t_step = math.pi / spec.omega
     strobe = sample_strobe(field, (z0, p0), t_step, n_points - 1,
                            escape_bound=params["escape"], **settings)
-    residual = poincare_mod.section_residual(strobe.states, curve)
+    residual = poincare_mod.section_residual(strobe, curve)
     loop = poincare_mod.curve_loop(curve, 400, z_hint=z0)
     closed = loop + loop[:1]  # an empty loop draws nothing
     series = [{"kind": "line", "x": [q[0] for q in closed], "y": [q[1] for q in closed]},
-              {"kind": "scatter", "x": [s.z for s in strobe.states],
-               "y": [s.p for s in strobe.states], "color": "#d62728"}]
+              {"kind": "scatter", "x": strobe.z, "y": strobe.p, "color": "#d62728"}]
     summary = {
         "status": strobe.status,
         "i0": i0,
-        "n_points": len(strobe.states),
+        "n_points": len(strobe),
         "residual_max": residual,
         "admissible": [
             [None if math.isinf(lo) else lo, None if math.isinf(hi) else hi]
             for lo, hi in curve.admissible
         ],
-        "stats": _stats(name, strobe, runs=int(n_points > 1)),
+        "stats": _stats(name, strobe),
     }
     return Record(
-        summary, f"poincare: points={len(strobe.states)} residual_max={residual:.6e} "
+        summary, f"poincare: points={len(strobe)} residual_max={residual:.6e} "
                  f"status={strobe.status}",
-        tables=[("strobe.csv", "z,p", ((s.z, s.p) for s in strobe.states)),
+        tables=[("strobe.csv", "z,p", zip(strobe.z.tolist(), strobe.p.tolist())),
                 ("curve.csv", "z,p", loop)],
         plots=[("section.svg", series,
                 {"xlabel": "z", "ylabel": "p", "title": "stroboscopic section"})])
@@ -616,17 +615,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_scan)
 
     p = sub.add_parser("crit", help="print the critical amplitude")
-    p.add_argument("--A", type=float, required=True)
-    p.add_argument("--B", type=float, required=True)
-    p.add_argument("--C", type=float, default=0.0)
-    p.add_argument("--omega", type=float, required=True)
+    p.add_argument("--A", type=float, required=True, help="A of alpha2 = A + B cos 2wt + C sin 2wt")
+    p.add_argument("--B", type=float, required=True, help="cosine amplitude B of alpha2")
+    p.add_argument("--C", type=float, default=0.0, help="sine amplitude C of alpha2 (default 0)")
+    p.add_argument("--omega", type=float, required=True, help="frequency omega (w above)")
     p.add_argument("--out", default=None, help="optionally write summary.json here")
     p.set_defaults(handler=cmd_crit)
 
     p = sub.add_parser("family", help="five-parameter family run with drift")
     p.add_argument("--spec", required=True, help="five-parameter spec JSON file")
-    for flag in ("--z0", "--p0", "--tmax", "--rtol", "--atol", "--escape"):
-        p.add_argument(flag, type=float)
+    for flag, text in (("--z0", "initial position (default 0.1)"),
+                       ("--p0", "initial momentum (default 0)"),
+                       ("--tmax", "integration horizon (default 100)"),
+                       ("--rtol", "Dormand-Prince relative tolerance (default 1e-12)"),
+                       ("--atol", "Dormand-Prince absolute tolerance (default 1e-12)"),
+                       ("--escape", "escape bound on |z|, |p| (default: none)")):
+        p.add_argument(flag, type=float, help=text)
     _add_common(p)
     p.set_defaults(handler=cmd_family)
 
@@ -634,8 +638,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hill", required=True, help="CSV with columns t,f,g over one period")
     p.add_argument("--T", type=float, required=True, help="period of f")
     p.add_argument("--m", type=int, required=True, help=f"nonlinearity exponent, 2 to {MAX_M}")
-    p.add_argument("--n-grid", type=int, default=2001, dest="n_grid")
-    p.add_argument("--rtol", type=float, default=1e-12)
+    p.add_argument("--n-grid", type=int, default=2001, dest="n_grid",
+                   help="points of the envelope and reduced-coefficient grids (default 2001)")
+    p.add_argument("--rtol", type=float, default=1e-12,
+                   help="envelope run's rtol (default 1e-12); the monodromy runs take 1e-13")
     _add_common(p)
     p.set_defaults(handler=cmd_reduce)
 

@@ -30,7 +30,8 @@ once; the shortened step onto a stop is a chunk of its own, on the grid
 too, and only a chunk where g raises takes ``_rk4_step``.  The tests
 check the fused states, counts, statuses and errors bit for bit against
 the generic steps.  A nonfinite initial state raises
-NonfiniteStateError before the first step.
+NonfiniteStateError before the first step.  A strobe (``sample_strobe``)
+is one run, returned as the ``model.Trajectory`` of its stop states.
 
 Escape past a caller-supplied bound is an expected outcome in stability
 scans, so it is reported as a trajectory status, never as an exception.
@@ -66,7 +67,7 @@ import numpy as np
 
 from .errors import (CoefficientSingularError, NonfiniteStateError, StepBudgetError,
                      StepUnderflowError)
-from .model import PowerForm, State, Trajectory, int_pow
+from .model import PowerForm, Trajectory, int_pow
 
 C2, C3, C4, C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
 A21 = 1.0 / 5.0
@@ -168,7 +169,7 @@ class AdaptiveConfig:
 
 
 class _Recorder:
-    """Accumulates accepted steps; with record=False keeps only the start."""
+    """Accumulates the rows of a run; with record=False keeps only the start."""
 
     def __init__(self, record: bool, t0: float, y0):
         self.record = record
@@ -189,7 +190,7 @@ class _Recorder:
         a buffer that a view exports cannot grow, so nothing is pushed
         after it.
         """
-        if t > self.ts[-1]:  # not yet pushed: a run with record=False
+        if not self.record and t > self.ts[-1]:  # a recording sink holds what was pushed
             self.ts.append(t)
             self.buf.extend(y)
         ts = np.frombuffer(self.ts, dtype=float)
@@ -571,14 +572,6 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     return rec.build(status, t, y, n_accepted=n_acc, n_rejected=n_rej)
 
 
-@dataclass(frozen=True)
-class StrobeResult:
-    states: tuple
-    status: str
-    n_accepted: int = 0
-    n_rejected: int = 0
-
-
 def sample_strobe(
     field,
     y0,
@@ -588,22 +581,22 @@ def sample_strobe(
     h: float = None,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-) -> StrobeResult:
-    """States at t_k = k*t_step for k = 0..k_max, each hit exactly.
+) -> Trajectory:
+    """A run's states at t_k = k*t_step, k = 0..k_max, each hit exactly, as a Trajectory.
 
-    Strobe times come from multiplication, never from repeated addition.
-    One run marches through every t_k as a stop: adaptive at (rtol,
-    atol) without h, keeping its step size and FSAL stage from one strobe
-    interval to the next, and fixed-step with h, restarting the grid
-    t_k + j*h at each t_k so that no step straddles a strobe time.  On
-    escape the result carries the points collected so far and status
-    "escaped"; the counts are the accepted and rejected steps.  k_max
-    above MAX_GRID_POINTS or a t_step that is not positive and finite
-    raises ValueError, and so does the run's
-    config (for h, more than MAX_STEPS steps in all), before any
-    stop time is made.  A start of fewer than two components, or one that
-    is not (z, p) for a ``model.PowerForm`` field, raises ValueError and a
-    nonfinite one NonfiniteStateError, at k_max = 0 too.
+    Row 0 is the start and row k the state at t_k = k*t_step (never a
+    sum of steps).  One run marches through every t_k as a stop, whose
+    ``at_stop`` pushes the rows: adaptive at (rtol, atol) without h,
+    keeping its step size and FSAL stage from one strobe interval to the
+    next, and fixed-step with h, restarting the grid t_k + j*h at each
+    t_k so that no step straddles a strobe time.  The trajectory carries
+    the run's status and step counts; on escape it ends at the last t_k
+    reached.  k_max above MAX_GRID_POINTS or a t_step that is not
+    positive and finite raises ValueError, and so does the run's config
+    (for h, more than MAX_STEPS steps in all), before any stop time is
+    made.  A start of fewer than two components, or one that is not
+    (z, p) for a ``model.PowerForm`` field, raises ValueError and a
+    nonfinite one NonfiniteStateError, at k_max = 0 (no run) too.
     """
     if not 0.0 < t_step < math.inf:
         raise ValueError(f"t_step must be positive and finite, got {t_step}")
@@ -611,14 +604,15 @@ def sample_strobe(
         raise ValueError(f"k_max must be in [0, {MAX_GRID_POINTS}] (at most "
                          f"{MAX_GRID_POINTS + 1} strobe points), got {k_max}")
     y = _initial_state(field, y0)
-    states = [State(0.0, y[0], y[1])]
+    rec = _Recorder(True, 0.0, y)
     if k_max == 0:
-        return StrobeResult(states=tuple(states), status="completed")
+        return rec.build("completed", 0.0, y)
     run_cfg = dict(t_end=k_max * t_step, escape_bound=escape_bound, record=False)
     if h is None:
         integrate, cfg = integrate_adaptive, AdaptiveConfig(rtol=rtol, atol=atol, **run_cfg)
     else:
         integrate, cfg = integrate_fixed, FixedStepConfig(h=h, **run_cfg)
     run = integrate(field, y, cfg, stops=[k * t_step for k in range(1, k_max + 1)],
-                    at_stop=lambda t, y: states.append(State(t, y[0], y[1])))
-    return StrobeResult(tuple(states), run.status, run.n_accepted, run.n_rejected)
+                    at_stop=lambda t, y: rec.push_many(np.array((t,)), y))
+    return rec.build(run.status, run.ts[-1], run.ys[-1], n_accepted=run.n_accepted,
+                     n_rejected=run.n_rejected)

@@ -173,12 +173,12 @@ def curve_loop(curve: SectionCurve, n: int, z_hint: float = None):
     return upper + lower[1:]
 
 
-def section_residual(points, curve: SectionCurve) -> float:
-    """Max relative defect of strobe points against the analytic curve."""
+def section_residual(strobe, curve: SectionCurve) -> float:
+    """Max relative defect of the rows of a strobe (a ``model.Trajectory``) against the curve."""
     denom = max(abs(curve.I0), 1e-30)
     worst = 0.0
-    for s in points:
-        r = abs(curve.residual_at(s.z, s.p)) / denom
+    for z, p in zip(strobe.z.tolist(), strobe.p.tolist()):
+        r = abs(curve.residual_at(z, p)) / denom
         if r > worst:
             worst = r
     return worst

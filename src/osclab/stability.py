@@ -72,8 +72,9 @@ class StabilityRow:
     ``agrees``: z_last_bounded lies within 2 dz0 of z_crit_analytic.
     ``escaped``, ``step_underflow`` and ``coefficient_singular`` count the
     ``cells`` that ended so, ``accepted`` and ``rejected`` their steps;
-    ``field_evals`` counts one field call per cell plus the pair's ``evals``
-    per trial step (a lane's last trial, when singular, is not counted).
+    ``field_evals`` counts the pair's ``evals`` per trial step and one at
+    the start of each cell that took one (a lane's last trial, when
+    singular, is not counted), as a scalar run's ``stats`` count them.
     """
 
     omega: float
@@ -86,10 +87,7 @@ class StabilityRow:
     coefficient_singular: int
     accepted: int
     rejected: int
-
-    @property
-    def field_evals(self) -> int:
-        return self.cells + SCAN_PAIR.evals * (self.accepted + self.rejected)
+    field_evals: int
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,7 @@ def scan(
                                         run.n_rejected.tolist()):
             if st != "completed":
                 first_open[row] = min(first_open[row], k)
-            ended[row].update({st: 1, "accepted": acc, "rejected": rej})
+            ended[row].update({st: 1, "accepted": acc, "rejected": rej, "stepped": acc + rej > 0})
         batches.append({"lanes": len(batch), "lock_steps": run.lock_steps})
 
     rows = []
@@ -176,5 +174,6 @@ def scan(
             omega=omega, z_last_bounded=z_last, z_crit_analytic=zc,
             agrees=abs(z_last - zc) <= 2.0 * dz0, cells=n_cells, escaped=c["escaped"],
             step_underflow=c["step_underflow"], coefficient_singular=c["coefficient_singular"],
-            accepted=c["accepted"], rejected=c["rejected"]))
+            accepted=c["accepted"], rejected=c["rejected"],
+            field_evals=c["stepped"] + SCAN_PAIR.evals * (c["accepted"] + c["rejected"])))
     return ScanResult(tuple(rows), tuple(batches))

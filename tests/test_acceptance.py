@@ -76,8 +76,8 @@ def test_criterion_05_strobe_points_sit_on_section_curve():
     res = sample_strobe(make_field(spec), (0.1, 0.0), math.pi / spec.omega, 189,
                         rtol=1e-10, atol=1e-12)
     assert res.status == "completed"
-    assert len(res.states) == 190
-    assert section_residual(res.states, curve) <= 1e-6
+    assert len(res) == 190
+    assert section_residual(res, curve) <= 1e-6
 
 
 def test_criterion_06_identity_suite():

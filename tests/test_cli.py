@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -28,6 +29,13 @@ def test_crit_prints_headline(capsys):
     assert run(["crit", "--A", "1.3", "--B", "0.9", "--omega", "1.23"]) == 0
     out = capsys.readouterr().out
     assert "z_crit = 0.99" in out
+
+
+def test_every_option_of_every_command_has_help():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    bare = [f"{name} {'/'.join(a.option_strings)}" for name, p in sub.choices.items()
+            for a in p._actions if a.option_strings and not a.help]
+    assert bare == []
 
 
 def test_crit_summary(tmp_path):

@@ -26,7 +26,8 @@ from osclab.integrate import (
     sample_strobe,
 )
 from osclab.lanes import LaneForm, integrate_lanes, make_lane_field
-from osclab.model import MAX_M, OscillatorSpec, PowerForm, Sampled, State, make_field, trig_spec
+from osclab.model import (MAX_M, OscillatorSpec, PowerForm, Sampled, Trajectory, make_field,
+                          trig_spec)
 from osclab.stability import bounded
 
 
@@ -239,36 +240,34 @@ def test_strobe_points_match_single_run():
     spec = trig_spec(1.3, 0.9, 0.0, 1.0, 2)
     field = make_field(spec)
     res = sample_strobe(field, (0.1, 0.0), math.pi, 4, rtol=1e-10)
-    assert len(res.states) == 5
+    assert isinstance(res, Trajectory)
+    assert len(res) == 5
     assert res.status == "completed"
-    assert res.states[0].t == 0.0
-    assert res.states[0].z == 0.1
+    assert res.ys[0].tolist() == [0.1, 0.0]
     # strobe times are k*pi exactly
-    for k, s in enumerate(res.states):
-        assert s.t == k * math.pi
+    assert res.ts.tolist() == [k * math.pi for k in range(5)]
     # up to its first stop the strobe's march is a direct adaptive run to
     # that time with the same tolerances, so the first point equals one
     direct = integrate_adaptive(field, (0.1, 0.0),
                                 AdaptiveConfig(rtol=1e-10, atol=1e-12,
                                                t_end=math.pi, record=False))
-    assert res.states[1].z == direct.ys[-1][0]
-    assert res.states[1].p == direct.ys[-1][1]
+    assert res.ys[1].tolist() == direct.ys[-1].tolist()
 
 
 def test_strobe_fixed_step_mode():
     spec = trig_spec(1.3, 0.9, 0.0, 1.0, 2)
     field = make_field(spec)
     res = sample_strobe(field, (0.1, 0.0), math.pi, 3, h=1e-3)
-    assert len(res.states) == 4
+    assert len(res) == 4
     # fixed-step strobe at h=1e-3 stays close to the adaptive one
     res_a = sample_strobe(field, (0.1, 0.0), math.pi, 3, rtol=1e-12)
-    assert abs(res.states[-1].z - res_a.states[-1].z) < 1e-9
+    assert abs(res.z[-1] - res_a.z[-1]) < 1e-9
 
 
 def test_strobe_zero_points():
     res = sample_strobe(harmonic, (0.3, 0.1), math.pi, 0)
-    assert len(res.states) == 1
-    assert res.states[0].t == 0.0
+    assert (res.ts.tolist(), res.ys.tolist()) == ([0.0], [[0.3, 0.1]])
+    assert (res.status, res.n_accepted, res.n_rejected) == ("completed", 0, 0)
 
 
 @pytest.mark.parametrize("k_max", [-1, 10**6 + 1])
@@ -298,7 +297,7 @@ def test_strobe_stops_on_escape():
     res = sample_strobe(lambda t, y: (y[1], y[0]), (1.0, 1.0), 1.0, 20,
                         escape_bound=100.0, rtol=1e-10)
     assert res.status == "escaped"
-    assert len(res.states) < 21
+    assert len(res) < 21 and res.ts[-1] == len(res) - 1.0
 
 
 def _adaptive_single_run(field, y0, cfg):
@@ -433,30 +432,42 @@ def test_march_lands_on_every_stop_and_keeps_its_step():
 
 
 def _cold_strobe(field, y0, t_step, k_max, **cfg):
-    """Reference: a strobe of separate cold adaptive runs, one per interval."""
+    """Reference: a strobe of separate cold adaptive runs, one per interval.
+
+    The runs take the generic steps of a plain wrapper of field, so a
+    broken fused step neither changes nor slows them.  Returns the start
+    and the state at each t_k reached as a Trajectory with the status of
+    the last run and the accepted and rejected steps of all runs together.
+    """
     y = tuple(y0)
-    states = [State(0.0, y[0], y[1])]
+    ts, ys, status, n_acc, n_rej = [0.0], [y], "completed", 0, 0
     for k in range(1, k_max + 1):
-        seg = integrate_adaptive(field, y, AdaptiveConfig(
+        seg = integrate_adaptive(lambda t, y: field(t, y), y, AdaptiveConfig(
             t_start=(k - 1) * t_step, t_end=k * t_step, record=False, **cfg))
+        n_acc, n_rej = n_acc + seg.n_accepted, n_rej + seg.n_rejected
         y = tuple(float(v) for v in seg.ys[-1])
         if seg.status != "completed":
-            return states, seg.status
-        states.append(State(k * t_step, y[0], y[1]))
-    return states, "completed"
+            status = seg.status
+            break
+        ts.append(k * t_step)
+        ys.append(y)
+    return Trajectory(np.array(ts), np.array(ys), status, n_acc, n_rej)
 
 
 def test_warm_strobe_matches_cold_segments_on_fig2(step_cap):
+    # this cap guards each cold run of the reference (about 100 steps); the
+    # warm strobe, which never ramps up again, takes fewer steps than they do
+    # together (96,473 against 100,062), so it is capped at their total
     step_cap(116_000)
     field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
+    ref = _cold_strobe(field, (0.1, 0.0), math.pi, 999, rtol=1e-10, atol=1e-12,
+                       escape_bound=50.0)
+    step_cap(ref.n_accepted)
     res = sample_strobe(field, (0.1, 0.0), math.pi, 999, escape_bound=50.0, rtol=1e-10)
-    ref, status = _cold_strobe(field, (0.1, 0.0), math.pi, 999, rtol=1e-10, atol=1e-12,
-                               escape_bound=50.0)
-    assert res.status == status == "completed"
-    assert len(res.states) == len(ref) == 1000
-    assert all(s.t == k * math.pi for k, s in enumerate(res.states))
-    dev = max(max(abs(a.z - b.z), abs(a.p - b.p)) for a, b in zip(res.states, ref))
-    assert dev < 1e-8
+    assert res.status == ref.status == "completed"
+    assert len(res) == len(ref) == 1000
+    assert res.ts.tolist() == [k * math.pi for k in range(1000)]
+    assert np.abs(res.ys - ref.ys).max() < 1e-8
     # about 97 steps per strobe interval, 4 of which a cold start spends ramping up
     assert 0 < res.n_accepted < 98 * 999
 
@@ -466,12 +477,12 @@ def test_warm_strobe_matches_cold_segments_on_fig2(step_cap):
     (lambda t, y: (y[1], y[0]), (1.0, 1.0), 1.0, 100.0, "escaped"),
     (_late_singular, (1.0, 0.0), 1.0, math.inf, "coefficient_singular"),
 ], ids=_field_id)
-def test_warm_strobe_stops_where_cold_segments_stop(field, y0, t_step, escape, want):
+def test_warm_strobe_stops_where_cold_segments_stop(field, y0, t_step, escape, want, step_cap):
+    ref = _cold_strobe(field, y0, t_step, 20, rtol=1e-10, atol=1e-12, escape_bound=escape)
+    step_cap(ref.n_accepted)
     res = sample_strobe(field, y0, t_step, 20, escape_bound=escape, rtol=1e-10)
-    ref, status = _cold_strobe(field, y0, t_step, 20, rtol=1e-10, atol=1e-12,
-                               escape_bound=escape)
-    assert res.status == status == want
-    assert len(res.states) == len(ref) < 21
+    assert res.status == ref.status == want
+    assert len(res) == len(ref) < 21
 
 
 def test_warm_strobe_underflows_like_cold_segments():
@@ -496,18 +507,20 @@ def test_warm_strobe_underflows_like_cold_segments():
 )
 def test_warm_strobe_matches_cold_segments_on_random_systems(A, rel_b, rel_c, omega, m, z0, p0,
                                                              k_max, step_cap):
-    # at most 1,680 accepted steps on the corners of the strategy
+    # at most 1,680 accepted steps on the corners of the strategy: this cap
+    # guards each cold run of the reference, and the warm strobe is capped
+    # at their total
     step_cap(2100)
     # R = hypot(B, C) < 0.95 A keeps alpha2 positive; small amplitudes keep the motion bounded
     field = make_field(trig_spec(A, 0.67 * A * rel_b, 0.67 * A * rel_c, omega, m))
     t_step = math.pi / omega
+    ref = _cold_strobe(field, (z0, p0), t_step, k_max, rtol=1e-10, atol=1e-12,
+                       escape_bound=1e3)
+    step_cap(ref.n_accepted)
     res = sample_strobe(field, (z0, p0), t_step, k_max, escape_bound=1e3, rtol=1e-10)
-    ref, status = _cold_strobe(field, (z0, p0), t_step, k_max, rtol=1e-10, atol=1e-12,
-                               escape_bound=1e3)
-    assert res.status == status == "completed"
-    assert [s.t for s in res.states] == [s.t for s in ref]
-    for a, b in zip(res.states, ref):
-        assert abs(a.z - b.z) < 1e-8 and abs(a.p - b.p) < 1e-8
+    assert res.status == ref.status == "completed"
+    assert res.ts.tolist() == ref.ts.tolist()
+    assert np.abs(res.ys - ref.ys).max() < 1e-8
 
 
 # lane kinds for the status tests: each lane is one of these systems
@@ -680,7 +693,6 @@ def _lane_batches(seed, n):
 
 @pytest.mark.parametrize("pair", [lanes.DP54, lanes.DOP853], ids=["dp54", "dop853"])
 def test_lane_form_runs_match_the_generic_stages_bit_for_bit(pair, step_cap):
-    step_cap(2200)
     # the lanes evaluate g at all stage times of a trial at once; the
     # reference form evaluates it one stage row at a time, as one field
     # call per stage would, and ORs the singular rows
@@ -692,8 +704,12 @@ def test_lane_form_runs_match_the_generic_stages_bit_for_bit(pair, step_cap):
             return (np.concatenate([g for g, _ in rows]),
                     np.logical_or.reduce([s for _, s in rows]))
 
-        fast = integrate_lanes(form, y0, params, cfg, pair)
+        # the costliest reference batch takes 1,846 lock-steps; the fast run
+        # may take no more than its reference took
+        step_cap(2200)
         ref = integrate_lanes(LaneForm(g_per_row, form.deriv), y0, params, cfg, pair)
+        step_cap(ref.lock_steps)
+        fast = integrate_lanes(form, y0, params, cfg, pair)
         for a, b in [(fast.ts, ref.ts), (fast.ys, ref.ys), (fast.n_accepted, ref.n_accepted),
                      (fast.n_rejected, ref.n_rejected)]:
             assert a.tobytes() == b.tobytes()
@@ -842,13 +858,19 @@ def test_fused_fixed_step_nonfinite_state_raises(y0):
             integrate_fixed(f, y0, cfg)
 
 
+def _same_run(a, b):
+    """Two runs alike bit for bit: their times, states, status and step counts."""
+    assert np.array_equal(a.ts, b.ts) and np.array_equal(a.ys, b.ys)
+    assert (a.status, a.n_accepted, a.n_rejected) == (b.status, b.n_accepted, b.n_rejected)
+
+
 @pytest.mark.parametrize("z0,want", [(0.1, "completed"), (1.4, "escaped")])
 def test_fused_strobe_matches_generic_loop(z0, want):
     field = make_field(trig_spec(1.3, 0.9, 0.0, 1.4))
     fused = sample_strobe(field, (z0, 0.0), math.pi / 1.4, 6, escape_bound=50.0, h=1e-3)
     ref = sample_strobe(lambda t, y: field(t, y), (z0, 0.0), math.pi / 1.4, 6,
                         escape_bound=50.0, h=1e-3)
-    assert fused == ref
+    _same_run(fused, ref)
     assert fused.status == want
 
 
@@ -930,8 +952,8 @@ def test_shortened_step_onto_a_stop_runs_on_the_grid():
     fused = make_field(spec)
     got = sample_strobe(field, (0.1, 0.0), math.pi / 20, 20, h=1e-3)
     ref = sample_strobe(lambda t, y: fused(t, y), (0.1, 0.0), math.pi / 20, 20, h=1e-3)
-    assert got == ref
-    assert (got.status, len(got.states), got.n_accepted) == ("completed", 21, 20 * 158)
+    _same_run(got, ref)
+    assert (got.status, len(got), got.n_accepted) == ("completed", 21, 20 * 158)
     assert calls["g"] == []
     assert len(calls["g_grid"]) == 40
 
@@ -1064,7 +1086,7 @@ def test_strobe_is_one_run_through_its_stops(monkeypatch, h):
         cfg = FixedStepConfig(h=h, t_end=5 * math.pi)
         (_, _, _, n_acc), seen = _per_interval_runs(field, (0.1, 0.0), cfg,
                                                     [k * math.pi for k in range(1, 6)])
-        assert [(s.t, (s.z, s.p)) for s in res.states[1:]] == seen
+        assert list(zip(res.ts[1:].tolist(), map(tuple, res.ys[1:].tolist()))) == seen
         assert res.n_accepted == n_acc
 
 
@@ -1178,18 +1200,22 @@ def test_fused_attempt_matches_generic_march_on_a_sampled_field(record, step_cap
     assert 0.0 < knots[-1] - traj.ts[-1] < 1.0 and traj.n_accepted > 10
 
 
-def _fused_stops_match_generic(field, y0, cfg, stops):
+def _fused_stops_match_generic(field, y0, cfg, stops, step_cap):
     """The fused march through stops must match, bit for bit, the generic one of a wrapper.
 
     A plain wrapper is not a PowerForm, so it takes the generic attempt.
+    It runs first, and the ``step_cap`` fixture then caps the fused run at
+    the accepted steps the wrapper took.
     """
-    runs = []
-    for f in (field, lambda t, y: field(t, y)):
+    def march(f):
         seen = []
         traj = integrate_adaptive(f, y0, cfg, stops=stops,
                                   at_stop=lambda t, y: seen.append((t, y)))
-        runs.append((traj, seen))
-    (got, got_seen), (ref, ref_seen) = runs
+        return traj, seen
+
+    ref, ref_seen = march(lambda t, y: field(t, y))
+    step_cap(ref.n_accepted)
+    got, got_seen = march(field)
     assert got_seen == ref_seen and [t for t, _ in got_seen] == stops
     assert np.array_equal(got.ts, ref.ts)
     assert np.array_equal(got.ys, ref.ys)
@@ -1203,7 +1229,7 @@ def test_fused_march_through_stops_matches_generic_on_fig2(step_cap):
     field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
     stops = [k * math.pi for k in range(1, 41)]
     cfg = AdaptiveConfig(rtol=1e-10, t_end=stops[-1], escape_bound=50.0)
-    got = _fused_stops_match_generic(field, (0.1004, 0.0), cfg, stops)
+    got = _fused_stops_match_generic(field, (0.1004, 0.0), cfg, stops, step_cap)
     assert got.status == "completed" and got.n_rejected > 0
 
 
@@ -1218,7 +1244,7 @@ def test_fused_power_matches_generic_at_extreme_m(m, y0, step_cap):
     assert (traj.status, traj.n_accepted) == ("completed", 5000)
     stops = [k * math.pi / 2 for k in range(1, 5)]
     got = _fused_stops_match_generic(field, y0, AdaptiveConfig(rtol=1e-10, t_end=stops[-1]),
-                                     stops)
+                                     stops, step_cap)
     assert got.status == "completed" and np.any(got.ys[:, 0] < 0.0)
 
 
@@ -1227,7 +1253,7 @@ def test_fused_march_calls_g_once_per_stage_time():
     # field_evals (1 + 6 per trial) still counts the field evaluations, not these calls
     field, calls = _counted_g(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
     res = sample_strobe(field, (0.1004, 0.0), math.pi, 40, escape_bound=50.0, rtol=1e-10)
-    assert res.status == "completed" and len(res.states) == 41 and res.n_rejected > 0
+    assert res.status == "completed" and len(res) == 41 and res.n_rejected > 0
     assert len(calls["g"]) == 1 + 5 * (res.n_accepted + res.n_rejected)
     assert calls["g"][0] == 0.0 and max(calls["g"]) == 40 * math.pi
     assert calls["g_grid"] == []

@@ -1,13 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osclab.errors import UnsupportedSourceError
 from osclab.integrate import sample_strobe
-from osclab.invariant import build_coeffs, eval_invariant
+from osclab.invariant import build_coeffs, drift, eval_invariant
 from osclab.model import Sampled, OscillatorSpec, State, make_field, trig_spec
 from osclab.poincare import (SectionCurve, _admissible_intervals, curve_loop, curve_points,
                              i0_crit, i0_of_z0, section_curve, section_residual, z_crit)
@@ -140,7 +141,22 @@ def test_section_residual_on_strobe_points():
     curve = section_curve(spec, i0)
     res = sample_strobe(make_field(spec), (0.1, 0.0), math.pi, 30, rtol=1e-10)
     assert res.status == "completed"
-    assert section_residual(res.states, curve) < 1e-7
+    assert section_residual(res, curve) < 1e-7
+
+
+def test_a_strobe_feeds_drift_directly():
+    # at t_k the invariant is the section curve's level, so I/I0 - 1 along a
+    # strobe is the relative residual of its rows, up to rounding: on fig2
+    # both peak at 2.205e-8
+    spec = trig_spec(1.3, 0.9, 0.0, 1.0, 2)
+    strobe = sample_strobe(make_field(spec), (0.1, 0.0), math.pi, 189, rtol=1e-10)
+    report = drift(strobe, spec)
+    curve = section_curve(spec, eval_invariant(spec, State(0.0, 0.1, 0.0)))
+    rel = [curve.residual_at(z, p) / curve.I0 for z, p in zip(strobe.z.tolist(), strobe.p.tolist())]
+    assert report.mode == "relative" and np.array_equal(report.ts, strobe.ts)
+    assert np.allclose(report.series, rel, rtol=0.0, atol=1e-12)
+    assert abs(report.max_rel - section_residual(strobe, curve)) < 1e-12
+    assert 2.2e-8 < report.max_rel < 2.21e-8
 
 
 def test_section_curve_validation():

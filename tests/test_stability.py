@@ -225,6 +225,18 @@ def test_scan_field_evals_count_the_lane_field_calls(monkeypatch, step_cap):
         assert r.field_evals == r.cells + 12 * (r.accepted + r.rejected)
 
 
+def test_scan_counts_no_start_evaluation_for_a_cell_that_never_stepped():
+    # alpha2 = 1e-10 lies below its floor EPS_POS = 1e-9, so every cell is
+    # singular at its start and takes no trial step.  Such a cell counts no
+    # field evaluation, as a scalar run that takes no trial step counts none
+    scalar = integrate_adaptive(make_field(trig_spec(1e-10, 0.0, 0.0, 1.0)), (0.1, 0.0),
+                                AdaptiveConfig(rtol=1e-8, t_end=5.0))
+    assert (scalar.status, scalar.n_accepted, scalar.n_rejected) == ("coefficient_singular", 0, 0)
+    (row,) = scan(1e-10, 0.0, 0.0, (1.0,), dz0=0.1, t_max=10.0).rows
+    assert (row.cells, row.coefficient_singular, row.accepted, row.rejected) == (20, 20, 0, 0)
+    assert row.field_evals == 0
+
+
 @pytest.mark.parametrize("kw,match", [
     ({"dz0": math.nan}, "dz0"),
     ({"dz0": math.inf}, "dz0"),

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, OscLabError
-from .integrate import (DP_EVALS, DP_NAME, MAX_GRID_POINTS, AdaptiveConfig, FixedStepConfig,
+from .integrate import (DP_NAME, MAX_GRID_POINTS, AdaptiveConfig, FixedStepConfig,
                         integrate_adaptive, integrate_fixed, interval_steps, sample_strobe)
 from .model import MAX_M, State, make_field, spec_from_json, trig_spec
 from .output import M4Line, Strided, plot_frame, svg_plot, write_csv, write_json
@@ -198,24 +198,10 @@ def _stride_rows(ts, cols):
     return zip(*table.cols)
 
 
-def _stats(integrator: str, run, runs: int = 1) -> dict:
-    """The summary's ``stats``: which integrator ran, its step counts and ``field_evals``.
-
-    field_evals is the field evaluations of ``runs`` runs, counted from
-    the steps: RK4 evaluates the field four times per step, Dormand-Prince
-    once at the start of each run and ``DP_EVALS`` times per trial step, as
-    the last stage of an accepted step is the first of the next (FSAL).
-    The stages of a step that met a singular coefficient are not counted,
-    nor is the start of a run that took no trial step, such as a strobe
-    of one point, which makes no run.
-    """
-    trials = run.n_accepted + run.n_rejected
-    if integrator == "rk4":
-        evals = 4 * run.n_accepted
-    else:
-        evals = (runs if trials else 0) + DP_EVALS * trials
+def _stats(integrator: str, run) -> dict:
+    """The summary's ``stats``: which integrator ran and the counts that ``run`` made."""
     return {"integrator": integrator, "accepted": run.n_accepted, "rejected": run.n_rejected,
-            "field_evals": evals}
+            "field_evals": run.field_evals}
 
 
 def _method(params, default_h):
@@ -240,7 +226,7 @@ class _Kept:
     start row: the CSV rows and the M4 line of the plot of x against y (or ylim).
     ``values(ts, ys)`` makes the columns after t; the first is plotted.  As an
     ``integrate_fixed`` sink (start row pushed first) it cuts the run's rows into blocks
-    of _ROW_BLOCK, and ``build`` returns it with the run's status, t, counts.
+    of _ROW_BLOCK, and ``flush`` feeds the last one.
     """
 
     def __init__(self, n, x, y, ylim, values):
@@ -269,11 +255,9 @@ class _Kept:
         self.ts, self.buf = ts[k:], buf[2 * k:]  # copies: numpy views below pin the old ones
         self.feed(np.frombuffer(ts)[:k], np.frombuffer(buf)[:2 * k].reshape(k, 2))
 
-    def build(self, status, t, y, n_accepted=0, n_rejected=0):
+    def flush(self):
         if self.ts:
             self._flush(len(self.ts))
-        self.status, self.t, self.n_accepted, self.n_rejected = status, t, n_accepted, n_rejected
-        return self
 
 
 def _run_oscillator(spec, params, ylim, values):
@@ -300,9 +284,10 @@ def _run_oscillator(spec, params, ylim, values):
             kept = _Kept(n, np.array((cfg.t_start, t_end)), (), ylim, values())
             kept.push_many(np.array((cfg.t_start,)), y0)
             run = integrate_fixed(field, y0, cfg, sink=kept)
-            if (run.n_accepted + 1, run.t) == (n, t_end):
+            kept.flush()
+            if (run.n_accepted + 1, run.ts[-1]) == (n, t_end):
                 break
-            n, t_end = run.n_accepted + 1, run.t
+            n, t_end = run.n_accepted + 1, run.ts[-1]
         return run.status, _stats(name, run), kept
     kept = _Kept(len(run), run.ts, run.z, ylim, values())
     for i in range(0, len(run), _ROW_BLOCK):
@@ -505,7 +490,7 @@ def cmd_reduce(args) -> Record:
         "defect_wp": res.env.defect_wp,
         "m": res.m,
         "n_grid": args.n_grid,
-        "stats": {"monodromy": _stats(DP_NAME, res.mono, runs=2),
+        "stats": {"monodromy": _stats(DP_NAME, res.mono),
                   "envelope": _stats(DP_NAME, res.env)},
     }
     env = res.env

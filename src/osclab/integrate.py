@@ -190,7 +190,7 @@ class _Recorder:
         a buffer that a view exports cannot grow, so nothing is pushed
         after it.
         """
-        if not self.record and t > self.ts[-1]:  # a recording sink holds what was pushed
+        if not self.record and t > self.ts[-1]:  # the start, then the end
             self.ts.append(t)
             self.buf.extend(y)
         ts = np.frombuffer(self.ts, dtype=float)
@@ -224,8 +224,8 @@ def _initial_state(field, y0):
     return y
 
 
-def _start(field, y0, cfg, stops, sink=None):
-    """The start that both scalar integrators share: (stops, y, sink, form).
+def _start(field, y0, cfg, stops):
+    """The start that both scalar integrators share: (stops, y, form).
 
     Refuses what ``_initial_state`` refuses and bad stops
     (``_check_stops``).  form is the field when it is a
@@ -234,8 +234,7 @@ def _start(field, y0, cfg, stops, sink=None):
     """
     y = _initial_state(field, y0)
     stops = _check_stops(stops, cfg.t_start, cfg.t_end)
-    rec = _Recorder(cfg.record, cfg.t_start, y) if sink is None else sink
-    return stops, y, rec, field if isinstance(field, PowerForm) else None
+    return stops, y, field if isinstance(field, PowerForm) else None
 
 
 def _escaped(y, bound):
@@ -307,11 +306,14 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None, s
     of ``_rk4_step`` and the field, so every state is bit-identical to
     the generic steps.  Any other field, and a chunk where ``g_grid`` is
     None (g raises there, so the run ends in it), takes ``_rk4_step``.
-    Each chunk's steps go to ``sink`` (a ``_Recorder`` unless given one
-    that holds the start) by one ``push_many``, those before a
-    CoefficientSingularError too, and the run returns its ``build``.
+    Each chunk's rows (not the start) go by one ``push_many(ts, flat)``
+    to ``sink`` if given, else to the run's record, those before a
+    CoefficientSingularError too; with a sink the Trajectory holds the
+    start and end alone, as with record=False.  ``field_evals`` is 4 a step.
     """
-    stops, y, rec, form = _start(field, y0, cfg, stops, sink)
+    stops, y, form = _start(field, y0, cfg, stops)
+    rec = _Recorder(cfg.record and sink is None, cfg.t_start, y)
+    push_rows = rec.push_many if sink is None else sink.push_many
     t0, h, bound = cfg.t_start, cfg.h, cfg.escape_bound
     if form is not None:
         nw2, g_grid, m = -form.w2, form.g_grid, form.m
@@ -375,7 +377,7 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None, s
             n = len(flat) // len(y)
             t = float(t_steps[n])
             n_done += n
-            rec.push_many(t_steps[1:n + 1], flat)
+            push_rows(t_steps[1:n + 1], flat)
             if status != "completed":
                 break
         if status != "completed":
@@ -383,7 +385,7 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None, s
         if at_stop is not None:
             at_stop(t, y)
         t0 = stop
-    return rec.build(status, t, y, n_accepted=n_done)
+    return rec.build(status, t, y, n_accepted=n_done, field_evals=4 * n_done)
 
 
 def _dp_attempt(field, t, y, h, f1):
@@ -447,7 +449,9 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     0.9*err^(-1/5) is clamped to [0.2, 5].  A trial step with nonfinite
     result is treated as rejected.  StepUnderflowError signals that the
     controller was forced below h_min on a rejection, and StepBudgetError
-    that the run took more than MAX_STEPS accepted steps.
+    that the run took more than MAX_STEPS accepted steps.  ``field_evals``
+    is 1 plus ``DP_EVALS`` per trial step, 0 for a run without one; a
+    trial step that met a singular coefficient adds none.
 
     One loop runs the march; only its trial step branches.  A field that
     is not a ``model.PowerForm`` is tried by ``_dp_checked_attempt``, the
@@ -468,7 +472,8 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     controller ramp up again.  ``at_stop(t, y)`` is called at each stop
     reached without escaping; an exception it raises ends the run.
     """
-    stops, y, rec, form = _start(field, y0, cfg, stops)
+    stops, y, form = _start(field, y0, cfg, stops)
+    rec = _Recorder(cfg.record, cfg.t_start, y)
     if form is not None:
         nw2, g, m = -form.w2, form.g, form.m
         square = m == 2
@@ -569,7 +574,8 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
                 at_stop(t, y)
     except CoefficientSingularError:
         status = "coefficient_singular"
-    return rec.build(status, t, y, n_accepted=n_acc, n_rejected=n_rej)
+    return rec.build(status, t, y, n_accepted=n_acc, n_rejected=n_rej,
+                     field_evals=(n_acc + n_rej > 0) + DP_EVALS * (n_acc + n_rej))
 
 
 def sample_strobe(
@@ -590,12 +596,12 @@ def sample_strobe(
     keeping its step size and FSAL stage from one strobe interval to the
     next, and fixed-step with h, restarting the grid t_k + j*h at each
     t_k so that no step straddles a strobe time.  The trajectory carries
-    the run's status and step counts; on escape it ends at the last t_k
-    reached.  k_max above MAX_GRID_POINTS or a t_step that is not
-    positive and finite raises ValueError, and so does the run's config
-    (for h, more than MAX_STEPS steps in all), before any stop time is
-    made.  A start of fewer than two components, or one that is not
-    (z, p) for a ``model.PowerForm`` field, raises ValueError and a
+    the run's status and counts (none at k_max = 0); on escape it ends at
+    the last t_k reached.  k_max above MAX_GRID_POINTS or a t_step that
+    is not positive and finite raises ValueError, and so does the run's
+    config (for h, more than MAX_STEPS steps in all), before any stop
+    time is made.  A start of fewer than two components, or one that is
+    not (z, p) for a ``model.PowerForm`` field, raises ValueError and a
     nonfinite one NonfiniteStateError, at k_max = 0 (no run) too.
     """
     if not 0.0 < t_step < math.inf:
@@ -615,4 +621,4 @@ def sample_strobe(
     run = integrate(field, y, cfg, stops=[k * t_step for k in range(1, k_max + 1)],
                     at_stop=lambda t, y: rec.push_many(np.array((t,)), y))
     return rec.build(run.status, run.ts[-1], run.ys[-1], n_accepted=run.n_accepted,
-                     n_rejected=run.n_rejected)
+                     n_rejected=run.n_rejected, field_evals=run.field_evals)

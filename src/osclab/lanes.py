@@ -206,8 +206,8 @@ class LanePair:
     """An embedded pair for ``integrate_lanes``; the step factor is 0.9 * err ** exponent.
 
     ``evals`` is the field evaluations (``deriv`` calls) of one trial
-    step: the first stage is the last of the step before (FSAL), so a
-    lane that takes n trial steps evaluates its field 1 + evals * n times.
+    step: the first stage is the last of the step before (FSAL).
+    ``integrate_lanes`` alone reads it, to count each lane's evaluations.
     """
 
     name: str
@@ -231,6 +231,8 @@ class LaneRun:
 
     ``ts`` and ``ys`` (one column per lane) hold the last accepted state;
     ``status`` names how each lane ended, one of LANE_STATUSES.
+    ``field_evals`` counts each lane's field evaluations as
+    ``integrate_adaptive`` counts a run's, with the pair's ``evals``.
     ``lock_steps`` counts the trial steps the lanes took together.
     """
 
@@ -239,6 +241,7 @@ class LaneRun:
     status: tuple
     n_accepted: np.ndarray
     n_rejected: np.ndarray
+    field_evals: np.ndarray
     lock_steps: int
 
 
@@ -247,7 +250,7 @@ def integrate_lanes(form, y0, params, cfg: AdaptiveConfig, pair: LanePair = DP54
 
     Column j of y0 (shape (n, lanes), n >= 2) and of params (per-lane
     constants, shape (k, lanes)) is one initial value problem, whose
-    field is the ``model.LaneForm`` form.  The run's first stage is
+    field is the ``LaneForm`` form.  The run's first stage is
     ``form(t, y, params)``; each trial step evaluates ``form.g_stages``
     once, at all its stage times, and ``form.deriv`` once per stage.
 
@@ -326,7 +329,9 @@ def integrate_lanes(form, y0, params, cfg: AdaptiveConfig, pair: LanePair = DP54
             code[ok & (np.abs(y_new) > bound).any(axis=0)] = _ESCAPED
             code[rejected & (h_new < h_min)] = _UNDERFLOW
 
+    trials = out_acc + out_rej
     return LaneRun(
         ts=out_t, ys=out_y, status=tuple(LANE_STATUSES[c - 1] for c in out_code),
-        n_accepted=out_acc, n_rejected=out_rej, lock_steps=lock_steps,
+        n_accepted=out_acc, n_rejected=out_rej, field_evals=(trials > 0) + pair.evals * trials,
+        lock_steps=lock_steps,
     )

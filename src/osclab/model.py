@@ -149,7 +149,8 @@ class Trajectory:
     ``ys`` has one row per recorded time and one column per state
     component; columns 0 and 1 are always (z, p).  ``status`` is one of
     "completed", "escaped", "coefficient_singular".  ``n_rejected`` stays
-    zero for fixed-step runs.
+    zero for fixed-step runs.  ``field_evals`` is the field evaluations
+    of the steps the run took, as its integrator counts them.
     """
 
     ts: np.ndarray
@@ -157,6 +158,7 @@ class Trajectory:
     status: str
     n_accepted: int = 0
     n_rejected: int = 0
+    field_evals: int = 0
 
     def __post_init__(self):
         if self.ys.ndim != 2 or self.ys.shape[0] != self.ts.shape[0]:

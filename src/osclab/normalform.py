@@ -83,6 +83,7 @@ class MonodromyResult:
     gamma0: float
     n_accepted: int
     n_rejected: int
+    field_evals: int
 
 
 def _fundamental_runs(h: HillSpec):
@@ -103,8 +104,8 @@ def monodromy(h: HillSpec) -> MonodromyResult:
     however many oscillations a period holds, not passed as spuriously
     stable.  In the stable case the phase advance mu is
     placed in (0, 2 pi) with sin(mu) matching the sign of M[0,1], which
-    makes beta0 = M[0,1]/sin(mu) positive.  The step counts sum both
-    fundamental runs.
+    makes beta0 = M[0,1]/sin(mu) positive.  The step and field
+    evaluation counts sum both fundamental runs.
     """
     M, runs = _fundamental_runs(h)
     tr = float(M[0, 0] + M[1, 1])
@@ -127,6 +128,7 @@ def monodromy(h: HillSpec) -> MonodromyResult:
         M=M, trace=tr, det=det, mu=mu, beta0=beta0, alphaT=alphaT, gamma0=gamma0,
         n_accepted=sum(run.n_accepted for run in runs),
         n_rejected=sum(run.n_rejected for run in runs),
+        field_evals=sum(run.field_evals for run in runs),
     )
 
 
@@ -142,6 +144,7 @@ class EnvelopeResult:
     defect_wp: float
     n_accepted: int
     n_rejected: int
+    field_evals: int
 
     @property
     def phi_T(self) -> float:
@@ -196,6 +199,7 @@ def cs_envelope(h: HillSpec, mono: MonodromyResult, n_grid: int = 2001,
         defect_wp=abs(float(wps[-1]) - float(wps[0])),
         n_accepted=run.n_accepted,
         n_rejected=run.n_rejected,
+        field_evals=run.field_evals,
     )
 
 

@@ -71,10 +71,8 @@ class StabilityRow:
 
     ``agrees``: z_last_bounded lies within 2 dz0 of z_crit_analytic.
     ``escaped``, ``step_underflow`` and ``coefficient_singular`` count the
-    ``cells`` that ended so, ``accepted`` and ``rejected`` their steps;
-    ``field_evals`` counts the pair's ``evals`` per trial step and one at
-    the start of each cell that took one (a lane's last trial, when
-    singular, is not counted), as a scalar run's ``stats`` count them.
+    ``cells`` that ended so, ``accepted`` and ``rejected`` their steps,
+    ``field_evals`` the sum of their lanes' ``lanes.LaneRun.field_evals``.
     """
 
     omega: float
@@ -160,11 +158,11 @@ def scan(
         form, params = make_lane_field(specs)
         z0 = np.array([k * dz0 for k in ks])
         run = integrate_lanes(form, np.stack([z0, np.zeros_like(z0)]), params, cfg, SCAN_PAIR)
-        for row, k, st, acc, rej in zip(row_of, ks, run.status, run.n_accepted.tolist(),
-                                        run.n_rejected.tolist()):
+        for row, k, st, acc, rej, evals in zip(row_of, ks, run.status, run.n_accepted.tolist(),
+                                               run.n_rejected.tolist(), run.field_evals.tolist()):
             if st != "completed":
                 first_open[row] = min(first_open[row], k)
-            ended[row].update({st: 1, "accepted": acc, "rejected": rej, "stepped": acc + rej > 0})
+            ended[row].update({st: 1, "accepted": acc, "rejected": rej, "field_evals": evals})
         batches.append({"lanes": len(batch), "lock_steps": run.lock_steps})
 
     rows = []
@@ -174,6 +172,5 @@ def scan(
             omega=omega, z_last_bounded=z_last, z_crit_analytic=zc,
             agrees=abs(z_last - zc) <= 2.0 * dz0, cells=n_cells, escaped=c["escaped"],
             step_underflow=c["step_underflow"], coefficient_singular=c["coefficient_singular"],
-            accepted=c["accepted"], rejected=c["rejected"],
-            field_evals=c["stepped"] + SCAN_PAIR.evals * (c["accepted"] + c["rejected"])))
+            accepted=c["accepted"], rejected=c["rejected"], field_evals=c["field_evals"]))
     return ScanResult(tuple(rows), tuple(batches))

@@ -740,6 +740,68 @@ def test_lane_form_is_called_once_per_trial_step_not_per_stage(pair, step_cap):
     assert calls[1].shape[1] == 3  # all lanes, until the first completes
 
 
+def _counting(field):
+    """field behind a counter of its evaluations that returned (a raising one is none)."""
+    calls = []
+
+    def counted(t, y):
+        dy = field(t, y)
+        calls.append(t)
+        return dy
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("kind,y0,want", [
+    (HARMONIC, (1.0, 0.0), "completed"),
+    (GROWTH, (5.0, 5.0), "escaped"),
+    (SINGULAR_AT_START, (1.0, 0.0), "coefficient_singular"),  # before its first trial step
+], ids=["completed", "escaped", "singular"])
+@pytest.mark.parametrize("cfg", [FixedStepConfig(h=1e-2, t_end=2.0, escape_bound=20.0),
+                                 AdaptiveConfig(rtol=1e-10, t_end=2.0, escape_bound=20.0)],
+                         ids=["rk4", "dormand_prince"])
+def test_a_run_counts_its_field_calls(kind, y0, want, cfg, step_cap):
+    step_cap(300)  # the adaptive runs take at most 70 trial steps
+    field, calls = _counting(_scalar_field(kind))
+    integrate_run = integrate_fixed if isinstance(cfg, FixedStepConfig) else integrate_adaptive
+    run = integrate_run(field, y0, cfg)
+    assert run.status == want
+    assert run.field_evals == len(calls)
+    assert (run.field_evals == 0) == (kind == SINGULAR_AT_START)
+
+
+@pytest.mark.parametrize("h", [None, 1e-2], ids=["dormand_prince", "rk4"])
+@pytest.mark.parametrize("k_max", [0, 5])
+def test_a_strobe_counts_its_field_calls(k_max, h):
+    field, calls = _counting(harmonic)
+    res = sample_strobe(field, (1.0, 0.0), 0.5, k_max, h=h)
+    assert (len(res), res.status) == (k_max + 1, "completed")
+    assert res.field_evals == len(calls)
+    assert (res.field_evals == 0) == (k_max == 0)
+
+
+@pytest.mark.parametrize("pair", [lanes.DP54, lanes.DOP853], ids=["dp54", "dop853"])
+def test_lanes_count_each_lanes_field_calls(pair, step_cap):
+    step_cap(300)
+    # each deriv call evaluates every live lane; params[1] names the lane.  A
+    # lane singular at its start is not counted, as the scalar field raises there
+    counts = [0] * 4
+
+    def deriv(t, y, params):
+        for lane in params[1][params[0] != SINGULAR_AT_START].tolist():
+            counts[int(lane)] += 1
+        return _kinds_deriv(t, y, params)
+
+    kinds = [HARMONIC, GROWTH, SINGULAR_AT_START, HARMONIC]
+    y0 = [(1.0, 0.0), (5.0, 5.0), (1.0, 0.0), (-2.0, 1.0)]
+    cfg = AdaptiveConfig(rtol=1e-10, t_end=2.0, escape_bound=20.0)
+    run = integrate_lanes(LaneForm(_kinds_times, deriv), np.array(y0).T, [kinds, range(4)],
+                          cfg, pair)
+    assert run.status == ("completed", "escaped", "coefficient_singular", "completed")
+    assert run.field_evals.tolist() == counts
+    assert counts[2] == 0 < min(counts[:2] + counts[3:])
+
+
 def _fixed_march_reference(field, y0, cfg, stops):
     """Reference: the RK4 march through stops as one flat loop of ``_rk4_step`` calls.
 

@@ -99,3 +99,17 @@ def test_only_stability_imports_the_lanes():
                   "LaneRun"}
     assert lane_names <= set(vars(lanes))
     assert lane_names.isdisjoint(set(vars(integrate)) | set(vars(model)))
+
+
+def _reads_evals_per_step(node):
+    """Whether node reads ``integrate.DP_EVALS`` or a ``lanes.LanePair``'s ``evals``."""
+    if isinstance(node, ast.ImportFrom):
+        return any(a.name == "DP_EVALS" for a in node.names)
+    return (isinstance(node, ast.Name) and node.id == "DP_EVALS"
+            or isinstance(node, ast.Attribute) and node.attr in ("DP_EVALS", "evals"))
+
+
+def test_only_the_integrators_read_the_evaluations_per_step():
+    # a run counts its own field evaluations; the CLI and the scan copy its count
+    readers = [name for name in MODULES if any(map(_reads_evals_per_step, ast.walk(_tree(name))))]
+    assert readers == ["integrate", "lanes"]

@@ -159,12 +159,15 @@ def test_scan_lanes_match_bounded_cell_by_cell(step_cap):
 
 
 def test_scan_rows_ignore_lane_order_and_batch_size(monkeypatch, step_cap):
-    step_cap(530)
+    step_cap(530)  # guards the reference scan, which takes 438 lock-steps
     omegas = (0.8, 1.2)
     kw = dict(dz0=0.1, t_max=30.0)
     whole = scan(1.3, 0.9, 0.0, omegas, **kw)
     assert whole.batches == ({"lanes": sum(r.cells for r in whole.rows),
                               "lock_steps": whole.batches[0]["lock_steps"]},)
+    # a batch takes as many lock-steps as its slowest lane trial steps, so
+    # no batch of a subset of the lanes takes more than the whole scan
+    step_cap(whole.batches[0]["lock_steps"])
     monkeypatch.setattr(stability, "_LANE_BATCH", 7)
     small = scan(1.3, 0.9, 0.0, omegas[::-1], **kw)
     # whole rows: the verdicts and the cell counts
@@ -200,7 +203,7 @@ def test_scan_rows_count_every_cell(step_cap):
 
 
 def test_scan_field_evals_count_the_lane_field_calls(monkeypatch, step_cap):
-    step_cap(430)
+    step_cap(430)  # guards the reference scan, which takes 360 lock-steps
     # a lane form with a counting deriv: one call per stage, and each call
     # evaluates every live lane, whose row its 2 omega names
     evals = Counter()
@@ -216,7 +219,9 @@ def test_scan_field_evals_count_the_lane_field_calls(monkeypatch, step_cap):
 
     omegas = (0.8, 1.4)
     kw = dict(dz0=0.1, t_max=20.0)
-    rows = scan(1.3, 0.9, 0.2, omegas, **kw).rows
+    ref = scan(1.3, 0.9, 0.2, omegas, **kw)
+    rows = ref.rows
+    step_cap(max(b["lock_steps"] for b in ref.batches))
     monkeypatch.setattr(stability, "make_lane_field", counting_lane_field)
     assert scan(1.3, 0.9, 0.2, omegas, **kw).rows == rows
     assert sum(r.coefficient_singular for r in rows) == 0

@@ -23,7 +23,8 @@ the fused steps, with the field (and the error norm) inlined on its
 takes (z^m is z * z for m = 2 and ``model.int_pow`` for any other m);
 a PowerForm with any other state is refused with ValueError.  The
 fused Dormand-Prince step is the inline trial step of
-``integrate_adaptive``, checked against ``_dp_checked_attempt``.  The
+``integrate_adaptive``, or a field class's own (the Hill envelope's),
+checked against ``_dp_checked_attempt``.  The
 RK4 march of ``integrate_fixed`` runs chunks of steps, and a fused
 chunk takes g from the form's ``g_grid`` at all its stage times at
 once; the shortened step onto a stop is a chunk of its own, on the grid
@@ -455,7 +456,8 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
 
     One loop runs the march; only its trial step branches.  A field that
     is not a ``model.PowerForm`` is tried by ``_dp_checked_attempt``, the
-    definition; a PowerForm is tried by the fused step inlined below:
+    definition, or by its class's ``dp_checked_attempt`` if it has one;
+    a PowerForm by the fused step inlined below:
     the stages, the field (p, -w2 z - g(t) z^m) and the error norm in
     the operation order of ``_dp_attempt``, the field and
     ``_dp_checked_attempt``, with g called once per stage time (stages 6
@@ -474,6 +476,7 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     """
     stops, y, form = _start(field, y0, cfg, stops)
     rec = _Recorder(cfg.record, cfg.t_start, y)
+    attempt = getattr(type(field), "dp_checked_attempt", _dp_checked_attempt)
     if form is not None:
         nw2, g, m = -form.w2, form.g, form.m
         square = m == 2
@@ -501,7 +504,7 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
                 else:
                     h_att, t_next = h, t + h
                 if form is None:
-                    y_new, f7, err = _dp_checked_attempt(field, t, y, h_att, f1, atol, rtol)
+                    y_new, f7, err = attempt(field, t, y, h_att, f1, atol, rtol)
                 else:
                     z, p = y
                     z2 = z + h_att * (A21 * p)

@@ -27,7 +27,10 @@ Both two-component systems are the oscillator field of
 ``model.PowerForm``, so their runs take the fused Dormand-Prince step:
 the Hill equation is the form with w2 = 0, m = 1 and g = f, the reduced
 system the form with w2 = omega_nf^2 and g = omega_nf^2 g_nf.  The
-envelope run's three-component state takes the generic step.
+envelope run's three-component field has a form of its own,
+``_EnvelopeField``, whose fused Dormand-Prince trial step
+``integrate_adaptive`` takes in place of the generic one, bit-identical
+to it.
 
 The envelope is propagated from monodromy-derived initial values rather
 than averaged, so its periodicity defect is a direct quality check and
@@ -46,7 +49,9 @@ import numpy as np
 
 from . import spline
 from .errors import EnvelopeBlowupError, UnstableHillError
-from .integrate import MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive
+from .integrate import (A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64,
+                        A65, B1, B3, B4, B5, B6, C2, C3, C4, C5, E1, E3, E4, E5, E6, E7,
+                        MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive)
 from .model import PowerForm, check_m
 
 _W_FLOOR = 1e-6
@@ -151,6 +156,97 @@ class EnvelopeResult:
         return float(self.phi[-1])
 
 
+def _below_floor(w, t):
+    return EnvelopeBlowupError(f"envelope w = {w} at t = {t} below {_W_FLOOR}")
+
+
+class _EnvelopeField:
+    """The envelope field on (w, w', Phi): (w', 1/w^3 - f(t) w, 1/w^2), refusing w <= _W_FLOOR.
+
+    ``__call__`` is the definition.  ``dp_checked_attempt`` is
+    ``integrate._dp_checked_attempt`` of this field fused, which
+    ``integrate_adaptive`` takes in its place: the stages, the field and
+    the error norm in the operation order of ``_dp_attempt``,
+    ``_dp_checked_attempt`` and ``__call__``, the floor check at every
+    stage, and f called once per stage time (stages 6 and 7 share
+    t + h), so its states, counts, statuses and errors are bit-identical
+    to the definition's.  (wi, vi) is the state of stage i and
+    (vi, bi, ci) its derivative; the stages' Phi, which the field does
+    not read, are not formed.
+    """
+
+    def __init__(self, f: Callable):
+        self.f = f
+
+    def __call__(self, t, y):
+        w, wp, _ = y
+        if w <= _W_FLOOR:
+            raise _below_floor(w, t)
+        w2 = w * w
+        return (wp, 1.0 / (w2 * w) - self.f(t) * w, 1.0 / w2)
+
+    def dp_checked_attempt(self, t, y, h, f1, atol, rtol):
+        f, isfinite = self.f, math.isfinite
+        w, v, p = y
+        a1, b1, c1 = f1
+        w2 = w + h * (A21 * a1)
+        v2 = v + h * (A21 * b1)
+        if w2 <= _W_FLOOR:
+            raise _below_floor(w2, t + C2 * h)
+        sq = w2 * w2
+        b2 = 1.0 / (sq * w2) - f(t + C2 * h) * w2
+        c2 = 1.0 / sq
+        w3 = w + h * (A31 * a1 + A32 * v2)
+        v3 = v + h * (A31 * b1 + A32 * b2)
+        if w3 <= _W_FLOOR:
+            raise _below_floor(w3, t + C3 * h)
+        sq = w3 * w3
+        b3 = 1.0 / (sq * w3) - f(t + C3 * h) * w3
+        c3 = 1.0 / sq
+        w4 = w + h * (A41 * a1 + A42 * v2 + A43 * v3)
+        v4 = v + h * (A41 * b1 + A42 * b2 + A43 * b3)
+        if w4 <= _W_FLOOR:
+            raise _below_floor(w4, t + C4 * h)
+        sq = w4 * w4
+        b4 = 1.0 / (sq * w4) - f(t + C4 * h) * w4
+        c4 = 1.0 / sq
+        w5 = w + h * (A51 * a1 + A52 * v2 + A53 * v3 + A54 * v4)
+        v5 = v + h * (A51 * b1 + A52 * b2 + A53 * b3 + A54 * b4)
+        if w5 <= _W_FLOOR:
+            raise _below_floor(w5, t + C5 * h)
+        sq = w5 * w5
+        b5 = 1.0 / (sq * w5) - f(t + C5 * h) * w5
+        c5 = 1.0 / sq
+        w6 = w + h * (A61 * a1 + A62 * v2 + A63 * v3 + A64 * v4 + A65 * v5)
+        v6 = v + h * (A61 * b1 + A62 * b2 + A63 * b3 + A64 * b4 + A65 * b5)
+        if w6 <= _W_FLOOR:
+            raise _below_floor(w6, t + h)
+        sq = w6 * w6
+        f6 = f(t + h)
+        b6 = 1.0 / (sq * w6) - f6 * w6
+        c6 = 1.0 / sq
+        wn = w + h * (B1 * a1 + B3 * v3 + B4 * v4 + B5 * v5 + B6 * v6)
+        vn = v + h * (B1 * b1 + B3 * b3 + B4 * b4 + B5 * b5 + B6 * b6)
+        pn = p + h * (B1 * c1 + B3 * c3 + B4 * c4 + B5 * c5 + B6 * c6)
+        if wn <= _W_FLOOR:
+            raise _below_floor(wn, t + h)
+        sq = wn * wn
+        bn = 1.0 / (sq * wn) - f6 * wn
+        cn = 1.0 / sq
+        ew = h * (E1 * a1 + E3 * v3 + E4 * v4 + E5 * v5 + E6 * v6 + E7 * vn)
+        ev = h * (E1 * b1 + E3 * b3 + E4 * b4 + E5 * b5 + E6 * b6 + E7 * bn)
+        ep = h * (E1 * c1 + E3 * c3 + E4 * c4 + E5 * c5 + E6 * c6 + E7 * cn)
+        y_new, f7 = (wn, vn, pn), (vn, bn, cn)
+        if not (isfinite(wn) and isfinite(ew) and isfinite(vn) and isfinite(ev)
+                and isfinite(pn) and isfinite(ep)):
+            return y_new, f7, math.inf
+        # max(|y|, |y_new|) as chained comparisons
+        rw = ew / (atol + rtol * (abs(wn) if abs(wn) > abs(w) else abs(w)))
+        rv = ev / (atol + rtol * (abs(vn) if abs(vn) > abs(v) else abs(v)))
+        rp = ep / (atol + rtol * (abs(pn) if abs(pn) > abs(p) else abs(p)))
+        return y_new, f7, math.sqrt((rw * rw + rv * rv + rp * rp) / 3)
+
+
 def cs_envelope(h: HillSpec, mono: MonodromyResult, n_grid: int = 2001,
                 rtol: float = 1e-12) -> EnvelopeResult:
     """Propagate the envelope ODE w'' + f w = 1/w^3 jointly with Phi' = 1/w^2.
@@ -168,15 +264,6 @@ def cs_envelope(h: HillSpec, mono: MonodromyResult, n_grid: int = 2001,
     """
     if not 2 <= n_grid <= MAX_GRID_POINTS + 1:
         raise ValueError(f"n_grid must be in [2, {MAX_GRID_POINTS + 1}], got {n_grid}")
-    f = h.f
-
-    def field(t, y):
-        w, wp, _ = y
-        if w <= _W_FLOOR:
-            raise EnvelopeBlowupError(f"envelope w = {w} at t = {t} below {_W_FLOOR}")
-        w2 = w * w
-        return (wp, 1.0 / (w2 * w) - f(t) * w, 1.0 / w2)
-
     w0 = math.sqrt(mono.beta0)
     rows = [(w0, -mono.alphaT / w0, 0.0)]
 
@@ -188,7 +275,7 @@ def cs_envelope(h: HillSpec, mono: MonodromyResult, n_grid: int = 2001,
     step = h.T / (n_grid - 1)
     stops = [j * step for j in range(1, n_grid - 1)] + [h.T]
     cfg = AdaptiveConfig(rtol=rtol, atol=_ENV_ATOL, t_end=h.T, record=False)
-    run = integrate_adaptive(field, rows[0], cfg, stops=stops, at_stop=at_stop)
+    run = integrate_adaptive(_EnvelopeField(h.f), rows[0], cfg, stops=stops, at_stop=at_stop)
     ws, wps, phis = np.array(rows).T.copy()
     return EnvelopeResult(
         ts=np.array([0.0] + stops),

@@ -49,15 +49,20 @@ class Piecewise:
         self._last = len(self._xs) - 2
 
     def __call__(self, t):
-        if isinstance(t, (float, int)):
-            return self._scalar(float(t))
-        return self._array(np.asarray(t, dtype=float))
-
-    def _scalar(self, t: float) -> float:
+        # an exact float, the hot case, skips the isinstance dispatch
+        if type(t) is not float:
+            if not isinstance(t, (float, int)):
+                return self._array(np.asarray(t, dtype=float))
+            t = float(t)
         xs = self._xs
         if self.periodic:
             t = xs[0] + (t - xs[0]) % (xs[-1] - xs[0])
-        i = min(max(bisect_right(xs, t) - 1, 0), self._last)
+        # the index clamped to [0, last] as comparisons
+        i = bisect_right(xs, t) - 1
+        if i < 0:
+            i = 0
+        elif i > self._last:
+            i = self._last
         c0, c1, c2, c3 = self._rows[i]
         d = t - xs[i]
         d2 = d * d

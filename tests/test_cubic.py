@@ -90,6 +90,13 @@ def test_single_real_root():
     assert abs(r**3 + r + 1.0) < 1e-14
 
 
+def test_single_real_root_where_the_cardano_term_underflows():
+    # x^3 + 2e-108 x: 4 p^3 stays a subnormal, so the cubic is not the triple
+    # root of p = q = 0, but p^3 / 27 underflows to 0 and the Cardano term u
+    # is 0; the u == 0 branch takes the root t = 0 instead of dividing by u
+    assert real_roots(1.0, 0.0, 2e-108, 0.0) == [(0.0, 1)]
+
+
 def test_leading_coefficient_required():
     with pytest.raises(ValueError):
         real_roots(0.0, 1.0, 2.0, 3.0)

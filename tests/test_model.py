@@ -469,6 +469,16 @@ def test_trajectory_accepts_times_that_increase(ts):
     assert len(Trajectory(ts=ts, ys=np.zeros((len(ts), 2)), status="completed")) == len(ts)
 
 
+@pytest.mark.parametrize("ts,ys,message", [
+    ([0.0, 0.1], np.zeros((3, 2)), "state array must have one row per time"),
+    ([0.0, 0.1], np.zeros(2), "state array must have one row per time"),
+    ([], np.zeros((0, 2)), "trajectory cannot be empty"),
+], ids=["rows", "one_dimensional", "empty"])
+def test_trajectory_refuses_a_state_array_of_the_wrong_shape(ts, ys, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Trajectory(ts=np.array(ts), ys=ys, status="completed")
+
+
 def test_trajectory_validation():
     ys = np.array([[0.1, 0.0], [0.1, 0.0]])
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -5,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from osclab import normalform, spline
+from osclab import integrate, normalform, spline
 from osclab.cli import _periodic_interpolants
 from osclab.errors import EnvelopeBlowupError, UnstableHillError
 from osclab.integrate import AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed
@@ -260,6 +261,154 @@ def test_fundamental_runs_are_the_generic_closure_runs_bit_for_bit(f, monkeypatc
         ref = integrate_adaptive(closure, y0, whole)
         step_cap(ref.n_accepted)
         assert _bits(integrate_adaptive(form, y0, whole)) == _bits(ref)
+
+
+@pytest.mark.parametrize("f", list(_HILL_FS.values()), ids=list(_HILL_FS))
+def test_fundamental_form_on_the_rk4_grid_is_the_closure_bit_for_bit(f, monkeypatch):
+    # only RK4 reads a form's g_grid: a fixed-step run of the Hill form takes
+    # its fused chunks (6284 steps, the last shortened onto 2 pi), the closure
+    # _rk4_step
+    forms = []
+
+    def run(field, y0, cfg):
+        forms.append(field)
+        return integrate_adaptive(field, y0, cfg)
+
+    monkeypatch.setattr(normalform, "integrate_adaptive", run)
+    _fundamental_runs(HillSpec(f=f, T=TWO_PI))
+    cfg = FixedStepConfig(h=1e-3, t_end=TWO_PI)
+    for y0 in ((1.0, 0.0), (0.0, 1.0), (0.0, -0.0)):
+        ref = integrate_fixed(lambda t, y: (y[1], -f(t) * y[0]), y0, cfg)
+        assert _bits(integrate_fixed(forms[0], y0, cfg)) == _bits(ref)
+
+
+def _closure_envelope_field(f):
+    """``cs_envelope``'s field as a plain closure: a reference on the generic trial step."""
+    def field(t, y):
+        w, wp, _ = y
+        if w <= 1e-6:
+            raise EnvelopeBlowupError(f"envelope w = {w} at t = {t} below 1e-06")
+        w2 = w * w
+        return (wp, 1.0 / (w2 * w) - f(t) * w, 1.0 / w2)
+
+    return field
+
+
+def _envelope_march(monkeypatch, h, mono, n_grid, make_field=None):
+    """``cs_envelope`` with its field from make_field (default its own): (field, outcome).
+
+    The outcome is every bit of the samples, the run's status and counts
+    and the defects, or the type and message of the error raised.
+    """
+    fields, runs = [], []
+
+    def run(field, y0, cfg, **kw):
+        fields.append(field)
+        runs.append(integrate_adaptive(field, y0, cfg, **kw))
+        return runs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(normalform, "integrate_adaptive", run)
+        if make_field is not None:
+            patch.setattr(normalform, "_EnvelopeField", make_field)
+        try:
+            env = cs_envelope(h, mono, n_grid=n_grid)
+        except EnvelopeBlowupError as e:
+            return fields[0], (type(e), str(e))
+    return fields[0], (env.ts.tobytes(), env.w.tobytes(), env.wp.tobytes(), env.phi.tobytes(),
+                       runs[0].status, env.n_accepted, env.n_rejected, env.field_evals,
+                       env.defect_w, env.defect_wp)
+
+
+def _mathieu_hill():
+    return HillSpec(f=lambda t: 0.3 + 0.05 * math.cos(t), T=TWO_PI)
+
+
+def _floor_case(beta0=1.1e-12):
+    """The Mathieu envelope from w0 = sqrt(beta0), w0' = -1/w0.
+
+    At beta0 = 1.1e-12 stage 2 of the first trial step has w < 0; at
+    1e-12 the start itself is at the floor.
+    """
+    h = _mathieu_hill()
+    return h, dataclasses.replace(monodromy(h), beta0=beta0, alphaT=1.0)
+
+
+_ENVELOPE_CASES = {
+    "table_2001": lambda: (_tabulated_hill(), None, 2001),
+    "mathieu_401": lambda: (_mathieu_hill(), None, 401),
+    "mathieu_2": lambda: (_mathieu_hill(), None, 2),
+    # f = 1 has |tr M| = 2, so the envelope starts from f = 1/16's Twiss values
+    "int_one": lambda: (HillSpec(f=lambda t: 1, T=TWO_PI), monodromy(_const_hill()), 101),
+    "ceiling": lambda: (HillSpec(f=lambda t: -9.0, T=TWO_PI), monodromy(_const_hill()), 51),
+    "floor": lambda: (*_floor_case(), 51),
+    "floor_at_start": lambda: (*_floor_case(1e-12), 51),
+}
+
+
+@pytest.mark.parametrize("case", list(_ENVELOPE_CASES.values()), ids=list(_ENVELOPE_CASES))
+def test_envelope_march_is_the_generic_closure_march_bit_for_bit(case, monkeypatch, step_cap):
+    # the reference run takes _dp_checked_attempt on the closure; cs_envelope's
+    # own field takes its fused dp_checked_attempt
+    h, mono, n_grid = case()
+    mono = mono or monodromy(h)
+    ref_field, ref = _envelope_march(monkeypatch, h, mono, n_grid, _closure_envelope_field)
+    assert not hasattr(ref_field, "dp_checked_attempt")
+    if len(ref) > 2:
+        step_cap(ref[5])
+    field, got = _envelope_march(monkeypatch, h, mono, n_grid)
+    assert isinstance(field, normalform._EnvelopeField)
+    assert got == ref
+
+
+def _attempt_outcome(attempt, *args):
+    """Every bit of a trial step's (y_new, f7, err), or the type and message of its error."""
+    try:
+        y_new, f7, err = attempt(*args)
+    except EnvelopeBlowupError as e:
+        return type(e), str(e)
+    return np.array([*y_new, *f7, err]).tobytes()
+
+
+def test_envelope_trial_step_is_the_generic_one_bit_for_bit():
+    # seeded draws of state, step and constant f around the floor: the fused
+    # dp_checked_attempt against _dp_checked_attempt on the field's __call__,
+    # every stage's floor check among the first to fail, and overflowing
+    # draws with a nonfinite error
+    rng = np.random.default_rng(5)
+    first_below = set()
+    n_inf = 0
+    for _ in range(4000):
+        f0 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 8.0))
+        form = normalform._EnvelopeField(lambda t: f0)
+        v_exp = rng.uniform(-3.0, 3.0) if rng.random() < 0.95 else rng.uniform(150.0, 306.0)
+        y = (10.0 ** rng.uniform(-5.9, 0.0), rng.normal() * 10.0 ** v_exp, rng.normal())
+        h, t = 10.0 ** rng.uniform(-6.0, 0.0), rng.uniform(0.0, 7.0)
+        calls = []
+
+        def closure(t, y):
+            calls.append(t)
+            return form(t, y)
+
+        args = (t, y, h, form(t, y), 1e-14, 1e-12)
+        ref = _attempt_outcome(functools.partial(integrate._dp_checked_attempt, closure), *args)
+        assert _attempt_outcome(form.dp_checked_attempt, *args) == ref
+        if isinstance(ref, tuple):
+            first_below.add(len(calls) + 1)  # stage 1 is the caller's f1
+        else:
+            n_inf += np.frombuffer(ref)[-1] == math.inf
+    assert first_below == {2, 3, 4, 5, 6, 7} and n_inf > 0
+
+
+@pytest.mark.parametrize("beta0,message", [
+    (1.1e-12, "envelope w = -19.069250736103 at t = 2e-05 below 1e-06"),  # a trial step's stage
+    (1e-12, "envelope w = 1e-06 at t = 0.0 below 1e-06"),  # the start's evaluation
+])
+def test_envelope_floor_is_checked_at_every_field_evaluation(beta0, message):
+    h, mono = _floor_case(beta0)
+    with pytest.raises(EnvelopeBlowupError) as info:
+        cs_envelope(h, mono, n_grid=51)
+    assert str(info.value) == message
 
 
 def test_reduce_constant_recovers_autonomous_form():

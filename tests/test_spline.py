@@ -97,6 +97,12 @@ def test_scalar_and_array_evaluation_agree_bit_for_bit(kind, uniform):
     assert all(type(v) is float for v in scalars)
     assert np.array_equal(values, np.array(scalars))
     assert np.array_equal(values, [pw(np.float64(t)) for t in ts])
+    # an int takes the float path past the exact-float shortcut, inside the
+    # knots and beyond both ends
+    ints = list(range(math.floor(x[0]) - 9, math.ceil(x[-1]) + 9))
+    from_ints = [pw(k) for k in ints]
+    assert all(type(v) is float for v in from_ints)
+    assert np.array_equal(pw(np.array(ints, dtype=float)), np.array(from_ints))
     # the pieces interpolate: each knot value is hit to rounding
     assert np.allclose(values[:len(x)], y, rtol=0.0, atol=1e-14)
 

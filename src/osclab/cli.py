@@ -41,8 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, OscLabError
-from .integrate import (DP_NAME, MAX_GRID_POINTS, AdaptiveConfig, FixedStepConfig,
-                        integrate_adaptive, integrate_fixed, interval_steps, sample_strobe)
+from .integrate import (MAX_GRID_POINTS, AdaptiveConfig, FixedStepConfig, integrate_adaptive,
+                        integrate_fixed, interval_steps, sample_strobe)
 from .model import MAX_M, State, make_field, spec_from_json, trig_spec
 from .output import M4Line, Strided, plot_frame, svg_plot, write_csv, write_json
 
@@ -198,14 +198,8 @@ def _stride_rows(ts, cols):
     return zip(*table.cols)
 
 
-def _stats(integrator: str, run) -> dict:
-    """The summary's ``stats``: which integrator ran and the counts that ``run`` made."""
-    return {"integrator": integrator, "accepted": run.n_accepted, "rejected": run.n_rejected,
-            "field_evals": run.field_evals}
-
-
 def _method(params, default_h):
-    """(integrator name, its settings that are set) of a run.
+    """The settings of a run's integrator that are set; the run's record names the integrator.
 
     Dormand-Prince runs where rtol is set or neither h nor ``default_h`` is; it takes
     whichever of rtol and atol are set, so an unset one is the library's default.  Else
@@ -214,11 +208,11 @@ def _method(params, default_h):
     """
     h = params.get("h", default_h) if "rtol" not in params else None
     if h is None:
-        return DP_NAME, {key: params[key] for key in ("rtol", "atol") if key in params}
+        return {key: params[key] for key in ("rtol", "atol") if key in params}
     if "atol" in params:
         raise ConfigError("--atol applies to an adaptive run only; this run is RK4 "
                           "(give --rtol to run Dormand-Prince)")
-    return "rk4", {"h": h}
+    return {"h": h}
 
 
 class _Kept:
@@ -268,11 +262,11 @@ def _run_oscillator(spec, params, ylim, values):
     more knowing them (it is deterministic, so that run ends where the first did).  Any
     other run keeps its record and feeds it after; with no ``ylim`` the y-range is its z's.
     """
-    name, settings = _method(params, 1e-3)
+    settings = _method(params, 1e-3)
     field = make_field(spec)
     y0 = (params["z0"], params["p0"])
     kw = dict(settings, t_end=params["tmax"], escape_bound=params["escape"])
-    if name == DP_NAME:
+    if "h" not in settings:
         run = integrate_adaptive(field, y0, AdaptiveConfig(**kw))
     elif ylim is None:
         run = integrate_fixed(field, y0, FixedStepConfig(**kw))
@@ -285,14 +279,14 @@ def _run_oscillator(spec, params, ylim, values):
             kept.push_many(np.array((cfg.t_start,)), y0)
             run = integrate_fixed(field, y0, cfg, sink=kept)
             kept.flush()
-            if (run.n_accepted + 1, run.ts[-1]) == (n, t_end):
+            if (run.stats.accepted + 1, run.ts[-1]) == (n, t_end):
                 break
-            n, t_end = run.n_accepted + 1, run.ts[-1]
-        return run.status, _stats(name, run), kept
+            n, t_end = run.stats.accepted + 1, run.ts[-1]
+        return run.status, run.stats.to_json(), kept
     kept = _Kept(len(run), run.ts, run.z, ylim, values())
     for i in range(0, len(run), _ROW_BLOCK):
         kept.feed(run.ts[i:i + _ROW_BLOCK], run.ys[i:i + _ROW_BLOCK])
-    return run.status, _stats(name, run), kept
+    return run.status, run.stats.to_json(), kept
 
 
 def cmd_simulate(args) -> Record:
@@ -341,7 +335,7 @@ def cmd_poincare(args) -> Record:
     n_points = int(params["points"])
     if n_points < 1:
         raise ConfigError(f"need at least one strobe point, got {n_points}")
-    name, settings = _method(params, None)
+    settings = _method(params, None)
     i0 = invariant_mod.eval_invariant(spec, State(0.0, z0, p0))
     curve = poincare_mod.section_curve(spec, i0)
 
@@ -363,7 +357,7 @@ def cmd_poincare(args) -> Record:
             [None if math.isinf(lo) else lo, None if math.isinf(hi) else hi]
             for lo, hi in curve.admissible
         ],
-        "stats": _stats(name, strobe),
+        "stats": strobe.stats.to_json(),
     }
     return Record(
         summary, f"poincare: points={len(strobe)} residual_max={residual:.6e} "
@@ -423,7 +417,8 @@ def cmd_scan(args) -> Record:
         "dz0": params["dz0"],
         "integrator": stability_mod.SCAN_PAIR.name,
         "cells": [{k: getattr(r, k) for k in ("omega", "cells", "escaped", "step_underflow",
-                   "coefficient_singular", "accepted", "rejected", "field_evals")} for r in rows],
+                   "coefficient_singular")} | {k: v for k, v in r.stats.to_json().items()
+                                               if k != "integrator"} for r in rows],
         "batches": result.batches,
     }
     return Record(
@@ -452,7 +447,7 @@ def cmd_crit(args) -> Record:
 def cmd_family(args) -> Record:
     fp = family_mod.fiveparam_from_json(_read_json(args.spec))
     params = _resolve(args, dict(_RUN_DEFAULTS, tmax=100.0))
-    name, settings = _method(params, None)
+    settings = _method(params, None)
     traj, report = family_mod.integrate_family(
         fp, params["z0"], params["p0"], params["tmax"], escape_bound=params["escape"], **settings)
     summary = {
@@ -460,7 +455,7 @@ def cmd_family(args) -> Record:
         "mode": report.mode,
         "max_rel_drift": report.max_rel,
         "n_recorded": len(traj),
-        "stats": _stats(name, traj),
+        "stats": traj.stats.to_json(),
     }
     return Record(
         summary, f"family: status={traj.status} drift mode={report.mode} "
@@ -490,8 +485,7 @@ def cmd_reduce(args) -> Record:
         "defect_wp": res.env.defect_wp,
         "m": res.m,
         "n_grid": args.n_grid,
-        "stats": {"monodromy": _stats(DP_NAME, res.mono),
-                  "envelope": _stats(DP_NAME, res.env)},
+        "stats": {"monodromy": res.mono.stats.to_json(), "envelope": res.env.stats.to_json()},
     }
     env = res.env
     return Record(

@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import (CoefficientSingularError, NonfiniteStateError, StepBudgetError,
                      StepUnderflowError)
-from .model import PowerForm, Trajectory, int_pow
+from .model import PowerForm, RunStats, Trajectory, int_pow
 
 C2, C3, C4, C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
 A21 = 1.0 / 5.0
@@ -183,8 +183,8 @@ class _Recorder:
             self.ts.frombytes(ts.tobytes())
             self.buf += array("d", flat)
 
-    def build(self, status, t, y, **meta) -> Trajectory:
-        """The trajectory of a run whose last accepted state is (t, y).
+    def build(self, status, t, y, stats: RunStats) -> Trajectory:
+        """The trajectory of a run whose last accepted state is (t, y), with its record.
 
         Its arrays are views of the recorder's buffers, not copies, so a
         run's record is held once.  ``build`` is the recorder's last act:
@@ -196,7 +196,7 @@ class _Recorder:
             self.buf.extend(y)
         ts = np.frombuffer(self.ts, dtype=float)
         ys = np.frombuffer(self.buf, dtype=float).reshape(len(ts), -1)
-        return Trajectory(ts=ts, ys=ys, status=status, **meta)
+        return Trajectory(ts=ts, ys=ys, status=status, stats=stats)
 
 
 def _check_state(y):
@@ -291,6 +291,13 @@ def _chunks(t0, stop, h):
         yield rem, np.array((t0 + n_full * h, stop))
 
 
+# the methods of integrate_fixed and integrate_adaptive as a run's stats name them,
+# and the pair's field evaluations per trial step (FSAL)
+RK4_NAME = "rk4"
+DP_NAME = "dormand_prince"
+DP_EVALS = 6
+
+
 def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None, sink=None):
     """Classical RK4 with constant step h, marching through exact stops.
 
@@ -310,7 +317,7 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None, s
     Each chunk's rows (not the start) go by one ``push_many(ts, flat)``
     to ``sink`` if given, else to the run's record, those before a
     CoefficientSingularError too; with a sink the Trajectory holds the
-    start and end alone, as with record=False.  ``field_evals`` is 4 a step.
+    start and end alone, as with record=False.  Its record is named RK4_NAME.
     """
     stops, y, form = _start(field, y0, cfg, stops)
     rec = _Recorder(cfg.record and sink is None, cfg.t_start, y)
@@ -386,7 +393,7 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None, s
         if at_stop is not None:
             at_stop(t, y)
         t0 = stop
-    return rec.build(status, t, y, n_accepted=n_done, field_evals=4 * n_done)
+    return rec.build(status, t, y, RunStats(RK4_NAME, n_done, 0, 4 * n_done))
 
 
 def _dp_attempt(field, t, y, h, f1):
@@ -436,12 +443,6 @@ def _dp_checked_attempt(field, t, y, h, f1, atol, rtol):
     return y_new, f7, math.sqrt(err / len(y))
 
 
-# the pair of integrate_adaptive as a run's stats name it, and its field
-# evaluations per trial step (FSAL)
-DP_NAME = "dormand_prince"
-DP_EVALS = 6
-
-
 def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None) -> Trajectory:
     """Dormand-Prince 5(4) with error-per-step control, marching through exact stops.
 
@@ -450,9 +451,9 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
     0.9*err^(-1/5) is clamped to [0.2, 5].  A trial step with nonfinite
     result is treated as rejected.  StepUnderflowError signals that the
     controller was forced below h_min on a rejection, and StepBudgetError
-    that the run took more than MAX_STEPS accepted steps.  ``field_evals``
-    is 1 plus ``DP_EVALS`` per trial step, 0 for a run without one; a
-    trial step that met a singular coefficient adds none.
+    that the run took more than MAX_STEPS accepted steps.  Its record is
+    named DP_NAME; a trial step that met a singular coefficient counts in
+    none of its counts.
 
     One loop runs the march; only its trial step branches.  A field that
     is not a ``model.PowerForm`` is tried by ``_dp_checked_attempt``, the
@@ -577,8 +578,8 @@ def integrate_adaptive(field, y0, cfg: AdaptiveConfig, stops=None, at_stop=None)
                 at_stop(t, y)
     except CoefficientSingularError:
         status = "coefficient_singular"
-    return rec.build(status, t, y, n_accepted=n_acc, n_rejected=n_rej,
-                     field_evals=(n_acc + n_rej > 0) + DP_EVALS * (n_acc + n_rej))
+    return rec.build(status, t, y, RunStats(DP_NAME, n_acc, n_rej,
+                                            (n_acc + n_rej > 0) + DP_EVALS * (n_acc + n_rej)))
 
 
 def sample_strobe(
@@ -599,13 +600,14 @@ def sample_strobe(
     keeping its step size and FSAL stage from one strobe interval to the
     next, and fixed-step with h, restarting the grid t_k + j*h at each
     t_k so that no step straddles a strobe time.  The trajectory carries
-    the run's status and counts (none at k_max = 0); on escape it ends at
-    the last t_k reached.  k_max above MAX_GRID_POINTS or a t_step that
-    is not positive and finite raises ValueError, and so does the run's
-    config (for h, more than MAX_STEPS steps in all), before any stop
-    time is made.  A start of fewer than two components, or one that is
-    not (z, p) for a ``model.PowerForm`` field, raises ValueError and a
-    nonfinite one NonfiniteStateError, at k_max = 0 (no run) too.
+    the run's status and record (at k_max = 0 an empty one of the
+    integrator h selects); on escape it ends at the last t_k reached.
+    k_max above MAX_GRID_POINTS or a t_step that is not positive and
+    finite raises ValueError, and so does the run's config (for h, more
+    than MAX_STEPS steps in all), before any stop time is made.  A start
+    of fewer than two components, or one that is not (z, p) for a
+    ``model.PowerForm`` field, raises ValueError and a nonfinite one
+    NonfiniteStateError, at k_max = 0 (no run) too.
     """
     if not 0.0 < t_step < math.inf:
         raise ValueError(f"t_step must be positive and finite, got {t_step}")
@@ -615,7 +617,7 @@ def sample_strobe(
     y = _initial_state(field, y0)
     rec = _Recorder(True, 0.0, y)
     if k_max == 0:
-        return rec.build("completed", 0.0, y)
+        return rec.build("completed", 0.0, y, RunStats(DP_NAME if h is None else RK4_NAME))
     run_cfg = dict(t_end=k_max * t_step, escape_bound=escape_bound, record=False)
     if h is None:
         integrate, cfg = integrate_adaptive, AdaptiveConfig(rtol=rtol, atol=atol, **run_cfg)
@@ -623,5 +625,4 @@ def sample_strobe(
         integrate, cfg = integrate_fixed, FixedStepConfig(h=h, **run_cfg)
     run = integrate(field, y, cfg, stops=[k * t_step for k in range(1, k_max + 1)],
                     at_stop=lambda t, y: rec.push_many(np.array((t,)), y))
-    return rec.build(run.status, run.ts[-1], run.ys[-1], n_accepted=run.n_accepted,
-                     n_rejected=run.n_rejected, field_evals=run.field_evals)
+    return rec.build(run.status, run.ts[-1], run.ys[-1], run.stats)

@@ -32,7 +32,7 @@ from .errors import StepBudgetError
 from .integrate import (A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64,
                         A65, B1, B3, B4, B5, B6, C2, C3, C4, C5, DP_EVALS, DP_NAME, E1, E3, E4,
                         E5, E6, E7, FAC_MAX, FAC_MIN, SAFETY, AdaptiveConfig)
-from .model import EPS_POS, TrigAlpha, alpha2_grid, g_exponent, int_pow
+from .model import EPS_POS, RunStats, TrigAlpha, alpha2_grid, g_exponent, int_pow
 
 
 @dataclass(frozen=True)
@@ -230,18 +230,15 @@ class LaneRun:
     """End of each lane of ``integrate_lanes``, in input lane order.
 
     ``ts`` and ``ys`` (one column per lane) hold the last accepted state;
-    ``status`` names how each lane ended, one of LANE_STATUSES.
-    ``field_evals`` counts each lane's field evaluations as
-    ``integrate_adaptive`` counts a run's, with the pair's ``evals``.
+    ``status`` names how each lane ended, one of LANE_STATUSES, and
+    ``stats`` holds each lane's ``model.RunStats`` under the pair's name.
     ``lock_steps`` counts the trial steps the lanes took together.
     """
 
     ts: np.ndarray
     ys: np.ndarray
     status: tuple
-    n_accepted: np.ndarray
-    n_rejected: np.ndarray
-    field_evals: np.ndarray
+    stats: tuple
     lock_steps: int
 
 
@@ -332,6 +329,7 @@ def integrate_lanes(form, y0, params, cfg: AdaptiveConfig, pair: LanePair = DP54
     trials = out_acc + out_rej
     return LaneRun(
         ts=out_t, ys=out_y, status=tuple(LANE_STATUSES[c - 1] for c in out_code),
-        n_accepted=out_acc, n_rejected=out_rej, field_evals=(trials > 0) + pair.evals * trials,
+        stats=tuple(RunStats(pair.name, *counts) for counts in zip(
+            out_acc.tolist(), out_rej.tolist(), ((trials > 0) + pair.evals * trials).tolist())),
         lock_steps=lock_steps,
     )

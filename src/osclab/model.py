@@ -28,7 +28,7 @@ function of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -143,22 +143,41 @@ class State:
 
 
 @dataclass(frozen=True)
+class RunStats:
+    """The steps and field evaluations of a run, recorded at its end by its integrator.
+
+    ``field_evals`` is 4 per RK4 step; for an embedded pair, 1 at the start and
+    the pair's evaluations per trial step, 0 without one.  A sum adds runs of one integrator.
+    """
+
+    integrator: str
+    accepted: int = 0
+    rejected: int = 0
+    field_evals: int = 0
+
+    def __add__(self, other: RunStats) -> RunStats:
+        return RunStats(self.integrator, self.accepted + other.accepted,
+                        self.rejected + other.rejected, self.field_evals + other.field_evals)
+
+    def to_json(self) -> dict:
+        """The summary's ``stats``: the fields in their order, the integrator first."""
+        return asdict(self)
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Time-ordered integrator output.
 
     ``ys`` has one row per recorded time and one column per state
     component; columns 0 and 1 are always (z, p).  ``status`` is one of
-    "completed", "escaped", "coefficient_singular".  ``n_rejected`` stays
-    zero for fixed-step runs.  ``field_evals`` is the field evaluations
-    of the steps the run took, as its integrator counts them.
+    "completed", "escaped", "coefficient_singular".  ``stats`` is the
+    ``RunStats`` of the run; a trajectory made by hand has None.
     """
 
     ts: np.ndarray
     ys: np.ndarray
     status: str
-    n_accepted: int = 0
-    n_rejected: int = 0
-    field_evals: int = 0
+    stats: RunStats = None
 
     def __post_init__(self):
         if self.ys.ndim != 2 or self.ys.shape[0] != self.ts.shape[0]:
@@ -181,6 +200,11 @@ class Trajectory:
     @property
     def p(self) -> np.ndarray:
         return self.ys[:, 1]
+
+    n_accepted = property(lambda self: self.stats.accepted, doc="``stats.accepted``, for "
+                          "bench/layertrace.py alone until ROADMAP item 5 retires it")
+    n_rejected = property(lambda self: self.stats.rejected, doc="``stats.rejected``, for "
+                          "bench/layertrace.py alone until ROADMAP item 5 retires it")
 
 
 def int_pow(z, m: int):

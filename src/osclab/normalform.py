@@ -52,7 +52,7 @@ from .errors import EnvelopeBlowupError, UnstableHillError
 from .integrate import (A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64,
                         A65, B1, B3, B4, B5, B6, C2, C3, C4, C5, E1, E3, E4, E5, E6, E7,
                         MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive)
-from .model import PowerForm, check_m
+from .model import PowerForm, RunStats, check_m
 
 _W_FLOOR = 1e-6
 _W_CEIL = 1e6
@@ -79,6 +79,8 @@ class HillSpec:
 
 @dataclass(frozen=True)
 class MonodromyResult:
+    """The Floquet data of ``monodromy``; ``stats`` is the sum of both fundamental runs' records."""
+
     M: np.ndarray
     trace: float
     det: float
@@ -86,9 +88,7 @@ class MonodromyResult:
     beta0: float
     alphaT: float
     gamma0: float
-    n_accepted: int
-    n_rejected: int
-    field_evals: int
+    stats: RunStats
 
 
 def _fundamental_runs(h: HillSpec):
@@ -109,8 +109,7 @@ def monodromy(h: HillSpec) -> MonodromyResult:
     however many oscillations a period holds, not passed as spuriously
     stable.  In the stable case the phase advance mu is
     placed in (0, 2 pi) with sin(mu) matching the sign of M[0,1], which
-    makes beta0 = M[0,1]/sin(mu) positive.  The step and field
-    evaluation counts sum both fundamental runs.
+    makes beta0 = M[0,1]/sin(mu) positive.
     """
     M, runs = _fundamental_runs(h)
     tr = float(M[0, 0] + M[1, 1])
@@ -129,17 +128,13 @@ def monodromy(h: HillSpec) -> MonodromyResult:
     beta0 = float(M[0, 1]) / sin_mu
     alphaT = float(M[0, 0] - M[1, 1]) / (2.0 * sin_mu)
     gamma0 = (1.0 + alphaT * alphaT) / beta0
-    return MonodromyResult(
-        M=M, trace=tr, det=det, mu=mu, beta0=beta0, alphaT=alphaT, gamma0=gamma0,
-        n_accepted=sum(run.n_accepted for run in runs),
-        n_rejected=sum(run.n_rejected for run in runs),
-        field_evals=sum(run.field_evals for run in runs),
-    )
+    return MonodromyResult(M=M, trace=tr, det=det, mu=mu, beta0=beta0, alphaT=alphaT,
+                           gamma0=gamma0, stats=runs[0].stats + runs[1].stats)
 
 
 @dataclass(frozen=True, eq=False)
 class EnvelopeResult:
-    """Envelope and phase samples on a uniform t-grid over [0, T]."""
+    """Envelope and phase samples on a uniform t-grid over [0, T], and the run's ``stats``."""
 
     ts: np.ndarray
     w: np.ndarray
@@ -147,9 +142,7 @@ class EnvelopeResult:
     phi: np.ndarray
     defect_w: float
     defect_wp: float
-    n_accepted: int
-    n_rejected: int
-    field_evals: int
+    stats: RunStats
 
     @property
     def phi_T(self) -> float:
@@ -277,17 +270,9 @@ def cs_envelope(h: HillSpec, mono: MonodromyResult, n_grid: int = 2001,
     cfg = AdaptiveConfig(rtol=rtol, atol=_ENV_ATOL, t_end=h.T, record=False)
     run = integrate_adaptive(_EnvelopeField(h.f), rows[0], cfg, stops=stops, at_stop=at_stop)
     ws, wps, phis = np.array(rows).T.copy()
-    return EnvelopeResult(
-        ts=np.array([0.0] + stops),
-        w=ws,
-        wp=wps,
-        phi=phis,
-        defect_w=abs(float(ws[-1]) - float(ws[0])),
-        defect_wp=abs(float(wps[-1]) - float(wps[0])),
-        n_accepted=run.n_accepted,
-        n_rejected=run.n_rejected,
-        field_evals=run.field_evals,
-    )
+    return EnvelopeResult(ts=np.array([0.0] + stops), w=ws, wp=wps, phi=phis, stats=run.stats,
+                          defect_w=abs(float(ws[-1]) - float(ws[0])),
+                          defect_wp=abs(float(wps[-1]) - float(wps[0])))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import StepUnderflowError
 from .integrate import MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive
 from .lanes import DOP853, integrate_lanes, make_lane_field
-from .model import OscillatorSpec, TrigAlpha, make_field, trig_spec
+from .model import OscillatorSpec, RunStats, TrigAlpha, make_field, trig_spec
 from .poincare import i0_crit, i0_of_z0, z_crit  # noqa: F401
 
 
@@ -71,8 +71,7 @@ class StabilityRow:
 
     ``agrees``: z_last_bounded lies within 2 dz0 of z_crit_analytic.
     ``escaped``, ``step_underflow`` and ``coefficient_singular`` count the
-    ``cells`` that ended so, ``accepted`` and ``rejected`` their steps,
-    ``field_evals`` the sum of their lanes' ``lanes.LaneRun.field_evals``.
+    ``cells`` that ended so, and ``stats`` is the sum of their lanes' records.
     """
 
     omega: float
@@ -83,9 +82,7 @@ class StabilityRow:
     escaped: int
     step_underflow: int
     coefficient_singular: int
-    accepted: int
-    rejected: int
-    field_evals: int
+    stats: RunStats
 
 
 @dataclass(frozen=True)
@@ -148,9 +145,10 @@ def scan(
             for k in range(1, n_cells + 1):
                 yield row, spec, k
 
-    # per row: the first cell that did not complete, and how its cells ended
+    # per row: the first cell that did not complete, how its cells ended, and what they did
     first_open = [n_cells + 1 for _, _, n_cells in grid]
     ended = [Counter() for _ in grid]
+    totals = [RunStats(SCAN_PAIR.name) for _ in grid]
     batches = []
     todo = cells()
     while batch := list(itertools.islice(todo, _LANE_BATCH)):
@@ -158,19 +156,18 @@ def scan(
         form, params = make_lane_field(specs)
         z0 = np.array([k * dz0 for k in ks])
         run = integrate_lanes(form, np.stack([z0, np.zeros_like(z0)]), params, cfg, SCAN_PAIR)
-        for row, k, st, acc, rej, evals in zip(row_of, ks, run.status, run.n_accepted.tolist(),
-                                               run.n_rejected.tolist(), run.field_evals.tolist()):
+        for row, k, st, stats in zip(row_of, ks, run.status, run.stats):
             if st != "completed":
                 first_open[row] = min(first_open[row], k)
-            ended[row].update({st: 1, "accepted": acc, "rejected": rej, "field_evals": evals})
+            ended[row][st] += 1
+            totals[row] += stats
         batches.append({"lanes": len(batch), "lock_steps": run.lock_steps})
 
     rows = []
-    for (omega, zc, n_cells), k_open, c in zip(grid, first_open, ended):
+    for (omega, zc, n_cells), k_open, c, stats in zip(grid, first_open, ended, totals):
         z_last = (k_open - 1) * dz0
         rows.append(StabilityRow(
-            omega=omega, z_last_bounded=z_last, z_crit_analytic=zc,
+            omega=omega, z_last_bounded=z_last, z_crit_analytic=zc, stats=stats,
             agrees=abs(z_last - zc) <= 2.0 * dz0, cells=n_cells, escaped=c["escaped"],
-            step_underflow=c["step_underflow"], coefficient_singular=c["coefficient_singular"],
-            accepted=c["accepted"], rejected=c["rejected"], field_evals=c["field_evals"]))
+            step_underflow=c["step_underflow"], coefficient_singular=c["coefficient_singular"]))
     return ScanResult(tuple(rows), tuple(batches))

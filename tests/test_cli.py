@@ -165,15 +165,15 @@ def test_single_system_summary_counts_steps(tmp_path, command):
                              AdaptiveConfig(rtol=1e-9, t_end=5.0))
     for flags, want in [
         ([], {"integrator": "rk4", "accepted": 5000, "rejected": 0, "field_evals": 20000}),
-        (["--rtol", "1e-9"], {"integrator": "dormand_prince", "accepted": ref.n_accepted,
-                              "rejected": ref.n_rejected,
-                              "field_evals": 1 + 6 * (ref.n_accepted + ref.n_rejected)}),
+        (["--rtol", "1e-9"], {"integrator": "dormand_prince", "accepted": ref.stats.accepted,
+                              "rejected": ref.stats.rejected,
+                              "field_evals": 1 + 6 * (ref.stats.accepted + ref.stats.rejected)}),
     ]:
         out = tmp_path / "+".join(flags)
         assert run([command, "--preset", "fig1", "--tmax", "5", *flags, "--no-svg",
                     "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["stats"] == want
-    assert ref.n_rejected > 0
+    assert ref.stats.rejected > 0
 
 
 def _counted_field(preset):
@@ -207,7 +207,7 @@ def test_field_evals_counts_the_field_calls(tmp_path, command, rtol, preset, tma
     assert run([command, "--preset", preset, "--tmax", str(tmax), *flags, "--no-svg",
                 "--out", str(out)]) == 0
     stats = json.loads((out / "summary.json").read_text())["stats"]
-    assert (stats["accepted"], stats["rejected"]) == (ref.n_accepted, ref.n_rejected)
+    assert (stats["accepted"], stats["rejected"]) == (ref.stats.accepted, ref.stats.rejected)
     assert stats["field_evals"] == len(calls)
 
 
@@ -240,7 +240,7 @@ def test_poincare_field_evals_counts_the_field_calls(tmp_path, h, points, z0, wa
     assert run(["poincare", "--preset", "fig2", "--points", str(points), "--z0", str(z0),
                 *flags, "--no-svg", "--out", str(out)]) == 0
     stats = json.loads((out / "summary.json").read_text())["stats"]
-    assert (stats["accepted"], stats["rejected"]) == (ref.n_accepted, ref.n_rejected)
+    assert (stats["accepted"], stats["rejected"]) == (ref.stats.accepted, ref.stats.rejected)
     assert stats["field_evals"] == len(calls)
     assert (stats["field_evals"] == 0) == (points == 1)
 
@@ -610,9 +610,9 @@ def test_family_run(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["max_rel_drift"] < 1e-8
     traj, _ = integrate_family(fiveparam_from_json(json.loads(_FP_SPEC)), 0.1, 0.0, 20.0)
-    assert summary["stats"] == {"integrator": "dormand_prince", "accepted": traj.n_accepted,
-                                "rejected": traj.n_rejected,
-                                "field_evals": 1 + 6 * (traj.n_accepted + traj.n_rejected)}
+    acc, rej = traj.stats.accepted, traj.stats.rejected
+    assert summary["stats"] == {"integrator": "dormand_prince", "accepted": acc, "rejected": rej,
+                                "field_evals": 1 + 6 * (acc + rej)}
 
 
 def test_unset_run_parameters_take_the_defaults(tmp_path):
@@ -628,9 +628,9 @@ def test_unset_run_parameters_take_the_defaults(tmp_path):
         return json.loads((out / "summary.json").read_text())["stats"]
 
     def dormand_prince(run):
-        return {"integrator": "dormand_prince", "accepted": run.n_accepted,
-                "rejected": run.n_rejected,
-                "field_evals": 1 + 6 * (run.n_accepted + run.n_rejected)}
+        return {"integrator": "dormand_prince", "accepted": run.stats.accepted,
+                "rejected": run.stats.rejected,
+                "field_evals": 1 + 6 * (run.stats.accepted + run.stats.rejected)}
 
     for command in ("simulate", "drift"):
         assert stats(command, "--spec", fig, "--tmax", "1") == {
@@ -638,7 +638,7 @@ def test_unset_run_parameters_take_the_defaults(tmp_path):
     field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0))
     strobe = sample_strobe(field, (0.1, 0.0), math.pi, 2)
     strobe_atol = sample_strobe(field, (0.1, 0.0), math.pi, 2, atol=1e-9)
-    assert strobe.n_accepted != strobe_atol.n_accepted
+    assert strobe.stats.accepted != strobe_atol.stats.accepted
     assert stats("poincare", "--spec", fig, "--points", "3") == dormand_prince(strobe)
     assert stats("poincare", "--spec", fig, "--points", "3", "--atol", "1e-9") == \
         dormand_prince(strobe_atol)
@@ -815,6 +815,7 @@ def test_reduce_refuses_an_exponent_above_the_cap(tmp_path, capsys):
 
 def test_every_public_name_resolves():
     assert [name for name in osclab.__all__ if not hasattr(osclab, name)] == []
+    assert set(osclab.__all__) <= set(dir(osclab))
 
 
 def _fresh(code):
@@ -958,11 +959,31 @@ _OUT_FILES = {
 }
 
 
+# the key order of a summary's stats, and of a scan's cells, as the commands built them
+# before the counts became one record (summary.json itself sorts its keys)
+_STATS_KEYS = ["integrator", "accepted", "rejected", "field_evals"]
+_CELLS_KEYS = ["omega", "cells", "escaped", "step_underflow", "coefficient_singular",
+               "accepted", "rejected", "field_evals"]
+
+
+def _count_records(summary):
+    """Each dict of counts a summary holds: a scan's cells, reduce's two stats, else its stats."""
+    if "cells" in summary:
+        return summary["cells"]
+    stats = summary["stats"]
+    return [stats["monodromy"], stats["envelope"]] if "envelope" in stats else [stats]
+
+
 @pytest.mark.parametrize("argv,code,files", [
     *(pytest.param(argv + ["--out", "out"], 0, csv + svg, id=cmd)
       for cmd, (argv, csv, svg) in _OUT_FILES.items()),
     *(pytest.param(argv + ["--no-svg", "--out", "out"], 0, csv, id=f"{cmd}-no-svg")
       for cmd, (argv, csv, svg) in _OUT_FILES.items()),
+    pytest.param(["simulate", "--preset", "fig1", "--tmax", "1", "--rtol", "1e-9", "--no-svg",
+                  "--out", "out"], 0, ["traj.csv"], id="simulate-rtol"),
+    *(pytest.param(["poincare", "--preset", "fig2", "--points", "1", *flags, "--no-svg",
+                    "--out", "out"], 0, ["curve.csv", "strobe.csv"], id=f"poincare-1{name}")
+      for name, flags in (("", []), ("-h", ["--h", "1e-3"]), ("-rtol", ["--rtol", "1e-10"]))),
     pytest.param(_CRIT + ["--out", "out"], 0, [], id="crit"),
     pytest.param(_CRIT, 0, None, id="crit-no-out"),
     # a configuration error writes nothing, not even an empty --out
@@ -975,6 +996,9 @@ def test_out_holds_exactly_the_command_files(tmp_path, monkeypatch, argv, code, 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "fp.json").write_text(_FP_SPEC)
     _write_smooth_hill(tmp_path / "hill.csv")
+    summaries = []
+    monkeypatch.setattr(cli, "write_json", lambda path, obj: (summaries.append(obj),
+                                                             write_json(path, obj)))
     assert run(argv) == code
     made = sorted(p.name for p in tmp_path.iterdir() if p.name not in ("fp.json", "hill.csv"))
     if files is None:
@@ -983,6 +1007,11 @@ def test_out_holds_exactly_the_command_files(tmp_path, monkeypatch, argv, code, 
         assert made == ["out"]
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
             files + ["summary.json"])
+    if files:  # a run's counts keep the key order the commands gave them before
+        (summary,) = summaries
+        want = _CELLS_KEYS if "cells" in summary else _STATS_KEYS
+        records = _count_records(summary)
+        assert records and all(list(record) == want for record in records)
 
 
 def test_presets_cover_documented_demos():
@@ -1215,10 +1244,9 @@ def _record_path(argv, out):
     field = cli.make_field(spec)
     if params.get("rtol") is None:
         traj = integrate_fixed(field, y0, FixedStepConfig(h=params.get("h", 1e-3), **span))
-        stats = cli._stats("rk4", traj)
     else:
         traj = integrate_adaptive(field, y0, AdaptiveConfig(rtol=params["rtol"], **span))
-        stats = cli._stats(integrate.DP_NAME, traj)
+    stats = traj.stats.to_json()
     if args.command == "drift":
         series = invariant.invariant_series(spec, traj)
         i0 = float(series[0])

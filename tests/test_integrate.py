@@ -10,8 +10,10 @@ from osclab.errors import (CoefficientSingularError, NonfiniteStateError, StepBu
                            StepUnderflowError)
 from osclab.family import FiveParamSpec, make_augmented_field
 from osclab.integrate import (
+    DP_NAME,
     FAC_MAX,
     FAC_MIN,
+    RK4_NAME,
     SAFETY,
     AdaptiveConfig,
     FixedStepConfig,
@@ -26,8 +28,8 @@ from osclab.integrate import (
     sample_strobe,
 )
 from osclab.lanes import LaneForm, integrate_lanes, make_lane_field
-from osclab.model import (MAX_M, OscillatorSpec, PowerForm, Sampled, Trajectory, make_field,
-                          trig_spec)
+from osclab.model import (MAX_M, OscillatorSpec, PowerForm, RunStats, Sampled, Trajectory,
+                          make_field, trig_spec)
 from osclab.stability import bounded
 
 
@@ -121,7 +123,7 @@ def test_recorder_builds_views_of_its_buffers():
     rec = _Recorder(True, 0.0, (1.0, 2.0))
     rec.push_many(np.array([0.5]), (3.0, 4.0))
     rec.push_many(np.array([0.75, 1.0]), [5.0, 6.0, 7.0, 8.0])
-    traj = rec.build("completed", 1.0, (7.0, 8.0))
+    traj = rec.build("completed", 1.0, (7.0, 8.0), None)
     assert np.shares_memory(traj.ts, rec.ts) and np.shares_memory(traj.ys, rec.buf)
     assert traj.ts.tolist() == [0.0, 0.5, 0.75, 1.0]
     assert traj.ys.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]
@@ -161,23 +163,24 @@ def test_configs_reject_nonpositive_escape_bound(bound):
 
 
 def test_adaptive_matches_tight_reference(step_cap):
-    step_cap(3400)
+    step_cap(3400)  # guards the reference, which takes 2,811 steps
     spec = trig_spec(1.3, 0.9, 0.0, 1.0, 2)
     field = make_field(spec)
     ref = integrate_adaptive(field, (0.35, 0.0),
                              AdaptiveConfig(rtol=1e-13, atol=1e-15, t_end=20.0, record=False))
+    step_cap(ref.stats.accepted)  # a looser rtol takes fewer steps
     got = integrate_adaptive(field, (0.35, 0.0),
                              AdaptiveConfig(rtol=1e-9, atol=1e-12, t_end=20.0, record=False))
     assert abs(got.ys[-1][0] - ref.ys[-1][0]) < 1e-6
-    assert got.n_accepted > 0
+    assert got.stats.accepted > 0
     assert got.ts[-1] == 20.0
 
 
 def test_adaptive_step_counters():
     traj = integrate_adaptive(harmonic, (1.0, 0.0),
                               AdaptiveConfig(rtol=1e-10, t_end=10.0))
-    assert traj.n_accepted == len(traj) - 1
-    assert traj.n_rejected >= 0
+    assert traj.stats.accepted == len(traj) - 1
+    assert traj.stats.rejected >= 0
 
 
 def test_adaptive_escape():
@@ -211,9 +214,9 @@ def test_adaptive_step_underflow():
                          ids=["generic", "power_form"])
 def test_adaptive_run_stops_past_its_step_budget(monkeypatch, field):
     cfg = AdaptiveConfig(rtol=1e-8, t_end=20.0)
-    n = integrate_adaptive(field, (0.1, 0.0), cfg).n_accepted
+    n = integrate_adaptive(field, (0.1, 0.0), cfg).stats.accepted
     monkeypatch.setattr(integrate, "MAX_STEPS", n)
-    assert integrate_adaptive(field, (0.1, 0.0), cfg).n_accepted == n
+    assert integrate_adaptive(field, (0.1, 0.0), cfg).stats.accepted == n
     monkeypatch.setattr(integrate, "MAX_STEPS", n - 1)
     with pytest.raises(StepBudgetError, match=f"more than {n - 1} accepted steps"):
         integrate_adaptive(field, (0.1, 0.0), cfg)
@@ -267,7 +270,9 @@ def test_strobe_fixed_step_mode():
 def test_strobe_zero_points():
     res = sample_strobe(harmonic, (0.3, 0.1), math.pi, 0)
     assert (res.ts.tolist(), res.ys.tolist()) == ([0.0], [[0.3, 0.1]])
-    assert (res.status, res.n_accepted, res.n_rejected) == ("completed", 0, 0)
+    # no run, and the empty record of the integrator that h selects
+    assert (res.status, res.stats) == ("completed", RunStats(DP_NAME))
+    assert sample_strobe(harmonic, (0.3, 0.1), math.pi, 0, h=1e-3).stats == RunStats(RK4_NAME)
 
 
 @pytest.mark.parametrize("k_max", [-1, 10**6 + 1])
@@ -343,7 +348,7 @@ def _adaptive_single_run(field, y0, cfg):
                     raise StepUnderflowError(f"required step {h:.3e} < h_min {cfg.h_min:.3e}")
     except CoefficientSingularError:
         status = "coefficient_singular"
-    return rec.build(status, t, y, n_accepted=n_acc, n_rejected=n_rej)
+    return rec.build(status, t, y, RunStats(DP_NAME, n_acc, n_rej))
 
 
 def _late_singular(t, y):
@@ -375,8 +380,8 @@ def test_single_stop_march_matches_single_run(field, y0, cfg):
                 integrate_adaptive(field, y0, cfg, stops=[cfg.t_end])):
         assert np.array_equal(got.ts, ref.ts)
         assert np.array_equal(got.ys, ref.ys)
-        assert (got.status, got.n_accepted, got.n_rejected) == (
-            ref.status, ref.n_accepted, ref.n_rejected)
+        assert (got.status, got.stats.accepted, got.stats.rejected) == (
+            ref.status, ref.stats.accepted, ref.stats.rejected)
 
 
 def test_single_stop_march_underflows_like_single_run():
@@ -422,13 +427,13 @@ def test_march_lands_on_every_stop_and_keeps_its_step():
     assert seen[-1][1] == tuple(traj.ys[-1])
     # one clipped step per stop once the controller has ramped up: a cold
     # start at every stop would need about four
-    assert traj.n_accepted < len(stops) + 20
+    assert traj.stats.accepted < len(stops) + 20
     assert abs(seen[-1][1][0] - math.cos(10.0)) < 1e-8
     # a stop a hair after another must not shrink the step after it to the hair's width
     cfg = AdaptiveConfig(rtol=1e-10, t_end=10.0)
     plain = integrate_adaptive(harmonic, (1.0, 0.0), cfg, stops=[5.0, 10.0])
     hair = integrate_adaptive(harmonic, (1.0, 0.0), cfg, stops=[5.0, 5.0 + 1e-9, 10.0])
-    assert hair.n_accepted <= plain.n_accepted + 1
+    assert hair.stats.accepted <= plain.stats.accepted + 1
 
 
 def _cold_strobe(field, y0, t_step, k_max, **cfg):
@@ -440,18 +445,18 @@ def _cold_strobe(field, y0, t_step, k_max, **cfg):
     the last run and the accepted and rejected steps of all runs together.
     """
     y = tuple(y0)
-    ts, ys, status, n_acc, n_rej = [0.0], [y], "completed", 0, 0
+    ts, ys, status, stats = [0.0], [y], "completed", RunStats(DP_NAME)
     for k in range(1, k_max + 1):
         seg = integrate_adaptive(lambda t, y: field(t, y), y, AdaptiveConfig(
             t_start=(k - 1) * t_step, t_end=k * t_step, record=False, **cfg))
-        n_acc, n_rej = n_acc + seg.n_accepted, n_rej + seg.n_rejected
+        stats += seg.stats
         y = tuple(float(v) for v in seg.ys[-1])
         if seg.status != "completed":
             status = seg.status
             break
         ts.append(k * t_step)
         ys.append(y)
-    return Trajectory(np.array(ts), np.array(ys), status, n_acc, n_rej)
+    return Trajectory(np.array(ts), np.array(ys), status, stats)
 
 
 def test_warm_strobe_matches_cold_segments_on_fig2(step_cap):
@@ -462,14 +467,14 @@ def test_warm_strobe_matches_cold_segments_on_fig2(step_cap):
     field = make_field(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
     ref = _cold_strobe(field, (0.1, 0.0), math.pi, 999, rtol=1e-10, atol=1e-12,
                        escape_bound=50.0)
-    step_cap(ref.n_accepted)
+    step_cap(ref.stats.accepted)
     res = sample_strobe(field, (0.1, 0.0), math.pi, 999, escape_bound=50.0, rtol=1e-10)
     assert res.status == ref.status == "completed"
     assert len(res) == len(ref) == 1000
     assert res.ts.tolist() == [k * math.pi for k in range(1000)]
     assert np.abs(res.ys - ref.ys).max() < 1e-8
     # about 97 steps per strobe interval, 4 of which a cold start spends ramping up
-    assert 0 < res.n_accepted < 98 * 999
+    assert 0 < res.stats.accepted < 98 * 999
 
 
 @pytest.mark.parametrize("field,y0,t_step,escape,want", [
@@ -479,7 +484,7 @@ def test_warm_strobe_matches_cold_segments_on_fig2(step_cap):
 ], ids=_field_id)
 def test_warm_strobe_stops_where_cold_segments_stop(field, y0, t_step, escape, want, step_cap):
     ref = _cold_strobe(field, y0, t_step, 20, rtol=1e-10, atol=1e-12, escape_bound=escape)
-    step_cap(ref.n_accepted)
+    step_cap(ref.stats.accepted)
     res = sample_strobe(field, y0, t_step, 20, escape_bound=escape, rtol=1e-10)
     assert res.status == ref.status == want
     assert len(res) == len(ref) < 21
@@ -516,7 +521,7 @@ def test_warm_strobe_matches_cold_segments_on_random_systems(A, rel_b, rel_c, om
     t_step = math.pi / omega
     ref = _cold_strobe(field, (z0, p0), t_step, k_max, rtol=1e-10, atol=1e-12,
                        escape_bound=1e3)
-    step_cap(ref.n_accepted)
+    step_cap(ref.stats.accepted)
     res = sample_strobe(field, (z0, p0), t_step, k_max, escape_bound=1e3, rtol=1e-10)
     assert res.status == ref.status == "completed"
     assert res.ts.tolist() == ref.ts.tolist()
@@ -567,7 +572,7 @@ def test_lanes_end_like_scalar_runs(step_cap):
     run = integrate_lanes(_lane_field, np.array(y0).T, [kinds], cfg)
     assert run.status == ("completed", "escaped", "coefficient_singular", "completed",
                           "step_underflow", "coefficient_singular", "completed")
-    assert run.lock_steps >= max(run.n_accepted + run.n_rejected)
+    assert run.lock_steps >= max(s.accepted + s.rejected for s in run.stats)
     for j, (kind, start) in enumerate(zip(kinds, y0)):
         if kind == STIFF:
             with pytest.raises(StepUnderflowError):
@@ -580,7 +585,7 @@ def test_lanes_end_like_scalar_runs(step_cap):
         # sequences drift apart at the level of the error estimate
         assert math.isclose(run.ts[j], ref.ts[-1], rel_tol=1e-8)
         assert np.allclose(run.ys[:, j], ref.ys[-1], rtol=1e-8, atol=0.0)
-    assert (run.ts[5], run.n_accepted[5]) == (0.0, 0)
+    assert (run.ts[5], run.stats[5].accepted) == (0.0, 0)
 
 
 @pytest.mark.parametrize("B,escape,want", [
@@ -656,13 +661,13 @@ def test_lanes_match_scalar_runs_on_random_trig_cells(A, rel_b, rel_c, m, cells,
             for spec, (_, z0, p0) in zip(specs, cells)]
     # each lane takes its scalar run's trial steps, one per lock-step, so a
     # lane run that needs more lock-steps fails at once instead of stepping on
-    step_cap(max(ref.n_accepted + ref.n_rejected for ref in refs))
+    step_cap(max(ref.stats.accepted + ref.stats.rejected for ref in refs))
     field, params = make_lane_field(specs)
     run = integrate_lanes(field, np.array([[z0 for _, z0, _ in cells], [p0 for _, _, p0 in cells]]),
                           params, cfg)
     for j, ref in enumerate(refs):
         assert run.status[j] == ref.status
-        assert (run.n_accepted[j], run.n_rejected[j]) == (ref.n_accepted, ref.n_rejected)
+        assert run.stats[j] == ref.stats
         if ref.status == "completed":
             assert run.ts[j] == ref.ts[-1]
             assert np.allclose(run.ys[:, j], ref.ys[-1], rtol=1e-8, atol=1e-8)
@@ -710,10 +715,9 @@ def test_lane_form_runs_match_the_generic_stages_bit_for_bit(pair, step_cap):
         ref = integrate_lanes(LaneForm(g_per_row, form.deriv), y0, params, cfg, pair)
         step_cap(ref.lock_steps)
         fast = integrate_lanes(form, y0, params, cfg, pair)
-        for a, b in [(fast.ts, ref.ts), (fast.ys, ref.ys), (fast.n_accepted, ref.n_accepted),
-                     (fast.n_rejected, ref.n_rejected)]:
+        for a, b in [(fast.ts, ref.ts), (fast.ys, ref.ys)]:
             assert a.tobytes() == b.tobytes()
-        assert (fast.status, fast.lock_steps) == (ref.status, ref.lock_steps)
+        assert (fast.status, fast.stats, fast.lock_steps) == (ref.status, ref.stats, ref.lock_steps)
         seen.update(fast.status)
     assert seen == {"completed", "escaped", "coefficient_singular"}
 
@@ -766,8 +770,8 @@ def test_a_run_counts_its_field_calls(kind, y0, want, cfg, step_cap):
     integrate_run = integrate_fixed if isinstance(cfg, FixedStepConfig) else integrate_adaptive
     run = integrate_run(field, y0, cfg)
     assert run.status == want
-    assert run.field_evals == len(calls)
-    assert (run.field_evals == 0) == (kind == SINGULAR_AT_START)
+    assert run.stats.field_evals == len(calls)
+    assert (run.stats.field_evals == 0) == (kind == SINGULAR_AT_START)
 
 
 @pytest.mark.parametrize("h", [None, 1e-2], ids=["dormand_prince", "rk4"])
@@ -776,8 +780,8 @@ def test_a_strobe_counts_its_field_calls(k_max, h):
     field, calls = _counting(harmonic)
     res = sample_strobe(field, (1.0, 0.0), 0.5, k_max, h=h)
     assert (len(res), res.status) == (k_max + 1, "completed")
-    assert res.field_evals == len(calls)
-    assert (res.field_evals == 0) == (k_max == 0)
+    assert res.stats.field_evals == len(calls)
+    assert (res.stats.field_evals == 0) == (k_max == 0)
 
 
 @pytest.mark.parametrize("pair", [lanes.DP54, lanes.DOP853], ids=["dp54", "dop853"])
@@ -798,7 +802,7 @@ def test_lanes_count_each_lanes_field_calls(pair, step_cap):
     run = integrate_lanes(LaneForm(_kinds_times, deriv), np.array(y0).T, [kinds, range(4)],
                           cfg, pair)
     assert run.status == ("completed", "escaped", "coefficient_singular", "completed")
-    assert run.field_evals.tolist() == counts
+    assert [s.field_evals for s in run.stats] == counts
     assert counts[2] == 0 < min(counts[:2] + counts[3:])
 
 
@@ -835,14 +839,15 @@ def _fixed_march_reference(field, y0, cfg, stops):
             t0 = stop
     except CoefficientSingularError:
         status = "coefficient_singular"
-    return rec.build(status, t, y, n_accepted=n_acc), seen
+    return rec.build(status, t, y, RunStats(RK4_NAME, n_acc)), seen
 
 
 def _same_fixed_run(got, ref):
     """A fixed-step run must match, bit for bit, the run of ``_fixed_march_reference``."""
     assert np.array_equal(got.ts, ref.ts)
     assert np.array_equal(got.ys, ref.ys)
-    assert (got.status, got.n_accepted, got.n_rejected) == (ref.status, ref.n_accepted, 0)
+    assert (got.status, got.stats.accepted, got.stats.rejected) == (
+        ref.status, ref.stats.accepted, 0)
 
 
 def _fused_matches_generic(field, y0, cfg):
@@ -852,7 +857,7 @@ def _fused_matches_generic(field, y0, cfg):
     ref = integrate_fixed(lambda t, y: field(t, y), y0, cfg)
     assert np.array_equal(fused.ts, ref.ts)
     assert np.array_equal(fused.ys, ref.ys)
-    assert (fused.status, fused.n_accepted) == (ref.status, ref.n_accepted)
+    assert (fused.status, fused.stats.accepted) == (ref.status, ref.stats.accepted)
     return fused
 
 
@@ -861,7 +866,7 @@ def test_fused_fixed_step_matches_generic_loop(m):
     # C != 0, and 10k steps cross nine chunk boundaries
     traj = _fused_matches_generic(make_field(trig_spec(1.3, 0.9, 0.2, 1.0, m)), (0.3, 0.1),
                                   FixedStepConfig(h=1e-3, t_end=10.0))
-    assert traj.status == "completed" and traj.n_accepted == 10000
+    assert traj.status == "completed" and traj.stats.accepted == 10000
 
 
 @pytest.mark.parametrize("cfg", [
@@ -873,14 +878,14 @@ def test_fused_fixed_step_matches_generic_loop(m):
 def test_fused_fixed_step_matches_generic_loop_on_any_grid(cfg):
     traj = _fused_matches_generic(make_field(trig_spec(1.3, 0.9, 0.0, 1.0)), (0.1, 0.0), cfg)
     assert traj.status == "completed" and traj.ts[-1] == cfg.t_end
-    assert len(traj) == (2 if not cfg.record else traj.n_accepted + 1)
+    assert len(traj) == (2 if not cfg.record else traj.stats.accepted + 1)
 
 
 def test_fused_fixed_step_escape_matches_generic_loop():
     traj = _fused_matches_generic(make_field(trig_spec(1.3, 0.9, 0.0, 1.4)), (1.4, 0.0),
                                   FixedStepConfig(h=1e-3, t_end=60.0, escape_bound=50.0))
     assert traj.status == "escaped"
-    assert traj.n_accepted > 4096  # the escape falls past the fourth chunk
+    assert traj.stats.accepted > 4096  # the escape falls past the fourth chunk
 
 
 @pytest.mark.parametrize("B,h,n_before", [
@@ -896,7 +901,7 @@ def test_fused_fixed_step_singular_matches_generic_loop(B, h, n_before):
     for record in (True, False):
         cfg = FixedStepConfig(h=h, t_end=5.0, record=record)
         traj = _fused_matches_generic(field, (1e-7, 0.0), cfg)
-        assert (traj.status, traj.n_accepted) == ("coefficient_singular", n_before)
+        assert (traj.status, traj.stats.accepted) == ("coefficient_singular", n_before)
         ref, _ = _fixed_march_reference(field, (1e-7, 0.0), cfg, [cfg.t_end])
         for f in (field, lambda t, y: field(t, y)):  # the fused and the generic steps
             _same_fixed_run(integrate_fixed(f, (1e-7, 0.0), cfg), ref)
@@ -921,9 +926,9 @@ def test_fused_fixed_step_nonfinite_state_raises(y0):
 
 
 def _same_run(a, b):
-    """Two runs alike bit for bit: their times, states, status and step counts."""
+    """Two runs alike bit for bit: their times, states, status and records."""
     assert np.array_equal(a.ts, b.ts) and np.array_equal(a.ys, b.ys)
-    assert (a.status, a.n_accepted, a.n_rejected) == (b.status, b.n_accepted, b.n_rejected)
+    assert (a.status, a.stats) == (b.status, b.stats)
 
 
 @pytest.mark.parametrize("z0,want", [(0.1, "completed"), (1.4, "escaped")])
@@ -968,7 +973,7 @@ def test_fused_fixed_step_matches_generic_loop_on_a_sampled_field(record, t_end,
     traj = _fused_matches_generic(make_field(OscillatorSpec(1.0, 2, src)), (0.3, 0.0),
                                   FixedStepConfig(h=1e-3, t_end=t_end, record=record))
     assert traj.status == want
-    assert traj.n_accepted > 4096  # past the fourth chunk
+    assert traj.stats.accepted > 4096  # past the fourth chunk
     if want == "coefficient_singular":
         assert traj.ts[-1] <= knots[-1] < traj.ts[-1] + 1e-3
 
@@ -998,7 +1003,7 @@ def test_fused_fixed_step_evaluates_g_on_the_grid():
     field, calls = _counted_g(spec)
     cfg = FixedStepConfig(h=1e-3, t_end=10.0)
     traj = integrate_fixed(field, (0.3, 0.1), cfg)
-    assert (traj.status, traj.n_accepted) == ("completed", 10000)
+    assert (traj.status, traj.stats.accepted) == ("completed", 10000)
     assert calls["g"] == []
     assert len(calls["g_grid"]) == 10  # one call per chunk of 1024 steps
     ref = integrate_fixed(make_field(spec), (0.3, 0.1), cfg)
@@ -1015,7 +1020,7 @@ def test_shortened_step_onto_a_stop_runs_on_the_grid():
     got = sample_strobe(field, (0.1, 0.0), math.pi / 20, 20, h=1e-3)
     ref = sample_strobe(lambda t, y: fused(t, y), (0.1, 0.0), math.pi / 20, 20, h=1e-3)
     _same_run(got, ref)
-    assert (got.status, len(got), got.n_accepted) == ("completed", 21, 20 * 158)
+    assert (got.status, len(got), got.stats.accepted) == ("completed", 21, 20 * 158)
     assert calls["g"] == []
     assert len(calls["g_grid"]) == 40
 
@@ -1031,7 +1036,7 @@ def test_shortened_step_onto_a_stop_runs_on_the_grid():
 def test_fused_fixed_step_calls_g_only_on_the_singular_chunk(B, h, n_before):
     field, calls = _counted_g(trig_spec(1.0, B, 0.0, 1.0))
     traj = integrate_fixed(field, (1e-7, 0.0), FixedStepConfig(h=h, t_end=5.0))
-    assert (traj.status, traj.n_accepted) == ("coefficient_singular", n_before)
+    assert (traj.status, traj.stats.accepted) == ("coefficient_singular", n_before)
     # g_grid ran on each chunk up to the singular one, and g (through the
     # generic loop's field calls) from the start of that chunk to the singular time
     chunk = n_before // integrate._FUSED_CHUNK * integrate._FUSED_CHUNK
@@ -1056,7 +1061,7 @@ def _per_interval_runs(field, y0, cfg, stops):
                                                         escape_bound=cfg.escape_bound))
         ts += seg.ts[1:].tolist()
         ys += [tuple(row) for row in seg.ys[1:].tolist()]
-        n_acc += seg.n_accepted
+        n_acc += seg.stats.accepted
         y = ys[-1]
         if seg.status != "completed":
             return (ts, ys, seg.status, n_acc), seen
@@ -1098,7 +1103,7 @@ def test_fixed_march_matches_per_interval_runs(spec, y0, h, t_start, stops, esca
     rows = slice(None) if record else [0, -1]
     assert got.ts.tolist() == np.array(ts)[rows].tolist()
     assert np.array_equal(got.ys, np.array(ys)[rows])
-    assert (got.status, got.n_accepted, got.n_rejected) == (status, n_acc, 0)
+    assert (got.status, got.stats.accepted, got.stats.rejected) == (status, n_acc, 0)
     assert seen == ref_seen
     # the per-interval runs take the same loop: check both against the flat reference
     ref, flat_seen = _fixed_march_reference(fused, y0, cfg, stops)
@@ -1149,7 +1154,7 @@ def test_strobe_is_one_run_through_its_stops(monkeypatch, h):
         (_, _, _, n_acc), seen = _per_interval_runs(field, (0.1, 0.0), cfg,
                                                     [k * math.pi for k in range(1, 6)])
         assert list(zip(res.ts[1:].tolist(), map(tuple, res.ys[1:].tolist()))) == seen
-        assert res.n_accepted == n_acc
+        assert res.stats.accepted == n_acc
 
 
 def _fused_march_matches_generic(field, y0, cfg, step_cap=None):
@@ -1166,12 +1171,12 @@ def _fused_march_matches_generic(field, y0, cfg, step_cap=None):
             integrate_adaptive(field, y0, cfg)
         return None
     if step_cap is not None:
-        step_cap(ref.n_accepted)
+        step_cap(ref.stats.accepted)
     got = integrate_adaptive(field, y0, cfg)
     assert np.array_equal(got.ts, ref.ts)
     assert np.array_equal(got.ys, ref.ys)
-    assert (got.status, got.n_accepted, got.n_rejected) == (
-        ref.status, ref.n_accepted, ref.n_rejected)
+    assert (got.status, got.stats.accepted, got.stats.rejected) == (
+        ref.status, ref.stats.accepted, ref.stats.rejected)
     return got
 
 
@@ -1190,7 +1195,7 @@ def test_fused_attempt_matches_generic_attempt_and_norm():
         for f in (field, lambda t, y: field(t, y)):
             try:
                 traj = integrate_adaptive(f, y, cfg)
-                runs.append((traj.status, traj.n_accepted, traj.n_rejected,
+                runs.append((traj.status, traj.stats.accepted, traj.stats.rejected,
                              repr(traj.ts.tolist()), repr(traj.ys.tolist())))
             except StepUnderflowError as exc:
                 runs.append(str(exc))
@@ -1210,7 +1215,7 @@ def test_fused_march_floors_an_accepted_step_at_h_min():
     err = _dp_checked_attempt(field, 0.0, y, h, field(0.0, y), 1e-12, 1e-10)[2]
     cfg = AdaptiveConfig(rtol=1e-10 * err / 0.62, t_end=3 * h, h_init=h, h_min=h)
     traj = _fused_march_matches_generic(field, y, cfg)
-    assert (traj.status, traj.n_accepted, traj.n_rejected) == ("completed", 3, 0)
+    assert (traj.status, traj.stats.accepted, traj.stats.rejected) == ("completed", 3, 0)
     assert np.allclose(np.diff(traj.ts), h, rtol=1e-12, atol=0.0)
 
 
@@ -1252,14 +1257,15 @@ def test_fused_attempt_matches_generic_march_on_random_systems(
 
 @pytest.mark.parametrize("record", [True, False])
 def test_fused_attempt_matches_generic_march_on_a_sampled_field(record, step_cap):
-    step_cap(250)
+    step_cap(250)  # guards the reference; the fused run is capped at its steps
     # knots up to t = 5.9: the run stops at the first trial whose stage passes the last knot
     knots = tuple(0.1 * k for k in range(60))
     src = Sampled(knots, tuple(0.2 + 0.1 * math.cos(t) for t in knots))
     traj = _fused_march_matches_generic(make_field(OscillatorSpec(1.0, 2, src)), (0.3, 0.0),
-                                        AdaptiveConfig(rtol=1e-10, t_end=7.0, record=record))
+                                        AdaptiveConfig(rtol=1e-10, t_end=7.0, record=record),
+                                        step_cap)
     assert traj.status == "coefficient_singular"
-    assert 0.0 < knots[-1] - traj.ts[-1] < 1.0 and traj.n_accepted > 10
+    assert 0.0 < knots[-1] - traj.ts[-1] < 1.0 and traj.stats.accepted > 10
 
 
 def _fused_stops_match_generic(field, y0, cfg, stops, step_cap):
@@ -1276,13 +1282,13 @@ def _fused_stops_match_generic(field, y0, cfg, stops, step_cap):
         return traj, seen
 
     ref, ref_seen = march(lambda t, y: field(t, y))
-    step_cap(ref.n_accepted)
+    step_cap(ref.stats.accepted)
     got, got_seen = march(field)
     assert got_seen == ref_seen and [t for t, _ in got_seen] == stops
     assert np.array_equal(got.ts, ref.ts)
     assert np.array_equal(got.ys, ref.ys)
-    assert (got.status, got.n_accepted, got.n_rejected) == (
-        ref.status, ref.n_accepted, ref.n_rejected)
+    assert (got.status, got.stats.accepted, got.stats.rejected) == (
+        ref.status, ref.stats.accepted, ref.stats.rejected)
     return got
 
 
@@ -1292,7 +1298,7 @@ def test_fused_march_through_stops_matches_generic_on_fig2(step_cap):
     stops = [k * math.pi for k in range(1, 41)]
     cfg = AdaptiveConfig(rtol=1e-10, t_end=stops[-1], escape_bound=50.0)
     got = _fused_stops_match_generic(field, (0.1004, 0.0), cfg, stops, step_cap)
-    assert got.status == "completed" and got.n_rejected > 0
+    assert got.status == "completed" and got.stats.rejected > 0
 
 
 @pytest.mark.parametrize("m,y0", [(3, (-0.8, 0.3)), (MAX_M, (0.6, -0.2))],
@@ -1303,7 +1309,7 @@ def test_fused_power_matches_generic_at_extreme_m(m, y0, step_cap):
     step_cap(5000)
     field = make_field(trig_spec(1.3, 0.9, 0.2, 1.0, m))
     traj = _fused_matches_generic(field, y0, FixedStepConfig(h=1e-3, t_end=5.0))
-    assert (traj.status, traj.n_accepted) == ("completed", 5000)
+    assert (traj.status, traj.stats.accepted) == ("completed", 5000)
     stops = [k * math.pi / 2 for k in range(1, 5)]
     got = _fused_stops_match_generic(field, y0, AdaptiveConfig(rtol=1e-10, t_end=stops[-1]),
                                      stops, step_cap)
@@ -1315,8 +1321,8 @@ def test_fused_march_calls_g_once_per_stage_time():
     # field_evals (1 + 6 per trial) still counts the field evaluations, not these calls
     field, calls = _counted_g(trig_spec(1.3, 0.9, 0.0, 1.0, 2))
     res = sample_strobe(field, (0.1004, 0.0), math.pi, 40, escape_bound=50.0, rtol=1e-10)
-    assert res.status == "completed" and len(res) == 41 and res.n_rejected > 0
-    assert len(calls["g"]) == 1 + 5 * (res.n_accepted + res.n_rejected)
+    assert res.status == "completed" and len(res) == 41 and res.stats.rejected > 0
+    assert len(calls["g"]) == 1 + 5 * (res.stats.accepted + res.stats.rejected)
     assert calls["g"][0] == 0.0 and max(calls["g"]) == 40 * math.pi
     assert calls["g_grid"] == []
 
@@ -1452,7 +1458,7 @@ def _adaptive_march_reference(field, y0, cfg, stops, at_stop):
                     raise StepUnderflowError(f"required step {h:.3e} < h_min {cfg.h_min:.3e}")
     except CoefficientSingularError:
         status = "coefficient_singular"
-    return rec.build(status, t, y, n_accepted=n_acc, n_rejected=n_rej)
+    return rec.build(status, t, y, RunStats(DP_NAME, n_acc, n_rej))
 
 
 @example(A=1.3, rel_b=0.7, rel_c=0.3, omega=1.0, m=3, z0=0.3, p0=0.1, rtol=1e-9,  # checked first
@@ -1502,13 +1508,13 @@ def test_adaptive_march_through_stops_matches_flat_reference(
                                at_stop=lambda t, y: got_seen.append((t, y)))
         assert got_seen == ref_seen
         return
-    step_cap(ref.n_accepted)
+    step_cap(ref.stats.accepted)
     got = integrate_adaptive(field, (z0, p0), cfg, stops=stops,
                              at_stop=lambda t, y: got_seen.append((t, y)))
     assert np.array_equal(got.ts, ref.ts)
     assert np.array_equal(got.ys, ref.ys)
-    assert (got.status, got.n_accepted, got.n_rejected) == (
-        ref.status, ref.n_accepted, ref.n_rejected)
+    assert (got.status, got.stats.accepted, got.stats.rejected) == (
+        ref.status, ref.stats.accepted, ref.stats.rejected)
     assert got_seen == ref_seen
 
 
@@ -1562,12 +1568,12 @@ def test_five_component_march_through_stops_matches_flat_reference(
                                at_stop=lambda t, y: got_seen.append((t, y)))
         assert got_seen == ref_seen
         return
-    step_cap(ref.n_accepted)
+    step_cap(ref.stats.accepted)
     got = integrate_adaptive(field, y0, cfg, stops=stops,
                              at_stop=lambda t, y: got_seen.append((t, y)))
     assert got.ys.shape == ref.ys.shape and got.ys.shape[1] == 5
     assert np.array_equal(got.ts, ref.ts)
     assert np.array_equal(got.ys, ref.ys)
-    assert (got.status, got.n_accepted, got.n_rejected) == (
-        ref.status, ref.n_accepted, ref.n_rejected)
+    assert (got.status, got.stats.accepted, got.stats.rejected) == (
+        ref.status, ref.stats.accepted, ref.stats.rejected)
     assert got_seen == ref_seen

@@ -94,7 +94,8 @@ _SAMPLED = Sampled(ts=tuple(0.1 * k for k in range(40)),
     (OscillatorSpec(1.0, 2, _SAMPLED), r"sampled g\(t\) carries no known invariant"),
     (OscillatorSpec(1.0, 3, FiveParamSpec(1.0, 0.05, 0.0, 2.2, 0.0, -3.6)),
      "exists only for m=2, got m=3"),
-], ids=["sampled", "fiveparam_m3"])
+    (OscillatorSpec(1.0, 2, object()), "unknown g source object"),
+], ids=["sampled", "fiveparam_m3", "unknown"])
 @pytest.mark.parametrize("call", [
     lambda spec, traj: eval_invariant(spec, State(0.5, 0.1, 0.0)),
     lambda spec, traj: invariant_series(spec, traj),

@@ -110,6 +110,33 @@ def _reads_evals_per_step(node):
 
 
 def test_only_the_integrators_read_the_evaluations_per_step():
-    # a run counts its own field evaluations; the CLI and the scan copy its count
+    # a run counts its own field evaluations; the CLI and the scan read its record
     readers = [name for name in MODULES if any(map(_reads_evals_per_step, ast.walk(_tree(name))))]
     assert readers == ["integrate", "lanes"]
+
+
+_COUNTS = ("accepted", "rejected", "field_evals")
+
+
+def _count_fields(cls):
+    """The fields of a class node that hold a run's counts, ``n_accepted`` and the like too."""
+    return [item.target.id for item in cls.body if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name) and item.target.id.removeprefix("n_") in _COUNTS]
+
+
+def test_a_runs_counts_are_declared_in_one_record():
+    # model.RunStats declares the counts and writes the summary's stats; every result holds
+    # one, so no other class declares a count and no other module spells one as a dict key
+    declaring = [node.name for name in MODULES for node in ast.walk(_tree(name))
+                 if isinstance(node, ast.ClassDef) and _count_fields(node)]
+    assert declaring == ["RunStats"]
+    keys = [f"{name}:{node.lineno}: {node.value!r}" for name in MODULES if name != "model"
+            for node in ast.walk(_tree(name))
+            if isinstance(node, ast.Constant) and node.value in _COUNTS]
+    assert keys == []
+    # Trajectory.n_accepted and n_rejected are kept for bench/layertrace.py alone
+    files = [SRC / f"{name}.py" for name in MODULES] + sorted(Path(__file__).parent.glob("*.py"))
+    reads = [f"{path.name}:{node.lineno}" for path in files
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("n_accepted", "n_rejected")]
+    assert reads == []

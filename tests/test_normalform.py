@@ -192,7 +192,7 @@ def test_envelope_march_matches_cold_segments(make_hill, n_grid, max_steps):
     for got, ref in ((env.w, w), (env.wp, wp), (env.phi, phi)):
         assert np.max(np.abs(got - ref)) < 1e-10
     assert env.defect_w <= 1e-9 and env.defect_wp <= 1e-9
-    assert 0 < env.n_accepted <= max_steps and env.n_rejected >= 0
+    assert 0 < env.stats.accepted <= max_steps and env.stats.rejected >= 0
 
 
 def test_envelope_blowup_raised_at_first_bad_grid_time():
@@ -212,16 +212,16 @@ def test_monodromy_counts_both_fundamental_runs(step_cap):
     cfg = AdaptiveConfig(rtol=1e-13, atol=1e-15, t_end=TWO_PI, record=False)
     field = lambda t, y: (y[1], -h.f(t) * y[0])  # noqa: E731
     runs = [integrate_adaptive(field, y0, cfg) for y0 in ((1.0, 0.0), (0.0, 1.0))]
-    step_cap(max(r.n_accepted for r in runs))
+    step_cap(max(r.stats.accepted for r in runs))
     mono = monodromy(h)
-    assert mono.n_accepted == sum(r.n_accepted for r in runs)
-    assert mono.n_rejected == sum(r.n_rejected for r in runs)
+    assert mono.stats.accepted == sum(r.stats.accepted for r in runs)
+    assert mono.stats.rejected == sum(r.stats.rejected for r in runs)
     assert np.array_equal(mono.M, np.column_stack([r.ys[-1] for r in runs]))
 
 
 def _bits(run):
     """A run's status, counts and every bit of its record, signs of zero included."""
-    return (run.status, run.n_accepted, run.n_rejected, run.ts.tobytes(), run.ys.tobytes())
+    return (run.status, run.stats.accepted, run.stats.rejected, run.ts.tobytes(), run.ys.tobytes())
 
 
 _HILL_FS = {
@@ -251,7 +251,7 @@ def test_fundamental_runs_are_the_generic_closure_runs_bit_for_bit(f, monkeypatc
         return integrate_adaptive(field, y0, cfg)
 
     monkeypatch.setattr(normalform, "integrate_adaptive", run)
-    step_cap(max(ref.n_accepted for ref in refs))
+    step_cap(max(ref.stats.accepted for ref in refs))
     M, runs = _fundamental_runs(HillSpec(f=f, T=TWO_PI))
     assert [_bits(r) for r in runs] == [_bits(r) for r in refs]
     assert M.tobytes() == np.column_stack([r.ys[-1] for r in refs]).tobytes()
@@ -259,7 +259,7 @@ def test_fundamental_runs_are_the_generic_closure_runs_bit_for_bit(f, monkeypatc
     assert isinstance(form, PowerForm) and forms[1] is form
     for y0 in ((0.0, -0.0), (-0.0, 0.0)):
         ref = integrate_adaptive(closure, y0, whole)
-        step_cap(ref.n_accepted)
+        step_cap(ref.stats.accepted)
         assert _bits(integrate_adaptive(form, y0, whole)) == _bits(ref)
 
 
@@ -316,8 +316,7 @@ def _envelope_march(monkeypatch, h, mono, n_grid, make_field=None):
         except EnvelopeBlowupError as e:
             return fields[0], (type(e), str(e))
     return fields[0], (env.ts.tobytes(), env.w.tobytes(), env.wp.tobytes(), env.phi.tobytes(),
-                       runs[0].status, env.n_accepted, env.n_rejected, env.field_evals,
-                       env.defect_w, env.defect_wp)
+                       runs[0].status, env.stats, env.defect_w, env.defect_wp)
 
 
 def _mathieu_hill():
@@ -355,7 +354,7 @@ def test_envelope_march_is_the_generic_closure_march_bit_for_bit(case, monkeypat
     ref_field, ref = _envelope_march(monkeypatch, h, mono, n_grid, _closure_envelope_field)
     assert not hasattr(ref_field, "dp_checked_attempt")
     if len(ref) > 2:
-        step_cap(ref[5])
+        step_cap(ref[5].accepted)
     field, got = _envelope_march(monkeypatch, h, mono, n_grid)
     assert isinstance(field, normalform._EnvelopeField)
     assert got == ref
@@ -503,7 +502,7 @@ def test_reduced_field_is_the_old_closure_bit_for_bit(m, integrate, cfg, y0, ste
     field = make_reduced_field(res)
     assert isinstance(field, PowerForm)
     ref = integrate(_old_reduced_field(res), y0, cfg)
-    step_cap(ref.n_accepted)
+    step_cap(ref.stats.accepted)
     assert _bits(integrate(field, y0, cfg)) == _bits(ref)
 
 
@@ -530,7 +529,7 @@ def test_reduced_field_two_path_consistency(step_cap):
     y0, dyds0, _ = res.forward(z0, zp0, 0.0)
     cfg = AdaptiveConfig(rtol=1e-12, atol=1e-14, t_end=TWO_PI, record=False)
     ref = integrate_adaptive(_old_reduced_field(res), (y0, dyds0), cfg)
-    step_cap(ref.n_accepted)
+    step_cap(ref.stats.accepted)
     run_s = integrate_adaptive(make_reduced_field(res), (y0, dyds0), cfg)
     assert _bits(run_s) == _bits(ref)
     assert abs(run_s.ys[-1][0] - y_a) < 1e-6

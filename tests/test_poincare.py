@@ -100,6 +100,9 @@ def test_admissible_zero_level_is_tangency():
     assert len(bounded) == 1
     lo, hi = bounded[0]
     assert lo == hi == 0.0
+    # the tangency point is sampled once, however many points an interval takes
+    assert curve_points(curve, 5) == [(0.0, 0.0, -0.0)]
+    assert curve_loop(curve, 400, z_hint=0.0) == [(0.0, 0.0)]
 
 
 def test_residual_at_zero_on_curve_points():
@@ -116,6 +119,15 @@ def test_curve_points_need_bounded_interval():
     ic = i0_crit(1.3, 0.9, 1.0)
     curve = _demo_curve(1.5 * ic)
     assert curve_points(curve, 50) == []
+
+
+def test_curve_points_refuse_what_they_cannot_sample():
+    # one point per interval has no spacing; a hand-made curve whose admissible interval
+    # holds a negative radicand has no real p there
+    with pytest.raises(ValueError, match="need n >= 2"):
+        curve_loop(_demo_curve(), 1)
+    with pytest.raises(ValueError, match="negative radicand -2.0 inside admissible interval"):
+        curve_points(SectionCurve(1.0, 1.0, 1.0, 0.0, ((1.0, 2.0),)), 3)
 
 
 def test_curve_loop_is_closed_ring():

@@ -8,9 +8,9 @@ import pytest
 
 from osclab import stability
 from osclab.errors import StepUnderflowError
-from osclab.integrate import AdaptiveConfig, integrate_adaptive
+from osclab.integrate import DP_NAME, AdaptiveConfig, integrate_adaptive
 from osclab.lanes import LaneForm, integrate_lanes, make_lane_field
-from osclab.model import make_field, trig_spec
+from osclab.model import RunStats, make_field, trig_spec
 from osclab.stability import (
     StabilityRow,
     bounded,
@@ -124,8 +124,11 @@ def test_cells_start_at_the_maximum_of_alpha2(step_cap):
         k_last = round(r.z_last_bounded / 0.05)
         assert bounded(spec, k_last * 0.05, t_max=100.0)
         assert not bounded(spec, (k_last + 1) * 0.05, t_max=100.0)
-    # with C = 0 and B < 0 alpha2 is least at t = 0: the cells are those of -B
-    assert scan(1.3, -0.9, 0.0, omegas, **kw) == scan(1.3, 0.9, 0.0, omegas, **kw)
+    # with C = 0 and B < 0 alpha2 is least at t = 0: the cells are those of -B, so they
+    # take no more lock-steps than the scan of -B
+    ref = scan(1.3, 0.9, 0.0, omegas, **kw)
+    step_cap(max(b["lock_steps"] for b in ref.batches))
+    assert scan(1.3, -0.9, 0.0, omegas, **kw) == ref
 
 
 def test_scan_small_grid(step_cap):
@@ -199,7 +202,7 @@ def test_scan_rows_count_every_cell(step_cap):
     assert row.cells == math.ceil((1.5 * row.z_crit_analytic + 2.0) / 0.1)
     assert row.escaped == row.cells - round(row.z_last_bounded / 0.1)
     assert row.step_underflow == row.coefficient_singular == 0
-    assert row.accepted > row.rejected > 0
+    assert row.stats.accepted > row.stats.rejected > 0
 
 
 def test_scan_field_evals_count_the_lane_field_calls(monkeypatch, step_cap):
@@ -226,8 +229,8 @@ def test_scan_field_evals_count_the_lane_field_calls(monkeypatch, step_cap):
     assert scan(1.3, 0.9, 0.2, omegas, **kw).rows == rows
     assert sum(r.coefficient_singular for r in rows) == 0
     for omega, r in zip(omegas, rows):
-        assert r.field_evals == evals[2.0 * omega]
-        assert r.field_evals == r.cells + 12 * (r.accepted + r.rejected)
+        assert r.stats.field_evals == evals[2.0 * omega]
+        assert r.stats.field_evals == r.cells + 12 * (r.stats.accepted + r.stats.rejected)
 
 
 def test_scan_counts_no_start_evaluation_for_a_cell_that_never_stepped():
@@ -236,10 +239,9 @@ def test_scan_counts_no_start_evaluation_for_a_cell_that_never_stepped():
     # field evaluation, as a scalar run that takes no trial step counts none
     scalar = integrate_adaptive(make_field(trig_spec(1e-10, 0.0, 0.0, 1.0)), (0.1, 0.0),
                                 AdaptiveConfig(rtol=1e-8, t_end=5.0))
-    assert (scalar.status, scalar.n_accepted, scalar.n_rejected) == ("coefficient_singular", 0, 0)
+    assert (scalar.status, scalar.stats) == ("coefficient_singular", RunStats(DP_NAME))
     (row,) = scan(1e-10, 0.0, 0.0, (1.0,), dz0=0.1, t_max=10.0).rows
-    assert (row.cells, row.coefficient_singular, row.accepted, row.rejected) == (20, 20, 0, 0)
-    assert row.field_evals == 0
+    assert (row.cells, row.coefficient_singular, row.stats) == (20, 20, RunStats("dop853"))
 
 
 @pytest.mark.parametrize("kw,match", [

@@ -34,7 +34,6 @@ import importlib.util
 import json
 import math
 import sys
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError, OscLabError
 from .integrate import (MAX_GRID_POINTS, AdaptiveConfig, FixedStepConfig, integrate_adaptive,
-                        integrate_fixed, interval_steps, sample_strobe)
+                        integrate_fixed, sample_strobe)
 from .model import MAX_M, State, make_field, spec_from_json, trig_spec
 from .output import M4Line, Strided, plot_frame, svg_plot, write_csv, write_json
 
@@ -105,10 +104,6 @@ PRESETS = {
 }
 
 _CSV_ROW_CAP = 10000
-
-# rows per block that ``_Kept`` feeds: bounds the temporaries of its values
-# whatever the run's length; they are elementwise, so the cut moves no value
-_ROW_BLOCK = 8192
 
 # the run parameters of simulate and drift where neither preset nor flag sets
 # them; poincare adds its strobe points, family runs to 100, stability-scan has its own
@@ -216,17 +211,14 @@ def _method(params, default_h):
 
 
 class _Kept:
-    """What simulate and drift keep of a run of n rows, fed as blocks (ts, ys) from the
-    start row: the CSV rows and the M4 line of the plot of x against y (or ylim).
-    ``values(ts, ys)`` makes the columns after t; the first is plotted.  As an
-    ``integrate_fixed`` sink (start row pushed first) it cuts the run's rows into blocks
-    of _ROW_BLOCK, and ``flush`` feeds the last one.
+    """What simulate and drift keep of a run of n rows fed as blocks (ts, ys) the run hands out
+    (an ``integrate_fixed`` sink, ``Trajectory.blocks()``): the CSV rows and the M4 line of x
+    against y (or ylim).  ``values(ts, ys)`` makes the columns after t; the first is plotted.
     """
 
     def __init__(self, n, x, y, ylim, values):
         self.table, self.values, self.plot_data = Strided(n, _CSV_ROW_CAP), values, (x, y, ylim)
         self.line = M4Line(*plot_frame([x], [y], ylim)[1:])
-        self.ts, self.buf = array("d"), array("d")
 
     def feed(self, ts, ys):
         cols = np.atleast_2d(self.values(ts, ys))
@@ -237,21 +229,6 @@ class _Kept:
         x, y, ylim = self.plot_data
         series = {"kind": "line", "x": x, "y": y, "points": self.line.finish()}
         return name, [series], dict(labels, ylim=ylim)
-
-    def push_many(self, ts, flat):
-        self.ts.frombytes(ts.tobytes())
-        self.buf += array("d", flat)
-        while len(self.ts) >= _ROW_BLOCK:
-            self._flush(_ROW_BLOCK)
-
-    def _flush(self, k):
-        ts, buf = self.ts, self.buf
-        self.ts, self.buf = ts[k:], buf[2 * k:]  # copies: numpy views below pin the old ones
-        self.feed(np.frombuffer(ts)[:k], np.frombuffer(buf)[:2 * k].reshape(k, 2))
-
-    def flush(self):
-        if self.ts:
-            self._flush(len(self.ts))
 
 
 def _run_oscillator(spec, params, ylim, values):
@@ -272,20 +249,17 @@ def _run_oscillator(spec, params, ylim, values):
         run = integrate_fixed(field, y0, FixedStepConfig(**kw))
     else:
         cfg = FixedStepConfig(**kw)
-        n_full, rem = interval_steps(cfg.t_start, cfg.t_end, cfg.h)
-        n, t_end = n_full + (rem > 0.0) + 1, cfg.t_end
+        n, t_end = cfg.n_rows, cfg.t_end
         for _ in range(2):
             kept = _Kept(n, np.array((cfg.t_start, t_end)), (), ylim, values())
-            kept.push_many(np.array((cfg.t_start,)), y0)
-            run = integrate_fixed(field, y0, cfg, sink=kept)
-            kept.flush()
+            run = integrate_fixed(field, y0, cfg, sink=kept.feed)
             if (run.stats.accepted + 1, run.ts[-1]) == (n, t_end):
                 break
             n, t_end = run.stats.accepted + 1, run.ts[-1]
         return run.status, run.stats.to_json(), kept
     kept = _Kept(len(run), run.ts, run.z, ylim, values())
-    for i in range(0, len(run), _ROW_BLOCK):
-        kept.feed(run.ts[i:i + _ROW_BLOCK], run.ys[i:i + _ROW_BLOCK])
+    for ts, ys in run.blocks():
+        kept.feed(ts, ys)
     return run.status, run.stats.to_json(), kept
 
 

@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import (CoefficientSingularError, NonfiniteStateError, StepBudgetError,
                      StepUnderflowError)
-from .model import PowerForm, RunStats, Trajectory, int_pow
+from .model import ROW_BLOCK, PowerForm, RunStats, Trajectory, int_pow
 
 C2, C3, C4, C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
 A21 = 1.0 / 5.0
@@ -147,6 +147,12 @@ class FixedStepConfig:
             raise ValueError(f"step size h={self.h} gives {n_steps:.3g} steps over "
                              f"[{self.t_start}, {self.t_end}], more than {MAX_STEPS}")
 
+    @property
+    def n_rows(self) -> int:
+        """Rows of a run to t_end without stops: the start, the full steps and a shortened one."""
+        n_full, rem = interval_steps(self.t_start, self.t_end, self.h)
+        return n_full + (rem > 0.0) + 1
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
@@ -170,18 +176,31 @@ class AdaptiveConfig:
 
 
 class _Recorder:
-    """Accumulates the rows of a run; with record=False keeps only the start."""
+    """Accumulates the rows of a run; with record=False keeps only the start.
 
-    def __init__(self, record: bool, t0: float, y0):
-        self.record = record
-        self.ts = array("d", [t0])
-        self.buf = array("d", y0)
+    Given ``sink``, the one row buffer of the run: each ROW_BLOCK rows from the start row
+    go to ``sink(ts, ys)`` once a row follows them, and ``build`` drains the rest (at
+    least one row), then keeps the start and the end as record=False does.
+    """
+
+    def __init__(self, record: bool, t0: float, y0, sink=None):
+        self.record, self.sink, self.start = record or sink is not None, sink, (t0, y0)
+        self.ts, self.buf = array("d", [t0]), array("d", y0)
 
     def push_many(self, ts, flat):
         """Append each time of ts (a float64 array) with its state, read in order from flat."""
         if self.record:
             self.ts.frombytes(ts.tobytes())
             self.buf += array("d", flat)
+            while self.sink is not None and len(self.ts) > ROW_BLOCK:
+                self._drain(ROW_BLOCK)
+
+    def _drain(self, k):
+        """Hand the first k rows to the sink as copies it may keep; the buffers shrink in place."""
+        width = len(self.start[1])
+        ts, ys = self.ts[:k], self.buf[:width * k]
+        del self.ts[:k], self.buf[:width * k]
+        self.sink(np.frombuffer(ts), np.frombuffer(ys).reshape(k, width))
 
     def build(self, status, t, y, stats: RunStats) -> Trajectory:
         """The trajectory of a run whose last accepted state is (t, y), with its record.
@@ -191,6 +210,9 @@ class _Recorder:
         a buffer that a view exports cannot grow, so nothing is pushed
         after it.
         """
+        if self.sink is not None:  # the last block; the trajectory is the start and the end
+            self._drain(len(self.ts))
+            return _Recorder(False, *self.start).build(status, t, y, stats)
         if not self.record and t > self.ts[-1]:  # the start, then the end
             self.ts.append(t)
             self.buf.extend(y)
@@ -314,14 +336,13 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None, s
     of ``_rk4_step`` and the field, so every state is bit-identical to
     the generic steps.  Any other field, and a chunk where ``g_grid`` is
     None (g raises there, so the run ends in it), takes ``_rk4_step``.
-    Each chunk's rows (not the start) go by one ``push_many(ts, flat)``
-    to ``sink`` if given, else to the run's record, those before a
-    CoefficientSingularError too; with a sink the Trajectory holds the
-    start and end alone, as with record=False.  Its record is named RK4_NAME.
+    Each chunk's rows go to the run's ``_Recorder``, those before a
+    CoefficientSingularError too; given ``sink``, whatever cfg.record, it
+    calls ``sink(ts, ys)`` with the float64 blocks of ``Trajectory.blocks()``
+    in turn, and the Trajectory is the start and end.  Its record is named RK4_NAME.
     """
     stops, y, form = _start(field, y0, cfg, stops)
-    rec = _Recorder(cfg.record and sink is None, cfg.t_start, y)
-    push_rows = rec.push_many if sink is None else sink.push_many
+    rec = _Recorder(cfg.record, cfg.t_start, y, sink)
     t0, h, bound = cfg.t_start, cfg.h, cfg.escape_bound
     if form is not None:
         nw2, g_grid, m = -form.w2, form.g_grid, form.m
@@ -385,7 +406,7 @@ def integrate_fixed(field, y0, cfg: FixedStepConfig, stops=None, at_stop=None, s
             n = len(flat) // len(y)
             t = float(t_steps[n])
             n_done += n
-            push_rows(t_steps[1:n + 1], flat)
+            rec.push_many(t_steps[1:n + 1], flat)
             if status != "completed":
                 break
         if status != "completed":

@@ -106,25 +106,19 @@ def eval_invariant(spec: OscillatorSpec, s: State) -> float:
     return _invariant(spec, s.t, s.z, s.p)
 
 
-# rows per _invariant call of _walk: each of its dozen or so temporaries
-# then takes 64 KB, whatever the trajectory's length
-_SERIES_CHUNK = 8192
-
-
 def _walk(traj: Trajectory, block) -> np.ndarray:
-    """block(ts, ys) on _SERIES_CHUNK rows of traj at a time, in order, into one array."""
-    ts, ys = traj.ts, traj.ys
-    out = np.empty(len(ts))
-    for i in range(0, len(ts), _SERIES_CHUNK):
-        rows = slice(i, i + _SERIES_CHUNK)
-        out[rows] = block(ts[rows], ys[rows])
+    """block(ts, ys) on each of ``traj.blocks()`` in order, into one array."""
+    out, i = np.empty(len(traj)), 0
+    for ts, ys in traj.blocks():
+        out[i:i + len(ts)] = block(ts, ys)
+        i += len(ts)
     return out
 
 
 def invariant_series(spec: OscillatorSpec, traj: Trajectory) -> np.ndarray:
     """I(t) along a whole trajectory, vectorized.
 
-    ``_invariant`` runs on _SERIES_CHUNK rows at a time (``_walk``), so
+    ``_invariant`` runs on ``traj.blocks()`` one at a time (``_walk``), so
     the temporaries of its formula stay a fixed size rather than growing
     with the run.  Every element takes the same operations in the same
     order as in one whole-array call, so the series is bit-identical to
@@ -151,9 +145,10 @@ class DriftReport:
 
 class DriftSeries:
     """I/I0 - 1, or I - I0 when |I0| < 1e-300 (say, at rest), of a run's
-    rows fed in blocks (ts, ys) from the start row.  Cut as
-    ``invariant_series`` cuts them, every value is bit-identical to the
-    whole-array one.  ``max_rel`` is max |series| once all are fed.
+    rows fed in the blocks (ts, ys) it hands out, from the start row: an
+    ``integrate_fixed`` sink or ``Trajectory.blocks()``.  Every value is
+    bit-identical to the whole-array one, however the rows are cut.
+    ``max_rel`` is max |series| once all are fed.
     """
 
     def __init__(self, spec: OscillatorSpec):

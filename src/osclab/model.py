@@ -160,8 +160,13 @@ class RunStats:
                         self.rejected + other.rejected, self.field_evals + other.field_evals)
 
     def to_json(self) -> dict:
-        """The summary's ``stats``: the fields in their order, the integrator first."""
+        """The summary's ``stats`` as a dict of the fields; summary.json sorts its keys."""
         return asdict(self)
+
+
+# rows per block (ts, ys), the one way a run hands out its rows (``Trajectory.blocks``, a
+# fixed-step sink): what a block feeds has temporaries of a size fixed whatever the run's length
+ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -200,6 +205,11 @@ class Trajectory:
     @property
     def p(self) -> np.ndarray:
         return self.ys[:, 1]
+
+    def blocks(self):
+        """Its rows as views (ts, ys) of ROW_BLOCK rows in order; the last block may be short."""
+        for i in range(0, len(self), ROW_BLOCK):
+            yield self.ts[i:i + ROW_BLOCK], self.ys[i:i + ROW_BLOCK]
 
     n_accepted = property(lambda self: self.stats.accepted, doc="``stats.accepted``, for "
                           "bench/layertrace.py alone until ROADMAP item 5 retires it")

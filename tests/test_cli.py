@@ -17,7 +17,7 @@ from osclab.cli import PRESETS, _parse_omegas, _stride_rows, main
 from osclab.family import fiveparam_from_json, integrate_family
 from osclab.integrate import (AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed,
                               sample_strobe)
-from osclab.model import State, make_field, trig_spec
+from osclab.model import ROW_BLOCK, State, make_field, trig_spec
 from osclab.output import _columns, decimate, plot_frame, svg_plot, write_csv, write_json
 
 
@@ -966,6 +966,13 @@ _CELLS_KEYS = ["omega", "cells", "escaped", "step_underflow", "coefficient_singu
                "accepted", "rejected", "field_evals"]
 
 
+def _keys_sorted(obj):
+    """Whether every dict within obj, itself too, has its keys in sorted order."""
+    if isinstance(obj, dict):
+        return list(obj) == sorted(obj) and all(map(_keys_sorted, obj.values()))
+    return all(map(_keys_sorted, obj)) if isinstance(obj, list) else True
+
+
 def _count_records(summary):
     """Each dict of counts a summary holds: a scan's cells, reduce's two stats, else its stats."""
     if "cells" in summary:
@@ -1012,6 +1019,8 @@ def test_out_holds_exactly_the_command_files(tmp_path, monkeypatch, argv, code, 
         want = _CELLS_KEYS if "cells" in summary else _STATS_KEYS
         records = _count_records(summary)
         assert records and all(list(record) == want for record in records)
+    if files is not None:  # the file itself sorts its keys, at every level
+        assert _keys_sorted(json.loads((tmp_path / "out" / "summary.json").read_text()))
 
 
 def test_presets_cover_documented_demos():
@@ -1336,19 +1345,20 @@ def test_fig1_blocks_split_pixel_columns():
     _, px, _ = plot_frame([np.array((0.0, 20.0))], (), (-1e-5, 1e-5))
     col = _columns(px(np.arange(20001) * 1e-3))
     assert col[8191] == col[8192] and col[16383] == col[16384]
-    n_full, rem = integrate.interval_steps(0.0, 16.383, 1e-3)
-    assert (n_full + (rem > 0.0) + 1) % cli._ROW_BLOCK == 0
+    assert FixedStepConfig(h=1e-3, t_end=16.383).n_rows % ROW_BLOCK == 0
 
 
 def test_drift_peak_memory_does_not_grow_with_the_run(tmp_path, peak_alloc):
     # both write 10,000 CSV rows (stride 1 and 3); the 30,000-row record
     # would take 0.72 MB and its drift series 0.24 MB: a drift that kept
-    # them peaked about 0.33 MB higher at the longer length
-    def drift(tmax):
-        return lambda: main(["drift", "--preset", "fig1", "--tmax", tmax,
-                             "--out", str(tmp_path / tmax)])
+    # them peaked about 0.33 MB higher at the longer length.  simulate
+    # streams too where its preset fixes the y-range
+    for argv in (["drift", "--preset", "fig1"], ["simulate", "--preset", "fig4-bounded"]):
+        def run_to(tmax):
+            return lambda: main([*argv, "--tmax", tmax, "--out", str(tmp_path / argv[0] / tmax)])
 
-    drift("2")()  # first-call allocations stay out of the measurement
-    (short_code, short), (long_code, long) = peak_alloc(drift("9.999")), peak_alloc(drift("29.999"))
-    assert short_code == long_code == 0
-    assert abs(long - short) < 100_000
+        run_to("2")()  # first-call allocations stay out of the measurement
+        (short_code, short), (long_code, long) = (peak_alloc(run_to("9.999")),
+                                                  peak_alloc(run_to("29.999")))
+        assert short_code == long_code == 0
+        assert abs(long - short) < 100_000, argv

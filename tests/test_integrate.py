@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from osclab import integrate, lanes
+from osclab import integrate, lanes, model
 from osclab.errors import (CoefficientSingularError, NonfiniteStateError, StepBudgetError,
                            StepUnderflowError)
 from osclab.family import FiveParamSpec, make_augmented_field
@@ -1131,6 +1131,56 @@ def test_fixed_march_ends_where_at_stop_raises(wrap):
     with pytest.raises(RuntimeError, match="enough"):
         integrate_fixed(field, (0.1, 0.0), cfg, stops=stops, at_stop=at_stop)
     assert seen == _per_interval_runs(field, (0.1, 0.0), cfg, stops[:3])[1]
+
+
+@pytest.mark.parametrize("block", [model.ROW_BLOCK, 7])
+@pytest.mark.parametrize("wrap", [False, True], ids=["fused", "generic"])
+@pytest.mark.parametrize("spec,y0,h,t_end,stops,escape,want", [
+    # 20001 rows: two whole blocks of 8192 and a short one
+    (trig_spec(1.3, 0.9, 0.0, 1.0), (0.1, 0.0), 1e-3, 20.0, None, math.inf, "completed"),
+    # each interval of pi ends on a shortened step
+    (trig_spec(1.3, 0.9, 0.0, 1.0), (0.1, 0.0), 7e-4, 4 * math.pi,
+     [k * math.pi for k in range(1, 5)], math.inf, "completed"),
+    (trig_spec(1.3, 0.9, 0.0, 1.4), (1.4, 0.0), 1e-3, 60.0, None, 50.0, "escaped"),
+    (_SAMPLED, (0.3, 0.0), 1e-3, 7.5, None, math.inf, "coefficient_singular"),
+], ids=["completes", "stops", "escapes", "singular"])
+def test_sink_gets_the_record_in_row_blocks(monkeypatch, spec, y0, h, t_end, stops, escape,
+                                             want, wrap, block):
+    # a block of 7 rows ends inside each 1024-step chunk of the fused loop
+    monkeypatch.setattr(model, "ROW_BLOCK", block)
+    monkeypatch.setattr(integrate, "ROW_BLOCK", block)
+    fused = make_field(spec)
+    field = (lambda t, y: fused(t, y)) if wrap else fused
+    ref = integrate_fixed(field, y0, FixedStepConfig(h=h, t_end=t_end, escape_bound=escape),
+                          stops=stops)
+    assert ref.status == want
+    for record in (True, False):  # a sink gets every row whatever cfg.record
+        cfg = FixedStepConfig(h=h, t_end=t_end, escape_bound=escape, record=record)
+        blocks = []
+        got = integrate_fixed(field, y0, cfg, stops=stops,
+                              sink=lambda ts, ys: blocks.append((ts, ys)))
+        for ts, ys in blocks:
+            assert ts.dtype == ys.dtype == np.float64
+            assert ts.shape == (len(ts),) and ys.shape == (len(ts), 2) and 0 < len(ts) <= block
+        assert blocks[0][0][0] == 0.0 and tuple(blocks[0][1][0]) == y0
+        # bit for bit the record, cut as Trajectory.blocks() cuts it
+        assert np.concatenate([ts for ts, _ in blocks]).tobytes() == ref.ts.tobytes()
+        assert np.concatenate([ys for _, ys in blocks]).tobytes() == ref.ys.tobytes()
+        assert [(ts.tobytes(), ys.tobytes()) for ts, ys in blocks] == [
+            (ts.tobytes(), ys.tobytes()) for ts, ys in ref.blocks()]
+        assert got.ts.tobytes() == ref.ts[[0, -1]].tobytes()
+        assert got.ys.tobytes() == ref.ys[[0, -1]].tobytes()
+        assert (got.status, got.stats) == (ref.status, ref.stats)
+
+
+@pytest.mark.parametrize("t_start,t_end,h", [
+    (-1.5, 3.0, 0.125),  # h divides the span
+    (0.0, 16.383, 1e-3),  # 16383 full steps, where the float span / h is 16382.99...
+    (0.0, 20.0, 3e-3),  # a shortened last step
+])
+def test_n_rows_is_the_length_of_a_run(t_start, t_end, h):
+    cfg = FixedStepConfig(h=h, t_start=t_start, t_end=t_end)
+    assert cfg.n_rows == len(integrate_fixed(harmonic, (1.0, 0.0), cfg))
 
 
 @pytest.mark.parametrize("h", [None, 7e-4])

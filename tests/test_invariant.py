@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from osclab import invariant
+from osclab import model
 from osclab.errors import UnsupportedSourceError
 from osclab.family import FiveParamSpec, integrate_family, make_augmented_field
 from osclab.integrate import AdaptiveConfig, FixedStepConfig, integrate_adaptive, integrate_fixed
@@ -142,7 +142,7 @@ def _series_cases():
 
 @pytest.mark.parametrize("chunk", [1000, 8192])
 def test_chunked_invariant_series_is_one_whole_array_call(monkeypatch, chunk):
-    monkeypatch.setattr(invariant, "_SERIES_CHUNK", chunk)
+    monkeypatch.setattr(model, "ROW_BLOCK", chunk)
     for spec, traj in _series_cases():
         assert len(traj) == 20001 and len(traj) % chunk
         whole = _invariant(spec, traj.ts, traj.z, traj.p, traj.ys)

@@ -140,3 +140,24 @@ def test_a_runs_counts_are_declared_in_one_record():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr in ("n_accepted", "n_rejected")]
     assert reads == []
+
+
+def _defines_push_many(node):
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(item, ast.FunctionDef) and item.name == "push_many" for item in node.body)
+
+
+def _imports_array(node):
+    return (isinstance(node, ast.Import) and any(a.name == "array" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "array")
+
+
+def test_a_runs_rows_have_one_buffer():
+    # integrate._Recorder buffers a run's rows and hands them out in blocks, so no other
+    # class takes rows by push_many, and array, the buffers' type, serves integrate and
+    # output (the strided CSV rows of ``Strided``) alone
+    pushers = [f"{name}.{node.name}" for name in MODULES for node in ast.walk(_tree(name))
+               if _defines_push_many(node)]
+    assert pushers == ["integrate._Recorder"]
+    importers = [name for name in MODULES if any(map(_imports_array, ast.walk(_tree(name))))]
+    assert importers == ["integrate", "output"]

@@ -390,9 +390,9 @@ def cmd_scan(args) -> Record:
         "all_agree": all(r.agrees for r in rows),
         "dz0": params["dz0"],
         "integrator": stability_mod.SCAN_PAIR.name,
-        "cells": [{k: getattr(r, k) for k in ("omega", "cells", "escaped", "step_underflow",
-                   "coefficient_singular")} | {k: v for k, v in r.stats.to_json().items()
-                                               if k != "integrator"} for r in rows],
+        "cells": [{"omega": r.omega, "cells": r.cells, **r.ended}
+                  | {k: v for k, v in r.stats.to_json().items() if k != "integrator"}
+                  for r in rows],
         "batches": result.batches,
     }
     return Record(

@@ -220,9 +220,10 @@ DP54 = LanePair(DP_NAME, _dp_lane_attempt, -0.2, DP_EVALS)
 DOP853 = LanePair("dop853", _dop853_lane_attempt, -0.125, 12)
 
 
-# terminal statuses of a lane; code 0 marks a lane still running
-LANE_STATUSES = ("completed", "escaped", "coefficient_singular", "step_underflow")
-_COMPLETED, _ESCAPED, _SINGULAR, _UNDERFLOW = range(1, 5)
+# how a lane ends, the one list of a scan cell's endings; code 0 marks a lane still running.
+# A scan row counts its cells under LANE_STATUSES[1:] in this order, its ``cells`` key order
+LANE_STATUSES = ("completed", "escaped", "step_underflow", "coefficient_singular")
+_COMPLETED, _ESCAPED, _UNDERFLOW, _SINGULAR = range(1, 5)
 
 
 @dataclass(frozen=True)

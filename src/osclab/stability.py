@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StepUnderflowError
 from .integrate import MAX_GRID_POINTS, AdaptiveConfig, integrate_adaptive
-from .lanes import DOP853, integrate_lanes, make_lane_field
+from .lanes import DOP853, LANE_STATUSES, integrate_lanes, make_lane_field
 from .model import OscillatorSpec, RunStats, TrigAlpha, make_field, trig_spec
 from .poincare import i0_crit, i0_of_z0, z_crit  # noqa: F401
 
@@ -70,8 +69,8 @@ class StabilityRow:
     """One omega of a scan: its verdict and how its cells ended.
 
     ``agrees``: z_last_bounded lies within 2 dz0 of z_crit_analytic.
-    ``escaped``, ``step_underflow`` and ``coefficient_singular`` count the
-    ``cells`` that ended so, and ``stats`` is the sum of their lanes' records.
+    ``ended`` maps each lane status of ``LANE_STATUSES[1:]``, in order, to the
+    count of ``cells`` that ended so, zeros kept; ``stats`` sums their lanes' records.
     """
 
     omega: float
@@ -79,9 +78,7 @@ class StabilityRow:
     z_crit_analytic: float
     agrees: bool
     cells: int
-    escaped: int
-    step_underflow: int
-    coefficient_singular: int
+    ended: dict
     stats: RunStats
 
 
@@ -117,9 +114,10 @@ def scan(
     the analytic boundary so the scan always terminates; every cell up
     to the cap is integrated, in batches of at most _LANE_BATCH lanes
     made as they are needed, so memory does not grow with the grid.
-    A cell runs ``bounded``'s run on the DOP853 pair (SCAN_PAIR), and
-    only a completed lane is bounded; a test pins its agreement with
-    ``bounded`` at the boundary cells of each row of one three-omega grid.
+    A cell runs ``bounded``'s run on the DOP853 pair (SCAN_PAIR): a
+    completed lane is bounded, and the row counts each other cell under
+    its lane status (``ended``).  A test pins the agreement with ``bounded``
+    at the boundary cells of each row of one three-omega grid.
     Rows, counts included, depend neither on the batch size nor on the
     order of the omegas.  A grid with more than MAX_GRID_POINTS cells in
     any row raises ValueError before any integration; a batch that takes
@@ -147,7 +145,7 @@ def scan(
 
     # per row: the first cell that did not complete, how its cells ended, and what they did
     first_open = [n_cells + 1 for _, _, n_cells in grid]
-    ended = [Counter() for _ in grid]
+    ended = [dict.fromkeys(LANE_STATUSES[1:], 0) for _ in grid]
     totals = [RunStats(SCAN_PAIR.name) for _ in grid]
     batches = []
     todo = cells()
@@ -159,7 +157,7 @@ def scan(
         for row, k, st, stats in zip(row_of, ks, run.status, run.stats):
             if st != "completed":
                 first_open[row] = min(first_open[row], k)
-            ended[row][st] += 1
+                ended[row][st] += 1
             totals[row] += stats
         batches.append({"lanes": len(batch), "lock_steps": run.lock_steps})
 
@@ -168,6 +166,5 @@ def scan(
         z_last = (k_open - 1) * dz0
         rows.append(StabilityRow(
             omega=omega, z_last_bounded=z_last, z_crit_analytic=zc, stats=stats,
-            agrees=abs(z_last - zc) <= 2.0 * dz0, cells=n_cells, escaped=c["escaped"],
-            step_underflow=c["step_underflow"], coefficient_singular=c["coefficient_singular"]))
+            agrees=abs(z_last - zc) <= 2.0 * dz0, cells=n_cells, ended=c))
     return ScanResult(tuple(rows), tuple(batches))

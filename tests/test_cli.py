@@ -312,13 +312,19 @@ def test_stability_scan_summary_names_its_integrator(tmp_path):
 
 
 def test_stability_scan_summary_counts_field_evals(tmp_path):
-    out = tmp_path / "scan"
-    assert run(["stability-scan", "--preset", "fig3", "--omegas", "1:1:1", "--dz0", "0.5",
-                "--tmax", "2", "--no-svg", "--out", str(out)]) == 0
-    (cells,) = json.loads((out / "summary.json").read_text())["cells"]
-    # one evaluation per cell, then twelve per DOP853 trial step (FSAL)
-    assert cells["field_evals"] == cells["cells"] + 12 * (cells["accepted"] + cells["rejected"])
-    assert cells["accepted"] > 0
+    # with --escape 1e60 every runaway cell ends in step underflow before |z| reaches the bound
+    cases = ((["--omegas", "1:1:1", "--tmax", "2"], 16, 0),
+             (["--omegas", "1.4:1.4:1", "--tmax", "20", "--escape", "1e60"], 0, 22))
+    for i, (flags, escaped, underflow) in enumerate(cases):
+        out = tmp_path / f"scan{i}"
+        assert run(["stability-scan", "--preset", "fig3", *flags, "--dz0", "0.5", "--no-svg",
+                    "--out", str(out)]) == 0
+        (cells,) = json.loads((out / "summary.json").read_text())["cells"]
+        assert (cells["escaped"], cells["step_underflow"]) == (escaped, underflow)
+        # one evaluation per cell, then twelve per DOP853 trial step (FSAL)
+        assert cells["field_evals"] == cells["cells"] + 12 * (cells["accepted"]
+                                                              + cells["rejected"])
+        assert cells["accepted"] > 0
 
 
 _SCAN = ["stability-scan", "--preset", "fig3", "--omegas", "1.0:1.0:0.2"]

@@ -161,3 +161,12 @@ def test_a_runs_rows_have_one_buffer():
     assert pushers == ["integrate._Recorder"]
     importers = [name for name in MODULES if any(map(_imports_array, ast.walk(_tree(name))))]
     assert importers == ["integrate", "output"]
+
+
+def test_a_cells_endings_are_the_lanes_statuses():
+    # lanes.LANE_STATUSES names how a lane ends; a scan row counts its cells under those
+    # names, so neither the scan nor the CLI spells an ending of a run that blew up
+    spelling = sorted({name for name in MODULES for node in ast.walk(_tree(name))
+                       if isinstance(node, ast.Constant)
+                       and node.value in ("escaped", "step_underflow")})
+    assert spelling == ["errors", "integrate", "lanes", "model"]

@@ -9,7 +9,7 @@ import pytest
 from osclab import stability
 from osclab.errors import StepUnderflowError
 from osclab.integrate import DP_NAME, AdaptiveConfig, integrate_adaptive
-from osclab.lanes import LaneForm, integrate_lanes, make_lane_field
+from osclab.lanes import LANE_STATUSES, LaneForm, integrate_lanes, make_lane_field
 from osclab.model import RunStats, make_field, trig_spec
 from osclab.stability import (
     StabilityRow,
@@ -195,14 +195,19 @@ def test_dop853_scan_rows_agree_with_bounded_at_the_boundary(step_cap):
 
 
 def test_scan_rows_count_every_cell(step_cap):
-    step_cap(800)
-    (row,) = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.1, t_max=60.0).rows
-    assert row.omega == 1.0
-    # the first escape ends the bounded run of cells; every cell is integrated
-    assert row.cells == math.ceil((1.5 * row.z_crit_analytic + 2.0) / 0.1)
-    assert row.escaped == row.cells - round(row.z_last_bounded / 0.1)
-    assert row.step_underflow == row.coefficient_singular == 0
-    assert row.stats.accepted > row.stats.rejected > 0
+    step_cap(800)  # the scan takes 740 lock-steps at either bound
+    for z_escape, runaway in ((50.0, "escaped"), (1e60, "step_underflow")):
+        (row,) = scan(1.3, 0.9, 0.0, (1.0,), dz0=0.1, t_max=60.0, z_escape=z_escape).rows
+        assert row.omega == 1.0
+        # the first escape ends the bounded run of cells; every cell is integrated
+        assert row.cells == math.ceil((1.5 * row.z_crit_analytic + 2.0) / 0.1)
+        # the bound changes how the runaway cells end, not the verdict: with a bound of
+        # 1e60 a blow-up's step falls below h_min before |z| reaches the bound
+        assert (row.z_last_bounded, row.agrees) == (6 * 0.1, True)
+        want = dict.fromkeys(LANE_STATUSES[1:], 0)
+        want[runaway] = row.cells - round(row.z_last_bounded / 0.1)
+        assert row.ended == want
+        assert row.stats.accepted > row.stats.rejected > 0
 
 
 def test_scan_field_evals_count_the_lane_field_calls(monkeypatch, step_cap):
@@ -227,7 +232,7 @@ def test_scan_field_evals_count_the_lane_field_calls(monkeypatch, step_cap):
     step_cap(max(b["lock_steps"] for b in ref.batches))
     monkeypatch.setattr(stability, "make_lane_field", counting_lane_field)
     assert scan(1.3, 0.9, 0.2, omegas, **kw).rows == rows
-    assert sum(r.coefficient_singular for r in rows) == 0
+    assert sum(r.ended["coefficient_singular"] for r in rows) == 0
     for omega, r in zip(omegas, rows):
         assert r.stats.field_evals == evals[2.0 * omega]
         assert r.stats.field_evals == r.cells + 12 * (r.stats.accepted + r.stats.rejected)
@@ -241,7 +246,8 @@ def test_scan_counts_no_start_evaluation_for_a_cell_that_never_stepped():
                                 AdaptiveConfig(rtol=1e-8, t_end=5.0))
     assert (scalar.status, scalar.stats) == ("coefficient_singular", RunStats(DP_NAME))
     (row,) = scan(1e-10, 0.0, 0.0, (1.0,), dz0=0.1, t_max=10.0).rows
-    assert (row.cells, row.coefficient_singular, row.stats) == (20, 20, RunStats("dop853"))
+    assert (row.cells, row.ended["coefficient_singular"], row.stats) == (20, 20,
+                                                                      RunStats("dop853"))
 
 
 @pytest.mark.parametrize("kw,match", [
